@@ -14,7 +14,6 @@ from .algebra import (
     conjugation,
     geometric_product,
     lipschitz_element_inverse,
-    lipschitz_inverse,
     norm,
     pin_action,
     reflect,

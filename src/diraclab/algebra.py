@@ -168,13 +168,6 @@ class Multivector:
         keep = blade_grades(self.dim) == r
         return Multivector(self.dim, np.where(keep, self.coeffs, 0.0), copy=False)
 
-    def max_grade_mass(self):
-        """For each grade, the coefficient-norm of that grade part."""
-        g = blade_grades(self.dim)
-        return np.array(
-            [np.linalg.norm(self.coeffs[..., g == r]) for r in range(self.dim + 1)]
-        )
-
     def is_grade(self, r: int, tol: float = 0.0) -> bool:
         off = self.coeffs[..., blade_grades(self.dim) != r]
         return bool(np.all(np.abs(off) <= tol))
@@ -378,10 +371,6 @@ class VectorFactorList:
         for f in reversed(self.factors[:-1]):
             out = geometric_product(out, vector_inverse(f))
         return out
-
-
-def lipschitz_inverse(factors: VectorFactorList) -> Multivector:
-    return factors.inverse()
 
 
 def reflect(y: Multivector, x: Multivector) -> Multivector:

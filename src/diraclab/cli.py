@@ -9,7 +9,8 @@ significant digits so they round-trip losslessly).
 
 Exit status: 0 when every check in the subcommand's acceptance set
 passes, 1 on a failed check (the per-check report goes to stderr),
-2 on a usage error.
+2 on a usage error, which includes a configuration that breaks a library
+contract.
 
 A plain-text configuration file of ``key = value`` lines may supply any
 flag value (``--config run.cfg``); values given on the command line win
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
+    AlgebraError,
     Multivector,
     geometric_product,
     norm,
@@ -36,7 +38,6 @@ from .algebra import (
     conjugation,
 )
 from .cr2d import (
-    ComplexBump,
     p_cr_residual,
     p_cr_solution,
     polynomial_map,
@@ -46,6 +47,7 @@ from .cr2d import (
 )
 from .fields import (
     Domain,
+    FieldError,
     convergence_order,
     log_radial,
     p_dirac_residual,
@@ -53,7 +55,7 @@ from .fields import (
     p_harmonic_radial,
 )
 from .mobius import MobiusError, parse_mobius_expr
-from .solver import LatticeDomain, SolverConfig, solve_dirichlet
+from .solver import LatticeDomain, SolverConfig, SolverError, solve_dirichlet
 from .sphere import (
     SphericalCap,
     cayley_ratio_constancy,
@@ -67,6 +69,7 @@ from .sphere import (
     spherical_p_harmonic_check,
 )
 from .weakform import (
+    WeakFormError,
     dirac_covariance_experiment,
     harmonic_covariance_experiment,
 )
@@ -74,6 +77,13 @@ from .weakform import (
 
 class UsageError(ValueError):
     """Bad flag or configuration value (exit status 2)."""
+
+
+# a configuration that parses but breaks a library contract is a usage
+# error too, never a failed check
+_CONTRACT_ERRORS = (
+    UsageError, AlgebraError, FieldError, MobiusError, SolverError, WeakFormError,
+)
 
 
 # --------------------------------------------------------------- formatting
@@ -499,10 +509,7 @@ def run_covariance(params):
         p = float(n) if mode == 2 else 2.5
     if mode == 2 and p != float(n):
         raise UsageError("mode 2 is the p = n case; drop --p or set it to n")
-    try:
-        m = parse_mobius_expr(params["mobius"], n)
-    except MobiusError as exc:
-        raise UsageError(str(exc)) from exc
+    m = parse_mobius_expr(params["mobius"], n)
 
     source = Domain.ball([3.0] + [0.0] * (n - 1), 1.0)
     kw = dict(order=params["order"], cells=params["cells"], seed=seed,
@@ -690,7 +697,6 @@ def run_solve(params):
         "iterations": diag.iterations,
         "final_energy": diag.final_energy,
         "final_gradient_norm": diag.final_gradient_norm,
-        "energy_evaluations": len(diag.energies),
         "stages": [list(s) for s in diag.stages],
         "monotone": monotone,
         "max_relative_error": max_rel,
@@ -848,7 +854,7 @@ def main(argv=None):
     try:
         params = resolve_config(args)
         return run(params, args.subcommand)
-    except UsageError as exc:
+    except _CONTRACT_ERRORS as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
 

@@ -357,28 +357,30 @@ def default_complex_bumps(domain: Domain, seed: int = 42, count: int = 5):
     return out
 
 
+def _cr_pairing(flux: ComplexField, xi: ComplexBump, order: int):
+    """(raw, normalizer): the quadratures of conj(flux) * d xi / d z and of
+    |flux| |d xi / d z| over the support of xi."""
+    z, w = xi.quadrature(order)
+    vals = flux(z)
+    if not np.all(np.isfinite(vals)):
+        raise CRError(f"{flux.name!r} is singular on the support of {xi.label!r}")
+    dxi = xi.dz(z)
+    raw = complex(np.sum(w * np.conj(vals) * dxi))
+    return raw, float(np.sum(w * np.abs(vals) * np.abs(dxi)))
+
+
 def weak_cr_residual(
     g: ComplexField, p: float, xi: ComplexBump, order: int = 12
 ) -> complex:
     """Quadrature of conj(|g|^(p-2) g) * d xi / d z over the support."""
-    z, w = xi.quadrature(order)
-    fv = _flux(g, p)(z)
-    if not np.all(np.isfinite(fv)):
-        raise CRError(f"{g.name!r} is singular on the support of {xi.label!r}")
-    return complex(np.sum(w * np.conj(fv) * xi.dz(z)))
+    return _cr_pairing(_flux(g, p), xi, order)[0]
 
 
 def normalized_weak_cr_residual(
     g: ComplexField, p: float, xi: ComplexBump, order: int = 12
 ) -> float:
     """|weak residual| scaled by the quadrature of |flux| |d xi / d z|."""
-    z, w = xi.quadrature(order)
-    fv = _flux(g, p)(z)
-    if not np.all(np.isfinite(fv)):
-        raise CRError(f"{g.name!r} is singular on the support of {xi.label!r}")
-    dxi = xi.dz(z)
-    raw = complex(np.sum(w * np.conj(fv) * dxi))
-    normalizer = float(np.sum(w * np.abs(fv) * np.abs(dxi)))
+    raw, normalizer = _cr_pairing(_flux(g, p), xi, order)
     return abs(raw) / max(normalizer, 1e-300)
 
 
@@ -396,18 +398,6 @@ def composed_flux(g: ComplexField, f: ComplexField, p: float) -> ComplexField:
     return ComplexField(ev, None, None, (), name=f"{g.name} through {f.name}")
 
 
-def theorem5_check(
-    g: ComplexField, f: ComplexField, p: float, xi: ComplexBump, order: int = 12
-) -> complex:
-    """Weak residual of the transformed flux against one test function:
-    the quadrature of conj(W) * d xi / d zeta, W the composed flux."""
-    z, w = xi.quadrature(order)
-    vals = composed_flux(g, f, p)(z)
-    if not np.all(np.isfinite(vals)):
-        raise CRError(f"the composed field is singular on the support of {xi.label!r}")
-    return complex(np.sum(w * np.conj(vals) * xi.dz(z)))
-
-
 def theorem5_experiment(
     g: ComplexField,
     f: ComplexField,
@@ -422,15 +412,7 @@ def theorem5_experiment(
     W = composed_flux(g, f, p)
     for xi in default_complex_bumps(domain, seed=seed, count=count):
         xi.require_support_inside(domain)
-        z, w = xi.quadrature(order)
-        vals = W(z)
-        if not np.all(np.isfinite(vals)):
-            raise CRError(
-                f"the composed field is singular on the support of {xi.label!r}"
-            )
-        dxi = xi.dz(z)
-        raw = complex(np.sum(w * np.conj(vals) * dxi))
-        normalizer = float(np.sum(w * np.abs(vals) * np.abs(dxi)))
+        raw, normalizer = _cr_pairing(W, xi, order)
         rows.append(
             {
                 "eta": xi.label,

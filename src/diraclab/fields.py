@@ -17,7 +17,7 @@ convergence-order fits) to verify those identities numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -302,11 +302,6 @@ def denominator(m: VahlenMatrix, x: Multivector) -> Multivector:
     return m.c * x + m.d
 
 
-def min_denominator_norm(m: VahlenMatrix, x: Multivector) -> float:
-    """Smallest |c x + d| over a batch of probe points (pole clearance)."""
-    return float(np.min(denominator(m, x).norm()))
-
-
 def _check_poles(g: Multivector, pole_tol: float):
     if np.any(g.norm() <= pole_tol):
         raise PoleError(

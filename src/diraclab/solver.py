@@ -55,11 +55,11 @@ the configured epsilon, halving per stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, geometric_product
+from .algebra import Multivector, product_signs
 
 
 class SolverError(ValueError):
@@ -69,20 +69,20 @@ class SolverError(ValueError):
 # ------------------------------------------------------------------ domains
 
 
-def _shifted(mask: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """mask evaluated at x + step*h*e_axis, False outside the grid."""
-    out = np.zeros_like(mask)
-    src = [slice(None)] * mask.ndim
-    dst = [slice(None)] * mask.ndim
+def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """a evaluated at x + step*h*e_axis: zero (False) outside the grid.
+    Trailing axes beyond the grid axes, such as blade coefficients, ride
+    along."""
+    out = np.zeros_like(a)
+    src = [slice(None)] * a.ndim
+    dst = [slice(None)] * a.ndim
     if step > 0:
         src[axis] = slice(step, None)
         dst[axis] = slice(None, -step)
     elif step < 0:
         src[axis] = slice(None, step)
         dst[axis] = slice(-step, None)
-    else:
-        return mask.copy()
-    out[tuple(dst)] = mask[tuple(src)]
+    out[tuple(dst)] = a[tuple(src)]
     return out
 
 
@@ -116,18 +116,18 @@ class LatticeDomain:
         interior = self.node_mask.copy()
         for axis in range(self.dim):
             for step in (+1, -1):
-                interior &= _shifted(self.node_mask, axis, step)
+                interior &= _shift(self.node_mask, axis, step)
         for aj in range(self.dim):
             for ak in range(self.dim):
                 if aj != ak:
-                    interior &= _shifted(
-                        _shifted(self.node_mask, aj, -1), ak, +1
+                    interior &= _shift(
+                        _shift(self.node_mask, aj, -1), ak, +1
                     )
         base = self.node_mask.copy()
         back = self.node_mask.copy()
         for axis in range(self.dim):
-            base &= _shifted(self.node_mask, axis, +1)
-            back &= _shifted(self.node_mask, axis, -1)
+            base &= _shift(self.node_mask, axis, +1)
+            back &= _shift(self.node_mask, axis, -1)
         object.__setattr__(self, "interior_mask", interior)
         object.__setattr__(self, "base_mask", base)
         object.__setattr__(self, "backward_base_mask", back)
@@ -244,40 +244,14 @@ class LatticeField:
 def _left_blade_tables(dim: int):
     """Per axis j: (index permutation, signs) so that the coefficients of
     e_j A are signs * coeffs[..., perm]."""
-    size = 1 << dim
-    tables = []
-    for j in range(dim):
-        bit = 1 << j
-        perm = np.arange(size) ^ bit
-        signs = np.empty(size)
-        ej = Multivector.blade(dim, bit)
-        for m in range(size):
-            prod = geometric_product(ej, Multivector.blade(dim, m ^ bit))
-            signs[m] = prod.coeffs[m]
-        tables.append((perm, signs))
-    return tables
+    idx = np.arange(1 << dim)
+    return [
+        (idx ^ (1 << j), product_signs(dim)[1 << j, idx ^ (1 << j)])
+        for j in range(dim)
+    ]
 
 
 _SCHEMES = ("forward", "backward", "symmetric")
-
-
-def _one_sided_diff(values: np.ndarray, domain: LatticeDomain, axis: int,
-                    orientation: int) -> np.ndarray:
-    """Forward (u(x + h e) - u(x))/h or backward (u(x) - u(x - h e))/h on
-    the full grid (garbage off the matching base nodes, which the base
-    mask removes)."""
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if orientation > 0:
-        src[axis] = slice(1, None)
-        dst[axis] = slice(None, -1)
-        out[tuple(dst)] = values[tuple(src)]
-        return (out - values) / domain.h
-    src[axis] = slice(None, -1)
-    dst[axis] = slice(1, None)
-    out[tuple(dst)] = values[tuple(src)]
-    return (values - out) / domain.h
 
 
 def _base_mask_for(domain: LatticeDomain, orientation: int) -> np.ndarray:
@@ -294,7 +268,9 @@ def _dirac_square(u: LatticeField, orientation: int = +1):
     e_j d_j are orthogonal grade-1 blades).
     """
     dom = u.domain
-    diffs = [_one_sided_diff(u.values, dom, axis, orientation)
+    # forward (u(x + h e) - u(x))/h or backward (u(x) - u(x - h e))/h on the
+    # full grid; off the matching base nodes the base mask removes them
+    diffs = [(_shift(u.values, axis, orientation) - u.values) * orientation / dom.h
              for axis in range(dom.dim)]
     if u.is_clifford:
         dirac = np.zeros_like(u.values)
@@ -367,38 +343,17 @@ def _one_sided_gradient(u: LatticeField, p: float, epsilon: float,
     psi = np.zeros(dom.shape)
     psi[base] = base_psi
 
-    grad = np.zeros_like(u.values)
     if u.is_clifford:
-        for axis, (perm, signs) in enumerate(_left_blade_tables(dom.dim)):
-            flux = psi[..., None] * (signs * dirac[..., perm])
-            # term at the carrier node y minus the term reaching y from
-            # the carrier at y - orientation * h e_axis
-            grad += orientation * flux
-            shifted = np.zeros_like(flux)
-            src = [slice(None)] * flux.ndim
-            dst = [slice(None)] * flux.ndim
-            if orientation > 0:
-                src[axis] = slice(None, -1)
-                dst[axis] = slice(1, None)
-            else:
-                src[axis] = slice(1, None)
-                dst[axis] = slice(None, -1)
-            shifted[tuple(dst)] = flux[tuple(src)]
-            grad -= orientation * shifted
+        fluxes = (psi[..., None] * (signs * dirac[..., perm])
+                  for perm, signs in _left_blade_tables(dom.dim))
     else:
-        for axis, d in enumerate(diffs):
-            flux = psi * d
-            shifted = np.zeros_like(flux)
-            src = [slice(None)] * flux.ndim
-            dst = [slice(None)] * flux.ndim
-            if orientation > 0:
-                src[axis] = slice(None, -1)
-                dst[axis] = slice(1, None)
-            else:
-                src[axis] = slice(1, None)
-                dst[axis] = slice(None, -1)
-            shifted[tuple(dst)] = flux[tuple(src)]
-            grad += orientation * (shifted - flux)
+        # e_j e_j = -1 on the Clifford path; the scalar flux carries it
+        fluxes = (-psi * d for d in diffs)
+    grad = np.zeros_like(u.values)
+    for axis, flux in enumerate(fluxes):
+        # term at the carrier node y minus the term reaching y from the
+        # carrier at y - orientation * h e_axis
+        grad += orientation * (flux - _shift(flux, axis, -orientation))
     grad *= p * dom.h ** (dom.dim - 1)
     grad[~dom.interior_mask] = 0.0
     return grad
@@ -434,17 +389,7 @@ def laplace_stencil_residual(u: LatticeField) -> float:
     acc = -2.0 * dom.dim * vals.copy()
     for axis in range(dom.dim):
         for step in (+1, -1):
-            shifted = np.zeros_like(vals)
-            src = [slice(None)] * vals.ndim
-            dst = [slice(None)] * vals.ndim
-            if step > 0:
-                src[axis] = slice(1, None)
-                dst[axis] = slice(None, -1)
-            else:
-                src[axis] = slice(None, -1)
-                dst[axis] = slice(1, None)
-            shifted[tuple(dst)] = vals[tuple(src)]
-            acc += shifted
+            acc += _shift(vals, axis, step)
     res = np.abs(acc[dom.interior_mask]) / dom.h**2
     return float(np.max(res)) if res.size else 0.0
 
@@ -505,8 +450,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _minimize_stage(values, domain, p, epsilon, tol, config):
-    """Descent loop on one regularization stage; mutates and returns values
-    plus history lists.
+    """Descent loop on one regularization stage; returns values, history
+    lists, the iteration count and the stop reason: "converged",
+    "zero slope", "no bracket", "step underflow", "stall" or "max_iter".
 
     The line search brackets and secant-solves the zero of the
     directional derivative phi'(a) = <grad(u + a d), d>.  Energy only
@@ -534,14 +480,15 @@ def _minimize_stage(values, domain, p, epsilon, tol, config):
     alpha = 1.0
     iterations = 0
     stalls = 0
-    converged = gnorm <= tol
-    while not converged and iterations < config.max_iter:
+    reason = "converged" if gnorm <= tol else None
+    while reason is None and iterations < config.max_iter:
         slope = _dot(g, d)
         if slope >= 0.0:  # conjugate direction failed; restart on steepest
             d = -g
             slope = _dot(g, d)
             if slope >= 0.0:
-                break  # gradient is numerically zero
+                reason = "zero slope"  # gradient is numerically zero
+                break
         # Bracket the zero of phi'(a) = <grad(u + a d), d>, warm-started
         # from the last accepted step.  phi' is nondecreasing (convex
         # energy), negative at a = 0.
@@ -556,7 +503,8 @@ def _minimize_stage(values, domain, p, epsilon, tol, config):
                 break
             hi *= 2.0
         if not np.isfinite(f_hi) or f_hi < 0.0:
-            break  # no bracket: numerically flat direction
+            reason = "no bracket"  # numerically flat direction
+            break
         lo, f_lo = 0.0, slope
         # secant proposals with a bisection safeguard
         for _ in range(24):
@@ -603,13 +551,15 @@ def _minimize_stage(values, domain, p, epsilon, tol, config):
                     break
                 a_c *= config.backtrack
         if accepted is None:
-            break  # the step underflowed; report the stall
+            reason = "step underflow"
+            break
         alpha, u_new, t_u, delta, g_new = accepted
         e_new = e + delta
         if np.array_equal(u_new, u):
             stalls += 1
             if stalls >= 3:
-                break  # progress below floating-point resolution
+                reason = "stall"  # progress below floating-point resolution
+                break
         else:
             stalls = 0
         g_prev, u, e = g, u_new, e_new
@@ -618,15 +568,15 @@ def _minimize_stage(values, domain, p, epsilon, tol, config):
         energies.append(e)
         gnorms.append(gnorm)
         iterations += 1
-        converged = gnorm <= tol
-        if converged:
+        if gnorm <= tol:
+            reason = "converged"
             break
         if config.use_conjugate:
             beta = max(0.0, _dot(g, g - g_prev) / max(_dot(g_prev, g_prev), 1e-300))
             d = -g + beta * d
         else:
             d = -g
-    return u, energies, gnorms, iterations, converged
+    return u, energies, gnorms, iterations, reason or "max_iter"
 
 
 def _continuation_schedule(p: float, epsilon: float):
@@ -688,17 +638,17 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
     all_e, all_g = [], []
     stages = []
     total_iter = 0
-    converged = False
     for eps in schedule:
         stage_tol = tol if eps == config.epsilon else max(tol, 1e-5 * domain.h**domain.dim)
-        values, energies, gnorms, iters, converged = _minimize_stage(
+        values, energies, gnorms, iters, reason = _minimize_stage(
             values, domain, config.p, eps, stage_tol, config
         )
         all_e.extend(energies)
         all_g.extend(gnorms)
         total_iter += iters
         stages.append((float(eps), int(iters), float(gnorms[-1])))
-    message = "" if converged else "gradient tolerance not reached within max_iter"
+    converged = reason == "converged"
+    message = "" if converged else f"gradient tolerance not reached: stopped on {reason}"
     diag = SolveDiagnostics(
         converged=bool(converged),
         iterations=int(total_iter),

@@ -32,7 +32,7 @@ from .fields import (
     StencilError,
     VanishingNormError,
 )
-from .weakform import SupportError, _radial_rule, _unit_sphere_rule
+from .weakform import SupportError, _radial_rule, _unit_sphere_rule, weak_pairing
 
 
 class SphereError(FieldError):
@@ -594,31 +594,31 @@ def default_cap_bumps(cap: SphericalCap, seed: int = 42, random_count: int = 3):
     return out
 
 
+def _cap_pairing(f: SphericalField, p: float, eta: CapBump, order: int,
+                 cap: SphericalCap):
+    """weak_pairing of the p-flux of f against the closed-form D_S eta."""
+    if cap is not None:
+        eta.require_support_inside(cap)
+    nodes, w = cap_quadrature(eta, order)
+    return weak_pairing(p_spherical_flux(f, p)(nodes), eta.dirac(nodes), w)
+
+
 def weak_spherical_residual(
     f: SphericalField, p: float, eta: CapBump, order: int = 12, cap: SphericalCap = None
 ) -> Multivector:
     """Quadrature of conj(|f|^(p-2) f) D_S eta over the bump's support,
     with the closed-form D_S eta."""
-    if cap is not None:
-        eta.require_support_inside(cap)
-    nodes, w = cap_quadrature(eta, order)
-    flux = p_spherical_flux(f, p)(nodes)
-    integrand = geometric_product(flux.conjugation(), eta.dirac(nodes))
-    return Multivector(f.ambient, np.sum(w[:, None] * integrand.coeffs, axis=0))
+    raw, _ = _cap_pairing(f, p, eta, order, cap)
+    return Multivector(f.ambient, raw, copy=False)
 
 
 def normalized_weak_spherical_residual(
     f: SphericalField, p: float, eta: CapBump, order: int = 12, cap: SphericalCap = None
 ) -> float:
-    if cap is not None:
-        eta.require_support_inside(cap)
-    nodes, w = cap_quadrature(eta, order)
-    flux = p_spherical_flux(f, p)(nodes)
-    deta = eta.dirac(nodes)
-    integrand = geometric_product(flux.conjugation(), deta)
-    raw = np.sum(w[:, None] * integrand.coeffs, axis=0)
-    normalizer = float(np.sum(w * flux.norm() * deta.norm()))
-    return float(np.sqrt(np.sum(raw * raw))) / max(normalizer, 1e-300)
+    raw, normalizer = _cap_pairing(f, p, eta, order, cap)
+    return float(Multivector(f.ambient, raw, copy=False).norm()) / max(
+        float(normalizer), 1e-300
+    )
 
 
 # -------------------------------------------------- stereographic bridge

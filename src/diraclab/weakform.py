@@ -15,9 +15,13 @@ solution back through a Moebius map and measuring the weak residual of the
 transformed field on the preimage domain, in both the plain-derivative and
 the twisted-derivative (frame-conjugated) forms.
 
-Quadrature cells evaluate independently and reduce with numpy's pairwise
-summation in a fixed order, so every reported number is deterministic for
-a fixed seed, order and cell decomposition.
+`weak_pairing` is the one place a Clifford-valued pairing is summed: the
+flat residuals, the covariance experiments, the divergence oracle and the
+spherical residuals all call it.  Its summation order is fixed: the
+weighted integrand is reduced over the node axis by numpy's sum in node
+order, never through a matrix product (whose BLAS blocking may vary), so
+every reported number is deterministic for a fixed seed, order and cell
+decomposition, and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -419,17 +423,37 @@ def _power_scale(norms: np.ndarray, p: float) -> np.ndarray:
     return norms ** (p - 2.0)
 
 
-def _pair(vals: Multivector, p: float, deta: Multivector, w, weight_vals=None):
-    """Quadrature of conj(A |vals|^(p-2) vals) * deta and its normalizer."""
-    norms = vals.norm()
-    scale = _power_scale(norms, p)
-    if weight_vals is not None:
-        scale = scale * weight_vals
-    weighted = Multivector(vals.dim, scale[..., None] * vals.coeffs)
-    integrand = geometric_product(weighted.conjugation(), deta)
-    raw = Multivector(vals.dim, np.sum(w[:, None] * integrand.coeffs, axis=0))
-    normalizer = float(np.sum(w * scale * norms * deta.norm()))
+def weak_pairing(vals: Multivector, deta: Multivector, w: np.ndarray):
+    """The weak pairing of node values against D eta: returns
+
+        raw        = sum over nodes of w conj(vals) * deta   (coefficients)
+        normalizer = sum over nodes of w |vals| |deta|
+
+    `vals` and `deta` are batched over the N nodes (`vals` may also be a
+    single constant); callers fold any A |f|^(p-2) factor into `w`.  A
+    (K, N) `w` gives K rows of (raw, normalizer) from one Clifford product.
+    """
+    integrand = geometric_product(vals.conjugation(), deta).coeffs
+    raw = np.sum(w[..., None] * integrand, axis=-2)
+    normalizer = np.sum(w * vals.norm() * deta.norm(), axis=-1)
     return raw, normalizer
+
+
+def _pair(f: AnalyticField, p: float, eta: BumpTestFunction,
+          rule: QuadratureRule, weight, of_derivative: bool, scheme: str):
+    """Raw pairing and normalizer of conj(A |v|^(p-2) v) * D eta for v = f,
+    or v = D f when of_derivative; None when no node falls on the support."""
+    if of_derivative and not f.has_grad:
+        raise FieldError(f"weak form needs the analytic derivative of {f.name!r}")
+    nodes, w = _integration_nodes(rule, eta, scheme)
+    if len(nodes) == 0:
+        return None
+    vals = f.dirac(nodes) if of_derivative else f(nodes)
+    scale = _power_scale(vals.norm(), p)
+    if weight is not None:
+        scale = scale * weight(nodes)
+    raw, normalizer = weak_pairing(vals, eta.dirac(nodes), w * scale)
+    return Multivector(vals.dim, raw, copy=False), float(normalizer)
 
 
 def weak_p_dirac_residual(
@@ -437,20 +461,8 @@ def weak_p_dirac_residual(
     weight=None, scheme: str = "fitted",
 ) -> Multivector:
     """Clifford-valued quadrature of conj(A |f|^(p-2) f) * D eta over U."""
-    nodes, w = _integration_nodes(rule, eta, scheme)
-    if len(nodes) == 0:
-        return Multivector.zero(rule.domain.dim)
-    wv = weight(nodes) if weight is not None else None
-    raw, _ = _pair(f(nodes), p, eta.dirac(nodes), w, wv)
-    return raw
-
-
-def weak_Ap_dirac_residual(
-    g: AnalyticField, p: float, weight, eta: BumpTestFunction,
-    rule: QuadratureRule, scheme: str = "fitted",
-) -> Multivector:
-    """Weighted form: the positive weight A joins the conjugated factor."""
-    return weak_p_dirac_residual(g, p, eta, rule, weight=weight, scheme=scheme)
+    pair = _pair(f, p, eta, rule, weight, False, scheme)
+    return pair[0] if pair else Multivector.zero(rule.domain.dim)
 
 
 def weak_p_harmonic_residual(
@@ -458,48 +470,20 @@ def weak_p_harmonic_residual(
     weight=None, scheme: str = "fitted",
 ) -> Multivector:
     """Quadrature of conj(A |Dh|^(p-2) Dh) * D eta; needs analytic Dh."""
-    if not h.has_grad:
-        raise FieldError(f"weak form needs the analytic derivative of {h.name!r}")
-    nodes, w = _integration_nodes(rule, eta, scheme)
-    if len(nodes) == 0:
-        return Multivector.zero(rule.domain.dim)
-    wv = weight(nodes) if weight is not None else None
-    raw, _ = _pair(h.dirac(nodes), p, eta.dirac(nodes), w, wv)
-    return raw
-
-
-def weak_residual_normalizer(
-    f: AnalyticField, p: float, eta: BumpTestFunction, rule: QuadratureRule,
-    weight=None, of_derivative: bool = False, scheme: str = "fitted",
-) -> float:
-    """Quadrature of A |f|^(p-1) |D eta| - the scale for residual reporting."""
-    nodes, w = _integration_nodes(rule, eta, scheme)
-    if len(nodes) == 0:
-        return 0.0
-    vals = f.dirac(nodes) if of_derivative else f(nodes)
-    norms = vals.norm()
-    scale = _power_scale(norms, p)
-    if weight is not None:
-        scale = scale * weight(nodes)
-    return float(np.sum(w * scale * norms * eta.dirac(nodes).norm()))
+    pair = _pair(h, p, eta, rule, weight, True, scheme)
+    return pair[0] if pair else Multivector.zero(rule.domain.dim)
 
 
 def normalized_weak_residual(
     f: AnalyticField, p: float, eta: BumpTestFunction, rule: QuadratureRule,
     weight=None, of_derivative: bool = False, scheme: str = "fitted",
 ) -> float:
-    """|weak residual| / normalizer, computed in one pass."""
-    nodes, w = _integration_nodes(rule, eta, scheme)
-    if len(nodes) == 0:
+    """|weak residual| / normalizer, the normalizer being the quadrature
+    of A |f|^(p-1) |D eta|; computed in one pass."""
+    pair = _pair(f, p, eta, rule, weight, of_derivative, scheme)
+    if pair is None:
         return 0.0
-    if of_derivative:
-        if not f.has_grad:
-            raise FieldError(f"weak form needs the analytic derivative of {f.name!r}")
-        vals = f.dirac(nodes)
-    else:
-        vals = f(nodes)
-    wv = weight(nodes) if weight is not None else None
-    raw, normalizer = _pair(vals, p, eta.dirac(nodes), w, wv)
+    raw, normalizer = pair
     return float(raw.norm()) / max(normalizer, 1e-300)
 
 
@@ -511,10 +495,8 @@ def dirac_integral_check(
     nodes, w = _integration_nodes(rule, eta, scheme)
     if len(nodes) == 0:
         return 0.0
-    deta = eta.dirac(nodes)
-    raw = np.sum(w[:, None] * deta.coeffs, axis=0)
-    total = float(np.sum(w * deta.norm()))
-    return float(np.sqrt(np.sum(raw * raw))) / max(total, 1e-300)
+    raw, total = weak_pairing(Multivector.scalar(eta.dim, 1.0), eta.dirac(nodes), w)
+    return float(Multivector(eta.dim, raw).norm()) / max(float(total), 1e-300)
 
 
 # ------------------------------------------------------- domain pullback
@@ -647,15 +629,14 @@ def _pullback_and_validate(f, m, source_domain, margin):
 
 def _warn_if_moving(report, recompute, floor=1e-10):
     stable = recompute()
-    for label in ("max",):
-        a, b = report.max_normalized, stable.max_normalized
-        if max(a, b) > floor and abs(a - b) > 0.1 * max(a, b):
-            warnings.warn(
-                f"{report.experiment}: residual moved {a:.3e} -> {b:.3e} "
-                "under order doubling; quadrature has not converged",
-                AccuracyWarning,
-                stacklevel=3,
-            )
+    a, b = report.max_normalized, stable.max_normalized
+    if max(a, b) > floor and abs(a - b) > 0.1 * max(a, b):
+        warnings.warn(
+            f"{report.experiment}: residual moved {a:.3e} -> {b:.3e} "
+            "under order doubling; quadrature has not converged",
+            AccuracyWarning,
+            stacklevel=3,
+        )
     return stable
 
 
@@ -690,11 +671,8 @@ def dirac_covariance_experiment(
     weight = ConformalWeight(m, exponent)
     rows = []
     for eta in default_test_functions(volume, seed=seed, random_count=random_bumps):
-        nodes, w = _integration_nodes(rule, eta, scheme)
-        if len(nodes) == 0:
-            rows.append(CovarianceRow(eta.label, exponent, 0.0, 0.0))
-            continue
-        raw, normalizer = _pair(g(nodes), p, eta.dirac(nodes), w, weight(nodes))
+        pair = _pair(g, p, eta, rule, weight, False, scheme)
+        raw, normalizer = pair if pair else (Multivector.zero(dim), 0.0)
         rows.append(
             CovarianceRow(eta.label, exponent, float(raw.norm()), normalizer)
         )
@@ -773,20 +751,16 @@ def harmonic_covariance_experiment(
             continue
         fp = frame_at(m, Multivector.from_vector(dim, nodes))
         twisted = fp.twisted_dirac(gh.grad(nodes))
-        tnorm = twisted.norm()
-        power = _power_scale(tnorm, p)
-        deta_tw = fp.twisted_dirac(eta.partials(nodes))
-        base = geometric_product(twisted.conjugation(), deta_tw).coeffs
-        dnorm = deta_tw.norm()
-        for s in exponents:
-            avals = fp.scale**s
-            raw = np.sum((w * avals * power)[:, None] * base, axis=0)
-            normalizer = float(np.sum(w * avals * power * tnorm * dnorm))
-            rows.append(
-                CovarianceRow(
-                    eta.label, s, float(np.sqrt(np.sum(raw * raw))), normalizer
-                )
-            )
+        power = _power_scale(twisted.norm(), p)
+        scan = w * fp.scale ** np.array(exponents)[:, None] * power
+        raw, normalizer = weak_pairing(
+            twisted, fp.twisted_dirac(eta.partials(nodes)), scan
+        )
+        norms = Multivector(dim, raw, copy=False).norm()
+        rows.extend(
+            CovarianceRow(eta.label, s, float(r), float(nz))
+            for s, r, nz in zip(exponents, norms, normalizer)
+        )
     report = CovarianceReport(
         "twisted-harmonic",
         dim,

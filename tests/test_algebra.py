@@ -15,7 +15,6 @@ from diraclab.algebra import (
     clifford_inner,
     geometric_product,
     lipschitz_element_inverse,
-    lipschitz_inverse,
     parity,
     pin_action,
     product_signs,
@@ -222,7 +221,7 @@ def test_vector_inverse(rng):
 def test_lipschitz_inverse_by_factor_list(rng, count):
     factors = random_factor_list(rng, 3, count)
     a = factors.product()
-    inv = lipschitz_inverse(factors)
+    inv = factors.inverse()
     assert np.allclose(
         (a * inv).coeffs, Multivector.scalar(3, 1.0).coeffs, atol=1e-12
     )

@@ -175,13 +175,22 @@ def test_config_file_syntax_errors(tmp_path):
 # ------------------------------------------------------------- exit statuses
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     assert run_cli(["covariance"]) == 2                      # theorem missing
     assert run_cli(["solve", "--p", "0.5"]) == 2             # p out of range
     assert run_cli(["solve", "--region", "annulus:1,2", "--n", "3"]) == 2
     assert run_cli(["solve", "--bc", "radial"]) == 2         # origin on grid
     assert run_cli(["kernel-residual", "--n", "9"]) == 2
     assert run_cli([]) == 2
+    # configurations that parse but break a library contract
+    for args in (["covariance", "--theorem", "1", "--n", "5"],  # quadrature dim
+                 ["sphere-check", "--n", "5"],
+                 ["solve", "--h", "0.3"],                       # off the lattice
+                 ["solve", "--region", "annulus:2,1"]):
+        capsys.readouterr()
+        assert run_cli(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
 
 
 def test_bad_choice_exits_two():

@@ -20,7 +20,6 @@ from diraclab.cr2d import (
     p_cr_residual,
     p_cr_solution,
     polynomial_map,
-    theorem5_check,
     theorem5_experiment,
     transfer_identity_check,
     weak_cr_residual,
@@ -233,9 +232,14 @@ def test_theorem5_translation_reduces_to_plain_residual():
     p = 2.5
     g = p_cr_solution(p)
     move = polynomial_map([1.0 + 1.0j, 1.0], name="shift")
-    xi = ComplexBump(0.5 + 0.25j, 0.3)
+    disc = Domain.ball([0.5, 0.25], 0.5)  # clear of the pole at -1 - 1j
     shifted = ComplexField(lambda z: g(z + (1.0 + 1.0j)), name="g-shifted")
-    assert theorem5_check(g, move, p, xi) == weak_cr_residual(shifted, p, xi)
+    rows = theorem5_experiment(g, move, p, disc, seed=42, count=3)
+    bumps = default_complex_bumps(disc, seed=42, count=3)
+    assert len(rows) == len(bumps) == 3
+    for row, xi in zip(rows, bumps):
+        assert row["residual"] == abs(weak_cr_residual(shifted, p, xi))
+        assert row["normalized"] == normalized_weak_cr_residual(shifted, p, xi)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -252,16 +256,16 @@ def test_theorem5_square_map_on_the_annulus(p):
 def test_theorem5_zero_field_gives_zero():
     zero = ComplexField(lambda q: np.zeros_like(q), name="zero")
     f = polynomial_map([3.0, 0.0, 1.0])
-    xi = ComplexBump(1.0 + 0j, 0.3)
-    assert theorem5_check(zero, f, 2.0, xi) == 0j
+    rows = theorem5_experiment(zero, f, 2.0, RING, seed=42)
+    assert all(r["residual"] == 0.0 and r["normalizer"] == 0.0 for r in rows)
 
 
 def test_theorem5_rejects_critical_points_on_the_support():
     g = p_cr_solution(2.0, center=-3.0 + 0j)
     f = polynomial_map([3.0, 0.0, 1.0], name="z^2+3")
-    xi = ComplexBump(0j, 0.3)  # support contains the critical point of f
+    z, _ = ComplexBump(0j, 0.3).quadrature()  # centred on the critical point of f
     with pytest.raises(CRError):
-        theorem5_check(g, f, 2.0, xi)
+        composed_flux(g, f, 2.0)(z)
 
 
 def test_theorem5_determinism():

@@ -506,8 +506,14 @@ def test_non_convergence_is_reported():
     u, diag = solve_dirichlet(dom, saddle_bc, SolverConfig(p=2.0, max_iter=3))
     assert isinstance(diag, SolveDiagnostics)
     assert not diag.converged
-    assert diag.message
+    assert diag.message.endswith("stopped on max_iter")
     assert u.values.shape == dom.shape
+    # a tolerance below roundoff ends with iterates that no longer move
+    coarse = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 0.25)
+    _, stalled = solve_dirichlet(coarse, lambda x: x[:, 0] * x[:, 1],
+                                 SolverConfig(p=2.5, grad_tol=1e-300))
+    assert not stalled.converged
+    assert stalled.message.endswith("stopped on stall")
 
 
 def test_boundary_shape_mismatch_rejected():

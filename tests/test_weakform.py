@@ -49,10 +49,9 @@ from diraclab.weakform import (
     random_bump,
     sc_invariance_check,
     support_quadrature,
-    weak_Ap_dirac_residual,
     weak_p_dirac_residual,
     weak_p_harmonic_residual,
-    weak_residual_normalizer,
+    weak_pairing,
 )
 
 BALL3 = Domain.ball([3.0, 0.0, 0.0], 1.0)
@@ -266,7 +265,10 @@ def test_p_harmonic_derivative_solves_the_weak_dirac_equation(rng):
     rule = small_rule(BALL3)
     eta = random_bump(BALL3, rng)
     res = weak_p_harmonic_residual(h, p, eta, rule)
-    norm = weak_residual_normalizer(h, p, eta, rule, of_derivative=True)
+    nodes, w = support_quadrature(eta, rule.order)
+    dh = h.dirac(nodes)
+    raw, norm = weak_pairing(dh, eta.dirac(nodes), w * dh.norm() ** (p - 2.0))
+    assert np.array_equal(res.coeffs, raw)
     assert float(res.norm()) / norm <= 1e-12
     assert normalized_weak_residual(h, p, eta, rule, of_derivative=True) <= 1e-12
 
@@ -299,13 +301,20 @@ def test_p_must_exceed_one(rng):
         weak_p_dirac_residual(identity_field(3), 1.0, eta, small_rule(BALL3))
 
 
+def fitted_normalizer(f, p, eta, rule):
+    """Quadrature of |f|^(p-1) |D eta| over the fitted nodes."""
+    nodes, w = support_quadrature(eta, rule.order)
+    vals = f(nodes)
+    return float(weak_pairing(vals, eta.dirac(nodes), w * vals.norm() ** (p - 2.0))[1])
+
+
 def test_unit_weight_changes_nothing(rng):
     f = p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0])
     eta = random_bump(BALL3, rng)
     rule = small_rule(BALL3)
     plain = weak_p_dirac_residual(f, 2.5, eta, rule)
-    unit = weak_Ap_dirac_residual(
-        f, 2.5, lambda pts: np.ones(len(pts)), eta, rule
+    unit = weak_p_dirac_residual(
+        f, 2.5, eta, rule, weight=lambda pts: np.ones(len(pts))
     )
     assert np.array_equal(plain.coeffs, unit.coeffs)
 
@@ -325,9 +334,30 @@ def test_normalizer_scales_like_p_minus_one_power(rng):
     f3 = AnalyticField(3, lambda q: base(q) * 3.0, name="3f")
     eta = random_bump(BALL3, rng)
     rule = small_rule(BALL3)
-    na = weak_residual_normalizer(base, 2.5, eta, rule)
-    nb = weak_residual_normalizer(f3, 2.5, eta, rule)
+    na = fitted_normalizer(base, 2.5, eta, rule)
+    nb = fitted_normalizer(f3, 2.5, eta, rule)
     assert nb == pytest.approx(na * 3.0**1.5, rel=1e-13)
+    # normalized_weak_residual divides by exactly this normalizer
+    raw = weak_p_dirac_residual(f3, 2.5, eta, rule)
+    assert normalized_weak_residual(f3, 2.5, eta, rule) == float(raw.norm()) / nb
+
+
+def test_weak_pairing_rows_match_single_calls(rng):
+    f = p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0])
+    eta = random_bump(BALL3, rng)
+    nodes, w = support_quadrature(eta, 6)
+    vals, deta = f(nodes), eta.dirac(nodes)
+    scan = w * np.stack([np.ones(len(w)), vals.norm(), nodes[:, 0] ** 2])
+    raw, normalizer = weak_pairing(vals, deta, scan)
+    assert raw.shape == (3, 8) and normalizer.shape == (3,)
+    for k in range(3):
+        raw_k, normalizer_k = weak_pairing(vals, deta, scan[k])
+        assert np.array_equal(raw[k], raw_k)
+        assert normalizer[k] == normalizer_k
+    # a constant scalar 1 pairs D eta with itself: the divergence oracle
+    ones_raw, total = weak_pairing(Multivector.scalar(3, 1.0), deta, w)
+    assert np.array_equal(ones_raw, np.sum(w[:, None] * deta.coeffs, axis=0))
+    assert total == float(np.sum(w * deta.norm()))
 
 
 def test_residual_determinism(rng):
