@@ -27,12 +27,14 @@ FLOOR = 1e-10
 RTOL = 1e-12
 
 CASES = {
+    "algebra-selftest": ["algebra-selftest", "--n", "3"],
     "covariance-t1": ["covariance", "--theorem", "1"],
     "covariance-t2": ["covariance", "--theorem", "2", "--n", "2"],
     "covariance-t3": ["covariance", "--theorem", "3", "--n", "2"],
     "covariance-t4": ["covariance", "--theorem", "4", "--n", "2"],
     "sphere-check": ["sphere-check"],
     "cr-check": ["cr-check"],
+    "kernel-residual": ["kernel-residual"],
     "solve": ["solve", "--h", "0.125"],
     "solve-p1.5": ["solve", "--h", "0.125", "--p", "1.5"],
 }
