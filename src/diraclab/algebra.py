@@ -66,6 +66,14 @@ def blade_grades(dim: int) -> np.ndarray:
     return g
 
 
+def blade_label(mask: int) -> str:
+    """The name of basis blade `mask`: "1" for the scalar, else "e" and its
+    1-based vector indices in increasing order (mask 0b101 -> "e13")."""
+    if mask == 0:
+        return "1"
+    return "e" + "".join(str(j + 1) for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 @lru_cache(maxsize=None)
 def _reversion_signs(dim: int) -> np.ndarray:
     r = blade_grades(dim)
@@ -217,13 +225,7 @@ class Multivector:
         for mask in range(1 << self.dim):
             c = self.coeffs[mask]
             if c != 0.0:
-                if mask == 0:
-                    terms.append(f"{c:g}")
-                else:
-                    name = "e" + "".join(
-                        str(j + 1) for j in range(self.dim) if mask >> j & 1
-                    )
-                    terms.append(f"{c:g}*{name}")
+                terms.append(f"{c:g}" if mask == 0 else f"{c:g}*{blade_label(mask)}")
         return f"Multivector(dim={self.dim}, {' + '.join(terms) or '0'})"
 
     # --------------------------------------------------------- involutions

@@ -613,8 +613,8 @@ def _make_bc(text, domain, p):
         path = text[len("file:"):]
         try:
             grid = np.loadtxt(path)
-        except OSError as exc:
-            raise UsageError(f"cannot read boundary file {path!r}: {exc}")
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read boundary file {path!r}: {exc}") from exc
         grid = np.asarray(grid, dtype=float).reshape(-1)
         want = int(np.prod(domain.shape))
         if grid.size != want:
@@ -713,7 +713,10 @@ def run_sphere_check(params):
     ambient = n + 1
     theta = params["theta"]
     if params["y"] is not None:
-        comps = [float(s) for s in params["y"].split(",")]
+        try:
+            comps = [float(s) for s in params["y"].split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad pole {params['y']!r}: {exc}") from exc
         if len(comps) != ambient:
             raise UsageError(f"--y needs {ambient} components for n = {n}")
         pole = sphere_point(comps)

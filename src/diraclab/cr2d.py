@@ -31,9 +31,10 @@ from .fields import (
     Domain,
     FieldError,
     StencilError,
-    VanishingNormError,
+    power_scale,
+    richardson_step,
 )
-from .weakform import BumpTestFunction, random_bump, support_quadrature
+from .weakform import BumpTestFunction, mollifier, random_bump, support_quadrature
 
 
 class CRError(FieldError):
@@ -204,14 +205,13 @@ def _check_clearance(g: ComplexField, z: np.ndarray, h: float):
             )
 
 
-def _wirtinger_fd(g, z, h, richardson, sign):
+def _wirtinger_fd(g, z, h, sign, richardson=True):
     def central(hh):
         dx = (g(z + hh) - g(z - hh)) / (2.0 * hh)
         dy = (g(z + 1j * hh) - g(z - 1j * hh)) / (2.0 * hh)
         return 0.5 * (dx + sign * 1j * dy)
 
-    d_h = central(h)
-    result = d_h if not richardson else (4.0 * central(h / 2.0) - d_h) / 3.0
+    result = richardson_step(central, h, richardson)
     if not np.all(np.isfinite(result)):
         raise StencilError("stencil touched a singular point")
     return result
@@ -223,42 +223,31 @@ def dbar_fd(
     """Central-difference d g / d zbar = (d/dx + i d/dy) g / 2."""
     z = np.asarray(z, dtype=complex)
     _check_clearance(g, z, h)
-    return _wirtinger_fd(g, z, h, richardson, +1.0)
+    return _wirtinger_fd(g, z, h, +1.0, richardson)
 
 
-def dz_fd(
-    g: ComplexField, z, h: float = 1e-3, richardson: bool = True
-) -> np.ndarray:
+def dz_fd(g: ComplexField, z, h: float = 1e-3) -> np.ndarray:
     """Central-difference d g / d z = (d/dx - i d/dy) g / 2."""
     z = np.asarray(z, dtype=complex)
     _check_clearance(g, z, h)
-    return _wirtinger_fd(g, z, h, richardson, -1.0)
+    return _wirtinger_fd(g, z, h, -1.0)
 
 
 def _flux(g: ComplexField, p: float):
     """z -> |g(z)|^(p-2) g(z) with the small-p vanishing-norm guard."""
-    if not p > 1:
-        raise FieldError("the exponent p must exceed 1")
 
     def ev(z):
         vals = g(z)
-        mags = np.abs(vals)
-        if p < 2 and mags.size and float(np.min(mags)) < NORM_CUTOFF:
-            raise VanishingNormError(
-                f"|{g.name}| vanishes on the stencil; |g|^(p-2) blows up for p < 2"
-            )
         # non-finite inputs flow through as nan/inf; callers check and raise
         with np.errstate(invalid="ignore"):
-            return mags ** (p - 2.0) * vals
+            return power_scale(np.abs(vals), p, g.name) * vals
 
     return ComplexField(ev, None, None, g.singular_points, name=f"|{g.name}|^(p-2) flux")
 
 
-def p_cr_residual(
-    g: ComplexField, p: float, z, h: float = 1e-3, richardson: bool = True
-) -> np.ndarray:
+def p_cr_residual(g: ComplexField, p: float, z, h: float = 1e-3) -> np.ndarray:
     """dbar of the flux |g|^(p-2) g - zero exactly on solutions."""
-    return dbar_fd(_flux(g, p), z, h=h, richardson=richardson)
+    return dbar_fd(_flux(g, p), z, h=h)
 
 
 def transfer_identity_check(
@@ -308,10 +297,9 @@ class ComplexBump:
         )
 
     def _factor(self, z):
-        s = np.abs(z - self.center) ** 2 / self.radius**2
-        gap = np.maximum(1.0 - s, 1e-150)
-        prof = np.where(s < 1.0, np.exp(-1.0 / gap), 0.0)
-        return prof, np.where(s < 1.0, -2.0 * prof / (gap**2 * self.radius**2), 0.0)
+        """The profile and d profile / d |z - center|^2 at z."""
+        prof, dprof = mollifier(np.abs(z - self.center) ** 2 / self.radius**2)
+        return prof, dprof / self.radius**2
 
     def __call__(self, z) -> np.ndarray:
         prof, _ = self._factor(np.asarray(z, dtype=complex))
@@ -320,12 +308,12 @@ class ComplexBump:
     def dz(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         _, fac = self._factor(z)
-        return self.coefficient * 0.5 * fac * np.conj(z - self.center)
+        return self.coefficient * fac * np.conj(z - self.center)
 
     def dzbar(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         _, fac = self._factor(z)
-        return self.coefficient * 0.5 * fac * (z - self.center)
+        return self.coefficient * fac * (z - self.center)
 
     def as_field(self) -> ComplexField:
         return ComplexField(self.__call__, self.dz, self.dzbar, (), name=self.label)

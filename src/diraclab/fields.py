@@ -223,18 +223,28 @@ def p_harmonic_radial(dim: int, p: float, center=None) -> AnalyticField:
     return scalar_radial_power(dim, beta, center=center, name=f"p-harmonic[{p:g}]")
 
 
+def power_scale(norms: np.ndarray, p: float, name: str) -> np.ndarray:
+    """|f|^{p-2} from the norms |f| of a field named `name`.
+
+    Rejects p <= 1 and, when p < 2, any norm below NORM_CUTOFF, where the
+    power blows up.  Every |f|^{p-2} f flux of the lab scales by this.
+    """
+    if not p > 1:
+        raise FieldError(f"the exponent p must exceed 1, got {p}")
+    if p < 2 and norms.size and float(np.min(norms)) < NORM_CUTOFF:
+        raise VanishingNormError(
+            f"|{name}| < {NORM_CUTOFF:g} inside a p={p:g} nonlinearity"
+        )
+    return norms ** (p - 2.0)
+
+
 def nonlinear_power_field(f: AnalyticField, p: float) -> AnalyticField:
     """The field |f|^{p-2} f, guarding the blow-up locus when p < 2."""
 
     def ev(pts):
         val = f(pts)
-        nrm = val.norm()
-        if p < 2 and np.any(nrm < NORM_CUTOFF):
-            raise VanishingNormError(
-                f"|{f.name}| < {NORM_CUTOFF:g} inside a p={p:g} nonlinearity"
-            )
         with np.errstate(divide="ignore", invalid="ignore"):
-            return val * nrm ** (p - 2.0)
+            return val * power_scale(val.norm(), p, f.name)
 
     return AnalyticField(
         f.dim, ev, None, f.singular_points, name=f"|{f.name}|^{p - 2:g}*{f.name}"
@@ -408,20 +418,25 @@ def validate_clearance(
 # ------------------------------------------------------ finite differences
 
 
-def _basis_step(dim: int, j: int, h: float) -> np.ndarray:
-    e = np.zeros(dim)
-    e[j] = h
-    return e
+def richardson_step(central, h: float, extrapolate: bool = True):
+    """(4 D(h/2) - D(h)) / 3 for a central difference D(step), cancelling
+    its O(h^2) truncation term; D(h) itself when not extrapolating."""
+    d = central(h)
+    return (4.0 * central(h / 2.0) - d) / 3.0 if extrapolate else d
+
+
+def _central_partial(f: AnalyticField, pts, j: int, hh: float) -> Multivector:
+    """(f(x + hh e_j) - f(x - hh e_j)) / (2 hh) along axis j (0-based)."""
+    step = np.zeros(f.dim)
+    step[j] = hh
+    return (f(pts + step) - f(pts - step)) / (2.0 * hh)
 
 
 def dirac_fd(
     f: AnalyticField, points, h: float = 1e-3, richardson: bool = True
 ) -> Multivector:
-    """Central-difference D f with optional fourth-order extrapolation.
-
-    The Richardson form combines steps h and h/2 as (4 D_{h/2} - D_h)/3,
-    cancelling the O(h^2) truncation term.
-    """
+    """Central-difference D f, Richardson-extrapolated to fourth order
+    unless `richardson` is off."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != f.dim:
         raise FieldError(f"points must have last axis {f.dim}, got {pts.shape}")
@@ -429,14 +444,13 @@ def dirac_fd(
     def central(hh: float) -> Multivector:
         out = None
         for j in range(f.dim):
-            step = _basis_step(f.dim, j, hh)
-            diff = (f(pts + step) - f(pts - step)) / (2.0 * hh)
-            term = geometric_product(Multivector.basis_vector(f.dim, j + 1), diff)
+            term = geometric_product(
+                Multivector.basis_vector(f.dim, j + 1), _central_partial(f, pts, j, hh)
+            )
             out = term if out is None else out + term
         return out
 
-    d_h = central(h)
-    result = d_h if not richardson else (4.0 * central(h / 2.0) - d_h) / 3.0
+    result = richardson_step(central, h, richardson)
     if not np.all(np.isfinite(result.coeffs)):
         raise StencilError(
             f"stencil for {f.name!r} touched a singular point (h={h:g})"
@@ -444,18 +458,12 @@ def dirac_fd(
     return result
 
 
-def gradient_fd(f: AnalyticField, points, h: float = 1e-3, richardson: bool = True):
-    """Per-axis central-difference partial derivatives of f."""
+def gradient_fd(f: AnalyticField, points, h: float = 1e-3):
+    """Richardson-extrapolated central-difference partial derivatives of f."""
     pts = np.asarray(points, dtype=float)
-
-    def partial(j: int, hh: float) -> Multivector:
-        step = _basis_step(f.dim, j, hh)
-        return (f(pts + step) - f(pts - step)) / (2.0 * hh)
-
     out = []
     for j in range(f.dim):
-        d_h = partial(j, h)
-        pj = d_h if not richardson else (4.0 * partial(j, h / 2.0) - d_h) / 3.0
+        pj = richardson_step(lambda hh: _central_partial(f, pts, j, hh), h)
         if not np.all(np.isfinite(pj.coeffs)):
             raise StencilError(f"gradient stencil for {f.name!r} hit a singularity")
         out.append(pj)
@@ -473,11 +481,7 @@ def p_dirac_residual(
 
 
 def p_harmonic_residual(
-    h_field: AnalyticField,
-    p: float,
-    points,
-    h: float = 1e-3,
-    richardson: bool = True,
+    h_field: AnalyticField, p: float, points, h: float = 1e-3
 ) -> Multivector:
     """D applied by FD to |Dh|^{p-2} Dh, the nested second-order residual.
 
@@ -496,12 +500,12 @@ def p_harmonic_residual(
     else:
         inner = AnalyticField(
             h_field.dim,
-            lambda pts: dirac_fd(h_field, pts, h=h, richardson=richardson),
+            lambda pts: dirac_fd(h_field, pts, h=h),
             None,
             h_field.singular_points,
             name=f"D_fd[{h_field.name}]",
         )
-    return dirac_fd(nonlinear_power_field(inner, p), points, h=h, richardson=richardson)
+    return dirac_fd(nonlinear_power_field(inner, p), points, h=h)
 
 
 # --------------------------------------------------- transformation checks
@@ -529,12 +533,12 @@ def lemma1_check(
         return j1 * psi(map_points(m, q))
 
     lhs_field = AnalyticField(dim, lhs_eval, None, (), name="J1*psi∘M")
-    lhs = dirac_fd(lhs_field, pts, h=h, richardson=True)
+    lhs = dirac_fd(lhs_field, pts, h=h)
 
     x = Multivector.from_vector(dim, pts)
     _, jm1 = jacobian_factors(m, x)
     sig = frame_at(m, x).sigma
-    dpsi = dirac_fd(psi, map_points(m, pts), h=h, richardson=True)
+    dpsi = dirac_fd(psi, map_points(m, pts), h=h)
     rhs = float(sig) * (jm1 * dpsi)
     return float(np.max((lhs - rhs).norm(), initial=0.0))
 
@@ -546,7 +550,7 @@ def dj1_check(m: VahlenMatrix, points, h: float = 1e-3) -> float:
         return jacobian_factors(m, Multivector.from_vector(m.dim, q))[0]
 
     fld = AnalyticField(m.dim, ev, None, (), name="J1")
-    return float(np.max(dirac_fd(fld, points, h=h, richardson=True).norm(), initial=0.0))
+    return float(np.max(dirac_fd(fld, points, h=h).norm(), initial=0.0))
 
 
 # ------------------------------------------------------- convergence order

@@ -25,14 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, geometric_product
-from .fields import (
-    NORM_CUTOFF,
-    FieldError,
-    StencilError,
-    VanishingNormError,
-)
-from .weakform import SupportError, _radial_rule, _unit_sphere_rule, weak_pairing
+from .algebra import Multivector, blade_label, geometric_product
+from .fields import NORM_CUTOFF, FieldError, StencilError, power_scale, richardson_step
+from .weakform import SupportError, _radial_rule, _unit_sphere_rule, mollifier, weak_pairing
 
 
 class SphereError(FieldError):
@@ -163,17 +158,11 @@ def radial_distance_power(y, exponent: float) -> SphericalField:
 
 def p_spherical_flux(f: SphericalField, p: float) -> SphericalField:
     """|f|^(p-2) f with the small-p vanishing-norm guard."""
-    if not p > 1:
-        raise FieldError("the exponent p must exceed 1")
 
     def ev(pts):
         vals = f.eval_fn(pts)
-        norms = vals.norm()
-        if p < 2 and norms.size and float(np.min(norms)) < NORM_CUTOFF:
-            raise VanishingNormError(
-                f"|{f.name}| vanishes on the sphere; |f|^(p-2) blows up for p < 2"
-            )
-        return Multivector(f.ambient, (norms ** (p - 2.0))[..., None] * vals.coeffs)
+        scale = power_scale(vals.norm(), p, f.name)
+        return Multivector(f.ambient, scale[..., None] * vals.coeffs)
 
     return SphericalField(
         f.ambient, ev, f.singular_points, name=f"|{f.name}|^(p-2) flux"
@@ -206,7 +195,6 @@ def gamma_op(
     f: SphericalField,
     points,
     theta: float = 1e-3,
-    richardson: bool = True,
     frame=None,
 ) -> Multivector:
     """The bivector angular operator by central differences along rotations.
@@ -237,9 +225,7 @@ def gamma_op(
     for i in range(ambient):
         for j in range(i + 1, ambient):
             u, v = frame[:, i], frame[:, j]
-            d = angular(u, v, theta)
-            if richardson:
-                d = (4.0 * angular(u, v, theta / 2.0) - d) / 3.0
+            d = richardson_step(lambda tt: angular(u, v, tt), theta)
             biv = geometric_product(
                 Multivector.from_vector(ambient, u),
                 Multivector.from_vector(ambient, v),
@@ -251,35 +237,28 @@ def gamma_op(
     return out
 
 
-def spherical_dirac(
-    f: SphericalField, points, theta: float = 1e-3, richardson: bool = True
-) -> Multivector:
+def spherical_dirac(f: SphericalField, points, theta: float = 1e-3) -> Multivector:
     """x (Gamma + n/2) f - the first-order conformal operator on S^n."""
     pts = _renormalize(np.asarray(points, dtype=float))
     n = f.sphere_dim
-    inner = gamma_op(f, pts, theta=theta, richardson=richardson) + (n / 2.0) * f.eval_fn(pts)
+    inner = gamma_op(f, pts, theta=theta) + (n / 2.0) * f.eval_fn(pts)
     return geometric_product(Multivector.from_vector(f.ambient, pts), inner)
 
 
 def spherical_p_dirac_residual(
-    f: SphericalField, p: float, points, theta: float = 1e-3,
-    richardson: bool = True,
+    f: SphericalField, p: float, points, theta: float = 1e-3
 ) -> Multivector:
     """x (Gamma + n/2) applied to |f|^(p-2) f - zero exactly on solutions."""
-    return spherical_dirac(
-        p_spherical_flux(f, p), points, theta=theta, richardson=richardson
-    )
+    return spherical_dirac(p_spherical_flux(f, p), points, theta=theta)
 
 
-def yamabe_op(
-    f: SphericalField, points, theta: float = 1e-3, richardson: bool = True
-) -> Multivector:
+def yamabe_op(f: SphericalField, points, theta: float = 1e-3) -> Multivector:
     """The conformal Laplacian as the nested first-order product:
     applies the first-order operator to (D_S f - x f)."""
     ambient = f.ambient
 
     def inner_ev(pts):
-        df = spherical_dirac(f, pts, theta=theta, richardson=richardson)
+        df = spherical_dirac(f, pts, theta=theta)
         xf = geometric_product(
             Multivector.from_vector(ambient, pts), f.eval_fn(pts)
         )
@@ -288,7 +267,7 @@ def yamabe_op(
     inner = SphericalField(
         ambient, inner_ev, f.singular_points, name=f"first-factor({f.name})"
     )
-    return spherical_dirac(inner, points, theta=theta, richardson=richardson)
+    return spherical_dirac(inner, points, theta=theta)
 
 
 # ------------------------------------------------------- identity reports
@@ -473,14 +452,7 @@ class CapBump:
         return np.sum(d * d, axis=-1) / self.radius**2
 
     def profile(self, pts) -> np.ndarray:
-        t = self._t(pts)
-        return np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-150)), 0.0)
-
-    def _dprofile(self, pts) -> np.ndarray:
-        t = self._t(pts)
-        gap = np.maximum(1.0 - t, 1e-150)
-        prof = np.where(t < 1.0, np.exp(-1.0 / gap), 0.0)
-        return np.where(t < 1.0, -prof / gap**2, 0.0)
+        return mollifier(self._t(pts))[0]
 
     def __call__(self, points) -> Multivector:
         pts = _renormalize(np.asarray(points, dtype=float))
@@ -497,7 +469,7 @@ class CapBump:
         wedge = geometric_product(x_mv, c_mv) + Multivector.scalar(
             self.ambient, pts @ c
         )
-        fac = (-2.0 / self.radius**2) * self._dprofile(pts)
+        fac = (-2.0 / self.radius**2) * mollifier(self._t(pts))[1]
         return geometric_product(
             Multivector(self.ambient, fac[..., None] * wedge.coeffs), self.blade
         )
@@ -580,15 +552,12 @@ def default_cap_bumps(cap: SphericalCap, seed: int = 42, random_count: int = 3):
         random_cap_bump(cap, rng, label=f"rand-{i}") for i in range(random_count)
     ]
     for mask in range(1 << ambient):
-        name = "1" if mask == 0 else "e" + "".join(
-            str(j + 1) for j in range(ambient) if (mask >> j) & 1
-        )
         out.append(
             CapBump(
                 cap.center,
                 0.6 * cap.radius,
                 Multivector.blade(ambient, mask),
-                label=f"blade-{name}",
+                label=f"blade-{blade_label(mask)}",
             ).require_support_inside(cap)
         )
     return out

@@ -31,17 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, geometric_product
+from .algebra import Multivector, blade_label, geometric_product
 from .fields import (
-    NORM_CUTOFF,
     AnalyticField,
     Domain,
     DomainError,
     FieldError,
-    VanishingNormError,
     compose_with_mobius,
     conformal_dirac_transform,
     dirac_fd,
+    power_scale,
     validate_clearance,
 )
 from .mobius import (
@@ -67,6 +66,18 @@ class AccuracyWarning(UserWarning):
 
 
 # --------------------------------------------------------- test functions
+
+
+def mollifier(t):
+    """The flat-edge profile phi(t) = exp(-1/(1 - t)) for t < 1, 0 beyond,
+    and its derivative phi'(t) = -phi(t)/(1 - t)^2; every bump of the lab
+    is phi of a squared scaled distance t."""
+    # the clamp keeps 1/(1-t) finite and gap**2 a normal float; exp(-1/gap)
+    # has already underflowed to the true limit 0 there, so phi' is exactly 0
+    gap = np.maximum(1.0 - t, 1e-150)
+    inside = t < 1.0
+    phi = np.where(inside, np.exp(-1.0 / gap), 0.0)
+    return phi, np.where(inside, -phi / gap**2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -100,18 +111,11 @@ class BumpTestFunction:
         return self._sq(pts) < 1.0
 
     def profile(self, pts) -> np.ndarray:
-        s = self._sq(pts)
-        # the clamp keeps 1/(1-s) finite; exp underflows to the true limit 0
-        return np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s, 1e-150)), 0.0)
+        return mollifier(self._sq(pts))[0]
 
     def _radial_factor(self, pts) -> np.ndarray:
         """d phi / d x_j = _radial_factor * (x_j - center_j)."""
-        s = self._sq(pts)
-        # clamp above sqrt(tiny) so gap**2 stays a normal float; exp(-1/gap)
-        # has already underflowed to 0 there, so the quotient is exactly 0
-        gap = np.maximum(1.0 - s, 1e-150)
-        prof = np.where(s < 1.0, np.exp(-1.0 / gap), 0.0)
-        return np.where(s < 1.0, -2.0 * prof / (gap**2 * self.radius**2), 0.0)
+        return 2.0 * mollifier(self._sq(pts))[1] / self.radius**2
 
     def __call__(self, pts) -> Multivector:
         return Multivector(self.dim, self.profile(pts)[..., None] * self.blade.coeffs)
@@ -220,15 +224,10 @@ def default_test_functions(domain: Domain, seed: int = 42, random_count: int = 5
         random_bump(domain, rng, label=f"rand-{i}") for i in range(random_count)
     ]
     for mask in range(1 << domain.dim):
-        if mask == 0:
-            name = "1"
-        else:
-            name = "e" + "".join(
-                str(j + 1) for j in range(domain.dim) if (mask >> j) & 1
-            )
         etas.append(
             centered_bump(
-                domain, Multivector.blade(domain.dim, mask), label=f"blade-{name}"
+                domain, Multivector.blade(domain.dim, mask),
+                label=f"blade-{blade_label(mask)}",
             )
         )
     return etas
@@ -413,16 +412,6 @@ class ConformalWeight:
 # -------------------------------------------------------- weak residuals
 
 
-def _power_scale(norms: np.ndarray, p: float) -> np.ndarray:
-    if not p > 1:
-        raise FieldError("the exponent p must exceed 1")
-    if p < 2 and norms.size and float(np.min(norms)) < NORM_CUTOFF:
-        raise VanishingNormError(
-            "field norm vanishes on the domain; |f|^(p-2) blows up for p < 2"
-        )
-    return norms ** (p - 2.0)
-
-
 def weak_pairing(vals: Multivector, deta: Multivector, w: np.ndarray):
     """The weak pairing of node values against D eta: returns
 
@@ -449,7 +438,7 @@ def _pair(f: AnalyticField, p: float, eta: BumpTestFunction,
     if len(nodes) == 0:
         return None
     vals = f.dirac(nodes) if of_derivative else f(nodes)
-    scale = _power_scale(vals.norm(), p)
+    scale = power_scale(vals.norm(), p, f.name)
     if weight is not None:
         scale = scale * weight(nodes)
     raw, normalizer = weak_pairing(vals, eta.dirac(nodes), w * scale)
@@ -751,7 +740,7 @@ def harmonic_covariance_experiment(
             continue
         fp = frame_at(m, Multivector.from_vector(dim, nodes))
         twisted = fp.twisted_dirac(gh.grad(nodes))
-        power = _power_scale(twisted.norm(), p)
+        power = power_scale(twisted.norm(), p, gh.name)
         scan = w * fp.scale ** np.array(exponents)[:, None] * power
         raw, normalizer = weak_pairing(
             twisted, fp.twisted_dirac(eta.partials(nodes)), scan
@@ -791,7 +780,7 @@ def harmonic_covariance_experiment(
 def _derivative_at(f: AnalyticField, pts: np.ndarray, h: float) -> Multivector:
     if f.has_grad:
         return f.dirac(pts)
-    return dirac_fd(f, pts, h=h, richardson=True)
+    return dirac_fd(f, pts, h=h)
 
 
 def sc_invariance_check(

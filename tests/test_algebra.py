@@ -293,3 +293,10 @@ def test_grade_select(rng):
         (a.grade_select(r) for r in range(1, 4)), start=a.grade_select(0)
     )
     assert np.array_equal(total.coeffs, a.coeffs)
+
+
+def test_repr_names_blades():
+    mv = Multivector(3, [1.0, 0.0, 0.0, 0.0, 0.0, 2.5, 0.0, -1.0])
+    assert repr(mv) == "Multivector(dim=3, 1 + 2.5*e13 + -1*e123)"
+    assert repr(Multivector.zero(2)) == "Multivector(dim=2, 0)"
+    assert repr(Multivector.zero(2, (4,))) == "Multivector(dim=2, batch=(4,))"

@@ -74,6 +74,42 @@ def test_bump_profile_vanishes_outside_support():
     assert list(eta.support_mask(pts)) == [True, True, False, False]
 
 
+def test_bump_families_are_finite_and_exactly_zero_from_the_edge_out():
+    """Every bump family, and its derivatives, at the centre, at the last
+    float inside the support, on the edge and far outside: no floating
+    point warning, finite values, and exactly 0 from the edge outward."""
+    from diraclab.cr2d import ComplexBump
+    from diraclab.sphere import CapBump
+
+    below = np.nextafter(1.0, 0.0)
+    flat = BumpTestFunction(2, (0.0, 0.0), 1.0, Multivector(2, [1.0, 2.0, -1.0, 0.5]))
+    flat_pts = np.array([[0.0, 0.0], [below, 0.0], [1.0, 0.0], [40.0, 0.0]])
+    # on the unit circle through the pole (0, 0, 1), height z = 1/2 lies at
+    # chordal distance exactly 1; the next float up is the last one inside
+    cap = CapBump((0.0, 0.0, 1.0), 1.0, Multivector.blade(3, 0b101))
+    z = np.array([1.0, np.nextafter(0.5, 1.0), 0.5, -1.0])
+    cap_pts = np.stack([np.sqrt(1.0 - z * z), np.zeros(4), z], axis=-1)
+    unit = cap_pts / np.linalg.norm(cap_pts, axis=-1, keepdims=True)
+    t = np.sum((unit - np.array(cap.center)) ** 2, axis=-1)
+    assert t[1] < 1.0 and t[2] == 1.0
+    disc = ComplexBump(0j, 1.0, 0.6 + 0.8j)
+    disc_pts = np.array([0.0, below, 1.0, 40.0]) + 0j
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [
+            flat(flat_pts).coeffs, flat.dirac(flat_pts).coeffs,
+            *(d.coeffs for d in flat.partials(flat_pts)),
+            cap(cap_pts).coeffs, cap.gamma(cap_pts).coeffs, cap.dirac(cap_pts).coeffs,
+            disc(disc_pts), disc.dz(disc_pts), disc.dzbar(disc_pts),
+        ]
+    for v in values:
+        assert np.all(np.isfinite(v))
+        assert np.all(v[2:] == 0.0)
+    assert flat.profile(flat_pts)[0] == math.exp(-1.0)
+    assert disc(disc_pts)[0] == (0.6 + 0.8j) * math.exp(-1.0)
+
+
 def test_bump_partials_match_finite_differences(rng):
     blade = Multivector(3, rng.normal(size=8))
     eta = BumpTestFunction(3, (0.3, -0.2, 0.1), 0.8, blade)
