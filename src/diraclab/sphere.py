@@ -569,7 +569,8 @@ def _cap_pairing(f: SphericalField, p: float, eta: CapBump, order: int,
     if cap is not None:
         eta.require_support_inside(cap)
     nodes, w = cap_quadrature(eta, order)
-    return weak_pairing(p_spherical_flux(f, p)(nodes), eta.dirac(nodes), w)
+    flux = p_spherical_flux(f, p)
+    return weak_pairing(nodes, w, lambda x, wx: (flux(x), eta.dirac(x), wx))
 
 
 def weak_spherical_residual(

@@ -17,11 +17,18 @@ the twisted-derivative (frame-conjugated) forms.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
 flat residuals, the covariance experiments, the divergence oracle and the
-spherical residuals all call it.  Its summation order is fixed: the
-weighted integrand is reduced over the node axis by numpy's sum in node
-order, never through a matrix product (whose BLAS blocking may vary), so
-every reported number is deterministic for a fixed seed, order and cell
-decomposition, and reruns are byte-identical.
+spherical residuals all call it.  A flat bump's derivative factors as
+D eta = l(x) * B with the vector l the profile gradient and B the bump's
+constant blade, so the flat callers pair against l and multiply the sum by
+B once; |l B| = |l| |B| gives the normalizer.  The pairing streams the
+nodes in blocks of a fixed size (`_BLOCK`), evaluating fields, weights and
+l one block at a time, so memory stays bounded at any quadrature order.
+Its summation order is fixed: each block's weighted integrand is summed
+over the node axis together with the running total carried as a first row,
+which is numpy's sequential node-order sum of the whole array, never a
+matrix product (whose BLAS blocking may vary).  Every reported number is
+therefore deterministic for a fixed seed, order and cell decomposition,
+and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, blade_label, geometric_product
+from .algebra import Multivector, blade_label, geometric_product, product_signs
 from .fields import (
     AnalyticField,
     Domain,
@@ -113,29 +120,26 @@ class BumpTestFunction:
     def profile(self, pts) -> np.ndarray:
         return mollifier(self._sq(pts))[0]
 
-    def _radial_factor(self, pts) -> np.ndarray:
-        """d phi / d x_j = _radial_factor * (x_j - center_j)."""
-        return 2.0 * mollifier(self._sq(pts))[1] / self.radius**2
+    def profile_gradient(self, pts) -> np.ndarray:
+        """(..., dim) gradient of the profile, rho(x) (x - center); every
+        derivative of eta is it times the constant blade."""
+        pts = np.asarray(pts, dtype=float)
+        fac = 2.0 * mollifier(self._sq(pts))[1] / self.radius**2
+        return fac[..., None] * (pts - np.array(self.center))
 
     def __call__(self, pts) -> Multivector:
         return Multivector(self.dim, self.profile(pts)[..., None] * self.blade.coeffs)
 
     def partials(self, pts) -> list:
-        pts = np.asarray(pts, dtype=float)
-        fac = self._radial_factor(pts)
-        d = pts - np.array(self.center)
+        grad = self.profile_gradient(pts)
         return [
-            Multivector(self.dim, (fac * d[..., j])[..., None] * self.blade.coeffs)
+            Multivector(self.dim, grad[..., j, None] * self.blade.coeffs)
             for j in range(self.dim)
         ]
 
     def dirac(self, pts) -> Multivector:
-        """Analytic D eta = (radial factor) (x - center) * blade."""
-        pts = np.asarray(pts, dtype=float)
-        fac = self._radial_factor(pts)
-        vec = Multivector.from_vector(
-            self.dim, fac[..., None] * (pts - np.array(self.center))
-        )
+        """Analytic D eta = profile_gradient * blade."""
+        vec = Multivector.from_vector(self.dim, self.profile_gradient(pts))
         return geometric_product(vec, self.blade)
 
     def as_field(self) -> AnalyticField:
@@ -412,19 +416,67 @@ class ConformalWeight:
 # -------------------------------------------------------- weak residuals
 
 
-def weak_pairing(vals: Multivector, deta: Multivector, w: np.ndarray):
-    """The weak pairing of node values against D eta: returns
+# Nodes per block of a weak pairing.  Fixed, so the summation order never
+# depends on the node count; a dim-4 block of 16 blades is 4 MB per array.
+_BLOCK = 1 << 15
 
-        raw        = sum over nodes of w conj(vals) * deta   (coefficients)
-        normalizer = sum over nodes of w |vals| |deta|
 
-    `vals` and `deta` are batched over the N nodes (`vals` may also be a
-    single constant); callers fold any A |f|^(p-2) factor into `w`.  A
-    (K, N) `w` gives K rows of (raw, normalizer) from one Clifford product.
+def _times_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coefficients of a * v for coefficient rows a (..., 2**n) and vector
+    components v (..., n): a sum over the n vector blades of v only."""
+    dim = v.shape[-1]
+    idx = np.arange(1 << dim)
+    signs = product_signs(dim)
+    out = 0.0
+    for j in range(dim):
+        # blade k of a * e_j comes from blade k ^ e_j of a
+        src = idx ^ (1 << j)
+        out = out + a[..., src] * signs[src, 1 << j] * v[..., j, None]
+    return out
+
+
+def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector = None):
+    """The weak pairing of node values against D eta = left * right: returns
+
+        raw        = [sum over nodes of w conj(vals) * left] * right
+        normalizer = sum over nodes of w |vals| |left| |right|
+
+    `block(x, wx)` gives (vals, left, wx') on the node block x = nodes[s]
+    with weights wx = w[..., s]: `vals` a batched (or constant) Multivector,
+    `left` a batched Multivector or the (B, n) components of a vector, and
+    wx' the weights with any A |f|^(p-2) factor folded in.  A (K, B) wx'
+    gives K rows of (raw, normalizer) from one Clifford product.  The
+    constant `right` is applied once, after the sum; the normalizer's
+    |left * right| = |left| |right| holds when left is a vector or right a
+    basis blade.
+
+    Blocks hold at most `_BLOCK` nodes.  Each block's weighted integrand is
+    summed over the node axis with the running total as its first row,
+    which is numpy's sequential node-order sum of the whole array bit for
+    bit; the normalizer's per-node terms are kept and summed once.
     """
-    integrand = geometric_product(vals.conjugation(), deta).coeffs
-    raw = np.sum(w[..., None] * integrand, axis=-2)
-    normalizer = np.sum(w * vals.norm() * deta.norm(), axis=-1)
+    raw = terms = None
+    for start in range(0, len(nodes), _BLOCK):
+        s = slice(start, start + _BLOCK)
+        vals, left, wx = block(nodes[s], w[..., s])
+        conj = vals.conjugation()
+        if isinstance(left, Multivector):
+            integrand = geometric_product(conj, left).coeffs
+            left_norm = left.norm()
+        else:
+            integrand = _times_vector(conj.coeffs, left)
+            left_norm = np.sqrt(np.sum(left * left, axis=-1))
+        part = wx[..., None] * integrand
+        if raw is None:
+            raw = np.sum(part, axis=-2)
+            terms = np.empty(wx.shape[:-1] + (len(nodes),))
+        else:
+            raw = np.sum(np.concatenate([raw[..., None, :], part], axis=-2), axis=-2)
+        terms[..., s] = wx * vals.norm() * left_norm
+    normalizer = np.sum(terms, axis=-1)
+    if right is not None:
+        raw = geometric_product(Multivector(right.dim, raw, copy=False), right).coeffs
+        normalizer = normalizer * right.norm()
     return raw, normalizer
 
 
@@ -437,12 +489,16 @@ def _pair(f: AnalyticField, p: float, eta: BumpTestFunction,
     nodes, w = _integration_nodes(rule, eta, scheme)
     if len(nodes) == 0:
         return None
-    vals = f.dirac(nodes) if of_derivative else f(nodes)
-    scale = power_scale(vals.norm(), p, f.name)
-    if weight is not None:
-        scale = scale * weight(nodes)
-    raw, normalizer = weak_pairing(vals, eta.dirac(nodes), w * scale)
-    return Multivector(vals.dim, raw, copy=False), float(normalizer)
+
+    def block(x, wx):
+        vals = f.dirac(x) if of_derivative else f(x)
+        scale = power_scale(vals.norm(), p, f.name)
+        if weight is not None:
+            scale = scale * weight(x)
+        return vals, eta.profile_gradient(x), wx * scale
+
+    raw, normalizer = weak_pairing(nodes, w, block, eta.blade)
+    return Multivector(eta.dim, raw, copy=False), float(normalizer)
 
 
 def weak_p_dirac_residual(
@@ -484,7 +540,10 @@ def dirac_integral_check(
     nodes, w = _integration_nodes(rule, eta, scheme)
     if len(nodes) == 0:
         return 0.0
-    raw, total = weak_pairing(Multivector.scalar(eta.dim, 1.0), eta.dirac(nodes), w)
+    one = Multivector.scalar(eta.dim, 1.0)
+    raw, total = weak_pairing(
+        nodes, w, lambda x, wx: (one, eta.profile_gradient(x), wx), eta.blade
+    )
     return float(Multivector(eta.dim, raw).norm()) / max(float(total), 1e-300)
 
 
@@ -732,19 +791,24 @@ def harmonic_covariance_experiment(
         notes = (
             "exponent 0 realizes the unweighted twisted-derivative form",
         )
+    exps = np.array(exponents)[:, None]
     rows = []
     for eta in default_test_functions(volume, seed=seed, random_count=random_bumps):
         nodes, w = _integration_nodes(rule, eta, scheme)
         if len(nodes) == 0:
             rows.extend(CovarianceRow(eta.label, s, 0.0, 0.0) for s in exponents)
             continue
-        fp = frame_at(m, Multivector.from_vector(dim, nodes))
-        twisted = fp.twisted_dirac(gh.grad(nodes))
-        power = power_scale(twisted.norm(), p, gh.name)
-        scan = w * fp.scale ** np.array(exponents)[:, None] * power
-        raw, normalizer = weak_pairing(
-            twisted, fp.twisted_dirac(eta.partials(nodes)), scan
-        )
+
+        def block(x, wx, eta=eta):
+            fp = frame_at(m, Multivector.from_vector(dim, x))
+            twisted = fp.twisted_dirac(gh.grad(x))
+            power = power_scale(twisted.norm(), p, gh.name)
+            # D_M eta = u (grad phi) rev(u) * blade: the rotated gradient is
+            # a vector, so it pairs as one
+            slope = fp.map(Multivector.from_vector(dim, eta.profile_gradient(x)))
+            return twisted, slope.vector_part(), wx * fp.scale**exps * power
+
+        raw, normalizer = weak_pairing(nodes, w, block, eta.blade)
         norms = Multivector(dim, raw, copy=False).norm()
         rows.extend(
             CovarianceRow(eta.label, s, float(r), float(nz))
