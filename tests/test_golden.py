@@ -33,6 +33,7 @@ CASES = {
     "covariance-t3": ["covariance", "--theorem", "3", "--n", "2"],
     "covariance-t4": ["covariance", "--theorem", "4", "--n", "2"],
     "sphere-check": ["sphere-check"],
+    "sphere-check-n3": ["sphere-check", "--n", "3"],
     "cr-check": ["cr-check"],
     "kernel-residual": ["kernel-residual"],
     "solve": ["solve", "--h", "0.125"],
