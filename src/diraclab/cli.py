@@ -320,9 +320,10 @@ def resolve_config(args):
             raise UsageError(f"--{key} is required for {args.subcommand}")
     if params.get("p") is not None and params["p"] <= 1.0:
         raise UsageError("the exponent p must exceed 1")
-    if args.subcommand != "solve" and params.get("n") is not None:
-        if not 2 <= params["n"] <= 6:
-            raise UsageError("n must lie in 2..6")
+    if params.get("n") is not None:
+        low = 1 if args.subcommand == "solve" else 2
+        if not low <= params["n"] <= 6:
+            raise UsageError(f"n must lie in {low}..6")
     return params
 
 

@@ -420,7 +420,10 @@ def validate_clearance(
 
 def richardson_step(central, h: float, extrapolate: bool = True):
     """(4 D(h/2) - D(h)) / 3 for a central difference D(step), cancelling
-    its O(h^2) truncation term; D(h) itself when not extrapolating."""
+    its O(h^2) truncation term; D(h) itself when not extrapolating.  The
+    step must be positive: the singular-point guards assume it."""
+    if not h > 0:
+        raise FieldError(f"the finite-difference step must be positive, got {h}")
     d = central(h)
     return (4.0 * central(h / 2.0) - d) / 3.0 if extrapolate else d
 

@@ -427,8 +427,12 @@ class SphericalCap:
 class CapBump:
     """Smooth test function supported on a cap: profile(t) * blade with
     t = |x - center|^2 / radius^2 (chordal) and the flat-edge mollifier
-    profile exp(-1/(1 - t)).  The angular derivative is closed-form:
-    Gamma eta = -(2/radius^2) profile'(t) (x wedge center) blade."""
+    profile exp(-1/(1 - t)).  Its derivative is closed-form and, because
+    x (x wedge c) = (x.c) x - c on the unit sphere, a vector times the
+    constant blade:
+
+        D_S eta = v(x) blade,
+        v = -(2/radius^2) profile'(t) ((x.c) x - c) + (n/2) profile(t) x."""
 
     center: tuple
     radius: float
@@ -460,31 +464,23 @@ class CapBump:
             self.ambient, self.profile(pts)[..., None] * self.blade.coeffs
         )
 
-    def gamma(self, points) -> Multivector:
-        """Closed-form Gamma eta = -(2/R^2) profile'(t) (x c + x.c) blade."""
+    def dirac_vector(self, points) -> np.ndarray:
+        """(..., ambient) components of v, with D_S eta = v * blade."""
         pts = _renormalize(np.asarray(points, dtype=float))
         c = np.array(self.center)
-        x_mv = Multivector.from_vector(self.ambient, pts)
-        c_mv = Multivector.from_vector(self.ambient, np.broadcast_to(c, pts.shape))
-        wedge = geometric_product(x_mv, c_mv) + Multivector.scalar(
-            self.ambient, pts @ c
-        )
-        fac = (-2.0 / self.radius**2) * mollifier(self._t(pts))[1]
-        return geometric_product(
-            Multivector(self.ambient, fac[..., None] * wedge.coeffs), self.blade
-        )
+        phi, dphi = mollifier(self._t(pts))
+        fac = (-2.0 / self.radius**2) * dphi
+        n = self.ambient - 1
+        radial = (pts @ c)[..., None] * pts - c
+        return fac[..., None] * radial + ((n / 2.0) * phi)[..., None] * pts
 
     def dirac(self, points) -> Multivector:
-        """Closed-form x (Gamma + n/2) eta."""
-        pts = _renormalize(np.asarray(points, dtype=float))
-        n = self.ambient - 1
-        inner = self.gamma(pts) + (n / 2.0) * self.__call__(pts)
-        return geometric_product(Multivector.from_vector(self.ambient, pts), inner)
+        """Closed-form D_S eta = x (Gamma + n/2) eta = v * blade."""
+        vec = Multivector.from_vector(self.ambient, self.dirac_vector(points))
+        return geometric_product(vec, self.blade)
 
     def as_field(self) -> SphericalField:
-        return SphericalField(self.ambient, lambda q: Multivector(
-            self.ambient, self.profile(q)[..., None] * self.blade.coeffs
-        ), (), name=self.label)
+        return SphericalField(self.ambient, self.__call__, (), name=self.label)
 
     def require_support_inside(self, cap: SphericalCap, margin: float = 1e-9):
         offset = float(
@@ -565,12 +561,14 @@ def default_cap_bumps(cap: SphericalCap, seed: int = 42, random_count: int = 3):
 
 def _cap_pairing(f: SphericalField, p: float, eta: CapBump, order: int,
                  cap: SphericalCap):
-    """weak_pairing of the p-flux of f against the closed-form D_S eta."""
+    """weak_pairing of the p-flux of f against D_S eta = v * blade."""
     if cap is not None:
         eta.require_support_inside(cap)
     nodes, w = cap_quadrature(eta, order)
     flux = p_spherical_flux(f, p)
-    return weak_pairing(nodes, w, lambda x, wx: (flux(x), eta.dirac(x), wx))
+    return weak_pairing(
+        nodes, w, lambda x, wx: (flux(x), eta.dirac_vector(x), wx), eta.blade
+    )
 
 
 def weak_spherical_residual(

@@ -17,12 +17,14 @@ the twisted-derivative (frame-conjugated) forms.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
 flat residuals, the covariance experiments, the divergence oracle and the
-spherical residuals all call it.  A flat bump's derivative factors as
-D eta = l(x) * B with the vector l the profile gradient and B the bump's
-constant blade, so the flat callers pair against l and multiply the sum by
-B once; |l B| = |l| |B| gives the normalizer.  The pairing streams the
-nodes in blocks of a fixed size (`_BLOCK`), evaluating fields, weights and
-l one block at a time, so memory stays bounded at any quadrature order.
+spherical residuals all call it, and all take one path.  Every bump's
+derivative factors as D eta = l(x) * B with l a vector and B the bump's
+constant blade (l is the profile gradient for a flat bump, and the vector
+v of `sphere.CapBump.dirac_vector` for a cap bump), so the pairing takes a
+per-node product with a vector, multiplies the sum by B once, and gets the
+normalizer from |l B| = |l| |B|.  It streams the nodes in blocks of a
+fixed size (`_BLOCK`), evaluating fields, weights and l one block at a
+time, so memory stays bounded at any quadrature order.
 Its summation order is fixed: each block's weighted integrand is summed
 over the node axis together with the running total carried as a first row,
 which is numpy's sequential node-order sum of the whole array, never a
@@ -435,20 +437,20 @@ def _times_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector = None):
-    """The weak pairing of node values against D eta = left * right: returns
+def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector):
+    """The weak pairing of node values against D eta = left * right, with
+    `left` a vector field and `right` a constant multivector: returns
 
         raw        = [sum over nodes of w conj(vals) * left] * right
         normalizer = sum over nodes of w |vals| |left| |right|
 
     `block(x, wx)` gives (vals, left, wx') on the node block x = nodes[s]
     with weights wx = w[..., s]: `vals` a batched (or constant) Multivector,
-    `left` a batched Multivector or the (B, n) components of a vector, and
-    wx' the weights with any A |f|^(p-2) factor folded in.  A (K, B) wx'
-    gives K rows of (raw, normalizer) from one Clifford product.  The
-    constant `right` is applied once, after the sum; the normalizer's
-    |left * right| = |left| |right| holds when left is a vector or right a
-    basis blade.
+    `left` the (B, n) components of the vector, and wx' the weights with
+    any A |f|^(p-2) factor folded in.  A (K, B) wx' gives K rows of (raw,
+    normalizer) from one Clifford product.  `right` is applied once, after
+    the sum; the normalizer uses |left * right| = |left| |right|, which
+    holds because left is a vector.
 
     Blocks hold at most `_BLOCK` nodes.  Each block's weighted integrand is
     summed over the node axis with the running total as its first row,
@@ -459,25 +461,15 @@ def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector = N
     for start in range(0, len(nodes), _BLOCK):
         s = slice(start, start + _BLOCK)
         vals, left, wx = block(nodes[s], w[..., s])
-        conj = vals.conjugation()
-        if isinstance(left, Multivector):
-            integrand = geometric_product(conj, left).coeffs
-            left_norm = left.norm()
-        else:
-            integrand = _times_vector(conj.coeffs, left)
-            left_norm = np.sqrt(np.sum(left * left, axis=-1))
-        part = wx[..., None] * integrand
+        part = wx[..., None] * _times_vector(vals.conjugation().coeffs, left)
         if raw is None:
             raw = np.sum(part, axis=-2)
             terms = np.empty(wx.shape[:-1] + (len(nodes),))
         else:
             raw = np.sum(np.concatenate([raw[..., None, :], part], axis=-2), axis=-2)
-        terms[..., s] = wx * vals.norm() * left_norm
-    normalizer = np.sum(terms, axis=-1)
-    if right is not None:
-        raw = geometric_product(Multivector(right.dim, raw, copy=False), right).coeffs
-        normalizer = normalizer * right.norm()
-    return raw, normalizer
+        terms[..., s] = wx * vals.norm() * np.sqrt(np.sum(left * left, axis=-1))
+    raw = geometric_product(Multivector(right.dim, raw, copy=False), right).coeffs
+    return raw, np.sum(terms, axis=-1) * right.norm()
 
 
 def _pair(f: AnalyticField, p: float, eta: BumpTestFunction,

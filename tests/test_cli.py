@@ -190,7 +190,12 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["solve", "--h", "0.3"],                       # off the lattice
                  ["solve", "--region", "annulus:2,1"],
                  ["sphere-check", "--y", "a,b,c"],              # not numbers
-                 ["solve", "--bc", f"file:{bad_file}"]):
+                 ["solve", "--bc", f"file:{bad_file}"],
+                 ["sphere-check", "--theta=-1e-3"],             # step sign
+                 ["sphere-check", "--theta=nan"],
+                 ["solve", "--n", "0"],                         # lattice dim
+                 ["solve", "--n=-1"],
+                 ["solve", "--n", "7", "--h", "0.5"]):
         capsys.readouterr()
         assert run_cli(args) == 2, args
         err = capsys.readouterr().err

@@ -87,6 +87,12 @@ def test_stencil_clearance_near_singularity():
         dbar_fd(g, 0.001 + 0j, h=1e-3)
     with pytest.raises(StencilError):
         p_cr_residual(g, 2.0, np.array([1.0j, 1e-4]), h=1e-3)
+    for h in (-1e-3, float("nan")):
+        for fd in (dbar_fd, dz_fd):
+            with pytest.raises(FieldError, match="step must be positive"):
+                fd(g, 0.001 + 0j, h=h)
+        with pytest.raises(FieldError, match="step must be positive"):
+            p_cr_residual(g, 2.0, np.array([1.0j, 1e-4]), h=h)
 
 
 def test_derivative_accessors_require_functions():

@@ -93,6 +93,18 @@ def test_stencil_error_at_singularity():
         dirac_fd(cauchy_kernel(3), np.array([[5e-4, 0.0, 0.0]]), h=1e-3)
 
 
+@pytest.mark.parametrize("h", [-1e-3, 0.0, float("nan")])
+def test_non_positive_step_is_rejected(h):
+    """A step the clearance guard cannot compare against is refused, not
+    differenced next to the singularity."""
+    pts = np.array([[5e-4, 0.0, 0.0]])
+    for richardson in (True, False):
+        with pytest.raises(FieldError, match="step must be positive"):
+            dirac_fd(cauchy_kernel(3), pts, h=h, richardson=richardson)
+    with pytest.raises(FieldError, match="step must be positive"):
+        gradient_fd(scalar_radial_power(3, -1.3), pts, h=h)
+
+
 # ------------------------------------------------------------ closed forms
 
 

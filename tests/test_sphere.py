@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diraclab import sphere
 from diraclab.algebra import Multivector, geometric_product
 from diraclab.fields import FieldError, StencilError, VanishingNormError
 from diraclab.sphere import (
@@ -35,7 +36,8 @@ from diraclab.sphere import (
     weak_spherical_residual,
     yamabe_op,
 )
-from diraclab.weakform import SupportError
+from diraclab.weakform import _BLOCK as BLOCK
+from diraclab.weakform import SupportError, mollifier
 
 POLE3 = sphere_point([0.3, -0.7, 0.8])
 POLE4 = sphere_point([0.3, -0.7, 0.8, 0.4])
@@ -139,6 +141,17 @@ def test_gamma_stencil_clearance_near_pole():
     grazing = sphere_point(np.array(POLE3) + 1e-4 * np.array([1.0, 1.0, 0.0]))
     with pytest.raises(StencilError):
         gamma_op(f, grazing[None, :])
+    # 0.05 from the pole, a negative or NaN step never meets the clearance
+    # test, so the step itself is refused
+    g = spherical_kernel([0.0, 0.0, 1.0], 2.0)
+    near = sphere_point([0.05, 0.0, 1.0])[None, :]
+    with pytest.raises(StencilError):
+        gamma_op(g, near, theta=0.1)
+    for theta in (-0.1, float("nan")):
+        with pytest.raises(FieldError, match="step must be positive"):
+            gamma_op(g, near, theta=theta)
+        with pytest.raises(FieldError, match="step must be positive"):
+            spherical_dirac(g, near, theta=theta)
 
 
 # ------------------------------------------------------------ kernel family
@@ -362,7 +375,6 @@ def test_cap_bump_closed_form_derivatives_match_stencils():
         if bump.profile(q[None, :])[0] > 1e-3:
             pts.append(q)
     pts = np.array(pts)
-    assert float(np.max((bump.gamma(pts) - gamma_op(bump.as_field(), pts)).norm())) <= 1e-9
     assert float(np.max((bump.dirac(pts) - spherical_dirac(bump.as_field(), pts)).norm())) <= 1e-9
 
 
@@ -437,16 +449,62 @@ def test_weak_residual_of_constant_matches_direct_assembly():
     res = weak_spherical_residual(f, 2.0, bump, order=8)
     nodes, w = cap_quadrature(bump, order=8)
     conj = c.conjugation()
+    deta = bump.dirac(nodes)
     direct = np.sum(
         w[:, None]
         * geometric_product(
-            Multivector(3, np.broadcast_to(conj.coeffs, (len(w), 8)).copy()),
-            bump.dirac(nodes),
+            Multivector(3, np.broadcast_to(conj.coeffs, (len(w), 8)).copy()), deta
         ).coeffs,
         axis=0,
     )
-    assert np.array_equal(res.coeffs, direct)
+    scale = np.sum(w * c.norm() * deta.norm())
+    assert np.all(np.abs(res.coeffs - direct) <= 1e-14 * scale)
     assert float(res.norm()) > 1e-3  # constants are not weak solutions here
+
+
+def _dense_cap_dirac(bump, pts):
+    """x (Gamma + n/2) eta by dense products per node, with the angular
+    derivative Gamma eta = -(2/R^2) profile'(t) (x c + x.c) blade."""
+    ambient = bump.ambient
+    c = np.array(bump.center)
+    x = Multivector.from_vector(ambient, pts)
+    xc = geometric_product(x, Multivector.from_vector(ambient, np.broadcast_to(c, pts.shape)))
+    t = np.sum((pts - c) ** 2, axis=-1) / bump.radius**2
+    phi, dphi = mollifier(t)
+    fac = (-2.0 / bump.radius**2) * dphi
+    wedge = Multivector(ambient, fac[:, None] * (xc + Multivector.scalar(ambient, pts @ c)).coeffs)
+    inner = geometric_product(wedge, bump.blade) + (ambient - 1) / 2.0 * bump(pts)
+    return geometric_product(x, inner)
+
+
+@pytest.mark.parametrize("ambient, order, count", [
+    *((ambient, order, count) for ambient, order in ((3, 24), (4, 12))
+      for count in (1, 3, BLOCK - 1, BLOCK, BLOCK + 1)),
+    *((5, 2, count) for count in (1, 3, 1000)),
+])
+def test_cap_pairing_matches_per_node_reference(monkeypatch, ambient, order, count):
+    """The streamed cap pairing on `count` nodes of cap_quadrature, from
+    the first of nonzero weight, against conj(flux) times the dense
+    x (Gamma + n/2) eta per node, summed by np.sum: within 1e-14 of the
+    scale sum w |flux| |D_S eta|."""
+    rng = np.random.default_rng(10 * ambient + count)
+    pole = sphere_point(rng.normal(size=ambient))
+    blade = Multivector(ambient, rng.normal(size=1 << ambient))
+    bump = CapBump(tuple(-pole), 0.8, blade)
+    nodes, w = cap_quadrature(bump, order)
+    start = int(np.argmax(w > 0))
+    assert len(w) >= start + count
+    nodes, w = nodes[start:start + count], w[start:start + count]
+    monkeypatch.setattr(sphere, "cap_quadrature", lambda eta, o: (nodes, w))
+    f = spherical_kernel(pole, 2.5)
+    raw, nz = sphere._cap_pairing(f, 2.5, bump, order, None)
+    flux = p_spherical_flux(f, 2.5)(nodes)
+    deta = _dense_cap_dirac(bump, nodes)
+    ref = np.sum(w[:, None] * geometric_product(flux.conjugation(), deta).coeffs, axis=0)
+    scale = np.sum(w * flux.norm() * deta.norm())
+    assert scale > 0
+    assert np.all(np.abs(raw - ref) <= 1e-14 * scale)
+    assert abs(nz - scale) <= 1e-14 * scale
 
 
 def test_weak_residual_respects_cap_argument():
