@@ -28,6 +28,7 @@ RTOL = 1e-12
 
 CASES = {
     "algebra-selftest": ["algebra-selftest", "--n", "3"],
+    "algebra-selftest-default": ["algebra-selftest"],
     "covariance-t1": ["covariance", "--theorem", "1"],
     "covariance-t2": ["covariance", "--theorem", "2", "--n", "2"],
     "covariance-t3": ["covariance", "--theorem", "3", "--n", "2"],
