@@ -154,8 +154,7 @@ class Multivector:
                 f"vector components must have last axis {dim}, got {v.shape}"
             )
         c = np.zeros(v.shape[:-1] + (1 << dim,))
-        for j in range(dim):
-            c[..., 1 << j] = v[..., j]
+        c[..., [1 << j for j in range(dim)]] = v
         return cls(dim, c, copy=False)
 
     # ------------------------------------------------------------ structure
@@ -169,8 +168,7 @@ class Multivector:
 
     def vector_part(self) -> np.ndarray:
         """(..., dim) array of the grade-1 components."""
-        idx = [1 << j for j in range(self.dim)]
-        return self.coeffs[..., idx]
+        return self.coeffs[..., [1 << j for j in range(self.dim)]]
 
     def grade_select(self, r: int) -> "Multivector":
         keep = blade_grades(self.dim) == r
@@ -248,22 +246,55 @@ class Multivector:
         return np.sqrt(np.sum(self.coeffs**2, axis=-1))
 
 
+@lru_cache(maxsize=None)
+def _gather_table(dim: int):
+    """I[i, k] = i ^ k and S[i, k] = product_signs(dim)[i, i ^ k], so that
+    coefficient k of e_i * B is S[i, k] * B[I[i, k]]."""
+    idx = np.arange(1 << dim)
+    table = idx[:, None] ^ idx
+    signs = np.take_along_axis(product_signs(dim), table, axis=1)
+    for t in (table, signs):
+        t.setflags(write=False)
+    return table, signs
+
+
+_BLOCK = 1 << 16  # elements of the (rows, live blades, 2**dim) terms per block
+
+
+def _block_rows(c: np.ndarray, shape):
+    """A function of a row slice that returns those rows of c broadcast to
+    shape, batch flattened, never copying c at the full batch size."""
+    full = c if c.shape == shape else np.broadcast_to(c, shape)
+    try:
+        flat = np.reshape(full, (-1, shape[-1]), copy=False)
+        return lambda rows: flat[rows]
+    except ValueError:  # batch axes that do not merge into one
+        return lambda rows: full[np.unravel_index(np.r_[rows], shape[:-1])]
+
+
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product in Cl(0, dim), broadcasting over batch axes."""
+    """Geometric product in Cl(0, dim), broadcasting over batch axes.
+
+    Gather form: (a b)[k] = sum_i a[i] * S[i, k] * b[I[i, k]] (`_gather_table`)
+    over the live blades i, where a is nonzero somewhere in its batch, so a
+    vector factor costs dim terms per coefficient, not 2**dim.  Each block of
+    rows sums in blade order from 0.0, the order of a blade-by-blade
+    accumulation, so the result is the same to the bit.
+    """
     a._check_same(b)
-    n = 1 << a.dim
-    signs = product_signs(a.dim)
-    ca, cb = a.coeffs, b.coeffs
-    shape = np.broadcast_shapes(ca.shape, cb.shape)
-    out = np.zeros(shape)
-    idx = np.arange(n)
-    for i in range(n):
-        ai = ca[..., i]
-        if not np.any(ai):
-            continue
-        # i ^ idx is a permutation of the blade indices, so fancy-index
-        # accumulation has no duplicate targets.
-        out[..., i ^ idx] += ai[..., None] * (signs[i] * cb)
+    shape = np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape)
+    out = np.empty(shape)
+    flat = out.reshape(-1, shape[-1])
+    live = a.coeffs.any(axis=tuple(range(a.coeffs.ndim - 1))).nonzero()[0]
+    table, signs = (t[live] for t in _gather_table(a.dim))
+    rows_a, rows_b = _block_rows(a.coeffs, shape), _block_rows(b.coeffs, shape)
+    step = max(1, _BLOCK // (shape[-1] * max(len(live), 1)))
+    for start in range(0, len(flat), step):
+        rows = slice(start, min(start + step, len(flat)))
+        terms = rows_b(rows)[:, table]
+        terms *= signs
+        terms *= rows_a(rows)[:, live, None]
+        terms.sum(axis=1, out=flat[rows], initial=0.0)
     return Multivector(a.dim, out, copy=False)
 
 

@@ -331,19 +331,13 @@ def resolve_config(args):
 
 
 def _blade_product_oracle(ia, ib):
-    """Sign and index tuple of a blade product by swap-sorting the
-    concatenated index list and cancelling equal neighbours (e_i^2 = -1)."""
-    sign, seq = 1, list(ia) + list(ib)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(seq) - 1):
-            if seq[k] > seq[k + 1]:
-                seq[k], seq[k + 1] = seq[k + 1], seq[k]
-                sign = -sign
-                changed = True
-    out = []
-    for idx in seq:
+    """Sign and index tuple of a blade product: the parity of the swaps that
+    sort the concatenated index list, then a -1 for each cancelled pair of
+    equal neighbours (e_i^2 = -1)."""
+    seq = list(ia) + list(ib)
+    swaps = sum(x > y for k, x in enumerate(seq) for y in seq[k + 1:])
+    sign, out = -1 if swaps % 2 else 1, []
+    for idx in sorted(seq):
         if out and out[-1] == idx:
             out.pop()
             sign = -sign
@@ -354,13 +348,6 @@ def _blade_product_oracle(ia, ib):
 
 def _mask_indices(mask):
     return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-def _batch_vectors(rng, dim, count):
-    coeffs = np.zeros((count, 1 << dim))
-    for j in range(dim):
-        coeffs[:, 1 << j] = rng.standard_normal(count)
-    return Multivector(dim, coeffs)
 
 
 def _rel_gap(a: Multivector, b: Multivector):
@@ -392,68 +379,48 @@ def run_algebra_selftest(params):
         properties.append(("conjugation-antiautomorphism", worst, 1e-12))
 
         # norm multiplicativity for group elements assembled from <= 4
-        # vector factors
-        worst = 0.0
+        # vector factors, each drawn one component axis at a time
+        worst, m = 0.0, count // 4 + 1
+        vectors = lambda: Multivector.from_vector(n, rng.standard_normal((n, m)).T)
         for factors in (1, 2, 3, 4):
-            g = _batch_vectors(rng, n, count // 4 + 1)
+            g = vectors()
             for _ in range(factors - 1):
-                g = geometric_product(
-                    g, _batch_vectors(rng, n, count // 4 + 1))
-            A = Multivector(
-                n, rng.standard_normal((count // 4 + 1, 1 << n)))
-            lhs = norm(geometric_product(g, A))
-            rhs = norm(g) * norm(A)
-            worst = max(
-                worst,
-                float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1.0))),
-            )
+                g = geometric_product(g, vectors())
+            A = Multivector(n, rng.standard_normal((m, 1 << n)))
+            lhs, rhs = norm(geometric_product(g, A)), norm(g) * norm(A)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1.0))))
         properties.append(("norm-multiplicativity", worst, 1e-12))
 
         # unit-vector reflection against the componentwise mirror formula
         vecs = rng.standard_normal((count, n))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         xs = rng.standard_normal((count, n))
-        worst = 0.0
-        for k in range(count):
-            y = Multivector.from_vector(n, vecs[k])
-            x = Multivector.from_vector(n, xs[k])
-            want = xs[k] - 2.0 * float(xs[k] @ vecs[k]) * vecs[k]
-            got = reflect(y, x).coeffs[[1 << j for j in range(n)]]
-            worst = max(worst, float(np.max(np.abs(got - want))))
-        properties.append(("unit-reflection", worst, 1e-12))
+        sel = [1 << j for j in range(n)]
+        unit = Multivector.from_vector(n, vecs)
+        want = xs - 2.0 * np.vecdot(xs, vecs)[:, None] * vecs
+        got = reflect(unit, Multivector.from_vector(n, xs)).coeffs[:, sel]
+        properties.append(("unit-reflection", float(np.max(np.abs(got - want))), 1e-12))
 
-        # pin actions preserve pairwise dot products
-        worst = 0.0
-        for k in range(count):
-            g = Multivector.from_vector(
-                n, vecs[k % count])
-            for j in range(1, 3):
-                w = rng.standard_normal(n)
-                w /= np.linalg.norm(w)
-                g = geometric_product(g, Multivector.from_vector(n, w))
-            x = rng.standard_normal(n)
-            y = rng.standard_normal(n)
-            gx = pin_action(g, Multivector.from_vector(n, x))
-            gy = pin_action(g, Multivector.from_vector(n, y))
-            sel = [1 << j for j in range(n)]
-            got = float(gx.coeffs[sel] @ gy.coeffs[sel])
-            worst = max(worst, abs(got - float(x @ y)) / max(abs(x @ y), 1.0))
-        properties.append(("pin-dot-preservation", worst, 1e-12))
+        # pin actions preserve pairwise dot products; per sample the stream
+        # holds two unit factors after vecs[k], then x and y
+        draws = rng.standard_normal((count, 4, n))
+        g = unit
+        for w in (draws[:, 0], draws[:, 1]):
+            w /= np.sqrt(np.vecdot(w, w))[:, None]
+            g = geometric_product(g, Multivector.from_vector(n, w))
+        x, y = draws[:, 2], draws[:, 3]
+        gx = pin_action(g, Multivector.from_vector(n, x)).coeffs[:, sel]
+        gy = pin_action(g, Multivector.from_vector(n, y)).coeffs[:, sel]
+        xy = np.vecdot(x, y)
+        worst = np.abs(np.vecdot(gx, gy) - xy) / np.maximum(np.abs(xy), 1.0)
+        properties.append(("pin-dot-preservation", float(np.max(worst)), 1e-12))
 
-        # sampled blade pairs against the swap-sort oracle (exact)
-        signs = product_signs(n)
-        size = 1 << n
-        mism = 0
+        # sampled blade pairs against the inversion-count oracle (exact)
+        signs, mism = product_signs(n), 0
         for _ in range(count):
-            ma = int(rng.integers(size))
-            mb = int(rng.integers(size))
-            s, idx = _blade_product_oracle(_mask_indices(ma),
-                                           _mask_indices(mb))
-            mask = 0
-            for i in idx:
-                mask |= 1 << (i - 1)
-            if mask != ma ^ mb or signs[ma, mb] != s:
-                mism += 1
+            ma, mb = int(rng.integers(1 << n)), int(rng.integers(1 << n))
+            s, idx = _blade_product_oracle(_mask_indices(ma), _mask_indices(mb))
+            mism += sum(1 << (i - 1) for i in idx) != ma ^ mb or signs[ma, mb] != s
         properties.append(("blade-product-oracle", float(mism), 0.0))
 
         for prop, worst, tol in properties:
@@ -571,6 +538,17 @@ def run_covariance(params):
 _LINEAR_SLOPE = (0.8, -0.45, 0.3, 0.15, -0.2, 0.1)
 
 
+# most nodes a solve lattice may hold; --n 5 at h = 1/16 holds 17**5 = 1,419,857
+_NODE_BUDGET = 2_000_000
+
+
+def _check_node_budget(side, n, h):
+    """Refuse, before allocating it, a lattice of (side/h + 1)**n nodes over budget."""
+    if h > 0 and side / h + 1 > _NODE_BUDGET ** (1 / n):
+        raise UsageError(f"a {n}-dimensional lattice of {side / h + 1:.6g} nodes per "
+                         f"side exceeds the budget of {_NODE_BUDGET:,}; raise --h or lower --n")
+
+
 def _parse_region(text, n, h):
     head, _, args = text.partition(":")
     if head == "box":
@@ -578,6 +556,7 @@ def _parse_region(text, n, h):
             lo, hi = (0.0, 1.0) if not args else map(float, args.split(","))
         except ValueError as exc:
             raise UsageError("box needs lo,hi bounds") from exc
+        _check_node_budget(hi - lo, n, h)
         return LatticeDomain.box([lo] * n, [hi] * n, h), f"box:{lo},{hi}"
     if head == "annulus":
         if n != 2:
@@ -586,6 +565,7 @@ def _parse_region(text, n, h):
             inner, outer = map(float, args.split(","))
         except ValueError as exc:
             raise UsageError("annulus needs inner,outer radii") from exc
+        _check_node_budget(2 * outer, n, h)
         return LatticeDomain.annulus(inner, outer, h), f"annulus:{inner},{outer}"
     raise UsageError(f"unknown region {text!r}")
 

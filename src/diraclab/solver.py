@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, product_signs
+from .algebra import Multivector, _gather_table
 
 
 class SolverError(ValueError):
@@ -241,16 +241,6 @@ class LatticeField:
 # ------------------------------------------------------- energy and gradient
 
 
-def _left_blade_tables(dim: int):
-    """Per axis j: (index permutation, signs) so that the coefficients of
-    e_j A are signs * coeffs[..., perm]."""
-    idx = np.arange(1 << dim)
-    return [
-        (idx ^ (1 << j), product_signs(dim)[1 << j, idx ^ (1 << j)])
-        for j in range(dim)
-    ]
-
-
 _SCHEMES = ("forward", "backward", "symmetric")
 
 
@@ -273,9 +263,11 @@ def _dirac_square(u: LatticeField, orientation: int = +1):
     diffs = [(_shift(u.values, axis, orientation) - u.values) * orientation / dom.h
              for axis in range(dom.dim)]
     if u.is_clifford:
+        # row 1 << j of the gather tables gives e_j A = signs * A[..., perm]
+        perm, signs = _gather_table(dom.dim)
         dirac = np.zeros_like(u.values)
-        for (perm, signs), d in zip(_left_blade_tables(dom.dim), diffs):
-            dirac += signs * d[..., perm]
+        for j, d in enumerate(diffs):
+            dirac += signs[1 << j] * d[..., perm[1 << j]]
         return diffs, dirac, np.sum(dirac * dirac, axis=-1)
     w = np.zeros(dom.shape)
     for d in diffs:
@@ -344,8 +336,9 @@ def _one_sided_gradient(u: LatticeField, p: float, epsilon: float,
     psi[base] = base_psi
 
     if u.is_clifford:
-        fluxes = (psi[..., None] * (signs * dirac[..., perm])
-                  for perm, signs in _left_blade_tables(dom.dim))
+        perm, signs = _gather_table(dom.dim)
+        fluxes = (psi[..., None] * (signs[1 << j] * dirac[..., perm[1 << j]])
+                  for j in range(dom.dim))
     else:
         # e_j e_j = -1 on the Clifford path; the scalar flux carries it
         fluxes = (-psi * d for d in diffs)

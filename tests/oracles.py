@@ -103,3 +103,23 @@ def fd_jacobian(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         e[j] = h
         cols.append((np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * h))
     return np.stack(cols, axis=-1)
+
+
+def scatter_geometric_product(ca, cb, dim: int) -> np.ndarray:
+    """The blade-by-blade scatter product on coefficient arrays: for each
+    blade i of a that is nonzero anywhere in its batch, add a_i * (e_i b)
+    into the permuted output coefficients.  The gather kernel must agree
+    with it to the bit."""
+    n = 1 << dim
+    signs = np.array([[blade_product_oracle(mask_to_indices(i), mask_to_indices(j))[0]
+                       for j in range(n)] for i in range(n)], dtype=float)
+    out = np.zeros(np.broadcast_shapes(ca.shape, cb.shape))
+    idx = np.arange(n)
+    for i in range(n):
+        ai = ca[..., i]
+        if not np.any(ai):
+            continue
+        # i ^ idx is a permutation of the blade indices, so fancy-index
+        # accumulation has no duplicate targets.
+        out[..., i ^ idx] += ai[..., None] * (signs[i] * cb)
+    return out

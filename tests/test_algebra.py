@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab.algebra import (
+    _BLOCK,
     AlgebraError,
     Multivector,
     SingularElementError,
@@ -31,6 +32,7 @@ from oracles import (
     mask_to_indices,
     mv_to_dict,
     reversion_sign_oracle,
+    scatter_geometric_product,
 )
 
 # ------------------------------------------------------------------ product
@@ -66,7 +68,7 @@ def test_frozen_product_anchors():
     assert np.array_equal(got.coeffs, want.coeffs)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_random_product_matches_dict_oracle(rng, dim):
     for _ in range(25):
         a = random_multivector(rng, dim)
@@ -117,6 +119,56 @@ def test_batched_product_equals_single_products(rng):
             Multivector(dim, a.coeffs[k]), Multivector(dim, b.coeffs[k])
         )
         assert np.array_equal(batched.coeffs[k], single.coeffs)
+
+
+def _same_bits(got, want):
+    """Equal shapes and values, NaN in the same places, and the same sign
+    on every zero."""
+    keep = ~np.isnan(want)
+    return (got.shape == want.shape
+            and np.array_equal(np.isnan(got), ~keep)
+            and np.array_equal(got[keep], want[keep])
+            and np.array_equal(np.signbit(got[keep]), np.signbit(want[keep])))
+
+
+def _check_against_scatter(dim, ca, cb):
+    got = geometric_product(Multivector(dim, ca), Multivector(dim, cb)).coeffs
+    assert _same_bits(got, scatter_geometric_product(ca, cb, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_product_matches_scatter_reference_bit_for_bit(rng, dim):
+    """The gather kernel against the blade-by-blade scatter loop: the same
+    bits for every broadcast pattern, for all-zero, vector and dense left
+    factors, and for batches one row short of, at and past a block."""
+    n = 1 << dim
+    dense = lambda *batch: rng.standard_normal(batch + (n,))
+
+    def vector(*batch):
+        c = np.zeros(batch + (n,))
+        c[..., [1 << j for j in range(dim)]] = rng.standard_normal(batch + (dim,))
+        return c
+
+    for left in (dense, vector):
+        for a_batch, b_batch in (((), ()), ((), (5,)), ((5,), ()), ((3, 5), (5,)),
+                                 ((3, 1), (4,)), ((0,), ()), ((), (2, 0))):
+            _check_against_scatter(dim, left(*a_batch), dense(*b_batch))
+        live = dim if left is vector else n
+        rows = _BLOCK // (n * live)
+        for count in (rows - 1, rows, rows + 1):
+            ca = left(count)
+            ca[0] = 0.0  # its sums hold only zeros: each must come out +0.0
+            _check_against_scatter(dim, ca, dense(count))
+        _check_against_scatter(dim, left(rows + 1), dense())
+    _check_against_scatter(dim, np.zeros((3, n)), dense(3))
+    # inf and NaN in b: where a live blade's zero coefficient meets inf
+    # (row 0), the reference forms 0 * inf = NaN, and so must the kernel
+    ca, cb = dense(4), dense(4)
+    ca[0, n - 1] = 0.0
+    cb[0, 0], cb[1, 0], cb[2, n - 1] = np.inf, np.nan, -np.inf
+    with np.errstate(invalid="ignore"):
+        _check_against_scatter(dim, ca, cb)
+        _check_against_scatter(dim, ca[1], cb)
 
 
 def test_dimension_contract_errors():

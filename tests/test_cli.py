@@ -195,7 +195,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["sphere-check", "--theta=nan"],
                  ["solve", "--n", "0"],                         # lattice dim
                  ["solve", "--n=-1"],
-                 ["solve", "--n", "7", "--h", "0.5"]):
+                 ["solve", "--n", "7", "--h", "0.5"],
+                 ["solve", "--n", "6"],                         # node budget
+                 ["solve", "--region", "annulus:1,2", "--h", "1e-3"]):
         capsys.readouterr()
         assert run_cli(args) == 2, args
         err = capsys.readouterr().err
