@@ -29,7 +29,6 @@ def main(argv=None):
                     help="map expression (repeatable; default inversion and "
                          "dilate:2*translate:0.4,-0.1,0.2)")
     ap.add_argument("--order", type=int, default=6)
-    ap.add_argument("--cells", type=int, default=2)
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args(argv)
 
@@ -43,8 +42,7 @@ def main(argv=None):
     source = Domain.ball([3.0] + [0.0] * (n - 1), 1.0)
     off_axis = [0.0, 0.5] + [0.0] * (n - 2)
     far = [-5.0] + [0.0] * (n - 1)
-    kw = dict(order=args.order, cells=args.cells, seed=args.seed,
-              random_bumps=2)
+    kw = dict(order=args.order, seed=args.seed, random_bumps=2)
 
     for expr in exprs:
         m = parse_mobius_expr(expr, n)

@@ -158,6 +158,16 @@ def _check(checks, name, value, tolerance):
     })
 
 
+def _verdict(checks, name, ok, value=None):
+    """A pass/fail check with no tolerance to compare against."""
+    checks.append({
+        "check": name,
+        "value": None if value is None else float(value),
+        "tolerance": None,
+        "status": "pass" if ok else "fail",
+    })
+
+
 def _note(checks, name, value=None):
     checks.append({
         "check": name,
@@ -224,8 +234,7 @@ _SPECS = {
         "p": (float, None, "nonlinearity exponent (mode-dependent default)"),
         "mobius": (str, "inversion",
                    "generator word, e.g. inversion*translation:1,0,0"),
-        "order": (_positive_int, 6, "quadrature order per cell"),
-        "cells": (_positive_int, 2, "quadrature cells per axis"),
+        "order": (_positive_int, 6, "bump-fitted quadrature order"),
         **_COMMON,
     },
     "solve": {
@@ -480,8 +489,7 @@ def run_covariance(params):
     m = parse_mobius_expr(params["mobius"], n)
 
     source = Domain.ball([3.0] + [0.0] * (n - 1), 1.0)
-    kw = dict(order=params["order"], cells=params["cells"], seed=seed,
-              random_bumps=2)
+    kw = dict(order=params["order"], seed=seed, random_bumps=2)
     off_axis = [0.0, 0.5] + [0.0] * (n - 2)
     far = [-5.0] + [0.0] * (n - 1)
 
@@ -516,11 +524,8 @@ def run_covariance(params):
         complete = (len(table) >= 3
                     and all(np.isfinite(v) for v in table.values())
                     and rep.to_rows() == again.to_rows())
-        checks.append({
-            "check": "scan table complete and deterministic",
-            "value": float(len(table)), "tolerance": None,
-            "status": "pass" if complete else "fail",
-        })
+        _verdict(checks, "scan table complete and deterministic", complete,
+                 len(table))
         _note(checks, "scan minimizer exponent", rep.best_exponent)
 
     meta = {
@@ -529,7 +534,6 @@ def run_covariance(params):
         "mobius": params["mobius"],
         "best_exponent": rep.best_exponent,
         "order": rep.order,
-        "cells": rep.cells,
         "notes": list(rep.notes),
     }
     return rep.to_rows(), meta, checks
@@ -653,14 +657,9 @@ def run_solve(params):
     monotone = all(b <= a for a, b in
                    zip(diag.energies, diag.energies[1:]))
     checks = []
-    checks.append({
-        "check": "gradient tolerance reached", "value": diag.final_gradient_norm,
-        "tolerance": None, "status": "pass" if diag.converged else "fail",
-    })
-    checks.append({
-        "check": "monotone energy descent", "value": None,
-        "tolerance": None, "status": "pass" if monotone else "fail",
-    })
+    _verdict(checks, "gradient tolerance reached", diag.converged,
+             diag.final_gradient_norm)
+    _verdict(checks, "monotone energy descent", monotone)
     max_rel = None
     if err_vals is not None:
         max_rel = float(np.max(err_vals[domain.interior_mask[mask]]))

@@ -409,10 +409,7 @@ class SolverConfig:
     scheme: str = "symmetric"
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise SolverError("the exponent p must exceed 1")
-        if self.epsilon < 0:
-            raise SolverError("the regularization must be nonnegative")
+        _validate_exponents(self.p, self.epsilon)
         _validate_scheme(self.scheme)
         if self.p < 2 and self.epsilon == 0.0:
             raise SolverError("p < 2 requires a positive regularization")

@@ -8,12 +8,14 @@ eta is the full Clifford-valued quadrature
 which vanishes for every eta exactly when f solves the (weighted) p-Dirac
 equation in the distributional sense; replacing f by the derivative D h
 gives the p-harmonic version.  This module supplies the quadrature engine
-(tensor Gauss-Legendre over a cell decomposition of the domain's bounding
-box, with inside-domain masking), the mollifier-bump test functions, the
-conformal weight |c x + d|^s, and the covariance experiments: pulling a
-solution back through a Moebius map and measuring the weak residual of the
-transformed field on the preimage domain, in both the plain-derivative and
-the twisted-derivative (frame-conjugated) forms.
+(a bump-fitted rule in spherical coordinates about each bump's centre,
+whose double-exponential radial rule absorbs the flat support edge), the
+mollifier-bump test functions, the conformal weight |c x + d|^s, and the
+covariance experiments: pulling a solution back through a Moebius map and
+measuring the weak residual of the transformed field on the preimage
+domain, in both the plain-derivative and the twisted-derivative
+(frame-conjugated) forms.  The box-tensor `QuadratureRule` remains as a
+cross-check; the residuals read only its domain and order.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
 flat residuals, the covariance experiments, the divergence oracle and the
@@ -29,18 +31,17 @@ Its summation order is fixed: each block's weighted integrand is summed
 over the node axis together with the running total carried as a first row,
 which is numpy's sequential node-order sum of the whole array, never a
 matrix product (whose BLAS blocking may vary).  Every reported number is
-therefore deterministic for a fixed seed, order and cell decomposition,
-and reruns are byte-identical.
+therefore deterministic for a fixed seed and order, and reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, blade_label, geometric_product, product_signs
+from .algebra import Multivector, blade_label, geometric_product
 from .fields import (
     AnalyticField,
     Domain,
@@ -68,10 +69,6 @@ class WeakFormError(ValueError):
 
 class SupportError(WeakFormError):
     """A test function's support escapes the working domain."""
-
-
-class AccuracyWarning(UserWarning):
-    """A reported nonzero residual moved by more than 10% under order doubling."""
 
 
 # --------------------------------------------------------- test functions
@@ -242,13 +239,24 @@ def default_test_functions(domain: Domain, seed: int = 42, random_count: int = 5
 # ------------------------------------------------------------- quadrature
 
 
+def _resolve_order(dim: int, order: int = None) -> int:
+    """The quadrature order, 12 up to dim 3 and 8 above unless given."""
+    if order is None:
+        order = 12 if dim <= 3 else 8
+    if order < 1:
+        raise WeakFormError("quadrature order must be >= 1")
+    return order
+
+
 @dataclass
 class QuadratureRule:
     """Tensor Gauss-Legendre nodes over a cell split of the bounding box.
 
     `inside` masks nodes to the domain; integrands supported inside the
     domain (every bump is) see no masking error.  Weights are the positive
-    per-axis Gauss weight products scaled to the cells.
+    per-axis Gauss weight products scaled to the cells.  The weak residuals
+    read only `domain` and `order` and integrate on the bump-fitted rule;
+    the tensor grid is kept as a cross-check of that rule.
     """
 
     domain: Domain
@@ -263,12 +271,11 @@ class QuadratureRule:
         dim = domain.dim
         if dim > 4:
             raise WeakFormError("tensor quadrature is limited to dim <= 4")
-        if order is None:
-            order = 12 if dim <= 3 else 8
+        order = _resolve_order(dim, order)
         if cells is None:
             cells = 8 if dim <= 3 else 6
-        if order < 1 or cells < 1:
-            raise WeakFormError("quadrature order and cell count must be >= 1")
+        if cells < 1:
+            raise WeakFormError("quadrature cell count must be >= 1")
         x, w = np.polynomial.legendre.leggauss(order)
         lo, hi = domain.bounding_box()
         axis_nodes, axis_weights = [], []
@@ -290,18 +297,9 @@ class QuadratureRule:
     def node_count(self) -> int:
         return len(self.weights)
 
-    def doubled(self) -> "QuadratureRule":
-        return QuadratureRule.build(self.domain, 2 * self.order, self.cells_per_axis)
-
     def integrate_scalar(self, values: np.ndarray) -> float:
         """Masked integral of per-node scalar samples."""
         return float(np.sum(self.weights * np.where(self.inside, values, 0.0)))
-
-
-def _support_nodes(rule: QuadratureRule, eta: BumpTestFunction):
-    keep = rule.inside & eta.support_mask(rule.nodes)
-    idx = np.flatnonzero(keep)
-    return rule.nodes[idx], rule.weights[idx]
 
 
 # Bump-supported integrands defeat box-tensor quadrature: the profile is
@@ -385,15 +383,6 @@ def support_quadrature(eta: BumpTestFunction, order: int):
     return nodes, weights
 
 
-def _integration_nodes(rule: QuadratureRule, eta: BumpTestFunction, scheme: str):
-    eta.require_support_inside(rule.domain)
-    if scheme == "tensor":
-        return _support_nodes(rule, eta)
-    if scheme == "fitted":
-        return support_quadrature(eta, rule.order)
-    raise WeakFormError(f"unknown quadrature scheme {scheme!r}")
-
-
 # --------------------------------------------------------------- weights
 
 
@@ -423,20 +412,6 @@ class ConformalWeight:
 _BLOCK = 1 << 15
 
 
-def _times_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coefficients of a * v for coefficient rows a (..., 2**n) and vector
-    components v (..., n): a sum over the n vector blades of v only."""
-    dim = v.shape[-1]
-    idx = np.arange(1 << dim)
-    signs = product_signs(dim)
-    out = 0.0
-    for j in range(dim):
-        # blade k of a * e_j comes from blade k ^ e_j of a
-        src = idx ^ (1 << j)
-        out = out + a[..., src] * signs[src, 1 << j] * v[..., j, None]
-    return out
-
-
 def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector):
     """The weak pairing of node values against D eta = left * right, with
     `left` a vector field and `right` a constant multivector: returns
@@ -450,7 +425,9 @@ def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector):
     any A |f|^(p-2) factor folded in.  A (K, B) wx' gives K rows of (raw,
     normalizer) from one Clifford product.  `right` is applied once, after
     the sum; the normalizer uses |left * right| = |left| |right|, which
-    holds because left is a vector.
+    holds because left is a vector.  The per-node product is formed as
+    conj(vals) * left = conj((-left) * vals), so the vector is the left
+    factor of `geometric_product` and costs n terms per coefficient.
 
     Blocks hold at most `_BLOCK` nodes.  Each block's weighted integrand is
     summed over the node axis with the running total as its first row,
@@ -461,7 +438,8 @@ def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector):
     for start in range(0, len(nodes), _BLOCK):
         s = slice(start, start + _BLOCK)
         vals, left, wx = block(nodes[s], w[..., s])
-        part = wx[..., None] * _times_vector(vals.conjugation().coeffs, left)
+        prod = geometric_product(Multivector.from_vector(right.dim, -left), vals)
+        part = wx[..., None] * prod.conjugation().coeffs
         if raw is None:
             raw = np.sum(part, axis=-2)
             terms = np.empty(wx.shape[:-1] + (len(nodes),))
@@ -472,15 +450,15 @@ def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector):
     return raw, np.sum(terms, axis=-1) * right.norm()
 
 
-def _pair(f: AnalyticField, p: float, eta: BumpTestFunction,
-          rule: QuadratureRule, weight, of_derivative: bool, scheme: str):
-    """Raw pairing and normalizer of conj(A |v|^(p-2) v) * D eta for v = f,
-    or v = D f when of_derivative; None when no node falls on the support."""
+def _pair(f: AnalyticField, p: float, eta: BumpTestFunction, domain: Domain,
+          order: int, weight, of_derivative: bool):
+    """Raw pairing and normalizer of conj(A |v|^(p-2) v) * D eta over the
+    bump-fitted nodes of the given order, for v = f, or v = D f when
+    of_derivative."""
     if of_derivative and not f.has_grad:
         raise FieldError(f"weak form needs the analytic derivative of {f.name!r}")
-    nodes, w = _integration_nodes(rule, eta, scheme)
-    if len(nodes) == 0:
-        return None
+    eta.require_support_inside(domain)
+    nodes, w = support_quadrature(eta, order)
 
     def block(x, wx):
         vals = f.dirac(x) if of_derivative else f(x)
@@ -495,43 +473,35 @@ def _pair(f: AnalyticField, p: float, eta: BumpTestFunction,
 
 def weak_p_dirac_residual(
     f: AnalyticField, p: float, eta: BumpTestFunction, rule: QuadratureRule,
-    weight=None, scheme: str = "fitted",
+    weight=None,
 ) -> Multivector:
     """Clifford-valued quadrature of conj(A |f|^(p-2) f) * D eta over U."""
-    pair = _pair(f, p, eta, rule, weight, False, scheme)
-    return pair[0] if pair else Multivector.zero(rule.domain.dim)
+    return _pair(f, p, eta, rule.domain, rule.order, weight, False)[0]
 
 
 def weak_p_harmonic_residual(
     h: AnalyticField, p: float, eta: BumpTestFunction, rule: QuadratureRule,
-    weight=None, scheme: str = "fitted",
+    weight=None,
 ) -> Multivector:
     """Quadrature of conj(A |Dh|^(p-2) Dh) * D eta; needs analytic Dh."""
-    pair = _pair(h, p, eta, rule, weight, True, scheme)
-    return pair[0] if pair else Multivector.zero(rule.domain.dim)
+    return _pair(h, p, eta, rule.domain, rule.order, weight, True)[0]
 
 
 def normalized_weak_residual(
     f: AnalyticField, p: float, eta: BumpTestFunction, rule: QuadratureRule,
-    weight=None, of_derivative: bool = False, scheme: str = "fitted",
+    weight=None, of_derivative: bool = False,
 ) -> float:
     """|weak residual| / normalizer, the normalizer being the quadrature
     of A |f|^(p-1) |D eta|; computed in one pass."""
-    pair = _pair(f, p, eta, rule, weight, of_derivative, scheme)
-    if pair is None:
-        return 0.0
-    raw, normalizer = pair
+    raw, normalizer = _pair(f, p, eta, rule.domain, rule.order, weight, of_derivative)
     return float(raw.norm()) / max(normalizer, 1e-300)
 
 
-def dirac_integral_check(
-    eta: BumpTestFunction, rule: QuadratureRule, scheme: str = "fitted"
-) -> float:
+def dirac_integral_check(eta: BumpTestFunction, rule: QuadratureRule) -> float:
     """|integral of D eta| / integral of |D eta| - the divergence-theorem
     oracle; compact support makes the exact value 0 in every component."""
-    nodes, w = _integration_nodes(rule, eta, scheme)
-    if len(nodes) == 0:
-        return 0.0
+    eta.require_support_inside(rule.domain)
+    nodes, w = support_quadrature(eta, rule.order)
     one = Multivector.scalar(eta.dim, 1.0)
     raw, total = weak_pairing(
         nodes, w, lambda x, wx: (one, eta.profile_gradient(x), wx), eta.blade
@@ -625,7 +595,6 @@ class CovarianceReport:
     domain: Domain
     rows: list
     order: int
-    cells: int
     notes: tuple = ()
 
     @property
@@ -667,19 +636,6 @@ def _pullback_and_validate(f, m, source_domain, margin):
     return volume
 
 
-def _warn_if_moving(report, recompute, floor=1e-10):
-    stable = recompute()
-    a, b = report.max_normalized, stable.max_normalized
-    if max(a, b) > floor and abs(a - b) > 0.1 * max(a, b):
-        warnings.warn(
-            f"{report.experiment}: residual moved {a:.3e} -> {b:.3e} "
-            "under order doubling; quadrature has not converged",
-            AccuracyWarning,
-            stacklevel=3,
-        )
-    return stable
-
-
 def dirac_covariance_experiment(
     f: AnalyticField,
     p: float,
@@ -688,12 +644,8 @@ def dirac_covariance_experiment(
     *,
     seed: int = 42,
     order: int = None,
-    cells: int = None,
     margin: float = 1e-3,
     random_bumps: int = 5,
-    rule: QuadratureRule = None,
-    scheme: str = "fitted",
-    verify_quadrature: bool = False,
 ) -> CovarianceReport:
     """Covariance of the p-Dirac equation under a Moebius map.
 
@@ -701,41 +653,25 @@ def dirac_covariance_experiment(
     g(x) = (c x + d)^{-1} f(M(x)) is measured as a weak solution of the
     weighted equation on M^{-1}(U) with weight |c x + d|^(p - n); at p = n
     the weight is identically 1 and the statement is the conformal
-    covariance of the n-Dirac equation.
+    covariance of the n-Dirac equation.  Each bump is integrated on its
+    fitted rule of the given order (default 12 up to dim 3, 8 above).
     """
     dim = source_domain.dim
+    order = _resolve_order(dim, order)
     volume = _pullback_and_validate(f, m, source_domain, margin)
     g = conformal_dirac_transform(f, m)
-    rule = rule if rule is not None else QuadratureRule.build(volume, order, cells)
     exponent = float(p - dim)
     weight = ConformalWeight(m, exponent)
     rows = []
     for eta in default_test_functions(volume, seed=seed, random_count=random_bumps):
-        pair = _pair(g, p, eta, rule, weight, False, scheme)
-        raw, normalizer = pair if pair else (Multivector.zero(dim), 0.0)
+        raw, normalizer = _pair(g, p, eta, volume, order, weight, False)
         rows.append(
             CovarianceRow(eta.label, exponent, float(raw.norm()), normalizer)
         )
-    report = CovarianceReport(
-        "dirac-pullback",
-        dim,
-        float(p),
-        m.provenance,
-        source_domain,
-        volume,
-        rows,
-        rule.order,
-        rule.cells_per_axis,
+    return CovarianceReport(
+        "dirac-pullback", dim, float(p), m.provenance, source_domain, volume,
+        rows, order,
     )
-    if verify_quadrature:
-        _warn_if_moving(
-            report,
-            lambda: dirac_covariance_experiment(
-                f, p, m, source_domain, seed=seed, margin=margin,
-                random_bumps=random_bumps, rule=rule.doubled(), scheme=scheme,
-            ),
-        )
-    return report
 
 
 def harmonic_covariance_experiment(
@@ -747,12 +683,8 @@ def harmonic_covariance_experiment(
     exponents=None,
     seed: int = 42,
     order: int = None,
-    cells: int = None,
     margin: float = 1e-3,
     random_bumps: int = 5,
-    rule: QuadratureRule = None,
-    scheme: str = "fitted",
-    verify_quadrature: bool = False,
 ) -> CovarianceReport:
     """Covariance of the p-harmonic equation in the twisted-derivative form.
 
@@ -765,16 +697,17 @@ def harmonic_covariance_experiment(
 
     over the preimage domain.  A change of variables makes the exponent
     s = 2(p - n) exact (at p = n: s = 0, the unweighted twisted form); the
-    scan reports every requested exponent and never asserts one.
+    scan reports every requested exponent and never asserts one.  The order
+    is that of the bump-fitted rule, as in `dirac_covariance_experiment`.
     """
     dim = source_domain.dim
+    order = _resolve_order(dim, order)
     if not h.has_grad:
         raise FieldError(f"experiment needs the analytic derivative of {h.name!r}")
     if not p > 1:
         raise FieldError("the exponent p must exceed 1")
     volume = _pullback_and_validate(h, m, source_domain, margin)
     gh = compose_with_mobius(h, m)
-    rule = rule if rule is not None else QuadratureRule.build(volume, order, cells)
     if exponents is None:
         exponents = [2.0 * (p + 2.0 - dim), 2.0 * (p - dim), float(p - dim), 0.0]
     exponents = tuple(dict.fromkeys(round(float(s), 12) for s in exponents))
@@ -786,10 +719,7 @@ def harmonic_covariance_experiment(
     exps = np.array(exponents)[:, None]
     rows = []
     for eta in default_test_functions(volume, seed=seed, random_count=random_bumps):
-        nodes, w = _integration_nodes(rule, eta, scheme)
-        if len(nodes) == 0:
-            rows.extend(CovarianceRow(eta.label, s, 0.0, 0.0) for s in exponents)
-            continue
+        nodes, w = support_quadrature(eta, order)
 
         def block(x, wx, eta=eta):
             fp = frame_at(m, Multivector.from_vector(dim, x))
@@ -806,28 +736,10 @@ def harmonic_covariance_experiment(
             CovarianceRow(eta.label, s, float(r), float(nz))
             for s, r, nz in zip(exponents, norms, normalizer)
         )
-    report = CovarianceReport(
-        "twisted-harmonic",
-        dim,
-        float(p),
-        m.provenance,
-        source_domain,
-        volume,
-        rows,
-        rule.order,
-        rule.cells_per_axis,
-        notes,
+    return CovarianceReport(
+        "twisted-harmonic", dim, float(p), m.provenance, source_domain, volume,
+        rows, order, notes,
     )
-    if verify_quadrature:
-        _warn_if_moving(
-            report,
-            lambda: harmonic_covariance_experiment(
-                h, p, m, source_domain, exponents=exponents, seed=seed,
-                margin=margin, random_bumps=random_bumps, rule=rule.doubled(),
-                scheme=scheme,
-            ),
-        )
-    return report
 
 
 # ------------------------------------------------- pointwise invariances

@@ -315,7 +315,7 @@ def test_criterion_06_weak_form_engine():
 
 def test_criterion_07_covariance_first_and_second_order():
     failures = []
-    kw = dict(order=6, cells=2, random_bumps=2, seed=42)
+    kw = dict(order=6, random_bumps=2, seed=42)
     for p in (3.0, 2.5):
         for label, make in (("inversion", lambda: inversion(3)),
                             ("dilation", lambda: dilation(3, 2.0))):
@@ -341,7 +341,7 @@ def test_criterion_07_covariance_first_and_second_order():
 
 def test_criterion_08_unweighted_case_and_exponent_scan():
     failures = []
-    kw = dict(order=6, cells=2, random_bumps=2, seed=42)
+    kw = dict(order=6, random_bumps=2, seed=42)
     rep = harmonic_covariance_experiment(
         log_radial(3, center=[-5.0, 0.0, 0.0]), 3.0, inversion(3),
         BALL3, **kw)

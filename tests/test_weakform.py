@@ -1,6 +1,7 @@
-"""Weak-form engine tests: bump calculus, the two quadrature schemes, the
-divergence-theorem oracle, weak residuals of the closed-form families, domain
-pullbacks, and the conformal covariance experiments."""
+"""Weak-form engine tests: bump calculus, the fitted quadrature and its
+tensor cross-check, the divergence-theorem oracle, weak residuals of the
+closed-form families, domain pullbacks, and the conformal covariance
+experiments."""
 
 import math
 import os
@@ -37,7 +38,6 @@ from diraclab.mobius import (
     translation,
 )
 from diraclab.weakform import (
-    AccuracyWarning,
     BumpTestFunction,
     ConformalWeight,
     QuadratureRule,
@@ -241,20 +241,20 @@ def test_fitted_rule_integrates_ball_volume_and_moments(dim):
 def test_scheme_dispatch_and_validation():
     eta = centered_bump(BALL3, Multivector.scalar(3, 1.0))
     rule = small_rule(BALL3)
-    with pytest.raises(WeakFormError):
-        dirac_integral_check(eta, rule, scheme="simpson")
     escaped = BumpTestFunction(3, (3.9, 0.0, 0.0), 0.5, Multivector.scalar(3, 1.0))
     with pytest.raises(SupportError):
         dirac_integral_check(escaped, rule)
 
 
 def test_dirac_integral_oracle_fitted_vs_tensor(rng):
-    """The integral of D eta vanishes exactly; the fitted scheme reaches
-    roundoff while the box-tensor scheme floors at its flat-edge error."""
+    """The integral of D eta vanishes exactly; the fitted rule reaches
+    roundoff while the box-tensor rule floors at its flat-edge error."""
     rule = QuadratureRule.build(BALL3)
     eta = random_bump(BALL3, rng, label="off-center")
-    assert dirac_integral_check(eta, rule, scheme="fitted") <= 1e-12
-    tensor = dirac_integral_check(eta, rule, scheme="tensor")
+    assert dirac_integral_check(eta, rule) <= 1e-12
+    deta = eta.dirac(rule.nodes)
+    w = np.where(rule.inside, rule.weights, 0.0)
+    tensor = float(np.linalg.norm(w @ deta.coeffs) / np.sum(w * deta.norm()))
     assert tensor <= 1e-3  # converges, but only at algebraic rate
 
 
@@ -456,6 +456,26 @@ def test_weak_pairing_matches_per_node_reference(dim, count):
     assert not np.any(raw) and nz == 0.0
 
 
+@pytest.mark.parametrize("count", [3, 100, BLOCK, BLOCK + 1])
+def test_weak_pairing_sums_in_node_order(count):
+    """Every block, the first included, adds its nodes one after another:
+    the raw pairing equals, bit for bit, a running sum over the kernel's
+    own per-node products conj((-l) vals) = conj(vals) l."""
+    dim = 4
+    rng = np.random.default_rng(count)
+    vec = rng.standard_normal((count, dim))
+    vals = Multivector(dim, rng.standard_normal((count, 1 << dim)))
+    w = rng.uniform(0.1, 1.0, count)
+    raw, _ = weak_pairing(np.arange(count), w,
+                          lambda i, wi: (_rows(vals, i), vec[i], wi),
+                          Multivector.scalar(dim, 1.0))
+    prod = geometric_product(Multivector.from_vector(dim, -vec), vals).conjugation()
+    acc = np.zeros(1 << dim)
+    for k in range(count):
+        acc = acc + w[k] * prod.coeffs[k]
+    assert np.array_equal(raw, acc)
+
+
 def test_pairing_streams_fields_in_fixed_blocks(rng):
     """A 110,592-node pairing evaluates its field in blocks of at most BLOCK
     nodes, and the |f|^(p-2) guard still fires when only the last block
@@ -581,7 +601,7 @@ def test_dirac_covariance_under_translation_is_trivial():
     f = p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0])
     rep = dirac_covariance_experiment(
         f, 2.5, translation(3, [0.3, 0.0, 0.0]), BALL3,
-        order=6, cells=2, random_bumps=2,
+        order=6, random_bumps=2,
     )
     assert rep.experiment == "dirac-pullback"
     assert rep.max_normalized <= 1e-12
@@ -592,7 +612,7 @@ def test_dirac_covariance_under_translation_is_trivial():
 def test_dirac_covariance_under_inversion(p):
     f = p_dirac_solution(3, p, center=[0.0, 0.5, 0.0])
     rep = dirac_covariance_experiment(
-        f, p, inversion(3), BALL3, order=6, cells=2, random_bumps=2
+        f, p, inversion(3), BALL3, order=6, random_bumps=2
     )
     assert rep.max_normalized <= 1e-12
     assert all(r.exponent == pytest.approx(p - 3.0) for r in rep.rows)
@@ -603,12 +623,12 @@ def test_dirac_covariance_rejects_singularity_near_preimage():
     # singular point of f pulls back into the working volume
     f = p_dirac_solution(3, 2.5, center=[8.0 / 3.0, 0.0, 0.0])
     with pytest.raises(DomainError):
-        dirac_covariance_experiment(f, 2.5, inversion(3), BALL3, order=6, cells=2)
+        dirac_covariance_experiment(f, 2.5, inversion(3), BALL3, order=6)
 
 
 def test_covariance_report_rows_and_determinism():
     f = p_dirac_solution(3, 3.0, center=[0.0, 0.5, 0.0])
-    kw = dict(order=6, cells=2, random_bumps=1)
+    kw = dict(order=6, random_bumps=1)
     a = dirac_covariance_experiment(f, 3.0, inversion(3), BALL3, **kw)
     b = dirac_covariance_experiment(f, 3.0, inversion(3), BALL3, **kw)
     assert [(r.eta_label, r.residual_norm, r.normalizer) for r in a.rows] == [
@@ -624,7 +644,7 @@ def test_covariance_report_rows_and_determinism():
 def test_twisted_harmonic_covariance_is_unweighted_at_p_equals_n():
     h = log_radial(3, center=[-5.0, 0.0, 0.0])
     rep = harmonic_covariance_experiment(
-        h, 3.0, inversion(3), BALL3, order=6, cells=2, random_bumps=2
+        h, 3.0, inversion(3), BALL3, order=6, random_bumps=2
     )
     assert rep.experiment == "twisted-harmonic"
     table = rep.normalized_by_exponent()
@@ -641,7 +661,7 @@ def test_twisted_harmonic_exponent_scan_selects_2p_minus_2n():
     p = 2.5
     h = p_harmonic_radial(3, p, center=[-5.0, 0.0, 0.0])
     rep = harmonic_covariance_experiment(
-        h, p, inversion(3), BALL3, order=6, cells=2, random_bumps=2
+        h, p, inversion(3), BALL3, order=6, random_bumps=2
     )
     table = rep.normalized_by_exponent()
     assert set(table) == {3.0, -1.0, -0.5, 0.0}
@@ -659,19 +679,18 @@ def test_harmonic_covariance_validates_input():
         harmonic_covariance_experiment(h, 1.0, inversion(3), BALL3)
 
 
-def test_accuracy_warning_fires_for_unconverged_tensor_quadrature():
+def test_covariance_experiments_quadrature_order():
+    """The experiments integrate at order 12 up to dim 3 unless told
+    otherwise, and refuse an order below 1."""
     f = p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0])
-    with pytest.warns(AccuracyWarning):
-        dirac_covariance_experiment(
-            f, 2.5, inversion(3), BALL3, order=2, cells=1,
-            random_bumps=1, scheme="tensor", verify_quadrature=True,
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AccuracyWarning)
-        dirac_covariance_experiment(
-            f, 2.5, inversion(3), BALL3, order=6, cells=2,
-            random_bumps=1, verify_quadrature=True,
-        )
+    rep = dirac_covariance_experiment(
+        f, 2.5, translation(3, [0.3, 0.0, 0.0]), BALL3, random_bumps=0)
+    assert rep.order == 12 and rep.max_normalized <= 1e-12
+    h = log_radial(3, center=[-5.0, 0.0, 0.0])
+    for experiment, field in ((dirac_covariance_experiment, f),
+                              (harmonic_covariance_experiment, h)):
+        with pytest.raises(WeakFormError):
+            experiment(field, 3.0, inversion(3), BALL3, order=0)
 
 
 # -------------------------------------------------- pointwise invariances
