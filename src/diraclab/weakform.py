@@ -239,7 +239,7 @@ def default_test_functions(domain: Domain, seed: int = 42, random_count: int = 5
 # ------------------------------------------------------------- quadrature
 
 
-def _resolve_order(dim: int, order: int = None) -> int:
+def _resolve_order(dim: int, order) -> int:
     """The quadrature order, 12 up to dim 3 and 8 above unless given."""
     if order is None:
         order = 12 if dim <= 3 else 8

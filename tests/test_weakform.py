@@ -239,7 +239,6 @@ def test_fitted_rule_integrates_ball_volume_and_moments(dim):
 
 
 def test_scheme_dispatch_and_validation():
-    eta = centered_bump(BALL3, Multivector.scalar(3, 1.0))
     rule = small_rule(BALL3)
     escaped = BumpTestFunction(3, (3.9, 0.0, 0.0), 0.5, Multivector.scalar(3, 1.0))
     with pytest.raises(SupportError):
