@@ -47,7 +47,8 @@ def main(argv=None):
         err = float(np.max(rel[dom.interior_mask]))
         rows.append((h, err, diag.iterations, dt))
         print(f"h = 1/{round(1 / h):<4d} max rel error = {err:.6e}   "
-              f"iters = {diag.iterations:<5d} wall = {dt:6.1f} s   "
+              f"iters = {diag.iterations:<5d} "
+              f"grad evals = {diag.gradient_evaluations:<5d} wall = {dt:6.1f} s   "
               f"converged = {diag.converged}")
 
     if len(rows) >= 2:

@@ -678,6 +678,8 @@ def run_solve(params):
         "final_energy": diag.final_energy,
         "final_gradient_norm": diag.final_gradient_norm,
         "stages": [list(s) for s in diag.stages],
+        "gradient_evaluations": diag.gradient_evaluations,
+        "energy_evaluations": diag.energy_evaluations,
         "monotone": monotone,
         "max_relative_error": max_rel,
         "message": diag.message,

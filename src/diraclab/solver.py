@@ -433,16 +433,20 @@ class SolveDiagnostics:
     gradient_norms: tuple
     stages: tuple = ()
     message: str = ""
+    gradient_evaluations: int = 0
+    energy_evaluations: int = 0
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _minimize_stage(values, domain, p, epsilon, tol, config):
+def _minimize_stage(values, domain, p, epsilon, tol, config, counts):
     """Descent loop on one regularization stage; returns values, history
     lists, the iteration count and the stop reason: "converged",
     "zero slope", "no bracket", "step underflow", "stall" or "max_iter".
+    counts["gradient"] and counts["energy"] accumulate the energy_gradient
+    and _energy_terms calls.
 
     The line search brackets and secant-solves the zero of the
     directional derivative phi'(a) = <grad(u + a d), d>.  Energy only
@@ -453,9 +457,11 @@ def _minimize_stage(values, domain, p, epsilon, tol, config):
     """
 
     def terms(v):
+        counts["energy"] += 1
         return _energy_terms(LatticeField(domain, v), p, epsilon, config.scheme)
 
     def gradient(v):
+        counts["gradient"] += 1
         return energy_gradient(LatticeField(domain, v), p, epsilon,
                                config.scheme).values
 
@@ -628,10 +634,11 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
     all_e, all_g = [], []
     stages = []
     total_iter = 0
+    counts = {"gradient": 0, "energy": 0}
     for eps in schedule:
         stage_tol = tol if eps == config.epsilon else max(tol, 1e-5 * domain.h**domain.dim)
         values, energies, gnorms, iters, reason = _minimize_stage(
-            values, domain, config.p, eps, stage_tol, config
+            values, domain, config.p, eps, stage_tol, config, counts
         )
         all_e.extend(energies)
         all_g.extend(gnorms)
@@ -648,6 +655,8 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
         gradient_norms=tuple(all_g),
         stages=tuple(stages),
         message=message,
+        gradient_evaluations=counts["gradient"],
+        energy_evaluations=counts["energy"],
     )
     field = LatticeField(domain, values)
     assert field.is_clifford == clifford

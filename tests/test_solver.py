@@ -501,6 +501,31 @@ def test_solve_is_deterministic():
     assert d1 == d2
 
 
+def test_evaluation_counters_count_calls(monkeypatch):
+    import diraclab.solver as solver_module
+
+    calls = {"gradient": 0, "energy": 0}
+
+    def counted(name, key):
+        original = getattr(solver_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, name, wrapper)
+
+    counted("energy_gradient", "gradient")
+    counted("_energy_terms", "energy")
+    dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 1 / 8)
+    _, diag = solve_dirichlet(dom, linear_bc, SolverConfig(p=1.5, epsilon=1e-4))
+    assert diag.gradient_evaluations == calls["gradient"]
+    assert diag.energy_evaluations == calls["energy"]
+    # one start and at least one line-search evaluation per iteration
+    assert diag.gradient_evaluations >= diag.iterations + len(diag.stages)
+    assert diag.energy_evaluations >= diag.iterations + len(diag.stages)
+
+
 def test_non_convergence_is_reported():
     dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 1 / 16)
     u, diag = solve_dirichlet(dom, saddle_bc, SolverConfig(p=2.0, max_iter=3))
