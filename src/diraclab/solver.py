@@ -35,9 +35,15 @@ algebra the gradient of the nonlinear energy acquires bivector components
 p = 2 or radial data), so the scalar sector is preserved by restriction,
 not by the full-space flow.
 
-The optimizer is descent with an optional Polak-Ribiere conjugate
-direction (on by default - plain descent needs O(1/h^2) iterations on
-fine grids).  The step length comes from bracketing and secant-solving
+The optimizer is preconditioned descent with an optional Polak-Ribiere
+conjugate direction (on by default).  Directions are built from
+z = L^-1 g instead of the gradient g, with L the Dirichlet Laplacian of
+the lattice's bounding box applied by sine transforms.  Without it the
+iterations inherit the O(1/h^2) condition number of the lattice
+Laplacian and their count grows like 1/h (3,497 for the h = 1/64
+annulus); with it the count grows slowly (153, 236 and 381 at
+h = 1/16, 1/32 and 1/64), and at p = 2 on a box the first step is
+exact.  The step length comes from bracketing and secant-solving
 the zero of the directional derivative a -> <grad E(u + a d), d>; the
 energy only gates acceptance (the recorded history must be
 non-increasing) and an Armijo backtracking pass (sufficient decrease
@@ -441,10 +447,63 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _minimize_stage(values, domain, p, epsilon, tol, config, counts):
-    """Descent loop on one regularization stage; returns values, history
-    lists, the iteration count and the stop reason: "converged",
-    "zero slope", "no bracket", "step underflow", "stall" or "max_iter".
+def _dst(a: np.ndarray, axis: int) -> np.ndarray:
+    """DST-I along `axis` of an array whose first and last entries along it
+    are zero: the sine coefficients -Im(rfft)/2 of the odd extension, with
+    the same shape and zero ends.  Applied twice it scales by (s - 1)/2."""
+    a = np.moveaxis(a, axis, -1)
+    s = a.shape[-1]
+    odd = np.empty(a.shape[:-1] + (2 * s - 2,))
+    odd[..., :s] = a
+    odd[..., s:] = -a[..., s - 2:0:-1]
+    return np.moveaxis(-0.5 * np.fft.rfft(odd).imag, -1, axis)
+
+
+def _laplacian_preconditioner(domain: LatticeDomain):
+    """Returns g -> z = P L^-1 P g, where P zeroes the nodes off the
+    interior and L = 2 h^(n-2) (2n - sum of the 2n lattice shifts) is the
+    Dirichlet Laplacian of the bounding box, scaled to the Hessian of the
+    p = 2 energy.  L is diagonal in the DST-I basis of the box.  The
+    operator is symmetric positive definite on the interior nodes; it is
+    exact on a box and a fictitious-domain approximation on a staircase
+    region.  A Clifford field is transformed blade by blade."""
+    interior = domain.interior_mask
+    # the eigenvalues of L times the (s - 1)/2 of each inverse transform,
+    # one broadcastable factor per axis, so no grid-sized array persists
+    scale = 2.0 * domain.h ** (domain.dim - 2) * np.prod([(s - 1) / 2.0 for s in domain.shape])
+    eigs = []
+    for axis, s in enumerate(domain.shape):
+        lam = scale * 4.0 * np.sin(0.5 * np.pi * np.arange(s) / (s - 1)) ** 2
+        lam[0] = np.inf  # the zero end of every transform
+        eigs.append(lam.reshape((s,) + (1,) * (domain.dim - 1 - axis)))
+
+    def scalar(g):
+        z = np.where(interior, g, 0.0)
+        for axis in range(domain.dim):
+            z = _dst(z, axis)
+        z /= sum(eigs)
+        for axis in range(domain.dim):
+            z = _dst(z, axis)
+        z[~interior] = 0.0
+        return z
+
+    def apply(g):
+        if g.ndim == domain.dim:
+            return scalar(g)
+        z = np.empty_like(g)
+        for blade in range(g.shape[-1]):
+            z[..., blade] = scalar(g[..., blade])
+        return z
+
+    return apply
+
+
+def _minimize_stage(values, domain, p, epsilon, tol, config, counts, precondition):
+    """Preconditioned descent loop on one regularization stage: directions
+    are built from z = precondition(g) in place of the gradient g.  Returns
+    values, history lists, the iteration count and the stop reason:
+    "converged", "zero slope", "no bracket", "step underflow", "stall" or
+    "max_iter".
     counts["gradient"] and counts["energy"] accumulate the energy_gradient
     and _energy_terms calls.
 
@@ -472,15 +531,16 @@ def _minimize_stage(values, domain, p, epsilon, tol, config, counts):
     gnorm = float(np.max(np.abs(g)))
     energies = [e]
     gnorms = [gnorm]
-    d = -g
+    z = precondition(g)
+    d = -z
     alpha = 1.0
     iterations = 0
     stalls = 0
     reason = "converged" if gnorm <= tol else None
     while reason is None and iterations < config.max_iter:
         slope = _dot(g, d)
-        if slope >= 0.0:  # conjugate direction failed; restart on steepest
-            d = -g
+        if slope >= 0.0:  # conjugate direction failed; restart on -z = -L^-1 g
+            d = -z
             slope = _dot(g, d)
             if slope >= 0.0:
                 reason = "zero slope"  # gradient is numerically zero
@@ -551,14 +611,17 @@ def _minimize_stage(values, domain, p, epsilon, tol, config, counts):
             break
         alpha, u_new, t_u, delta, g_new = accepted
         e_new = e + delta
-        if np.array_equal(u_new, u):
+        # At the roundoff floor the preconditioned steps still flip single
+        # ulps at random, so "no progress" means no node moved by more
+        # than the rounding resolution of the field as a whole.
+        if np.max(np.abs(u_new - u)) <= np.finfo(float).eps * np.max(np.abs(u)):
             stalls += 1
             if stalls >= 3:
                 reason = "stall"  # progress below floating-point resolution
                 break
         else:
             stalls = 0
-        g_prev, u, e = g, u_new, e_new
+        gz_prev, u, e = _dot(g, z), u_new, e_new
         g = gradient(u) if g_new is None else g_new
         gnorm = float(np.max(np.abs(g)))
         energies.append(e)
@@ -567,11 +630,15 @@ def _minimize_stage(values, domain, p, epsilon, tol, config, counts):
         if gnorm <= tol:
             reason = "converged"
             break
+        # <g, z_prev> is taken before z is replaced, so no previous
+        # vector outlives the update
+        g_zprev = _dot(g, z)
+        z = precondition(g)
         if config.use_conjugate:
-            beta = max(0.0, _dot(g, g - g_prev) / max(_dot(g_prev, g_prev), 1e-300))
-            d = -g + beta * d
+            beta = max(0.0, (_dot(g, z) - g_zprev) / max(gz_prev, 1e-300))
+            d = -z + beta * d
         else:
-            d = -g
+            d = -z
     return u, energies, gnorms, iterations, reason or "max_iter"
 
 
@@ -635,10 +702,11 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
     stages = []
     total_iter = 0
     counts = {"gradient": 0, "energy": 0}
+    precondition = _laplacian_preconditioner(domain)
     for eps in schedule:
         stage_tol = tol if eps == config.epsilon else max(tol, 1e-5 * domain.h**domain.dim)
         values, energies, gnorms, iters, reason = _minimize_stage(
-            values, domain, config.p, eps, stage_tol, config, counts
+            values, domain, config.p, eps, stage_tol, config, counts, precondition
         )
         all_e.extend(energies)
         all_g.extend(gnorms)

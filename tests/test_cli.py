@@ -211,7 +211,7 @@ def test_bad_choice_exits_two():
 
 
 def test_assertion_failure_exits_one(capsys):
-    code = run_cli(["solve", "--p", "2", "--max-iter", "2"])
+    code = run_cli(["solve", "--p", "1.5", "--max-iter", "1"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().err
 
