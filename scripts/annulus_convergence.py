@@ -3,8 +3,9 @@
 
 Solves the ring problem with boundary data 1/|x| (the exact minimizer of
 the p = 3/2 energy in the plane) on a ladder of spacings and prints the
-interior error table with the fitted convergence order.  Three levels
-reach h = 1/64 and take about half a minute.
+interior error table with the fitted convergence order and each level's
+iteration and gradient-evaluation counts.  Three levels reach h = 1/64
+and take about 10 s on a shared 2-vCPU machine.
 """
 
 import argparse

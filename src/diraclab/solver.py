@@ -470,7 +470,8 @@ def _laplacian_preconditioner(domain: LatticeDomain):
     interior = domain.interior_mask
     # the eigenvalues of L times the (s - 1)/2 of each inverse transform,
     # one broadcastable factor per axis, so no grid-sized array persists
-    scale = 2.0 * domain.h ** (domain.dim - 2) * np.prod([(s - 1) / 2.0 for s in domain.shape])
+    scale = 2.0 * domain.h ** (domain.dim - 2)
+    scale *= np.prod([(s - 1) / 2.0 for s in domain.shape])
     eigs = []
     for axis, s in enumerate(domain.shape):
         lam = scale * 4.0 * np.sin(0.5 * np.pi * np.arange(s) / (s - 1)) ** 2
