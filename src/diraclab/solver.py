@@ -75,20 +75,25 @@ class SolverError(ValueError):
 # ------------------------------------------------------------------ domains
 
 
-def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """a evaluated at x + step*h*e_axis: zero (False) outside the grid.
-    Trailing axes beyond the grid axes, such as blade coefficients, ride
-    along."""
-    out = np.zeros_like(a)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
+def _neighbors(ndim: int, axis: int, step: int):
+    """Index pair (here, there) of an ndim-axis array: a[there] holds the
+    values at x + step*h*e_axis of the nodes a[here], which are the nodes
+    whose neighbor lies on the grid.  Trailing axes beyond the grid axes,
+    such as blade coefficients, ride along."""
+    here = [slice(None)] * ndim
+    there = [slice(None)] * ndim
     if step > 0:
-        src[axis] = slice(step, None)
-        dst[axis] = slice(None, -step)
-    elif step < 0:
-        src[axis] = slice(None, step)
-        dst[axis] = slice(-step, None)
-    out[tuple(dst)] = a[tuple(src)]
+        here[axis], there[axis] = slice(None, -step), slice(step, None)
+    else:
+        here[axis], there[axis] = slice(-step, None), slice(None, step)
+    return tuple(here), tuple(there)
+
+
+def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """a evaluated at x + step*h*e_axis: zero (False) outside the grid."""
+    here, there = _neighbors(a.ndim, axis, step)
+    out = np.zeros_like(a)
+    out[here] = a[there]
     return out
 
 
@@ -254,6 +259,21 @@ def _base_mask_for(domain: LatticeDomain, orientation: int) -> np.ndarray:
     return domain.base_mask if orientation > 0 else domain.backward_base_mask
 
 
+def _differences(values: np.ndarray, dom: LatticeDomain, orientation: int) -> list:
+    """Per-axis forward (v(x + h e) - v(x))/h or backward (v(x) - v(x - h e))/h
+    differences on the full grid, zero where the neighbor is off the grid;
+    off the matching base nodes the base mask removes them."""
+    diffs = []
+    for axis in range(dom.dim):
+        here, there = _neighbors(dom.dim, axis, orientation)
+        ahead, behind = (there, here) if orientation > 0 else (here, there)
+        d = np.zeros_like(values)
+        np.subtract(values[ahead], values[behind], out=d[here])
+        d /= dom.h
+        diffs.append(d)
+    return diffs
+
+
 def _dirac_square(u: LatticeField, orientation: int = +1):
     """Returns (per-axis differences, D_h u or None, |D_h u|^2) for the
     one-sided difference of the requested orientation.
@@ -264,10 +284,7 @@ def _dirac_square(u: LatticeField, orientation: int = +1):
     e_j d_j are orthogonal grade-1 blades).
     """
     dom = u.domain
-    # forward (u(x + h e) - u(x))/h or backward (u(x) - u(x - h e))/h on the
-    # full grid; off the matching base nodes the base mask removes them
-    diffs = [(_shift(u.values, axis, orientation) - u.values) * orientation / dom.h
-             for axis in range(dom.dim)]
+    diffs = _differences(u.values, dom, orientation)
     if u.is_clifford:
         # row 1 << j of the gather tables gives e_j A = signs * A[..., perm]
         perm, signs = _gather_table(dom.dim)
@@ -340,22 +357,35 @@ def _one_sided_gradient(u: LatticeField, p: float, epsilon: float,
         raise SolverError("p < 2 with epsilon = 0 hit a zero-gradient node")
     psi = np.zeros(dom.shape)
     psi[base] = base_psi
+    weighted = psi[..., None] * dirac if u.is_clifford else (psi * d for d in diffs)
+    return _divergence(dom, orientation, weighted, np.zeros_like(u.values), p)
 
-    if u.is_clifford:
+
+def _divergence(dom: LatticeDomain, orientation: int, weighted, out: np.ndarray,
+                p: float) -> np.ndarray:
+    """Adds p h^(n-1) sum_j orientation (F_j(y) - F_j(y - orientation h e_j))
+    to `out` and zeroes it off the interior.  The fluxes are F_j = e_j W for
+    the weighted Dirac vector W: a Clifford-valued array, or an iterable of
+    the per-axis scalar components, where e_j e_j = -1 makes F_j = -W_j."""
+    clifford = isinstance(weighted, np.ndarray)
+    if clifford:
         perm, signs = _gather_table(dom.dim)
-        fluxes = (psi[..., None] * (signs[1 << j] * dirac[..., perm[1 << j]])
-                  for j in range(dom.dim))
+        fluxes = (signs[1 << j] * weighted[..., perm[1 << j]] for j in range(dom.dim))
     else:
-        # e_j e_j = -1 on the Clifford path; the scalar flux carries it
-        fluxes = (-psi * d for d in diffs)
-    grad = np.zeros_like(u.values)
+        fluxes = weighted  # F_j = -W_j
     for axis, flux in enumerate(fluxes):
-        # term at the carrier node y minus the term reaching y from the
-        # carrier at y - orientation * h e_axis
-        grad += orientation * (flux - _shift(flux, axis, -orientation))
-    grad *= p * dom.h ** (dom.dim - 1)
-    grad[~dom.interior_mask] = 0.0
-    return grad
+        # orientation * (term at the carrier node y minus the term reaching
+        # y from the carrier at y - orientation * h e_axis), the signs folded
+        # into the order of the subtraction; the nodes without that carrier
+        # lie on the grid's rim, off the interior
+        here, there = _neighbors(dom.dim, axis, -orientation)
+        if (orientation > 0) == clifford:
+            out[here] += flux[here] - flux[there]
+        else:
+            out[here] += flux[there] - flux[here]
+    out *= p * dom.h ** (dom.dim - 1)
+    out[~dom.interior_mask] = 0.0
+    return out
 
 
 def energy_gradient(u: LatticeField, p: float, epsilon: float = 0.0,
@@ -385,10 +415,11 @@ def laplace_stencil_residual(u: LatticeField) -> float:
     to the scalar component - the p = 2 stationarity stencil."""
     dom = u.domain
     vals = u.scalar_component()
-    acc = -2.0 * dom.dim * vals.copy()
+    acc = -2.0 * dom.dim * vals
     for axis in range(dom.dim):
         for step in (+1, -1):
-            acc += _shift(vals, axis, step)
+            here, there = _neighbors(dom.dim, axis, step)
+            acc[here] += vals[there]
     res = np.abs(acc[dom.interior_mask]) / dom.h**2
     return float(np.max(res)) if res.size else 0.0
 
