@@ -680,6 +680,7 @@ def run_solve(params):
         "stages": [list(s) for s in diag.stages],
         "gradient_evaluations": diag.gradient_evaluations,
         "energy_evaluations": diag.energy_evaluations,
+        "hessian_products": diag.hessian_products,
         "monotone": monotone,
         "max_relative_error": max_rel,
         "message": diag.message,

@@ -462,6 +462,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """Outcome and deterministic counters of one solve.  Each `stages` entry
+    is (epsilon, iterations, final max |g|, stop reason) of one
+    continuation stage."""
+
     converged: bool
     iterations: int
     final_energy: float
@@ -472,6 +476,7 @@ class SolveDiagnostics:
     message: str = ""
     gradient_evaluations: int = 0
     energy_evaluations: int = 0
+    hessian_products: int = 0
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -733,7 +738,7 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
     all_e, all_g = [], []
     stages = []
     total_iter = 0
-    counts = {"gradient": 0, "energy": 0}
+    counts = {"gradient": 0, "energy": 0, "hessian": 0}
     precondition = _laplacian_preconditioner(domain)
     for eps in schedule:
         stage_tol = tol if eps == config.epsilon else max(tol, 1e-5 * domain.h**domain.dim)
@@ -743,7 +748,7 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
         all_e.extend(energies)
         all_g.extend(gnorms)
         total_iter += iters
-        stages.append((float(eps), int(iters), float(gnorms[-1])))
+        stages.append((float(eps), int(iters), float(gnorms[-1]), reason))
     converged = reason == "converged"
     message = "" if converged else f"gradient tolerance not reached: stopped on {reason}"
     diag = SolveDiagnostics(
@@ -757,6 +762,7 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
         message=message,
         gradient_evaluations=counts["gradient"],
         energy_evaluations=counts["energy"],
+        hessian_products=counts["hessian"],
     )
     field = LatticeField(domain, values)
     assert field.is_clifford == clifford
