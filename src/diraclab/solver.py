@@ -35,28 +35,21 @@ algebra the gradient of the nonlinear energy acquires bivector components
 p = 2 or radial data), so the scalar sector is preserved by restriction,
 not by the full-space flow.
 
-The optimizer is preconditioned descent with an optional Polak-Ribiere
-conjugate direction (on by default).  Directions are built from
-z = L^-1 g instead of the gradient g, with L the Dirichlet Laplacian of
-the lattice's bounding box applied by sine transforms.  Without it the
-iterations inherit the O(1/h^2) condition number of the lattice
-Laplacian and their count grows like 1/h (3,497 for the h = 1/64
-annulus); with it the count grows slowly (153, 236 and 381 at
-h = 1/16, 1/32 and 1/64), and at p = 2 on a box the first step is
-exact.  The step length comes from bracketing and secant-solving
-the zero of the directional derivative a -> <grad E(u + a d), d>; the
-energy only gates acceptance (the recorded history must be
-non-increasing) and an Armijo backtracking pass (sufficient decrease
-1e-4, halving) remains as a fallback.  A derivative-driven search is
-required rather than a refinement: for p != 2 the per-step energy
-decrease falls below one ulp of the total energy while the gradient
-norm is still two orders of magnitude above the stopping tolerance, so
-comparisons of energy values alone stall the iteration at that floor.
-The energy is convex for p > 1 (the integrand is a convex radial
-function of a linear map of u), so the directional derivative is
-nondecreasing along any direction and the bracket is sound.  For p < 2
-the regularization follows a continuation schedule from 1e-1 down to
-the configured epsilon, halving per stage.
+The optimizer runs truncated Newton-CG on each continuation stage
+(Nocedal & Wright, Numerical Optimization, ch. 7).  The Hessian-vector
+product has a closed form whose weights are frozen once per Newton step.
+The inner conjugate gradient stops at the Eisenstat-Walker forcing term
+and is preconditioned by one V-cycle of a masked geometric multigrid for
+the p = 2 Hessian, the Laplacian on the interior nodes.  Newton steps per
+stage then stay flat under refinement (at most 10, 16 and 19 on the
+annulus at h = 1/32, 1/64 and 1/128), and at p = 2 one step is exact.
+Steps halve until the energy decreases sufficiently; the decrease is
+summed from each term's own change, which resolves it far below the
+rounding noise of the energy.  The energy is convex for p > 1 (the
+integrand is a convex radial function of a linear map of u), so the
+Hessian is positive semidefinite.  For p < 2 the regularization follows
+a continuation schedule from 1e-1 down to the configured epsilon,
+halving per stage.
 """
 
 from __future__ import annotations
@@ -66,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Multivector, _gather_table
+from .multigrid import laplacian, neighbors, vcycle
 
 
 class SolverError(ValueError):
@@ -75,23 +69,9 @@ class SolverError(ValueError):
 # ------------------------------------------------------------------ domains
 
 
-def _neighbors(ndim: int, axis: int, step: int):
-    """Index pair (here, there) of an ndim-axis array: a[there] holds the
-    values at x + step*h*e_axis of the nodes a[here], which are the nodes
-    whose neighbor lies on the grid.  Trailing axes beyond the grid axes,
-    such as blade coefficients, ride along."""
-    here = [slice(None)] * ndim
-    there = [slice(None)] * ndim
-    if step > 0:
-        here[axis], there[axis] = slice(None, -step), slice(step, None)
-    else:
-        here[axis], there[axis] = slice(-step, None), slice(None, step)
-    return tuple(here), tuple(there)
-
-
 def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
     """a evaluated at x + step*h*e_axis: zero (False) outside the grid."""
-    here, there = _neighbors(a.ndim, axis, step)
+    here, there = neighbors(a.ndim, axis, step)
     out = np.zeros_like(a)
     out[here] = a[there]
     return out
@@ -124,21 +104,15 @@ class LatticeDomain:
         # it trims the unknowns next to notches; without the trim those
         # nodes see first-order conditions with fluxes missing, an O(1)
         # local defect that degrades the global error to roughly O(h).
-        interior = self.node_mask.copy()
-        for axis in range(self.dim):
-            for step in (+1, -1):
-                interior &= _shift(self.node_mask, axis, step)
+        mask = self.node_mask
+        base, back, interior = mask.copy(), mask.copy(), mask.copy()
         for aj in range(self.dim):
+            base &= _shift(mask, aj, +1)
+            back &= _shift(mask, aj, -1)
             for ak in range(self.dim):
                 if aj != ak:
-                    interior &= _shift(
-                        _shift(self.node_mask, aj, -1), ak, +1
-                    )
-        base = self.node_mask.copy()
-        back = self.node_mask.copy()
-        for axis in range(self.dim):
-            base &= _shift(self.node_mask, axis, +1)
-            back &= _shift(self.node_mask, axis, -1)
+                    interior &= _shift(_shift(mask, aj, -1), ak, +1)
+        interior &= base & back
         object.__setattr__(self, "interior_mask", interior)
         object.__setattr__(self, "base_mask", base)
         object.__setattr__(self, "backward_base_mask", back)
@@ -253,49 +227,46 @@ class LatticeField:
 
 
 _SCHEMES = ("forward", "backward", "symmetric")
+_ORIENTATIONS = {"forward": (+1,), "backward": (-1,), "symmetric": (+1, -1)}
 
 
 def _base_mask_for(domain: LatticeDomain, orientation: int) -> np.ndarray:
     return domain.base_mask if orientation > 0 else domain.backward_base_mask
 
 
-def _differences(values: np.ndarray, dom: LatticeDomain, orientation: int) -> list:
-    """Per-axis forward (v(x + h e) - v(x))/h or backward (v(x) - v(x - h e))/h
-    differences on the full grid, zero where the neighbor is off the grid;
-    off the matching base nodes the base mask removes them."""
+def _dirac(values: np.ndarray, dom: LatticeDomain, orientation: int):
+    """D_h v on the full grid from the forward (v(x + h e) - v(x))/h or
+    backward (v(x) - v(x - h e))/h differences d_j, zero where the neighbor
+    is off the grid (the base masks remove them): the array sum_j e_j d_j of
+    a Clifford field, the list of the d_j of a scalar one."""
     diffs = []
     for axis in range(dom.dim):
-        here, there = _neighbors(dom.dim, axis, orientation)
+        here, there = neighbors(dom.dim, axis, orientation)
         ahead, behind = (there, here) if orientation > 0 else (here, there)
         d = np.zeros_like(values)
         np.subtract(values[ahead], values[behind], out=d[here])
         d /= dom.h
         diffs.append(d)
-    return diffs
+    if values.ndim == dom.dim:
+        return diffs
+    # row 1 << j of the gather tables gives e_j A = signs * A[..., perm]
+    perm, signs = _gather_table(dom.dim)
+    dirac = np.zeros_like(values)
+    for j, d in enumerate(diffs):
+        dirac += signs[1 << j] * d[..., perm[1 << j]]
+    return dirac
 
 
-def _dirac_square(u: LatticeField, orientation: int = +1):
-    """Returns (per-axis differences, D_h u or None, |D_h u|^2) for the
-    one-sided difference of the requested orientation.
-
-    For Clifford fields the square must be taken after assembling
-    D_h u = sum_j e_j d_j - the cross terms between axes do not vanish
-    for multivector differences (they do for scalar fields, where the
-    e_j d_j are orthogonal grade-1 blades).
-    """
-    dom = u.domain
-    diffs = _differences(u.values, dom, orientation)
-    if u.is_clifford:
-        # row 1 << j of the gather tables gives e_j A = signs * A[..., perm]
-        perm, signs = _gather_table(dom.dim)
-        dirac = np.zeros_like(u.values)
-        for j, d in enumerate(diffs):
-            dirac += signs[1 << j] * d[..., perm[1 << j]]
-        return diffs, dirac, np.sum(dirac * dirac, axis=-1)
-    w = np.zeros(dom.shape)
-    for d in diffs:
-        w += d * d
-    return diffs, None, w
+def _inner(a, b) -> np.ndarray:
+    """Nodewise scalar product of two values of _dirac.  For Clifford
+    fields the cross terms between the axes of D_h u = sum_j e_j d_j do not
+    vanish (they do for scalar fields, whose e_j d_j are orthogonal)."""
+    if isinstance(a, np.ndarray):
+        return np.sum(a * b, axis=-1)
+    out = np.zeros_like(a[0])
+    for x, y in zip(a, b):
+        out += x * y
+    return out
 
 
 def _validate_exponents(p: float, epsilon: float):
@@ -311,20 +282,14 @@ def _validate_scheme(scheme: str):
 
 
 def _energy_terms(u: LatticeField, p: float, epsilon: float, scheme: str) -> np.ndarray:
-    """Per-node energy terms as a flat array whose plain sum is the energy.
-
-    Line searches accept steps on the sum of termwise differences of this
-    array, which resolves energy changes of order 1e-18 * sqrt(terms) -
-    far below one ulp of the total energy, where comparisons of two
-    separately summed totals go blind.
-    """
-    orientations = {"forward": (+1,), "backward": (-1,), "symmetric": (+1, -1)}[scheme]
+    """Per-node energy terms as a flat array whose plain sum is the energy."""
+    orientations = _ORIENTATIONS[scheme]
     weight = u.domain.h**u.domain.dim / len(orientations)
     parts = []
     for orientation in orientations:
-        _, _, w = _dirac_square(u, orientation)
+        a = _dirac(u.values, u.domain, orientation)
         base = _base_mask_for(u.domain, orientation)
-        parts.append(weight * (w[base] + epsilon**2) ** (p / 2.0))
+        parts.append(weight * (_inner(a, a)[base] + epsilon**2) ** (p / 2.0))
     return np.concatenate(parts)
 
 
@@ -346,45 +311,54 @@ def discrete_energy(u: LatticeField, p: float, epsilon: float = 0.0,
     return float(np.sum(_energy_terms(u, p, epsilon, scheme)))
 
 
-def _one_sided_gradient(u: LatticeField, p: float, epsilon: float,
-                        orientation: int) -> np.ndarray:
+def _flux_weight(u: LatticeField, p: float, epsilon: float, orientation: int):
+    """(a, q, psi) of one orientation: a = D_h u, q = |a|^2 + eps^2 on its
+    base nodes and psi = q^((p-2)/2) on the grid, zero off those nodes."""
     dom = u.domain
-    diffs, dirac, w = _dirac_square(u, orientation)
+    a = _dirac(u.values, dom, orientation)
     base = _base_mask_for(dom, orientation)
+    q = _inner(a, a)[base] + epsilon**2
     with np.errstate(divide="ignore"):
-        base_psi = (w[base] + epsilon**2) ** ((p - 2.0) / 2.0)
+        base_psi = q ** ((p - 2.0) / 2.0)
     if not np.all(np.isfinite(base_psi)):
         raise SolverError("p < 2 with epsilon = 0 hit a zero-gradient node")
     psi = np.zeros(dom.shape)
     psi[base] = base_psi
-    weighted = psi[..., None] * dirac if u.is_clifford else (psi * d for d in diffs)
-    return _divergence(dom, orientation, weighted, np.zeros_like(u.values), p)
+    return a, q, psi
 
 
-def _divergence(dom: LatticeDomain, orientation: int, weighted, out: np.ndarray,
-                p: float) -> np.ndarray:
-    """Adds p h^(n-1) sum_j orientation (F_j(y) - F_j(y - orientation h e_j))
-    to `out` and zeroes it off the interior.  The fluxes are F_j = e_j W for
-    the weighted Dirac vector W: a Clifford-valued array, or an iterable of
-    the per-axis scalar components, where e_j e_j = -1 makes F_j = -W_j."""
+def _one_sided_gradient(u: LatticeField, p: float, epsilon: float,
+                        orientation: int) -> np.ndarray:
+    dom = u.domain
+    a, _, psi = _flux_weight(u, p, epsilon, orientation)
+    weighted = psi[..., None] * a if u.is_clifford else (psi * d for d in a)
+    grad = _divergence(dom, orientation, weighted, np.zeros_like(u.values))
+    grad *= p * dom.h ** (dom.dim - 1)
+    grad[~dom.interior_mask] = 0.0
+    return grad
+
+
+def _divergence(dom: LatticeDomain, orientation: int, weighted,
+                out: np.ndarray) -> np.ndarray:
+    """Adds sum_j orientation (F_j(y) - F_j(y - orientation h e_j)) to `out`
+    off the grid's rim, for the fluxes F_j = e_j W of the weighted Dirac
+    vector W: a Clifford-valued array, or an iterable of the per-axis
+    scalar components, where e_j e_j = -1 makes F_j = -W_j."""
     clifford = isinstance(weighted, np.ndarray)
     if clifford:
         perm, signs = _gather_table(dom.dim)
         fluxes = (signs[1 << j] * weighted[..., perm[1 << j]] for j in range(dom.dim))
     else:
-        fluxes = weighted  # F_j = -W_j
+        fluxes = weighted
     for axis, flux in enumerate(fluxes):
-        # orientation * (term at the carrier node y minus the term reaching
-        # y from the carrier at y - orientation * h e_axis), the signs folded
-        # into the order of the subtraction; the nodes without that carrier
-        # lie on the grid's rim, off the interior
-        here, there = _neighbors(dom.dim, axis, -orientation)
+        # the orientation and the sign of F_j fold into the order of the
+        # subtraction; the nodes without a carrier at y - orientation h e_j
+        # lie on the rim, off the interior
+        here, there = neighbors(dom.dim, axis, -orientation)
         if (orientation > 0) == clifford:
             out[here] += flux[here] - flux[there]
         else:
             out[here] += flux[there] - flux[here]
-    out *= p * dom.h ** (dom.dim - 1)
-    out[~dom.interior_mask] = 0.0
     return out
 
 
@@ -410,18 +384,74 @@ def energy_gradient(u: LatticeField, p: float, epsilon: float = 0.0,
     return LatticeField(dom, grad)
 
 
+def _curvature(u: LatticeField, p: float, epsilon: float, scheme: str):
+    """The Hessian of discrete_energy at u, frozen for _hessian_product and
+    _energy_line: per orientation its base mask, a, q and psi from
+    _flux_weight and the rank-one coefficient kappa = (p - 2) psi / q, zero
+    off the base nodes and where q = 0."""
+    parts = []
+    for orientation in _ORIENTATIONS[scheme]:
+        a, q, psi = _flux_weight(u, p, epsilon, orientation)
+        base = _base_mask_for(u.domain, orientation)
+        kappa = np.zeros(u.domain.shape)
+        kappa[base] = np.divide((p - 2.0) * psi[base], q,
+                                out=np.zeros_like(q), where=q > 0)
+        parts.append((orientation, base, a, q, psi, kappa))
+    return u.domain, p, parts
+
+
+def _hessian_product(curvature, v: np.ndarray) -> np.ndarray:
+    """H v for the frozen Hessian H: per base node and orientation the
+    weighted Dirac vector p psi [b + (p - 2)(a.b) a / q] with b = D_h v,
+    assembled like the gradient's flux; zero off the interior."""
+    dom, p, parts = curvature
+    out = np.zeros_like(v)
+    for orientation, _, a, _, psi, kappa in parts:
+        b = _dirac(v, dom, orientation)
+        ab = kappa * _inner(a, b)
+        if isinstance(a, np.ndarray):
+            weighted = psi[..., None] * b + ab[..., None] * a
+        else:
+            weighted = (psi * y + ab * x for x, y in zip(a, b))
+        _divergence(dom, orientation, weighted, out)
+    out *= p * dom.h ** (dom.dim - 1) / len(parts)
+    out[~dom.interior_mask] = 0.0
+    return out
+
+
+def _energy_line(curvature, s: np.ndarray):
+    """The energy along u + a s for _energy_change: on the base nodes of
+    each orientation q grows to q + a c1 + a^2 c2, with c1 = 2 D_h u . D_h s
+    and c2 = |D_h s|^2."""
+    dom, p, parts = curvature
+    line = []
+    for orientation, base, a, q, _, _ in parts:
+        b = _dirac(s, dom, orientation)
+        line.append((q, q ** (p / 2.0), 2.0 * _inner(a, b)[base], _inner(b, b)[base]))
+    return p / 2.0, dom.h**dom.dim / len(parts), line
+
+
+def _energy_change(line, step: float) -> float:
+    """E(u + step s) - E(u), summed over the terms' own changes
+    q^m expm1(m log1p(dq / q)) with m = p/2.  Each is exact to rounding
+    relative to itself, so the sum resolves decreases far below the
+    rounding noise of the energy itself."""
+    m, weight, parts = line
+    changes = []
+    for q, qm, c1, c2 in parts:
+        dq = step * c1 + step**2 * c2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grown = qm * np.expm1(m * np.log1p(np.maximum(dq / q, -1.0)))
+            changes.append(np.where(q > 0, grown, np.maximum(dq, 0.0) ** m))
+    return weight * float(np.sum(np.concatenate(changes)))
+
+
 def laplace_stencil_residual(u: LatticeField) -> float:
     """max over interior nodes of |(sum of neighbors - 2n u)/h^2| applied
     to the scalar component - the p = 2 stationarity stencil."""
     dom = u.domain
-    vals = u.scalar_component()
-    acc = -2.0 * dom.dim * vals
-    for axis in range(dom.dim):
-        for step in (+1, -1):
-            here, there = _neighbors(dom.dim, axis, step)
-            acc[here] += vals[there]
-    res = np.abs(acc[dom.interior_mask]) / dom.h**2
-    return float(np.max(res)) if res.size else 0.0
+    res = laplacian(u.scalar_component(), dom.interior_mask, dom.h)
+    return float(np.max(np.abs(res))) / (2.0 * dom.h**dom.dim)
 
 
 # ---------------------------------------------------------------- optimizer
@@ -429,20 +459,18 @@ def laplace_stencil_residual(u: LatticeField) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Exponent, regularization, and stopping/step-rule parameters.
+    """Exponent, regularization, scheme and stopping parameters.
 
     grad_tol None resolves to 1e-8 h^n at solve time (grid-independent
     stationarity); epsilon is the final regularization of the p < 2
-    continuation and must be positive there.
+    continuation and must be positive there; max_iter caps the Newton
+    steps of each continuation stage.
     """
 
     p: float
     epsilon: float = 0.0
     grad_tol: float = None
     max_iter: int = 5000
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
-    use_conjugate: bool = True
     scheme: str = "symmetric"
 
     def __post_init__(self):
@@ -452,10 +480,6 @@ class SolverConfig:
             raise SolverError("p < 2 requires a positive regularization")
         if self.grad_tol is not None and not self.grad_tol > 0:
             raise SolverError("the gradient tolerance must be positive")
-        if not 0 < self.backtrack < 1:
-            raise SolverError("the backtracking factor must lie in (0, 1)")
-        if not 0 < self.sufficient_decrease < 1:
-            raise SolverError("the sufficient-decrease constant must lie in (0, 1)")
         if self.max_iter < 1:
             raise SolverError("max_iter must be at least 1")
 
@@ -483,199 +507,99 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _dst(a: np.ndarray, axis: int) -> np.ndarray:
-    """DST-I along `axis` of an array whose first and last entries along it
-    are zero: the sine coefficients -Im(rfft)/2 of the odd extension, with
-    the same shape and zero ends.  Applied twice it scales by (s - 1)/2."""
-    a = np.moveaxis(a, axis, -1)
-    s = a.shape[-1]
-    odd = np.empty(a.shape[:-1] + (2 * s - 2,))
-    odd[..., :s] = a
-    odd[..., s:] = -a[..., s - 2:0:-1]
-    return np.moveaxis(-0.5 * np.fft.rfft(odd).imag, -1, axis)
+_ETA = 0.5  # the first forcing term of each stage
+_ETA_MAX = 0.9
+_CG_STEPS = 100  # the most inner iterations of one Newton step
+_SUFFICIENT_DECREASE = 1e-4
 
 
-def _laplacian_preconditioner(domain: LatticeDomain):
-    """Returns g -> z = P L^-1 P g, where P zeroes the nodes off the
-    interior and L = 2 h^(n-2) (2n - sum of the 2n lattice shifts) is the
-    Dirichlet Laplacian of the bounding box, scaled to the Hessian of the
-    p = 2 energy.  L is diagonal in the DST-I basis of the box.  The
-    operator is symmetric positive definite on the interior nodes; it is
-    exact on a box and a fictitious-domain approximation on a staircase
-    region.  A Clifford field is transformed blade by blade."""
-    interior = domain.interior_mask
-    # the eigenvalues of L times the (s - 1)/2 of each inverse transform,
-    # one broadcastable factor per axis, so no grid-sized array persists
-    scale = 2.0 * domain.h ** (domain.dim - 2)
-    scale *= np.prod([(s - 1) / 2.0 for s in domain.shape])
-    eigs = []
-    for axis, s in enumerate(domain.shape):
-        lam = scale * 4.0 * np.sin(0.5 * np.pi * np.arange(s) / (s - 1)) ** 2
-        lam[0] = np.inf  # the zero end of every transform
-        eigs.append(lam.reshape((s,) + (1,) * (domain.dim - 1 - axis)))
-
-    def scalar(g):
-        z = np.where(interior, g, 0.0)
-        for axis in range(domain.dim):
-            z = _dst(z, axis)
-        z /= sum(eigs)
-        for axis in range(domain.dim):
-            z = _dst(z, axis)
-        z[~interior] = 0.0
-        return z
-
-    def apply(g):
-        if g.ndim == domain.dim:
-            return scalar(g)
-        z = np.empty_like(g)
-        for blade in range(g.shape[-1]):
-            z[..., blade] = scalar(g[..., blade])
-        return z
-
-    return apply
+def _truncated_cg(hessian, precondition, g, tol_norm, tol_max):
+    """Preconditioned conjugate gradient on H s = -g from s = 0 (Nocedal &
+    Wright, Algorithm 7.1), stopped once the residual r = g + H s has
+    |r|_2 <= tol_norm or max |r| <= tol_max, or at a direction of
+    non-positive curvature.  Returns s and r."""
+    s, r = np.zeros_like(g), g
+    z = precondition(r)
+    d, rz = -z, _dot(r, z)
+    for _ in range(_CG_STEPS):
+        hd = hessian(d)
+        curvature = _dot(d, hd)
+        if not curvature > 0.0:
+            break
+        s = s + (rz / curvature) * d
+        r = r + (rz / curvature) * hd
+        if np.sqrt(_dot(r, r)) <= tol_norm or np.max(np.abs(r)) <= tol_max:
+            break
+        z = precondition(r)
+        rz, rz_prev = _dot(r, z), rz
+        d = -z + (rz / rz_prev) * d
+    return s, r
 
 
 def _minimize_stage(values, domain, p, epsilon, tol, config, counts, precondition):
-    """Preconditioned descent loop on one regularization stage: directions
-    are built from z = precondition(g) in place of the gradient g.  Returns
-    values, history lists, the iteration count and the stop reason:
-    "converged", "zero slope", "no bracket", "step underflow", "stall" or
-    "max_iter".
-    counts["gradient"] and counts["energy"] accumulate the energy_gradient
-    and _energy_terms calls.
+    """Truncated Newton-CG on one regularization stage.  Returns values,
+    history lists, the Newton step count and the stop reason: "converged",
+    "zero slope", "stall" or "max_iter".  counts["gradient"],
+    counts["energy"] and counts["hessian"] accumulate the energy_gradient,
+    _energy_terms or _energy_change, and _hessian_product calls.
 
-    The line search brackets and secant-solves the zero of the
-    directional derivative phi'(a) = <grad(u + a d), d>.  Energy only
-    gates acceptance (the recorded history must be non-increasing) and is
-    compared through sums of termwise differences, which stay sharp long
-    after the difference of two separately summed totals has collapsed to
-    zero ulps.
+    Each step solves H s = -g by preconditioned CG to the Eisenstat-Walker
+    "choice 1" forcing term (Eisenstat & Walker, SIAM J. Sci. Comput. 17
+    (1996)) and halves the step until the energy decreases sufficiently.
     """
 
-    def terms(v):
-        counts["energy"] += 1
-        return _energy_terms(LatticeField(domain, v), p, epsilon, config.scheme)
+    def call(key, fn, *args):
+        counts[key] += 1
+        return fn(*args)
 
-    def gradient(v):
-        counts["gradient"] += 1
-        return energy_gradient(LatticeField(domain, v), p, epsilon,
-                               config.scheme).values
+    def field(v):
+        return LatticeField(domain, v)
 
     u = values
-    t_u = terms(u)
-    e = float(np.sum(t_u))
-    g = gradient(u)
-    gnorm = float(np.max(np.abs(g)))
+    e = float(np.sum(call("energy", _energy_terms, field(u), p, epsilon, config.scheme)))
+    g = call("gradient", energy_gradient, field(u), p, epsilon, config.scheme).values
     energies = [e]
-    gnorms = [gnorm]
-    z = precondition(g)
-    d = -z
-    alpha = 1.0
+    gnorms = [float(np.max(np.abs(g)))]
+    eta = _ETA
     iterations = 0
-    stalls = 0
-    reason = "converged" if gnorm <= tol else None
+    reason = "converged" if gnorms[-1] <= tol else None
     while reason is None and iterations < config.max_iter:
-        slope = _dot(g, d)
-        if slope >= 0.0:  # conjugate direction failed; restart on -z = -L^-1 g
-            d = -z
-            slope = _dot(g, d)
-            if slope >= 0.0:
-                reason = "zero slope"  # gradient is numerically zero
-                break
-        # Bracket the zero of phi'(a) = <grad(u + a d), d>, warm-started
-        # from the last accepted step.  phi' is nondecreasing (convex
-        # energy), negative at a = 0.
-        trials = []  # (a, phi'(a), grad at u + a d)
-        hi = alpha
-        f_hi = None
-        for _ in range(64):
-            g_hi = gradient(u + hi * d)
-            f_hi = _dot(g_hi, d)
-            trials.append((hi, f_hi, g_hi))
-            if not np.isfinite(f_hi) or f_hi >= 0.0:
-                break
-            hi *= 2.0
-        if not np.isfinite(f_hi) or f_hi < 0.0:
-            reason = "no bracket"  # numerically flat direction
+        curvature = _curvature(field(u), p, epsilon, config.scheme)
+        g_size = np.sqrt(_dot(g, g))
+        # solving beyond half the stopping tolerance is wasted
+        s, r = _truncated_cg(lambda v: call("hessian", _hessian_product, curvature, v),
+                             precondition, g, eta * g_size, 0.5 * tol)
+        slope = _dot(g, s)
+        if not slope < 0.0:
+            reason = "zero slope"  # no descent: the gradient is numerically zero
             break
-        lo, f_lo = 0.0, slope
-        # secant proposals with a bisection safeguard
-        for _ in range(24):
-            if abs(trials[-1][1]) <= 0.1 * abs(slope):
-                break
-            a_sec = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else lo
-            if not np.isfinite(a_sec) or not lo < a_sec < hi:
-                a_sec = 0.5 * (lo + hi)
-            if a_sec <= lo or a_sec >= hi:
-                break  # bracket exhausted at floating-point resolution
-            g_sec = gradient(u + a_sec * d)
-            f_sec = _dot(g_sec, d)
-            trials.append((a_sec, f_sec, g_sec))
-            if f_sec < 0.0:
-                lo, f_lo = a_sec, f_sec
+        line = _energy_line(curvature, s)
+        del curvature
+        a = 1.0
+        while reason is None:
+            if a * np.max(np.abs(s)) <= np.finfo(float).eps * np.max(np.abs(u)):
+                reason = "stall"  # the step is below floating-point resolution
             else:
-                hi, f_hi = a_sec, f_sec
-        # Accept the candidate with the smallest |phi'| whose energy does
-        # not increase.  Once the true per-step decrease falls below the
-        # termwise resolution (~eps * energy), a delta in the noise band
-        # is accepted on the derivative criterion alone - |phi'| strictly
-        # below |slope| implies descent for the locally quadratic phi -
-        # and recorded as zero, which keeps the history non-increasing
-        # while understating, never overstating, the progress.
-        noise = 4.0 * np.finfo(float).eps * float(np.sum(t_u))
-        accepted = None
-        for a_c, f_c, g_c in sorted(trials, key=lambda t: abs(t[1]))[:5]:
-            u_c = u + a_c * d
-            t_c = terms(u_c)
-            delta = float(np.sum(t_c - t_u))
-            if delta <= 0.0 or (delta <= noise and abs(f_c) < abs(slope)):
-                accepted = (a_c, u_c, t_c, min(delta, 0.0), g_c)
-                break
-        if accepted is None:
-            # Energy rose beyond noise at every candidate (a
-            # far-from-minimum bracket): Armijo backtracking.
-            a_c = trials[0][0]
-            for _ in range(80):
-                u_c = u + a_c * d
-                t_c = terms(u_c)
-                delta = float(np.sum(t_c - t_u))
-                if delta <= config.sufficient_decrease * a_c * slope:
-                    accepted = (a_c, u_c, t_c, delta, None)
+                delta = call("energy", _energy_change, line, a)
+                if delta <= _SUFFICIENT_DECREASE * a * slope:
                     break
-                a_c *= config.backtrack
-        if accepted is None:
-            reason = "step underflow"
+                a *= 0.5
+        if reason is not None:
             break
-        alpha, u_new, t_u, delta, g_new = accepted
-        e_new = e + delta
-        # At the roundoff floor the preconditioned steps still flip single
-        # ulps at random, so "no progress" means no node moved by more
-        # than the rounding resolution of the field as a whole.
-        if np.max(np.abs(u_new - u)) <= np.finfo(float).eps * np.max(np.abs(u)):
-            stalls += 1
-            if stalls >= 3:
-                reason = "stall"  # progress below floating-point resolution
-                break
-        else:
-            stalls = 0
-        gz_prev, u, e = _dot(g, z), u_new, e_new
-        g = gradient(u) if g_new is None else g_new
-        gnorm = float(np.max(np.abs(g)))
+        model = (1.0 - a) * g + a * r  # g + a H s, the linear model's gradient
+        u, e = u + a * s, e + delta
+        g = call("gradient", energy_gradient, field(u), p, epsilon, config.scheme).values
         energies.append(e)
-        gnorms.append(gnorm)
+        gnorms.append(float(np.max(np.abs(g))))
         iterations += 1
-        if gnorm <= tol:
+        if gnorms[-1] <= tol:
             reason = "converged"
             break
-        # <g, z_prev> is taken before z is replaced, so no previous
-        # vector outlives the update
-        g_zprev = _dot(g, z)
-        z = precondition(g)
-        if config.use_conjugate:
-            beta = max(0.0, (_dot(g, z) - g_zprev) / max(gz_prev, 1e-300))
-            d = -z + beta * d
-        else:
-            d = -z
+        # choice 1, kept from falling faster than superlinearly below the
+        # relative residual the last inner solve achieved
+        floor = (np.sqrt(_dot(r, r)) / g_size) ** ((1.0 + np.sqrt(5.0)) / 2.0)
+        eta = abs(np.sqrt(_dot(g, g)) - np.sqrt(_dot(model, model))) / g_size
+        eta = min(_ETA_MAX, max(eta, floor) if floor > 0.1 else eta)
     return u, energies, gnorms, iterations, reason or "max_iter"
 
 
@@ -715,31 +639,23 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
             raise SolverError("p < 2 stages need positive regularization")
     bpts = domain.coordinates()[domain.boundary_mask]
     bvals = boundary(bpts)
-    if isinstance(bvals, Multivector):
-        if bvals.coeffs.shape != (len(bpts), 1 << domain.dim):
-            raise SolverError("boundary data does not cover the boundary nodes")
-        clifford = True
-        values = np.zeros(domain.shape + (1 << domain.dim,))
-        values[domain.boundary_mask] = bvals.coeffs
-        fill = np.mean(bvals.coeffs, axis=0)
-    else:
-        bvals = np.asarray(bvals, dtype=float)
-        if bvals.shape != (len(bpts),):
-            raise SolverError("boundary data does not cover the boundary nodes")
-        clifford = False
-        values = np.zeros(domain.shape)
-        values[domain.boundary_mask] = bvals
-        fill = float(np.mean(bvals))
+    clifford = isinstance(bvals, Multivector)
+    bvals = bvals.coeffs if clifford else np.asarray(bvals, dtype=float)
+    blades = (1 << domain.dim,) if clifford else ()
+    if bvals.shape != (len(bpts),) + blades:
+        raise SolverError("boundary data does not cover the boundary nodes")
+    values = np.zeros(domain.shape + blades)
+    values[domain.boundary_mask] = bvals
     # neutral interior seed: the boundary mean keeps the start bounded even
     # when the boundary data comes from a field singular inside the hole
-    values[domain.interior_mask] = fill
+    values[domain.interior_mask] = np.mean(bvals, axis=0)
 
     tol = config.grad_tol if config.grad_tol is not None else 1e-8 * domain.h**domain.dim
     all_e, all_g = [], []
     stages = []
     total_iter = 0
     counts = {"gradient": 0, "energy": 0, "hessian": 0}
-    precondition = _laplacian_preconditioner(domain)
+    precondition = vcycle(domain.interior_mask, domain.h)
     for eps in schedule:
         stage_tol = tol if eps == config.epsilon else max(tol, 1e-5 * domain.h**domain.dim)
         values, energies, gnorms, iters, reason = _minimize_stage(
@@ -764,6 +680,4 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
         energy_evaluations=counts["energy"],
         hessian_products=counts["hessian"],
     )
-    field = LatticeField(domain, values)
-    assert field.is_clifford == clifford
-    return field, diag
+    return LatticeField(domain, values), diag
