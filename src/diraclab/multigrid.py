@@ -99,17 +99,22 @@ def vcycle(mask: np.ndarray, h: float):
             x = np.zeros_like(r)
             x[fine] = inverse @ r[fine]
             return x
+        def residual(x):
+            y = laplacian(x, fine, s)
+            return np.subtract(r, y, out=y)
+
         x = jacobi[level] * r
         for _ in range(SWEEPS - 1):
-            x += jacobi[level] * (r - laplacian(x, fine, s))
+            x += jacobi[level] * residual(x)
         coarse = masks[level + 1]
-        r_c = restrict(r - laplacian(x, fine, s), coarse.shape)
+        r_c = restrict(residual(x), coarse.shape)
         r_c[~coarse] = 0.0
         e = prolong(cycle(level + 1, r_c), fine.shape)
         e[~fine] = 0.0
         x += e
+        del e
         for _ in range(SWEEPS):
-            x += jacobi[level] * (r - laplacian(x, fine, s))
+            x += jacobi[level] * residual(x)
         return x
 
     def apply(g):

@@ -385,50 +385,57 @@ def energy_gradient(u: LatticeField, p: float, epsilon: float = 0.0,
 
 
 def _curvature(u: LatticeField, p: float, epsilon: float, scheme: str):
-    """The Hessian of discrete_energy at u, frozen for _hessian_product and
-    _energy_line: per orientation its base mask, a, q and psi from
-    _flux_weight and the rank-one coefficient kappa = (p - 2) psi / q, zero
-    off the base nodes and where q = 0."""
+    """The Hessian of discrete_energy at u, frozen for _hessian_product: per
+    orientation the weight psi of _flux_weight and the rank-one vector
+    c = sqrt(|kappa|) D_h u, with kappa = (p - 2) psi / q zero where q = 0."""
     parts = []
     for orientation in _ORIENTATIONS[scheme]:
         a, q, psi = _flux_weight(u, p, epsilon, orientation)
         base = _base_mask_for(u.domain, orientation)
-        kappa = np.zeros(u.domain.shape)
-        kappa[base] = np.divide((p - 2.0) * psi[base], q,
-                                out=np.zeros_like(q), where=q > 0)
-        parts.append((orientation, base, a, q, psi, kappa))
+        root = np.zeros(u.domain.shape)
+        root[base] = np.sqrt(np.divide(abs(p - 2.0) * psi[base], q,
+                                       out=np.zeros_like(q), where=q > 0))
+        c = root[..., None] * a if u.is_clifford else [root * d for d in a]
+        parts.append((orientation, psi, c))
     return u.domain, p, parts
 
 
 def _hessian_product(curvature, v: np.ndarray) -> np.ndarray:
     """H v for the frozen Hessian H: per base node and orientation the
-    weighted Dirac vector p psi [b + (p - 2)(a.b) a / q] with b = D_h v,
-    assembled like the gradient's flux; zero off the interior."""
+    weighted Dirac vector p [psi b + sign(p - 2)(c.b) c] with b = D_h v,
+    that is p psi [b + (p - 2)(a.b) a / q] for a = D_h u; assembled like
+    the gradient's flux and zero off the interior."""
     dom, p, parts = curvature
     out = np.zeros_like(v)
-    for orientation, _, a, _, psi, kappa in parts:
+    for orientation, psi, c in parts:
         b = _dirac(v, dom, orientation)
-        ab = kappa * _inner(a, b)
-        if isinstance(a, np.ndarray):
-            weighted = psi[..., None] * b + ab[..., None] * a
+        cb = np.sign(p - 2.0) * _inner(c, b)
+        if isinstance(c, np.ndarray):
+            b *= psi[..., None]
+            b += cb[..., None] * c
         else:
-            weighted = (psi * y + ab * x for x, y in zip(a, b))
-        _divergence(dom, orientation, weighted, out)
+            for x, y in zip(c, b):
+                y *= psi
+                y += cb * x
+        _divergence(dom, orientation, b, out)
     out *= p * dom.h ** (dom.dim - 1) / len(parts)
     out[~dom.interior_mask] = 0.0
     return out
 
 
-def _energy_line(curvature, s: np.ndarray):
+def _energy_line(u: LatticeField, p: float, epsilon: float, scheme: str, s: np.ndarray):
     """The energy along u + a s for _energy_change: on the base nodes of
-    each orientation q grows to q + a c1 + a^2 c2, with c1 = 2 D_h u . D_h s
-    and c2 = |D_h s|^2."""
-    dom, p, parts = curvature
+    each orientation q = |D_h u|^2 + eps^2 grows to q + a c1 + a^2 c2, with
+    c1 = 2 D_h u . D_h s and c2 = |D_h s|^2."""
+    dom = u.domain
     line = []
-    for orientation, base, a, q, _, _ in parts:
+    for orientation in _ORIENTATIONS[scheme]:
+        a = _dirac(u.values, dom, orientation)
         b = _dirac(s, dom, orientation)
+        base = _base_mask_for(dom, orientation)
+        q = _inner(a, a)[base] + epsilon**2
         line.append((q, q ** (p / 2.0), 2.0 * _inner(a, b)[base], _inner(b, b)[base]))
-    return p / 2.0, dom.h**dom.dim / len(parts), line
+    return p / 2.0, dom.h**dom.dim / len(line), line
 
 
 def _energy_change(line, step: float) -> float:
@@ -536,6 +543,32 @@ def _truncated_cg(hessian, precondition, g, tol_norm, tol_max):
     return s, r
 
 
+def _newton_step(u: LatticeField, g, p, epsilon, scheme, forcing, tol, precondition,
+                 call):
+    """One damped Newton step, applied to u.values in place.  Returns the
+    energy change and the norms of g + a H s, the linear model's gradient
+    at the step a s taken, and of the residual g + H s of the inner solve;
+    or the stop reason "zero slope" or "stall", leaving u as it was."""
+    curvature = _curvature(u, p, epsilon, scheme)
+    # solving beyond half the stopping tolerance is wasted
+    s, r = _truncated_cg(lambda v: call("hessian", _hessian_product, curvature, v),
+                         precondition, g, forcing, 0.5 * tol)
+    slope = _dot(g, s)
+    if not slope < 0.0:
+        return "zero slope"  # no descent: the gradient is numerically zero
+    del curvature
+    line = _energy_line(u, p, epsilon, scheme, s)
+    a = 1.0
+    while a * np.max(np.abs(s)) > np.finfo(float).eps * np.max(np.abs(u.values)):
+        delta = call("energy", _energy_change, line, a)
+        if delta <= _SUFFICIENT_DECREASE * a * slope:
+            u.values[...] += a * s
+            model = (1.0 - a) * g + a * r
+            return delta, np.sqrt(_dot(model, model)), np.sqrt(_dot(r, r))
+        a *= 0.5
+    return "stall"  # the step is below floating-point resolution
+
+
 def _minimize_stage(values, domain, p, epsilon, tol, config, counts, precondition):
     """Truncated Newton-CG on one regularization stage.  Returns values,
     history lists, the Newton step count and the stop reason: "converged",
@@ -552,43 +585,24 @@ def _minimize_stage(values, domain, p, epsilon, tol, config, counts, preconditio
         counts[key] += 1
         return fn(*args)
 
-    def field(v):
-        return LatticeField(domain, v)
-
-    u = values
-    e = float(np.sum(call("energy", _energy_terms, field(u), p, epsilon, config.scheme)))
-    g = call("gradient", energy_gradient, field(u), p, epsilon, config.scheme).values
+    u = LatticeField(domain, values)
+    e = float(np.sum(call("energy", _energy_terms, u, p, epsilon, config.scheme)))
+    g = call("gradient", energy_gradient, u, p, epsilon, config.scheme).values
     energies = [e]
     gnorms = [float(np.max(np.abs(g)))]
     eta = _ETA
     iterations = 0
     reason = "converged" if gnorms[-1] <= tol else None
     while reason is None and iterations < config.max_iter:
-        curvature = _curvature(field(u), p, epsilon, config.scheme)
         g_size = np.sqrt(_dot(g, g))
-        # solving beyond half the stopping tolerance is wasted
-        s, r = _truncated_cg(lambda v: call("hessian", _hessian_product, curvature, v),
-                             precondition, g, eta * g_size, 0.5 * tol)
-        slope = _dot(g, s)
-        if not slope < 0.0:
-            reason = "zero slope"  # no descent: the gradient is numerically zero
+        step = _newton_step(u, g, p, epsilon, config.scheme, eta * g_size, tol,
+                            precondition, call)
+        if isinstance(step, str):
+            reason = step
             break
-        line = _energy_line(curvature, s)
-        del curvature
-        a = 1.0
-        while reason is None:
-            if a * np.max(np.abs(s)) <= np.finfo(float).eps * np.max(np.abs(u)):
-                reason = "stall"  # the step is below floating-point resolution
-            else:
-                delta = call("energy", _energy_change, line, a)
-                if delta <= _SUFFICIENT_DECREASE * a * slope:
-                    break
-                a *= 0.5
-        if reason is not None:
-            break
-        model = (1.0 - a) * g + a * r  # g + a H s, the linear model's gradient
-        u, e = u + a * s, e + delta
-        g = call("gradient", energy_gradient, field(u), p, epsilon, config.scheme).values
+        delta, model, residual = step
+        e += delta
+        g = call("gradient", energy_gradient, u, p, epsilon, config.scheme).values
         energies.append(e)
         gnorms.append(float(np.max(np.abs(g))))
         iterations += 1
@@ -597,10 +611,10 @@ def _minimize_stage(values, domain, p, epsilon, tol, config, counts, preconditio
             break
         # choice 1, kept from falling faster than superlinearly below the
         # relative residual the last inner solve achieved
-        floor = (np.sqrt(_dot(r, r)) / g_size) ** ((1.0 + np.sqrt(5.0)) / 2.0)
-        eta = abs(np.sqrt(_dot(g, g)) - np.sqrt(_dot(model, model))) / g_size
+        floor = (residual / g_size) ** ((1.0 + np.sqrt(5.0)) / 2.0)
+        eta = abs(np.sqrt(_dot(g, g)) - model) / g_size
         eta = min(_ETA_MAX, max(eta, floor) if floor > 0.1 else eta)
-    return u, energies, gnorms, iterations, reason or "max_iter"
+    return u.values, energies, gnorms, iterations, reason or "max_iter"
 
 
 def _continuation_schedule(p: float, epsilon: float):
