@@ -548,14 +548,14 @@ def _newton_step(u: LatticeField, g, p, epsilon, scheme, forcing, tol, precondit
     """One damped Newton step, applied to u.values in place.  Returns the
     energy change and the norms of g + a H s, the linear model's gradient
     at the step a s taken, and of the residual g + H s of the inner solve;
-    or the stop reason "zero slope" or "stall", leaving u as it was."""
+    or the stop reason "no descent" or "stall", leaving u as it was."""
     curvature = _curvature(u, p, epsilon, scheme)
     # solving beyond half the stopping tolerance is wasted
     s, r = _truncated_cg(lambda v: call("hessian", _hessian_product, curvature, v),
                          precondition, g, forcing, 0.5 * tol)
     slope = _dot(g, s)
-    if not slope < 0.0:
-        return "zero slope"  # no descent: the gradient is numerically zero
+    if not -np.inf < slope < 0.0:
+        return "no descent"  # the gradient is numerically zero, or s not finite
     del curvature
     line = _energy_line(u, p, epsilon, scheme, s)
     a = 1.0
@@ -572,7 +572,7 @@ def _newton_step(u: LatticeField, g, p, epsilon, scheme, forcing, tol, precondit
 def _minimize_stage(values, domain, p, epsilon, tol, config, counts, precondition):
     """Truncated Newton-CG on one regularization stage.  Returns values,
     history lists, the Newton step count and the stop reason: "converged",
-    "zero slope", "stall" or "max_iter".  counts["gradient"],
+    "no descent", "stall" or "max_iter".  counts["gradient"],
     counts["energy"] and counts["hessian"] accumulate the energy_gradient,
     _energy_terms or _energy_change, and _hessian_product calls.
 
