@@ -41,8 +41,9 @@ product has a closed form whose weights are frozen once per Newton step.
 The inner conjugate gradient stops at the Eisenstat-Walker forcing term
 and is preconditioned by one V-cycle of a masked geometric multigrid for
 the p = 2 Hessian, the Laplacian on the interior nodes.  Newton steps per
-stage then stay flat under refinement (at most 10, 16 and 19 on the
-annulus at h = 1/32, 1/64 and 1/128), and at p = 2 one step is exact.
+stage then stay flat under refinement (at most 10, 16 and 16 on the
+annulus at h = 1/32, 1/64 and 1/128, with 96, 117 and 133 Hessian
+products in all), and at p = 2 the Newton model is exact.
 Steps halve until the energy decreases sufficiently; the decrease is
 summed from each term's own change, which resolves it far below the
 rounding noise of the energy.  The energy is convex for p > 1 (the
@@ -525,21 +526,25 @@ def _truncated_cg(hessian, precondition, g, tol_norm, tol_max):
     Wright, Algorithm 7.1), stopped once the residual r = g + H s has
     |r|_2 <= tol_norm or max |r| <= tol_max, or at a direction of
     non-positive curvature.  Returns s and r."""
-    s, r = np.zeros_like(g), g
-    z = precondition(r)
-    d, rz = -z, _dot(r, z)
+    s, r = np.zeros_like(g), g.copy()
+    d = -precondition(r)
+    rz = -_dot(r, d)
     for _ in range(_CG_STEPS):
         hd = hessian(d)
         curvature = _dot(d, hd)
         if not curvature > 0.0:
             break
-        s = s + (rz / curvature) * d
-        r = r + (rz / curvature) * hd
+        s += (rz / curvature) * d
+        hd *= rz / curvature
+        r += hd
+        del hd  # only s, r and d outlive an iteration
         if np.sqrt(_dot(r, r)) <= tol_norm or np.max(np.abs(r)) <= tol_max:
             break
         z = precondition(r)
         rz, rz_prev = _dot(r, z), rz
-        d = -z + (rz / rz_prev) * d
+        d *= rz / rz_prev
+        d -= z
+        del z
     return s, r
 
 

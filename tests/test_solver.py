@@ -433,7 +433,7 @@ def test_p2_box_solve_takes_at_most_two_iterations():
 
 def test_newton_steps_stay_flat_under_refinement():
     # the nonlinear conjugate gradient this replaced needed 153, 236 and
-    # 381 iterations in all; the per-stage maxima measured here are 10-16
+    # 381 iterations in all; the per-stage maxima measured here are 7-16
     for k in (16, 32, 64):
         dom = LatticeDomain.annulus(1.0, 2.0, 1 / k)
         _, diag = solve_dirichlet(dom, radial_bc, SolverConfig(p=1.5, epsilon=1e-6))
