@@ -84,12 +84,18 @@ def vcycle(mask: np.ndarray, h: float):
         pad = [(0, 1 - side % 2) for side in masks[-1].shape]
         masks.append(np.pad(masks[-1], pad)[(slice(None, None, 2),) * dim])
         spacings.append(2.0 * spacings[-1])
-    # the dense operator of the coarsest level, column by column
-    coarsest = masks[-1]
-    unit = np.zeros(coarsest.shape + (np.count_nonzero(coarsest),))
-    unit[coarsest] = np.eye(unit.shape[-1])
-    inverse = np.linalg.inv(laplacian(unit, coarsest, spacings[-1])[coarsest])
-    inverse = 0.5 * (inverse + inverse.T)
+    # the dense operator of the coarsest level, entry by entry
+    index = np.full(masks[-1].shape, -1)
+    index[masks[-1]] = np.arange(np.count_nonzero(masks[-1]))
+    inverse = np.diag(np.full(index.max() + 1, 2.0 * dim))
+    for axis in range(dim):
+        here, there = neighbors(dim, axis, +1)
+        i, j = index[here], index[there]
+        linked = (i >= 0) & (j >= 0)
+        inverse[i[linked], j[linked]] = inverse[j[linked], i[linked]] = -1.0
+    inverse = np.linalg.inv(inverse * (2.0 * spacings[-1] ** (dim - 2)))
+    inverse += inverse.T
+    inverse *= 0.5
     # the Jacobi weight 2n/(2n + 1) over the diagonal 4n h^(n-2)
     jacobi = [0.5 / ((2 * dim + 1) * s ** (dim - 2)) for s in spacings]
 
