@@ -87,13 +87,13 @@ def vcycle(mask: np.ndarray, h: float):
     # the dense operator of the coarsest level, entry by entry
     index = np.full(masks[-1].shape, -1)
     index[masks[-1]] = np.arange(np.count_nonzero(masks[-1]))
-    inverse = np.diag(np.full(index.max() + 1, 2.0 * dim))
+    dense = np.diag(np.full(index.max() + 1, 2.0 * dim))
     for axis in range(dim):
         here, there = neighbors(dim, axis, +1)
         i, j = index[here], index[there]
         linked = (i >= 0) & (j >= 0)
-        inverse[i[linked], j[linked]] = inverse[j[linked], i[linked]] = -1.0
-    inverse = np.linalg.inv(inverse * (2.0 * spacings[-1] ** (dim - 2)))
+        dense[i[linked], j[linked]] = dense[j[linked], i[linked]] = -1.0
+    inverse = np.linalg.inv(dense * (2.0 * spacings[-1] ** (dim - 2)))
     inverse += inverse.T
     inverse *= 0.5
     # the Jacobi weight 2n/(2n + 1) over the diagonal 4n h^(n-2)
@@ -105,6 +105,7 @@ def vcycle(mask: np.ndarray, h: float):
             x = np.zeros_like(r)
             x[fine] = inverse @ r[fine]
             return x
+
         def residual(x):
             y = laplacian(x, fine, s)
             return np.subtract(r, y, out=y)
@@ -118,7 +119,6 @@ def vcycle(mask: np.ndarray, h: float):
         e = prolong(cycle(level + 1, r_c), fine.shape)
         e[~fine] = 0.0
         x += e
-        del e
         for _ in range(SWEEPS):
             x += jacobi[level] * residual(x)
         return x
