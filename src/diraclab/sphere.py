@@ -27,7 +27,15 @@ import numpy as np
 
 from .algebra import Multivector, blade_label, geometric_product
 from .fields import NORM_CUTOFF, FieldError, StencilError, power_scale, richardson_step
-from .weakform import SupportError, _radial_rule, _unit_sphere_rule, mollifier, weak_pairing
+from .weakform import (
+    SupportError,
+    _radial_rule,
+    _unit_sphere_rule,
+    blade_stack,
+    mollifier,
+    support_families,
+    weak_pairing,
+)
 
 
 class SphereError(FieldError):
@@ -559,16 +567,19 @@ def default_cap_bumps(cap: SphericalCap, seed: int = 42, random_count: int = 3):
     return out
 
 
-def _cap_pairing(f: SphericalField, p: float, eta: CapBump, order: int,
+def _cap_pairing(f: SphericalField, p: float, family, order: int,
                  cap: SphericalCap):
-    """weak_pairing of the p-flux of f against D_S eta = v * blade."""
+    """weak_pairing of the p-flux of f against D_S eta = v * blade for the
+    K bumps of a family sharing one support, in one pass over its nodes:
+    raw pairings (K, 2**ambient), normalizers (K,) and the node count."""
+    eta = family[0]
     if cap is not None:
         eta.require_support_inside(cap)
     nodes, w = cap_quadrature(eta, order)
     flux = p_spherical_flux(f, p)
-    return weak_pairing(
-        nodes, w, lambda x, wx: (flux(x), eta.dirac_vector(x), wx), eta.blade
-    )
+    return *weak_pairing(
+        nodes, w, lambda x, wx: (flux(x), eta.dirac_vector(x), wx), blade_stack(family)
+    ), len(w)
 
 
 def weak_spherical_residual(
@@ -576,17 +587,28 @@ def weak_spherical_residual(
 ) -> Multivector:
     """Quadrature of conj(|f|^(p-2) f) D_S eta over the bump's support,
     with the closed-form D_S eta."""
-    raw, _ = _cap_pairing(f, p, eta, order, cap)
-    return Multivector(f.ambient, raw, copy=False)
+    return Multivector(f.ambient, _cap_pairing(f, p, [eta], order, cap)[0][0])
+
+
+def normalized_weak_spherical_residuals(
+    f: SphericalField, p: float, bumps, order: int = 12, cap: SphericalCap = None
+) -> list:
+    """(normalized weak residual, node count) of each bump, in order; the
+    nodes stream once per run of consecutive bumps sharing a support."""
+    out = []
+    for family in support_families(bumps):
+        raw, normalizer, count = _cap_pairing(f, p, family, order, cap)
+        norms = Multivector(f.ambient, raw, copy=False).norm()
+        out.extend(
+            (float(r) / max(float(nz), 1e-300), count) for r, nz in zip(norms, normalizer)
+        )
+    return out
 
 
 def normalized_weak_spherical_residual(
     f: SphericalField, p: float, eta: CapBump, order: int = 12, cap: SphericalCap = None
 ) -> float:
-    raw, normalizer = _cap_pairing(f, p, eta, order, cap)
-    return float(Multivector(f.ambient, raw, copy=False).norm()) / max(
-        float(normalizer), 1e-300
-    )
+    return normalized_weak_spherical_residuals(f, p, [eta], order, cap)[0][0]
 
 
 # -------------------------------------------------- stereographic bridge

@@ -24,7 +24,11 @@ derivative factors as D eta = l(x) * B with l a vector and B the bump's
 constant blade (l is the profile gradient for a flat bump, and the vector
 v of `sphere.CapBump.dirac_vector` for a cap bump), so the pairing takes a
 per-node product with a vector, multiplies the sum by B once, and gets the
-normalizer from |l B| = |l| |B|.  It streams the nodes in blocks of a
+normalizer from |l B| = |l| |B|.  The sum before B depends only on the
+field, the weight and the bump's support, so bumps that share a centre and
+radius (the blade bumps of `default_test_functions`, or cap bumps on one
+cap) pair as one family (`support_families`): one pass over the nodes,
+then one product per blade of the stack.  It streams the nodes in blocks of a
 fixed size (`_BLOCK`), evaluating fields, weights and l one block at a
 time, so memory stays bounded at any quadrature order.
 Its summation order is fixed: each block's weighted integrand is summed
@@ -38,6 +42,7 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -422,12 +427,15 @@ def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector):
     `block(x, wx)` gives (vals, left, wx') on the node block x = nodes[s]
     with weights wx = w[..., s]: `vals` a batched (or constant) Multivector,
     `left` the (B, n) components of the vector, and wx' the weights with
-    any A |f|^(p-2) factor folded in.  A (K, B) wx' gives K rows of (raw,
+    any A |f|^(p-2) factor folded in.  An (E, B) wx' gives E rows of (raw,
     normalizer) from one Clifford product.  `right` is applied once, after
-    the sum; the normalizer uses |left * right| = |left| |right|, which
-    holds because left is a vector.  The per-node product is formed as
-    conj(vals) * left = conj((-left) * vals), so the vector is the left
-    factor of `geometric_product` and costs n terms per coefficient.
+    the sum, so a stack of K right factors (a Multivector batched over one
+    leading axis) shares the pass and gets K rows in front of the E rows;
+    an unbatched right gets none.  The normalizer uses |left * right| =
+    |left| |right|, which holds because left is a vector.  The per-node
+    product is formed as conj(vals) * left = conj((-left) * vals), so the
+    vector is the left factor of `geometric_product` and costs n terms per
+    coefficient.
 
     Blocks hold at most `_BLOCK` nodes.  Each block's weighted integrand is
     summed over the node axis with the running total as its first row,
@@ -446,18 +454,35 @@ def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector):
         else:
             raw = np.sum(np.concatenate([raw[..., None, :], part], axis=-2), axis=-2)
         terms[..., s] = wx * vals.norm() * np.sqrt(np.sum(left * left, axis=-1))
-    raw = geometric_product(Multivector(right.dim, raw, copy=False), right).coeffs
-    return raw, np.sum(terms, axis=-1) * right.norm()
+    total, dim = np.sum(terms, axis=-1), right.dim
+    stacked = right.coeffs.reshape(right.coeffs.shape[:-1] + (1,) * total.ndim + (-1,))
+    raw = geometric_product(
+        Multivector(dim, raw, copy=False), Multivector(dim, stacked, copy=False)
+    ).coeffs
+    return raw, np.multiply.outer(right.norm(), total)
 
 
-def _pair(f: AnalyticField, p: float, eta: BumpTestFunction, domain: Domain,
-          order: int, weight, of_derivative: bool):
-    """Raw pairing and normalizer of conj(A |v|^(p-2) v) * D eta over the
-    bump-fitted nodes of the given order, for v = f, or v = D f when
-    of_derivative."""
+def support_families(bumps) -> list:
+    """Runs of consecutive bumps that share one support (the exact centre
+    and radius), in order: a run's pairing streams its nodes once and
+    multiplies the sum by each blade of the run."""
+    return [list(run) for _, run in groupby(bumps, key=lambda b: (b.center, b.radius))]
+
+
+def blade_stack(family) -> Multivector:
+    """The blades of a family as one Multivector batched over the family."""
+    return Multivector(family[0].blade.dim, np.stack([b.blade.coeffs for b in family]))
+
+
+def _pair(f: AnalyticField, p: float, family, domain: Domain, order: int,
+          weight, of_derivative: bool):
+    """Raw pairings (K, 2**n), normalizers (K,) and node count of conj(A
+    |v|^(p-2) v) * D eta for the K bumps of a family sharing one support,
+    in one pass over its fitted nodes of the given order, for v = f, or
+    v = D f when of_derivative."""
     if of_derivative and not f.has_grad:
         raise FieldError(f"weak form needs the analytic derivative of {f.name!r}")
-    eta.require_support_inside(domain)
+    eta = family[0].require_support_inside(domain)
     nodes, w = support_quadrature(eta, order)
 
     def block(x, wx):
@@ -467,8 +492,7 @@ def _pair(f: AnalyticField, p: float, eta: BumpTestFunction, domain: Domain,
             scale = scale * weight(x)
         return vals, eta.profile_gradient(x), wx * scale
 
-    raw, normalizer = weak_pairing(nodes, w, block, eta.blade)
-    return Multivector(eta.dim, raw, copy=False), float(normalizer)
+    return *weak_pairing(nodes, w, block, blade_stack(family)), len(w)
 
 
 def weak_p_dirac_residual(
@@ -476,7 +500,8 @@ def weak_p_dirac_residual(
     weight=None,
 ) -> Multivector:
     """Clifford-valued quadrature of conj(A |f|^(p-2) f) * D eta over U."""
-    return _pair(f, p, eta, rule.domain, rule.order, weight, False)[0]
+    raw = _pair(f, p, [eta], rule.domain, rule.order, weight, False)[0]
+    return Multivector(eta.dim, raw[0])
 
 
 def weak_p_harmonic_residual(
@@ -484,7 +509,8 @@ def weak_p_harmonic_residual(
     weight=None,
 ) -> Multivector:
     """Quadrature of conj(A |Dh|^(p-2) Dh) * D eta; needs analytic Dh."""
-    return _pair(h, p, eta, rule.domain, rule.order, weight, True)[0]
+    raw = _pair(h, p, [eta], rule.domain, rule.order, weight, True)[0]
+    return Multivector(eta.dim, raw[0])
 
 
 def normalized_weak_residual(
@@ -493,8 +519,8 @@ def normalized_weak_residual(
 ) -> float:
     """|weak residual| / normalizer, the normalizer being the quadrature
     of A |f|^(p-1) |D eta|; computed in one pass."""
-    raw, normalizer = _pair(f, p, eta, rule.domain, rule.order, weight, of_derivative)
-    return float(raw.norm()) / max(normalizer, 1e-300)
+    raw, normalizer, _ = _pair(f, p, [eta], rule.domain, rule.order, weight, of_derivative)
+    return float(Multivector(eta.dim, raw[0]).norm()) / max(float(normalizer[0]), 1e-300)
 
 
 def dirac_integral_check(eta: BumpTestFunction, rule: QuadratureRule) -> float:
@@ -663,10 +689,12 @@ def dirac_covariance_experiment(
     exponent = float(p - dim)
     weight = ConformalWeight(m, exponent)
     rows = []
-    for eta in default_test_functions(volume, seed=seed, random_count=random_bumps):
-        raw, normalizer = _pair(g, p, eta, volume, order, weight, False)
-        rows.append(
-            CovarianceRow(eta.label, exponent, float(raw.norm()), normalizer)
+    etas = default_test_functions(volume, seed=seed, random_count=random_bumps)
+    for family in support_families(etas):
+        raw, normalizer, _ = _pair(g, p, family, volume, order, weight, False)
+        rows.extend(
+            CovarianceRow(eta.label, exponent, float(r), float(nz))
+            for eta, r, nz in zip(family, Multivector(dim, raw, copy=False).norm(), normalizer)
         )
     return CovarianceReport(
         "dirac-pullback", dim, float(p), m.provenance, source_domain, volume,
@@ -718,7 +746,9 @@ def harmonic_covariance_experiment(
         )
     exps = np.array(exponents)[:, None]
     rows = []
-    for eta in default_test_functions(volume, seed=seed, random_count=random_bumps):
+    etas = default_test_functions(volume, seed=seed, random_count=random_bumps)
+    for family in support_families(etas):
+        eta = family[0]
         nodes, w = support_quadrature(eta, order)
 
         def block(x, wx, eta=eta):
@@ -730,11 +760,12 @@ def harmonic_covariance_experiment(
             slope = fp.map(Multivector.from_vector(dim, eta.profile_gradient(x)))
             return twisted, slope.vector_part(), wx * fp.scale**exps * power
 
-        raw, normalizer = weak_pairing(nodes, w, block, eta.blade)
+        raw, normalizer = weak_pairing(nodes, w, block, blade_stack(family))
         norms = Multivector(dim, raw, copy=False).norm()
         rows.extend(
-            CovarianceRow(eta.label, s, float(r), float(nz))
-            for s, r, nz in zip(exponents, norms, normalizer)
+            CovarianceRow(bump.label, s, float(r), float(nz))
+            for bump, by_s, nz_s in zip(family, norms, normalizer)
+            for s, r, nz in zip(exponents, by_s, nz_s)
         )
     return CovarianceReport(
         "twisted-harmonic", dim, float(p), m.provenance, source_domain, volume,

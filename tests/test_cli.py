@@ -175,6 +175,31 @@ def test_config_file_syntax_errors(tmp_path):
 # ------------------------------------------------------------- exit statuses
 
 
+def test_bumps_sharing_a_support_stream_once(monkeypatch, tmp_path):
+    """One fitted rule per bump support: covariance pairs its 10 bumps at
+    n = 3 in 3 passes (6 for --theorem 4, which runs its experiment twice),
+    and sphere-check its 5 cap bumps per exponent in 3."""
+    from diraclab import sphere, weakform
+
+    calls = []
+
+    def counted(build):
+        def rule(eta, order):
+            calls.append(eta.label)
+            return build(eta, order)
+        return rule
+
+    for module, name in ((weakform, "support_quadrature"), (sphere, "cap_quadrature")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for args, passes in ((["covariance", "--theorem", "1"], 3),
+                         (["covariance", "--theorem", "4"], 6),
+                         (["sphere-check"], 3),
+                         (["sphere-check", "--p", "2.5", "--n", "3"], 3)):
+        calls.clear()
+        assert run_cli([*args, "--out", str(tmp_path / "a.csv")]) == 0
+        assert calls == ["rand-0", "rand-1", "blade-1"] * (passes // 3), args
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(["covariance"]) == 2                      # theorem missing
     assert run_cli(["solve", "--p", "0.5"]) == 2             # p out of range

@@ -24,6 +24,7 @@ from diraclab.sphere import (
     identity_spherical,
     lr_identity_check,
     normalized_weak_spherical_residual,
+    normalized_weak_spherical_residuals,
     p_spherical_flux,
     radial_distance_power,
     random_cap_bump,
@@ -37,7 +38,7 @@ from diraclab.sphere import (
     yamabe_op,
 )
 from diraclab.weakform import _BLOCK as BLOCK
-from diraclab.weakform import SupportError, mollifier
+from diraclab.weakform import SupportError, mollifier, support_families
 
 POLE3 = sphere_point([0.3, -0.7, 0.8])
 POLE4 = sphere_point([0.3, -0.7, 0.8, 0.4])
@@ -433,6 +434,20 @@ def test_weak_residual_of_kernel_solutions():
             assert worst <= 1e-5
 
 
+def test_cap_families_match_single_bumps():
+    """The 5 sphere-check bumps paired as 3 support families give, bit for
+    bit and in order, the normalized residuals of 5 single-bump pairings,
+    each with its node count."""
+    cap = SphericalCap(tuple(sphere_point(-np.array(POLE3))), 1.0)
+    bumps = default_cap_bumps(cap, seed=9, random_count=2)[:5]
+    assert [len(family) for family in support_families(bumps)] == [1, 1, 3]
+    f = spherical_kernel(POLE3, 2.5)
+    shared = normalized_weak_spherical_residuals(f, 2.5, bumps, order=8)
+    assert shared == [
+        (normalized_weak_spherical_residual(f, 2.5, b, order=8), 4096) for b in bumps
+    ]
+
+
 def test_weak_residual_of_zero_field_is_zero():
     zero = constant_spherical(3, Multivector.scalar(3, 0.0))
     bump = CapBump(NORTH3, 0.7, Multivector.scalar(3, 1.0))
@@ -497,7 +512,7 @@ def test_cap_pairing_matches_per_node_reference(monkeypatch, ambient, order, cou
     nodes, w = nodes[start:start + count], w[start:start + count]
     monkeypatch.setattr(sphere, "cap_quadrature", lambda eta, o: (nodes, w))
     f = spherical_kernel(pole, 2.5)
-    raw, nz = sphere._cap_pairing(f, 2.5, bump, order, None)
+    (raw,), (nz,), _ = sphere._cap_pairing(f, 2.5, [bump], order, None)
     flux = p_spherical_flux(f, 2.5)(nodes)
     deta = _dense_cap_dirac(bump, nodes)
     ref = np.sum(w[:, None] * geometric_product(flux.conjugation(), deta).coeffs, axis=0)

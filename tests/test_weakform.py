@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diraclab import weakform
 from diraclab.algebra import Multivector, geometric_product
 from diraclab.fields import (
     AnalyticField,
@@ -412,6 +413,33 @@ def test_weak_pairing_rows_match_single_calls(rng):
         assert normalizer[k] == normalizer_k
 
 
+@pytest.mark.parametrize("dim, count", [
+    (dim, count) for dim in (2, 3, 4) for count in (1, BLOCK, BLOCK + 1)
+])
+def test_weak_pairing_blade_stack_matches_single_blades(dim, count):
+    """K stacked right factors share one pass and give, bit for bit, the
+    K rows of K single-blade calls, for 1-D and (E, N) weights."""
+    rng = np.random.default_rng(10 * dim + count)
+    idx = np.arange(count)
+    vec = rng.standard_normal((count, dim))
+    vals = Multivector(dim, rng.standard_normal((count, 1 << dim)))
+    blades = [Multivector.blade(dim, 0), Multivector.blade(dim, (1 << dim) - 1),
+              Multivector(dim, rng.standard_normal(1 << dim))]
+    stack = Multivector(dim, np.stack([b.coeffs for b in blades]))
+
+    def block(i, wi):
+        return _rows(vals, i), vec[i], wi
+
+    for w in (rng.uniform(0.1, 1.0, count), rng.uniform(0.1, 1.0, (3, count))):
+        raw, normalizer = weak_pairing(idx, w, block, stack)
+        assert raw.shape == (3,) + w.shape[:-1] + (1 << dim,)
+        assert normalizer.shape == (3,) + w.shape[:-1]
+        for k, blade in enumerate(blades):
+            raw_k, normalizer_k = weak_pairing(idx, w, block, blade)
+            assert np.array_equal(raw[k], raw_k)
+            assert np.array_equal(normalizer[k], normalizer_k)
+
+
 def _rows(a, i):
     """Node rows i of a batched Multivector; a constant stays whole."""
     return Multivector(a.dim, a.coeffs[i]) if a.batch_shape else a
@@ -676,6 +704,59 @@ def test_harmonic_covariance_validates_input():
     h = log_radial(3, center=[-5.0, 0.0, 0.0])
     with pytest.raises(FieldError):
         harmonic_covariance_experiment(h, 1.0, inversion(3), BALL3)
+
+
+def _experiments(dim):
+    """Both covariance experiments at dim under an inversion, with the
+    covariance subcommand's fields, each as a zero-argument call."""
+    source = Domain.ball([3.0] + [0.0] * (dim - 1), 1.0)
+    off_axis, far = [0.0, 0.5] + [0.0] * (dim - 2), [-5.0] + [0.0] * (dim - 1)
+    kw = dict(order=6, random_bumps=2)
+    f = p_dirac_solution(dim, 2.5, center=off_axis)
+    h = p_harmonic_radial(dim, 2.5, center=far)
+    return (
+        lambda: dirac_covariance_experiment(f, 2.5, inversion(dim), source, **kw),
+        lambda: harmonic_covariance_experiment(h, 2.5, inversion(dim), source, **kw),
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_covariance_families_match_per_bump_pairings(monkeypatch, dim):
+    """Grouping the bumps by support changes no row: with every bump paired
+    on its own (singleton families) the rows, their order and labels, and
+    every number are the same to the bit.  The fitted rule is cut to 2,000
+    nodes of nonzero weight so that dim 4 stays quick; both runs use it."""
+    def short_rule(eta, order):
+        nodes, w = support_quadrature(eta, order)
+        keep = np.flatnonzero(w > 0)[:2000]
+        return nodes[keep], w[keep]
+
+    monkeypatch.setattr(weakform, "support_quadrature", short_rule)
+    for experiment in _experiments(dim):
+        shared = experiment().rows
+        with monkeypatch.context() as single:
+            single.setattr(weakform, "support_families", lambda etas: [[e] for e in etas])
+            alone = experiment().rows
+        assert shared == alone
+        labels = [e.label for e in default_test_functions(
+            Domain.ball([0.0] * dim, 1.0), random_count=2)]
+        assert list(dict.fromkeys(r.eta_label for r in shared)) == labels
+
+
+def test_covariance_streams_each_support_once(monkeypatch):
+    """At n = 3 with two random bumps, each experiment builds 3 fitted
+    rules, not 10: one per random bump and one for the 8 blade bumps."""
+    calls = []
+
+    def counted(eta, order):
+        calls.append(eta.label)
+        return support_quadrature(eta, order)
+
+    monkeypatch.setattr(weakform, "support_quadrature", counted)
+    for experiment in _experiments(3):
+        calls.clear()
+        assert len(experiment().rows) in (10, 40)
+        assert calls == ["rand-0", "rand-1", "blade-1"]
 
 
 def test_covariance_experiments_quadrature_order():
