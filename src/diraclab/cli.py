@@ -711,8 +711,9 @@ def run_sphere_check(params):
 
     rows, checks = [], []
 
-    def row(check, p, label, value):
-        rows.append({"check": check, "p": p, "label": label, "value": value})
+    def row(check, p, label, value, nodes=None):
+        rows.append({"check": check, "p": p, "label": label, "nodes": nodes,
+                     "value": value})
 
     for p in plist:
         f = spherical_kernel(pole, p)
@@ -725,8 +726,8 @@ def run_sphere_check(params):
         bumps = default_cap_bumps(cap, seed=params["seed"], random_count=2)[:5]
         worst = 0.0
         pairs = normalized_weak_spherical_residuals(f, p, bumps, order=params["order"])
-        for b, (v, _) in zip(bumps, pairs):
-            row("kernel-weak-residual", p, b.label, v)
+        for b, (v, nodes) in zip(bumps, pairs):
+            row("kernel-weak-residual", p, b.label, v, nodes)
             worst = max(worst, v)
         _check(checks, f"kernel weak residual (p={p:g})", worst, 1e-5)
 

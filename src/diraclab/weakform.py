@@ -603,6 +603,7 @@ class CovarianceRow:
     exponent: float
     residual_norm: float
     normalizer: float
+    nodes: int
 
     @property
     def normalized(self) -> float:
@@ -646,6 +647,7 @@ class CovarianceReport:
                 "p": self.p,
                 "exponent": r.exponent,
                 "eta": r.eta_label,
+                "nodes": r.nodes,
                 "residual": r.residual_norm,
                 "normalizer": r.normalizer,
                 "normalized": r.normalized,
@@ -691,9 +693,9 @@ def dirac_covariance_experiment(
     rows = []
     etas = default_test_functions(volume, seed=seed, random_count=random_bumps)
     for family in support_families(etas):
-        raw, normalizer, _ = _pair(g, p, family, volume, order, weight, False)
+        raw, normalizer, count = _pair(g, p, family, volume, order, weight, False)
         rows.extend(
-            CovarianceRow(eta.label, exponent, float(r), float(nz))
+            CovarianceRow(eta.label, exponent, float(r), float(nz), count)
             for eta, r, nz in zip(family, Multivector(dim, raw, copy=False).norm(), normalizer)
         )
     return CovarianceReport(
@@ -763,7 +765,7 @@ def harmonic_covariance_experiment(
         raw, normalizer = weak_pairing(nodes, w, block, blade_stack(family))
         norms = Multivector(dim, raw, copy=False).norm()
         rows.extend(
-            CovarianceRow(bump.label, s, float(r), float(nz))
+            CovarianceRow(bump.label, s, float(r), float(nz), len(w))
             for bump, by_s, nz_s in zip(family, norms, normalizer)
             for s, r, nz in zip(exponents, by_s, nz_s)
         )

@@ -663,9 +663,12 @@ def test_covariance_report_rows_and_determinism():
     ]
     row = a.to_rows()[0]
     assert set(row) == {
-        "experiment", "n", "p", "exponent", "eta", "residual",
+        "experiment", "n", "p", "exponent", "eta", "nodes", "residual",
         "normalizer", "normalized",
     }
+    # the order-6 fitted rule at dim 3: 48 radial nodes times 12 x 24 on S^2
+    assert {r.nodes for r in a.rows} == {48 * 12 * 24} == {len(support_quadrature(
+        default_test_functions(BALL3)[0], 6)[1])}
 
 
 def test_twisted_harmonic_covariance_is_unweighted_at_p_equals_n():
