@@ -61,7 +61,7 @@ from .sphere import (
     cayley_ratio_constancy,
     default_cap_bumps,
     lr_identity_check,
-    normalized_weak_spherical_residuals,
+    normalized_weak_spherical_residual,
     random_sphere_points,
     sphere_point,
     spherical_kernel,
@@ -725,7 +725,7 @@ def run_sphere_check(params):
         cap = SphericalCap(tuple(sphere_point(-np.asarray(pole))), 1.0)
         bumps = default_cap_bumps(cap, seed=params["seed"], random_count=2)[:5]
         worst = 0.0
-        pairs = normalized_weak_spherical_residuals(f, p, bumps, order=params["order"])
+        pairs = normalized_weak_spherical_residual(f, p, bumps, order=params["order"])
         for b, (v, nodes) in zip(bumps, pairs):
             row("kernel-weak-residual", p, b.label, v, nodes)
             worst = max(worst, v)

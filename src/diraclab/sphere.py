@@ -590,25 +590,23 @@ def weak_spherical_residual(
     return Multivector(f.ambient, _cap_pairing(f, p, [eta], order, cap)[0][0])
 
 
-def normalized_weak_spherical_residuals(
-    f: SphericalField, p: float, bumps, order: int = 12, cap: SphericalCap = None
-) -> list:
-    """(normalized weak residual, node count) of each bump, in order; the
-    nodes stream once per run of consecutive bumps sharing a support."""
+def normalized_weak_spherical_residual(
+    f: SphericalField, p: float, eta, order: int = 12, cap: SphericalCap = None
+):
+    """|weak residual| / normalizer of one cap bump.  Given a list of cap
+    bumps instead, one (normalized residual, node count) pair per bump, in
+    order; the nodes stream once per run of consecutive bumps that share a
+    support."""
+    if isinstance(eta, CapBump):
+        return normalized_weak_spherical_residual(f, p, [eta], order, cap)[0][0]
     out = []
-    for family in support_families(bumps):
+    for family in support_families(eta):
         raw, normalizer, count = _cap_pairing(f, p, family, order, cap)
         norms = Multivector(f.ambient, raw, copy=False).norm()
         out.extend(
             (float(r) / max(float(nz), 1e-300), count) for r, nz in zip(norms, normalizer)
         )
     return out
-
-
-def normalized_weak_spherical_residual(
-    f: SphericalField, p: float, eta: CapBump, order: int = 12, cap: SphericalCap = None
-) -> float:
-    return normalized_weak_spherical_residuals(f, p, [eta], order, cap)[0][0]
 
 
 # -------------------------------------------------- stereographic bridge

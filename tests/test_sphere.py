@@ -24,7 +24,6 @@ from diraclab.sphere import (
     identity_spherical,
     lr_identity_check,
     normalized_weak_spherical_residual,
-    normalized_weak_spherical_residuals,
     p_spherical_flux,
     radial_distance_power,
     random_cap_bump,
@@ -442,7 +441,7 @@ def test_cap_families_match_single_bumps():
     bumps = default_cap_bumps(cap, seed=9, random_count=2)[:5]
     assert [len(family) for family in support_families(bumps)] == [1, 1, 3]
     f = spherical_kernel(POLE3, 2.5)
-    shared = normalized_weak_spherical_residuals(f, 2.5, bumps, order=8)
+    shared = normalized_weak_spherical_residual(f, 2.5, bumps, order=8)
     assert shared == [
         (normalized_weak_spherical_residual(f, 2.5, b, order=8), 4096) for b in bumps
     ]
