@@ -365,10 +365,23 @@ def _rel_gap(a: Multivector, b: Multivector):
     return float(np.max(gap / scale))
 
 
+# the self-test's memory budget, priced before any work; at its peak a
+# dimension holds 10-15 float arrays of (checks, 2**n) alive (measured at
+# dims 2-6), counted as _SELFTEST_LIVE
+_SELFTEST_BUDGET = 1 << 30
+_SELFTEST_LIVE = 16
+
+
 def run_algebra_selftest(params):
-    rng = np.random.default_rng(params["seed"])
     dims = [params["n"]] if params["n"] is not None else [2, 3, 4, 5, 6]
     count = params["checks"]
+    price = 8 * count * (1 << max(dims)) * _SELFTEST_LIVE
+    if price > _SELFTEST_BUDGET:
+        raise UsageError(
+            f"{count:,} checks at n = {max(dims)} would hold about {price / 2**30:.3g} GiB "
+            f"({_SELFTEST_LIVE} live batches of checks x 2**n floats), over the "
+            f"1 GiB budget; lower --checks")
+    rng = np.random.default_rng(params["seed"])
     rows, checks = [], []
     for n in dims:
         batch = lambda: Multivector(n, rng.standard_normal((count, 1 << n)))

@@ -222,7 +222,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["solve", "--n=-1"],
                  ["solve", "--n", "7", "--h", "0.5"],
                  ["solve", "--n", "6"],                         # node budget
-                 ["solve", "--region", "annulus:1,2", "--h", "1e-3"]):
+                 ["solve", "--region", "annulus:1,2", "--h", "1e-3"],
+                 ["algebra-selftest", "--n", "3", "--checks", "100000000"],  # budget
+                 ["algebra-selftest", "--checks", str(2**17 + 1)]):
         capsys.readouterr()
         assert run_cli(args) == 2, args
         err = capsys.readouterr().err
