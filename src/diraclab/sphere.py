@@ -27,15 +27,8 @@ import numpy as np
 
 from .algebra import Multivector, blade_label, geometric_product
 from .fields import NORM_CUTOFF, FieldError, StencilError, power_scale, richardson_step
-from .weakform import (
-    SupportError,
-    _radial_rule,
-    _unit_sphere_rule,
-    blade_stack,
-    mollifier,
-    support_families,
-    weak_pairing,
-)
+from .weakform import (SupportError, _radial_rule, _unit_sphere_rule, mollifier,
+                       support_families, weak_pairing)
 
 
 class SphereError(FieldError):
@@ -577,8 +570,9 @@ def _cap_pairing(f: SphericalField, p: float, family, order: int,
         eta.require_support_inside(cap)
     nodes, w = cap_quadrature(eta, order)
     flux = p_spherical_flux(f, p)
+    blades = Multivector(f.ambient, [b.blade.coeffs for b in family])
     return *weak_pairing(
-        nodes, w, lambda x, wx: (flux(x), eta.dirac_vector(x), wx), blade_stack(family)
+        nodes, w, lambda x, wx: (flux(x), eta.dirac_vector(x), wx), blades
     ), len(w)
 
 

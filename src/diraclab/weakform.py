@@ -469,11 +469,6 @@ def support_families(bumps) -> list:
     return [list(run) for _, run in groupby(bumps, key=lambda b: (b.center, b.radius))]
 
 
-def blade_stack(family) -> Multivector:
-    """The blades of a family as one Multivector batched over the family."""
-    return Multivector(family[0].blade.dim, np.stack([b.blade.coeffs for b in family]))
-
-
 def _pair(f: AnalyticField, p: float, family, domain: Domain, order: int,
           weight, of_derivative: bool):
     """Raw pairings (K, 2**n), normalizers (K,) and node count of conj(A
@@ -492,7 +487,8 @@ def _pair(f: AnalyticField, p: float, family, domain: Domain, order: int,
             scale = scale * weight(x)
         return vals, eta.profile_gradient(x), wx * scale
 
-    return *weak_pairing(nodes, w, block, blade_stack(family)), len(w)
+    blades = Multivector(eta.dim, [b.blade.coeffs for b in family])
+    return *weak_pairing(nodes, w, block, blades), len(w)
 
 
 def weak_p_dirac_residual(
@@ -762,7 +758,8 @@ def harmonic_covariance_experiment(
             slope = fp.map(Multivector.from_vector(dim, eta.profile_gradient(x)))
             return twisted, slope.vector_part(), wx * fp.scale**exps * power
 
-        raw, normalizer = weak_pairing(nodes, w, block, blade_stack(family))
+        blades = Multivector(dim, [b.blade.coeffs for b in family])
+        raw, normalizer = weak_pairing(nodes, w, block, blades)
         norms = Multivector(dim, raw, copy=False).norm()
         rows.extend(
             CovarianceRow(bump.label, s, float(r), float(nz), len(w))
