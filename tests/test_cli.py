@@ -193,8 +193,7 @@ def test_bumps_sharing_a_support_stream_once(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     for args, passes in ((["covariance", "--theorem", "1"], 3),
                          (["covariance", "--theorem", "4"], 6),
-                         (["sphere-check"], 3),
-                         (["sphere-check", "--p", "2.5", "--n", "3"], 3)):
+                         (["sphere-check", "--n", "3"], 6)):
         calls.clear()
         assert run_cli([*args, "--out", str(tmp_path / "a.csv")]) == 0
         assert calls == ["rand-0", "rand-1", "blade-1"] * (passes // 3), args

@@ -54,6 +54,7 @@ from diraclab.weakform import (
     pullback_domain,
     random_bump,
     sc_invariance_check,
+    support_families,
     support_quadrature,
     weak_p_dirac_residual,
     weak_p_harmonic_residual,
@@ -192,6 +193,19 @@ def test_default_test_function_family_layout():
     for a, b in zip(etas, again):
         assert a.center == b.center and a.radius == b.radius
         assert np.array_equal(a.blade.coeffs, b.blade.coeffs)
+
+
+def test_support_families_group_runs_of_one_centre_and_radius():
+    one, e1 = Multivector.scalar(3, 1.0), Multivector.blade(3, 0b001)
+    a = BumpTestFunction(3, (3.0, 0.0, 0.0), 0.5, one, label="a")
+    a_e1 = BumpTestFunction(3, (3.0, 0.0, 0.0), 0.5, e1, label="a-e1")
+    moved = BumpTestFunction(3, (3.0, 0.1, 0.0), 0.5, one, label="moved")
+    smaller = BumpTestFunction(3, (3.0, 0.0, 0.0), 0.4, one, label="smaller")
+    families = support_families([a, a_e1, moved, smaller, a])
+    assert [[e.label for e in f] for f in families] == [
+        ["a", "a-e1"], ["moved"], ["smaller"], ["a"]]
+    etas = default_test_functions(BALL3, random_count=2)
+    assert [len(f) for f in support_families(etas)] == [1, 1, 8]
 
 
 # --------------------------------------------------------------- quadrature
@@ -709,57 +723,34 @@ def test_harmonic_covariance_validates_input():
         harmonic_covariance_experiment(h, 1.0, inversion(3), BALL3)
 
 
-def _experiments(dim):
-    """Both covariance experiments at dim under an inversion, with the
-    covariance subcommand's fields, each as a zero-argument call."""
-    source = Domain.ball([3.0] + [0.0] * (dim - 1), 1.0)
-    off_axis, far = [0.0, 0.5] + [0.0] * (dim - 2), [-5.0] + [0.0] * (dim - 1)
-    kw = dict(order=6, random_bumps=2)
-    f = p_dirac_solution(dim, 2.5, center=off_axis)
-    h = p_harmonic_radial(dim, 2.5, center=far)
-    return (
-        lambda: dirac_covariance_experiment(f, 2.5, inversion(dim), source, **kw),
-        lambda: harmonic_covariance_experiment(h, 2.5, inversion(dim), source, **kw),
-    )
-
-
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_covariance_families_match_per_bump_pairings(monkeypatch, dim):
     """Grouping the bumps by support changes no row: with every bump paired
     on its own (singleton families) the rows, their order and labels, and
     every number are the same to the bit.  The fitted rule is cut to 2,000
     nodes of nonzero weight so that dim 4 stays quick; both runs use it."""
+    source = Domain.ball([3.0] + [0.0] * (dim - 1), 1.0)
+    f = p_dirac_solution(dim, 2.5, center=[0.0, 0.5] + [0.0] * (dim - 2))
+    h = p_harmonic_radial(dim, 2.5, center=[-5.0] + [0.0] * (dim - 1))
+    labels = [e.label for e in default_test_functions(source, random_count=2)]
+
     def short_rule(eta, order):
         nodes, w = support_quadrature(eta, order)
         keep = np.flatnonzero(w > 0)[:2000]
         return nodes[keep], w[keep]
 
     monkeypatch.setattr(weakform, "support_quadrature", short_rule)
-    for experiment in _experiments(dim):
-        shared = experiment().rows
+    for experiment, field in ((dirac_covariance_experiment, f),
+                              (harmonic_covariance_experiment, h)):
+        def rows():
+            return experiment(field, 2.5, inversion(dim), source, order=6,
+                              random_bumps=2).rows
+
+        shared = rows()
         with monkeypatch.context() as single:
             single.setattr(weakform, "support_families", lambda etas: [[e] for e in etas])
-            alone = experiment().rows
-        assert shared == alone
-        labels = [e.label for e in default_test_functions(
-            Domain.ball([0.0] * dim, 1.0), random_count=2)]
+            assert rows() == shared
         assert list(dict.fromkeys(r.eta_label for r in shared)) == labels
-
-
-def test_covariance_streams_each_support_once(monkeypatch):
-    """At n = 3 with two random bumps, each experiment builds 3 fitted
-    rules, not 10: one per random bump and one for the 8 blade bumps."""
-    calls = []
-
-    def counted(eta, order):
-        calls.append(eta.label)
-        return support_quadrature(eta, order)
-
-    monkeypatch.setattr(weakform, "support_quadrature", counted)
-    for experiment in _experiments(3):
-        calls.clear()
-        assert len(experiment().rows) in (10, 40)
-        assert calls == ["rand-0", "rand-1", "blade-1"]
 
 
 def test_covariance_experiments_quadrature_order():
