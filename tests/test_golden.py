@@ -8,10 +8,12 @@ FLOOR must agree to a relative RTOL; a golden number at or below FLOOR is
 roundoff and only has to stay at or below it.  Strings, booleans, keys
 and list lengths must match exactly.
 
-Regenerate the files only after a deliberate numerical change, and say
-which numbers moved and why in CHANGES.md:
+Regenerate a file only after a deliberate numerical change to its case,
+and say which numbers moved and why in CHANGES.md.  Name each case to
+rewrite; the last digits of untouched cases can differ between machines,
+so the tool never rewrites every file at once:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py covariance-t1 cr-check
 """
 
 import json
@@ -30,6 +32,7 @@ CASES = {
     "algebra-selftest": ["algebra-selftest", "--n", "3"],
     "algebra-selftest-default": ["algebra-selftest"],
     "covariance-t1": ["covariance", "--theorem", "1"],
+    "covariance-t1-n4": ["covariance", "--theorem", "1", "--n", "4"],
     "covariance-t2": ["covariance", "--theorem", "2", "--n", "2"],
     "covariance-t3": ["covariance", "--theorem", "3", "--n", "2"],
     "covariance-t4": ["covariance", "--theorem", "4", "--n", "2"],
@@ -91,6 +94,10 @@ def test_mismatch_rules():
 
 
 if __name__ == "__main__":
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if len(sys.argv) < 2 or unknown:
+        sys.exit(f"usage: {sys.argv[0]} CASE [CASE ...]; unknown: {unknown}; "
+                 f"cases: {' '.join(sorted(CASES))}")
     GOLDEN.mkdir(exist_ok=True)
-    for case in sys.argv[1:] or sorted(CASES):
+    for case in sys.argv[1:]:
         _artifact(case, GOLDEN / f"{case}.json")
