@@ -71,6 +71,7 @@ from .sphere import (
 from .weakform import (
     WeakFormError,
     dirac_covariance_experiment,
+    fitted_node_count,
     harmonic_covariance_experiment,
 )
 
@@ -455,6 +456,23 @@ def run_algebra_selftest(params):
     return rows, {}, checks
 
 
+# the weak-form budget, priced before any work as passes over the fitted
+# rule x its nodes x 2**ambient blades; the costliest default run,
+# sphere-check --n 4, prices at 1.0e8
+_QUADRATURE_BUDGET = 1 << 27
+
+
+def _check_quadrature_budget(passes, dim, order, ambient):
+    """Refuse a run of `passes` pairings on the order-`order` fitted rule
+    over a dim-dimensional support priced above the budget."""
+    nodes = fitted_node_count(dim, order)
+    cost = passes * nodes * (1 << ambient)
+    if cost > _QUADRATURE_BUDGET:
+        raise UsageError(
+            f"{passes} passes over {nodes:,} quadrature nodes of {1 << ambient} blades "
+            f"price at {cost:.2g}, over the budget of 2**27; lower --order or --n")
+
+
 def run_kernel_residual(params):
     n, p, seed = params["n"], params["p"], params["seed"]
     rng = np.random.default_rng(seed)
@@ -500,9 +518,13 @@ def run_covariance(params):
     if mode == 2 and p != float(n):
         raise UsageError("mode 2 is the p = n case; drop --p or set it to n")
     m = parse_mobius_expr(params["mobius"], n)
+    kw = dict(order=params["order"], seed=seed, random_bumps=2)
+    # one pass per random bump and one for the 2**n blade bumps; mode 4
+    # runs its experiment twice
+    _check_quadrature_budget((kw["random_bumps"] + 1) * (2 if mode == 4 else 1),
+                             n, kw["order"], n)
 
     source = Domain.ball([3.0] + [0.0] * (n - 1), 1.0)
-    kw = dict(order=params["order"], seed=seed, random_bumps=2)
     off_axis = [0.0, 0.5] + [0.0] * (n - 2)
     far = [-5.0] + [0.0] * (n - 1)
 
@@ -719,6 +741,8 @@ def run_sphere_check(params):
     else:
         pole = sphere_point(_DEFAULT_POLE[:ambient])
     plist = [params["p"]] if params["p"] is not None else sorted({2.0, float(n)})
+    # per exponent, one pass per random cap bump and one for the 3 blade bumps
+    _check_quadrature_budget(3 * len(plist), n, params["order"], ambient)
     rng = np.random.default_rng(params["seed"])
     pts = random_sphere_points(rng, ambient, 20, avoid=(pole,), clearance=0.3)
 
@@ -783,6 +807,8 @@ def run_sphere_check(params):
 def run_cr_check(params):
     seed, order = params["seed"], params["order"]
     plist = [params["p"]] if params["p"] is not None else [1.5, 2.0, 3.0]
+    # theorem5_experiment pairs each of its 5 disc bumps alone
+    _check_quadrature_budget(5 * len(plist), 2, order, 2)
     rng = np.random.default_rng(seed)
     z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 20)) * rng.uniform(
         0.5, 2.0, 20)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import Multivector, blade_label, geometric_product
 from .fields import NORM_CUTOFF, FieldError, StencilError, power_scale, richardson_step
-from .weakform import (SupportError, _radial_rule, _unit_sphere_rule, mollifier,
+from .weakform import (SupportError, fitted_node_count, mollifier, polar_blocks,
                        support_families, weak_pairing)
 
 
@@ -499,29 +499,21 @@ def _orthonormal_complement(c: np.ndarray) -> np.ndarray:
     return vt[1:].T
 
 
-def cap_quadrature(bump: CapBump, order: int = 12):
-    """Geodesic-polar product rule fitted to the bump's support.
-
+def cap_blocks(bump: CapBump, order: int):
+    """Geodesic-polar blocks of the fitted rule over the bump's support:
     x = cos(theta) c + sin(theta) omega with omega a unit vector orthogonal
-    to c; the surface measure is sin(theta)^(n-1) dtheta dS^(n-1)(omega).
-    The double-exponential radial rule absorbs the flat support edge.
-    """
-    ambient = bump.ambient
-    n = ambient - 1
+    to c, and surface measure sin(theta)^(n-1) dtheta dS^(n-1)(omega)."""
+    n, c = bump.ambient - 1, np.array(bump.center)
     theta_max = 2.0 * np.arcsin(bump.radius / 2.0)
-    r, wr = _radial_rule(max(48, 8 * order))
-    theta = theta_max * r
-    omega, wo = _unit_sphere_rule(n, order)
-    basis = _orthonormal_complement(np.array(bump.center))
-    directions = omega @ basis.T
-    nodes = (
-        np.cos(theta)[:, None, None] * np.array(bump.center)
-        + np.sin(theta)[:, None, None] * directions[None, :, :]
-    ).reshape(-1, ambient)
-    weights = np.multiply.outer(
-        theta_max * wr * np.sin(theta) ** (n - 1), wo
-    ).ravel()
-    return nodes, weights
+
+    def geometry(r, wr, omega, wo):
+        theta = theta_max * r
+        cos, sin = np.cos(theta), np.sin(theta)
+        rw = theta_max * wr * sin ** (n - 1)
+        directions = omega @ _orthonormal_complement(c).T
+        return lambda i, j: (cos[i, None] * c + sin[i, None] * directions[j], rw[i] * wo[j])
+
+    return polar_blocks(n, order, geometry)
 
 
 def random_cap_bump(cap: SphericalCap, rng, blade=None, label="cap-bump") -> CapBump:
@@ -568,12 +560,11 @@ def _cap_pairing(f: SphericalField, p: float, family, order: int,
     eta = family[0]
     if cap is not None:
         eta.require_support_inside(cap)
-    nodes, w = cap_quadrature(eta, order)
     flux = p_spherical_flux(f, p)
     blades = Multivector(f.ambient, [b.blade.coeffs for b in family])
     return *weak_pairing(
-        nodes, w, lambda x, wx: (flux(x), eta.dirac_vector(x), wx), blades
-    ), len(w)
+        cap_blocks(eta, order), lambda x, wx: (flux(x), eta.dirac_vector(x), wx), blades
+    ), fitted_node_count(eta.ambient - 1, order)
 
 
 def weak_spherical_residual(

@@ -9,13 +9,15 @@ which vanishes for every eta exactly when f solves the (weighted) p-Dirac
 equation in the distributional sense; replacing f by the derivative D h
 gives the p-harmonic version.  This module supplies the quadrature engine
 (a bump-fitted rule in spherical coordinates about each bump's centre,
-whose double-exponential radial rule absorbs the flat support edge), the
-mollifier-bump test functions, the conformal weight |c x + d|^s, and the
-covariance experiments: pulling a solution back through a Moebius map and
-measuring the weak residual of the transformed field on the preimage
-domain, in both the plain-derivative and the twisted-derivative
-(frame-conjugated) forms.  The box-tensor `QuadratureRule` remains as a
-cross-check; the residuals read only its domain and order.
+whose double-exponential radial rule absorbs the flat support edge and
+whose sphere rule recurses one Gauss level per dimension, so it serves
+every dimension from 2 up), the mollifier-bump test functions, the
+conformal weight |c x + d|^s, and the covariance experiments: pulling a
+solution back through a Moebius map and measuring the weak residual of
+the transformed field on the preimage domain, in both the
+plain-derivative and the twisted-derivative (frame-conjugated) forms.
+The box-tensor `QuadratureRule` remains as a cross-check; the residuals
+read only its domain and order.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
 flat residuals, the covariance experiments, the divergence oracle and the
@@ -28,9 +30,12 @@ normalizer from |l B| = |l| |B|.  The sum before B depends only on the
 field, the weight and the bump's support, so bumps that share a centre and
 radius (the blade bumps of `default_test_functions`, or cap bumps on one
 cap) pair as one family (`support_families`): one pass over the nodes,
-then one product per blade of the stack.  It streams the nodes in blocks of a
-fixed size (`_BLOCK`), evaluating fields, weights and l one block at a
-time, so memory stays bounded at any quadrature order.
+then one product per blade of the stack.  The rule reaches it as a stream
+of node blocks of a fixed size (`_BLOCK`), built by index arithmetic from
+the radial and sphere factors (`polar_blocks`; `support_blocks` for a flat
+bump, `sphere.cap_blocks` for a cap), and the pairing evaluates fields,
+weights and l one block at a time, so no node array of the whole rule is
+ever held and memory stays bounded at any quadrature order.
 Its summation order is fixed: each block's weighted integrand is summed
 over the node axis together with the running total carried as a first row,
 which is numpy's sequential node-order sum of the whole array, never a
@@ -41,6 +46,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -315,6 +321,12 @@ class QuadratureRule:
 # angular factors are analytic, so the product rule reaches roundoff.
 
 
+# Nodes per block of the fitted rule's stream and of a weak pairing.  Fixed,
+# so the summation order never depends on the node count; a dim-4 block of
+# 16 blades is 4 MB per array.
+_BLOCK = 1 << 15
+
+
 def _radial_rule(count: int, tail: float = 3.2):
     """Double-exponential nodes/weights for integral over r in (0, 1)."""
     t = np.linspace(-tail, tail, count)
@@ -325,67 +337,82 @@ def _radial_rule(count: int, tail: float = 3.2):
     return r, step * dr
 
 
-def _unit_sphere_rule(dim: int, order: int):
-    """Product rule on the unit sphere S^(dim-1), spectral for smooth data."""
+def _counts(order: int):
+    """Node counts of the fitted rule's factors at an order: the radial
+    rule, each Gauss level of the sphere rule, a nested circle and a
+    top-level circle."""
+    return max(48, 8 * order), max(12, 2 * order), max(24, 4 * order), max(32, 8 * order)
+
+
+def fitted_node_count(dim: int, order: int) -> int:
+    """Nodes of the bump-fitted rule on a dim-dimensional support, in
+    closed form; the rule itself is never built."""
+    radial, gauss, nested, top = _counts(order)
+    return radial * (top if dim == 2 else gauss ** (dim - 2) * nested)
+
+
+def _gauss_rule(count: int, alpha: float):
+    """Gauss nodes and weights on (-1, 1) for the weight (1 - u^2)^alpha:
+    numpy's Legendre rule at alpha = 0, else Golub-Welsch on the Jacobi
+    matrix of the Gegenbauer recurrence."""
+    if alpha == 0:
+        return np.polynomial.legendre.leggauss(count)
+    k = np.arange(1, count)
+    off = np.sqrt(k * (k + 2 * alpha) / ((2 * k + 2 * alpha) ** 2 - 1.0))
+    u, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mass = math.sqrt(math.pi) * math.gamma(alpha + 1) / math.gamma(alpha + 1.5)
+    return u, mass * vecs[0] ** 2
+
+
+def _unit_sphere_rule(dim: int, order: int, top: bool = True):
+    """Product rule on the unit sphere S^(dim-1), spectral for smooth data
+    (Stroud 1971): the last coordinate u on the Gauss rule for the weight
+    (1 - u^2)^((dim-3)/2), times the rule on S^(dim-2) scaled by
+    sqrt(1 - u^2), down to a uniform circle."""
+    _, gauss, nested, first = _counts(order)
     if dim == 2:
-        count = max(32, 8 * order)
+        count = first if top else nested
         phi = 2.0 * np.pi * np.arange(count) / count
-        omega = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        return omega, np.full(count, 2.0 * np.pi / count)
-    if dim == 3:
-        nu, kphi = max(12, 2 * order), max(24, 4 * order)
-        u, wu = np.polynomial.legendre.leggauss(nu)
-        phi = 2.0 * np.pi * np.arange(kphi) / kphi
-        sin = np.sqrt(1.0 - u**2)
-        omega = np.stack(
-            [
-                np.outer(sin, np.cos(phi)).ravel(),
-                np.outer(sin, np.sin(phi)).ravel(),
-                np.repeat(u, kphi),
-            ],
-            axis=-1,
-        )
-        return omega, np.repeat(wu, kphi) * (2.0 * np.pi / kphi)
-    if dim == 4:
-        npsi, nu, kphi = max(12, 2 * order), max(12, 2 * order), max(24, 4 * order)
-        xg, wg = np.polynomial.legendre.leggauss(npsi)
-        psi = (xg + 1.0) * (np.pi / 2.0)
-        wpsi = wg * (np.pi / 2.0) * np.sin(psi) ** 2
-        u, wu = np.polynomial.legendre.leggauss(nu)
-        phi = 2.0 * np.pi * np.arange(kphi) / kphi
-        sin_u = np.sqrt(1.0 - u**2)
-        grid_psi, grid_u, grid_phi = np.meshgrid(psi, u, phi, indexing="ij")
-        sin_psi = np.sin(grid_psi)
-        omega = np.stack(
-            [
-                np.cos(grid_psi).ravel(),
-                (sin_psi * grid_u).ravel(),
-                (sin_psi * np.sqrt(1.0 - grid_u**2) * np.cos(grid_phi)).ravel(),
-                (sin_psi * np.sqrt(1.0 - grid_u**2) * np.sin(grid_phi)).ravel(),
-            ],
-            axis=-1,
-        )
-        weights = (
-            np.multiply.outer(np.multiply.outer(wpsi, wu), np.full(kphi, 1.0)).ravel()
-            * (2.0 * np.pi / kphi)
-        )
-        return omega, weights
-    raise WeakFormError("sphere product rule supports dim 2..4")
+        return np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(count, 2.0 * np.pi / count)
+    u, wu = _gauss_rule(gauss, (dim - 3) / 2.0)
+    omega, wo = _unit_sphere_rule(dim - 1, order, top=False)
+    ring = np.sqrt(1.0 - u**2)[:, None, None] * omega[None, :, :]
+    nodes = np.concatenate(
+        [ring.reshape(-1, dim - 1), np.repeat(u, len(wo))[:, None]], axis=-1
+    )
+    return nodes, np.multiply.outer(wu, wo).ravel()
+
+
+def polar_blocks(dim: int, order: int, geometry):
+    """The fitted rule as a stream of (x, w) blocks of at most `_BLOCK`
+    nodes, in node order: node k pairs radial node k // M on (0, 1) with
+    node k % M of the M-node rule on S^(dim-1).  `geometry(r, wr, omega,
+    wo)` receives both factor rules and returns `place(i, j)`, the nodes and
+    weights of radial indices i paired with sphere indices j."""
+    r, wr = _radial_rule(_counts(order)[0])
+    omega, wo = _unit_sphere_rule(dim, order)
+    place, m = geometry(r, wr, omega, wo), len(wo)
+    for start in range(0, len(r) * m, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, len(r) * m))
+        yield place(k // m, k % m)
+
+
+def support_blocks(eta: BumpTestFunction, order: int):
+    """Bump-fitted blocks over supp(eta) in spherical coordinates
+    x = center + radius * r * omega."""
+    dim, c, radius = eta.dim, np.array(eta.center), eta.radius
+
+    def geometry(r, wr, omega, wo):
+        rw = wr * r ** (dim - 1)
+        return lambda i, j: (c + radius * (r[i, None] * omega[j]), radius**dim * (rw[i] * wo[j]))
+
+    return polar_blocks(dim, order, geometry)
 
 
 def support_quadrature(eta: BumpTestFunction, order: int):
-    """Bump-fitted nodes/weights: integral over supp(eta) in spherical
-    coordinates x = center + radius * r * omega."""
-    dim = eta.dim
-    r, wr = _radial_rule(max(48, 8 * order))
-    omega, wo = _unit_sphere_rule(dim, order)
-    nodes = np.array(eta.center) + eta.radius * (
-        r[:, None, None] * omega[None, :, :]
-    ).reshape(-1, dim)
-    weights = (
-        eta.radius**dim * np.multiply.outer(wr * r ** (dim - 1), wo).ravel()
-    )
-    return nodes, weights
+    """All nodes and weights of `support_blocks`, joined."""
+    nodes, weights = zip(*support_blocks(eta, order))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 # --------------------------------------------------------------- weights
@@ -412,49 +439,42 @@ class ConformalWeight:
 # -------------------------------------------------------- weak residuals
 
 
-# Nodes per block of a weak pairing.  Fixed, so the summation order never
-# depends on the node count; a dim-4 block of 16 blades is 4 MB per array.
-_BLOCK = 1 << 15
-
-
-def weak_pairing(nodes: np.ndarray, w: np.ndarray, block, right: Multivector):
+def weak_pairing(blocks, block, right: Multivector):
     """The weak pairing of node values against D eta = left * right, with
     `left` a vector field and `right` a constant multivector: returns
 
         raw        = [sum over nodes of w conj(vals) * left] * right
         normalizer = sum over nodes of w |vals| |left| |right|
 
-    `block(x, wx)` gives (vals, left, wx') on the node block x = nodes[s]
-    with weights wx = w[..., s]: `vals` a batched (or constant) Multivector,
-    `left` the (B, n) components of the vector, and wx' the weights with
-    any A |f|^(p-2) factor folded in.  An (E, B) wx' gives E rows of (raw,
-    normalizer) from one Clifford product.  `right` is applied once, after
-    the sum, so a stack of K right factors (a Multivector batched over one
-    leading axis) shares the pass and gets K rows in front of the E rows;
-    an unbatched right gets none.  The normalizer uses |left * right| =
-    |left| |right|, which holds because left is a vector.  The per-node
-    product is formed as conj(vals) * left = conj((-left) * vals), so the
-    vector is the left factor of `geometric_product` and costs n terms per
-    coefficient.
+    `blocks` yields the (x, wx) node blocks of a rule, and `block(x, wx)`
+    gives (vals, left, wx') on each: `vals` a batched (or constant)
+    Multivector, `left` the (B, n) components of the vector, and wx' the
+    weights with any A |f|^(p-2) factor folded in.  An (E, B) wx' gives E
+    rows of (raw, normalizer) from one Clifford product.  `right` is applied
+    once, after the sum, so a stack of K right factors (a Multivector
+    batched over one leading axis) shares the pass and gets K rows in front
+    of the E rows; an unbatched right gets none.  The normalizer uses
+    |left * right| = |left| |right|, which holds because left is a vector.
+    The per-node product is formed as conj(vals) * left = conj((-left) *
+    vals), so the vector is the left factor of `geometric_product` and
+    costs n terms per coefficient.
 
     Blocks hold at most `_BLOCK` nodes.  Each block's weighted integrand is
     summed over the node axis with the running total as its first row,
     which is numpy's sequential node-order sum of the whole array bit for
     bit; the normalizer's per-node terms are kept and summed once.
     """
-    raw = terms = None
-    for start in range(0, len(nodes), _BLOCK):
-        s = slice(start, start + _BLOCK)
-        vals, left, wx = block(nodes[s], w[..., s])
+    raw, terms = None, []
+    for x, w in blocks:
+        vals, left, wx = block(x, w)
         prod = geometric_product(Multivector.from_vector(right.dim, -left), vals)
         part = wx[..., None] * prod.conjugation().coeffs
         if raw is None:
             raw = np.sum(part, axis=-2)
-            terms = np.empty(wx.shape[:-1] + (len(nodes),))
         else:
             raw = np.sum(np.concatenate([raw[..., None, :], part], axis=-2), axis=-2)
-        terms[..., s] = wx * vals.norm() * np.sqrt(np.sum(left * left, axis=-1))
-    total, dim = np.sum(terms, axis=-1), right.dim
+        terms.append(wx * vals.norm() * np.sqrt(np.sum(left * left, axis=-1)))
+    total, dim = np.sum(np.concatenate(terms, axis=-1), axis=-1), right.dim
     stacked = right.coeffs.reshape(right.coeffs.shape[:-1] + (1,) * total.ndim + (-1,))
     raw = geometric_product(
         Multivector(dim, raw, copy=False), Multivector(dim, stacked, copy=False)
@@ -478,7 +498,6 @@ def _pair(f: AnalyticField, p: float, family, domain: Domain, order: int,
     if of_derivative and not f.has_grad:
         raise FieldError(f"weak form needs the analytic derivative of {f.name!r}")
     eta = family[0].require_support_inside(domain)
-    nodes, w = support_quadrature(eta, order)
 
     def block(x, wx):
         vals = f.dirac(x) if of_derivative else f(x)
@@ -488,7 +507,8 @@ def _pair(f: AnalyticField, p: float, family, domain: Domain, order: int,
         return vals, eta.profile_gradient(x), wx * scale
 
     blades = Multivector(eta.dim, [b.blade.coeffs for b in family])
-    return *weak_pairing(nodes, w, block, blades), len(w)
+    return *weak_pairing(support_blocks(eta, order), block, blades), \
+        fitted_node_count(eta.dim, order)
 
 
 def weak_p_dirac_residual(
@@ -523,10 +543,10 @@ def dirac_integral_check(eta: BumpTestFunction, rule: QuadratureRule) -> float:
     """|integral of D eta| / integral of |D eta| - the divergence-theorem
     oracle; compact support makes the exact value 0 in every component."""
     eta.require_support_inside(rule.domain)
-    nodes, w = support_quadrature(eta, rule.order)
     one = Multivector.scalar(eta.dim, 1.0)
     raw, total = weak_pairing(
-        nodes, w, lambda x, wx: (one, eta.profile_gradient(x), wx), eta.blade
+        support_blocks(eta, rule.order),
+        lambda x, wx: (one, eta.profile_gradient(x), wx), eta.blade,
     )
     return float(Multivector(eta.dim, raw).norm()) / max(float(total), 1e-300)
 
@@ -747,7 +767,6 @@ def harmonic_covariance_experiment(
     etas = default_test_functions(volume, seed=seed, random_count=random_bumps)
     for family in support_families(etas):
         eta = family[0]
-        nodes, w = support_quadrature(eta, order)
 
         def block(x, wx, eta=eta):
             fp = frame_at(m, Multivector.from_vector(dim, x))
@@ -759,10 +778,11 @@ def harmonic_covariance_experiment(
             return twisted, slope.vector_part(), wx * fp.scale**exps * power
 
         blades = Multivector(dim, [b.blade.coeffs for b in family])
-        raw, normalizer = weak_pairing(nodes, w, block, blades)
+        raw, normalizer = weak_pairing(support_blocks(eta, order), block, blades)
         norms = Multivector(dim, raw, copy=False).norm()
+        count = fitted_node_count(dim, order)
         rows.extend(
-            CovarianceRow(bump.label, s, float(r), float(nz), len(w))
+            CovarianceRow(bump.label, s, float(r), float(nz), count)
             for bump, by_s, nz_s in zip(family, norms, normalizer)
             for s, r, nz in zip(exponents, by_s, nz_s)
         )

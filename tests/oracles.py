@@ -123,3 +123,19 @@ def scatter_geometric_product(ca, cb, dim: int) -> np.ndarray:
         # accumulation has no duplicate targets.
         out[..., i ^ idx] += ai[..., None] * (signs[i] * cb)
     return out
+
+
+def node_blocks(nodes, w):
+    """(x, w) blocks of whole node and weight arrays, sliced in node order
+    into the weak pairing's block size, as a rule's stream yields them; w
+    may carry leading axes."""
+    from diraclab.weakform import _BLOCK
+
+    for start in range(0, len(nodes), _BLOCK):
+        yield nodes[start:start + _BLOCK], w[..., start:start + _BLOCK]
+
+
+def joined(blocks):
+    """All nodes and weights of a block stream, concatenated."""
+    nodes, w = zip(*blocks)
+    return np.concatenate(nodes), np.concatenate(w, axis=-1)

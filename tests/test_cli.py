@@ -189,7 +189,7 @@ def test_bumps_sharing_a_support_stream_once(monkeypatch, tmp_path):
             return build(eta, order)
         return rule
 
-    for module, name in ((weakform, "support_quadrature"), (sphere, "cap_quadrature")):
+    for module, name in ((weakform, "support_blocks"), (sphere, "cap_blocks")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     for args, passes in ((["covariance", "--theorem", "1"], 3),
                          (["covariance", "--theorem", "4"], 6),
@@ -209,8 +209,12 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     bad_file = tmp_path / "bc.txt"
     bad_file.write_text("0.0 zero\n")
     # configurations that parse but break a library contract or a format
-    for args in (["covariance", "--theorem", "1", "--n", "5"],  # quadrature dim
+    for args in (["covariance", "--theorem", "1", "--n", "5"],  # quadrature budget
                  ["sphere-check", "--n", "5"],
+                 ["sphere-check", "--n", "4", "--order", "24"],
+                 ["covariance", "--theorem", "1", "--order", "60"],
+                 ["covariance", "--theorem", "4", "--n", "4", "--order", "12"],
+                 ["cr-check", "--order", "2000"],
                  ["solve", "--h", "0.3"],                       # off the lattice
                  ["solve", "--region", "annulus:2,1"],
                  ["sphere-check", "--y", "a,b,c"],              # not numbers
@@ -228,6 +232,29 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         assert run_cli(args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_quadrature_budget_admits_every_default_run(monkeypatch):
+    """Every weak-form subcommand at its default order and n = 2..4 passes
+    the budget and reaches its first pairing."""
+    from diraclab import cli
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for name in ("dirac_covariance_experiment", "harmonic_covariance_experiment",
+                 "normalized_weak_spherical_residual", "theorem5_experiment"):
+        monkeypatch.setattr(cli, name, reached)
+    runs = [["cr-check"]] + [
+        args for n in ("2", "3", "4")
+        for args in (["sphere-check", "--n", n],
+                     *(["covariance", "--theorem", t, "--n", n] for t in "1234"))]
+    for args in runs:
+        with pytest.raises(Reached):
+            run_cli(args)
 
 
 def test_bad_choice_exits_two():

@@ -13,7 +13,7 @@ from diraclab.sphere import (
     SphereError,
     SphericalCap,
     SphericalField,
-    cap_quadrature,
+    cap_blocks,
     cayley_lift,
     cayley_ratio_constancy,
     conformal_scale,
@@ -38,6 +38,7 @@ from diraclab.sphere import (
 )
 from diraclab.weakform import _BLOCK as BLOCK
 from diraclab.weakform import SupportError, mollifier, support_families
+from oracles import joined, node_blocks
 
 POLE3 = sphere_point([0.3, -0.7, 0.8])
 POLE4 = sphere_point([0.3, -0.7, 0.8, 0.4])
@@ -355,13 +356,13 @@ def test_yamabe_is_linear():
 
 def test_cap_mass_matches_closed_form():
     bump3 = CapBump(NORTH3, 0.8, Multivector.scalar(3, 1.0))
-    nodes, w = cap_quadrature(bump3, order=10)
+    nodes, w = joined(cap_blocks(bump3, 10))
     theta = 2.0 * np.arcsin(0.4)
     assert np.isclose(np.sum(w), 2.0 * np.pi * (1 - np.cos(theta)), rtol=1e-13)
     assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0, atol=1e-12)
 
     bump4 = CapBump((0.0, 0.0, 0.0, 1.0), 0.8, Multivector.scalar(4, 1.0))
-    _, w4 = cap_quadrature(bump4, order=8)
+    _, w4 = joined(cap_blocks(bump4, 8))
     exact = 4.0 * np.pi * (theta / 2.0 - np.sin(2.0 * theta) / 4.0)
     assert np.isclose(np.sum(w4), exact, rtol=1e-13)
 
@@ -461,7 +462,7 @@ def test_weak_residual_of_constant_matches_direct_assembly():
     f = constant_spherical(3, c)
     bump = CapBump(NORTH3, 0.7, Multivector.blade(3, 0b001))
     res = weak_spherical_residual(f, 2.0, bump, order=8)
-    nodes, w = cap_quadrature(bump, order=8)
+    nodes, w = joined(cap_blocks(bump, 8))
     conj = c.conjugation()
     deta = bump.dirac(nodes)
     direct = np.sum(
@@ -497,7 +498,7 @@ def _dense_cap_dirac(bump, pts):
     *((5, 2, count) for count in (1, 3, 1000)),
 ])
 def test_cap_pairing_matches_per_node_reference(monkeypatch, ambient, order, count):
-    """The streamed cap pairing on `count` nodes of cap_quadrature, from
+    """The streamed cap pairing on `count` nodes of the cap rule, from
     the first of nonzero weight, against conj(flux) times the dense
     x (Gamma + n/2) eta per node, summed by np.sum: within 1e-14 of the
     scale sum w |flux| |D_S eta|."""
@@ -505,11 +506,11 @@ def test_cap_pairing_matches_per_node_reference(monkeypatch, ambient, order, cou
     pole = sphere_point(rng.normal(size=ambient))
     blade = Multivector(ambient, rng.normal(size=1 << ambient))
     bump = CapBump(tuple(-pole), 0.8, blade)
-    nodes, w = cap_quadrature(bump, order)
+    nodes, w = joined(cap_blocks(bump, order))
     start = int(np.argmax(w > 0))
     assert len(w) >= start + count
     nodes, w = nodes[start:start + count], w[start:start + count]
-    monkeypatch.setattr(sphere, "cap_quadrature", lambda eta, o: (nodes, w))
+    monkeypatch.setattr(sphere, "cap_blocks", lambda eta, o: node_blocks(nodes, w))
     f = spherical_kernel(pole, 2.5)
     (raw,), (nz,), _ = sphere._cap_pairing(f, 2.5, [bump], order, None)
     flux = p_spherical_flux(f, 2.5)(nodes)
