@@ -8,16 +8,15 @@ eta is the full Clifford-valued quadrature
 which vanishes for every eta exactly when f solves the (weighted) p-Dirac
 equation in the distributional sense; replacing f by the derivative D h
 gives the p-harmonic version.  This module supplies the quadrature engine
-(a bump-fitted rule in spherical coordinates about each bump's centre,
-whose double-exponential radial rule absorbs the flat support edge and
-whose sphere rule recurses one Gauss level per dimension, so it serves
-every dimension from 2 up), the mollifier-bump test functions, the
-conformal weight |c x + d|^s, and the covariance experiments: pulling a
-solution back through a Moebius map and measuring the weak residual of
-the transformed field on the preimage domain, in both the
-plain-derivative and the twisted-derivative (frame-conjugated) forms.
-The box-tensor `QuadratureRule` remains as a cross-check; the residuals
-read only its domain and order.
+(a bump-fitted rule in spherical coordinates about each bump's centre, in
+any dimension, whose double-exponential radial rule absorbs the flat
+support edge), the mollifier-bump test functions, the conformal weight
+|c x + d|^s, and the covariance experiments: pulling a solution back
+through a Moebius map and measuring the weak residual of the transformed
+field on the preimage domain, in both the plain-derivative and the
+twisted-derivative (frame-conjugated) forms.  The box-tensor
+`QuadratureRule` remains as a cross-check; the residuals read only its
+domain and order.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
 flat residuals, the covariance experiments, the divergence oracle and the
@@ -30,12 +29,10 @@ normalizer from |l B| = |l| |B|.  The sum before B depends only on the
 field, the weight and the bump's support, so bumps that share a centre and
 radius (the blade bumps of `default_test_functions`, or cap bumps on one
 cap) pair as one family (`support_families`): one pass over the nodes,
-then one product per blade of the stack.  The rule reaches it as a stream
-of node blocks of a fixed size (`_BLOCK`), built by index arithmetic from
-the radial and sphere factors (`polar_blocks`; `support_blocks` for a flat
-bump, `sphere.cap_blocks` for a cap), and the pairing evaluates fields,
-weights and l one block at a time, so no node array of the whole rule is
-ever held and memory stays bounded at any quadrature order.
+then one product per blade of the stack.  The rule's nodes stream in
+blocks of a fixed size (`_BLOCK`, from `polar_blocks`), and fields,
+weights and l are evaluated one block at a time, so memory stays bounded
+at any quadrature order.
 Its summation order is fixed: each block's weighted integrand is summed
 over the node axis together with the running total carried as a first row,
 which is numpy's sequential node-order sum of the whole array, never a
@@ -321,9 +318,8 @@ class QuadratureRule:
 # angular factors are analytic, so the product rule reaches roundoff.
 
 
-# Nodes per block of the fitted rule's stream and of a weak pairing.  Fixed,
-# so the summation order never depends on the node count; a dim-4 block of
-# 16 blades is 4 MB per array.
+# Nodes per block of a fitted rule and its pairing.  Fixed, so the summation
+# order never depends on the node count; a dim-4 block of 16 blades is 4 MB.
 _BLOCK = 1 << 15
 
 
@@ -338,23 +334,19 @@ def _radial_rule(count: int, tail: float = 3.2):
 
 
 def _counts(order: int):
-    """Node counts of the fitted rule's factors at an order: the radial
-    rule, each Gauss level of the sphere rule, a nested circle and a
-    top-level circle."""
+    """Node counts of the radial rule, a Gauss level, a nested and a top circle."""
     return max(48, 8 * order), max(12, 2 * order), max(24, 4 * order), max(32, 8 * order)
 
 
 def fitted_node_count(dim: int, order: int) -> int:
-    """Nodes of the bump-fitted rule on a dim-dimensional support, in
-    closed form; the rule itself is never built."""
+    """Nodes of the bump-fitted rule in dim dimensions, without building it."""
     radial, gauss, nested, top = _counts(order)
     return radial * (top if dim == 2 else gauss ** (dim - 2) * nested)
 
 
 def _gauss_rule(count: int, alpha: float):
-    """Gauss nodes and weights on (-1, 1) for the weight (1 - u^2)^alpha:
-    numpy's Legendre rule at alpha = 0, else Golub-Welsch on the Jacobi
-    matrix of the Gegenbauer recurrence."""
+    """Gauss rule on (-1, 1) for the weight (1 - u^2)^alpha: numpy's Legendre
+    rule at alpha = 0, else Golub-Welsch on the Gegenbauer Jacobi matrix."""
     if alpha == 0:
         return np.polynomial.legendre.leggauss(count)
     k = np.arange(1, count)
@@ -376,10 +368,8 @@ def _unit_sphere_rule(dim: int, order: int, top: bool = True):
         return np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(count, 2.0 * np.pi / count)
     u, wu = _gauss_rule(gauss, (dim - 3) / 2.0)
     omega, wo = _unit_sphere_rule(dim - 1, order, top=False)
-    ring = np.sqrt(1.0 - u**2)[:, None, None] * omega[None, :, :]
-    nodes = np.concatenate(
-        [ring.reshape(-1, dim - 1), np.repeat(u, len(wo))[:, None]], axis=-1
-    )
+    ring = (np.sqrt(1.0 - u**2)[:, None, None] * omega[None, :, :]).reshape(-1, dim - 1)
+    nodes = np.concatenate([ring, np.repeat(u, len(wo))[:, None]], axis=-1)
     return nodes, np.multiply.outer(wu, wo).ravel()
 
 
@@ -398,8 +388,7 @@ def polar_blocks(dim: int, order: int, geometry):
 
 
 def support_blocks(eta: BumpTestFunction, order: int):
-    """Bump-fitted blocks over supp(eta) in spherical coordinates
-    x = center + radius * r * omega."""
+    """Fitted blocks over supp(eta): x = center + radius * r * omega."""
     dim, c, radius = eta.dim, np.array(eta.center), eta.radius
 
     def geometry(r, wr, omega, wo):
@@ -469,10 +458,9 @@ def weak_pairing(blocks, block, right: Multivector):
         vals, left, wx = block(x, w)
         prod = geometric_product(Multivector.from_vector(right.dim, -left), vals)
         part = wx[..., None] * prod.conjugation().coeffs
-        if raw is None:
-            raw = np.sum(part, axis=-2)
-        else:
-            raw = np.sum(np.concatenate([raw[..., None, :], part], axis=-2), axis=-2)
+        if raw is not None:
+            part = np.concatenate([raw[..., None, :], part], axis=-2)
+        raw = np.sum(part, axis=-2)
         terms.append(wx * vals.norm() * np.sqrt(np.sum(left * left, axis=-1)))
     total, dim = np.sum(np.concatenate(terms, axis=-1), axis=-1), right.dim
     stacked = right.coeffs.reshape(right.coeffs.shape[:-1] + (1,) * total.ndim + (-1,))
@@ -780,9 +768,8 @@ def harmonic_covariance_experiment(
         blades = Multivector(dim, [b.blade.coeffs for b in family])
         raw, normalizer = weak_pairing(support_blocks(eta, order), block, blades)
         norms = Multivector(dim, raw, copy=False).norm()
-        count = fitted_node_count(dim, order)
         rows.extend(
-            CovarianceRow(bump.label, s, float(r), float(nz), count)
+            CovarianceRow(bump.label, s, float(r), float(nz), fitted_node_count(dim, order))
             for bump, by_s, nz_s in zip(family, norms, normalizer)
             for s, r, nz in zip(exponents, by_s, nz_s)
         )
