@@ -340,8 +340,8 @@ def _counts(order: int):
 
 def fitted_node_count(dim: int, order: int) -> int:
     """Nodes of the bump-fitted rule in dim dimensions, without building it."""
-    radial, gauss, nested, top = _counts(order)
-    return radial * (top if dim == 2 else gauss ** (dim - 2) * nested)
+    radial, gauss, inner, outer = _counts(order)
+    return radial * (outer if dim == 2 else gauss ** (dim - 2) * inner)
 
 
 def _gauss_rule(count: int, alpha: float):
@@ -356,18 +356,18 @@ def _gauss_rule(count: int, alpha: float):
     return u, mass * vecs[0] ** 2
 
 
-def _unit_sphere_rule(dim: int, order: int, top: bool = True):
+def _unit_sphere_rule(dim: int, order: int, nested: bool = False):
     """Product rule on the unit sphere S^(dim-1), spectral for smooth data
     (Stroud 1971): the last coordinate u on the Gauss rule for the weight
     (1 - u^2)^((dim-3)/2), times the rule on S^(dim-2) scaled by
     sqrt(1 - u^2), down to a uniform circle."""
-    _, gauss, nested, first = _counts(order)
+    _, gauss, inner, outer = _counts(order)
     if dim == 2:
-        count = first if top else nested
+        count = inner if nested else outer
         phi = 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(count, 2.0 * np.pi / count)
     u, wu = _gauss_rule(gauss, (dim - 3) / 2.0)
-    omega, wo = _unit_sphere_rule(dim - 1, order, top=False)
+    omega, wo = _unit_sphere_rule(dim - 1, order, nested=True)
     ring = (np.sqrt(1.0 - u**2)[:, None, None] * omega[None, :, :]).reshape(-1, dim - 1)
     nodes = np.concatenate([ring, np.repeat(u, len(wo))[:, None]], axis=-1)
     return nodes, np.multiply.outer(wu, wo).ravel()
@@ -383,8 +383,7 @@ def polar_blocks(dim: int, order: int, geometry):
     omega, wo = _unit_sphere_rule(dim, order)
     place, m = geometry(r, wr, omega, wo), len(wo)
     for start in range(0, len(r) * m, _BLOCK):
-        k = np.arange(start, min(start + _BLOCK, len(r) * m))
-        yield place(k // m, k % m)
+        yield place(*np.divmod(np.arange(start, min(start + _BLOCK, len(r) * m)), m))
 
 
 def support_blocks(eta: BumpTestFunction, order: int):
