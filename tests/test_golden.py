@@ -9,9 +9,9 @@ roundoff and only has to stay at or below it.  Strings, booleans, keys
 and list lengths must match exactly.
 
 Regenerate a file only after a deliberate numerical change to its case,
-and say which numbers moved and why in CHANGES.md.  Name each case to
-rewrite; the last digits of untouched cases can differ between machines,
-so the tool never rewrites every file at once:
+and say which numbers moved and why in CHANGES.md.  The tool rewrites
+only the cases it is named, since the last digits of untouched cases can
+differ between machines:
 
     PYTHONPATH=src python tests/test_golden.py covariance-t1 cr-check
 """
