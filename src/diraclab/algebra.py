@@ -16,6 +16,7 @@ many points at once with the same code path.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -258,7 +259,20 @@ def _gather_table(dim: int):
     return table, signs
 
 
-_BLOCK = 1 << 16  # elements of the (rows, live blades, 2**dim) terms per block
+_BLOCK = 1 << 16  # elements of the (rows, live blades, columns) terms per block
+
+
+@lru_cache(maxsize=None)
+def _columns(dim: int, live_a: bytes, live_b: bytes):
+    """For the live-blade masks of a and b (bool bytes): the live blades i
+    of a, the output blades k = i ^ j reachable from a live blade j of b,
+    and the gather table and signs restricted to those rows and columns."""
+    ia, ib = (np.flatnonzero(np.frombuffer(m, dtype=bool)) for m in (live_a, live_b))
+    cols = np.unique(np.bitwise_xor.outer(ia, ib))
+    table, signs = (t[np.ix_(ia, cols)] for t in _gather_table(dim))
+    for t in (ia, cols, table, signs):
+        t.setflags(write=False)
+    return ia, cols, table, signs
 
 
 def _block_rows(c: np.ndarray, shape):
@@ -272,29 +286,54 @@ def _block_rows(c: np.ndarray, shape):
         return lambda rows: full[np.unravel_index(np.r_[rows], shape[:-1])]
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product in Cl(0, dim), broadcasting over batch axes.
+def _live(c: np.ndarray) -> np.ndarray:
+    """The blades nonzero somewhere in the batch of c (NaN counts)."""
+    return c.any(axis=tuple(range(c.ndim - 1)))
 
-    Gather form: (a b)[k] = sum_i a[i] * S[i, k] * b[I[i, k]] (`_gather_table`)
-    over the live blades i, where a is nonzero somewhere in its batch, so a
-    vector factor costs dim terms per coefficient, not 2**dim.  Each block of
-    rows sums in blade order from 0.0, the order of a blade-by-blade
-    accumulation, so the result is the same to the bit.
-    """
+
+def _product_columns(a: Multivector, b: Multivector):
+    """(cols, compact): the coefficients of a b on the sorted output blades
+    cols that a live blade of a reaches from a live blade of b, batch axes
+    broadcast; every other coefficient of a b is +0.0.  When a holds an inf
+    or NaN, cols is every blade, since inf * 0 from a dead blade of b is
+    NaN.  The columns are cached per (dim, live(a), live(b)), and each sums
+    over the live blades of a exactly as `geometric_product` documents."""
     a._check_same(b)
     shape = np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape)
-    out = np.empty(shape)
-    flat = out.reshape(-1, shape[-1])
-    live = a.coeffs.any(axis=tuple(range(a.coeffs.ndim - 1))).nonzero()[0]
-    table, signs = (t[live] for t in _gather_table(a.dim))
+    live_a = _live(a.coeffs)
+    live, cols, table, signs = _columns(a.dim, live_a.tobytes(), _live(b.coeffs).tobytes())
+    if len(cols) < shape[-1] and not np.isfinite(a.coeffs).all():
+        live, cols, table, signs = _columns(a.dim, live_a.tobytes(), b"\x01" * shape[-1])
+    out = np.empty(shape[:-1] + (len(cols),))
+    flat = out.reshape(math.prod(shape[:-1]), len(cols))
     rows_a, rows_b = _block_rows(a.coeffs, shape), _block_rows(b.coeffs, shape)
-    step = max(1, _BLOCK // (shape[-1] * max(len(live), 1)))
+    step = max(1, _BLOCK // max(len(cols) * len(live), 1))
     for start in range(0, len(flat), step):
         rows = slice(start, min(start + step, len(flat)))
         terms = rows_b(rows)[:, table]
         terms *= signs
         terms *= rows_a(rows)[:, live, None]
         terms.sum(axis=1, out=flat[rows], initial=0.0)
+    return cols, out
+
+
+def geometric_product(a: Multivector, b: Multivector) -> Multivector:
+    """Geometric product in Cl(0, dim), broadcasting over batch axes.
+
+    Gather form: (a b)[k] = sum_i a[i] * S[i, k] * b[I[i, k]] (`_gather_table`)
+    over the live blades i, where a is nonzero somewhere in its batch, so a
+    vector factor costs dim terms per coefficient, not 2**dim.  Only the
+    reachable coefficients k = i ^ j, j a live blade of b, are computed
+    (`_product_columns`; a vector times a vector reaches 1 + dim(dim-1)/2
+    of the 2**dim); the rest are +0.0, as their sums of zeros are.  Each
+    block of rows sums in blade order from 0.0, the order of a
+    blade-by-blade accumulation, so the result is the same to the bit.
+    """
+    cols, compact = _product_columns(a, b)
+    if len(cols) == 1 << a.dim:
+        return Multivector(a.dim, compact, copy=False)
+    out = np.zeros(compact.shape[:-1] + (1 << a.dim,))
+    out[..., cols] = compact
     return Multivector(a.dim, out, copy=False)
 
 

@@ -562,9 +562,13 @@ def _cap_pairing(f: SphericalField, p: float, family, order: int,
         eta.require_support_inside(cap)
     flux = p_spherical_flux(f, p)
     blades = Multivector(f.ambient, [b.blade.coeffs for b in family])
-    return *weak_pairing(
-        cap_blocks(eta, order), lambda x, wx: (flux(x), eta.dirac_vector(x), wx), blades
-    ), fitted_node_count(eta.ambient - 1, order)
+
+    def block(x, wx):
+        vals = flux(x)
+        return vals, vals.norm(), eta.dirac_vector(x), wx
+
+    return *weak_pairing(cap_blocks(eta, order), block, blades), \
+        fitted_node_count(eta.ambient - 1, order)
 
 
 def weak_spherical_residual(

@@ -25,7 +25,9 @@ derivative factors as D eta = l(x) * B with l a vector and B the bump's
 constant blade (l is the profile gradient for a flat bump, and the vector
 v of `sphere.CapBump.dirac_vector` for a cap bump), so the pairing takes a
 per-node product with a vector, multiplies the sum by B once, and gets the
-normalizer from |l B| = |l| |B|.  The sum before B depends only on the
+normalizer from |l B| = |l| |B|.  The per-node product forms, signs,
+weights and sums only the blades it can reach (7 of 16 for a vector field
+in dim 4), and each block's field norm is formed once, by the caller.  The sum before B depends only on the
 field, the weight and the bump's support, so bumps that share a centre and
 radius (the blade bumps of `default_test_functions`, or cap bumps on one
 cap) pair as one family (`support_families`): one pass over the nodes,
@@ -49,7 +51,13 @@ from itertools import groupby
 
 import numpy as np
 
-from .algebra import Multivector, blade_label, geometric_product
+from .algebra import (
+    Multivector,
+    _conjugation_signs,
+    _product_columns,
+    blade_label,
+    geometric_product,
+)
 from .fields import (
     AnalyticField,
     Domain,
@@ -319,8 +327,9 @@ class QuadratureRule:
 
 
 # Nodes per block of a fitted rule and its pairing.  Fixed, so the summation
-# order never depends on the node count; a dim-4 block of 16 blades is 4 MB.
-_BLOCK = 1 << 15
+# order never depends on the node count; a dim-4 block's (B, 16) arrays are
+# 1 MB each, small enough to stay in cache between the pairing's passes.
+_BLOCK = 1 << 13
 
 
 def _radial_rule(count: int, tail: float = 3.2):
@@ -435,33 +444,51 @@ def weak_pairing(blocks, block, right: Multivector):
         normalizer = sum over nodes of w |vals| |left| |right|
 
     `blocks` yields the (x, wx) node blocks of a rule, and `block(x, wx)`
-    gives (vals, left, wx') on each: `vals` a batched (or constant)
-    Multivector, `left` the (B, n) components of the vector, and wx' the
-    weights with any A |f|^(p-2) factor folded in.  An (E, B) wx' gives E
-    rows of (raw, normalizer) from one Clifford product.  `right` is applied
-    once, after the sum, so a stack of K right factors (a Multivector
-    batched over one leading axis) shares the pass and gets K rows in front
-    of the E rows; an unbatched right gets none.  The normalizer uses
-    |left * right| = |left| |right|, which holds because left is a vector.
-    The per-node product is formed as conj(vals) * left = conj((-left) *
-    vals), so the vector is the left factor of `geometric_product` and
-    costs n terms per coefficient.
+    gives (vals, norms, left, wx') on each: `vals` a batched (or constant)
+    Multivector, `norms` its `norm()`, which the caller has already formed
+    for its |vals|^(p-2) factor, `left` the (B, n) components of the vector,
+    and wx' the weights with any A |f|^(p-2) factor folded in.  An (E, B) wx'
+    gives E rows of (raw, normalizer) from one Clifford product.  `right`
+    is applied once, after the sum, so a stack of K right factors (a
+    Multivector batched over one leading axis) shares the pass and gets K
+    rows in front of the E rows; an unbatched right gets none.  The
+    normalizer uses |left * right| = |left| |right|, which holds because
+    left is a vector.  The per-node product is formed as conj(vals) * left
+    = conj((-left) * vals), so the vector is the left factor of the product
+    and costs n terms per coefficient.
 
-    Blocks hold at most `_BLOCK` nodes.  Each block's weighted integrand is
-    summed over the node axis with the running total as its first row,
-    which is numpy's sequential node-order sum of the whole array bit for
-    bit; the normalizer's per-node terms are kept and summed once.
+    Only the blades the product can reach are formed, signed, weighted and
+    summed (`_product_columns`: 1 + n(n-1)/2 of 2**n for a vector field);
+    the others add w * 0 = 0 to every sum, unless a weight is inf or NaN,
+    in which case the block takes every blade.  Blocks hold at most
+    `_BLOCK` nodes.  Each block's weighted integrand is summed over the
+    node axis below the running total, kept in the first row of one block
+    buffer, which is numpy's sequential node-order sum of the whole array
+    bit for bit; the normalizer's per-node terms are kept and summed once.
     """
-    raw, terms = None, []
+    dim = right.dim
+    raw, buf, terms = None, None, []
     for x, w in blocks:
-        vals, left, wx = block(x, w)
-        prod = geometric_product(Multivector.from_vector(right.dim, -left), vals)
-        part = wx[..., None] * prod.conjugation().coeffs
-        if raw is not None:
-            part = np.concatenate([raw[..., None, :], part], axis=-2)
-        raw = np.sum(part, axis=-2)
-        terms.append(wx * vals.norm() * np.sqrt(np.sum(left * left, axis=-1)))
-    total, dim = np.sum(np.concatenate(terms, axis=-1), axis=-1), right.dim
+        vals, norms, left, wx = block(x, w)
+        if buf is None:
+            raw = np.zeros(wx.shape[:-1] + (1 << dim,))
+            buf = np.empty(wx.shape[:-1] + (_BLOCK + 1, 1 << dim))
+        neg = Multivector.from_vector(dim, -left)
+        if np.isfinite(wx).all():
+            cols, prod = _product_columns(neg, vals)
+        else:  # w * 0 is NaN in the unreached blades too
+            cols, prod = np.arange(1 << dim), geometric_product(neg, vals).coeffs
+        if len(cols):
+            # a lone column would let numpy sum the node axis pairwise, so
+            # the block sums at least two (the second then discarded)
+            part = buf[..., :len(x) + 1, :max(len(cols), 2)]
+            part[..., len(cols):] = 0.0
+            part[..., 0, :len(cols)] = raw[..., cols]
+            prod *= _conjugation_signs(dim)[cols]
+            np.multiply(wx[..., None], prod, out=part[..., 1:, :len(cols)])
+            raw[..., cols] = part.sum(axis=-2)[..., :len(cols)]
+        terms.append(wx * norms * np.sqrt(np.sum(left * left, axis=-1)))
+    total = np.sum(np.concatenate(terms, axis=-1), axis=-1)
     stacked = right.coeffs.reshape(right.coeffs.shape[:-1] + (1,) * total.ndim + (-1,))
     raw = geometric_product(
         Multivector(dim, raw, copy=False), Multivector(dim, stacked, copy=False)
@@ -488,10 +515,11 @@ def _pair(f: AnalyticField, p: float, family, domain: Domain, order: int,
 
     def block(x, wx):
         vals = f.dirac(x) if of_derivative else f(x)
-        scale = power_scale(vals.norm(), p, f.name)
+        norms = vals.norm()
+        scale = power_scale(norms, p, f.name)
         if weight is not None:
             scale = scale * weight(x)
-        return vals, eta.profile_gradient(x), wx * scale
+        return vals, norms, eta.profile_gradient(x), wx * scale
 
     blades = Multivector(eta.dim, [b.blade.coeffs for b in family])
     return *weak_pairing(support_blocks(eta, order), block, blades), \
@@ -533,7 +561,7 @@ def dirac_integral_check(eta: BumpTestFunction, rule: QuadratureRule) -> float:
     one = Multivector.scalar(eta.dim, 1.0)
     raw, total = weak_pairing(
         support_blocks(eta, rule.order),
-        lambda x, wx: (one, eta.profile_gradient(x), wx), eta.blade,
+        lambda x, wx: (one, one.norm(), eta.profile_gradient(x), wx), eta.blade,
     )
     return float(Multivector(eta.dim, raw).norm()) / max(float(total), 1e-300)
 
@@ -758,11 +786,12 @@ def harmonic_covariance_experiment(
         def block(x, wx, eta=eta):
             fp = frame_at(m, Multivector.from_vector(dim, x))
             twisted = fp.twisted_dirac(gh.grad(x))
-            power = power_scale(twisted.norm(), p, gh.name)
+            norms = twisted.norm()
+            power = power_scale(norms, p, gh.name)
             # D_M eta = u (grad phi) rev(u) * blade: the rotated gradient is
             # a vector, so it pairs as one
             slope = fp.map(Multivector.from_vector(dim, eta.profile_gradient(x)))
-            return twisted, slope.vector_part(), wx * fp.scale**exps * power
+            return twisted, norms, slope.vector_part(), wx * fp.scale**exps * power
 
         blades = Multivector(dim, [b.blade.coeffs for b in family])
         raw, normalizer = weak_pairing(support_blocks(eta, order), block, blades)

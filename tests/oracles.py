@@ -7,6 +7,8 @@ tests cross two unrelated code paths.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -105,14 +107,21 @@ def fd_jacobian(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+@lru_cache(maxsize=None)
+def _oracle_signs(dim: int) -> np.ndarray:
+    """(2**dim, 2**dim) blade-product signs from the swap-sort oracle."""
+    n = 1 << dim
+    return np.array([[blade_product_oracle(mask_to_indices(i), mask_to_indices(j))[0]
+                      for j in range(n)] for i in range(n)], dtype=float)
+
+
 def scatter_geometric_product(ca, cb, dim: int) -> np.ndarray:
     """The blade-by-blade scatter product on coefficient arrays: for each
     blade i of a that is nonzero anywhere in its batch, add a_i * (e_i b)
     into the permuted output coefficients.  The gather kernel must agree
     with it to the bit."""
     n = 1 << dim
-    signs = np.array([[blade_product_oracle(mask_to_indices(i), mask_to_indices(j))[0]
-                       for j in range(n)] for i in range(n)], dtype=float)
+    signs = _oracle_signs(dim)
     out = np.zeros(np.broadcast_shapes(ca.shape, cb.shape))
     idx = np.arange(n)
     for i in range(n):

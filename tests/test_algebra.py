@@ -140,27 +140,40 @@ def _check_against_scatter(dim, ca, cb):
 def test_product_matches_scatter_reference_bit_for_bit(rng, dim):
     """The gather kernel against the blade-by-blade scatter loop: the same
     bits for every broadcast pattern, for all-zero, vector and dense left
-    factors, and for batches one row short of, at and past a block."""
+    factors times dense and grade-sparse (vector, bivector, even, scalar)
+    right factors, and for batches one row short of, at and past a block,
+    whose rows count only the output blades the factors can reach."""
     n = 1 << dim
-    dense = lambda *batch: rng.standard_normal(batch + (n,))
+    grades = blade_grades(dim)
 
-    def vector(*batch):
-        c = np.zeros(batch + (n,))
-        c[..., [1 << j for j in range(dim)]] = rng.standard_normal(batch + (dim,))
-        return c
+    def graded(*keep):
+        mask = np.isin(grades, keep)
+        return lambda *batch: np.where(mask, rng.standard_normal(batch + (n,)), 0.0)
 
+    dense, vector = graded(*range(dim + 1)), graded(1)
+    sparse = (vector, graded(2), graded(*range(0, dim + 1, 2)), graded(0))
     for left in (dense, vector):
-        for a_batch, b_batch in (((), ()), ((), (5,)), ((5,), ()), ((3, 5), (5,)),
-                                 ((3, 1), (4,)), ((0,), ()), ((), (2, 0))):
-            _check_against_scatter(dim, left(*a_batch), dense(*b_batch))
-        live = dim if left is vector else n
-        rows = _BLOCK // (n * live)
-        for count in (rows - 1, rows, rows + 1):
-            ca = left(count)
-            ca[0] = 0.0  # its sums hold only zeros: each must come out +0.0
-            _check_against_scatter(dim, ca, dense(count))
-        _check_against_scatter(dim, left(rows + 1), dense())
+        for right in (dense,) + sparse:
+            for a_batch, b_batch in (((), ()), ((), (5,)), ((5,), ()), ((3, 5), (5,)),
+                                     ((3, 1), (4,)), ((0,), ()), ((), (2, 0))):
+                _check_against_scatter(dim, left(*a_batch), right(*b_batch))
+            live_a, live_b = (np.flatnonzero(f()) for f in (left, right))
+            reach = len({i ^ j for i in live_a for j in live_b})
+            rows = _BLOCK // max(reach * len(live_a), 1)
+            for count in (rows - 1, rows, rows + 1):
+                ca = left(count)
+                ca[0] = 0.0  # its sums hold only zeros: each must come out +0.0
+                _check_against_scatter(dim, ca, right(count))
+            _check_against_scatter(dim, left(rows + 1), right())
     _check_against_scatter(dim, np.zeros((3, n)), dense(3))
+    for zero in (np.zeros(n), np.zeros((3, n))):  # b zero: nothing is reachable
+        _check_against_scatter(dim, dense(3), zero)
+    # b live only in some rows, and a blade live in only one row
+    cb = vector(6)
+    cb[[1, 4]] = 0.0
+    cb[2, -1] = 1.5
+    _check_against_scatter(dim, dense(6), cb)
+    _check_against_scatter(dim, vector(6), cb)
     # inf and NaN in b: where a live blade's zero coefficient meets inf
     # (row 0), the reference forms 0 * inf = NaN, and so must the kernel
     ca, cb = dense(4), dense(4)
@@ -169,6 +182,17 @@ def test_product_matches_scatter_reference_bit_for_bit(rng, dim):
     with np.errstate(invalid="ignore"):
         _check_against_scatter(dim, ca, cb)
         _check_against_scatter(dim, ca[1], cb)
+    # and mirrored: inf or NaN in a live blade of a meets the blades that
+    # are zero throughout a sparse b, which must come out NaN, not +0.0
+    for left in (dense, vector):
+        ca = left(4)
+        live = np.flatnonzero(ca[0])
+        ca[0, live[0]], ca[1, live[-1]], ca[2, live[0]] = np.inf, np.nan, -np.inf
+        for right in sparse:
+            with np.errstate(invalid="ignore"):
+                _check_against_scatter(dim, ca, right(4))
+                _check_against_scatter(dim, ca[1], right())
+                _check_against_scatter(dim, ca, right())
 
 
 def test_dimension_contract_errors():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from diraclab import weakform
 from diraclab.algebra import Multivector, geometric_product
 from diraclab.fields import (
+    NORM_CUTOFF,
     AnalyticField,
     Domain,
     DomainError,
@@ -353,7 +354,7 @@ def test_p_harmonic_derivative_solves_the_weak_dirac_equation(rng):
 
     def block(x, wx):
         dh = h.dirac(x)
-        return dh, eta.profile_gradient(x), wx * dh.norm() ** (p - 2.0)
+        return dh, dh.norm(), eta.profile_gradient(x), wx * dh.norm() ** (p - 2.0)
 
     raw, norm = weak_pairing(support_blocks(eta, rule.order), block, eta.blade)
     assert np.array_equal(res.coeffs, raw)
@@ -393,7 +394,7 @@ def fitted_normalizer(f, p, eta, rule):
     """Quadrature of |f|^(p-1) |D eta| over the fitted nodes."""
     def block(x, wx):
         vals = f(x)
-        return vals, eta.profile_gradient(x), wx * vals.norm() ** (p - 2.0)
+        return vals, vals.norm(), eta.profile_gradient(x), wx * vals.norm() ** (p - 2.0)
 
     return float(weak_pairing(support_blocks(eta, rule.order), block, eta.blade)[1])
 
@@ -440,7 +441,8 @@ def test_weak_pairing_rows_match_single_calls(rng):
     scan = w * np.stack([np.ones(len(w)), vals.norm(), nodes[:, 0] ** 2])
 
     def block(x, wx):
-        return f(x), eta.profile_gradient(x), wx
+        vals = f(x)
+        return vals, vals.norm(), eta.profile_gradient(x), wx
 
     raw, normalizer = weak_pairing(node_blocks(nodes, scan), block, eta.blade)
     assert raw.shape == (3, 8) and normalizer.shape == (3,)
@@ -464,8 +466,7 @@ def test_weak_pairing_blade_stack_matches_single_blades(dim, count):
               Multivector(dim, rng.standard_normal(1 << dim))]
     stack = Multivector(dim, np.stack([b.coeffs for b in blades]))
 
-    def block(i, wi):
-        return _rows(vals, i), vec[i], wi
+    block = _node_block(vals, vec)
 
     for w in (rng.uniform(0.1, 1.0, count), rng.uniform(0.1, 1.0, (3, count))):
         raw, normalizer = weak_pairing(node_blocks(idx, w), block, stack)
@@ -480,6 +481,15 @@ def test_weak_pairing_blade_stack_matches_single_blades(dim, count):
 def _rows(a, i):
     """Node rows i of a batched Multivector; a constant stays whole."""
     return Multivector(a.dim, a.coeffs[i]) if a.batch_shape else a
+
+
+def _node_block(vals, vec):
+    """The weak pairing's block(i, wi) over node rows i of vals and vec."""
+    def block(i, wi):
+        v = _rows(vals, i)
+        return v, v.norm(), vec[i], wi
+
+    return block
 
 
 # every dimension on a few nodes and at the block edges
@@ -502,7 +512,7 @@ def test_weak_pairing_matches_per_node_reference(dim, count):
         ref = geometric_product(vals.conjugation(), deta).coeffs
         for w in (rng.uniform(0.1, 1.0, count), rng.uniform(0.1, 1.0, (3, count))):
             raw, nz = weak_pairing(
-                node_blocks(idx, w), lambda i, wi: (_rows(vals, i), vec[i], wi), right)
+                node_blocks(idx, w), _node_block(vals, vec), right)
             scale = np.sum(w * vals.norm() * deta.norm(), axis=-1)
             assert np.all(np.abs(raw - np.sum(w[..., None] * ref, axis=-2))
                           <= 1e-14 * scale[..., None])
@@ -516,7 +526,7 @@ def test_weak_pairing_matches_per_node_reference(dim, count):
     zero = Multivector.zero(dim, (count,))
     w = rng.uniform(0.1, 1.0, count)
     raw, nz = weak_pairing(
-        node_blocks(idx, w), lambda i, wi: (_rows(zero, i), np.zeros((len(i), dim)), wi), right)
+        node_blocks(idx, w), _node_block(zero, np.zeros((count, dim))), right)
     assert not np.any(raw) and nz == 0.0
 
 
@@ -524,26 +534,34 @@ def test_weak_pairing_matches_per_node_reference(dim, count):
 def test_weak_pairing_sums_in_node_order(count):
     """Every block, the first included, adds its nodes one after another:
     the raw pairing equals, bit for bit, a running sum over the kernel's
-    own per-node products conj((-l) vals) = conj(vals) l."""
+    own per-node products conj((-l) vals) = conj(vals) l, for a dense
+    field, a vector field (7 of 16 blades reached) and a scalar field
+    against a one-axis l (a single blade reached)."""
     dim = 4
     rng = np.random.default_rng(count)
     vec = rng.standard_normal((count, dim))
-    vals = Multivector(dim, rng.standard_normal((count, 1 << dim)))
     w = rng.uniform(0.1, 1.0, count)
-    raw, _ = weak_pairing(node_blocks(np.arange(count), w),
-                          lambda i, wi: (_rows(vals, i), vec[i], wi),
-                          Multivector.scalar(dim, 1.0))
-    prod = geometric_product(Multivector.from_vector(dim, -vec), vals).conjugation()
-    acc = np.zeros(1 << dim)
-    for k in range(count):
-        acc = acc + w[k] * prod.coeffs[k]
-    assert np.array_equal(raw, acc)
+    for left, vals in (
+        (vec, Multivector(dim, rng.standard_normal((count, 1 << dim)))),
+        (vec, Multivector.from_vector(dim, rng.standard_normal((count, dim)))),
+        (vec * [1.0, 0.0, 0.0, 0.0], Multivector.scalar(dim, rng.standard_normal(count))),
+    ):
+        raw, _ = weak_pairing(node_blocks(np.arange(count), w),
+                              _node_block(vals, left), Multivector.scalar(dim, 1.0))
+        prod = geometric_product(Multivector.from_vector(dim, -left), vals).conjugation()
+        acc = np.zeros(1 << dim)
+        for k in range(count):
+            acc = acc + w[k] * prod.coeffs[k]
+        assert np.array_equal(raw, acc)
+        assert np.array_equal(np.signbit(raw), np.signbit(acc))
 
 
 def test_pairing_streams_fields_in_fixed_blocks(rng):
     """A 110,592-node pairing evaluates its field in blocks of at most BLOCK
     nodes, and the |f|^(p-2) guard still fires when only the last block
-    holds a vanishing node."""
+    holds a vanishing node.  The outermost radial shells lie within 1e-10
+    of one another, across a block edge, so the vanishing field is steep,
+    2000 (x - x_last): below the cutoff only on the last block's shells."""
     base = p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0])
     eta = random_bump(BALL3, rng)
     rule = QuadratureRule.build(BALL3, order=12, cells=2)
@@ -560,11 +578,14 @@ def test_pairing_streams_fields_in_fixed_blocks(rng):
     assert max(sizes) <= BLOCK and sum(sizes) == len(nodes)
 
     last = nodes[-1]
+    steep = lambda q: Multivector.from_vector(3, 2000.0 * (q - last))
+    near = np.flatnonzero(steep(nodes).norm() < NORM_CUTOFF)
+    assert near[0] >= (len(nodes) - 1) // BLOCK * BLOCK and near[-1] == len(nodes) - 1
     sizes.clear()
 
     def vanishing_at_last_node(q):
         sizes.append(len(q))
-        return Multivector.from_vector(3, q - last)
+        return steep(q)
 
     g = AnalyticField(3, vanishing_at_last_node, name="x-last")
     with pytest.raises(VanishingNormError):
