@@ -16,7 +16,7 @@ through a Moebius map and measuring the weak residual of the transformed
 field on the preimage domain, in both the plain-derivative and the
 twisted-derivative (frame-conjugated) forms.  The box-tensor
 `QuadratureRule` remains as a cross-check; the residuals read only its
-domain and order.
+domain and order, so its grid is built only when it is read.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
 flat residuals, the covariance experiments, the divergence oracle and the
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -271,16 +272,14 @@ class QuadratureRule:
     `inside` masks nodes to the domain; integrands supported inside the
     domain (every bump is) see no masking error.  Weights are the positive
     per-axis Gauss weight products scaled to the cells.  The weak residuals
-    read only `domain` and `order` and integrate on the bump-fitted rule;
-    the tensor grid is kept as a cross-check of that rule.
+    read only `domain` and `order` and integrate on the bump-fitted rule,
+    so the tensor grid, kept as a cross-check of that rule, is built on the
+    first read of `nodes`, `weights` or `inside`.
     """
 
     domain: Domain
     order: int
     cells_per_axis: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    inside: np.ndarray
 
     @classmethod
     def build(cls, domain: Domain, order: int = None, cells: int = None):
@@ -292,11 +291,15 @@ class QuadratureRule:
             cells = 8 if dim <= 3 else 6
         if cells < 1:
             raise WeakFormError("quadrature cell count must be >= 1")
-        x, w = np.polynomial.legendre.leggauss(order)
-        lo, hi = domain.bounding_box()
+        return cls(domain, order, cells)
+
+    @cached_property
+    def _grid(self):
+        x, w = np.polynomial.legendre.leggauss(self.order)
+        lo, hi = self.domain.bounding_box()
         axis_nodes, axis_weights = [], []
-        for i in range(dim):
-            edges = np.linspace(lo[i], hi[i], cells + 1)
+        for i in range(self.domain.dim):
+            edges = np.linspace(lo[i], hi[i], self.cells_per_axis + 1)
             mids = (edges[:-1] + edges[1:]) / 2.0
             half = (edges[1:] - edges[:-1]) / 2.0
             axis_nodes.append((mids[:, None] + half[:, None] * x[None, :]).ravel())
@@ -304,14 +307,17 @@ class QuadratureRule:
         grids = np.meshgrid(*axis_nodes, indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=-1)
         weights = axis_weights[0]
-        for i in range(1, dim):
-            weights = np.multiply.outer(weights, axis_weights[i])
-        weights = weights.ravel()
-        return cls(domain, order, cells, nodes, weights, domain.contains(nodes))
+        for aw in axis_weights[1:]:
+            weights = np.multiply.outer(weights, aw)
+        return nodes, weights.ravel(), self.domain.contains(nodes)
+
+    nodes = property(lambda self: self._grid[0])
+    weights = property(lambda self: self._grid[1])
+    inside = property(lambda self: self._grid[2])
 
     @property
     def node_count(self) -> int:
-        return len(self.weights)
+        return (self.order * self.cells_per_axis) ** self.domain.dim
 
     def integrate_scalar(self, values: np.ndarray) -> float:
         """Masked integral of per-node scalar samples."""

@@ -230,6 +230,15 @@ def test_tensor_rule_masks_nodes_to_the_domain():
     assert vol == pytest.approx(math.pi, rel=5e-3)  # mask is only first order
 
 
+def test_tensor_rule_builds_its_grid_on_first_read():
+    """The residuals read only domain and order: build makes no grid, and
+    node_count is the closed form (order * cells)**dim."""
+    rule = QuadratureRule.build(Domain.ball([3.0, 0.0, 0.0, 0.0], 1.0), order=12, cells=2)
+    assert rule.node_count == 24**4 and "_grid" not in vars(rule)
+    small = QuadratureRule.build(BALL3, order=3, cells=2)
+    assert len(small.nodes) == len(small.weights) == len(small.inside) == small.node_count
+
+
 def test_tensor_rule_parameter_validation():
     with pytest.raises(WeakFormError):
         QuadratureRule.build(Domain.box([0.0] * 5, [1.0] * 5))
