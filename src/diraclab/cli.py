@@ -457,20 +457,26 @@ def run_algebra_selftest(params):
 
 
 # the weak-form budget, priced before any work as passes over the fitted
-# rule x its nodes x 2**ambient blades; the costliest default run,
-# sphere-check --n 4, prices at 1.0e8
+# rule x its nodes x 2**ambient blades x the pairing's weight; the
+# costliest default run, sphere-check --n 4, prices at 1.0e8
 _QUADRATURE_BUDGET = 1 << 27
+# the twisted-harmonic scan's cost per node-blade, in flat pairings: at
+# n = 4, order 8 (3 passes each) covariance --theorem 3 took 12.2 s and
+# --theorem 1 4.3 s.  Cap and disc pairings cost less and keep weight 1.
+_TWISTED_WEIGHT = 3
 
 
-def _check_quadrature_budget(passes, dim, order, ambient):
+def _check_quadrature_budget(passes, dim, order, ambient, weight=1):
     """Refuse a run of `passes` pairings on the order-`order` fitted rule
-    over a dim-dimensional support priced above the budget."""
+    over a dim-dimensional support priced above the budget, each node-blade
+    costing `weight` flat pairings."""
     nodes = fitted_node_count(dim, order)
-    cost = passes * nodes * (1 << ambient)
+    cost = weight * passes * nodes * (1 << ambient)
     if cost > _QUADRATURE_BUDGET:
+        times = f" at {weight}x a flat pairing" if weight != 1 else ""
         raise UsageError(
-            f"{passes} passes over {nodes:,} quadrature nodes of {1 << ambient} blades "
-            f"price at {cost:.2g}, over the budget of 2**27; lower --order or --n")
+            f"{passes} passes over {nodes:,} quadrature nodes of {1 << ambient} blades"
+            f"{times} price at {cost:.2g}, over the budget of 2**27; lower --order or --n")
 
 
 def run_kernel_residual(params):
@@ -520,9 +526,9 @@ def run_covariance(params):
     m = parse_mobius_expr(params["mobius"], n)
     kw = dict(order=params["order"], seed=seed, random_bumps=2)
     # one pass per random bump and one for the 2**n blade bumps; mode 4
-    # runs its experiment twice
+    # runs its experiment twice, and modes 2-4 pair the twisted derivative
     _check_quadrature_budget((kw["random_bumps"] + 1) * (2 if mode == 4 else 1),
-                             n, kw["order"], n)
+                             n, kw["order"], n, 1 if mode == 1 else _TWISTED_WEIGHT)
 
     source = Domain.ball([3.0] + [0.0] * (n - 1), 1.0)
     off_axis = [0.0, 0.5] + [0.0] * (n - 2)
