@@ -470,15 +470,17 @@ def weak_pairing(blocks, block, right: Multivector):
     `_BLOCK` nodes.  Each block's weighted integrand is summed over the
     node axis below the running total, kept in the first row of one block
     buffer, which is numpy's sequential node-order sum of the whole array
-    bit for bit; the normalizer's per-node terms are kept and summed once.
+    bit for bit.  The normalizer sums each block's terms and adds the block
+    sums in node order, so its memory does not grow with the node count.
     """
     dim = right.dim
-    raw, buf, terms = None, None, []
+    raw = buf = total = None
     for x, w in blocks:
         vals, norms, left, wx = block(x, w)
         if buf is None:
             raw = np.zeros(wx.shape[:-1] + (1 << dim,))
             buf = np.empty(wx.shape[:-1] + (_BLOCK + 1, 1 << dim))
+            total = np.zeros(wx.shape[:-1])
         neg = Multivector.from_vector(dim, -left)
         if np.isfinite(wx).all():
             cols, prod = _product_columns(neg, vals)
@@ -493,8 +495,7 @@ def weak_pairing(blocks, block, right: Multivector):
             prod *= _conjugation_signs(dim)[cols]
             np.multiply(wx[..., None], prod, out=part[..., 1:, :len(cols)])
             raw[..., cols] = part.sum(axis=-2)[..., :len(cols)]
-        terms.append(wx * norms * np.sqrt(np.sum(left * left, axis=-1)))
-    total = np.sum(np.concatenate(terms, axis=-1), axis=-1)
+        total += np.sum(wx * norms * np.sqrt(np.sum(left * left, axis=-1)), axis=-1)
     stacked = right.coeffs.reshape(right.coeffs.shape[:-1] + (1,) * total.ndim + (-1,))
     raw = geometric_product(
         Multivector(dim, raw, copy=False), Multivector(dim, stacked, copy=False)
