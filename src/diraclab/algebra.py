@@ -262,7 +262,7 @@ def _gather_table(dim: int):
 _BLOCK = 1 << 16  # elements of the (rows, live blades, columns) terms per block
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # a dim-6 entry holds at most 64 KB
 def _columns(dim: int, live_a: bytes, live_b: bytes):
     """For the live-blade masks of a and b (bool bytes): the live blades i
     of a, the output blades k = i ^ j reachable from a live blade j of b,
