@@ -27,20 +27,20 @@ v of `sphere.CapBump.dirac_vector` for a cap bump), so the pairing takes a
 per-node product with a vector, multiplies the sum by B once, and gets the
 normalizer from |l B| = |l| |B|.  The per-node product forms, signs,
 weights and sums only the blades it can reach (7 of 16 for a vector field
-in dim 4), and each block's field norm is formed once, by the caller.  The sum before B depends only on the
-field, the weight and the bump's support, so bumps that share a centre and
-radius (the blade bumps of `default_test_functions`, or cap bumps on one
-cap) pair as one family (`support_families`): one pass over the nodes,
-then one product per blade of the stack.  The rule's nodes stream in
-blocks of a fixed size (`_BLOCK`, from `polar_blocks`), and fields,
-weights and l are evaluated one block at a time, so memory stays bounded
-at any quadrature order.
+in dim 4), and each block's field norm is formed once, by the caller.  The
+sum before B depends only on the field, the weight and the bump's support,
+so bumps that share a centre and radius (the blade bumps of
+`default_test_functions`, or cap bumps on one cap) pair as one family
+(`support_families`): one pass over the nodes, then one product per blade
+of the stack.  The rule's nodes stream in blocks of a fixed size
+(`_BLOCK`, from `polar_blocks`), and fields, weights and l are evaluated
+one block at a time, so memory stays bounded at any quadrature order.
 Its summation order is fixed: each block's weighted integrand is summed
 over the node axis together with the running total carried as a first row,
 which is numpy's sequential node-order sum of the whole array, never a
-matrix product (whose BLAS blocking may vary).  Every reported number is
-therefore deterministic for a fixed seed and order, and reruns are
-byte-identical.
+matrix product (whose BLAS blocking may vary), and the normalizer adds its
+block sums in node order.  Every reported number is therefore
+deterministic for a fixed seed and order, and reruns are byte-identical.
 """
 
 from __future__ import annotations
