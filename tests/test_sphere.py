@@ -40,6 +40,9 @@ from diraclab.weakform import _BLOCK as BLOCK
 from diraclab.weakform import SupportError, mollifier, support_families
 from oracles import joined, node_blocks
 
+# node counts around a block edge come after several whole blocks
+EDGE = 4 * BLOCK
+
 POLE3 = sphere_point([0.3, -0.7, 0.8])
 POLE4 = sphere_point([0.3, -0.7, 0.8, 0.4])
 NORTH3 = (0.0, 0.0, 1.0)
@@ -494,7 +497,7 @@ def _dense_cap_dirac(bump, pts):
 
 @pytest.mark.parametrize("ambient, order, count", [
     *((ambient, order, count) for ambient, order in ((3, 24), (4, 12))
-      for count in (1, 3, BLOCK - 1, BLOCK, BLOCK + 1)),
+      for count in (1, 3, EDGE - 1, EDGE, EDGE + 1)),
     *((5, 2, count) for count in (1, 3, 1000)),
 ])
 def test_cap_pairing_matches_per_node_reference(monkeypatch, ambient, order, count):

@@ -65,6 +65,9 @@ from diraclab.weakform import (
 from diraclab.weakform import _BLOCK as BLOCK
 from oracles import dict_geometric_product, dict_to_coeffs, joined, mv_to_dict, node_blocks
 
+# node counts around a block edge come after several whole blocks
+EDGE = 4 * BLOCK
+
 BALL3 = Domain.ball([3.0, 0.0, 0.0], 1.0)
 
 
@@ -462,7 +465,7 @@ def test_weak_pairing_rows_match_single_calls(rng):
 
 
 @pytest.mark.parametrize("dim, count", [
-    (dim, count) for dim in (2, 3, 4) for count in (1, BLOCK, BLOCK + 1)
+    (dim, count) for dim in (2, 3, 4) for count in (1, EDGE, EDGE + 1)
 ])
 def test_weak_pairing_blade_stack_matches_single_blades(dim, count):
     """K stacked right factors share one pass and give, bit for bit, the
@@ -503,7 +506,7 @@ def _node_block(vals, vec):
 
 # every dimension on a few nodes and at the block edges
 @pytest.mark.parametrize("dim, count", [
-    (dim, count) for dim in range(1, 7) for count in (1, 3, BLOCK - 1, BLOCK, BLOCK + 1)
+    (dim, count) for dim in range(1, 7) for count in (1, 3, EDGE - 1, EDGE, EDGE + 1)
 ])
 def test_weak_pairing_matches_per_node_reference(dim, count):
     """The streamed kernel against a dense product per node summed by
@@ -539,7 +542,7 @@ def test_weak_pairing_matches_per_node_reference(dim, count):
     assert not np.any(raw) and nz == 0.0
 
 
-@pytest.mark.parametrize("count", [3, 100, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("count", [3, 100, EDGE, EDGE + 1])
 def test_weak_pairing_sums_in_node_order(count):
     """Every block, the first included, adds its nodes one after another:
     the raw pairing equals, bit for bit, a running sum over the kernel's
