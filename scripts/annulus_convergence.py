@@ -5,8 +5,8 @@ Solves the ring problem with boundary data 1/|x| (the exact minimizer of
 the p = 3/2 energy in the plane) on a ladder of spacings and prints the
 interior error table with the fitted convergence order and each level's
 Newton steps, Hessian products and gradient evaluations.  Three levels
-reach h = 1/64 and take about 1.3 s on a shared 2-vCPU machine with one
-BLAS thread; a fourth (h = 1/128) adds about 4.5 s.
+reach h = 1/64 and take about 0.6 s on a shared 2-vCPU machine with one
+BLAS thread; a fourth (h = 1/128) adds about 2.3 s.
 """
 
 import argparse

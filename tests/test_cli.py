@@ -2,6 +2,7 @@
 flag/config-file precedence, and exit statuses."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -227,11 +228,19 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["solve", "--n", "6"],                         # node budget
                  ["solve", "--region", "annulus:1,2", "--h", "1e-3"],
                  ["algebra-selftest", "--n", "3", "--checks", "100000000"],  # budget
-                 ["algebra-selftest", "--checks", str(2**17 + 1)]):
+                 ["algebra-selftest", "--checks", str(2**17 + 1)],
+                 ["solve", "--p", "2.5", "--eps-schedule", "inf"],  # not finite
+                 ["solve", "--p", "inf"],
+                 ["solve", "--p", "1e308"],                     # weight overflows
+                 ["solve", "--p", "1.5", "--eps-schedule", "1e-300"],  # eps^2 = 0
+                 ["solve", "--eps-schedule", "nan"]):
         capsys.readouterr()
-        assert run_cli(args) == 2, args
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would add lines
+            assert run_cli(args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert "epsilon = 0" not in err, err
 
 
 def test_quadrature_budget_admits_every_default_run(monkeypatch):
@@ -287,9 +296,11 @@ def test_bad_choice_exits_two():
 
 
 def test_assertion_failure_exits_one(capsys):
-    code = run_cli(["solve", "--p", "1.5", "--max-iter", "1"])
+    # affine data is exact for every p, and the harmonic start solves it
+    code = run_cli(["solve", "--region", "annulus:1,2", "--bc", "radial", "--p", "1.5",
+                    "--max-iter", "1"])
     assert code == 1
-    assert "FAIL" in capsys.readouterr().err
+    assert "FAILED 2/3 checks passed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- rendering

@@ -337,7 +337,7 @@ def test_hessian_product_matches_central_difference_of_gradient(rng, scheme, p, 
 def test_degenerate_gradient_raises():
     dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 0.25)
     u = LatticeField(dom, np.ones(dom.shape))  # all differences vanish
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="flux weight is not finite"):
         energy_gradient(u, 1.5, 0.0)
 
 
@@ -357,6 +357,16 @@ def test_config_validation():
         SolverConfig(p=2.0, max_iter=0)
     with pytest.raises(SolverError):
         SolverConfig(p=2.0, scheme="central")
+    with pytest.raises(SolverError, match="p must be finite"):
+        SolverConfig(p=np.inf)
+    with pytest.raises(SolverError, match="epsilon must be finite"):
+        SolverConfig(p=2.5, epsilon=np.nan)
+    with pytest.raises(SolverError, match="square is positive"):
+        SolverConfig(p=1.5, epsilon=1e-300)  # eps^2 underflows to zero
+    dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 0.25)
+    with pytest.raises(SolverError, match="finite stage values"):
+        solve_dirichlet(dom, linear_bc, SolverConfig(p=1.5, epsilon=1e-6),
+                        schedule=[np.nan, 1e-6])
 
 
 # ----------------------------------------------------------- preconditioner
@@ -433,12 +443,15 @@ def test_p2_box_solve_takes_at_most_two_iterations():
 
 def test_newton_steps_stay_flat_under_refinement():
     # the nonlinear conjugate gradient this replaced needed 153, 236 and
-    # 381 iterations in all; the per-stage maxima measured here are 7-16
+    # 381 iterations in all; the halving continuation from the boundary
+    # mean took 28, 31 and 36 Newton steps, the decades from the harmonic
+    # start take 11 at each level
     for k in (16, 32, 64):
         dom = LatticeDomain.annulus(1.0, 2.0, 1 / k)
         _, diag = solve_dirichlet(dom, radial_bc, SolverConfig(p=1.5, epsilon=1e-6))
         assert diag.converged
         assert max(stage[1] for stage in diag.stages) <= 25
+        assert diag.iterations <= 14
 
 
 def test_annulus_iterations_stay_far_below_unpreconditioned_descent():
@@ -499,7 +512,9 @@ def test_solve_p15_linear_with_continuation():
     u, diag = solve_dirichlet(dom, linear_bc, SolverConfig(p=1.5, epsilon=1e-4))
     exact = dom.coordinates() @ A2
     assert np.max(np.abs(u.values - exact)[dom.interior_mask]) <= 1e-8
-    eps_seq = [s[0] for s in diag.stages]
+    # the first entry is the harmonic start, at p = 2 and eps = 0
+    assert diag.stages[0][0] == 0.0
+    eps_seq = [s[0] for s in diag.stages[1:]]
     assert eps_seq[0] == pytest.approx(0.1)
     assert eps_seq[-1] == pytest.approx(1e-4)
     assert all(b < a for a, b in zip(eps_seq, eps_seq[1:]))
