@@ -9,9 +9,9 @@ scalar and affine Clifford data in 2-D (h = 1/16) and 3-D (h = 1/12); and
 the cube [-1,1]^3 with x^2 - y^2 at h = 1/12.  Each row prints whether
 the solve converged, its stop reason, Newton steps, Hessian products,
 wall time and a digest of the solution and diagnostics, so two versions
-of the solver can be compared row by row.  The whole matrix takes a few
-minutes on a shared 2-vCPU machine with one BLAS thread; p = 1.1 with
-sin 3x cos 2y is the slowest row by far.
+of the solver can be compared row by row.  The whole matrix takes about
+1.5 minutes on a shared 2-vCPU machine with one BLAS thread, 40-60 s of
+it in the slowest row, p = 1.1 with sin 3x cos 2y.
 """
 
 import argparse
@@ -84,15 +84,12 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-iter", type=int, default=5000,
                     help="Newton steps allowed per continuation stage")
-    ap.add_argument("--p", default=",".join(f"{p:g}" for p in EXPONENTS),
-                    help="comma list of exponents to run")
     args = ap.parse_args(argv)
-    exponents = [float(p) for p in args.p.split(",")]
 
     print(f"{'case':<16}{'p':>5}  {'conv':<6}{'reason':<11}{'newton':>7}"
           f"{'hessian':>9}{'wall s':>9}  digest")
     for name, dom, data in cases():
-        for p in exponents:
+        for p in EXPONENTS:
             cfg = SolverConfig(p=p, epsilon=1e-6 if p < 2 else 0.0,
                                max_iter=args.max_iter)
             t0 = time.perf_counter()
