@@ -328,6 +328,11 @@ def resolve_config(args):
     for key in _REQUIRED.get(args.subcommand, ()):
         if params[key] is None:
             raise UsageError(f"--{key} is required for {args.subcommand}")
+    for key, (conv, _default, _help) in spec.items():
+        if conv is float and params[key] is not None and not np.isfinite(params[key]):
+            raise UsageError(f"--{key} must be finite")
+    if params["seed"] < 0:
+        raise UsageError("the seed must be >= 0")
     if params.get("p") is not None and params["p"] <= 1.0:
         raise UsageError("the exponent p must exceed 1")
     if params.get("n") is not None:

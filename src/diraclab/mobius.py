@@ -379,6 +379,14 @@ generator := 'identity' | 'inversion' | 'translate:v1,...,vn'
            | 'dilate:lambda' | 'rotate:i,j,theta'"""
 
 
+def _parameters(text: str) -> list:
+    """The comma-separated real parameters of a generator, all finite."""
+    vals = [float(s) for s in text.split(",")]
+    if not np.all(np.isfinite(vals)):
+        raise MobiusError(f"generator parameters must be finite, got {text!r}")
+    return vals
+
+
 def parse_mobius_expr(expr: str, dim: int) -> VahlenMatrix:
     """Parse a generator word like 'inversion*translate:1,0,0'.
 
@@ -397,17 +405,18 @@ def parse_mobius_expr(expr: str, dim: int) -> VahlenMatrix:
             elif head == "inversion":
                 gen = inversion(dim)
             elif head in ("translate", "translation"):
-                vec = [float(s) for s in args.split(",")]
+                vec = _parameters(args)
                 if len(vec) != dim:
                     raise MobiusError(
                         f"translate needs {dim} components, got {len(vec)}"
                     )
                 gen = translation(dim, vec)
             elif head in ("dilate", "dilation"):
-                gen = dilation(dim, float(args))
+                (lam,) = _parameters(args)
+                gen = dilation(dim, lam)
             elif head in ("rotate", "rotation"):
                 i_s, j_s, theta_s = args.split(",")
-                gen = rotation(dim, int(i_s), int(j_s), float(theta_s))
+                gen = rotation(dim, int(i_s), int(j_s), *_parameters(theta_s))
             else:
                 raise MobiusError(f"unknown generator {head!r}; grammar: {_GRAMMAR}")
         except (ValueError, AlgebraError) as exc:

@@ -36,8 +36,10 @@ class SphereError(FieldError):
 
 
 def sphere_point(v) -> np.ndarray:
-    """Normalize an ambient vector onto the sphere; rejects near-zero input."""
+    """Normalize an ambient vector onto the sphere; rejects near-zero or nan/inf input."""
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise SphereError("cannot normalize a non-finite vector onto the sphere")
     norm = float(np.linalg.norm(v))
     if norm < 1e-13:
         raise SphereError("cannot normalize a near-zero vector onto the sphere")

@@ -2,7 +2,11 @@
 flag/config-file precedence, and exit statuses."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,7 +237,14 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["solve", "--p", "inf"],
                  ["solve", "--p", "1e308"],                     # weight overflows
                  ["solve", "--p", "1.5", "--eps-schedule", "1e-300"],  # eps^2 = 0
-                 ["solve", "--eps-schedule", "nan"]):
+                 ["solve", "--eps-schedule", "nan"],
+                 ["covariance", "--theorem", "3", "--n", "2", "--p", "inf"],
+                 ["covariance", "--theorem", "1", "--p", "inf"],
+                 ["covariance", "--theorem", "1", "--mobius", "translation:nan,0,0"],
+                 ["covariance", "--theorem", "1", "--mobius", "translation:inf,0,0"],
+                 ["solve", "--region", "box:0,nan"],
+                 ["kernel-residual", "--seed", "-1"],           # seed sign
+                 ["cr-check", "--seed", "-1"]):
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would add lines
@@ -241,6 +252,17 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
         assert "epsilon = 0" not in err, err
+    # a non-finite pole once sent the clear-point draw into an endless loop,
+    # so these run in a child process that a hang fails instead of stalling
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for pole in ("nan,0,1", "inf,0,1"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "diraclab.cli", "sphere-check", "--y", pole],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
 
 
 def test_quadrature_budget_admits_every_default_run(monkeypatch):
