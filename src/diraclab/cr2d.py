@@ -16,6 +16,12 @@ part of Cl_2; the even part gives the equivalent unconjugated pairing
 against the zbar-derivative.  Pairing the conjugated flux against the
 zbar-derivative instead mixes the two reductions and is not solved by
 holomorphic fluxes, so it is not used.
+
+`weakform.weak_pairing` computes it as that Clifford pairing.  With the
+encoding enc(u + iv) = u - v e_12 (e_2 e_1 <-> i), Clifford conjugation of
+enc(w) is enc(conj(w)), and xi = c phi is the planar bump phi B with odd
+blade B = -e_1 enc(c), for which D(phi B) = grad(phi) B = enc(2 d xi / d z);
+the pairing of enc(flux) is thus twice the complex one, exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector
+from .algebra import Multivector, geometric_product
 from .fields import (
     NORM_CUTOFF,
     AnalyticField,
@@ -34,7 +40,7 @@ from .fields import (
     power_scale,
     richardson_step,
 )
-from .weakform import BumpTestFunction, mollifier, random_bump, support_quadrature
+from .weakform import BumpTestFunction, random_bump, support_blocks, weak_pairing
 
 
 class CRError(FieldError):
@@ -97,30 +103,20 @@ def wirtinger_polynomial(terms: dict, name: str = "zzbar-polynomial") -> Complex
     """The mixed polynomial sum c_{jk} z^j zbar^k over terms {(j, k): c}."""
     terms = {(int(j), int(k)): complex(c) for (j, k), c in terms.items()}
 
-    def ev(z):
-        zb = np.conj(z)
-        out = np.zeros_like(z)
-        for (j, k), c in terms.items():
-            out = out + c * z**j * zb**k
-        return out
+    def derivative(dj, dk):
+        """z -> d^dj/dz^dj d^dk/dzbar^dk of the sum, for dj, dk in {0, 1}."""
 
-    def dz(z):
-        zb = np.conj(z)
-        out = np.zeros_like(z)
-        for (j, k), c in terms.items():
-            if j:
-                out = out + c * j * z ** (j - 1) * zb**k
-        return out
+        def ev(z):
+            zb = np.conj(z)
+            out = np.zeros_like(z)
+            for (j, k), c in terms.items():
+                if j >= dj and k >= dk:
+                    out = out + c * (j**dj * k**dk) * z ** (j - dj) * zb ** (k - dk)
+            return out
 
-    def dzbar(z):
-        zb = np.conj(z)
-        out = np.zeros_like(z)
-        for (j, k), c in terms.items():
-            if k:
-                out = out + c * k * z**j * zb ** (k - 1)
-        return out
+        return ev
 
-    return ComplexField(ev, dz, dzbar, (), name=name)
+    return ComplexField(derivative(0, 0), derivative(1, 0), derivative(0, 1), (), name=name)
 
 
 def p_cr_solution(p: float, center: complex = 0j) -> ComplexField:
@@ -163,22 +159,22 @@ def p_cr_solution(p: float, center: complex = 0j) -> ComplexField:
     return ComplexField(ev, dz, dzbar, (c,), name=f"cr-solution-p{p:g}")
 
 
+def _encode(vals, batch=()) -> Multivector:
+    """u + iv as the Cl_2 even element u - v e_12 (e_2 e_1 = -e_12 <-> i),
+    broadcast over batch."""
+    vals = np.asarray(vals)
+    coeffs = np.zeros(np.broadcast_shapes(vals.shape, batch) + (4,))
+    coeffs[..., 0] = vals.real
+    coeffs[..., 3] = -vals.imag
+    return Multivector(2, coeffs, copy=False)
+
+
 def even_encoding(g: ComplexField) -> AnalyticField:
-    """The Cl_2 even-subalgebra field matching g under e_2 e_1 <-> i.
-
-    e_2 e_1 = -e_12, so u + iv encodes with scalar coefficient u and
-    e_12 coefficient -v.
-    """
-
-    def pack(vals, batch):
-        coeffs = np.zeros(batch + (4,))
-        coeffs[..., 0] = vals.real
-        coeffs[..., 3] = -vals.imag
-        return Multivector(2, coeffs)
+    """The Cl_2 even-subalgebra field matching g under `_encode`."""
 
     def ev(pts):
         z = pts[..., 0] + 1j * pts[..., 1]
-        return pack(g(z), pts.shape[:-1])
+        return _encode(g(z), pts.shape[:-1])
 
     gr = None
     if g.has_dz and g.has_dzbar:
@@ -187,7 +183,7 @@ def even_encoding(g: ComplexField) -> AnalyticField:
             z = pts[..., 0] + 1j * pts[..., 1]
             gz, gzb = g.dz(z), g.dzbar(z)
             batch = pts.shape[:-1]
-            return [pack(gz + gzb, batch), pack(1j * (gz - gzb), batch)]
+            return [_encode(gz + gzb, batch), _encode(1j * (gz - gzb), batch)]
 
     return AnalyticField(
         2, ev, gr, tuple((s.real, s.imag) for s in g.singular_points), name=g.name
@@ -272,60 +268,12 @@ def transfer_identity_check(
 # -------------------------------------------------------------- weak form
 
 
-@dataclass(frozen=True)
-class ComplexBump:
-    """Smooth compactly supported complex test function on the plane.
-
-    xi(z) = coefficient * exp(-1/(1 - |z - center|^2/radius^2)) inside the
-    support disc and 0 outside; the Wirtinger derivatives are closed-form.
-    """
-
-    center: complex
-    radius: float
-    coefficient: complex = 1.0 + 0j
-    label: str = "bump"
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise CRError("bump radius must be positive")
-
-    def _twin(self) -> BumpTestFunction:
-        c = complex(self.center)
-        return BumpTestFunction(
-            2, (c.real, c.imag), self.radius, Multivector.scalar(2, 1.0),
-            label=self.label,
-        )
-
-    def _factor(self, z):
-        """The profile and d profile / d |z - center|^2 at z."""
-        prof, dprof = mollifier(np.abs(z - self.center) ** 2 / self.radius**2)
-        return prof, dprof / self.radius**2
-
-    def __call__(self, z) -> np.ndarray:
-        prof, _ = self._factor(np.asarray(z, dtype=complex))
-        return self.coefficient * prof
-
-    def dz(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        _, fac = self._factor(z)
-        return self.coefficient * fac * np.conj(z - self.center)
-
-    def dzbar(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        _, fac = self._factor(z)
-        return self.coefficient * fac * (z - self.center)
-
-    def as_field(self) -> ComplexField:
-        return ComplexField(self.__call__, self.dz, self.dzbar, (), name=self.label)
-
-    def require_support_inside(self, domain: Domain) -> "ComplexBump":
-        self._twin().require_support_inside(domain)
-        return self
-
-    def quadrature(self, order: int = 12):
-        """Support-fitted nodes (complex) and weights over the bump disc."""
-        nodes, w = support_quadrature(self._twin(), order)
-        return nodes[:, 0] + 1j * nodes[:, 1], w
+def complex_bump(center, radius: float, coefficient=1.0, label: str = "bump"):
+    """The complex test function xi = coefficient * phi(|z - center|^2 /
+    radius^2) as the planar bump phi B with odd blade B = -e_1 enc(coefficient)."""
+    c = complex(center)
+    blade = geometric_product(Multivector.basis_vector(2, 1), _encode(-complex(coefficient)))
+    return BumpTestFunction(2, (c.real, c.imag), radius, blade, label=label)
 
 
 def default_complex_bumps(domain: Domain, seed: int = 42, count: int = 5):
@@ -337,35 +285,34 @@ def default_complex_bumps(domain: Domain, seed: int = 42, count: int = 5):
     for i in range(count):
         twin = random_bump(domain, rng, blade=Multivector.scalar(2, 1.0))
         w = rng.normal() + 1j * rng.normal()
-        out.append(
-            ComplexBump(
-                complex(*twin.center), twin.radius, w / abs(w), label=f"rand-{i}"
-            )
-        )
+        out.append(complex_bump(complex(*twin.center), twin.radius, w / abs(w), f"rand-{i}"))
     return out
 
 
-def _cr_pairing(flux: ComplexField, xi: ComplexBump, order: int):
+def _cr_pairing(flux: ComplexField, xi: BumpTestFunction, order: int):
     """(raw, normalizer): the quadratures of conj(flux) * d xi / d z and of
-    |flux| |d xi / d z| over the support of xi."""
-    z, w = xi.quadrature(order)
-    vals = flux(z)
-    if not np.all(np.isfinite(vals)):
-        raise CRError(f"{flux.name!r} is singular on the support of {xi.label!r}")
-    dxi = xi.dz(z)
-    raw = complex(np.sum(w * np.conj(vals) * dxi))
-    return raw, float(np.sum(w * np.abs(vals) * np.abs(dxi)))
+    |flux| |d xi / d z| over the support of xi, halved from the Clifford
+    pairing of enc(flux), which sums enc(2 R) and 2 N."""
+
+    def block(x, w):
+        vals = flux(x[:, 0] + 1j * x[:, 1])
+        if not np.all(np.isfinite(vals)):
+            raise CRError(f"{flux.name!r} is singular on the support of {xi.label!r}")
+        return _encode(vals, w.shape), np.abs(vals), xi.profile_gradient(x), w
+
+    raw, total = weak_pairing(support_blocks(xi, order), block, xi.blade)
+    return complex(0.5 * raw[0], -0.5 * raw[3]), 0.5 * float(total)
 
 
 def weak_cr_residual(
-    g: ComplexField, p: float, xi: ComplexBump, order: int = 12
+    g: ComplexField, p: float, xi: BumpTestFunction, order: int = 12
 ) -> complex:
     """Quadrature of conj(|g|^(p-2) g) * d xi / d z over the support."""
     return _cr_pairing(_flux(g, p), xi, order)[0]
 
 
 def normalized_weak_cr_residual(
-    g: ComplexField, p: float, xi: ComplexBump, order: int = 12
+    g: ComplexField, p: float, xi: BumpTestFunction, order: int = 12
 ) -> float:
     """|weak residual| scaled by the quadrature of |flux| |d xi / d z|."""
     raw, normalizer = _cr_pairing(_flux(g, p), xi, order)
@@ -386,29 +333,13 @@ def composed_flux(g: ComplexField, f: ComplexField, p: float) -> ComplexField:
     return ComplexField(ev, None, None, (), name=f"{g.name} through {f.name}")
 
 
-def theorem5_experiment(
-    g: ComplexField,
-    f: ComplexField,
-    p: float,
-    domain: Domain,
-    seed: int = 42,
-    order: int = 12,
-    count: int = 5,
-) -> list:
+def theorem5_experiment(g: ComplexField, f: ComplexField, p: float, domain: Domain,
+                        seed: int = 42, order: int = 12, count: int = 5) -> list:
     """Residual table of the composition covariance over a bump family."""
-    rows = []
-    W = composed_flux(g, f, p)
+    W, rows = composed_flux(g, f, p), []
     for xi in default_complex_bumps(domain, seed=seed, count=count):
-        xi.require_support_inside(domain)
-        raw, normalizer = _cr_pairing(W, xi, order)
-        rows.append(
-            {
-                "eta": xi.label,
-                "p": float(p),
-                "map": f.name,
-                "residual": abs(raw),
-                "normalizer": normalizer,
-                "normalized": abs(raw) / max(normalizer, 1e-300),
-            }
-        )
+        raw, normalizer = _cr_pairing(W, xi.require_support_inside(domain), order)
+        rows.append({"eta": xi.label, "p": float(p), "map": f.name, "residual": abs(raw),
+                     "normalizer": normalizer,
+                     "normalized": abs(raw) / max(normalizer, 1e-300)})
     return rows

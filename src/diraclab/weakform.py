@@ -19,8 +19,10 @@ twisted-derivative (frame-conjugated) forms.  The box-tensor
 domain and order, so its grid is built only when it is read.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
-flat residuals, the covariance experiments, the divergence oracle and the
-spherical residuals all call it, and all take one path.  Every bump's
+flat residuals, the covariance experiments, the divergence oracle, the
+spherical residuals and the planar Cauchy-Riemann residuals (`cr2d`, which
+pairs the even encoding of a complex flux against an odd-blade bump) all
+call it, and all take one path.  Every bump's
 derivative factors as D eta = l(x) * B with l a vector and B the bump's
 constant blade (l is the profile gradient for a flat bump, and the vector
 v of `sphere.CapBump.dirac_vector` for a cap bump), so the pairing takes a

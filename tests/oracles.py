@@ -148,3 +148,19 @@ def joined(blocks):
     """All nodes and weights of a block stream, concatenated."""
     nodes, w = zip(*blocks)
     return np.concatenate(nodes), np.concatenate(w, axis=-1)
+
+
+def cr_pairing_oracle(flux, center, radius, coefficient, nodes, w):
+    """Whole-rule sums R = sum w conj(F) dxi/dz and N = sum w |F| |dxi/dz|
+    for xi = c exp(-1/(1 - t)), t = |z - z0|^2 / r^2, over the (M, 2) nodes
+    at once, with the closed form dxi/dz = c phi'(t) / r^2 conj(z - z0)."""
+    z = nodes[:, 0] + 1j * nodes[:, 1]
+    d = z - center
+    t = np.abs(d) ** 2 / radius**2
+    inside = t < 1.0
+    s = 1.0 / (1.0 - t[inside])
+    dphi = np.zeros_like(t)
+    dphi[inside] = -np.exp(-s) * s * s
+    dxi = coefficient * dphi / radius**2 * np.conj(d)
+    vals = flux(z)
+    return complex(np.sum(w * np.conj(vals) * dxi)), float(np.sum(w * np.abs(vals) * np.abs(dxi)))

@@ -3,14 +3,18 @@ radial solution family and its flux structure, the derivative-transfer
 identity, the holomorphic-composition covariance, and consistency with the
 Cl_2 Dirac operator under the even-subalgebra encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diraclab.algebra import Multivector, geometric_product
 from diraclab.cr2d import (
-    ComplexBump,
     ComplexField,
     CRError,
+    _cr_pairing,
+    _flux,
+    complex_bump,
     composed_flux,
     dbar_fd,
     default_complex_bumps,
@@ -32,7 +36,8 @@ from diraclab.fields import (
     VanishingNormError,
     dirac_fd,
 )
-from diraclab.weakform import SupportError
+from diraclab.weakform import SupportError, WeakFormError, support_quadrature
+from oracles import cr_pairing_oracle
 
 RING = Domain.annulus([0.0, 0.0], 0.5, 1.5)
 
@@ -175,28 +180,41 @@ def test_transfer_identity_rejects_critical_points():
 # -------------------------------------------------------------- weak form
 
 
-def test_complex_bump_derivatives_match_fd(rng):
-    xi = ComplexBump(0.3 - 0.2j, 0.8, coefficient=1.0 - 2.0j)
-    z = 0.3 - 0.2j + 0.5 * shell(rng, 8, 0.1, 0.9)
-    f = xi.as_field()
-    assert np.max(np.abs(xi.dz(z) - dz_fd(f, z, h=1e-5))) <= 1e-8
-    assert np.max(np.abs(xi.dzbar(z) - dbar_fd(f, z, h=1e-5))) <= 1e-8
-    outside = np.array([2.0 + 0j, 0.3 + 0.7j])
-    assert np.all(xi(outside) == 0) and np.all(xi.dz(outside) == 0)
+@pytest.mark.parametrize("coefficient", [1.0, 0.3 - 1.7j])
+def test_cr_pairing_matches_the_whole_rule_complex_sum(coefficient):
+    """The streamed Clifford pairing, halved, against the complex sum of
+    conj(F) d xi / d z over the whole rule at once, on a non-solution flux."""
+    flux = _flux(wirtinger_polynomial({(2, 1): 1.0 + 0.5j, (0, 2): 0.75j, (1, 0): -2.0}), 2.5)
+    xi = complex_bump(0.2 + 0.1j, 0.7, coefficient)
+    nodes, w = support_quadrature(xi, 12)
+    want_raw, want_norm = cr_pairing_oracle(flux, 0.2 + 0.1j, 0.7, coefficient, nodes, w)
+    raw, normalizer = _cr_pairing(flux, xi, 12)
+    assert abs(want_raw) > 1e-2
+    assert abs(raw - want_raw) <= 1e-13 * abs(want_raw)
+    assert abs(normalizer - want_norm) <= 1e-13 * want_norm
 
 
-def test_complex_bump_quadrature_weight_sum_is_disc_area():
-    xi = ComplexBump(1.0 + 1.0j, 0.5)
-    _, w = xi.quadrature(order=6)
-    assert float(np.sum(w)) == pytest.approx(np.pi * 0.25, rel=1e-13)
+def test_cr_pairing_memory_does_not_grow_with_the_order():
+    """A disc pairing streams its nodes: its traced peak at order 48
+    (147,456 nodes) stays within 1.5x of its peak at order 24."""
+    g, xi = p_cr_solution(2.0), default_complex_bumps(RING, seed=42)[0]
+    peaks = []
+    for order in (24, 48):
+        tracemalloc.start()
+        try:
+            normalized_weak_cr_residual(g, 2.0, xi, order=order)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_complex_bump_validation():
-    with pytest.raises(CRError):
-        ComplexBump(0j, 0.0)
+    with pytest.raises(WeakFormError):
+        complex_bump(0j, 0.0)
     with pytest.raises(SupportError):
-        ComplexBump(0j, 0.2).require_support_inside(RING)
-    ComplexBump(1.0 + 0j, 0.2).require_support_inside(RING)
+        complex_bump(0j, 0.2).require_support_inside(RING)
+    complex_bump(1.0 + 0j, 0.2).require_support_inside(RING)
 
 
 def test_default_complex_bumps_family(rng):
@@ -204,7 +222,7 @@ def test_default_complex_bumps_family(rng):
     assert [b.label for b in bumps] == ["rand-0", "rand-1", "rand-2", "rand-3"]
     for b in bumps:
         b.require_support_inside(RING)
-        assert abs(b.coefficient) == pytest.approx(1.0)
+        assert b.blade.norm() == pytest.approx(1.0)
     with pytest.raises(CRError):
         default_complex_bumps(Domain.ball([0.0, 0.0, 0.0], 1.0))
 
@@ -269,7 +287,8 @@ def test_theorem5_zero_field_gives_zero():
 def test_theorem5_rejects_critical_points_on_the_support():
     g = p_cr_solution(2.0, center=-3.0 + 0j)
     f = polynomial_map([3.0, 0.0, 1.0], name="z^2+3")
-    z, _ = ComplexBump(0j, 0.3).quadrature()  # centred on the critical point of f
+    nodes = support_quadrature(complex_bump(0j, 0.3), 12)[0]  # centred on the critical point of f
+    z = nodes[:, 0] + 1j * nodes[:, 1]
     with pytest.raises(CRError):
         composed_flux(g, f, 2.0)(z)
 

@@ -92,7 +92,6 @@ def test_bump_families_are_finite_and_exactly_zero_from_the_edge_out():
     """Every bump family, and its derivatives, at the centre, at the last
     float inside the support, on the edge and far outside: no floating
     point warning, finite values, and exactly 0 from the edge outward."""
-    from diraclab.cr2d import ComplexBump
     from diraclab.sphere import CapBump
 
     below = np.nextafter(1.0, 0.0)
@@ -106,8 +105,6 @@ def test_bump_families_are_finite_and_exactly_zero_from_the_edge_out():
     unit = cap_pts / np.linalg.norm(cap_pts, axis=-1, keepdims=True)
     t = np.sum((unit - np.array(cap.center)) ** 2, axis=-1)
     assert t[1] < 1.0 and t[2] == 1.0
-    disc = ComplexBump(0j, 1.0, 0.6 + 0.8j)
-    disc_pts = np.array([0.0, below, 1.0, 40.0]) + 0j
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -115,13 +112,11 @@ def test_bump_families_are_finite_and_exactly_zero_from_the_edge_out():
             flat(flat_pts).coeffs, flat.dirac(flat_pts).coeffs,
             *(d.coeffs for d in flat.partials(flat_pts)),
             cap(cap_pts).coeffs, cap.dirac_vector(cap_pts), cap.dirac(cap_pts).coeffs,
-            disc(disc_pts), disc.dz(disc_pts), disc.dzbar(disc_pts),
         ]
     for v in values:
         assert np.all(np.isfinite(v))
         assert np.all(v[2:] == 0.0)
     assert flat.profile(flat_pts)[0] == math.exp(-1.0)
-    assert disc(disc_pts)[0] == (0.6 + 0.8j) * math.exp(-1.0)
 
 
 def test_bump_partials_match_finite_differences(rng):
