@@ -467,7 +467,9 @@ def run_algebra_selftest(params):
 _QUADRATURE_BUDGET = 1 << 27
 # the twisted-harmonic scan's cost per node-blade, in flat pairings: at
 # n = 4, order 8 (3 passes each) covariance --theorem 3 took 12.2 s and
-# --theorem 1 4.3 s.  Cap and disc pairings cost less and keep weight 1.
+# --theorem 1 4.3 s.  Cap and disc pairings keep weight 1: sphere-check --n 4
+# (1.0e8) took 8.3 s and cr-check --order 186 (1.3e8) 14.1 s, so a disc
+# pairing costs about 1.3x a cap pairing per node-blade, against 3 for the scan.
 _TWISTED_WEIGHT = 3
 
 

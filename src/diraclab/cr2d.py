@@ -290,7 +290,7 @@ def default_complex_bumps(domain: Domain, seed: int = 42, count: int = 5):
 
 
 def _cr_pairing(flux: ComplexField, xi: BumpTestFunction, order: int):
-    """(raw, normalizer): the quadratures of conj(flux) * d xi / d z and of
+    """(R, N): the quadratures of conj(flux) * d xi / d z and of
     |flux| |d xi / d z| over the support of xi, halved from the Clifford
     pairing of enc(flux), which sums enc(2 R) and 2 N."""
 

@@ -131,7 +131,7 @@ class LatticeDomain:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise SolverError("box corners must be vectors of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not np.isfinite([lo, hi]).all():
             raise SolverError("box corners must be finite")
         if not h > 0:
             raise SolverError("spacing must be positive")
