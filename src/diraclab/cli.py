@@ -132,8 +132,7 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _report(checks, stream=None):
-    stream = stream if stream is not None else sys.stderr
+def _report(checks):
     for c in checks:
         status = c["status"].upper()
         parts = [f"{status:6s} {c['check']}"]
@@ -141,10 +140,10 @@ def _report(checks, stream=None):
             parts.append(f"value={_fmt_cell(c['value'])}")
         if c["tolerance"] is not None:
             parts.append(f"tolerance={_fmt_cell(c['tolerance'])}")
-        stream.write("  ".join(parts) + "\n")
+        sys.stderr.write("  ".join(parts) + "\n")
     failed = sum(1 for c in checks if c["status"] == "fail")
     graded = sum(1 for c in checks if c["status"] != "report")
-    stream.write(
+    sys.stderr.write(
         f"{'FAILED' if failed else 'OK'} "
         f"{graded - failed}/{graded} checks passed\n"
     )
@@ -208,12 +207,23 @@ def _positive_int(s):
     return v
 
 
+def _choice(*allowed):
+    """Converter accepting only the listed values, in flags and config files."""
+    def convert(s):
+        v = type(allowed[0])(s)
+        if v not in allowed:
+            raise argparse.ArgumentTypeError(
+                f"{s!r} is not one of {', '.join(map(str, allowed))}")
+        return v
+    return convert
+
+
 # name -> (converter, default, help); every flag defaults to None at parse
 # time so config-file values can slot in underneath explicit flags
 _COMMON = {
     "seed": (int, 42, "RNG seed for sampled points and bump placement"),
     "out": (str, None, "write the result table to this path (default stdout)"),
-    "format": (str, "csv", "table format: csv or json"),
+    "format": (_choice("csv", "json"), "csv", "table format: csv or json"),
     "config": (str, None, "key = value file supplying flag defaults"),
 }
 
@@ -222,7 +232,7 @@ _SPECS = {
         "n": (int, None, "single algebra dimension (default: sweep 2..6)"),
         "checks": (_positive_int, 1000, "random samples per property"),
         **_COMMON,
-        "format": (str, "json", "table format: csv or json"),
+        "format": (_choice("csv", "json"), "json", "table format: csv or json"),
     },
     "kernel-residual": {
         "n": (int, 3, "ambient dimension"),
@@ -230,7 +240,7 @@ _SPECS = {
         **_COMMON,
     },
     "covariance": {
-        "theorem": (int, None, "numbered covariance mode 1-4 (required)"),
+        "theorem": (_choice(1, 2, 3, 4), None, "numbered covariance mode 1-4 (required)"),
         "n": (int, 3, "ambient dimension"),
         "p": (float, None, "nonlinearity exponent (mode-dependent default)"),
         "mobius": (str, "inversion",
@@ -279,15 +289,8 @@ def build_parser():
     for name, spec in _SPECS.items():
         sub = subs.add_parser(name, help=spec_summary(name))
         for key, (conv, _default, help_text) in spec.items():
-            flag = "--" + key.replace("_", "-")
-            if key == "format":
-                sub.add_argument(flag, default=None, choices=("csv", "json"),
-                                 help=help_text)
-            elif key == "theorem":
-                sub.add_argument(flag, default=None, type=int,
-                                 choices=(1, 2, 3, 4), help=help_text)
-            else:
-                sub.add_argument(flag, default=None, type=conv, help=help_text)
+            sub.add_argument("--" + key.replace("_", "-"), default=None, type=conv,
+                             help=help_text)
     return top
 
 
@@ -309,13 +312,17 @@ def resolve_config(args):
     file_table = {}
     if args.config is not None:
         file_table = read_config_file(args.config)
+    # a key of another subcommand stays valid, so one file serves several
+    unknown = sorted(set(file_table).difference(*_SPECS.values()))
+    if unknown:
+        raise UsageError(f"config keys that are no subcommand's flag: {', '.join(unknown)}")
     params = {}
     for key, (conv, default, _help) in spec.items():
         value = getattr(args, key)
         if value is None and key in file_table:
             try:
                 value = conv(file_table[key])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(
                     f"config value {key} = {file_table[key]!r}: {exc}"
                 ) from exc
@@ -323,8 +330,6 @@ def resolve_config(args):
             value = default
         params[key] = value
     params.pop("config", None)
-    if params.get("format") not in (None, "csv", "json"):
-        raise UsageError(f"unknown format {params['format']!r}")
     for key in _REQUIRED.get(args.subcommand, ()):
         if params[key] is None:
             raise UsageError(f"--{key} is required for {args.subcommand}")

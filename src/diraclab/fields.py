@@ -46,6 +46,7 @@ class DomainError(FieldError):
 
 
 NORM_CUTOFF = 1e-10
+_CLEARANCE = 1e-3  # the least distance validate_clearance accepts
 
 
 # ------------------------------------------------------------------ fields
@@ -355,16 +356,16 @@ class Domain:
         c = np.array(self.center)
         return c - self.outer, c + self.outer
 
-    def contains(self, pts, shrink: float = 0.0):
-        """Boolean mask of points inside the domain (shrunk by `shrink`)."""
+    def contains(self, pts):
+        """Boolean mask of the points in the closed domain."""
         pts = np.asarray(pts, dtype=float)
         if self.kind == "box":
             lo, hi = np.array(self.lo), np.array(self.hi)
-            return np.all((pts >= lo + shrink) & (pts <= hi - shrink), axis=-1)
+            return np.all((pts >= lo) & (pts <= hi), axis=-1)
         r = np.linalg.norm(pts - np.array(self.center), axis=-1)
-        inside = r <= self.outer - shrink
+        inside = r <= self.outer
         if self.kind == "annulus":
-            inside &= r >= self.inner + shrink
+            inside &= r >= self.inner
         return inside
 
     def grid_scan(self, per_axis: int = 9):
@@ -374,42 +375,36 @@ class Domain:
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         return mesh[self.contains(mesh)]
 
-    def sample_interior(self, rng, count: int, shrink: float = 0.0):
+    def sample_interior(self, rng, count: int):
         """Rejection-sample `count` interior points."""
         lo, hi = self.bounding_box()
         out = []
         for _ in range(10000):
             pts = rng.uniform(lo, hi, size=(4 * count, self.dim))
-            pts = pts[self.contains(pts, shrink=shrink)]
+            pts = pts[self.contains(pts)]
             out.extend(pts)
             if len(out) >= count:
                 return np.array(out[:count])
         raise DomainError("interior sampling failed; domain too thin?")
 
 
-def validate_clearance(
-    domain: Domain,
-    singular_points=(),
-    mobius: VahlenMatrix = None,
-    margin: float = 1e-3,
-    per_axis: int = 9,
-):
+def validate_clearance(domain: Domain, singular_points=(), mobius: VahlenMatrix = None):
     """Grid-scan the domain closure for singularities and map poles.
 
-    Raises DomainError if any scanned point of the closure comes within
-    `margin` of a declared singular point, or if |c x + d| falls below
-    `margin` (the transformation-hypothesis check).
+    Raises DomainError if any point of the closure's 9-per-axis scan comes
+    within 1e-3 of a declared singular point, or if |c x + d| falls below
+    1e-3 there (the transformation-hypothesis check).
     """
-    pts = domain.grid_scan(per_axis=per_axis)
+    pts = domain.grid_scan()
     for s in singular_points:
         dist = np.linalg.norm(pts - np.asarray(s, dtype=float), axis=-1)
-        if np.min(dist) < margin:
+        if np.min(dist) < _CLEARANCE:
             raise DomainError(
                 f"domain comes within {np.min(dist):.2e} of singular point {s}"
             )
     if mobius is not None:
         nn = denominator(mobius, Multivector.from_vector(domain.dim, pts)).norm()
-        if np.min(nn) < margin:
+        if np.min(nn) < _CLEARANCE:
             raise DomainError(
                 f"|c x + d| falls to {float(np.min(nn)):.2e} on the domain closure"
             )

@@ -22,7 +22,7 @@ and the conformal differential dM_x(v) = u v reversion(u) / |c x + d|^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class VahlenMatrix:
     d: Multivector
     provenance: tuple = ()
     entry_certified: bool = True
-    factor_certificates: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in "abcd":
@@ -171,15 +170,7 @@ def rotation(dim: int, i: int, j: int, theta: float) -> VahlenMatrix:
     )
     a = factors.product()
     zero = Multivector.zero(dim)
-    return VahlenMatrix(
-        dim,
-        a,
-        zero,
-        zero,
-        a,
-        provenance=(f"rotate:{i},{j},{theta:g}",),
-        factor_certificates={"a": factors, "d": factors},
-    )
+    return VahlenMatrix(dim, a, zero, zero, a, provenance=(f"rotate:{i},{j},{theta:g}",))
 
 
 def rotation_from_factors(dim: int, factors: VectorFactorList) -> VahlenMatrix:
@@ -189,15 +180,8 @@ def rotation_from_factors(dim: int, factors: VectorFactorList) -> VahlenMatrix:
     a = factors.product()
     sign = -1.0 if len(factors) % 2 else 1.0
     zero = Multivector.zero(dim)
-    return VahlenMatrix(
-        dim,
-        a,
-        zero,
-        zero,
-        sign * a,
-        provenance=(f"pin[{len(factors)} factors]",),
-        factor_certificates={"a": factors, "d": factors},
-    )
+    return VahlenMatrix(dim, a, zero, zero, sign * a,
+                        provenance=(f"pin[{len(factors)} factors]",))
 
 
 def make_generator(dim: int, kind: str, **params) -> VahlenMatrix:
@@ -269,14 +253,14 @@ class VahlenValidation:
     passes: bool
 
 
-def validate_vahlen(m: VahlenMatrix, tol: float = 1e-10) -> VahlenValidation:
+def validate_vahlen(m: VahlenMatrix) -> VahlenValidation:
     """Numerical residuals for the entry-product conditions.
 
     condition (ii): reversion(a)c, reversion(c)d, reversion(d)b and
     reversion(b)a must be grade-1 or zero -- reported as the off-grade-1
     coefficient mass relative to max(1, product norm).  condition (iii):
     the pseudo-determinant reversion(a)d - reversion(b)c must equal 1 --
-    reported as the absolute coefficient distance.
+    reported as the absolute coefficient distance.  Both pass at 1e-10.
     """
     pairs = {
         "rev(a)c": m.a.reversion() * m.c,
@@ -290,7 +274,7 @@ def validate_vahlen(m: VahlenMatrix, tol: float = 1e-10) -> VahlenValidation:
         residuals_ii[name] = float(off.norm()) / max(1.0, float(prod.norm()))
     det = m.a.reversion() * m.d - m.b.reversion() * m.c
     residual_iii = float((det - Multivector.scalar(m.dim, 1.0)).norm())
-    passes = residual_iii <= tol and all(v <= tol for v in residuals_ii.values())
+    passes = residual_iii <= 1e-10 and all(v <= 1e-10 for v in residuals_ii.values())
     return VahlenValidation(residuals_ii, residual_iii, passes)
 
 
@@ -302,22 +286,23 @@ def denominator(m: VahlenMatrix, x: Multivector) -> Multivector:
     return m.c * x + m.d
 
 
-def _check_poles(g: Multivector, pole_tol: float):
-    if np.any(g.norm() <= pole_tol):
+_POLE_TOL = 1e-12  # the evaluators refuse points with |c x + d| at or below it
+
+
+def _check_poles(g: Multivector):
+    if np.any(g.norm() <= _POLE_TOL):
         raise PoleError(
             f"denominator norm fell to {float(np.min(g.norm())):.3e} "
-            f"(tolerance {pole_tol:g})"
+            f"(tolerance {_POLE_TOL:g})"
         )
 
 
-def apply_mobius(
-    m: VahlenMatrix, x: Multivector, pole_tol: float = 1e-12
-) -> Multivector:
+def apply_mobius(m: VahlenMatrix, x: Multivector) -> Multivector:
     """Evaluate M(x) = (a x + b)(c x + d)^{-1} at grade-1 x (batched ok)."""
     g = denominator(m, x)
-    _check_poles(g, pole_tol)
+    _check_poles(g)
     num = m.a * x + m.b
-    out = num * lipschitz_element_inverse(g, validate=True)
+    out = num * lipschitz_element_inverse(g)
     vec = out.grade_select(1)
     off = float(np.max((out - vec).norm(), initial=0.0))
     if off > 1e-10 * max(1.0, float(np.max(out.norm(), initial=0.0))):
@@ -325,16 +310,16 @@ def apply_mobius(
     return vec
 
 
-def map_points(m: VahlenMatrix, points: np.ndarray, pole_tol: float = 1e-12):
+def map_points(m: VahlenMatrix, points: np.ndarray):
     """Convenience wrapper: (..., n) coordinate array in, same shape out."""
     x = Multivector.from_vector(m.dim, points)
-    return apply_mobius(m, x, pole_tol=pole_tol).vector_part()
+    return apply_mobius(m, x).vector_part()
 
 
-def jacobian_factors(m: VahlenMatrix, x: Multivector, pole_tol: float = 1e-12):
+def jacobian_factors(m: VahlenMatrix, x: Multivector):
     """(J1, Jm1) at x; J1 equals |c x + d|^2 * Jm1 by construction."""
     g = denominator(m, x)
-    _check_poles(g, pole_tol)
+    _check_poles(g)
     nn = g.norm()
     rev = g.reversion()
     jm1 = rev / nn ** (m.dim + 2)
@@ -342,10 +327,10 @@ def jacobian_factors(m: VahlenMatrix, x: Multivector, pole_tol: float = 1e-12):
     return j1, jm1
 
 
-def frame_at(m: VahlenMatrix, x: Multivector, pole_tol: float = 1e-12) -> FramePoint:
+def frame_at(m: VahlenMatrix, x: Multivector) -> FramePoint:
     """Unit frame, scale |c x + d| and parity sigma at x."""
     g = denominator(m, x)
-    _check_poles(g, pole_tol)
+    _check_poles(g)
     nn = g.norm()
     u = g / nn
     sig = parity(g)
@@ -359,10 +344,10 @@ def sigma(m: VahlenMatrix, x: Multivector) -> int:
     return frame_at(m, x).sigma
 
 
-def jacobian_determinant(m: VahlenMatrix, x: Multivector, pole_tol: float = 1e-12):
+def jacobian_determinant(m: VahlenMatrix, x: Multivector):
     """|det dM_x| = |c x + d|^{-2 dim}."""
     g = denominator(m, x)
-    _check_poles(g, pole_tol)
+    _check_poles(g)
     return g.norm() ** (-2 * m.dim)
 
 

@@ -1,30 +1,30 @@
 """Lattice minimization of the p-Dirichlet energy with Dirichlet data.
 
-The energy is sum over base nodes of h^n (|D_h u|^2 + eps^2)^(p/2) with
-D_h a one-sided-difference Dirac operator sum_j e_j (u(x + h e_j) - u(x))/h
-(forward; the backward operator differences against x - h e_j).  Base
-nodes are the lattice nodes whose whole one-sided stencil stays inside
-the node set; on a box this makes every lattice edge that touches an
-unknown appear exactly once, so the first-order conditions at interior
-nodes are the symmetric (2n+1)-point stencils and discrete harmonic
-quadratics are exact critical points.  (Summing over interior nodes only
-would drop edges based at the lower boundary and bias the stencils by
-O(h) there.)
+The energy is the average of the forward and backward one-sided
+energies.  Each is a sum over its base nodes of h^n (|D_h u|^2 + eps^2)^(p/2)
+with D_h a one-sided-difference Dirac operator
+sum_j e_j (u(x + h e_j) - u(x))/h (forward; the backward operator
+differences against x - h e_j).  Base nodes are the lattice nodes whose
+whole one-sided stencil stays inside the node set; on a box this makes
+every lattice edge that touches an unknown appear exactly once, so the
+first-order conditions at interior nodes are the symmetric
+(2n+1)-point stencils and discrete harmonic quadratics are exact
+critical points.  (Summing over interior nodes only would drop edges
+based at the lower boundary and bias the stencils by O(h) there.)
 
-Either one-sided energy alone is only O(h)-consistent for p != 2: the
-nonlinear weight couples the n one-sided differences based at a node, so
-the discrete flux lives on half-edges to one side of it (error ratios
-measured at 1.9x per mesh halving on a smooth box benchmark).  The
-default scheme therefore minimizes the average of the forward and
-backward energies, whose leading bias terms cancel by reflection; the
-same benchmark then converges at second order (ratios 4.0x).  In two
-dimensions the symmetric average is exactly the piecewise-linear
-finite-element energy on the lattice triangulated by splitting each cell
-along the north-west diagonal: the forward cluster at a node is the
-gradient on the lower triangle of its cell, the backward cluster the
-gradient on the upper one.  For p = 2 the quadratic energy splits over
-edges, both orientations count every edge that touches an unknown
-exactly once, and the symmetric, forward, and backward schemes have
+The energy averages the two orientations because either one-sided energy
+alone is only O(h)-consistent for p != 2: the nonlinear weight couples
+the n one-sided differences based at a node, so the discrete flux lives
+on half-edges to one side of it (error ratios measured at 1.9x per mesh
+halving on a smooth box benchmark).  In the average the leading bias
+terms cancel by reflection, and the same benchmark converges at second
+order (ratios 4.0x).  In two dimensions the average is exactly the
+piecewise-linear finite-element energy on the lattice triangulated by
+splitting each cell along the north-west diagonal: the forward cluster at
+a node is the gradient on the lower triangle of its cell, the backward
+cluster the gradient on the upper one.  For p = 2 the quadratic energy
+splits over edges, both orientations count every edge that touches an
+unknown exactly once, and the average and either one-sided energy have
 identical minimizers and five-point stencils.
 
 Scalar Dirichlet data is solved in the scalar representation.  Restricted
@@ -90,7 +90,7 @@ class LatticeDomain:
     all 2n neighbors in the node set (everything else in the node set is
     boundary and stays fixed); base nodes own a complete forward stencil
     and carry the forward energy terms, backward base nodes mirror them
-    for the reflected scheme.
+    for the backward half of the averaged energy.
     """
 
     dim: int
@@ -233,8 +233,7 @@ class LatticeField:
 # ------------------------------------------------------- energy and gradient
 
 
-_SCHEMES = ("forward", "backward", "symmetric")
-_ORIENTATIONS = {"forward": (+1,), "backward": (-1,), "symmetric": (+1, -1)}
+_ORIENTATIONS = (+1, -1)
 
 
 def _base_mask_for(domain: LatticeDomain, orientation: int) -> np.ndarray:
@@ -287,17 +286,11 @@ def _validate_exponents(p: float, epsilon: float):
         raise SolverError("the regularization must be nonnegative")
 
 
-def _validate_scheme(scheme: str):
-    if scheme not in _SCHEMES:
-        raise SolverError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-
-
-def _energy_terms(u: LatticeField, p: float, epsilon: float, scheme: str) -> np.ndarray:
+def _energy_terms(u: LatticeField, p: float, epsilon: float) -> np.ndarray:
     """Per-node energy terms as a flat array whose plain sum is the energy."""
-    orientations = _ORIENTATIONS[scheme]
-    weight = u.domain.h**u.domain.dim / len(orientations)
+    weight = u.domain.h**u.domain.dim / len(_ORIENTATIONS)
     parts = []
-    for orientation in orientations:
+    for orientation in _ORIENTATIONS:
         a = _dirac(u.values, u.domain, orientation)
         base = _base_mask_for(u.domain, orientation)
         with np.errstate(over="ignore"):
@@ -305,22 +298,19 @@ def _energy_terms(u: LatticeField, p: float, epsilon: float, scheme: str) -> np.
     return np.concatenate(parts)
 
 
-def discrete_energy(u: LatticeField, p: float, epsilon: float = 0.0,
-                    scheme: str = "symmetric") -> float:
-    """Sum over base nodes of h^n (|D_h u|^2 + eps^2)^(p/2).
+def discrete_energy(u: LatticeField, p: float, epsilon: float = 0.0) -> float:
+    """The average of the forward and backward one-sided energies, each a
+    sum over its base nodes of h^n (|D_h u|^2 + eps^2)^(p/2).
 
-    scheme picks the one-sided difference: "forward", "backward", or the
-    default "symmetric" average of the two one-sided energies.  The
-    one-sided energies are O(h)-consistent with the p-Dirichlet integral
-    for p != 2 (the flux is evaluated on half-edges on one side of each
-    node); the symmetric average cancels that bias by reflection and is
-    O(h^2).  For p = 2 all three agree on every term that touches an
-    unknown, because the quadratic energy splits over edges and each such
-    edge is counted once by either orientation.
+    Either one-sided energy alone is O(h)-consistent with the p-Dirichlet
+    integral for p != 2 (the flux is evaluated on half-edges on one side of
+    each node); the average cancels that bias by reflection and is O(h^2).
+    For p = 2 the average and both one-sided energies agree on every term
+    that touches an unknown, because the quadratic energy splits over edges
+    and each such edge is counted once by either orientation.
     """
     _validate_exponents(p, epsilon)
-    _validate_scheme(scheme)
-    return float(np.sum(_energy_terms(u, p, epsilon, scheme)))
+    return float(np.sum(_energy_terms(u, p, epsilon)))
 
 
 def _flux_weight(u: LatticeField, p: float, epsilon: float, orientation: int):
@@ -375,34 +365,26 @@ def _divergence(dom: LatticeDomain, orientation: int, weighted,
     return out
 
 
-def energy_gradient(u: LatticeField, p: float, epsilon: float = 0.0,
-                    scheme: str = "symmetric") -> LatticeField:
+def energy_gradient(u: LatticeField, p: float, epsilon: float = 0.0) -> LatticeField:
     """Exact derivative of discrete_energy with respect to the interior
     node values; boundary entries are zero.
 
     Each one-sided piece is the signed divergence of the flux
     (|D_h u|^2 + eps^2)^((p-2)/2) e_j D_h u scaled by p h^(n-1); the
-    symmetric scheme averages the two pieces.
+    gradient averages the two pieces.
     """
     _validate_exponents(p, epsilon)
-    _validate_scheme(scheme)
-    dom = u.domain
-    if scheme == "forward":
-        grad = _one_sided_gradient(u, p, epsilon, +1)
-    elif scheme == "backward":
-        grad = _one_sided_gradient(u, p, epsilon, -1)
-    else:
-        grad = 0.5 * (_one_sided_gradient(u, p, epsilon, +1)
-                      + _one_sided_gradient(u, p, epsilon, -1))
-    return LatticeField(dom, grad)
+    grad = 0.5 * (_one_sided_gradient(u, p, epsilon, +1)
+                  + _one_sided_gradient(u, p, epsilon, -1))
+    return LatticeField(u.domain, grad)
 
 
-def _curvature(u: LatticeField, p: float, epsilon: float, scheme: str):
+def _curvature(u: LatticeField, p: float, epsilon: float):
     """The Hessian of discrete_energy at u, frozen for _hessian_product: per
     orientation the weight psi of _flux_weight and the rank-one vector
     c = sqrt(|kappa|) D_h u, with kappa = (p - 2) psi / q zero where q = 0."""
     parts = []
-    for orientation in _ORIENTATIONS[scheme]:
+    for orientation in _ORIENTATIONS:
         a, q, psi = _flux_weight(u, p, epsilon, orientation)
         base = _base_mask_for(u.domain, orientation)
         root = np.zeros(u.domain.shape)
@@ -436,13 +418,13 @@ def _hessian_product(curvature, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _energy_line(u: LatticeField, p: float, epsilon: float, scheme: str, s: np.ndarray):
+def _energy_line(u: LatticeField, p: float, epsilon: float, s: np.ndarray):
     """The energy along u + a s for _energy_change: on the base nodes of
     each orientation q = |D_h u|^2 + eps^2 grows to q + a c1 + a^2 c2, with
     c1 = 2 D_h u . D_h s and c2 = |D_h s|^2."""
     dom = u.domain
     line = []
-    for orientation in _ORIENTATIONS[scheme]:
+    for orientation in _ORIENTATIONS:
         a = _dirac(u.values, dom, orientation)
         b = _dirac(s, dom, orientation)
         base = _base_mask_for(dom, orientation)
@@ -479,7 +461,7 @@ def laplace_stencil_residual(u: LatticeField) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Exponent, regularization, scheme and stopping parameters.
+    """Exponent, regularization and stopping parameters.
 
     grad_tol None resolves to 1e-8 h^n at solve time (grid-independent
     stationarity); epsilon is the final regularization of the p < 2
@@ -491,11 +473,9 @@ class SolverConfig:
     epsilon: float = 0.0
     grad_tol: float = None
     max_iter: int = 5000
-    scheme: str = "symmetric"
 
     def __post_init__(self):
         _validate_exponents(self.p, self.epsilon)
-        _validate_scheme(self.scheme)
         if self.p < 2 and not self.epsilon**2 > 0.0:
             raise SolverError("p < 2 requires a regularization whose square is "
                               f"positive, got epsilon = {self.epsilon:g}")
@@ -564,13 +544,12 @@ def _truncated_cg(hessian, precondition, g, tol_norm, tol_max):
     return s, r
 
 
-def _newton_step(u: LatticeField, g, p, epsilon, scheme, forcing, tol, precondition,
-                 call):
+def _newton_step(u: LatticeField, g, p, epsilon, forcing, tol, precondition, call):
     """One damped Newton step, applied to u.values in place.  Returns the
     energy change and the norms of g + a H s, the linear model's gradient
     at the step a s taken, and of the residual g + H s of the inner solve;
     or the stop reason "no descent" or "stall", leaving u as it was."""
-    curvature = _curvature(u, p, epsilon, scheme)
+    curvature = _curvature(u, p, epsilon)
     # solving beyond half the stopping tolerance is wasted
     s, r = _truncated_cg(lambda v: call("hessian", _hessian_product, curvature, v),
                          precondition, g, forcing, 0.5 * tol)
@@ -578,7 +557,7 @@ def _newton_step(u: LatticeField, g, p, epsilon, scheme, forcing, tol, precondit
     if not -np.inf < slope < 0.0:
         return "no descent"  # the gradient is numerically zero, or s not finite
     del curvature
-    line = _energy_line(u, p, epsilon, scheme, s)
+    line = _energy_line(u, p, epsilon, s)
     a = 1.0
     while a * np.max(np.abs(s)) > np.finfo(float).eps * np.max(np.abs(u.values)):
         delta = call("energy", _energy_change, line, a)
@@ -607,8 +586,8 @@ def _minimize_stage(values, domain, p, epsilon, tol, config, counts, preconditio
         return fn(*args)
 
     u = LatticeField(domain, values)
-    e = float(np.sum(call("energy", _energy_terms, u, p, epsilon, config.scheme)))
-    g = call("gradient", energy_gradient, u, p, epsilon, config.scheme).values
+    e = float(np.sum(call("energy", _energy_terms, u, p, epsilon)))
+    g = call("gradient", energy_gradient, u, p, epsilon).values
     energies = [e]
     gnorms = [float(np.max(np.abs(g)))]
     eta = _ETA
@@ -616,14 +595,13 @@ def _minimize_stage(values, domain, p, epsilon, tol, config, counts, preconditio
     reason = "converged" if gnorms[-1] <= tol else None
     while reason is None and iterations < config.max_iter:
         g_size = np.sqrt(_dot(g, g))
-        step = _newton_step(u, g, p, epsilon, config.scheme, eta * g_size, tol,
-                            precondition, call)
+        step = _newton_step(u, g, p, epsilon, eta * g_size, tol, precondition, call)
         if isinstance(step, str):
             reason = step
             break
         delta, model, residual = step
         e += delta
-        g = call("gradient", energy_gradient, u, p, epsilon, config.scheme).values
+        g = call("gradient", energy_gradient, u, p, epsilon).values
         energies.append(e)
         gnorms.append(float(np.max(np.abs(g))))
         iterations += 1

@@ -27,8 +27,8 @@ import numpy as np
 
 from .algebra import Multivector, blade_label, geometric_product
 from .fields import NORM_CUTOFF, FieldError, StencilError, power_scale, richardson_step
-from .weakform import (SupportError, fitted_node_count, mollifier, polar_blocks,
-                       support_families, weak_pairing)
+from .weakform import (SUPPORT_MARGIN, SupportError, fitted_node_count, mollifier,
+                       polar_blocks, support_families, weak_pairing)
 
 
 class SphereError(FieldError):
@@ -485,12 +485,12 @@ class CapBump:
     def as_field(self) -> SphericalField:
         return SphericalField(self.ambient, self.__call__, (), name=self.label)
 
-    def require_support_inside(self, cap: SphericalCap, margin: float = 1e-9):
+    def require_support_inside(self, cap: SphericalCap):
         offset = float(
             np.arccos(np.clip(np.dot(self.center, cap.center), -1.0, 1.0))
         )
         own = 2.0 * np.arcsin(self.radius / 2.0)
-        if offset + own > cap.geodesic_radius * (1.0 - margin):
+        if offset + own > cap.geodesic_radius * (1.0 - SUPPORT_MARGIN):
             raise SupportError(f"{self.label}: support escapes the cap")
         return self
 

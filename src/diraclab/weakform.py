@@ -90,6 +90,10 @@ class SupportError(WeakFormError):
     """A test function's support escapes the working domain."""
 
 
+# The relative distance a bump's support keeps from the domain's edge.
+SUPPORT_MARGIN = 1e-9
+
+
 # --------------------------------------------------------- test functions
 
 
@@ -165,23 +169,22 @@ class BumpTestFunction:
             self.dim, self.__call__, lambda q: self.partials(q), name=self.label
         )
 
-    def require_support_inside(self, domain: Domain, margin: float = 1e-9):
+    def require_support_inside(self, domain: Domain):
         c = np.array(self.center)
         r = self.radius
         if domain.kind == "box":
             lo, hi = np.array(domain.lo), np.array(domain.hi)
-            pad = margin * (hi - lo)
+            pad = SUPPORT_MARGIN * (hi - lo)
             if np.any(c - r < lo + pad) or np.any(c + r > hi - pad):
                 raise SupportError(f"{self.label}: support escapes the box")
         elif domain.kind in ("ball", "shifted-ball"):
             off = float(np.linalg.norm(c - np.array(domain.center)))
-            if off + r > domain.outer * (1.0 - margin):
+            if off + r > domain.outer * (1.0 - SUPPORT_MARGIN):
                 raise SupportError(f"{self.label}: support escapes the ball")
         elif domain.kind == "annulus":
             off = float(np.linalg.norm(c - np.array(domain.center)))
-            if off - r < domain.inner * (1.0 + margin) or off + r > domain.outer * (
-                1.0 - margin
-            ):
+            if (off - r < domain.inner * (1.0 + SUPPORT_MARGIN)
+                    or off + r > domain.outer * (1.0 - SUPPORT_MARGIN)):
                 raise SupportError(f"{self.label}: support escapes the annulus")
         else:  # pragma: no cover - Domain constructors forbid other kinds
             raise SupportError(f"unknown domain kind {domain.kind!r}")
@@ -340,9 +343,9 @@ class QuadratureRule:
 _BLOCK = 1 << 13
 
 
-def _radial_rule(count: int, tail: float = 3.2):
+def _radial_rule(count: int):
     """Double-exponential nodes/weights for integral over r in (0, 1)."""
-    t = np.linspace(-tail, tail, count)
+    t = np.linspace(-3.2, 3.2, count)
     step = t[1] - t[0]
     s = (np.pi / 2.0) * np.sinh(t)
     r = 0.5 * (1.0 + np.tanh(s))
@@ -696,11 +699,11 @@ class CovarianceReport:
         ]
 
 
-def _pullback_and_validate(f, m, source_domain, margin):
+def _pullback_and_validate(f, m, source_domain):
     volume = pullback_domain(m, source_domain)
     inv = vahlen_inverse(m)
     preimages = [map_points(inv, np.asarray(s, dtype=float)) for s in f.singular_points]
-    validate_clearance(volume, singular_points=preimages, mobius=m, margin=margin)
+    validate_clearance(volume, singular_points=preimages, mobius=m)
     return volume
 
 
@@ -712,7 +715,6 @@ def dirac_covariance_experiment(
     *,
     seed: int = 42,
     order: int = None,
-    margin: float = 1e-3,
     random_bumps: int = 5,
 ) -> CovarianceReport:
     """Covariance of the p-Dirac equation under a Moebius map.
@@ -726,7 +728,7 @@ def dirac_covariance_experiment(
     """
     dim = source_domain.dim
     order = _resolve_order(dim, order)
-    volume = _pullback_and_validate(f, m, source_domain, margin)
+    volume = _pullback_and_validate(f, m, source_domain)
     g = conformal_dirac_transform(f, m)
     exponent = float(p - dim)
     weight = ConformalWeight(m, exponent)
@@ -753,7 +755,6 @@ def harmonic_covariance_experiment(
     exponents=None,
     seed: int = 42,
     order: int = None,
-    margin: float = 1e-3,
     random_bumps: int = 5,
 ) -> CovarianceReport:
     """Covariance of the p-harmonic equation in the twisted-derivative form.
@@ -776,7 +777,7 @@ def harmonic_covariance_experiment(
         raise FieldError(f"experiment needs the analytic derivative of {h.name!r}")
     if not p > 1:
         raise FieldError("the exponent p must exceed 1")
-    volume = _pullback_and_validate(h, m, source_domain, margin)
+    volume = _pullback_and_validate(h, m, source_domain)
     gh = compose_with_mobius(h, m)
     if exponents is None:
         exponents = [2.0 * (p + 2.0 - dim), 2.0 * (p - dim), float(p - dim), 0.0]

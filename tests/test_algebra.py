@@ -1,6 +1,8 @@
 """Clifford kernel tests: table-driven product vs. an index-list oracle,
 involution and norm identities, group actions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,13 @@ def test_vector_inverse(rng):
         vector_inverse(Multivector.from_vector(3, [0.0, 0.0, 0.0]))
     with pytest.raises(AlgebraError):
         vector_inverse(Multivector.scalar(3, 2.0))
+    # a non-finite vector, or one whose squared length overflows, is refused
+    # by name and without a numpy warning
+    for coeffs in ([np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [1e308, 1e308, 0.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraError, match="finite"):
+                vector_inverse(Multivector.from_vector(3, coeffs))
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5])

@@ -177,6 +177,25 @@ def test_config_file_syntax_errors(tmp_path):
         read_config_file(str(tmp_path / "missing.cfg"))
 
 
+def test_config_file_values_keep_the_exit_contract(capsys, tmp_path):
+    """A config file is checked like the flags: a value outside a flag's
+    choices, or a key that is no subcommand's flag, is a usage error."""
+    cfg = tmp_path / "run.cfg"
+    for subcommand, text in (("covariance", "theorem = 7\nn = 2\n"),
+                             ("covariance", "theorem = 0\nn = 2\n"),
+                             ("cr-check", "format = xml\n"),
+                             ("kernel-residual", "ordr = 99\n")):
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert run_cli([subcommand, "--config", str(cfg)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    # a key of another subcommand stays valid, so one file serves several
+    cfg.write_text("theorem = 1\norder = 6\nn = 2\nchecks = 10\n")
+    assert run_cli(["algebra-selftest", "--config", str(cfg),
+                    "--out", str(tmp_path / "a.json")]) == 0
+
+
 # ------------------------------------------------------------- exit statuses
 
 

@@ -170,6 +170,23 @@ def test_pole_error():
         apply_mobius(inversion(3), Multivector.from_vector(3, [0.0, 0.0, 0.0]))
     with pytest.raises(PoleError):
         frame_at(inversion(3), Multivector.zero(3))
+    # |c x + d| = |x| for the inversion: every evaluator refuses a point at
+    # or below the pole tolerance 1e-12 and evaluates one just above it
+    m = inversion(3)
+    evaluators = (
+        lambda x: apply_mobius(m, x).coeffs,
+        lambda x: map_points(m, x.vector_part()),
+        lambda x: np.concatenate([j.coeffs for j in jacobian_factors(m, x)]),
+        lambda x: frame_at(m, x).u.coeffs,
+        lambda x: jacobian_determinant(m, x),
+    )
+    for evaluate in evaluators:
+        for r in (0.99e-12, 1e-12):
+            x = Multivector.from_vector(3, [r, 0.0, 0.0])
+            assert float(denominator(m, x).norm()) <= 1e-12
+            with pytest.raises(PoleError):
+                evaluate(x)
+        assert np.all(np.isfinite(evaluate(Multivector.from_vector(3, [1.01e-12, 0.0, 0.0]))))
 
 
 # ------------------------------------------------- differential / Jacobian

@@ -1,7 +1,7 @@
 """Lattice solver tests: domain masks, the discrete energy, its exact
-gradient and Hessian (finite-difference and reflection oracles), scheme
-behavior, the multigrid preconditioner against dense solves, and Dirichlet
-solves against closed-form minimizers."""
+gradient and Hessian (finite-difference and reflection oracles), the
+multigrid preconditioner against dense solves, and Dirichlet solves against
+closed-form minimizers."""
 
 import numpy as np
 import pytest
@@ -140,11 +140,10 @@ def test_energy_of_constant_field():
     dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 0.25)
     u = LatticeField(dom, np.full(dom.shape, 1.7))
     eps = 1e-2
-    for scheme in ("forward", "backward", "symmetric"):
-        e = discrete_energy(u, 2.5, eps, scheme)
-        # every cluster difference vanishes: base_count terms of h^n eps^p
-        assert e == pytest.approx(dom.h**2 * eps**2.5 * dom.base_count, rel=1e-13)
-        assert discrete_energy(u, 2.0, 0.0, scheme) == 0.0
+    e = discrete_energy(u, 2.5, eps)
+    # every cluster difference vanishes: base_count terms of h^n eps^p
+    assert e == pytest.approx(dom.h**2 * eps**2.5 * dom.base_count, rel=1e-13)
+    assert discrete_energy(u, 2.0, 0.0) == 0.0
 
 
 def test_energy_of_linear_field():
@@ -179,9 +178,10 @@ def test_energy_of_linear_clifford_field():
     assert e == pytest.approx(dom.h**2 * w**1.25 * dom.base_count, rel=1e-12)
 
 
-def test_backward_scheme_is_reflected_forward():
-    # exact mirror identity: the backward energy/gradient at u equal the
-    # forward ones at the reflected field
+def test_energy_and_gradient_are_reflection_symmetric():
+    # the backward orientation at u mirrors the forward one at the reflected
+    # field, so their average is invariant: E(flip u) = E(u) and
+    # grad E(flip u) = flip grad E(u)
     rng = np.random.default_rng(11)
     dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 1 / 8)
     flip = (slice(None, None, -1), slice(None, None, -1))
@@ -191,25 +191,21 @@ def test_backward_scheme_is_reflected_forward():
         u = LatticeField(dom, vals)
         v = LatticeField(dom, vals[flip].copy())
         for p, eps in ((2.0, 0.0), (2.5, 0.0), (1.5, 1e-3)):
-            eb = discrete_energy(u, p, eps, "backward")
-            ef = discrete_energy(v, p, eps, "forward")
-            assert eb == pytest.approx(ef, rel=1e-13)
-            gb = energy_gradient(u, p, eps, "backward").values
-            gf = energy_gradient(v, p, eps, "forward").values[flip]
-            assert np.max(np.abs(gb - gf)) <= 1e-13 * np.max(np.abs(gf))
+            eu = discrete_energy(u, p, eps)
+            ev = discrete_energy(v, p, eps)
+            assert eu == pytest.approx(ev, rel=1e-13)
+            gu = energy_gradient(u, p, eps).values
+            gv = energy_gradient(v, p, eps).values[flip]
+            assert np.max(np.abs(gu - gv)) <= 1e-13 * np.max(np.abs(gv))
 
 
-def test_energy_requires_valid_exponents_and_scheme():
+def test_energy_requires_valid_exponents():
     dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 0.25)
     u = LatticeField.zeros(dom)
     with pytest.raises(SolverError):
         discrete_energy(u, 1.0, 0.0)
     with pytest.raises(SolverError):
         discrete_energy(u, 2.0, -1e-3)
-    with pytest.raises(SolverError):
-        discrete_energy(u, 2.0, 0.0, "central")
-    with pytest.raises(SolverError):
-        energy_gradient(u, 2.0, 0.0, "central")
 
 
 @settings(max_examples=25, deadline=None)
@@ -232,9 +228,9 @@ def test_energy_is_convex_along_segments(seed, p):
 # ----------------------------------------------------------------- gradient
 
 
-def fd_gradient_error(dom, vals, p, eps, scheme, rng, count=20, step=1e-5):
+def fd_gradient_error(dom, vals, p, eps, rng, count=20, step=1e-5):
     u = LatticeField(dom, vals)
-    g = energy_gradient(u, p, eps, scheme).values
+    g = energy_gradient(u, p, eps).values
     idxs = np.argwhere(dom.interior_mask)
     worst = 0.0
     for _ in range(count):
@@ -245,25 +241,24 @@ def fd_gradient_error(dom, vals, p, eps, scheme, rng, count=20, step=1e-5):
         vp[ij] += step
         vm = vals.copy()
         vm[ij] -= step
-        fd = (discrete_energy(LatticeField(dom, vp), p, eps, scheme)
-              - discrete_energy(LatticeField(dom, vm), p, eps, scheme)) / (2 * step)
+        fd = (discrete_energy(LatticeField(dom, vp), p, eps)
+              - discrete_energy(LatticeField(dom, vm), p, eps)) / (2 * step)
         worst = max(worst, abs(fd - g[ij]) / max(abs(fd), abs(g[ij]), 1e-12))
     return worst
 
 
-@pytest.mark.parametrize("scheme", ["forward", "backward", "symmetric"])
 @pytest.mark.parametrize("p,eps", [(2.0, 0.0), (2.5, 0.0), (1.5, 1e-3), (3.0, 1e-3)])
-def test_gradient_matches_finite_differences_scalar(rng, scheme, p, eps):
+def test_gradient_matches_finite_differences_scalar(rng, p, eps):
     dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 1 / 8)
     vals = rng.normal(size=dom.shape)
-    assert fd_gradient_error(dom, vals, p, eps, scheme, rng) <= 1e-6
+    assert fd_gradient_error(dom, vals, p, eps, rng) <= 1e-6
 
 
 @pytest.mark.parametrize("p,eps", [(2.0, 0.0), (2.5, 0.0), (1.5, 1e-3)])
 def test_gradient_matches_finite_differences_clifford(rng, p, eps):
     dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 1 / 8)
     vals = rng.normal(size=dom.shape + (4,))
-    assert fd_gradient_error(dom, vals, p, eps, "symmetric", rng) <= 1e-6
+    assert fd_gradient_error(dom, vals, p, eps, rng) <= 1e-6
 
 
 def test_gradient_of_linear_field_vanishes():
@@ -285,7 +280,8 @@ def test_gradient_vanishes_off_interior():
 
 def test_p2_gradient_is_five_point_stencil():
     # p = 2, eps = 0: the gradient at interior nodes is
-    # -2 h^(n-2) (sum of neighbors - 2n u), identically for all schemes
+    # -2 h^(n-2) (sum of neighbors - 2n u), as it is for either one-sided
+    # energy alone
     rng = np.random.default_rng(5)
     dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 0.25)
     vals = rng.normal(size=dom.shape)
@@ -295,9 +291,8 @@ def test_p2_gradient_is_five_point_stencil():
         - 4.0 * vals[1:-1, 1:-1]
     )
     expected = -2.0 * stencil  # h^(n-2) = 1 at n = 2
-    for scheme in ("forward", "backward", "symmetric"):
-        g = energy_gradient(LatticeField(dom, vals), 2.0, 0.0, scheme).values
-        assert np.max(np.abs(g - expected)[dom.interior_mask]) <= 1e-12
+    g = energy_gradient(LatticeField(dom, vals), 2.0, 0.0).values
+    assert np.max(np.abs(g - expected)[dom.interior_mask]) <= 1e-12
 
 
 def test_scalar_embedding_consistency():
@@ -317,19 +312,17 @@ def test_scalar_embedding_consistency():
         assert np.max(np.abs(gc[..., 0] - gs)) <= 1e-13 * max(np.max(np.abs(gs)), 1.0)
 
 
-@pytest.mark.parametrize("scheme", ["forward", "backward", "symmetric"])
 @pytest.mark.parametrize("p,eps", [(1.5, 1e-3), (2.0, 0.0), (2.5, 0.0)])
 @pytest.mark.parametrize("clifford", [False, True])
-def test_hessian_product_matches_central_difference_of_gradient(rng, scheme, p, eps,
-                                                                clifford):
+def test_hessian_product_matches_central_difference_of_gradient(rng, p, eps, clifford):
     dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 1 / 8)
     shape = dom.shape + ((4,) if clifford else ())
     u = rng.normal(size=shape)
     v = rng.normal(size=shape)
-    hv = _hessian_product(_curvature(LatticeField(dom, u), p, eps, scheme), v)
+    hv = _hessian_product(_curvature(LatticeField(dom, u), p, eps), v)
     t = 1e-5
-    fd = (energy_gradient(LatticeField(dom, u + t * v), p, eps, scheme).values
-          - energy_gradient(LatticeField(dom, u - t * v), p, eps, scheme).values) / (2 * t)
+    fd = (energy_gradient(LatticeField(dom, u + t * v), p, eps).values
+          - energy_gradient(LatticeField(dom, u - t * v), p, eps).values) / (2 * t)
     assert np.max(np.abs(hv - fd)) <= 1e-6 * np.max(np.abs(fd))
     assert not hv[~dom.interior_mask].any()
 
@@ -355,8 +348,6 @@ def test_config_validation():
         SolverConfig(p=2.0, grad_tol=0.0)
     with pytest.raises(SolverError):
         SolverConfig(p=2.0, max_iter=0)
-    with pytest.raises(SolverError):
-        SolverConfig(p=2.0, scheme="central")
     with pytest.raises(SolverError, match="p must be finite"):
         SolverConfig(p=np.inf)
     with pytest.raises(SolverError, match="epsilon must be finite"):

@@ -287,7 +287,7 @@ def test_unit_sphere_rule_integrates_even_moments(dim, order):
             assert abs(got - exact) <= 1e-14 * exact, (m, k, got, exact)
 
 
-def test_scheme_dispatch_and_validation():
+def test_dirac_integral_check_rejects_an_escaped_bump():
     rule = small_rule(BALL3)
     escaped = BumpTestFunction(3, (3.9, 0.0, 0.0), 0.5, Multivector.scalar(3, 1.0))
     with pytest.raises(SupportError):
