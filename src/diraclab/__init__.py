@@ -10,15 +10,10 @@ from .algebra import (
     Multivector,
     SingularElementError,
     VectorFactorList,
-    clifford_inner,
-    conjugation,
     geometric_product,
     lipschitz_element_inverse,
-    norm,
     pin_action,
     reflect,
-    reversion,
-    scalar_part,
     vector_inverse,
 )
 

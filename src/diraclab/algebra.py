@@ -164,9 +164,6 @@ class Multivector:
     def batch_shape(self):
         return self.coeffs.shape[:-1]
 
-    def copy(self) -> "Multivector":
-        return Multivector(self.dim, self.coeffs, copy=True)
-
     def vector_part(self) -> np.ndarray:
         """(..., dim) array of the grade-1 components."""
         return self.coeffs[..., [1 << j for j in range(self.dim)]]
@@ -335,31 +332,6 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     out = np.zeros(compact.shape[:-1] + (1 << a.dim,))
     out[..., cols] = compact
     return Multivector(a.dim, out, copy=False)
-
-
-def reversion(a: Multivector) -> Multivector:
-    return a.reversion()
-
-
-def conjugation(a: Multivector) -> Multivector:
-    return a.conjugation()
-
-
-def scalar_part(a: Multivector):
-    return a.scalar_part()
-
-
-def norm(a: Multivector):
-    return a.norm()
-
-
-def clifford_inner(a: Multivector, b: Multivector) -> Multivector:
-    """Clifford inner product conjugation(a) * b.
-
-    Its scalar part is the Euclidean dot product of the coefficient
-    vectors, so clifford_inner(a, a).scalar_part() == norm(a)**2.
-    """
-    return geometric_product(a.conjugation(), b)
 
 
 def vector_inverse(x: Multivector) -> Multivector:

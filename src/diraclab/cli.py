@@ -30,12 +30,9 @@ from .algebra import (
     AlgebraError,
     Multivector,
     geometric_product,
-    norm,
     pin_action,
     product_signs,
     reflect,
-    reversion,
-    conjugation,
 )
 from .cr2d import (
     p_cr_residual,
@@ -312,6 +309,8 @@ def resolve_config(args):
     file_table = {}
     if args.config is not None:
         file_table = read_config_file(args.config)
+    if "config" in file_table:
+        raise UsageError("a config file cannot name another config file")
     # a key of another subcommand stays valid, so one file serves several
     unknown = sorted(set(file_table).difference(*_SPECS.values()))
     if unknown:
@@ -371,8 +370,8 @@ def _mask_indices(mask):
 
 
 def _rel_gap(a: Multivector, b: Multivector):
-    gap = norm(a - b)
-    scale = np.maximum(np.maximum(norm(a), norm(b)), 1.0)
+    gap = (a - b).norm()
+    scale = np.maximum(np.maximum(a.norm(), b.norm()), 1.0)
     return float(np.max(gap / scale))
 
 
@@ -403,12 +402,12 @@ def run_algebra_selftest(params):
         properties = [("associativity", worst, 1e-12)]
 
         a, b = batch(), batch()
-        worst = _rel_gap(reversion(geometric_product(a, b)),
-                         geometric_product(reversion(b), reversion(a)))
+        worst = _rel_gap(geometric_product(a, b).reversion(),
+                         geometric_product(b.reversion(), a.reversion()))
         properties.append(("reversion-antiautomorphism", worst, 1e-12))
 
-        worst = _rel_gap(conjugation(geometric_product(a, b)),
-                         geometric_product(conjugation(b), conjugation(a)))
+        worst = _rel_gap(geometric_product(a, b).conjugation(),
+                         geometric_product(b.conjugation(), a.conjugation()))
         properties.append(("conjugation-antiautomorphism", worst, 1e-12))
 
         # norm multiplicativity for group elements assembled from <= 4
@@ -420,7 +419,7 @@ def run_algebra_selftest(params):
             for _ in range(factors - 1):
                 g = geometric_product(g, vectors())
             A = Multivector(n, rng.standard_normal((m, 1 << n)))
-            lhs, rhs = norm(geometric_product(g, A)), norm(g) * norm(A)
+            lhs, rhs = geometric_product(g, A).norm(), g.norm() * A.norm()
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1.0))))
         properties.append(("norm-multiplicativity", worst, 1e-12))
 

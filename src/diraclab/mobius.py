@@ -54,30 +54,19 @@ def _as_vector(dim: int, t) -> Multivector:
 
 @dataclass(frozen=True, eq=False)
 class VahlenMatrix:
-    """Conformal transformation as a 2x2 Clifford matrix.
-
-    `provenance` records the generator word (outermost map first) so
-    condition (i) -- each entry a product of vectors or zero -- is carried
-    by construction; matrices assembled from raw coefficients should set
-    entry_certified=False.
-    """
+    """Conformal transformation as a 2x2 Clifford matrix."""
 
     dim: int
     a: Multivector
     b: Multivector
     c: Multivector
     d: Multivector
-    provenance: tuple = ()
-    entry_certified: bool = True
 
     def __post_init__(self):
         for name in "abcd":
             entry = getattr(self, name)
             if entry.dim != self.dim or entry.batch_shape:
                 raise MobiusError(f"entry {name} must be a single Cl(0,{self.dim}) value")
-
-    def __matmul__(self, other: "VahlenMatrix") -> "VahlenMatrix":
-        return compose(self, other)
 
 
 @dataclass(frozen=True)
@@ -114,15 +103,14 @@ class FramePoint:
 def identity_matrix(dim: int) -> VahlenMatrix:
     one = Multivector.scalar(dim, 1.0)
     zero = Multivector.zero(dim)
-    return VahlenMatrix(dim, one, zero, zero, one, provenance=("identity",))
+    return VahlenMatrix(dim, one, zero, zero, one)
 
 
 def translation(dim: int, t) -> VahlenMatrix:
     t = _as_vector(dim, t)
     one = Multivector.scalar(dim, 1.0)
     zero = Multivector.zero(dim)
-    word = "translate:" + ",".join(f"{v:g}" for v in t.vector_part())
-    return VahlenMatrix(dim, one, t, zero, one, provenance=(word,))
+    return VahlenMatrix(dim, one, t, zero, one)
 
 
 def dilation(dim: int, lam: float) -> VahlenMatrix:
@@ -131,24 +119,14 @@ def dilation(dim: int, lam: float) -> VahlenMatrix:
     s = float(np.sqrt(lam))
     zero = Multivector.zero(dim)
     return VahlenMatrix(
-        dim,
-        Multivector.scalar(dim, s),
-        zero,
-        zero,
-        Multivector.scalar(dim, 1.0 / s),
-        provenance=(f"dilate:{lam:g}",),
+        dim, Multivector.scalar(dim, s), zero, zero, Multivector.scalar(dim, 1.0 / s)
     )
 
 
 def inversion(dim: int) -> VahlenMatrix:
     zero = Multivector.zero(dim)
     return VahlenMatrix(
-        dim,
-        zero,
-        Multivector.scalar(dim, -1.0),
-        Multivector.scalar(dim, 1.0),
-        zero,
-        provenance=("inversion",),
+        dim, zero, Multivector.scalar(dim, -1.0), Multivector.scalar(dim, 1.0), zero
     )
 
 
@@ -170,7 +148,7 @@ def rotation(dim: int, i: int, j: int, theta: float) -> VahlenMatrix:
     )
     a = factors.product()
     zero = Multivector.zero(dim)
-    return VahlenMatrix(dim, a, zero, zero, a, provenance=(f"rotate:{i},{j},{theta:g}",))
+    return VahlenMatrix(dim, a, zero, zero, a)
 
 
 def rotation_from_factors(dim: int, factors: VectorFactorList) -> VahlenMatrix:
@@ -180,24 +158,7 @@ def rotation_from_factors(dim: int, factors: VectorFactorList) -> VahlenMatrix:
     a = factors.product()
     sign = -1.0 if len(factors) % 2 else 1.0
     zero = Multivector.zero(dim)
-    return VahlenMatrix(dim, a, zero, zero, sign * a,
-                        provenance=(f"pin[{len(factors)} factors]",))
-
-
-def make_generator(dim: int, kind: str, **params) -> VahlenMatrix:
-    if kind == "identity":
-        return identity_matrix(dim)
-    if kind == "translation":
-        return translation(dim, params["t"])
-    if kind == "dilation":
-        return dilation(dim, params["lam"])
-    if kind == "inversion":
-        return inversion(dim)
-    if kind == "rotation":
-        if "factors" in params:
-            return rotation_from_factors(dim, params["factors"])
-        return rotation(dim, params["i"], params["j"], params["theta"])
-    raise MobiusError(f"unknown generator kind {kind!r}")
+    return VahlenMatrix(dim, a, zero, zero, sign * a)
 
 
 # ------------------------------------------------- composition and inverse
@@ -211,36 +172,14 @@ def compose(m1: VahlenMatrix, m2: VahlenMatrix) -> VahlenMatrix:
     b = m1.a * m2.b + m1.b * m2.d
     c = m1.c * m2.a + m1.d * m2.c
     d = m1.c * m2.b + m1.d * m2.d
-    return VahlenMatrix(
-        m1.dim,
-        a,
-        b,
-        c,
-        d,
-        provenance=m1.provenance + m2.provenance,
-        entry_certified=m1.entry_certified and m2.entry_certified,
-    )
+    return VahlenMatrix(m1.dim, a, b, c, d)
 
 
 def vahlen_inverse(m: VahlenMatrix) -> VahlenMatrix:
     """Inverse matrix (reversion(d), -reversion(b), -reversion(c), reversion(a))."""
     return VahlenMatrix(
-        m.dim,
-        m.d.reversion(),
-        -m.b.reversion(),
-        -m.c.reversion(),
-        m.a.reversion(),
-        provenance=("inverse-of",) + m.provenance,
-        entry_certified=m.entry_certified,
+        m.dim, m.d.reversion(), -m.b.reversion(), -m.c.reversion(), m.a.reversion()
     )
-
-
-def compose_word(dim: int, generators) -> VahlenMatrix:
-    """Compose a sequence of matrices, leftmost applied last."""
-    out = identity_matrix(dim)
-    for g in generators:
-        out = compose(out, g)
-    return out
 
 
 # ------------------------------------------------------------- validation
@@ -339,11 +278,6 @@ def frame_at(m: VahlenMatrix, x: Multivector) -> FramePoint:
     return FramePoint(u=u, scale=nn, sigma=sig)
 
 
-def sigma(m: VahlenMatrix, x: Multivector) -> int:
-    """Factor-count parity of c x + d (constant over x for a fixed matrix)."""
-    return frame_at(m, x).sigma
-
-
 def jacobian_determinant(m: VahlenMatrix, x: Multivector):
     """|det dM_x| = |c x + d|^{-2 dim}."""
     g = denominator(m, x)
@@ -409,5 +343,4 @@ def parse_mobius_expr(expr: str, dim: int) -> VahlenMatrix:
                 raise
             raise MobiusError(f"bad generator token {token!r}: {exc}") from exc
         out = compose(out, gen)
-    object.__setattr__(out, "provenance", tuple(expr.split("*")))
     return out

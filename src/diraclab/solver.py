@@ -491,15 +491,13 @@ class SolveDiagnostics:
     is (epsilon, iterations, final max |g|, stop reason) of one
     continuation stage.  For p < 2 the first entry, (0.0, ...), is the
     p = 2 start; its steps and evaluations count in the totals, but its
-    p = 2 energies and gradient norms stay out of `energies` and
-    `gradient_norms`."""
+    p = 2 energies stay out of `energies`."""
 
     converged: bool
     iterations: int
     final_energy: float
     final_gradient_norm: float
     energies: tuple
-    gradient_norms: tuple
     stages: tuple = ()
     message: str = ""
     gradient_evaluations: int = 0
@@ -654,6 +652,8 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
     blades = (1 << domain.dim,) if clifford else ()
     if bvals.shape != (len(bpts),) + blades:
         raise SolverError("boundary data does not cover the boundary nodes")
+    if not np.all(np.isfinite(bvals)):
+        raise SolverError("boundary data must be finite on every boundary node")
     values = np.zeros(domain.shape + blades)
     values[domain.boundary_mask] = bvals
     # neutral interior seed: the boundary mean keeps the start bounded even
@@ -661,7 +661,7 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
     values[domain.interior_mask] = np.mean(bvals, axis=0)
 
     tol = config.grad_tol if config.grad_tol is not None else 1e-8 * domain.h**domain.dim
-    all_e, all_g = [], []
+    all_e = []
     stages = []
     total_iter = 0
     counts = {"gradient": 0, "energy": 0, "hessian": 0}
@@ -677,7 +677,6 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
         )
         if p == config.p:
             all_e.extend(energies)
-            all_g.extend(gnorms)
         total_iter += iters
         stages.append((float(eps), int(iters), float(gnorms[-1]), reason))
     converged = reason == "converged"
@@ -686,9 +685,8 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
         converged=bool(converged),
         iterations=int(total_iter),
         final_energy=float(all_e[-1]),
-        final_gradient_norm=float(all_g[-1]),
+        final_gradient_norm=float(gnorms[-1]),
         energies=tuple(all_e),
-        gradient_norms=tuple(all_g),
         stages=tuple(stages),
         message=message,
         gradient_evaluations=counts["gradient"],

@@ -290,8 +290,6 @@ class RadialIdentityReport:
 
     sphere_dim: int
     p: float
-    point: tuple
-    pole: tuple
     discrepancy: float
     discrepancy_flipped: float
     ratios: tuple
@@ -329,8 +327,6 @@ def lr_identity_check(
     return RadialIdentityReport(
         n,
         float(p),
-        tuple(x),
-        tuple(y),
         float((left_plus - right).norm()[0]),
         float((left_minus - right).norm()[0]),
         vector_ratios(left_plus),
@@ -347,7 +343,6 @@ class SphericalHarmonicReport:
 
     sphere_dim: int
     p: float
-    pole: tuple
     rows: tuple
     notes: tuple
 
@@ -394,7 +389,7 @@ def spherical_p_harmonic_check(
         "residual uses the zero-order coupling +(p/2) x as displayed",
         "residual_flipped uses -(p/2) x, the conformal-Laplacian factor sign",
     )
-    return SphericalHarmonicReport(n, float(p), tuple(y), tuple(rows), notes)
+    return SphericalHarmonicReport(n, float(p), tuple(rows), notes)
 
 
 # ------------------------------------------------------- caps and bumps
@@ -420,10 +415,6 @@ class SphericalCap:
     @property
     def geodesic_radius(self) -> float:
         return 2.0 * np.arcsin(self.radius / 2.0)
-
-    def contains(self, pts) -> np.ndarray:
-        pts = _renormalize(np.asarray(pts, dtype=float))
-        return np.linalg.norm(pts - np.array(self.center), axis=-1) < self.radius
 
 
 @dataclass(frozen=True)

@@ -164,11 +164,6 @@ class BumpTestFunction:
         vec = Multivector.from_vector(self.dim, self.profile_gradient(pts))
         return geometric_product(vec, self.blade)
 
-    def as_field(self) -> AnalyticField:
-        return AnalyticField(
-            self.dim, self.__call__, lambda q: self.partials(q), name=self.label
-        )
-
     def require_support_inside(self, domain: Domain):
         c = np.array(self.center)
         r = self.radius
@@ -660,8 +655,6 @@ class CovarianceReport:
     experiment: str
     dim: int
     p: float
-    mobius_tokens: tuple
-    source_domain: Domain
     domain: Domain
     rows: list
     order: int
@@ -740,10 +733,7 @@ def dirac_covariance_experiment(
             CovarianceRow(eta.label, exponent, float(r), float(nz), count)
             for eta, r, nz in zip(family, Multivector(dim, raw, copy=False).norm(), normalizer)
         )
-    return CovarianceReport(
-        "dirac-pullback", dim, float(p), m.provenance, source_domain, volume,
-        rows, order,
-    )
+    return CovarianceReport("dirac-pullback", dim, float(p), volume, rows, order)
 
 
 def harmonic_covariance_experiment(
@@ -811,10 +801,7 @@ def harmonic_covariance_experiment(
             for bump, by_s, nz_s in zip(family, norms, normalizer)
             for s, r, nz in zip(exponents, by_s, nz_s)
         )
-    return CovarianceReport(
-        "twisted-harmonic", dim, float(p), m.provenance, source_domain, volume,
-        rows, order, notes,
-    )
+    return CovarianceReport("twisted-harmonic", dim, float(p), volume, rows, order, notes)
 
 
 # ------------------------------------------------- pointwise invariances

@@ -179,12 +179,14 @@ def test_config_file_syntax_errors(tmp_path):
 
 def test_config_file_values_keep_the_exit_contract(capsys, tmp_path):
     """A config file is checked like the flags: a value outside a flag's
-    choices, or a key that is no subcommand's flag, is a usage error."""
+    choices, a key that is no subcommand's flag, or a `config` key naming
+    another file, is a usage error."""
     cfg = tmp_path / "run.cfg"
     for subcommand, text in (("covariance", "theorem = 7\nn = 2\n"),
                              ("covariance", "theorem = 0\nn = 2\n"),
                              ("cr-check", "format = xml\n"),
-                             ("kernel-residual", "ordr = 99\n")):
+                             ("kernel-residual", "ordr = 99\n"),
+                             ("kernel-residual", "config = nothere.cfg\n")):
         cfg.write_text(text)
         capsys.readouterr()
         assert run_cli([subcommand, "--config", str(cfg)]) == 2, text
@@ -232,6 +234,10 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli([]) == 2
     bad_file = tmp_path / "bc.txt"
     bad_file.write_text("0.0 zero\n")
+    # the default 17 x 17 lattice with a non-finite value on a corner node
+    nan_file, inf_file = tmp_path / "nan.txt", tmp_path / "inf.txt"
+    for path, word in ((nan_file, "nan"), (inf_file, "inf")):
+        path.write_text(" ".join([word] + ["0.0"] * 288) + "\n")
     # configurations that parse but break a library contract or a format
     for args in (["covariance", "--theorem", "1", "--n", "5"],  # quadrature budget
                  ["sphere-check", "--n", "5"],
@@ -243,6 +249,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["solve", "--region", "annulus:2,1"],
                  ["sphere-check", "--y", "a,b,c"],              # not numbers
                  ["solve", "--bc", f"file:{bad_file}"],
+                 ["solve", "--bc", f"file:{nan_file}"],         # boundary not finite
+                 ["solve", "--bc", f"file:{inf_file}"],
                  ["sphere-check", "--theta=-1e-3"],             # step sign
                  ["sphere-check", "--theta=nan"],
                  ["solve", "--n", "0"],                         # lattice dim

@@ -671,3 +671,22 @@ def test_boundary_shape_mismatch_rejected():
             lambda pts: Multivector(3, np.zeros((len(pts), 8))),
             SolverConfig(p=2.0),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_boundary_data_rejected(bad):
+    dom = LatticeDomain.box([0.0, 0.0], [1.0, 1.0], 0.25)
+
+    def scalar(pts):
+        vals = pts[:, 0] * pts[:, 1]
+        vals[-1] = bad
+        return vals
+
+    def clifford(pts):
+        coeffs = np.zeros((len(pts), 4))
+        coeffs[0, 3] = bad
+        return Multivector(2, coeffs)
+
+    for boundary in (scalar, clifford):
+        with pytest.raises(SolverError, match="finite"):
+            solve_dirichlet(dom, boundary, SolverConfig(p=2.0))
