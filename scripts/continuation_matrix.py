@@ -74,9 +74,16 @@ def cases():
     return out
 
 
+# the diagnostics a digest covers, by name, so that a field added to
+# SolveDiagnostics leaves every digest as it was
+DIGEST_FIELDS = ("converged", "iterations", "final_energy", "final_gradient_norm",
+                 "energies", "stages", "message", "gradient_evaluations",
+                 "energy_evaluations", "hessian_products")
+
+
 def digest(u, diag):
     h = hashlib.sha256(u.values.tobytes())
-    h.update(repr(diag).encode())
+    h.update(repr(tuple(getattr(diag, name) for name in DIGEST_FIELDS)).encode())
     return h.hexdigest()[:12]
 
 

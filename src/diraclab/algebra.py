@@ -139,11 +139,11 @@ class Multivector:
         return cls(dim, c, copy=False)
 
     @classmethod
-    def blade(cls, dim: int, mask: int, coefficient: float = 1.0) -> "Multivector":
+    def blade(cls, dim: int, mask: int) -> "Multivector":
         if not 0 <= mask < (1 << dim):
             raise AlgebraError(f"blade mask {mask} out of range for dim={dim}")
         c = np.zeros(1 << dim)
-        c[mask] = coefficient
+        c[mask] = 1.0
         return cls(dim, c, copy=False)
 
     @classmethod
@@ -405,8 +405,8 @@ class VectorFactorList:
     def norm(self) -> float:
         return float(np.prod([float(f.norm()) for f in self.factors]))
 
-    def is_unit(self, tol: float = 1e-12) -> bool:
-        return all(abs(float(f.norm()) - 1.0) <= tol for f in self.factors)
+    def is_unit(self) -> bool:
+        return all(abs(float(f.norm()) - 1.0) <= 1e-12 for f in self.factors)
 
     def inverse(self) -> Multivector:
         """Product of the factor inverses in reverse order."""

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -197,153 +198,43 @@ def read_config_file(path):
     return table
 
 
-def _positive_int(s):
-    v = int(s)
-    if v <= 0:
-        raise ValueError("must be positive")
-    return v
+# A flag's converter turns its text, from the command line or a config file
+# alike, into its value, or raises ValueError saying what the flag accepts.
 
 
-def _choice(*allowed):
-    """Converter accepting only the listed values, in flags and config files."""
+def _integer(low, high=None):
+    """Converter to an int in low..high, unbounded above when high is None."""
     def convert(s):
-        v = type(allowed[0])(s)
-        if v not in allowed:
-            raise argparse.ArgumentTypeError(
-                f"{s!r} is not one of {', '.join(map(str, allowed))}")
+        v = int(s)
+        if v < low or high is not None and v > high:
+            raise ValueError(f"must lie in {low}..{high}" if high is not None
+                             else f"must be >= {low}")
         return v
     return convert
 
 
-# name -> (converter, default, help); every flag defaults to None at parse
-# time so config-file values can slot in underneath explicit flags
-_COMMON = {
-    "seed": (int, 42, "RNG seed for sampled points and bump placement"),
-    "out": (str, None, "write the result table to this path (default stdout)"),
-    "format": (_choice("csv", "json"), "csv", "table format: csv or json"),
-    "config": (str, None, "key = value file supplying flag defaults"),
-}
-
-_SPECS = {
-    "algebra-selftest": {
-        "n": (int, None, "single algebra dimension (default: sweep 2..6)"),
-        "checks": (_positive_int, 1000, "random samples per property"),
-        **_COMMON,
-        "format": (_choice("csv", "json"), "json", "table format: csv or json"),
-    },
-    "kernel-residual": {
-        "n": (int, 3, "ambient dimension"),
-        "p": (float, 2.0, "nonlinearity exponent"),
-        **_COMMON,
-    },
-    "covariance": {
-        "theorem": (_choice(1, 2, 3, 4), None, "numbered covariance mode 1-4 (required)"),
-        "n": (int, 3, "ambient dimension"),
-        "p": (float, None, "nonlinearity exponent (mode-dependent default)"),
-        "mobius": (str, "inversion",
-                   "generator word, e.g. inversion*translation:1,0,0"),
-        "order": (_positive_int, 6, "bump-fitted quadrature order"),
-        **_COMMON,
-    },
-    "solve": {
-        "n": (int, 2, "lattice dimension"),
-        "p": (float, 2.0, "energy exponent (> 1)"),
-        "region": (str, "box:0,1", "box:lo,hi or annulus:inner,outer"),
-        "h": (float, 1 / 16, "lattice spacing"),
-        "bc": (str, "linear",
-               "boundary data: linear, radial, or file:<path> of grid values"),
-        "eps_schedule": (str, "auto",
-                         "regularization stages: auto or comma list ending at "
-                         "the final value"),
-        "max_iter": (_positive_int, 5000, "iteration cap per stage"),
-        **_COMMON,
-    },
-    "sphere-check": {
-        "n": (int, 2, "sphere dimension (points live in R^(n+1))"),
-        "p": (float, None, "single exponent (default: both 2 and n)"),
-        "y": (str, None, "kernel pole, n+1 comma-separated components"),
-        "theta": (float, 1e-3, "rotational finite-difference step"),
-        "order": (_positive_int, 8, "cap quadrature order"),
-        **_COMMON,
-    },
-    "cr-check": {
-        "p": (float, None, "single exponent (default: 1.5, 2 and 3)"),
-        "order": (_positive_int, 12, "disc quadrature order"),
-        **_COMMON,
-    },
-}
-
-_REQUIRED = {"covariance": ("theorem",)}
+def _finite(s):
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError("must be finite")
+    return v
 
 
-def build_parser():
-    top = argparse.ArgumentParser(
-        prog="diraclab",
-        description=__doc__.splitlines()[0],
-    )
-    top.add_argument("--version", action="version", version=__version__)
-    subs = top.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name, spec in _SPECS.items():
-        sub = subs.add_parser(name, help=spec_summary(name))
-        for key, (conv, _default, help_text) in spec.items():
-            sub.add_argument("--" + key.replace("_", "-"), default=None, type=conv,
-                             help=help_text)
-    return top
+def _exponent(s):
+    v = _finite(s)
+    if v <= 1.0:
+        raise ValueError("must exceed 1")
+    return v
 
 
-def spec_summary(name):
-    return {
-        "algebra-selftest": "random product/involution/norm property suite",
-        "kernel-residual": "strong-residual sweep of the first-order kernel "
-                           "solution with a fitted convergence order",
-        "covariance": "conformal covariance experiments (numbered modes)",
-        "solve": "lattice Dirichlet energy minimizer",
-        "sphere-check": "spherical operator checks and identity reports",
-        "cr-check": "two-dimensional Wirtinger-form checks",
-    }[name]
-
-
-def resolve_config(args):
-    """Fold defaults, config file, and explicit flags (flags win)."""
-    spec = _SPECS[args.subcommand]
-    file_table = {}
-    if args.config is not None:
-        file_table = read_config_file(args.config)
-    if "config" in file_table:
-        raise UsageError("a config file cannot name another config file")
-    # a key of another subcommand stays valid, so one file serves several
-    unknown = sorted(set(file_table).difference(*_SPECS.values()))
-    if unknown:
-        raise UsageError(f"config keys that are no subcommand's flag: {', '.join(unknown)}")
-    params = {}
-    for key, (conv, default, _help) in spec.items():
-        value = getattr(args, key)
-        if value is None and key in file_table:
-            try:
-                value = conv(file_table[key])
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(
-                    f"config value {key} = {file_table[key]!r}: {exc}"
-                ) from exc
-        if value is None:
-            value = default
-        params[key] = value
-    params.pop("config", None)
-    for key in _REQUIRED.get(args.subcommand, ()):
-        if params[key] is None:
-            raise UsageError(f"--{key} is required for {args.subcommand}")
-    for key, (conv, _default, _help) in spec.items():
-        if conv is float and params[key] is not None and not np.isfinite(params[key]):
-            raise UsageError(f"--{key} must be finite")
-    if params["seed"] < 0:
-        raise UsageError("the seed must be >= 0")
-    if params.get("p") is not None and params["p"] <= 1.0:
-        raise UsageError("the exponent p must exceed 1")
-    if params.get("n") is not None:
-        low = 1 if args.subcommand == "solve" else 2
-        if not low <= params["n"] <= 6:
-            raise UsageError(f"n must lie in {low}..6")
-    return params
+def _choice(*allowed):
+    """Converter accepting only the listed values."""
+    def convert(s):
+        v = type(allowed[0])(s)
+        if v not in allowed:
+            raise ValueError(f"must be one of {', '.join(map(str, allowed))}")
+        return v
+    return convert
 
 
 # ---------------------------------------------------------------- subcommands
@@ -675,8 +566,6 @@ def _parse_schedule(text, p):
         stages = [float(s) for s in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad schedule {text!r}: {exc}") from exc
-    if not stages:
-        raise UsageError("empty regularization schedule")
     return stages, stages[-1]
 
 
@@ -812,7 +701,7 @@ def run_sphere_check(params):
 
     for flat_dim in (2, 3):
         dev = cayley_ratio_constancy(
-            flat_dim, count=20, seed=params["seed"])["max_deviation"]
+            flat_dim, seed=params["seed"])["max_deviation"]
         row("cayley-ratio-constancy", 2.0, f"flat-dim-{flat_dim}", dev)
         _check(checks, f"Cayley ratio constancy (flat dim {flat_dim})",
                dev, 1e-6)
@@ -862,18 +751,124 @@ def run_cr_check(params):
     return rows, {"map": "square-plus-3"}, checks
 
 
-_RUNNERS = {
-    "algebra-selftest": run_algebra_selftest,
-    "kernel-residual": run_kernel_residual,
-    "covariance": run_covariance,
-    "solve": run_solve,
-    "sphere-check": run_sphere_check,
-    "cr-check": run_cr_check,
+# -------------------------------------------------------- subcommand table
+
+
+# each flag is key -> (converter, default, help); a default is never converted
+Subcommand = namedtuple("Subcommand", "summary run flags")
+REQUIRED = object()  # the default of a flag that every run must set
+
+_COMMON = {
+    "seed": (_integer(0), 42, "RNG seed for sampled points and bump placement"),
+    "out": (str, None, "write the result table to this path (default stdout)"),
+    "format": (_choice("csv", "json"), "csv", "table format: csv or json"),
+}
+
+SUBCOMMANDS = {
+    "algebra-selftest": Subcommand(
+        "random product/involution/norm property suite", run_algebra_selftest, {
+            "n": (_integer(2, 6), None, "single algebra dimension (default: sweep 2..6)"),
+            "checks": (_integer(1), 1000, "random samples per property"),
+            **_COMMON,
+            "format": (_choice("csv", "json"), "json", "table format: csv or json"),
+        }),
+    "kernel-residual": Subcommand(
+        "strong-residual sweep of the first-order kernel solution with a fitted "
+        "convergence order", run_kernel_residual, {
+            "n": (_integer(2, 6), 3, "ambient dimension"),
+            "p": (_exponent, 2.0, "nonlinearity exponent"),
+            **_COMMON,
+        }),
+    "covariance": Subcommand(
+        "conformal covariance experiments (numbered modes)", run_covariance, {
+            "theorem": (_choice(1, 2, 3, 4), REQUIRED,
+                        "numbered covariance mode 1-4 (required)"),
+            "n": (_integer(2, 6), 3, "ambient dimension"),
+            "p": (_exponent, None, "nonlinearity exponent (mode-dependent default)"),
+            "mobius": (str, "inversion",
+                       "generator word, e.g. inversion*translation:1,0,0"),
+            "order": (_integer(1), 6, "bump-fitted quadrature order"),
+            **_COMMON,
+        }),
+    "solve": Subcommand(
+        "lattice Dirichlet energy minimizer", run_solve, {
+            "n": (_integer(1, 6), 2, "lattice dimension"),
+            "p": (_exponent, 2.0, "energy exponent (> 1)"),
+            "region": (str, "box:0,1", "box:lo,hi or annulus:inner,outer"),
+            "h": (_finite, 1 / 16, "lattice spacing"),
+            "bc": (str, "linear",
+                   "boundary data: linear, radial, or file:<path> of grid values"),
+            "eps_schedule": (str, "auto",
+                             "regularization stages: auto or comma list ending at "
+                             "the final value"),
+            "max_iter": (_integer(1), 5000, "iteration cap per stage"),
+            **_COMMON,
+        }),
+    "sphere-check": Subcommand(
+        "spherical operator checks and identity reports", run_sphere_check, {
+            "n": (_integer(2, 6), 2, "sphere dimension (points live in R^(n+1))"),
+            "p": (_exponent, None, "single exponent (default: both 2 and n)"),
+            "y": (str, None, "kernel pole, n+1 comma-separated components"),
+            "theta": (_finite, 1e-3, "rotational finite-difference step"),
+            "order": (_integer(1), 8, "cap quadrature order"),
+            **_COMMON,
+        }),
+    "cr-check": Subcommand(
+        "two-dimensional Wirtinger-form checks", run_cr_check, {
+            "p": (_exponent, None, "single exponent (default: 1.5, 2 and 3)"),
+            "order": (_integer(1), 12, "disc quadrature order"),
+            **_COMMON,
+        }),
 }
 
 
+def build_parser():
+    top = argparse.ArgumentParser(
+        prog="diraclab",
+        description=__doc__.splitlines()[0],
+    )
+    top.add_argument("--version", action="version", version=__version__)
+    subs = top.add_subparsers(dest="subcommand", metavar="subcommand")
+    for name, sub in SUBCOMMANDS.items():
+        parser = subs.add_parser(name, help=sub.summary)
+        # every flag parses to its text, or None when absent, so that
+        # resolve_config converts it and config-file values slot in underneath
+        for key, (_convert, _default, help_text) in sub.flags.items():
+            parser.add_argument("--" + key.replace("_", "-"), help=help_text)
+        parser.add_argument("--config", help="key = value file supplying flag defaults")
+    return top
+
+
+def resolve_config(subcommand, given, file_table):
+    """Parameters of one run: each flag's command-line text from `given`,
+    else its config-file text, passed through the flag's converter; else
+    its default (flags win over the file)."""
+    # a key of another subcommand stays valid, so one file serves several
+    known = set().union(*(sub.flags for sub in SUBCOMMANDS.values()))
+    unknown = sorted(set(file_table) - known)
+    if unknown:
+        raise UsageError(f"keys a config file cannot set: {', '.join(unknown)}")
+    params = {}
+    for key, (convert, default, _help) in SUBCOMMANDS[subcommand].flags.items():
+        flag = "--" + key.replace("_", "-")
+        if given.get(key) is not None:
+            text, source = given[key], f"{flag} {given[key]!r}"
+        elif key in file_table:
+            text, source = file_table[key], f"config value {key} = {file_table[key]!r}"
+        elif default is REQUIRED:
+            raise UsageError(f"{flag} is required for {subcommand}")
+        else:
+            params[key] = default
+            continue
+        try:
+            params[key] = convert(text)
+        except ValueError as exc:
+            raise UsageError(f"{source}: {exc}") from exc
+    return params
+
+
 def run(params, subcommand):
-    rows, meta, checks = _RUNNERS[subcommand](params)
+    rows, meta, checks = SUBCOMMANDS[subcommand].run(params)
     passed = all(c["status"] != "fail" for c in checks)
     if params["format"] == "json":
         # the artifact excludes its own destination path so the same
@@ -894,7 +889,8 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        params = resolve_config(args)
+        file_table = {} if args.config is None else read_config_file(args.config)
+        params = resolve_config(args.subcommand, vars(args), file_table)
         return run(params, args.subcommand)
     except _CONTRACT_ERRORS as exc:
         sys.stderr.write(f"usage error: {exc}\n")

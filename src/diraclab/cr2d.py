@@ -40,7 +40,8 @@ from .fields import (
     power_scale,
     richardson_step,
 )
-from .weakform import BumpTestFunction, random_bump, support_blocks, weak_pairing
+from .weakform import (BumpTestFunction, normalized_ratio, random_bump, support_blocks,
+                       weak_pairing)
 
 
 class CRError(FieldError):
@@ -247,7 +248,7 @@ def p_cr_residual(g: ComplexField, p: float, z, h: float = 1e-3) -> np.ndarray:
 
 
 def transfer_identity_check(
-    f: ComplexField, eta: ComplexField, zeta, h: float = 1e-3
+    f: ComplexField, eta: ComplexField, zeta
 ) -> float:
     """Largest discrepancy of the holomorphic derivative-transfer identity.
 
@@ -256,12 +257,12 @@ def transfer_identity_check(
     central differences; f' must not vanish at zeta.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    fp = f.dz(zeta) if f.has_dz else dz_fd(f, zeta, h=h)
+    fp = f.dz(zeta) if f.has_dz else dz_fd(f, zeta)
     if zeta.size and float(np.min(np.abs(fp))) < NORM_CUTOFF:
         raise CRError("the reparametrization has a critical point at zeta")
-    lhs = dbar_fd(eta, f(zeta), h=h)
+    lhs = dbar_fd(eta, f(zeta))
     composed = ComplexField(lambda q: eta(f(q)), name=f"{eta.name} after {f.name}")
-    rhs = dbar_fd(composed, zeta, h=h) / np.conj(fp)
+    rhs = dbar_fd(composed, zeta) / np.conj(fp)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
@@ -305,10 +306,10 @@ def _cr_pairing(flux: ComplexField, xi: BumpTestFunction, order: int):
 
 
 def weak_cr_residual(
-    g: ComplexField, p: float, xi: BumpTestFunction, order: int = 12
+    g: ComplexField, p: float, xi: BumpTestFunction
 ) -> complex:
-    """Quadrature of conj(|g|^(p-2) g) * d xi / d z over the support."""
-    return _cr_pairing(_flux(g, p), xi, order)[0]
+    """Quadrature of conj(|g|^(p-2) g) * d xi / d z over the support (order 12)."""
+    return _cr_pairing(_flux(g, p), xi, 12)[0]
 
 
 def normalized_weak_cr_residual(
@@ -316,7 +317,7 @@ def normalized_weak_cr_residual(
 ) -> float:
     """|weak residual| scaled by the quadrature of |flux| |d xi / d z|."""
     raw, normalizer = _cr_pairing(_flux(g, p), xi, order)
-    return abs(raw) / max(normalizer, 1e-300)
+    return normalized_ratio(abs(raw), normalizer)
 
 
 def composed_flux(g: ComplexField, f: ComplexField, p: float) -> ComplexField:
@@ -341,5 +342,5 @@ def theorem5_experiment(g: ComplexField, f: ComplexField, p: float, domain: Doma
         raw, normalizer = _cr_pairing(W, xi.require_support_inside(domain), order)
         rows.append({"eta": xi.label, "p": float(p), "map": f.name, "residual": abs(raw),
                      "normalizer": normalizer,
-                     "normalized": abs(raw) / max(normalizer, 1e-300)})
+                     "normalized": normalized_ratio(abs(raw), normalizer)})
     return rows

@@ -305,8 +305,7 @@ class Domain:
     """Axis box, ball, or annulus working region in R^dim.
 
     `kind` is one of "box" (lo/hi bounds), "ball" (center/radius) and
-    "annulus" (center, inner and outer radius); `shifted-ball` is a ball
-    whose center is away from the origin, constructed the same way.
+    "annulus" (center, inner and outer radius).
     """
 
     dim: int
@@ -332,7 +331,7 @@ class Domain:
             raise DomainError("ball radius must be positive")
         return cls(
             dim=len(center),
-            kind="ball" if not any(center) else "shifted-ball",
+            kind="ball",
             center=center,
             outer=float(radius),
         )
@@ -479,7 +478,7 @@ def p_dirac_residual(
 
 
 def p_harmonic_residual(
-    h_field: AnalyticField, p: float, points, h: float = 1e-3
+    h_field: AnalyticField, p: float, points
 ) -> Multivector:
     """D applied by FD to |Dh|^{p-2} Dh, the nested second-order residual.
 
@@ -498,19 +497,19 @@ def p_harmonic_residual(
     else:
         inner = AnalyticField(
             h_field.dim,
-            lambda pts: dirac_fd(h_field, pts, h=h),
+            lambda pts: dirac_fd(h_field, pts),
             None,
             h_field.singular_points,
             name=f"D_fd[{h_field.name}]",
         )
-    return dirac_fd(nonlinear_power_field(inner, p), points, h=h)
+    return dirac_fd(nonlinear_power_field(inner, p), points)
 
 
 # --------------------------------------------------- transformation checks
 
 
 def lemma1_check(
-    m: VahlenMatrix, psi: AnalyticField, points, h: float = 1e-3
+    m: VahlenMatrix, psi: AnalyticField, points
 ) -> float:
     """Discrepancy in the conformal differentiation identity.
 
@@ -531,24 +530,24 @@ def lemma1_check(
         return j1 * psi(map_points(m, q))
 
     lhs_field = AnalyticField(dim, lhs_eval, None, (), name="J1*psi∘M")
-    lhs = dirac_fd(lhs_field, pts, h=h)
+    lhs = dirac_fd(lhs_field, pts)
 
     x = Multivector.from_vector(dim, pts)
     _, jm1 = jacobian_factors(m, x)
     sig = frame_at(m, x).sigma
-    dpsi = dirac_fd(psi, map_points(m, pts), h=h)
+    dpsi = dirac_fd(psi, map_points(m, pts))
     rhs = float(sig) * (jm1 * dpsi)
     return float(np.max((lhs - rhs).norm(), initial=0.0))
 
 
-def dj1_check(m: VahlenMatrix, points, h: float = 1e-3) -> float:
+def dj1_check(m: VahlenMatrix, points) -> float:
     """Max |D J1(M, .)| over the points; J1 is monogenic, so ~0."""
 
     def ev(q):
         return jacobian_factors(m, Multivector.from_vector(m.dim, q))[0]
 
     fld = AnalyticField(m.dim, ev, None, (), name="J1")
-    return float(np.max(dirac_fd(fld, points, h=h).norm(), initial=0.0))
+    return float(np.max(dirac_fd(fld, points).norm(), initial=0.0))
 
 
 # ------------------------------------------------------- convergence order

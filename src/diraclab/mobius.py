@@ -153,7 +153,7 @@ def rotation(dim: int, i: int, j: int, theta: float) -> VahlenMatrix:
 
 def rotation_from_factors(dim: int, factors: VectorFactorList) -> VahlenMatrix:
     """Pin-group generator (a, 0, 0, (-1)^J a) from explicit unit factors."""
-    if not factors.is_unit(tol=1e-12):
+    if not factors.is_unit():
         raise MobiusError("rotation factors must be unit vectors")
     a = factors.product()
     sign = -1.0 if len(factors) % 2 else 1.0

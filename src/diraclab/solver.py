@@ -144,14 +144,14 @@ class LatticeDomain:
                    np.ones(shape, dtype=bool), "box")
 
     @classmethod
-    def annulus(cls, inner: float, outer: float, h: float, dim: int = 2) -> "LatticeDomain":
+    def annulus(cls, inner: float, outer: float, h: float) -> "LatticeDomain":
         if not 0 < inner < outer:
             raise SolverError("annulus radii must satisfy 0 < inner < outer")
         if not h > 0:
             raise SolverError("spacing must be positive")
         half = int(np.floor(outer / h + 1e-9))
-        lo = tuple(-half * h for _ in range(dim))
-        shape = tuple(2 * half + 1 for _ in range(dim))
+        lo = (-half * h,) * 2
+        shape = (2 * half + 1,) * 2
         coords = np.stack(
             np.meshgrid(*(np.arange(s) * h + l for s, l in zip(shape, lo)),
                         indexing="ij"),
@@ -159,7 +159,7 @@ class LatticeDomain:
         )
         radii = np.linalg.norm(coords, axis=-1)
         mask = (radii >= inner - 1e-12) & (radii <= outer + 1e-12)
-        return cls(dim, lo, shape, float(h), mask, "annulus")
+        return cls(2, lo, shape, float(h), mask, "annulus")
 
     def coordinates(self) -> np.ndarray:
         """Node coordinates, shape self.shape + (dim,)."""

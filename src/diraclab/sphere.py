@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import Multivector, blade_label, geometric_product
 from .fields import NORM_CUTOFF, FieldError, StencilError, power_scale, richardson_step
 from .weakform import (SUPPORT_MARGIN, SupportError, fitted_node_count, mollifier,
-                       polar_blocks, support_families, weak_pairing)
+                       normalized_ratio, polar_blocks, support_families, weak_pairing)
 
 
 class SphereError(FieldError):
@@ -255,13 +255,13 @@ def spherical_p_dirac_residual(
     return spherical_dirac(p_spherical_flux(f, p), points, theta=theta)
 
 
-def yamabe_op(f: SphericalField, points, theta: float = 1e-3) -> Multivector:
+def yamabe_op(f: SphericalField, points) -> Multivector:
     """The conformal Laplacian as the nested first-order product:
     applies the first-order operator to (D_S f - x f)."""
     ambient = f.ambient
 
     def inner_ev(pts):
-        df = spherical_dirac(f, pts, theta=theta)
+        df = spherical_dirac(f, pts)
         xf = geometric_product(
             Multivector.from_vector(ambient, pts), f.eval_fn(pts)
         )
@@ -270,7 +270,7 @@ def yamabe_op(f: SphericalField, points, theta: float = 1e-3) -> Multivector:
     inner = SphericalField(
         ambient, inner_ev, f.singular_points, name=f"first-factor({f.name})"
     )
-    return spherical_dirac(inner, points, theta=theta)
+    return spherical_dirac(inner, points)
 
 
 # ------------------------------------------------------- identity reports
@@ -509,11 +509,10 @@ def cap_blocks(bump: CapBump, order: int):
     return polar_blocks(n, order, geometry)
 
 
-def random_cap_bump(cap: SphericalCap, rng, blade=None, label="cap-bump") -> CapBump:
+def random_cap_bump(cap: SphericalCap, rng, label="cap-bump") -> CapBump:
     ambient = cap.ambient
-    if blade is None:
-        coeffs = rng.normal(size=1 << ambient)
-        blade = Multivector(ambient, coeffs / np.linalg.norm(coeffs))
+    coeffs = rng.normal(size=1 << ambient)
+    blade = Multivector(ambient, coeffs / np.linalg.norm(coeffs))
     center = np.array(cap.center)
     tangent = rng.normal(size=ambient)
     tangent -= (tangent @ center) * center
@@ -572,21 +571,19 @@ def weak_spherical_residual(
     return Multivector(f.ambient, _cap_pairing(f, p, [eta], order, cap)[0][0])
 
 
-def normalized_weak_spherical_residual(
-    f: SphericalField, p: float, eta, order: int = 12, cap: SphericalCap = None
-):
+def normalized_weak_spherical_residual(f: SphericalField, p: float, eta, order: int = 12):
     """|weak residual| / normalizer of one cap bump.  Given a list of cap
     bumps instead, one (normalized residual, node count) pair per bump, in
     order; the nodes stream once per run of consecutive bumps that share a
     support."""
     if isinstance(eta, CapBump):
-        return normalized_weak_spherical_residual(f, p, [eta], order, cap)[0][0]
+        return normalized_weak_spherical_residual(f, p, [eta], order)[0][0]
     out = []
     for family in support_families(eta):
-        raw, normalizer, count = _cap_pairing(f, p, family, order, cap)
+        raw, normalizer, count = _cap_pairing(f, p, family, order, None)
         norms = Multivector(f.ambient, raw, copy=False).norm()
         out.extend(
-            (float(r) / max(float(nz), 1e-300), count) for r, nz in zip(norms, normalizer)
+            (normalized_ratio(r, nz), count) for r, nz in zip(norms, normalizer)
         )
     return out
 
@@ -608,22 +605,19 @@ def conformal_scale(u) -> np.ndarray:
     return 2.0 / (1.0 + np.sum(u * u, axis=-1))
 
 
-def cayley_ratio_constancy(
-    dim: int, count: int = 20, seed: int = 42, v=None
-) -> dict:
+def cayley_ratio_constancy(dim: int, seed: int = 42) -> dict:
     """Push the flat first-order kernel through the stereographic lift and
-    compare with the spherical kernel at p = 2.
+    compare with the spherical kernel at p = 2, pole v = 0.3 e1, at 20
+    sampled points u less those within 0.2 of v.
 
     |K_sphere(lift u, lift v)| * (scale(u) scale(v))^((n-1)/2) against
     |K_flat(u, v)| - the chordal-distance identity makes the ratio exactly
     1, so its constancy ties the two kernels and the lift together.
     """
     rng = np.random.default_rng(seed)
-    if v is None:
-        v = np.zeros(dim)
-        v[0] = 0.3
-    v = np.asarray(v, dtype=float)
-    u = rng.normal(size=(count, dim))
+    v = np.zeros(dim)
+    v[0] = 0.3
+    u = rng.normal(size=(20, dim))
     u = u[np.linalg.norm(u - v, axis=-1) > 0.2]
     x = cayley_lift(u)
     y = cayley_lift(v)

@@ -270,10 +270,10 @@ def test_criterion_05_derivative_identity_and_jacobian_factor():
     psi = _gaussian_blade_field(rng, 3, [2.0, 0.3, -0.1])
     for label, make in _MOBIUS_SET:
         pts = np.array([2.0, 0.0, 0.0]) + 0.25 * rng.normal(size=(10, 3))
-        v1 = lemma1_check(make(), psi, pts, h=1e-3)
+        v1 = lemma1_check(make(), psi, pts)
         if v1 > 1e-6:
             failures.append(f"derivative identity {label}: {v1:.3e}")
-        v2 = dj1_check(make(), pts, h=1e-3)
+        v2 = dj1_check(make(), pts)
         if v2 > 1e-6:
             failures.append(f"weight-factor annihilation {label}: {v2:.3e}")
     _conclude(5, "conformal derivative identity and weight-factor checks",
@@ -503,7 +503,7 @@ def test_criterion_11_spherical_operators():
         failures.append("second-order radial report incomplete")
 
     for flat_dim in (2, 3):
-        dev = cayley_ratio_constancy(flat_dim, count=20, seed=42)[
+        dev = cayley_ratio_constancy(flat_dim, seed=42)[
             "max_deviation"]
         if dev > 1e-6:
             failures.append(f"lift ratio constancy dim={flat_dim}: {dev:.3e}")

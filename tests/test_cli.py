@@ -198,6 +198,31 @@ def test_config_file_values_keep_the_exit_contract(capsys, tmp_path):
                     "--out", str(tmp_path / "a.json")]) == 0
 
 
+@pytest.mark.parametrize("subcommand, key, text", [
+    ("kernel-residual", "n", "abc"),
+    ("cr-check", "order", "0"),
+    ("covariance", "theorem", "7"),
+    ("cr-check", "format", "xml"),
+    ("solve", "p", "0.5"),
+    ("solve", "h", "nan"),
+    ("kernel-residual", "seed", "-1"),
+    ("covariance", "theorem", None),  # the required flag left out
+])
+def test_flag_and_config_values_refuse_alike(capsys, tmp_path, subcommand, key, text):
+    """A value goes through its flag's one converter whether it comes from
+    the command line or a config file: both refuse it with one line."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("" if text is None else f"{key} = {text}\n")
+    flag = [] if text is None else [f"--{key}={text}"]
+    for args, source in (([subcommand, *flag], f"--{key} {text!r}"),
+                         ([subcommand, "--config", str(cfg)], f"config value {key} = {text!r}")):
+        capsys.readouterr()
+        assert run_cli(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert (f"--{key} is required" if text is None else source) in err, err
+
+
 # ------------------------------------------------------------- exit statuses
 
 
@@ -338,10 +363,10 @@ def test_twisted_scan_is_priced_by_its_own_cost(capsys, monkeypatch):
     assert "at 3x a flat pairing price at 3.7e+08" in err
 
 
-def test_bad_choice_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["covariance", "--theorem", "7"])
-    assert exc.value.code == 2
+def test_bad_choice_exits_two(capsys):
+    assert run_cli(["covariance", "--theorem", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
 
 
 def test_assertion_failure_exits_one(capsys):

@@ -172,13 +172,13 @@ def test_p_harmonic_radial_structure():
 @pytest.mark.parametrize("n,p", [(3, 2.0), (3, 2.5), (4, 3.0), (2, 1.5)])
 def test_p_harmonic_radial_residual(rng, n, p):
     pts = shell_points(rng, n, 10, r_lo=1.0, r_hi=2.0)
-    res = p_harmonic_residual(p_harmonic_radial(n, p), p, pts, h=1e-3)
+    res = p_harmonic_residual(p_harmonic_radial(n, p), p, pts)
     assert float(np.max(res.norm())) <= 1e-6
 
 
 def test_log_radial_is_n_harmonic(rng):
     pts = shell_points(rng, 3, 10, r_lo=1.5, r_hi=2.5)
-    res = p_harmonic_residual(p_harmonic_radial(3, 3.0), 3.0, pts, h=1e-3)
+    res = p_harmonic_residual(p_harmonic_radial(3, 3.0), 3.0, pts)
     assert float(np.max(res.norm())) <= 1e-6
 
 
@@ -238,7 +238,7 @@ def test_scalar_part_matches_divergence_form(rng):
     p = 2.6
     u = _scalar_test_function()
     pts = rng.normal(size=(6, 3)) + np.array([1.5, 1.0, 0.0])
-    got = p_harmonic_residual(u, p, pts, h=1e-3).coeffs[..., 0]
+    got = p_harmonic_residual(u, p, pts).coeffs[..., 0]
 
     def V(q):
         g = _nabla_u(q)
@@ -259,7 +259,7 @@ def test_bivector_part_matches_curl(rng):
     p = 2.6
     u = _scalar_test_function()
     pts = rng.normal(size=(6, 3)) + np.array([1.5, 1.0, 0.0])
-    res = p_harmonic_residual(u, p, pts, h=1e-3)
+    res = p_harmonic_residual(u, p, pts)
 
     def V(q):
         g = _nabla_u(q)
@@ -316,8 +316,8 @@ def test_lemma1_and_dj1(rng, make):
     m = make()
     psi = _gaussian_blade_field(rng, 3, [2.0, 0.3, -0.1])
     pts = np.array([2.0, 0.0, 0.0]) + 0.25 * rng.normal(size=(10, 3))
-    assert lemma1_check(m, psi, pts, h=1e-3) <= 1e-6
-    assert dj1_check(m, pts, h=1e-3) <= 1e-6
+    assert lemma1_check(m, psi, pts) <= 1e-6
+    assert dj1_check(m, pts) <= 1e-6
 
 
 def test_dj1_constant_for_affine_maps(rng):
@@ -372,7 +372,7 @@ def test_domain_membership_and_sampling(rng):
     r = np.linalg.norm(pts, axis=-1)
     assert np.all((r >= 1.0) & (r <= 2.0))
     ball = Domain.ball([3, 0, 0], 1.0)
-    assert ball.kind == "shifted-ball"
+    assert ball.kind == "ball"
     assert ball.grid_scan(per_axis=5).shape[1] == 3
     with pytest.raises(DomainError):
         Domain.annulus([0, 0], 2.0, 1.0)

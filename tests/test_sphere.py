@@ -570,8 +570,8 @@ def test_cayley_chordal_identity():
 
 def test_cayley_ratio_constancy_ties_both_kernels():
     for n in (2, 3):
-        report = cayley_ratio_constancy(n, count=20, seed=42)
+        report = cayley_ratio_constancy(n, seed=42)
         assert report["n"] == n and report["count"] >= 15
         assert report["max_deviation"] <= 1e-12
-        again = cayley_ratio_constancy(n, count=20, seed=42)
+        again = cayley_ratio_constancy(n, seed=42)
         assert np.array_equal(report["ratios"], again["ratios"])

@@ -748,7 +748,7 @@ def test_dirac_covariance_under_inversion(p):
     )
     assert rep.max_normalized <= 1e-12
     assert all(r.exponent == pytest.approx(p - 3.0) for r in rep.rows)
-    assert rep.domain.kind in ("ball", "shifted-ball")
+    assert rep.domain.kind == "ball"
 
 
 def test_dirac_covariance_rejects_singularity_near_preimage():
