@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Snapshot of the benchmark: end-to-end medians, per-layer metrics and
+the machine, written to one JSON file.
+
+    python scripts/bench_snapshot.py BENCH_<n>.json [--baseline CHECKOUT] [--runs 5]
+
+Runs `diracbench/run.py` as child processes, each a fresh interpreter
+with one BLAS thread: `--runs` untraced runs of every workload in
+`BENCHMARK.json` (seeds 1, 2, ...; `run_seconds` each) for the median of
+each end-to-end metric, then one traced run for the per-layer metrics.
+With `--baseline`, a second source checkout (say the parent commit,
+unpacked by `git archive`) gets the same runs, alternating with this
+checkout's: the baseline runs first in odd pairs, this checkout in even
+ones.  The file then holds both sides, and per workload and metric the
+ratio of the medians, the baseline's quartiles and the number of pairs
+this checkout won.  It also records nproc, the Python and numpy versions,
+the BLAS library and thread count, and `wc -l` of `src/diraclab/*.py`.
+numpy and the standard library only; a snapshot with a baseline at 5
+runs took 7 minutes on a 2-vCPU machine.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+BLAS_THREADS = 1
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """The JSON result line of one diracbench run in `checkout`."""
+    env = dict(os.environ, **{v: str(BLAS_THREADS) for v in BLAS_VARS})
+    cmd = [sys.executable, "diracbench/run.py", "--workload", workload, "--seed",
+           str(seed), "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1) or not proc.stdout.strip():
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def line_counts(checkout: Path) -> dict:
+    files = sorted((checkout / "src" / "diraclab").glob("*.py"))
+    counts = {f.name: len(f.read_text().splitlines()) for f in files}
+    return dict(counts, total=sum(counts.values()))
+
+
+def summary(results: list) -> dict:
+    """Per end-to-end metric, its unit, runs and median, plus the runs'
+    correctness and operation counts."""
+    out = {"correct": all(r["correct"] for r in results),
+           "attempted": sum(r["attempted"] for r in results),
+           "failed": sum(r["failed"] for r in results)}
+    for metric in SPEC["end_to_end"]:
+        name = metric["name"]
+        runs = [r["metrics"][name]["value"] for r in results]
+        out[name] = {"unit": metric["unit"], "median": statistics.median(runs), "runs": runs}
+    return out
+
+
+def comparison(mine: list, base: list) -> dict:
+    """Per end-to-end metric: the ratio of the medians (this / baseline),
+    the baseline's quartiles and the pairs this checkout won (ties count
+    for neither side)."""
+    out = {}
+    for metric in SPEC["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        a = [r["metrics"][name]["value"] for r in mine]
+        b = [r["metrics"][name]["value"] for r in base]
+        q1, _, q3 = statistics.quantiles(b, n=4) if len(b) > 1 else (b[0],) * 3
+        out[name] = {
+            "ratio_of_medians": statistics.median(a) / statistics.median(b),
+            "baseline_quartiles": [q1, q3],
+            "pairs_won": sum((x < y) if lower else (x > y) for x, y in zip(a, b)),
+            "pairs": len(a),
+        }
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=Path, help="the JSON file to write")
+    ap.add_argument("--baseline", type=Path, default=None,
+                    help="a second source checkout to run alternately with this one")
+    ap.add_argument("--runs", type=int, default=5, help="untraced runs per workload and side")
+    args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    sides = {"this": ROOT}
+    if args.baseline is not None:
+        if not (args.baseline / "diracbench" / "run.py").is_file():
+            ap.error(f"--baseline {args.baseline} holds no diracbench/run.py")
+        sides["baseline"] = args.baseline.resolve()
+
+    runs = {side: {} for side in sides}
+    for w in SPEC["workloads"]:
+        for i in range(args.runs):
+            order = list(sides) if i % 2 else list(sides)[::-1]
+            for side in order:
+                res = run_bench(sides[side], w["name"], i + 1, 0)
+                runs[side].setdefault(w["name"], []).append(res)
+                value = res["metrics"]["wall_s"]["value"]
+                print(f"{w['name']} seed {i + 1} {side}: wall_s {value:.3f}", file=sys.stderr)
+
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    snapshot = {
+        "environment": {
+            "nproc": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": f"{build.get('name')} {build.get('version')}",
+            "blas_threads": BLAS_THREADS,
+        },
+        "run_seconds": SPEC["run_seconds"],
+        "runs_per_workload": args.runs,
+    }
+    first = SPEC["workloads"][0]["name"]
+    for side, path in sides.items():
+        snapshot[side] = {
+            "src_lines": line_counts(path),
+            "end_to_end": {w: summary(r) for w, r in runs[side].items()},
+            "per_layer": run_bench(path, first, 1, 1)["metrics"],
+        }
+    if "baseline" in sides:
+        snapshot["this_vs_baseline"] = {
+            w: comparison(runs["this"][w], runs["baseline"][w]) for w in runs["this"]}
+    args.out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -272,6 +272,55 @@ def _columns(dim: int, live_a: bytes, live_b: bytes):
     return ia, cols, table, signs
 
 
+@lru_cache(maxsize=256)
+def _vector_columns(dim: int, live_b: bytes, live_l: bytes, every: bool):
+    """The blades k of conj(b) l, l a vector, that a live component j of l
+    reaches from a live blade of b (every blade when `every`), and per k
+    its terms (j, k ^ e_j, negate) for those j in ascending order."""
+    jl = np.flatnonzero(np.frombuffer(live_l, dtype=bool))
+    ib = np.frombuffer(live_b, dtype=bool)
+    (table, signs), conj = _gather_table(dim), _conjugation_signs(dim)
+    cols = np.arange(1 << dim) if every else np.unique(
+        np.bitwise_xor.outer(1 << jl, np.flatnonzero(ib)))
+    cols.setflags(write=False)
+    # the gather's term (b[k ^ e_j] S[e_j, k]) (-l_j), times k's conjugation sign
+    return cols, tuple(tuple((j, int(table[1 << j, k]), int(conj[k] * signs[1 << j, k] > 0))
+                             for j in jl.tolist() if ib[table[1 << j, k]]) for k in cols)
+
+
+def conj_vector_sums(left: np.ndarray, vals: np.ndarray, wx: np.ndarray,
+                     sums: np.ndarray, buf: np.ndarray):
+    """Add to sums[..., k], for each blade k, the node-order sum over one
+    block of B nodes of wx * (conj(vals) l)[k], l the vector with (B, dim)
+    components `left`, vals (B, 2**dim) or constant, wx (..., B), and buf
+    a (..., 2**dim, B + 1 or more) scratch block.  Blade k sums, from 0.0,
+    the gather's terms (vals[k ^ e_j] S) (-l_j) of conj((-l) vals) over the
+    live j of l in ascending order whose partner k ^ e_j is live in vals,
+    k's conjugation sign folded into l_j; it is weighted into one row of
+    buf per leading row of wx, after the running total as element 0, and
+    np.add.accumulate sums the row in node order.  So sums match, bit for
+    bit, `geometric_product`'s blades conjugated, weighted and added node
+    after node (a folded sign flips only zeros, which a running total never
+    -0.0 absorbs).  An inf or NaN in l makes every blade of vals live, and
+    one in wx forms every blade, as inf * 0 is NaN."""
+    dim = left.shape[-1]
+    comps = np.ascontiguousarray(left.T)
+    live_b = _live(vals) if np.isfinite(comps).all() else np.ones(1 << dim, dtype=bool)
+    cols, terms = _vector_columns(dim, live_b.tobytes(), comps.any(axis=1).tobytes(),
+                                  not np.isfinite(wx).all())
+    count, signed = len(left), (comps, -comps)
+    acc, term = np.empty((2, count))
+    part = buf[..., :len(cols), :count + 1]
+    part[..., 0] = sums[..., cols]
+    for r, col_terms in enumerate(terms):
+        acc.fill(0.0)
+        for j, m, negate in col_terms:
+            acc += np.multiply(vals[..., m], signed[negate][j], out=term)
+        np.multiply(wx, acc, out=part[..., r, 1:])
+    np.add.accumulate(part, axis=-1, out=part)
+    sums[..., cols] = part[..., count]
+
+
 def _block_rows(c: np.ndarray, shape):
     """A function of a row slice that returns those rows of c broadcast to
     shape, batch flattened, never copying c at the full batch size."""
@@ -288,13 +337,18 @@ def _live(c: np.ndarray) -> np.ndarray:
     return c.any(axis=tuple(range(c.ndim - 1)))
 
 
-def _product_columns(a: Multivector, b: Multivector):
-    """(cols, compact): the coefficients of a b on the sorted output blades
-    cols that a live blade of a reaches from a live blade of b, batch axes
-    broadcast; every other coefficient of a b is +0.0.  When a holds an inf
-    or NaN, cols is every blade, since inf * 0 from a dead blade of b is
-    NaN.  The columns are cached per (dim, live(a), live(b)), and each sums
-    over the live blades of a exactly as `geometric_product` documents."""
+def geometric_product(a: Multivector, b: Multivector) -> Multivector:
+    """Geometric product in Cl(0, dim), broadcasting over batch axes.
+
+    Gather form: (a b)[k] = sum_i a[i] * S[i, k] * b[I[i, k]] (`_gather_table`)
+    over the live blades i, where a is nonzero somewhere in its batch.  Only
+    the coefficients k = i ^ j that a live blade i reaches from a live blade
+    j of b are computed, by a table cached per (dim, live(a), live(b))
+    (`_columns`); the rest are +0.0, as their sums of zeros are.  An inf or
+    NaN in a reaches every blade, since inf * 0 from a dead blade of b is
+    NaN.  Each block of rows sums in blade order from 0.0, the order of a
+    blade-by-blade accumulation, so the result is the same to the bit.
+    """
     a._check_same(b)
     shape = np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape)
     live_a = _live(a.coeffs)
@@ -311,27 +365,11 @@ def _product_columns(a: Multivector, b: Multivector):
         terms *= signs
         terms *= rows_a(rows)[:, live, None]
         terms.sum(axis=1, out=flat[rows], initial=0.0)
-    return cols, out
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product in Cl(0, dim), broadcasting over batch axes.
-
-    Gather form: (a b)[k] = sum_i a[i] * S[i, k] * b[I[i, k]] (`_gather_table`)
-    over the live blades i, where a is nonzero somewhere in its batch, so a
-    vector factor costs dim terms per coefficient, not 2**dim.  Only the
-    reachable coefficients k = i ^ j, j a live blade of b, are computed
-    (`_product_columns`; a vector times a vector reaches 1 + dim(dim-1)/2
-    of the 2**dim); the rest are +0.0, as their sums of zeros are.  Each
-    block of rows sums in blade order from 0.0, the order of a
-    blade-by-blade accumulation, so the result is the same to the bit.
-    """
-    cols, compact = _product_columns(a, b)
-    if len(cols) == 1 << a.dim:
-        return Multivector(a.dim, compact, copy=False)
-    out = np.zeros(compact.shape[:-1] + (1 << a.dim,))
-    out[..., cols] = compact
-    return Multivector(a.dim, out, copy=False)
+    if len(cols) == shape[-1]:
+        return Multivector(a.dim, out, copy=False)
+    full = np.zeros(shape)
+    full[..., cols] = out
+    return Multivector(a.dim, full, copy=False)
 
 
 def vector_inverse(x: Multivector) -> Multivector:

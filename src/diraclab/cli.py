@@ -360,12 +360,14 @@ def run_algebra_selftest(params):
 # rule x its nodes x 2**ambient blades x the pairing's weight; the
 # costliest default run, sphere-check --n 4, prices at 1.0e8
 _QUADRATURE_BUDGET = 1 << 27
-# the twisted-harmonic scan's cost per node-blade, in flat pairings: at
-# n = 4, order 8 (3 passes each) covariance --theorem 3 took 12.2 s and
-# --theorem 1 4.3 s.  Cap and disc pairings keep weight 1: sphere-check --n 4
-# (1.0e8) took 8.3 s and cr-check --order 186 (1.3e8) 14.1 s, so a disc
-# pairing costs about 1.3x a cap pairing per node-blade, against 3 for the scan.
-_TWISTED_WEIGHT = 3
+# the twisted-harmonic scan's cost per node-blade: at n = 4, order 8 (3
+# passes each) covariance --theorem 3 took 17.5 s and --theorem 1 6.6 s, and
+# sphere-check --n 4 (1.0e8) 7.2 s, so the scan costs 2.7 flat and 9.8 cap
+# pairings per node-blade.  The pairing kernel sped cap pairings 1.3x but the
+# scan, mostly Moebius frames, 1.1x, so against a cap pairing it rose 1.18x,
+# and the weight with it, from 3 to 4.  Cap and disc pairings keep weight 1:
+# cr-check --order 186 (1.3e8) took 11.2 s, 1.2x a cap pairing per node-blade.
+_TWISTED_WEIGHT = 4
 
 
 def _check_quadrature_budget(passes, dim, order, ambient, weight=1):

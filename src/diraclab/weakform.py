@@ -22,27 +22,29 @@ domain and order, so its grid is built only when it is read.
 flat residuals, the covariance experiments, the divergence oracle, the
 spherical residuals and the planar Cauchy-Riemann residuals (`cr2d`, which
 pairs the even encoding of a complex flux against an odd-blade bump) all
-call it, and all take one path.  Every bump's
-derivative factors as D eta = l(x) * B with l a vector and B the bump's
-constant blade (l is the profile gradient for a flat bump, and the vector
-v of `sphere.CapBump.dirac_vector` for a cap bump), so the pairing takes a
-per-node product with a vector, multiplies the sum by B once, and gets the
-normalizer from |l B| = |l| |B|.  The per-node product forms, signs,
-weights and sums only the blades it can reach (7 of 16 for a vector field
-in dim 4), and each block's field norm is formed once, by the caller.  The
-sum before B depends only on the field, the weight and the bump's support,
-so bumps that share a centre and radius (the blade bumps of
-`default_test_functions`, or cap bumps on one cap) pair as one family
+call it, and all take one path.  Every bump's derivative factors as D eta
+= l(x) * B with l a vector and B the bump's constant blade (l is the
+profile gradient for a flat bump, and the vector v of
+`sphere.CapBump.dirac_vector` for a cap bump), so the pairing forms
+conj(f) l per node from the vector's components, multiplies the sum by B
+once, and gets the normalizer from |l B| = |l| |B|.  The per-node product
+forms, signs, weights and sums only the blades it can reach (7 of 16 for a
+vector field in dim 4), and each block's field norm is formed once, by the
+caller.  The sum before B depends only on the field, the weight and the
+bump's support, so bumps that share a centre and radius (the blade bumps
+of `default_test_functions`, or cap bumps on one cap) pair as one family
 (`support_families`): one pass over the nodes, then one product per blade
 of the stack.  The rule's nodes stream in blocks of a fixed size
 (`_BLOCK`, from `polar_blocks`), and fields, weights and l are evaluated
-one block at a time, so memory stays bounded at any quadrature order.
-Its summation order is fixed: each block's weighted integrand is summed
-over the node axis together with the running total carried as a first row,
-which is numpy's sequential node-order sum of the whole array, never a
-matrix product (whose BLAS blocking may vary), and the normalizer adds its
-block sums in node order.  Every reported number is therefore
-deterministic for a fixed seed and order, and reruns are byte-identical.
+one block at a time, so memory stays bounded at any quadrature order.  Its
+summation order is fixed: each blade of a block's weighted integrand is
+one row of a blade-major buffer, summed along the node axis with the
+running total as element 0 by np.add.accumulate, which is sequential (a
+plain sum along that axis would go pairwise), so the pairing is the
+node-order sum of the whole array, never a matrix product (whose BLAS
+blocking may vary); the normalizer adds its block sums in node order.
+Every reported number is therefore deterministic for a fixed seed and
+order, and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -54,13 +56,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .algebra import (
-    Multivector,
-    _conjugation_signs,
-    _product_columns,
-    blade_label,
-    geometric_product,
-)
+from .algebra import Multivector, blade_label, conj_vector_sums, geometric_product
 from .fields import (
     AnalyticField,
     Domain,
@@ -454,24 +450,21 @@ def weak_pairing(blocks, block, right: Multivector):
     Multivector, `norms` its `norm()`, which the caller has already formed
     for its |vals|^(p-2) factor, `left` the (B, n) components of the vector,
     and wx' the weights with any A |f|^(p-2) factor folded in.  An (E, B) wx'
-    gives E rows of (raw, normalizer) from one Clifford product.  `right`
+    gives E rows of (raw, normalizer) from one product per node.  `right`
     is applied once, after the sum, so a stack of K right factors (a
     Multivector batched over one leading axis) shares the pass and gets K
     rows in front of the E rows; an unbatched right gets none.  The
     normalizer uses |left * right| = |left| |right|, which holds because
-    left is a vector.  The per-node product is formed as conj(vals) * left
-    = conj((-left) * vals), so the vector is the left factor of the product
-    and costs n terms per coefficient.
+    left is a vector.
 
-    Only the blades the product can reach are formed, signed, weighted and
-    summed (`_product_columns`: 1 + n(n-1)/2 of 2**n for a vector field);
-    the others add w * 0 = 0 to every sum, unless a weight is inf or NaN,
-    in which case the block takes every blade.  Blocks hold at most
-    `_BLOCK` nodes.  Each block's weighted integrand is summed over the
-    node axis below the running total, kept in the first row of one block
-    buffer, which is numpy's sequential node-order sum of the whole array
-    bit for bit.  The normalizer sums each block's terms and adds the block
-    sums in node order, so its memory does not grow with the node count.
+    Each block of at most `_BLOCK` nodes goes to `conj_vector_sums`, which
+    forms conj(vals) * left from the vector's n components on the blades
+    it can reach (1 + n(n-1)/2 of 2**n for a vector field), weights it into
+    the rows of one blade-major buffer that the pass owns, and adds it to
+    the running total by a sequential node-order accumulate: the node-order
+    sum of the whole array, bit for bit.  The normalizer sums each block's
+    terms and adds the block sums in node order, so memory does not grow
+    with the node count.
     """
     dim = right.dim
     raw = buf = total = None
@@ -479,22 +472,9 @@ def weak_pairing(blocks, block, right: Multivector):
         vals, norms, left, wx = block(x, w)
         if buf is None:
             raw = np.zeros(wx.shape[:-1] + (1 << dim,))
-            buf = np.empty(wx.shape[:-1] + (_BLOCK + 1, 1 << dim))
+            buf = np.empty(wx.shape[:-1] + (1 << dim, _BLOCK + 1))
             total = np.zeros(wx.shape[:-1])
-        neg = Multivector.from_vector(dim, -left)
-        if np.isfinite(wx).all():
-            cols, prod = _product_columns(neg, vals)
-        else:  # w * 0 is NaN in the unreached blades too
-            cols, prod = np.arange(1 << dim), geometric_product(neg, vals).coeffs
-        if len(cols):
-            # a lone column would let numpy sum the node axis pairwise, so
-            # the block sums at least two (the second then discarded)
-            part = buf[..., :len(x) + 1, :max(len(cols), 2)]
-            part[..., len(cols):] = 0.0
-            part[..., 0, :len(cols)] = raw[..., cols]
-            prod *= _conjugation_signs(dim)[cols]
-            np.multiply(wx[..., None], prod, out=part[..., 1:, :len(cols)])
-            raw[..., cols] = part.sum(axis=-2)[..., :len(cols)]
+        conj_vector_sums(left, vals.coeffs, wx, raw, buf)
         total += np.sum(wx * norms * np.sqrt(np.sum(left * left, axis=-1)), axis=-1)
     stacked = right.coeffs.reshape(right.coeffs.shape[:-1] + (1,) * total.ndim + (-1,))
     raw = geometric_product(

@@ -341,9 +341,9 @@ def test_quadrature_budget_admits_every_default_run(monkeypatch):
 
 
 def test_twisted_scan_is_priced_by_its_own_cost(capsys, monkeypatch):
-    """The twisted-harmonic scan costs about three flat pairings per
-    node-blade: at n = 4, order 10 the flat pullback is admitted and the
-    scan is refused with one usage-error line before any work."""
+    """The twisted-harmonic scan is priced at four pairings per node-blade:
+    at n = 4, order 10 the flat pullback is admitted and the scan is
+    refused with one usage-error line before any work."""
     from diraclab import cli
 
     class Reached(Exception):
@@ -360,7 +360,7 @@ def test_twisted_scan_is_priced_by_its_own_cost(capsys, monkeypatch):
     assert run_cli(["covariance", "--theorem", "4", "--n", "4", "--order", "10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
-    assert "at 3x a flat pairing price at 3.7e+08" in err
+    assert "at 4x a flat pairing price at 4.9e+08" in err
 
 
 def test_bad_choice_exits_two(capsys):

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diraclab import weakform
-from diraclab.algebra import Multivector, geometric_product
+from diraclab.algebra import Multivector, blade_grades, conj_vector_sums, geometric_product
 from diraclab.fields import (
     NORM_CUTOFF,
     AnalyticField,
@@ -540,27 +540,91 @@ def test_weak_pairing_matches_per_node_reference(dim, count):
 @pytest.mark.parametrize("count", [3, 100, EDGE, EDGE + 1])
 def test_weak_pairing_sums_in_node_order(count):
     """Every block, the first included, adds its nodes one after another:
-    the raw pairing equals, bit for bit, a running sum over the kernel's
-    own per-node products conj((-l) vals) = conj(vals) l, for a dense
-    field, a vector field (7 of 16 blades reached) and a scalar field
-    against a one-axis l (a single blade reached)."""
+    the raw pairing equals, bit for bit, a running sum over the per-node
+    products conj((-l) vals) = conj(vals) l, for a dense field, a vector
+    field (7 of 16 blades reached), an even field and a scalar field
+    against a one-axis l (a single blade reached), with 1-D and (E, N)
+    weights."""
     dim = 4
     rng = np.random.default_rng(count)
     vec = rng.standard_normal((count, dim))
-    w = rng.uniform(0.1, 1.0, count)
+    even = blade_grades(dim) % 2 == 0
     for left, vals in (
         (vec, Multivector(dim, rng.standard_normal((count, 1 << dim)))),
         (vec, Multivector.from_vector(dim, rng.standard_normal((count, dim)))),
+        (vec, Multivector(dim, np.where(even, rng.standard_normal((count, 1 << dim)), 0.0))),
         (vec * [1.0, 0.0, 0.0, 0.0], Multivector.scalar(dim, rng.standard_normal(count))),
     ):
-        raw, _ = weak_pairing(node_blocks(np.arange(count), w),
-                              _node_block(vals, left), Multivector.scalar(dim, 1.0))
         prod = geometric_product(Multivector.from_vector(dim, -left), vals).conjugation()
-        acc = np.zeros(1 << dim)
-        for k in range(count):
-            acc = acc + w[k] * prod.coeffs[k]
-        assert np.array_equal(raw, acc)
-        assert np.array_equal(np.signbit(raw), np.signbit(acc))
+        for w in (rng.uniform(0.1, 1.0, count), rng.uniform(0.1, 1.0, (3, count))):
+            raw, _ = weak_pairing(node_blocks(np.arange(count), w),
+                                  _node_block(vals, left), Multivector.scalar(dim, 1.0))
+            acc = np.zeros(w.shape[:-1] + (1 << dim,))
+            for k in range(count):
+                acc = acc + w[..., k, None] * prod.coeffs[k]
+            assert np.array_equal(raw, acc)
+            assert np.array_equal(np.signbit(raw), np.signbit(acc))
+
+
+def _same_bytes(got, want):
+    """NaN exactly where want is NaN (equal_nan), and the same bytes, signbit
+    included, everywhere else."""
+    keep = ~np.isnan(want)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64)))
+
+
+# every dimension on a few nodes and around one block edge
+@pytest.mark.parametrize("dim, count", [
+    (dim, count) for dim in range(1, 7) for count in (1, 3, BLOCK - 1, BLOCK, BLOCK + 1)
+])
+def test_conj_vector_sums_match_the_gather_bit_for_bit(dim, count):
+    """The pairing kernel, streamed block by block, against the gather
+    product geometric_product(from_vector(-l), vals), conjugated, weighted
+    and summed node after node below the running total: the same bytes for
+    dense, vector, scalar, even, constant and all-zero fields, for l with
+    a component of -0.0, zeros, an inf or a NaN, for 1-D and (E, N)
+    weights, one with an inf and one with a NaN, and through weak_pairing
+    for a stack of K right factors."""
+    rng = np.random.default_rng(1000 * dim + count)
+    n, grades = 1 << dim, blade_grades(dim)
+    field = lambda keep: np.where(keep, rng.standard_normal((count, n)), 0.0)
+    fields = (field(True), field(grades == 1), field(grades == 0),
+              field(grades % 2 == 0), rng.standard_normal(n), np.zeros((count, n)))
+    signed_zeros = rng.standard_normal((count, dim))
+    signed_zeros[:, 0], signed_zeros[::2, -1] = -0.0, 0.0
+    lefts = [signed_zeros]
+    for bad in (np.inf, np.nan):
+        lefts.append(rng.standard_normal((count, dim)))
+        lefts[-1][count // 2, dim // 2] = bad
+    weights = [rng.uniform(0.1, 1.0, count), rng.uniform(0.1, 1.0, (3, count))]
+    for bad in (np.inf, np.nan):
+        weights.append(rng.uniform(0.1, 1.0, weights[-2].shape))
+        weights[-1][..., count - 1] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        # every field meets every l on a few nodes, one l each at the block edge
+        pairs = [(v, l) for v in fields for l in lefts] if count <= 3 else [
+            (v, lefts[i % len(lefts)]) for i, v in enumerate(fields)]
+        for case, (vals, left) in enumerate(pairs):
+            w = weights[case % len(weights)]
+            start = np.zeros(w.shape[:-1] + (n,)) if case % 2 else rng.standard_normal(
+                w.shape[:-1] + (n,))
+            got, buf = start.copy(), np.empty(w.shape[:-1] + (n, BLOCK + 1))
+            for i, wi in node_blocks(np.arange(count), w):
+                conj_vector_sums(left[i], vals[i] if vals.ndim > 1 else vals, wi, got, buf)
+            prod = geometric_product(Multivector.from_vector(dim, -left),
+                                     Multivector(dim, vals)).conjugation().coeffs
+            rows = np.concatenate([start[..., None, :], w[..., None] * prod], axis=-2)
+            assert _same_bytes(got, np.add.accumulate(rows, axis=-2)[..., -1, :]), case
+    vals, left, w = fields[0], lefts[0], weights[1]
+    stack = Multivector(dim, rng.standard_normal((2, n)))
+    raw, _ = weak_pairing(node_blocks(np.arange(count), w),
+                          _node_block(Multivector(dim, vals), left), stack)
+    prod = geometric_product(Multivector.from_vector(dim, -left),
+                             Multivector(dim, vals)).conjugation().coeffs
+    sums = np.add.accumulate(w[..., None] * prod, axis=-2)[..., -1, :]
+    want = geometric_product(Multivector(dim, sums), Multivector(dim, stack.coeffs[:, None]))
+    assert _same_bytes(raw, want.coeffs)
 
 
 def test_pairing_streams_fields_in_fixed_blocks(rng):
