@@ -14,18 +14,22 @@ checkout's: the baseline runs first in odd pairs, this checkout in even
 ones.  The file then holds both sides, and per workload and metric the
 ratio of the medians, the baseline's quartiles and the number of pairs
 this checkout won.  It also records nproc, the Python and numpy versions,
-the BLAS library and thread count, and `wc -l` of `src/diraclab/*.py`.
-numpy and the standard library only; a snapshot with a baseline at 5
-runs took 7 minutes on a 2-vCPU machine.
+the BLAS library and thread count, `wc -l` of `src/diraclab/*.py` and,
+per side, the tier-1 suite's passed and failed counts and wall time from
+one child `pytest` run after the benchmark runs.  numpy and the standard
+library only; a snapshot with a baseline at 5 runs took 7 minutes on a
+2-vCPU machine, plus one tier-1 run (about a minute) per side.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +50,21 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def tier1(checkout: Path) -> dict:
+    """Passed and failed counts and wall time of one tier-1 run in `checkout`."""
+    env = dict(os.environ, **{v: str(BLAS_THREADS) for v in BLAS_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = re.findall(r"(\d+) (passed|failed|errors?)", tail)
+    return {"passed": sum(int(k) for k, word in counts if word == "passed"),
+            "failed": sum(int(k) for k, word in counts if word != "passed"),
+            "wall_s": wall, "summary": tail}
 
 
 def line_counts(checkout: Path) -> dict:
@@ -130,6 +149,7 @@ def main(argv=None):
             "src_lines": line_counts(path),
             "end_to_end": {w: summary(r) for w, r in runs[side].items()},
             "per_layer": run_bench(path, first, 1, 1)["metrics"],
+            "tier1": tier1(path),
         }
     if "baseline" in sides:
         snapshot["this_vs_baseline"] = {

@@ -361,12 +361,12 @@ def run_algebra_selftest(params):
 # costliest default run, sphere-check --n 4, prices at 1.0e8
 _QUADRATURE_BUDGET = 1 << 27
 # the twisted-harmonic scan's cost per node-blade: at n = 4, order 8 (3
-# passes each) covariance --theorem 3 took 17.5 s and --theorem 1 6.6 s, and
-# sphere-check --n 4 (1.0e8) 7.2 s, so the scan costs 2.7 flat and 9.8 cap
-# pairings per node-blade.  The pairing kernel sped cap pairings 1.3x but the
-# scan, mostly Moebius frames, 1.1x, so against a cap pairing it rose 1.18x,
-# and the weight with it, from 3 to 4.  Cap and disc pairings keep weight 1:
-# cr-check --order 186 (1.3e8) took 11.2 s, 1.2x a cap pairing per node-blade.
+# passes each, 2 runs) covariance --theorem 3 took 14.6-15.0 s, --theorem 1
+# 4.2-4.9 s and sphere-check --n 4 (1.0e8) 7.9-8.9 s: 3.3 flat and 7.0 cap
+# pairings.  One Moebius evaluation per node block sped it 1.27x and theorem 1
+# 1.40x: against a cap pairing it fell from 8.8 (the weight would scale to
+# 3.2), against a flat one it rose from 3.0, so it stays 4.  Cap and disc
+# pairings keep 1: cr-check --order 186 (1.3e8) took 11.2 s, 1.2x a cap's.
 _TWISTED_WEIGHT = 4
 
 

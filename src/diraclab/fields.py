@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, geometric_product, lipschitz_element_inverse
-from .mobius import VahlenMatrix, denominator, frame_at, jacobian_factors, map_points
+from .algebra import Multivector, geometric_product, pin_action
+from .mobius import MobiusPoint, VahlenMatrix, map_points
 
 
 class FieldError(ValueError):
@@ -50,6 +50,17 @@ _CLEARANCE = 1e-3  # the least distance validate_clearance accepts
 
 
 # ------------------------------------------------------------------ fields
+
+
+def dirac_sum(pairs) -> Multivector:
+    """sum_j v_j * d_j over (v_j, d_j) pairs, added in pair order: D f for
+    v_j = e_j and d_j = df/dx_j, or the twisted form with v_j = u e_j rev(u).
+    Each term is added before the next pair is drawn and is not kept, so a
+    stream of pairs is summed one pair at a time."""
+    out = None
+    for v, d in pairs:
+        out = geometric_product(v, d) if out is None else out + geometric_product(v, d)
+    return out
 
 
 @dataclass
@@ -81,13 +92,8 @@ class AnalyticField:
 
     def dirac(self, points) -> Multivector:
         """Analytic D f = sum_j e_j (df/dx_j); requires grad_fn."""
-        partials = self.grad(points)
-        out = geometric_product(Multivector.basis_vector(self.dim, 1), partials[0])
-        for j in range(2, self.dim + 1):
-            out = out + geometric_product(
-                Multivector.basis_vector(self.dim, j), partials[j - 1]
-            )
-        return out
+        return dirac_sum((Multivector.basis_vector(self.dim, j), d)
+                         for j, d in enumerate(self.grad(points), start=1))
 
 
 def constant_field(dim: int, value: Multivector) -> AnalyticField:
@@ -265,23 +271,28 @@ def compose_with_mobius(f: AnalyticField, m: VahlenMatrix) -> AnalyticField:
     if f.has_grad:
 
         def gr(pts):
-            x = Multivector.from_vector(dim, pts)
-            fp = frame_at(m, x)
-            scale2 = fp.scale**2
-            target_partials = f.grad(map_points(m, pts))
-            out = []
-            for j in range(1, dim + 1):
-                # column j of dM: u e_j u~ / |cx+d|^2, expanded in components
-                col = fp.frame_vector(j).vector_part() / scale2[..., None]
-                acc = target_partials[0] * col[..., 0]
-                for k in range(1, dim):
-                    acc = acc + target_partials[k] * col[..., k]
-                out.append(acc)
-            return out
+            at = MobiusPoint(m, pts)
+            u = at.u  # the frame first: a mixed-parity g is refused before the image
+            return [partial for _, partial in composed_partials(f.grad(at.image), u, at.scale)]
 
     return AnalyticField(
         dim, ev, gr, f.singular_points, name=f"{f.name}∘M"
     )
+
+
+def composed_partials(target_partials, u: Multivector, scale):
+    """The pairs (u e_j reversion(u), d/dx_j f(M(x))) for j = 1..n, one j
+    at a time, from the partials of f at M(x) and the frame u and scale
+    |c x + d| of a `MobiusPoint`, by the chain rule through column j of
+    dM_x, u e_j reversion(u) / |c x + d|^2."""
+    scale2 = scale**2
+    for j in range(1, u.dim + 1):
+        vec = pin_action(u, Multivector.basis_vector(u.dim, j))
+        col = vec.vector_part() / scale2[..., None]
+        acc = target_partials[0] * col[..., 0]
+        for k in range(1, u.dim):
+            acc = acc + target_partials[k] * col[..., k]
+        yield vec, acc
 
 
 def conformal_dirac_transform(f: AnalyticField, m: VahlenMatrix) -> AnalyticField:
@@ -290,9 +301,7 @@ def conformal_dirac_transform(f: AnalyticField, m: VahlenMatrix) -> AnalyticFiel
         raise FieldError("field and matrix dimensions disagree")
 
     def ev(pts):
-        x = Multivector.from_vector(m.dim, pts)
-        inv = lipschitz_element_inverse(denominator(m, x))
-        return inv * f(map_points(m, pts))
+        return MobiusPoint(m, pts).twist(f)
 
     return AnalyticField(f.dim, ev, None, (), name=f"twist[{f.name}]")
 
@@ -402,7 +411,7 @@ def validate_clearance(domain: Domain, singular_points=(), mobius: VahlenMatrix 
                 f"domain comes within {np.min(dist):.2e} of singular point {s}"
             )
     if mobius is not None:
-        nn = denominator(mobius, Multivector.from_vector(domain.dim, pts)).norm()
+        nn = (mobius.c * Multivector.from_vector(domain.dim, pts) + mobius.d).norm()
         if np.min(nn) < _CLEARANCE:
             raise DomainError(
                 f"|c x + d| falls to {float(np.min(nn)):.2e} on the domain closure"
@@ -439,13 +448,8 @@ def dirac_fd(
         raise FieldError(f"points must have last axis {f.dim}, got {pts.shape}")
 
     def central(hh: float) -> Multivector:
-        out = None
-        for j in range(f.dim):
-            term = geometric_product(
-                Multivector.basis_vector(f.dim, j + 1), _central_partial(f, pts, j, hh)
-            )
-            out = term if out is None else out + term
-        return out
+        return dirac_sum((Multivector.basis_vector(f.dim, j + 1),
+                          _central_partial(f, pts, j, hh)) for j in range(f.dim))
 
     result = richardson_step(central, h, richardson)
     if not np.all(np.isfinite(result.coeffs)):
@@ -525,18 +529,14 @@ def lemma1_check(
     dim = m.dim
 
     def lhs_eval(q):
-        x = Multivector.from_vector(dim, q)
-        j1, _ = jacobian_factors(m, x)
-        return j1 * psi(map_points(m, q))
+        at = MobiusPoint(m, q)
+        return at.j1 * psi(at.image)
 
     lhs_field = AnalyticField(dim, lhs_eval, None, (), name="J1*psi∘M")
     lhs = dirac_fd(lhs_field, pts)
 
-    x = Multivector.from_vector(dim, pts)
-    _, jm1 = jacobian_factors(m, x)
-    sig = frame_at(m, x).sigma
-    dpsi = dirac_fd(psi, map_points(m, pts))
-    rhs = float(sig) * (jm1 * dpsi)
+    at = MobiusPoint(m, pts)
+    rhs = float(at.sigma) * (at.jm1 * dirac_fd(psi, at.image))
     return float(np.max((lhs - rhs).norm(), initial=0.0))
 
 
@@ -544,7 +544,7 @@ def dj1_check(m: VahlenMatrix, points) -> float:
     """Max |D J1(M, .)| over the points; J1 is monogenic, so ~0."""
 
     def ev(q):
-        return jacobian_factors(m, Multivector.from_vector(m.dim, q))[0]
+        return MobiusPoint(m, q).j1
 
     fld = AnalyticField(m.dim, ev, None, (), name="J1")
     return float(np.max(dirac_fd(fld, points).norm(), initial=0.0))

@@ -10,19 +10,24 @@ composed by matrix multiplication; entries of generator matrices are
 products of vectors (or zero) by construction, and the numerical
 conditions on the entry products are re-checked by `validate_vahlen`.
 
-Alongside the point map the module exposes the two scale factors
+Every quantity of the map at a point comes from the one denominator
+g = c x + d, and `MobiusPoint(m, points)` forms it once per batch of points,
+with the one pole check.  From g it derives, when they are read, the image
+M(x), the twist g^-1 f(M(x)), the two scale factors
 
-    J1  = reversion(c x + d) / |c x + d|^n
-    Jm1 = reversion(c x + d) / |c x + d|^(n+2),
+    J1  = reversion(g) / |g|^n
+    Jm1 = reversion(g) / |g|^(n+2),
 
-the unit frame u = (c x + d)/|c x + d| whose twisted Dirac operator
-sum_j (u e_j reversion(u)) d/dx_j appears in the covariance experiments,
-and the conformal differential dM_x(v) = u v reversion(u) / |c x + d|^2.
+the parity sigma of g and the unit frame u = g/|g|, whose sandwich
+u e_j reversion(u) is |g|^2 times column j of the conformal differential
+dM_x and gives the twisted Dirac operator sum_j (u e_j reversion(u))
+d/dx_j of the covariance experiments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .algebra import (
     AlgebraError,
     Multivector,
     VectorFactorList,
-    geometric_product,
     lipschitz_element_inverse,
     parity,
 )
@@ -67,34 +71,6 @@ class VahlenMatrix:
             entry = getattr(self, name)
             if entry.dim != self.dim or entry.batch_shape:
                 raise MobiusError(f"entry {name} must be a single Cl(0,{self.dim}) value")
-
-
-@dataclass(frozen=True)
-class FramePoint:
-    """Unit frame u = (c x + d)/|c x + d| and scale |c x + d| at a point.
-
-    `map(A) = u A reversion(u)` is an isometry of the coefficient norm and
-    sends grade-1 elements to grade-1 elements (orthogonally); `sigma` is
-    the factor-count parity of c x + d (+1 even, -1 odd).
-    """
-
-    u: Multivector
-    scale: np.ndarray
-    sigma: int
-
-    def map(self, A: Multivector) -> Multivector:
-        return geometric_product(geometric_product(self.u, A), self.u.reversion())
-
-    def frame_vector(self, j: int) -> Multivector:
-        """The rotated basis vector u e_j reversion(u)."""
-        return self.map(Multivector.basis_vector(self.u.dim, j))
-
-    def twisted_dirac(self, partials) -> Multivector:
-        """sum_j (u e_j reversion(u)) * partials[j] for given x-derivatives."""
-        out = geometric_product(self.frame_vector(1), partials[0])
-        for j in range(2, self.u.dim + 1):
-            out = out + geometric_product(self.frame_vector(j), partials[j - 1])
-        return out
 
 
 # ------------------------------------------------------------- generators
@@ -220,75 +196,79 @@ def validate_vahlen(m: VahlenMatrix) -> VahlenValidation:
 # ------------------------------------------------------------- evaluation
 
 
-def denominator(m: VahlenMatrix, x: Multivector) -> Multivector:
-    """c x + d, broadcasting over the batch axes of x."""
-    return m.c * x + m.d
+_POLE_TOL = 1e-12  # a MobiusPoint refuses points with |c x + d| at or below it
 
 
-_POLE_TOL = 1e-12  # the evaluators refuse points with |c x + d| at or below it
+class MobiusPoint:
+    """The map of `m` at an (..., n) array of points x, read from one g.
 
+    g = c x + d and its norm |g| (`scale`) are formed once, and the pole
+    check runs there.  The rest is derived from g when it is read: the
+    image M(x), the twist g^-1 f(M(x)), the scale factors J1 and Jm1, the
+    parity sigma and the unit frame u, whose sandwich u A reversion(u)
+    (`algebra.pin_action`) is an isometry of the coefficient norm that
+    sends vectors to vectors.  The image and the twist invert g each time
+    they are read and keep nothing; sigma and u are kept once formed.
+    """
 
-def _check_poles(g: Multivector):
-    if np.any(g.norm() <= _POLE_TOL):
-        raise PoleError(
-            f"denominator norm fell to {float(np.min(g.norm())):.3e} "
-            f"(tolerance {_POLE_TOL:g})"
-        )
+    def __init__(self, m: VahlenMatrix, points):
+        self.m, self.points = m, points
+        self.g = m.c * Multivector.from_vector(m.dim, points) + m.d
+        self.scale = self.g.norm()
+        if np.any(self.scale <= _POLE_TOL):
+            raise PoleError(
+                f"denominator norm fell to {float(np.min(self.scale)):.3e} "
+                f"(tolerance {_POLE_TOL:g})"
+            )
 
+    def _image(self, inverse: Multivector) -> np.ndarray:
+        x = Multivector.from_vector(self.m.dim, self.points)
+        out = (self.m.a * x + self.m.b) * inverse
+        vec = out.grade_select(1)
+        off = float(np.max((out - vec).norm(), initial=0.0))
+        if off > 1e-10 * max(1.0, float(np.max(out.norm(), initial=0.0))):
+            raise MobiusError(f"image has off-grade-1 mass {off:.3e}")
+        return vec.vector_part()
 
-def apply_mobius(m: VahlenMatrix, x: Multivector) -> Multivector:
-    """Evaluate M(x) = (a x + b)(c x + d)^{-1} at grade-1 x (batched ok)."""
-    g = denominator(m, x)
-    _check_poles(g)
-    num = m.a * x + m.b
-    out = num * lipschitz_element_inverse(g)
-    vec = out.grade_select(1)
-    off = float(np.max((out - vec).norm(), initial=0.0))
-    if off > 1e-10 * max(1.0, float(np.max(out.norm(), initial=0.0))):
-        raise MobiusError(f"image has off-grade-1 mass {off:.3e}")
-    return vec
+    @property
+    def image(self) -> np.ndarray:
+        """The (..., n) coordinates of M(x) = (a x + b) g^-1, refused when
+        (a x + b) g^-1 is off grade 1 by over 1e-10."""
+        return self._image(lipschitz_element_inverse(self.g))
+
+    def twist(self, f) -> Multivector:
+        """g^-1 f(M(x)) for f taking coordinates, g inverted once for both."""
+        inverse = lipschitz_element_inverse(self.g)
+        return inverse * f(self._image(inverse))
+
+    @property
+    def jm1(self) -> Multivector:
+        """Jm1 = reversion(g) / |g|^(n+2)."""
+        return self.g.reversion() / self.scale ** (self.m.dim + 2)
+
+    @property
+    def j1(self) -> Multivector:
+        """J1 = |g|^2 Jm1 = reversion(g) / |g|^n."""
+        return self.jm1 * self.scale**2
+
+    @cached_property
+    def sigma(self) -> int:
+        """The factor-count parity of g: +1 even, -1 odd; mixed is refused."""
+        sig = parity(self.g)
+        if sig == 0:
+            raise MobiusError("denominator has mixed parity; not a Vahlen matrix?")
+        return sig
+
+    @cached_property
+    def u(self) -> Multivector:
+        """The unit frame g/|g|, formed after the parity check."""
+        self.sigma  # refuses a mixed-parity g before any frame is read
+        return self.g / self.scale
 
 
 def map_points(m: VahlenMatrix, points: np.ndarray):
-    """Convenience wrapper: (..., n) coordinate array in, same shape out."""
-    x = Multivector.from_vector(m.dim, points)
-    return apply_mobius(m, x).vector_part()
-
-
-def jacobian_factors(m: VahlenMatrix, x: Multivector):
-    """(J1, Jm1) at x; J1 equals |c x + d|^2 * Jm1 by construction."""
-    g = denominator(m, x)
-    _check_poles(g)
-    nn = g.norm()
-    rev = g.reversion()
-    jm1 = rev / nn ** (m.dim + 2)
-    j1 = jm1 * (nn**2)
-    return j1, jm1
-
-
-def frame_at(m: VahlenMatrix, x: Multivector) -> FramePoint:
-    """Unit frame, scale |c x + d| and parity sigma at x."""
-    g = denominator(m, x)
-    _check_poles(g)
-    nn = g.norm()
-    u = g / nn
-    sig = parity(g)
-    if sig == 0:
-        raise MobiusError("denominator has mixed parity; not a Vahlen matrix?")
-    return FramePoint(u=u, scale=nn, sigma=sig)
-
-
-def jacobian_determinant(m: VahlenMatrix, x: Multivector):
-    """|det dM_x| = |c x + d|^{-2 dim}."""
-    g = denominator(m, x)
-    _check_poles(g)
-    return g.norm() ** (-2 * m.dim)
-
-
-def differential(m: VahlenMatrix, x: Multivector, v: Multivector) -> Multivector:
-    """dM_x(v) = u v reversion(u) / |c x + d|^2 for grade-1 v."""
-    fp = frame_at(m, x)
-    return fp.map(v) / fp.scale**2
+    """M(x) on an (..., n) coordinate array, same shape out."""
+    return MobiusPoint(m, points).image
 
 
 # ---------------------------------------------------------------- parsing

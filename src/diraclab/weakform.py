@@ -10,13 +10,15 @@ equation in the distributional sense; replacing f by the derivative D h
 gives the p-harmonic version.  This module supplies the quadrature engine
 (a bump-fitted rule in spherical coordinates about each bump's centre, in
 any dimension, whose double-exponential radial rule absorbs the flat
-support edge), the mollifier-bump test functions, the conformal weight
-|c x + d|^s, and the covariance experiments: pulling a solution back
-through a Moebius map and measuring the weak residual of the transformed
-field on the preimage domain, in both the plain-derivative and the
-twisted-derivative (frame-conjugated) forms.  The box-tensor
-`QuadratureRule` remains as a cross-check; the residuals read only its
-domain and order, so its grid is built only when it is read.
+support edge), the mollifier-bump test functions and the covariance
+experiments: pulling a solution back through a Moebius map and measuring
+the weak residual of the transformed field on the preimage domain, in
+both the plain-derivative and the twisted-derivative (frame-conjugated)
+forms.  Each node block of an experiment reads the map through one
+`mobius.MobiusPoint`, which gives the twist, the weight |c x + d|^s and
+the frame from one c x + d.  The box-tensor `QuadratureRule` remains as
+a cross-check; the residuals read only its domain and order, so its grid
+is built only when it is read.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
 flat residuals, the covariance experiments, the divergence oracle, the
@@ -56,26 +58,19 @@ from itertools import groupby
 
 import numpy as np
 
-from .algebra import Multivector, blade_label, conj_vector_sums, geometric_product
+from .algebra import Multivector, blade_label, conj_vector_sums, geometric_product, pin_action
 from .fields import (
     AnalyticField,
     Domain,
     DomainError,
     FieldError,
-    compose_with_mobius,
-    conformal_dirac_transform,
+    composed_partials,
     dirac_fd,
+    dirac_sum,
     power_scale,
     validate_clearance,
 )
-from .mobius import (
-    VahlenMatrix,
-    denominator,
-    frame_at,
-    jacobian_determinant,
-    map_points,
-    vahlen_inverse,
-)
+from .mobius import MobiusPoint, VahlenMatrix, map_points, vahlen_inverse
 
 
 class WeakFormError(ValueError):
@@ -414,27 +409,6 @@ def support_quadrature(eta: BumpTestFunction, order: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-# --------------------------------------------------------------- weights
-
-
-@dataclass(frozen=True)
-class ConformalWeight:
-    """The positive scalar weight  A(x) = |c x + d|^exponent  of a map."""
-
-    mobius: VahlenMatrix
-    exponent: float
-
-    def __call__(self, pts) -> np.ndarray:
-        x = Multivector.from_vector(
-            self.mobius.dim, np.asarray(pts, dtype=float)
-        )
-        return denominator(self.mobius, x).norm() ** self.exponent
-
-    @property
-    def description(self) -> str:
-        return f"|c x + d|^{self.exponent:g}"
-
-
 # -------------------------------------------------------- weak residuals
 
 
@@ -496,22 +470,20 @@ def support_families(bumps) -> list:
     return [list(run) for _, run in groupby(bumps, key=lambda b: (b.center, b.radius))]
 
 
-def _pair(f: AnalyticField, p: float, family, domain: Domain, order: int,
-          weight, of_derivative: bool):
+def _pair(values, name: str, p: float, family, domain: Domain, order: int):
     """Raw pairings (K, 2**n), normalizers (K,) and node count of conj(A
     |v|^(p-2) v) * D eta for the K bumps of a family sharing one support,
-    in one pass over its fitted nodes of the given order, for v = f, or
-    v = D f when of_derivative."""
-    if of_derivative and not f.has_grad:
-        raise FieldError(f"weak form needs the analytic derivative of {f.name!r}")
+    in one pass over its fitted nodes of the given order; `values(x)`
+    gives (v, A) on a node block, A None when unweighted, and `name` names
+    v when |v| vanishes."""
     eta = family[0].require_support_inside(domain)
 
     def block(x, wx):
-        vals = f.dirac(x) if of_derivative else f(x)
+        vals, weight = values(x)
         norms = vals.norm()
-        scale = power_scale(norms, p, f.name)
+        scale = power_scale(norms, p, name)
         if weight is not None:
-            scale = scale * weight(x)
+            scale = scale * weight
         return vals, norms, eta.profile_gradient(x), wx * scale
 
     blades = Multivector(eta.dim, [b.blade.coeffs for b in family])
@@ -524,7 +496,8 @@ def weak_p_dirac_residual(
     weight=None,
 ) -> Multivector:
     """Clifford-valued quadrature of conj(A |f|^(p-2) f) * D eta over U."""
-    raw = _pair(f, p, [eta], rule.domain, rule.order, weight, False)[0]
+    raw = _pair(lambda x: (f(x), None if weight is None else weight(x)), f.name,
+                p, [eta], rule.domain, rule.order)[0]
     return Multivector(eta.dim, raw[0])
 
 
@@ -532,7 +505,7 @@ def weak_p_harmonic_residual(
     h: AnalyticField, p: float, eta: BumpTestFunction, rule: QuadratureRule
 ) -> Multivector:
     """Quadrature of conj(|Dh|^(p-2) Dh) * D eta; needs analytic Dh."""
-    raw = _pair(h, p, [eta], rule.domain, rule.order, None, True)[0]
+    raw = _pair(lambda x: (h.dirac(x), None), h.name, p, [eta], rule.domain, rule.order)[0]
     return Multivector(eta.dim, raw[0])
 
 
@@ -542,7 +515,9 @@ def normalized_weak_residual(
 ) -> float:
     """|weak residual| / normalizer, the normalizer being the quadrature
     of |f|^(p-1) |D eta|; computed in one pass."""
-    raw, normalizer, _ = _pair(f, p, [eta], rule.domain, rule.order, None, of_derivative)
+    evaluate = f.dirac if of_derivative else f
+    raw, normalizer, _ = _pair(lambda x: (evaluate(x), None), f.name, p, [eta],
+                               rule.domain, rule.order)
     return normalized_ratio(Multivector(eta.dim, raw[0]).norm(), normalizer[0])
 
 
@@ -574,8 +549,8 @@ def pullback_domain(m: VahlenMatrix, dom: Domain) -> Domain:
     dim = dom.dim
     inv = vahlen_inverse(m)
     if float(m.c.norm()) < 1e-13:
-        origin = Multivector.from_vector(dim, np.zeros(dim))
-        rho = float(jacobian_determinant(inv, origin)) ** (1.0 / dim)
+        # |det dM^-1| = |g|^(-2n) at the origin, and its n-th root the scale
+        rho = float(MobiusPoint(inv, np.zeros(dim)).scale ** (-2 * dim)) ** (1.0 / dim)
         if dom.kind == "ball":
             return Domain.ball(map_points(inv, np.array(dom.center)), dom.outer * rho)
         if dom.kind == "annulus":
@@ -707,13 +682,17 @@ def dirac_covariance_experiment(
     dim = source_domain.dim
     order = _resolve_order(dim, order)
     volume = _pullback_and_validate(f, m, source_domain)
-    g = conformal_dirac_transform(f, m)
     exponent = float(p - dim)
-    weight = ConformalWeight(m, exponent)
+
+    def values(x):
+        # the twisted pullback (c x + d)^-1 f(M(x)) and its weight |c x + d|^(p - n)
+        at = MobiusPoint(m, x)
+        return at.twist(f), at.scale**exponent
+
     rows = []
     etas = default_test_functions(volume, seed=seed, random_count=random_bumps)
     for family in support_families(etas):
-        raw, normalizer, count = _pair(g, p, family, volume, order, weight, False)
+        raw, normalizer, count = _pair(values, f"twist[{f.name}]", p, family, volume, order)
         rows.extend(
             CovarianceRow(eta.label, exponent, float(r), float(nz), count)
             for eta, r, nz in zip(family, Multivector(dim, raw, copy=False).norm(), normalizer)
@@ -753,7 +732,6 @@ def harmonic_covariance_experiment(
     if not p > 1:
         raise FieldError("the exponent p must exceed 1")
     volume = _pullback_and_validate(h, m, source_domain)
-    gh = compose_with_mobius(h, m)
     if exponents is None:
         exponents = [2.0 * (p + 2.0 - dim), 2.0 * (p - dim), float(p - dim), 0.0]
     exponents = tuple(dict.fromkeys(round(float(s), 12) for s in exponents))
@@ -769,14 +747,17 @@ def harmonic_covariance_experiment(
         eta = family[0]
 
         def block(x, wx, eta=eta):
-            fp = frame_at(m, Multivector.from_vector(dim, x))
-            twisted = fp.twisted_dirac(gh.grad(x))
+            at = MobiusPoint(m, x)
+            u, scale = at.u, at.scale  # the frame first: mixed parity is refused there
+            partials = h.grad(at.image)
+            del at  # nothing reads c x + d further: free it before the frame loop
+            twisted = dirac_sum(composed_partials(partials, u, scale))
             norms = twisted.norm()
-            power = power_scale(norms, p, gh.name)
+            power = power_scale(norms, p, f"{h.name}∘M")
             # D_M eta = u (grad phi) rev(u) * blade: the rotated gradient is
             # a vector, so it pairs as one
-            slope = fp.map(Multivector.from_vector(dim, eta.profile_gradient(x)))
-            return twisted, norms, slope.vector_part(), wx * fp.scale**exps * power
+            slope = pin_action(u, Multivector.from_vector(dim, eta.profile_gradient(x)))
+            return twisted, norms, slope.vector_part(), wx * scale**exps * power
 
         blades = Multivector(dim, [b.blade.coeffs for b in family])
         raw, normalizer = weak_pairing(support_blocks(eta, order), block, blades)
@@ -811,14 +792,13 @@ def sc_invariance_check(
     Sc(|Df(y)|^(p-2) conj(Df(y)) Deta(y)) at y = M(x), u the unit frame of
     the map at x; returns the largest absolute discrepancy.
     """
-    pts = np.asarray(points, dtype=float)
-    y = map_points(m, pts)
+    at = MobiusPoint(m, points)
+    y = at.image
     df = _derivative_at(f, y)
     deta = eta.dirac(y)
-    fp = frame_at(m, Multivector.from_vector(m.dim, pts))
     factor = df.norm() ** (p - 2.0)
     twisted = geometric_product(
-        fp.map(df).conjugation(), fp.map(deta)
+        pin_action(at.u, df).conjugation(), pin_action(at.u, deta)
     ).scalar_part()
     plain = geometric_product(df.conjugation(), deta).scalar_part()
     return float(np.max(np.abs(factor * (twisted - plain)), initial=0.0))
@@ -828,8 +808,6 @@ def norm_frame_identity_check(
     m: VahlenMatrix, f: AnalyticField, points
 ) -> float:
     """| |u Df(M(x)) rev(u)| - |Df(M(x))| | - the frame is an isometry."""
-    pts = np.asarray(points, dtype=float)
-    y = map_points(m, pts)
-    df = _derivative_at(f, y)
-    fp = frame_at(m, Multivector.from_vector(m.dim, pts))
-    return float(np.max(np.abs(fp.map(df).norm() - df.norm()), initial=0.0))
+    at = MobiusPoint(m, points)
+    df = _derivative_at(f, at.image)
+    return float(np.max(np.abs(pin_action(at.u, df).norm() - df.norm()), initial=0.0))

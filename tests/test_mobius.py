@@ -1,23 +1,26 @@
 """Vahlen matrix tests: generator validity, composition, the conformal
-differential against a finite-difference Jacobian, frames and scale factors."""
+differential against a finite-difference Jacobian, frames and scale factors,
+all read through the one per-point record `MobiusPoint`."""
 
 import numpy as np
 import pytest
 
-from diraclab.algebra import Multivector, geometric_product
+from diraclab.algebra import Multivector, geometric_product, pin_action
+from diraclab.fields import (
+    compose_with_mobius,
+    conformal_dirac_transform,
+    identity_field,
+    lemma1_check,
+)
 from diraclab.mobius import (
     MobiusError,
+    MobiusPoint,
     PoleError,
-    apply_mobius,
+    VahlenMatrix,
     compose,
-    denominator,
     dilation,
-    differential,
-    frame_at,
     identity_matrix,
     inversion,
-    jacobian_determinant,
-    jacobian_factors,
     map_points,
     parse_mobius_expr,
     rotation,
@@ -26,6 +29,7 @@ from diraclab.mobius import (
     vahlen_inverse,
     validate_vahlen,
 )
+from diraclab.weakform import BumpTestFunction, norm_frame_identity_check, sc_invariance_check
 
 from conftest import random_factor_list
 from oracles import fd_jacobian
@@ -102,16 +106,21 @@ def test_parse_accepts_every_generator_word(rng, word, built):
 # -------------------------------------------------------------- point maps
 
 
+def image(m, x: Multivector) -> Multivector:
+    """M(x) from the record, as a grade-1 Multivector."""
+    return Multivector.from_vector(m.dim, MobiusPoint(m, x.vector_part()).image)
+
+
 def test_closed_form_generator_actions(rng):
     x = Multivector.from_vector(3, [2.0, 0.0, 0.0])
     assert np.allclose(
-        apply_mobius(inversion(3), x).vector_part(), [0.5, 0.0, 0.0]
+        image(inversion(3), x).vector_part(), [0.5, 0.0, 0.0]
     )
     assert np.allclose(
-        apply_mobius(translation(3, [1, 2, 3]), x).vector_part(), [3.0, 2.0, 3.0]
+        image(translation(3, [1, 2, 3]), x).vector_part(), [3.0, 2.0, 3.0]
     )
-    assert np.allclose(apply_mobius(dilation(3, 2.0), x).vector_part(), [4, 0, 0])
-    y = apply_mobius(identity_matrix(3), x)
+    assert np.allclose(image(dilation(3, 2.0), x).vector_part(), [4, 0, 0])
+    y = image(identity_matrix(3), x)
     assert np.array_equal(y.vector_part(), x.vector_part())
     # general point: inversion is x / |x|^2
     v = rng.normal(size=3)
@@ -134,8 +143,6 @@ def test_rotation_from_factors_matches_pin_action(rng):
     assert validate_vahlen(m).passes
     x = rng.normal(size=3)
     want = factors.product()
-    from diraclab.algebra import pin_action
-
     assert np.allclose(
         map_points(m, x),
         pin_action(want, Multivector.from_vector(3, x)).vector_part(),
@@ -150,40 +157,73 @@ def test_composition_consistency(rng):
     for k in range(8):
         n1, n2 = names[k % len(names)], names[(k * 3 + 1) % len(names)]
         m12 = compose(mats[n1], mats[n2])
-        via_matrix = apply_mobius(m12, pts).vector_part()
-        stepwise = apply_mobius(mats[n1], apply_mobius(mats[n2], pts)).vector_part()
+        via_matrix = image(m12, pts).vector_part()
+        stepwise = image(mats[n1], image(mats[n2], pts)).vector_part()
         assert np.max(np.abs(via_matrix - stepwise)) <= 1e-10, (n1, n2)
 
 
 def test_vahlen_inverse_roundtrip(rng):
     for name, m in sample_matrices(3).items():
         pts = Multivector.from_vector(3, probe_points(rng, 3))
-        back = apply_mobius(vahlen_inverse(m), apply_mobius(m, pts))
+        back = image(vahlen_inverse(m), image(m, pts))
         assert np.max(np.abs(back.vector_part() - pts.vector_part())) <= 1e-9, name
 
 
 def test_pole_error():
     with pytest.raises(PoleError):
-        apply_mobius(inversion(3), Multivector.from_vector(3, [0.0, 0.0, 0.0]))
+        image(inversion(3), Multivector.from_vector(3, [0.0, 0.0, 0.0]))
     with pytest.raises(PoleError):
-        frame_at(inversion(3), Multivector.zero(3))
-    # |c x + d| = |x| for the inversion: every evaluator refuses a point at
-    # or below the pole tolerance 1e-12 and evaluates one just above it
+        MobiusPoint(inversion(3), np.zeros(3)).u
+    # |c x + d| = |x| for the inversion: the record and every reader of it
+    # refuse a point at or below the pole tolerance 1e-12 and evaluate one
+    # just above it (dj1_check reads only the stencil points around x)
     m = inversion(3)
+    f = identity_field(3)
+    far = BumpTestFunction(3, (5.0, 0.0, 0.0), 0.5, Multivector.scalar(3, 1.0))
     evaluators = (
-        lambda x: apply_mobius(m, x).coeffs,
-        lambda x: map_points(m, x.vector_part()),
-        lambda x: np.concatenate([j.coeffs for j in jacobian_factors(m, x)]),
-        lambda x: frame_at(m, x).u.coeffs,
-        lambda x: jacobian_determinant(m, x),
+        lambda x: MobiusPoint(m, x).image,
+        lambda x: map_points(m, x),
+        lambda x: np.concatenate([MobiusPoint(m, x).j1.coeffs, MobiusPoint(m, x).jm1.coeffs]),
+        lambda x: MobiusPoint(m, x).u.coeffs,
+        lambda x: MobiusPoint(m, x).scale ** (-2 * 3),
+        lambda x: MobiusPoint(m, x).twist(f).coeffs,
+        lambda x: conformal_dirac_transform(f, m)(x).coeffs,
+        lambda x: np.stack([d.coeffs for d in compose_with_mobius(f, m).grad(x)]),
+        lambda x: lemma1_check(m, f, x),
+        lambda x: sc_invariance_check(f, 2.5, m, far, x),
+        lambda x: norm_frame_identity_check(m, f, x),
     )
     for evaluate in evaluators:
         for r in (0.99e-12, 1e-12):
-            x = Multivector.from_vector(3, [r, 0.0, 0.0])
-            assert float(denominator(m, x).norm()) <= 1e-12
+            x = np.array([r, 0.0, 0.0])
+            assert float((m.c * Multivector.from_vector(3, x) + m.d).norm()) <= 1e-12
             with pytest.raises(PoleError):
                 evaluate(x)
-        assert np.all(np.isfinite(evaluate(Multivector.from_vector(3, [1.01e-12, 0.0, 0.0]))))
+        assert np.all(np.isfinite(evaluate(np.array([1.01e-12, 0.0, 0.0]))))
+
+
+def test_non_vahlen_matrix_is_refused_by_every_reader():
+    """a = d = 1, b = 0, c = 1 + e1: g = c x + d has mixed parity and an
+    image off grade 1, and each reader refuses it with a MobiusError."""
+    one = Multivector.scalar(3, 1.0)
+    m = VahlenMatrix(3, one, Multivector.zero(3), one + Multivector.basis_vector(3, 1), one)
+    assert not validate_vahlen(m).passes
+    pts = np.array([[0.3, 0.2, 0.1], [1.0, -0.5, 0.7]])
+    f = identity_field(3)
+    far = BumpTestFunction(3, (5.0, 0.0, 0.0), 0.5, Multivector.scalar(3, 1.0))
+    readers = {
+        "map_points": lambda: map_points(m, pts),
+        "twist": lambda: conformal_dirac_transform(f, m)(pts),
+        "lemma1": lambda: lemma1_check(m, f, pts),
+        "sc": lambda: sc_invariance_check(f, 2.5, m, far, pts),
+        "norm-frame": lambda: norm_frame_identity_check(m, f, pts),
+    }
+    for name, read in readers.items():
+        with pytest.raises(MobiusError, match="off-grade-1 mass"):
+            read()
+    # the chain-rule gradient reads the frame first, so the parity check speaks
+    with pytest.raises(MobiusError, match="mixed parity"):
+        compose_with_mobius(f, m).grad(pts)
 
 
 # ------------------------------------------------- differential / Jacobian
@@ -194,9 +234,10 @@ def test_differential_matches_fd_jacobian(rng, name):
     m = sample_matrices(3)[name]
     for x0 in probe_points(rng, 3, count=3):
         J = fd_jacobian(lambda p: map_points(m, p), x0)
-        xmv = Multivector.from_vector(3, x0)
+        at = MobiusPoint(m, x0)
         for j in range(3):
-            col = differential(m, xmv, Multivector.basis_vector(3, j + 1))
+            # column j of dM_x is u e_j reversion(u) / |c x + d|^2
+            col = pin_action(at.u, Multivector.basis_vector(3, j + 1)) / at.scale**2
             assert np.max(np.abs(col.vector_part() - J[:, j])) <= 1e-6
 
 
@@ -204,26 +245,25 @@ def test_conformality_and_determinant(rng):
     for name, m in sample_matrices(3).items():
         x0 = probe_points(rng, 3, count=1)[0]
         J = fd_jacobian(lambda p: map_points(m, p), x0)
-        xmv = Multivector.from_vector(3, x0)
-        s = float(frame_at(m, xmv).scale)
+        at = MobiusPoint(m, x0)
+        s = float(at.scale)
         assert np.max(np.abs(J.T @ J * s**4 - np.eye(3))) <= 1e-6, name
-        det = float(jacobian_determinant(m, xmv))
+        det = float(at.scale ** (-2 * 3))  # |det dM_x| = |c x + d|^(-2n)
         assert abs(abs(np.linalg.det(J)) - det) <= 1e-6 * det, name
 
 
 def test_jacobian_factor_formulas(rng):
-    x = Multivector.from_vector(3, probe_points(rng, 3))
-    j1, jm1 = jacobian_factors(identity_matrix(3), x)
+    v = probe_points(rng, 3)
+    j1 = MobiusPoint(identity_matrix(3), v).j1
     assert np.allclose(j1.coeffs[..., 0], 1.0) and j1.is_grade(0)
     # inversion: J1 = x / |x|^n
-    j1_inv, _ = jacobian_factors(inversion(3), x)
-    v = x.vector_part()
+    j1_inv = MobiusPoint(inversion(3), v).j1
     r = np.linalg.norm(v, axis=-1, keepdims=True)
     assert np.allclose(j1_inv.vector_part(), v / r**3, atol=1e-13)
     # ratio J1 = |cx+d|^2 Jm1 holds bit-for-bit as constructed
-    m = sample_matrices(3)["word"]
-    j1w, jm1w = jacobian_factors(m, x)
-    nn = denominator(m, x).norm()
+    at = MobiusPoint(sample_matrices(3)["word"], v)
+    j1w, jm1w = at.j1, at.jm1
+    nn = at.g.norm()
     assert np.array_equal(j1w.coeffs, (jm1w * nn**2).coeffs)
 
 
@@ -232,11 +272,10 @@ def test_jacobian_factor_formulas(rng):
 
 def test_frame_is_unit_and_orthogonal(rng):
     m = sample_matrices(3)["inv*transl"]
-    x = Multivector.from_vector(3, probe_points(rng, 3))
-    fp = frame_at(m, x)
-    assert np.max(np.abs(fp.u.norm() - 1.0)) <= 1e-12
+    at = MobiusPoint(m, probe_points(rng, 3))
+    assert np.max(np.abs(at.u.norm() - 1.0)) <= 1e-12
     # frame map sends e_j to unit vectors with preserved dot products
-    vecs = [fp.frame_vector(j) for j in (1, 2, 3)]
+    vecs = [pin_action(at.u, Multivector.basis_vector(3, j)) for j in (1, 2, 3)]
     for j, vj in enumerate(vecs):
         assert vj.is_grade(1, tol=1e-12)
         assert np.max(np.abs(vj.norm() - 1.0)) <= 1e-12
@@ -260,12 +299,12 @@ def test_frame_map_scalar_invariance(rng):
 
 
 def test_sigma_parity(rng):
-    x = Multivector.from_vector(3, probe_points(rng, 3, count=1)[0])
-    assert frame_at(translation(3, [1, 0, 0]), x).sigma == 1
-    assert frame_at(dilation(3, 2.0), x).sigma == 1
-    assert frame_at(rotation(3, 1, 2, 0.3), x).sigma == 1
-    assert frame_at(inversion(3), x).sigma == -1
-    assert frame_at(compose(inversion(3), translation(3, [1, 0, 0])), x).sigma == -1
+    x = probe_points(rng, 3, count=1)[0]
+    assert MobiusPoint(translation(3, [1, 0, 0]), x).sigma == 1
+    assert MobiusPoint(dilation(3, 2.0), x).sigma == 1
+    assert MobiusPoint(rotation(3, 1, 2, 0.3), x).sigma == 1
+    assert MobiusPoint(inversion(3), x).sigma == -1
+    assert MobiusPoint(compose(inversion(3), translation(3, [1, 0, 0])), x).sigma == -1
 
 
 # ----------------------------------------------------------------- parsing
@@ -279,8 +318,8 @@ def test_parse_mobius_expr(rng):
     )
     pts = Multivector.from_vector(3, probe_points(rng, 3))
     assert np.allclose(
-        apply_mobius(m, pts).vector_part(),
-        apply_mobius(want, pts).vector_part(),
+        image(m, pts).vector_part(),
+        image(want, pts).vector_part(),
         atol=1e-13,
     )
     assert validate_vahlen(m).passes

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diraclab import weakform
+from diraclab import mobius, weakform
 from diraclab.algebra import Multivector, blade_grades, conj_vector_sums, geometric_product
 from diraclab.fields import (
     NORM_CUTOFF,
@@ -32,6 +32,7 @@ from diraclab.fields import (
     p_harmonic_radial,
 )
 from diraclab.mobius import (
+    MobiusPoint,
     compose,
     dilation,
     inversion,
@@ -41,7 +42,6 @@ from diraclab.mobius import (
 )
 from diraclab.weakform import (
     BumpTestFunction,
-    ConformalWeight,
     QuadratureRule,
     SupportError,
     WeakFormError,
@@ -741,10 +741,9 @@ def test_residual_determinism(rng):
 
 
 def test_conformal_weight_of_inversion_is_radial_power():
-    w = ConformalWeight(inversion(3), -0.5)
     pts = np.array([[1.0, 2.0, 2.0], [3.0, 0.0, 4.0]])
-    assert np.allclose(w(pts), np.linalg.norm(pts, axis=-1) ** -0.5, atol=1e-14)
-    assert w.description == "|c x + d|^-0.5"
+    w = MobiusPoint(inversion(3), pts).scale ** -0.5
+    assert np.allclose(w, np.linalg.norm(pts, axis=-1) ** -0.5, atol=1e-14)
 
 
 # ---------------------------------------------------------- domain pullback
@@ -813,6 +812,26 @@ def test_dirac_covariance_under_inversion(p):
     assert rep.max_normalized <= 1e-12
     assert all(r.exponent == pytest.approx(p - 3.0) for r in rep.rows)
     assert rep.domain.kind == "ball"
+
+
+def test_dirac_covariance_inverts_once_per_node_block(monkeypatch):
+    """One pass of the experiment inverts c x + d once per node block, for
+    the twist and the image together, besides the inversions of the domain
+    pullback and of the singular points' preimages."""
+    calls, blocks = [], []
+    inverse = mobius.lipschitz_element_inverse
+    monkeypatch.setattr(mobius, "lipschitz_element_inverse",
+                        lambda g: calls.append(1) or inverse(g))
+    build = weakform.support_blocks
+    monkeypatch.setattr(weakform, "support_blocks",
+                        lambda eta, order: (blocks.append(1) or b for b in build(eta, order)))
+    pullback_domain(inversion(3), BALL3)
+    pullback = len(calls)
+    f = p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0])
+    calls.clear()
+    dirac_covariance_experiment(f, 2.5, inversion(3), BALL3, order=6, random_bumps=2)
+    assert len(blocks) > 3
+    assert len(calls) == len(blocks) + pullback + len(f.singular_points)
 
 
 def test_dirac_covariance_rejects_singularity_near_preimage():
