@@ -9,9 +9,11 @@ scalar and affine Clifford data in 2-D (h = 1/16) and 3-D (h = 1/12); and
 the cube [-1,1]^3 with x^2 - y^2 at h = 1/12.  Each row prints whether
 the solve converged, its stop reason, Newton steps, Hessian products,
 wall time and a digest of the solution and diagnostics, so two versions
-of the solver can be compared row by row.  The whole matrix takes about
-1.5 minutes on a shared 2-vCPU machine with one BLAS thread, 40-60 s of
-it in the slowest row, p = 1.1 with sin 3x cos 2y.
+of the solver can be compared row by row.  Digests agree only between
+runs with the same BLAS thread count, which sets the summation order of
+the coarsest multigrid level.  The whole matrix takes about 2 minutes on
+a shared 2-vCPU machine with one BLAS thread, 80 s of it in the slowest
+row, p = 1.1 with sin 3x cos 2y.
 """
 
 import argparse

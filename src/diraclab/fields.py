@@ -542,6 +542,7 @@ def lemma1_check(
 
 def dj1_check(m: VahlenMatrix, points) -> float:
     """Max |D J1(M, .)| over the points; J1 is monogenic, so ~0."""
+    MobiusPoint(m, points).image  # the stencil skips the points: refuse a pole or bad map there
 
     def ev(q):
         return MobiusPoint(m, q).j1

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Multivector, _gather_table
-from .multigrid import laplacian, neighbors, vcycle
+from .multigrid import Buffers, Grid, laplacian, vcycle
 
 
 class SolverError(ValueError):
@@ -72,14 +72,6 @@ class SolverError(ValueError):
 
 
 # ------------------------------------------------------------------ domains
-
-
-def _shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """a evaluated at x + step*h*e_axis: zero (False) outside the grid."""
-    here, there = neighbors(a.ndim, axis, step)
-    out = np.zeros_like(a)
-    out[here] = a[there]
-    return out
 
 
 @dataclass(frozen=True)
@@ -109,19 +101,21 @@ class LatticeDomain:
         # it trims the unknowns next to notches; without the trim those
         # nodes see first-order conditions with fluxes missing, an O(1)
         # local defect that degrades the global error to roughly O(h).
-        mask = self.node_mask
+        grid = Grid(self.shape)
+        mask = self.node_mask.ravel()
         base, back, interior = mask.copy(), mask.copy(), mask.copy()
         for aj in range(self.dim):
-            base &= _shift(mask, aj, +1)
-            back &= _shift(mask, aj, -1)
+            base &= grid.shift(mask, aj, +1)
+            back &= grid.shift(mask, aj, -1)
             for ak in range(self.dim):
                 if aj != ak:
-                    interior &= _shift(_shift(mask, aj, -1), ak, +1)
+                    interior &= grid.shift(grid.shift(mask, aj, -1), ak, +1)
         interior &= base & back
-        object.__setattr__(self, "interior_mask", interior)
-        object.__setattr__(self, "base_mask", base)
-        object.__setattr__(self, "backward_base_mask", back)
-        object.__setattr__(self, "boundary_mask", self.node_mask & ~interior)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "interior_mask", interior.reshape(self.shape))
+        object.__setattr__(self, "base_mask", base.reshape(self.shape))
+        object.__setattr__(self, "backward_base_mask", back.reshape(self.shape))
+        object.__setattr__(self, "boundary_mask", self.node_mask & ~self.interior_mask)
         if not interior.any():
             raise SolverError("the lattice has no interior nodes")
 
@@ -190,17 +184,11 @@ class LatticeField:
     values: np.ndarray
 
     def __post_init__(self):
-        grid = self.domain.shape
+        grid, blades = self.domain.shape, (1 << self.domain.dim,)
         v = np.asarray(self.values, dtype=float)
-        if v.shape == grid:
-            object.__setattr__(self, "values", v)
-        elif v.shape == grid + (1 << self.domain.dim,):
-            object.__setattr__(self, "values", v)
-        else:
-            raise SolverError(
-                f"values shape {v.shape} matches neither {grid} nor "
-                f"{grid + (1 << self.domain.dim,)}"
-            )
+        if v.shape not in (grid, grid + blades):
+            raise SolverError(f"values shape {v.shape} matches neither {grid} nor {grid + blades}")
+        object.__setattr__(self, "values", v)
 
     @property
     def is_clifford(self) -> bool:
@@ -237,42 +225,55 @@ _ORIENTATIONS = (+1, -1)
 
 
 def _base_mask_for(domain: LatticeDomain, orientation: int) -> np.ndarray:
-    return domain.base_mask if orientation > 0 else domain.backward_base_mask
+    return (domain.base_mask if orientation > 0 else domain.backward_base_mask).ravel()
 
 
-def _dirac(values: np.ndarray, dom: LatticeDomain, orientation: int):
-    """D_h v on the full grid from the forward (v(x + h e) - v(x))/h or
+def _dirac(values: np.ndarray, dom: LatticeDomain, orientation: int, work, out):
+    """D_h v of the raveled values from the forward (v(x + h e) - v(x))/h or
     backward (v(x) - v(x - h e))/h differences d_j, zero where the neighbor
     is off the grid (the base masks remove them): the array sum_j e_j d_j of
-    a Clifford field, the list of the d_j of a scalar one."""
-    diffs = []
+    a Clifford field, the list of the d_j of a scalar one, in the arrays
+    "dirac0", "dirac1", ... of the buffers `out`; temporaries go to work."""
+    grid, clifford = dom.grid, values.ndim > 1
+    diffs = [out.take(f"dirac{j}", values.shape) for j in range(1 if clifford else dom.dim)]
+    if clifford:
+        # row 1 << j of the gather tables gives e_j A = signs * A[..., perm]
+        perm, signs = _gather_table(dom.dim)
+        d, term = work.take("scratch", values.shape), work.take("flux", values.shape)
+        dirac = diffs[0]
+        dirac.fill(0.0)
     for axis in range(dom.dim):
-        here, there = neighbors(dom.dim, axis, orientation)
-        ahead, behind = (there, here) if orientation > 0 else (here, there)
-        d = np.zeros_like(values)
-        np.subtract(values[ahead], values[behind], out=d[here])
+        d, o = d if clifford else diffs[axis], grid.offsets[axis]
+        # v(x + h e) - v(x) for every x with that neighbor, stored at x or x + h e
+        np.subtract(values[o:], values[:-o], out=d[:-o] if orientation > 0 else d[o:])
+        d[grid.rim[axis, orientation]] = 0.0
         d /= dom.h
-        diffs.append(d)
-    if values.ndim == dom.dim:
-        return diffs
-    # row 1 << j of the gather tables gives e_j A = signs * A[..., perm]
-    perm, signs = _gather_table(dom.dim)
-    dirac = np.zeros_like(values)
-    for j, d in enumerate(diffs):
-        dirac += signs[1 << j] * d[..., perm[1 << j]]
-    return dirac
+        if clifford:
+            dirac += np.multiply(np.take(d, perm[1 << axis], axis=-1, out=term, mode="clip"),
+                                 signs[1 << axis], out=term)
+    return dirac if clifford else diffs
 
 
-def _inner(a, b) -> np.ndarray:
-    """Nodewise scalar product of two values of _dirac.  For Clifford
-    fields the cross terms between the axes of D_h u = sum_j e_j d_j do not
-    vanish (they do for scalar fields, whose e_j d_j are orthogonal)."""
+def _inner(a, b, work) -> np.ndarray:
+    """Nodewise scalar product of two values of _dirac, in work's "node".
+    For Clifford fields the cross terms between the axes of D_h u =
+    sum_j e_j d_j do not vanish (they do for scalar fields, whose e_j d_j
+    are orthogonal)."""
+    product = work.take("scratch", a.shape if isinstance(a, np.ndarray) else a[0].shape)
+    out = work.take("node", product.shape[:1])
     if isinstance(a, np.ndarray):
-        return np.sum(a * b, axis=-1)
-    out = np.zeros_like(a[0])
+        return np.sum(np.multiply(a, b, out=product), axis=-1, out=out)
+    out.fill(0.0)
     for x, y in zip(a, b):
-        out += x * y
+        out += np.multiply(x, y, out=product)
     return out
+
+
+def _scale(a, weight: np.ndarray):
+    """a, a value of _dirac, times the nodewise weight in place."""
+    for d in [a] if isinstance(a, np.ndarray) else a:
+        d *= weight[:, None] if d.ndim > 1 else weight
+    return a
 
 
 def _validate_exponents(p: float, epsilon: float):
@@ -286,15 +287,15 @@ def _validate_exponents(p: float, epsilon: float):
         raise SolverError("the regularization must be nonnegative")
 
 
-def _energy_terms(u: LatticeField, p: float, epsilon: float) -> np.ndarray:
+def _energy_terms(u: LatticeField, p: float, epsilon: float, work) -> np.ndarray:
     """Per-node energy terms as a flat array whose plain sum is the energy."""
     weight = u.domain.h**u.domain.dim / len(_ORIENTATIONS)
     parts = []
     for orientation in _ORIENTATIONS:
-        a = _dirac(u.values, u.domain, orientation)
+        a = _dirac(u.domain.grid.ravel(u.values), u.domain, orientation, work, work)
         base = _base_mask_for(u.domain, orientation)
         with np.errstate(over="ignore"):
-            parts.append(weight * (_inner(a, a)[base] + epsilon**2) ** (p / 2.0))
+            parts.append(weight * (_inner(a, a, work)[base] + epsilon**2) ** (p / 2.0))
     return np.concatenate(parts)
 
 
@@ -310,126 +311,136 @@ def discrete_energy(u: LatticeField, p: float, epsilon: float = 0.0) -> float:
     and each such edge is counted once by either orientation.
     """
     _validate_exponents(p, epsilon)
-    return float(np.sum(_energy_terms(u, p, epsilon)))
+    return float(np.sum(_energy_terms(u, p, epsilon, Buffers())))
 
 
-def _flux_weight(u: LatticeField, p: float, epsilon: float, orientation: int):
-    """(a, q, psi) of one orientation: a = D_h u, q = |a|^2 + eps^2 on its
-    base nodes and psi = q^((p-2)/2) on the grid, zero off those nodes."""
-    dom = u.domain
-    a = _dirac(u.values, dom, orientation)
+def _flux_weight(values, dom, p: float, epsilon: float, orientation: int, work, out):
+    """(a, q, psi) of one orientation of the raveled values: a = D_h u in
+    the buffers `out`, q = |a|^2 + eps^2 on its base nodes and psi =
+    q^((p-2)/2) on the grid, zero off those nodes, in out's "node"."""
+    a = _dirac(values, dom, orientation, work, out)
     base = _base_mask_for(dom, orientation)
-    q = _inner(a, a)[base] + epsilon**2
+    q = _inner(a, a, work)[base] + epsilon**2
     with np.errstate(divide="ignore", over="ignore"):
         base_psi = q ** ((p - 2.0) / 2.0)
     if not np.all(np.isfinite(base_psi)):
         raise SolverError(f"the flux weight is not finite at a node for p = {p:g} "
                           f"and regularization {epsilon:g}")
-    psi = np.zeros(dom.shape)
+    psi = out.take("node", base.shape)
+    psi.fill(0.0)
     psi[base] = base_psi
     return a, q, psi
 
 
-def _one_sided_gradient(u: LatticeField, p: float, epsilon: float,
-                        orientation: int) -> np.ndarray:
-    dom = u.domain
-    a, _, psi = _flux_weight(u, p, epsilon, orientation)
-    weighted = psi[..., None] * a if u.is_clifford else (psi * d for d in a)
-    grad = _divergence(dom, orientation, weighted, np.zeros_like(u.values))
-    grad *= p * dom.h ** (dom.dim - 1)
-    grad[~dom.interior_mask] = 0.0
-    return grad
-
-
-def _divergence(dom: LatticeDomain, orientation: int, weighted,
-                out: np.ndarray) -> np.ndarray:
-    """Adds sum_j orientation (F_j(y) - F_j(y - orientation h e_j)) to `out`
-    off the grid's rim, for the fluxes F_j = e_j W of the weighted Dirac
-    vector W: a Clifford-valued array, or an iterable of the per-axis
-    scalar components, where e_j e_j = -1 makes F_j = -W_j."""
-    clifford = isinstance(weighted, np.ndarray)
+def _divergence(dom: LatticeDomain, orientation: int, weighted, out: np.ndarray,
+                work) -> np.ndarray:
+    """Adds sum_j orientation (F_j(y) - F_j(y - orientation h e_j)) to the
+    raveled `out`, which holds no -0.0, for the fluxes F_j = e_j W of the
+    weighted Dirac vector W: a Clifford-valued array, or the list of the
+    per-axis scalar components, where e_j e_j = -1 makes F_j = -W_j."""
+    grid, clifford = dom.grid, isinstance(weighted, np.ndarray)
+    difference = work.take("scratch", out.shape)
     if clifford:
         perm, signs = _gather_table(dom.dim)
-        fluxes = (signs[1 << j] * weighted[..., perm[1 << j]] for j in range(dom.dim))
-    else:
-        fluxes = weighted
-    for axis, flux in enumerate(fluxes):
+        flux = work.take("flux", out.shape)
+    for axis in range(dom.dim):
+        if clifford:
+            np.take(weighted, perm[1 << axis], axis=-1, out=flux, mode="clip")
+            flux *= signs[1 << axis]
+        else:
+            flux = weighted[axis]
         # the orientation and the sign of F_j fold into the order of the
         # subtraction; the nodes without a carrier at y - orientation h e_j
-        # lie on the rim, off the interior
-        here, there = neighbors(dom.dim, axis, -orientation)
-        if (orientation > 0) == clifford:
-            out[here] += flux[here] - flux[there]
-        else:
-            out[here] += flux[there] - flux[here]
+        # lie on the rim, off the interior, and add exactly 0.0
+        o = grid.offsets[axis]
+        ahead, behind = (flux[o:], flux[:-o]) if clifford else (flux[:-o], flux[o:])
+        np.subtract(ahead, behind, out=difference[o:] if orientation > 0 else difference[:-o])
+        difference[grid.rim[axis, -orientation]] = 0.0
+        out += difference
     return out
 
 
-def energy_gradient(u: LatticeField, p: float, epsilon: float = 0.0) -> LatticeField:
+def energy_gradient(u: LatticeField, p: float, epsilon: float = 0.0,
+                    work=None) -> LatticeField:
     """Exact derivative of discrete_energy with respect to the interior
-    node values; boundary entries are zero.
+    node values; boundary entries are zero.  A solve passes the buffers
+    `work` for its temporaries.
 
     Each one-sided piece is the signed divergence of the flux
     (|D_h u|^2 + eps^2)^((p-2)/2) e_j D_h u scaled by p h^(n-1); the
     gradient averages the two pieces.
     """
     _validate_exponents(p, epsilon)
-    grad = 0.5 * (_one_sided_gradient(u, p, epsilon, +1)
-                  + _one_sided_gradient(u, p, epsilon, -1))
-    return LatticeField(u.domain, grad)
+    work = Buffers() if work is None else work
+    dom, values = u.domain, u.domain.grid.ravel(u.values)
+    sides = [np.zeros_like(values) for _ in _ORIENTATIONS]
+    for orientation, grad in zip(_ORIENTATIONS, sides):
+        a, _, psi = _flux_weight(values, dom, p, epsilon, orientation, work, work)
+        _divergence(dom, orientation, _scale(a, psi), grad, work)
+        grad *= p * dom.h ** (dom.dim - 1)
+        grad[~dom.interior_mask.ravel()] = 0.0
+    grad = np.add(*sides, out=sides[0])
+    grad *= 0.5
+    return LatticeField(dom, grad.reshape(u.values.shape))
 
 
-def _curvature(u: LatticeField, p: float, epsilon: float):
+def _curvature(u: LatticeField, p: float, epsilon: float, work=None):
     """The Hessian of discrete_energy at u, frozen for _hessian_product: per
     orientation the weight psi of _flux_weight and the rank-one vector
-    c = sqrt(|kappa|) D_h u, with kappa = (p - 2) psi / q zero where q = 0."""
+    c = sqrt(|kappa|) D_h u, with kappa = (p - 2) psi / q zero where q = 0,
+    each in arrays of its own; and the buffers of the products."""
+    work = Buffers() if work is None else work
     parts = []
     for orientation in _ORIENTATIONS:
-        a, q, psi = _flux_weight(u, p, epsilon, orientation)
+        a, q, psi = _flux_weight(u.domain.grid.ravel(u.values), u.domain, p, epsilon,
+                                 orientation, work, Buffers())
         base = _base_mask_for(u.domain, orientation)
-        root = np.zeros(u.domain.shape)
+        root = work.take("node", psi.shape)
+        root.fill(0.0)
         root[base] = np.sqrt(np.divide(abs(p - 2.0) * psi[base], q,
                                        out=np.zeros_like(q), where=q > 0))
-        c = root[..., None] * a if u.is_clifford else [root * d for d in a]
-        parts.append((orientation, psi, c))
-    return u.domain, p, parts
+        parts.append((orientation, psi, _scale(a, root)))
+    return u.domain, p, parts, work
 
 
-def _hessian_product(curvature, v: np.ndarray) -> np.ndarray:
-    """H v for the frozen Hessian H: per base node and orientation the
-    weighted Dirac vector p [psi b + sign(p - 2)(c.b) c] with b = D_h v,
-    that is p psi [b + (p - 2)(a.b) a / q] for a = D_h u; assembled like
-    the gradient's flux and zero off the interior."""
-    dom, p, parts = curvature
-    out = np.zeros_like(v)
+def _hessian_product(curvature, v: np.ndarray, out=None) -> np.ndarray:
+    """H v for the frozen Hessian H, into `out` when given: per base node
+    and orientation the weighted Dirac vector p [psi b + sign(p - 2)(c.b) c]
+    with b = D_h v, that is p psi [b + (p - 2)(a.b) a / q] for a = D_h u;
+    assembled like the gradient's flux and zero off the interior."""
+    dom, p, parts, work = curvature
+    flat = dom.grid.ravel(v)
+    product = dom.grid.ravel(np.empty_like(v) if out is None else out)
+    product.fill(0.0)
     for orientation, psi, c in parts:
-        b = _dirac(v, dom, orientation)
-        cb = np.sign(p - 2.0) * _inner(c, b)
+        b = _dirac(flat, dom, orientation, work, work)
+        cb = _inner(c, b, work)
+        cb *= np.sign(p - 2.0)
+        _scale(b, psi)
         if isinstance(c, np.ndarray):
-            b *= psi[..., None]
-            b += cb[..., None] * c
+            b += np.multiply(c, cb[:, None], out=work.take("scratch", c.shape))
         else:
             for x, y in zip(c, b):
-                y *= psi
-                y += cb * x
-        _divergence(dom, orientation, b, out)
-    out *= p * dom.h ** (dom.dim - 1) / len(parts)
-    out[~dom.interior_mask] = 0.0
-    return out
+                y += np.multiply(x, cb, out=work.take("scratch", x.shape))
+        _divergence(dom, orientation, b, product, work)
+    product *= p * dom.h ** (dom.dim - 1) / len(parts)
+    product[~dom.interior_mask.ravel()] = 0.0
+    return product.reshape(v.shape)
 
 
-def _energy_line(u: LatticeField, p: float, epsilon: float, s: np.ndarray):
+def _energy_line(u: LatticeField, p: float, epsilon: float, s: np.ndarray, work):
     """The energy along u + a s for _energy_change: on the base nodes of
     each orientation q = |D_h u|^2 + eps^2 grows to q + a c1 + a^2 c2, with
     c1 = 2 D_h u . D_h s and c2 = |D_h s|^2."""
     dom = u.domain
     line = []
     for orientation in _ORIENTATIONS:
-        a = _dirac(u.values, dom, orientation)
-        b = _dirac(s, dom, orientation)
+        a = _dirac(dom.grid.ravel(u.values), dom, orientation, work, Buffers())
+        b = _dirac(dom.grid.ravel(s), dom, orientation, work, work)
         base = _base_mask_for(dom, orientation)
-        q = _inner(a, a)[base] + epsilon**2
-        line.append((q, q ** (p / 2.0), 2.0 * _inner(a, b)[base], _inner(b, b)[base]))
+        q = _inner(a, a, work)[base] + epsilon**2
+        line.append((q, q ** (p / 2.0), 2.0 * _inner(a, b, work)[base],
+                     _inner(b, b, work)[base]))
     return p / 2.0, dom.h**dom.dim / len(line), line
 
 
@@ -505,8 +516,8 @@ class SolveDiagnostics:
     hessian_products: int = 0
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+def _dot(a: np.ndarray, b: np.ndarray, work) -> float:
+    return float(np.sum(np.multiply(a, b, out=work.take("scratch", a.shape))))
 
 
 _ETA = 0.5  # the first forcing term of each stage
@@ -515,59 +526,61 @@ _CG_STEPS = 100  # the most inner iterations of one Newton step
 _SUFFICIENT_DECREASE = 1e-4
 
 
-def _truncated_cg(hessian, precondition, g, tol_norm, tol_max):
+def _truncated_cg(hessian, precondition, g, tol_norm, tol_max, work):
     """Preconditioned conjugate gradient on H s = -g from s = 0 (Nocedal &
     Wright, Algorithm 7.1), stopped once the residual r = g + H s has
     |r|_2 <= tol_norm or max |r| <= tol_max, or at a direction of
-    non-positive curvature.  Returns s and r."""
+    non-positive curvature.  Returns s and r.  The products hessian(d, out)
+    and precondition(r, out) write into arrays of the call: z shares one
+    with H d, which r has taken up by then."""
     s, r = np.zeros_like(g), g.copy()
-    d = -precondition(r)
-    rz = -_dot(r, d)
+    d, hd = np.empty_like(g), np.empty_like(g)
+    np.negative(precondition(r, d), out=d)
+    rz = -_dot(r, d, work)
     for _ in range(_CG_STEPS):
-        hd = hessian(d)
-        curvature = _dot(d, hd)
+        hessian(d, hd)
+        curvature = _dot(d, hd, work)
         if not curvature > 0.0:
             break
-        s += (rz / curvature) * d
+        s += np.multiply(d, rz / curvature, out=work.take("scratch", d.shape))
         hd *= rz / curvature
         r += hd
-        del hd  # only s, r and d outlive an iteration
-        if np.sqrt(_dot(r, r)) <= tol_norm or np.max(np.abs(r)) <= tol_max:
+        if (np.sqrt(_dot(r, r, work)) <= tol_norm
+                or np.max(np.abs(r, out=work.take("scratch", r.shape))) <= tol_max):
             break
-        z = precondition(r)
-        rz, rz_prev = _dot(r, z), rz
+        z = precondition(r, hd)
+        rz, rz_prev = _dot(r, z, work), rz
         d *= rz / rz_prev
         d -= z
-        del z
     return s, r
 
 
-def _newton_step(u: LatticeField, g, p, epsilon, forcing, tol, precondition, call):
+def _newton_step(u: LatticeField, g, p, epsilon, forcing, tol, precondition, call, work):
     """One damped Newton step, applied to u.values in place.  Returns the
     energy change and the norms of g + a H s, the linear model's gradient
     at the step a s taken, and of the residual g + H s of the inner solve;
     or the stop reason "no descent" or "stall", leaving u as it was."""
-    curvature = _curvature(u, p, epsilon)
+    curvature = _curvature(u, p, epsilon, work)
     # solving beyond half the stopping tolerance is wasted
-    s, r = _truncated_cg(lambda v: call("hessian", _hessian_product, curvature, v),
-                         precondition, g, forcing, 0.5 * tol)
-    slope = _dot(g, s)
+    s, r = _truncated_cg(lambda v, out: call("hessian", _hessian_product, curvature, v, out),
+                         precondition, g, forcing, 0.5 * tol, work)
+    slope = _dot(g, s, work)
     if not -np.inf < slope < 0.0:
         return "no descent"  # the gradient is numerically zero, or s not finite
     del curvature
-    line = _energy_line(u, p, epsilon, s)
+    line = _energy_line(u, p, epsilon, s, work)
     a = 1.0
     while a * np.max(np.abs(s)) > np.finfo(float).eps * np.max(np.abs(u.values)):
         delta = call("energy", _energy_change, line, a)
         if delta <= _SUFFICIENT_DECREASE * a * slope:
             u.values[...] += a * s
             model = (1.0 - a) * g + a * r
-            return delta, np.sqrt(_dot(model, model)), np.sqrt(_dot(r, r))
+            return delta, np.sqrt(_dot(model, model, work)), np.sqrt(_dot(r, r, work))
         a *= 0.5
     return "stall"  # the step is below floating-point resolution
 
 
-def _minimize_stage(values, domain, p, epsilon, tol, config, counts, precondition):
+def _minimize_stage(values, domain, p, epsilon, tol, config, counts, precondition, work):
     """Truncated Newton-CG on one regularization stage.  Returns values,
     history lists, the Newton step count and the stop reason: "converged",
     "no descent", "stall" or "max_iter".  counts["gradient"],
@@ -584,22 +597,22 @@ def _minimize_stage(values, domain, p, epsilon, tol, config, counts, preconditio
         return fn(*args)
 
     u = LatticeField(domain, values)
-    e = float(np.sum(call("energy", _energy_terms, u, p, epsilon)))
-    g = call("gradient", energy_gradient, u, p, epsilon).values
+    e = float(np.sum(call("energy", _energy_terms, u, p, epsilon, work)))
+    g = call("gradient", energy_gradient, u, p, epsilon, work).values
     energies = [e]
     gnorms = [float(np.max(np.abs(g)))]
     eta = _ETA
     iterations = 0
     reason = "converged" if gnorms[-1] <= tol else None
     while reason is None and iterations < config.max_iter:
-        g_size = np.sqrt(_dot(g, g))
-        step = _newton_step(u, g, p, epsilon, eta * g_size, tol, precondition, call)
+        g_size = np.sqrt(_dot(g, g, work))
+        step = _newton_step(u, g, p, epsilon, eta * g_size, tol, precondition, call, work)
         if isinstance(step, str):
             reason = step
             break
         delta, model, residual = step
         e += delta
-        g = call("gradient", energy_gradient, u, p, epsilon).values
+        g = call("gradient", energy_gradient, u, p, epsilon, work).values
         energies.append(e)
         gnorms.append(float(np.max(np.abs(g))))
         iterations += 1
@@ -609,7 +622,7 @@ def _minimize_stage(values, domain, p, epsilon, tol, config, counts, preconditio
         # choice 1, kept from falling faster than superlinearly below the
         # relative residual the last inner solve achieved
         floor = (residual / g_size) ** ((1.0 + np.sqrt(5.0)) / 2.0)
-        eta = abs(np.sqrt(_dot(g, g)) - model) / g_size
+        eta = abs(np.sqrt(_dot(g, g, work)) - model) / g_size
         eta = min(_ETA_MAX, max(eta, floor) if floor > 0.1 else eta)
     return u.values, energies, gnorms, iterations, reason or "max_iter"
 
@@ -665,7 +678,8 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
     stages = []
     total_iter = 0
     counts = {"gradient": 0, "energy": 0, "hessian": 0}
-    precondition = vcycle(domain.interior_mask, domain.h)
+    work = Buffers()
+    precondition = vcycle(domain.interior_mask, domain.h, work)
     # p < 2 starts from the discrete harmonic solution (p = 2, eps = 0),
     # whose exact Newton model reaches it in a few steps; its p = 2
     # energies stay out of the p-energy history
@@ -673,7 +687,7 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
     for p, eps in start + [(config.p, eps) for eps in schedule]:
         stage_tol = tol if eps == config.epsilon else max(tol, 1e-2 * domain.h**domain.dim)
         values, energies, gnorms, iters, reason = _minimize_stage(
-            values, domain, p, eps, stage_tol, config, counts, precondition
+            values, domain, p, eps, stage_tol, config, counts, precondition, work
         )
         if p == config.p:
             all_e.extend(energies)

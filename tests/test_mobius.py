@@ -9,6 +9,7 @@ from diraclab.algebra import Multivector, geometric_product, pin_action
 from diraclab.fields import (
     compose_with_mobius,
     conformal_dirac_transform,
+    dj1_check,
     identity_field,
     lemma1_check,
 )
@@ -176,7 +177,7 @@ def test_pole_error():
         MobiusPoint(inversion(3), np.zeros(3)).u
     # |c x + d| = |x| for the inversion: the record and every reader of it
     # refuse a point at or below the pole tolerance 1e-12 and evaluate one
-    # just above it (dj1_check reads only the stencil points around x)
+    # just above it
     m = inversion(3)
     f = identity_field(3)
     far = BumpTestFunction(3, (5.0, 0.0, 0.0), 0.5, Multivector.scalar(3, 1.0))
@@ -192,6 +193,7 @@ def test_pole_error():
         lambda x: lemma1_check(m, f, x),
         lambda x: sc_invariance_check(f, 2.5, m, far, x),
         lambda x: norm_frame_identity_check(m, f, x),
+        lambda x: dj1_check(m, x),
     )
     for evaluate in evaluators:
         for r in (0.99e-12, 1e-12):
@@ -217,6 +219,7 @@ def test_non_vahlen_matrix_is_refused_by_every_reader():
         "lemma1": lambda: lemma1_check(m, f, pts),
         "sc": lambda: sc_invariance_check(f, 2.5, m, far, pts),
         "norm-frame": lambda: norm_frame_identity_check(m, f, pts),
+        "dj1": lambda: dj1_check(m, pts),
     }
     for name, read in readers.items():
         with pytest.raises(MobiusError, match="off-grade-1 mass"):

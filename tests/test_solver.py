@@ -1,7 +1,14 @@
 """Lattice solver tests: domain masks, the discrete energy, its exact
 gradient and Hessian (finite-difference and reflection oracles), the
-multigrid preconditioner against dense solves, and Dirichlet solves against
-closed-form minimizers."""
+flat-offset kernels against their slice-based form, the multigrid
+preconditioner against dense solves, Dirichlet solves against closed-form
+minimizers, and digests of two solves pinned bit for bit."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +29,17 @@ from diraclab.solver import (
 )
 from diraclab import multigrid
 from diraclab import solver as solver_module
-from diraclab.multigrid import laplacian, vcycle
-from diraclab.solver import _curvature, _hessian_product
+from diraclab.multigrid import Buffers, laplacian, vcycle
+from diraclab.solver import _curvature, _dirac, _divergence, _hessian_product
+
+from oracles import (
+    slice_dirac,
+    slice_divergence,
+    slice_energy_gradient,
+    slice_hessian_product,
+    slice_laplacian,
+    slice_vcycle,
+)
 
 A2 = np.array([0.8, -0.45])
 
@@ -360,6 +376,82 @@ def test_config_validation():
                         schedule=[np.nan, 1e-6])
 
 
+# ------------------------------------------------- flat kernels, bit for bit
+
+
+def same_bits(got, want):
+    """Equal shapes, equal values with NaN equal to NaN, and equal bytes,
+    so that a -0.0 for a 0.0 or another NaN payload fails too."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()
+
+
+KERNEL_CASES = {
+    "annulus-h32": (lambda: LatticeDomain.annulus(1.0, 2.0, 1 / 32), False),
+    "box-3d": (lambda: LatticeDomain.box([0.0] * 3, [1.0] * 3, 1 / 6), False),
+    "clifford-2d": (lambda: LatticeDomain.box([0.0] * 2, [1.0] * 2, 1 / 8), True),
+    "clifford-3d": (lambda: LatticeDomain.box([0.0] * 3, [1.0] * 3, 1 / 4), True),
+    "side-of-3": (lambda: LatticeDomain.box([0.0] * 3, [0.25, 1.0, 0.5], 0.125), False),
+}
+
+
+def kernel_field(rng, dom, clifford, special=False):
+    """A random field with exact zeros of both signs, and with special a
+    NaN at one node and an inf at another, so signbits and NaN reach the
+    kernels."""
+    shape = dom.shape + ((1 << dom.dim,) if clifford else ())
+    u = rng.normal(size=shape)
+    flat = u.reshape(-1)
+    flat[::7] = -0.0
+    flat[3::11] = 0.0
+    if special:
+        flat[len(flat) // 3] = np.nan
+        flat[-5] = np.inf
+    return u
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_flat_kernels_match_the_slice_reference_bit_for_bit(rng, monkeypatch, case):
+    make, clifford = KERNEL_CASES[case]
+    dom = make()
+    ravel = dom.grid.ravel
+    # the stencils alone, on data with NaN and inf
+    x = kernel_field(rng, dom, clifford, special=True)
+    same_bits(laplacian(x, dom.interior_mask, dom.h),
+              slice_laplacian(x, dom.interior_mask, dom.h))
+    for orientation in (+1, -1):
+        got = _dirac(ravel(x), dom, orientation, Buffers(), Buffers())
+        want = slice_dirac(x, dom, orientation)
+        for g, w in zip([got] if clifford else got, [want] if clifford else want):
+            same_bits(g, ravel(w))
+        if clifford:
+            weighted = kernel_field(rng, dom, True, special=True)
+            flat = ravel(weighted)
+        else:
+            weighted = [kernel_field(rng, dom, False, special=True) for _ in range(dom.dim)]
+            flat = [ravel(w) for w in weighted]
+        out = np.zeros_like(x)
+        same_bits(_divergence(dom, orientation, flat, ravel(out.copy()), Buffers()),
+                  ravel(slice_divergence(dom, orientation, weighted, out)))
+    # the energy's derivatives on finite data with signed zeros
+    u = kernel_field(rng, dom, clifford)
+    v = kernel_field(rng, dom, clifford)
+    for p, eps in ((1.5, 1e-3), (3.0, 0.0)):
+        same_bits(energy_gradient(LatticeField(dom, u), p, eps).values,
+                  slice_energy_gradient(u, dom, p, eps))
+        same_bits(_hessian_product(_curvature(LatticeField(dom, u), p, eps), v),
+                  slice_hessian_product(u, dom, p, eps, v))
+    # a small coarsest level puts every case through several levels
+    monkeypatch.setattr(multigrid, "COARSEST", 4)
+    want = slice_vcycle(dom.interior_mask, dom.h)(v)
+    cycle = vcycle(dom.interior_mask, dom.h)
+    same_bits(cycle(v), want)
+    out = np.full_like(v, np.nan)
+    assert cycle(v, out) is out
+    same_bits(out, want)
+
+
 # ----------------------------------------------------------- preconditioner
 
 
@@ -613,6 +705,55 @@ def test_solve_is_deterministic():
     u2, d2 = solve_dirichlet(dom, radial_bc, cfg)
     assert np.array_equal(u1.values, u2.values)
     assert d1 == d2
+
+
+def affine_clifford_bc(pts):
+    rng = np.random.default_rng(3)
+    slope = rng.normal(size=(3, 8))
+    offset = rng.normal(size=8)
+    return Multivector(3, pts @ slope + offset)
+
+
+# sha256 of the solution's bytes and of the repr of its diagnostics,
+# recorded before the lattice kernels moved to flat offsets
+PINNED_SOLVES = {
+    "annulus-h32": (
+        lambda: LatticeDomain.annulus(1.0, 2.0, 1 / 32), radial_bc,
+        SolverConfig(p=1.5, epsilon=1e-6),
+        "65580dd6bc0d8754f836c3d5b9caef021d390239f48967233909efd414864ba4",
+        "ec3374b869d334b18161d2cc04e33310693c3ced47e8e53d13e951afdd476181"),
+    "clifford-d3": (
+        lambda: LatticeDomain.box([0.0] * 3, [1.0] * 3, 1 / 12), affine_clifford_bc,
+        SolverConfig(p=1.5, epsilon=1e-4),
+        "67178c8a4b37e15781f40acc61a36120a3414c4034452cc62533971549fa9675",
+        "91d13443758c2d221299305856d2b91a10cd47c1f1579e39f89592dff8aff4df"),
+}
+
+
+def solve_digests(case):
+    """sha256 of the solution's bytes and of the repr of its diagnostics."""
+    make, boundary, config = PINNED_SOLVES[case][:3]
+    u, d = solve_dirichlet(make(), boundary, config)
+    diagnostics = (d.converged, d.iterations, d.final_energy, d.final_gradient_norm,
+                   d.energies, d.stages, d.message, d.gradient_evaluations,
+                   d.energy_evaluations, d.hessian_products)
+    return (hashlib.sha256(u.values.tobytes()).hexdigest(),
+            hashlib.sha256(repr(diagnostics).encode()).hexdigest())
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SOLVES))
+def test_pinned_solve_digests(case):
+    # the coarsest multigrid level's dense product sums in an order that
+    # follows the BLAS thread count, so the solve runs in a child
+    # interpreter with one BLAS thread, as the digests were recorded
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+               **{name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS")})
+    child = subprocess.run(
+        [sys.executable, "-c", f"import test_solver; print(*test_solver.solve_digests({case!r}))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.split() == list(PINNED_SOLVES[case][3:])
 
 
 def test_evaluation_counters_count_calls(monkeypatch):
