@@ -147,31 +147,16 @@ def _report(checks):
     )
 
 
-def _check(checks, name, value, tolerance):
-    checks.append({
-        "check": name,
-        "value": float(value),
-        "tolerance": float(tolerance),
-        "status": "pass" if value <= tolerance else "fail",
-    })
-
-
-def _verdict(checks, name, ok, value=None):
-    """A pass/fail check with no tolerance to compare against."""
+def _check(checks, name, value=None, tolerance=None, ok=None):
+    """Append one check row: graded against `tolerance` when one is given,
+    else passed or failed by `ok`, else only reported."""
+    if tolerance is not None:
+        ok = value <= tolerance
     checks.append({
         "check": name,
         "value": None if value is None else float(value),
-        "tolerance": None,
-        "status": "pass" if ok else "fail",
-    })
-
-
-def _note(checks, name, value=None):
-    checks.append({
-        "check": name,
-        "value": None if value is None else float(value),
-        "tolerance": None,
-        "status": "report",
+        "tolerance": None if tolerance is None else float(tolerance),
+        "status": "report" if ok is None else "pass" if ok else "fail",
     })
 
 
@@ -469,9 +454,8 @@ def run_covariance(params):
         complete = (len(table) >= 3
                     and all(np.isfinite(v) for v in table.values())
                     and rep.to_rows() == again.to_rows())
-        _verdict(checks, "scan table complete and deterministic", complete,
-                 len(table))
-        _note(checks, "scan minimizer exponent", rep.best_exponent)
+        _check(checks, "scan table complete and deterministic", len(table), ok=complete)
+        _check(checks, "scan minimizer exponent", rep.best_exponent)
 
     meta = {
         "mode": mode,
@@ -600,16 +584,16 @@ def run_solve(params):
     monotone = all(b <= a for a, b in
                    zip(diag.energies, diag.energies[1:]))
     checks = []
-    _verdict(checks, "gradient tolerance reached", diag.converged,
-             diag.final_gradient_norm)
-    _verdict(checks, "monotone energy descent", monotone)
+    _check(checks, "gradient tolerance reached", diag.final_gradient_norm,
+           ok=diag.converged)
+    _check(checks, "monotone energy descent", ok=monotone)
     max_rel = None
     if err_vals is not None:
         max_rel = float(np.max(err_vals[domain.interior_mask[mask]]))
         if band is not None:
             _check(checks, "interior recovery error", max_rel, band)
         else:
-            _note(checks, "interior recovery error", max_rel)
+            _check(checks, "interior recovery error", max_rel)
 
     meta = {
         "region": region_label,
@@ -691,7 +675,7 @@ def run_sphere_check(params):
                         min(ratios))
                     row("radial-identity-ratio", p, f"point-{i}-{tag}-max",
                         max(ratios))
-        _note(checks, f"radial identity reported (p={p:g})")
+        _check(checks, f"radial identity reported (p={p:g})")
 
         hrep = spherical_p_harmonic_check(pole, p, pts[:5], theta=theta)
         for i, r in enumerate(hrep.rows):
@@ -699,7 +683,7 @@ def run_sphere_check(params):
                 r["residual"])
             row("second-order-radial", p, f"point-{i}-flipped",
                 r["residual_flipped"])
-        _note(checks, f"second-order radial identity reported (p={p:g})")
+        _check(checks, f"second-order radial identity reported (p={p:g})")
 
     for flat_dim in (2, 3):
         dev = cayley_ratio_constancy(

@@ -299,7 +299,7 @@ def _cr_pairing(flux: ComplexField, xi: BumpTestFunction, order: int):
         vals = flux(x[:, 0] + 1j * x[:, 1])
         if not np.all(np.isfinite(vals)):
             raise CRError(f"{flux.name!r} is singular on the support of {xi.label!r}")
-        return _encode(vals, w.shape), np.abs(vals), xi.profile_gradient(x), w
+        return _encode(vals, w.shape), np.abs(vals), xi.dirac_vector(x), w
 
     raw, total = weak_pairing(support_blocks(xi, order), block, xi.blade)
     return complex(0.5 * raw[0], -0.5 * raw[3]), 0.5 * float(total)

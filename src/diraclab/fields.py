@@ -481,32 +481,21 @@ def p_dirac_residual(
     return dirac_fd(nonlinear_power_field(f, p), points, h=h, richardson=richardson)
 
 
+def dirac_field(f: AnalyticField) -> AnalyticField:
+    """The field D f: analytic when f carries its gradient (avoiding
+    compounded FD truncation), by central differences otherwise."""
+    if f.has_grad:
+        return AnalyticField(f.dim, f.dirac, None, f.singular_points, name=f"D[{f.name}]")
+    return AnalyticField(f.dim, lambda pts: dirac_fd(f, pts), None, f.singular_points,
+                         name=f"D_fd[{f.name}]")
+
+
 def p_harmonic_residual(
     h_field: AnalyticField, p: float, points
 ) -> Multivector:
-    """D applied by FD to |Dh|^{p-2} Dh, the nested second-order residual.
-
-    The inner Dirac derivative uses the field's analytic gradient when
-    available (avoiding compounded FD truncation), falling back to central
-    differences otherwise.
-    """
-    if h_field.has_grad:
-        inner = AnalyticField(
-            h_field.dim,
-            lambda pts: h_field.dirac(pts),
-            None,
-            h_field.singular_points,
-            name=f"D[{h_field.name}]",
-        )
-    else:
-        inner = AnalyticField(
-            h_field.dim,
-            lambda pts: dirac_fd(h_field, pts),
-            None,
-            h_field.singular_points,
-            name=f"D_fd[{h_field.name}]",
-        )
-    return dirac_fd(nonlinear_power_field(inner, p), points)
+    """D applied by FD to |Dh|^{p-2} Dh, the nested second-order residual,
+    with the inner derivative from `dirac_field`."""
+    return dirac_fd(nonlinear_power_field(dirac_field(h_field), p), points)
 
 
 # --------------------------------------------------- transformation checks

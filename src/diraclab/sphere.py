@@ -21,14 +21,15 @@ the convention is diagnosed from data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Multivector, blade_label, geometric_product
+from .algebra import Multivector, geometric_product
 from .fields import NORM_CUTOFF, FieldError, StencilError, power_scale, richardson_step
-from .weakform import (SUPPORT_MARGIN, SupportError, fitted_node_count, mollifier,
-                       normalized_ratio, polar_blocks, support_families, weak_pairing)
+from .weakform import (SUPPORT_MARGIN, BumpTestFunction, SupportError, bump_family,
+                       fitted_node_count, mollifier, normalized_ratio, polar_blocks,
+                       random_unit_blade, support_families, weak_pairing)
 
 
 class SphereError(FieldError):
@@ -418,63 +419,45 @@ class SphericalCap:
 
 
 @dataclass(frozen=True)
-class CapBump:
-    """Smooth test function supported on a cap: profile(t) * blade with
-    t = |x - center|^2 / radius^2 (chordal) and the flat-edge mollifier
-    profile exp(-1/(1 - t)).  Its derivative is closed-form and, because
-    x (x wedge c) = (x.c) x - c on the unit sphere, a vector times the
-    constant blade:
+class CapBump(BumpTestFunction):
+    """The flat bump of the ambient space R^(n+1), read on the unit sphere:
+    its points are renormalized onto S^n, its radius is chordal, and its
+    centre lies on the sphere.  Because x (x wedge c) = (x.c) x - c there,
+    its derivative is a vector times the constant blade:
 
         D_S eta = v(x) blade,
-        v = -(2/radius^2) profile'(t) ((x.c) x - c) + (n/2) profile(t) x."""
+        v = -(2/radius^2) profile'(t) ((x.c) x - c) + (n/2) profile(t) x,
 
-    center: tuple
-    radius: float
-    blade: Multivector
+    with t = |x - center|^2 / radius^2."""
+
+    dim: int = field(init=False)
     label: str = "cap-bump"
 
     def __post_init__(self):
-        c = sphere_point(self.center)
-        object.__setattr__(self, "center", tuple(c))
-        if not 0 < self.radius < 2.0:
-            raise SphereError("bump chordal radius must lie in (0, 2)")
-        if self.blade.dim != len(self.center):
+        # the cap's checks refuse a centre that cannot be normalized and a
+        # radius outside (0, 2) as SphereError, before the flat bump's own
+        cap = SphericalCap(self.center, self.radius)
+        if self.blade.dim != len(cap.center):
             raise SphereError("blade dimension does not match the ambient space")
+        object.__setattr__(self, "center", cap.center)
+        object.__setattr__(self, "dim", len(cap.center))
+        super().__post_init__()
 
-    @property
-    def ambient(self) -> int:
-        return len(self.center)
-
-    def _t(self, pts) -> np.ndarray:
-        d = pts - np.array(self.center)
-        return np.sum(d * d, axis=-1) / self.radius**2
-
-    def profile(self, pts) -> np.ndarray:
-        return mollifier(self._t(pts))[0]
-
-    def __call__(self, points) -> Multivector:
-        pts = _renormalize(np.asarray(points, dtype=float))
-        return Multivector(
-            self.ambient, self.profile(pts)[..., None] * self.blade.coeffs
-        )
+    def _sq(self, pts) -> np.ndarray:
+        return super()._sq(_renormalize(np.asarray(pts, dtype=float)))
 
     def dirac_vector(self, points) -> np.ndarray:
         """(..., ambient) components of v, with D_S eta = v * blade."""
         pts = _renormalize(np.asarray(points, dtype=float))
         c = np.array(self.center)
-        phi, dphi = mollifier(self._t(pts))
+        phi, dphi = mollifier(super()._sq(pts))  # pts are unit already: no second renormalization
         fac = (-2.0 / self.radius**2) * dphi
-        n = self.ambient - 1
+        n = self.dim - 1
         radial = (pts @ c)[..., None] * pts - c
         return fac[..., None] * radial + ((n / 2.0) * phi)[..., None] * pts
 
-    def dirac(self, points) -> Multivector:
-        """Closed-form D_S eta = x (Gamma + n/2) eta = v * blade."""
-        vec = Multivector.from_vector(self.ambient, self.dirac_vector(points))
-        return geometric_product(vec, self.blade)
-
     def as_field(self) -> SphericalField:
-        return SphericalField(self.ambient, self.__call__, (), name=self.label)
+        return SphericalField(self.dim, self.__call__, (), name=self.label)
 
     def require_support_inside(self, cap: SphericalCap):
         offset = float(
@@ -496,7 +479,7 @@ def cap_blocks(bump: CapBump, order: int):
     """Geodesic-polar blocks of the fitted rule over the bump's support:
     x = cos(theta) c + sin(theta) omega with omega a unit vector orthogonal
     to c, and surface measure sin(theta)^(n-1) dtheta dS^(n-1)(omega)."""
-    n, c = bump.ambient - 1, np.array(bump.center)
+    n, c = bump.dim - 1, np.array(bump.center)
     theta_max = 2.0 * np.arcsin(bump.radius / 2.0)
 
     def geometry(r, wr, omega, wo):
@@ -510,11 +493,9 @@ def cap_blocks(bump: CapBump, order: int):
 
 
 def random_cap_bump(cap: SphericalCap, rng, label="cap-bump") -> CapBump:
-    ambient = cap.ambient
-    coeffs = rng.normal(size=1 << ambient)
-    blade = Multivector(ambient, coeffs / np.linalg.norm(coeffs))
+    blade = random_unit_blade(cap.ambient, rng)
     center = np.array(cap.center)
-    tangent = rng.normal(size=ambient)
+    tangent = rng.normal(size=cap.ambient)
     tangent -= (tangent @ center) * center
     tangent /= np.linalg.norm(tangent)
     offset = rng.uniform(0.0, 0.35) * cap.geodesic_radius
@@ -527,21 +508,12 @@ def random_cap_bump(cap: SphericalCap, rng, label="cap-bump") -> CapBump:
 
 def default_cap_bumps(cap: SphericalCap, seed: int = 42, random_count: int = 3):
     """`random_count` random bumps plus one centered bump per basis blade."""
-    rng = np.random.default_rng(seed)
-    ambient = cap.ambient
-    out = [
-        random_cap_bump(cap, rng, label=f"rand-{i}") for i in range(random_count)
-    ]
-    for mask in range(1 << ambient):
-        out.append(
-            CapBump(
-                cap.center,
-                0.6 * cap.radius,
-                Multivector.blade(ambient, mask),
-                label=f"blade-{blade_label(mask)}",
-            ).require_support_inside(cap)
-        )
-    return out
+    return bump_family(
+        cap.ambient, seed, random_count,
+        lambda rng, label: random_cap_bump(cap, rng, label),
+        lambda blade, label: CapBump(cap.center, 0.6 * cap.radius, blade,
+                                     label=label).require_support_inside(cap),
+    )
 
 
 def _cap_pairing(f: SphericalField, p: float, family, order: int,
@@ -560,7 +532,7 @@ def _cap_pairing(f: SphericalField, p: float, family, order: int,
         return vals, vals.norm(), eta.dirac_vector(x), wx
 
     return *weak_pairing(cap_blocks(eta, order), block, blades), \
-        fitted_node_count(eta.ambient - 1, order)
+        fitted_node_count(eta.dim - 1, order)
 
 
 def weak_spherical_residual(

@@ -26,8 +26,8 @@ spherical residuals and the planar Cauchy-Riemann residuals (`cr2d`, which
 pairs the even encoding of a complex flux against an odd-blade bump) all
 call it, and all take one path.  Every bump's derivative factors as D eta
 = l(x) * B with l a vector and B the bump's constant blade (l is the
-profile gradient for a flat bump, and the vector v of
-`sphere.CapBump.dirac_vector` for a cap bump), so the pairing forms
+bump's `dirac_vector`: the profile gradient for a flat bump, the vector v
+of the spherical operator for a `sphere.CapBump`), so the pairing forms
 conj(f) l per node from the vector's components, multiplies the sum by B
 once, and gets the normalizer from |l B| = |l| |B|.  The per-node product
 forms, signs, weights and sums only the blades it can reach (7 of 16 for a
@@ -65,7 +65,7 @@ from .fields import (
     DomainError,
     FieldError,
     composed_partials,
-    dirac_fd,
+    dirac_field,
     dirac_sum,
     power_scale,
     validate_clearance,
@@ -107,7 +107,8 @@ class BumpTestFunction:
     The profile is phi = exp(-1/(1 - r^2)) for r = |x - center|/radius < 1
     and 0 outside, which is infinitely differentiable with all derivatives
     vanishing on the support boundary; `blade` is a constant Clifford
-    coefficient multiplying the profile.
+    coefficient multiplying the profile, so D eta = dirac_vector * blade.
+    `sphere.CapBump` is this bump in the ambient space of a sphere.
     """
 
     dim: int
@@ -133,9 +134,10 @@ class BumpTestFunction:
     def profile(self, pts) -> np.ndarray:
         return mollifier(self._sq(pts))[0]
 
-    def profile_gradient(self, pts) -> np.ndarray:
-        """(..., dim) gradient of the profile, rho(x) (x - center); every
-        derivative of eta is it times the constant blade."""
+    def dirac_vector(self, pts) -> np.ndarray:
+        """(..., dim) components of the vector v with D eta = v * blade:
+        the profile gradient rho(x) (x - center), of which every partial
+        of eta is a component times the blade."""
         pts = np.asarray(pts, dtype=float)
         fac = 2.0 * mollifier(self._sq(pts))[1] / self.radius**2
         return fac[..., None] * (pts - np.array(self.center))
@@ -143,16 +145,9 @@ class BumpTestFunction:
     def __call__(self, pts) -> Multivector:
         return Multivector(self.dim, self.profile(pts)[..., None] * self.blade.coeffs)
 
-    def partials(self, pts) -> list:
-        grad = self.profile_gradient(pts)
-        return [
-            Multivector(self.dim, grad[..., j, None] * self.blade.coeffs)
-            for j in range(self.dim)
-        ]
-
     def dirac(self, pts) -> Multivector:
-        """Analytic D eta = profile_gradient * blade."""
-        vec = Multivector.from_vector(self.dim, self.profile_gradient(pts))
+        """Analytic D eta = dirac_vector * blade."""
+        vec = Multivector.from_vector(self.dim, self.dirac_vector(pts))
         return geometric_product(vec, self.blade)
 
     def require_support_inside(self, domain: Domain):
@@ -196,14 +191,31 @@ def centered_bump(
     return bump.require_support_inside(domain)
 
 
+def random_unit_blade(dim: int, rng) -> Multivector:
+    """A Clifford coefficient of unit norm with normal random components."""
+    coeffs = rng.normal(size=1 << dim)
+    return Multivector(dim, coeffs / np.linalg.norm(coeffs))
+
+
+def bump_family(dim: int, seed: int, random_count: int, random, centered) -> list:
+    """The experiment family layout of flat and cap bumps alike: from one
+    rng seeded by `seed`, `random_count` bumps `random(rng, label)` labelled
+    "rand-i", then one bump `centered(blade, label)` per basis blade,
+    labelled "blade-X"."""
+    rng = np.random.default_rng(seed)
+    return [random(rng, f"rand-{i}") for i in range(random_count)] + [
+        centered(Multivector.blade(dim, mask), f"blade-{blade_label(mask)}")
+        for mask in range(1 << dim)
+    ]
+
+
 def random_bump(
     domain: Domain, rng, blade: Multivector = None, label: str = "bump"
 ) -> BumpTestFunction:
     """A bump with randomized center/radius, kept well resolved and inside."""
     dim = domain.dim
     if blade is None:
-        coeffs = rng.normal(size=1 << dim)
-        blade = Multivector(dim, coeffs / np.linalg.norm(coeffs))
+        blade = random_unit_blade(dim, rng)
     if domain.kind == "box":
         lo, hi = np.array(domain.lo), np.array(domain.hi)
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -230,18 +242,11 @@ def random_bump(
 def default_test_functions(domain: Domain, seed: int = 42, random_count: int = 5):
     """The experiment family: `random_count` random bumps with random unit
     Clifford coefficients, plus one centered bump per basis blade."""
-    rng = np.random.default_rng(seed)
-    etas = [
-        random_bump(domain, rng, label=f"rand-{i}") for i in range(random_count)
-    ]
-    for mask in range(1 << domain.dim):
-        etas.append(
-            centered_bump(
-                domain, Multivector.blade(domain.dim, mask),
-                label=f"blade-{blade_label(mask)}",
-            )
-        )
-    return etas
+    return bump_family(
+        domain.dim, seed, random_count,
+        lambda rng, label: random_bump(domain, rng, label=label),
+        lambda blade, label: centered_bump(domain, blade, label=label),
+    )
 
 
 # ------------------------------------------------------------- quadrature
@@ -484,7 +489,7 @@ def _pair(values, name: str, p: float, family, domain: Domain, order: int):
         scale = power_scale(norms, p, name)
         if weight is not None:
             scale = scale * weight
-        return vals, norms, eta.profile_gradient(x), wx * scale
+        return vals, norms, eta.dirac_vector(x), wx * scale
 
     blades = Multivector(eta.dim, [b.blade.coeffs for b in family])
     return *weak_pairing(support_blocks(eta, order), block, blades), \
@@ -528,7 +533,7 @@ def dirac_integral_check(eta: BumpTestFunction, rule: QuadratureRule) -> float:
     one = Multivector.scalar(eta.dim, 1.0)
     raw, total = weak_pairing(
         support_blocks(eta, rule.order),
-        lambda x, wx: (one, one.norm(), eta.profile_gradient(x), wx), eta.blade,
+        lambda x, wx: (one, one.norm(), eta.dirac_vector(x), wx), eta.blade,
     )
     return normalized_ratio(Multivector(eta.dim, raw).norm(), total)
 
@@ -756,7 +761,7 @@ def harmonic_covariance_experiment(
             power = power_scale(norms, p, f"{h.name}∘M")
             # D_M eta = u (grad phi) rev(u) * blade: the rotated gradient is
             # a vector, so it pairs as one
-            slope = pin_action(u, Multivector.from_vector(dim, eta.profile_gradient(x)))
+            slope = pin_action(u, Multivector.from_vector(dim, eta.dirac_vector(x)))
             return twisted, norms, slope.vector_part(), wx * scale**exps * power
 
         blades = Multivector(dim, [b.blade.coeffs for b in family])
@@ -771,12 +776,6 @@ def harmonic_covariance_experiment(
 
 
 # ------------------------------------------------- pointwise invariances
-
-
-def _derivative_at(f: AnalyticField, pts: np.ndarray) -> Multivector:
-    if f.has_grad:
-        return f.dirac(pts)
-    return dirac_fd(f, pts)
 
 
 def sc_invariance_check(
@@ -794,7 +793,7 @@ def sc_invariance_check(
     """
     at = MobiusPoint(m, points)
     y = at.image
-    df = _derivative_at(f, y)
+    df = dirac_field(f)(y)
     deta = eta.dirac(y)
     factor = df.norm() ** (p - 2.0)
     twisted = geometric_product(
@@ -809,5 +808,5 @@ def norm_frame_identity_check(
 ) -> float:
     """| |u Df(M(x)) rev(u)| - |Df(M(x))| | - the frame is an isometry."""
     at = MobiusPoint(m, points)
-    df = _derivative_at(f, at.image)
+    df = dirac_field(f)(at.image)
     return float(np.max(np.abs(pin_action(at.u, df).norm() - df.norm()), initial=0.0))

@@ -16,13 +16,21 @@ differ between machines:
     PYTHONPATH=src python tests/test_golden.py covariance-t1 cr-check
 """
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from diraclab import cr2d, sphere
 from diraclab.cli import main
+from diraclab.fields import Domain, p_dirac_solution, p_harmonic_radial
+from diraclab.mobius import inversion
+from diraclab.weakform import dirac_covariance_experiment, harmonic_covariance_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOOR = 1e-10
@@ -91,6 +99,81 @@ def test_mismatch_rules():
     assert _mismatches("pass", "fail")
     assert _mismatches(True, 1)
     assert _mismatches(None, 1.0)
+
+
+def _cap_pairings(ambient):
+    """Per support family of `default_cap_bumps` on the cap opposite a
+    kernel pole, the raw pairings and normalizers that
+    `normalized_weak_spherical_residual` divides."""
+    pole = sphere.sphere_point([0.3, -0.5, 0.7, 0.4][:ambient])
+    cap = sphere.SphericalCap(tuple(-pole), 1.0)
+    f = sphere.spherical_kernel(pole, 2.5)
+    return [sphere._cap_pairing(f, 2.5, family, 8, None)[:2]
+            for family in sphere.support_families(sphere.default_cap_bumps(cap))]
+
+
+def _covariance_rows(experiment, field):
+    rep = experiment(field, 2.5, inversion(3), Domain.ball([3.0, 0.0, 0.0], 1.0),
+                     order=6, random_bumps=2)
+    return [(r.eta_label, r.exponent, r.residual_norm, r.normalizer, r.nodes)
+            for r in rep.rows]
+
+
+# sha256 of raw weak pairings and normalizers, recorded with one BLAS
+# thread.  The goldens forgive a relative RTOL, so only these tell a
+# bit-identical refactor of the pairing paths from a drift below it.
+PINNED_PAIRINGS = {
+    "cap-3": (
+        lambda: _cap_pairings(3),
+        "2cbb644bdf8a42fb52d7235e108af97cc1b944a18725b3d837d6966089c9f55e"),
+    "cap-4": (
+        lambda: _cap_pairings(4),
+        "ef9426fbe90deffad3d9d33a5a9c8876b955a1789c595472a71de9645f914330"),
+    "dirac-covariance": (
+        lambda: _covariance_rows(dirac_covariance_experiment,
+                                 p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0])),
+        "4a35f52ff4581defad3cf13f88c947c35208ce385d265dbc5bd00ac8b9af8f16"),
+    "harmonic-covariance": (
+        lambda: _covariance_rows(harmonic_covariance_experiment,
+                                 p_harmonic_radial(3, 2.5, center=[-5.0, 0.0, 0.0])),
+        "90cbe9a306c96a6ee382b7d194b3f8f7073a46ad37da113b50eaa5cbdd3f4538"),
+    "theorem5": (
+        lambda: cr2d.theorem5_experiment(
+            cr2d.p_cr_solution(1.5), cr2d.polynomial_map([3.0, 0.0, 1.0], name="square-plus-3"),
+            1.5, Domain.annulus([0.0, 0.0], 0.5, 1.5)),
+        "3d4b81245a7419537ffb780302d5d73d9f5caadf580d8fd97931d99636e09b4d"),
+}
+
+
+def pairing_digest(case):
+    """sha256 of a case's pairings: the bytes of each array and the repr,
+    exact for floats, of everything else."""
+    digest = hashlib.sha256()
+
+    def feed(value):
+        if isinstance(value, np.ndarray):
+            digest.update(value.tobytes())
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                feed(item)
+        else:
+            digest.update(repr(value).encode())
+
+    feed(PINNED_PAIRINGS[case][0]())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PAIRINGS))
+def test_pinned_pairing_digests(case):
+    # a child interpreter with one BLAS thread, as the digests were recorded
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+               **{name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS")})
+    child = subprocess.run(
+        [sys.executable, "-c", f"import test_golden; print(test_golden.pairing_digest({case!r}))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == PINNED_PAIRINGS[case][1]
 
 
 if __name__ == "__main__":

@@ -483,7 +483,7 @@ def test_weak_residual_of_constant_matches_direct_assembly():
 def _dense_cap_dirac(bump, pts):
     """x (Gamma + n/2) eta by dense products per node, with the angular
     derivative Gamma eta = -(2/R^2) profile'(t) (x c + x.c) blade."""
-    ambient = bump.ambient
+    ambient = bump.dim
     c = np.array(bump.center)
     x = Multivector.from_vector(ambient, pts)
     xc = geometric_product(x, Multivector.from_vector(ambient, np.broadcast_to(c, pts.shape)))

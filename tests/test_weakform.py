@@ -109,8 +109,7 @@ def test_bump_families_are_finite_and_exactly_zero_from_the_edge_out():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = [
-            flat(flat_pts).coeffs, flat.dirac(flat_pts).coeffs,
-            *(d.coeffs for d in flat.partials(flat_pts)),
+            flat(flat_pts).coeffs, flat.dirac(flat_pts).coeffs, flat.dirac_vector(flat_pts),
             cap(cap_pts).coeffs, cap.dirac_vector(cap_pts), cap.dirac(cap_pts).coeffs,
         ]
     for v in values:
@@ -124,11 +123,12 @@ def test_bump_partials_match_finite_differences(rng):
     eta = BumpTestFunction(3, (0.3, -0.2, 0.1), 0.8, blade)
     pts = np.array([[0.4, 0.0, 0.3], [0.1, -0.5, 0.0], [0.9, -0.2, 0.1]])
     h = 1e-6
+    grad = eta.dirac_vector(pts)
     for j in range(3):
         step = np.zeros(3)
         step[j] = h
         fd = (eta(pts + step).coeffs - eta(pts - step).coeffs) / (2 * h)
-        assert np.allclose(eta.partials(pts)[j].coeffs, fd, atol=1e-7)
+        assert np.allclose(grad[:, j, None] * blade.coeffs, fd, atol=1e-7)
 
 
 def test_bump_dirac_assembles_partials(rng):
@@ -136,10 +136,10 @@ def test_bump_dirac_assembles_partials(rng):
     eta = BumpTestFunction(3, (0.0, 0.0, 0.0), 1.0, blade)
     pts = rng.uniform(-0.5, 0.5, size=(6, 3))
     manual = Multivector.zero(3)
-    parts = eta.partials(pts)
+    grad = eta.dirac_vector(pts)
     for j in range(3):
         ej = Multivector.blade(3, 1 << j)
-        manual = manual + geometric_product(ej, parts[j])
+        manual = manual + geometric_product(ej, Multivector(3, grad[:, j, None] * blade.coeffs))
     assert np.allclose(eta.dirac(pts).coeffs, manual.coeffs, atol=1e-14)
 
 
@@ -361,7 +361,7 @@ def test_p_harmonic_derivative_solves_the_weak_dirac_equation(rng):
 
     def block(x, wx):
         dh = h.dirac(x)
-        return dh, dh.norm(), eta.profile_gradient(x), wx * dh.norm() ** (p - 2.0)
+        return dh, dh.norm(), eta.dirac_vector(x), wx * dh.norm() ** (p - 2.0)
 
     raw, norm = weak_pairing(support_blocks(eta, rule.order), block, eta.blade)
     assert np.array_equal(res.coeffs, raw)
@@ -401,7 +401,7 @@ def fitted_normalizer(f, p, eta, rule):
     """Quadrature of |f|^(p-1) |D eta| over the fitted nodes."""
     def block(x, wx):
         vals = f(x)
-        return vals, vals.norm(), eta.profile_gradient(x), wx * vals.norm() ** (p - 2.0)
+        return vals, vals.norm(), eta.dirac_vector(x), wx * vals.norm() ** (p - 2.0)
 
     return float(weak_pairing(support_blocks(eta, rule.order), block, eta.blade)[1])
 
@@ -449,7 +449,7 @@ def test_weak_pairing_rows_match_single_calls(rng):
 
     def block(x, wx):
         vals = f(x)
-        return vals, vals.norm(), eta.profile_gradient(x), wx
+        return vals, vals.norm(), eta.dirac_vector(x), wx
 
     raw, normalizer = weak_pairing(node_blocks(nodes, scan), block, eta.blade)
     assert raw.shape == (3, 8) and normalizer.shape == (3,)
