@@ -40,8 +40,7 @@ from .fields import (
     power_scale,
     richardson_step,
 )
-from .weakform import (BumpTestFunction, normalized_ratio, random_bump, support_blocks,
-                       weak_pairing)
+from .weakform import BumpTestFunction, normalized_ratio, random_bump, weak_pairing
 
 
 class CRError(FieldError):
@@ -301,7 +300,7 @@ def _cr_pairing(flux: ComplexField, xi: BumpTestFunction, order: int):
             raise CRError(f"{flux.name!r} is singular on the support of {xi.label!r}")
         return _encode(vals, w.shape), np.abs(vals), xi.dirac_vector(x), w
 
-    raw, total = weak_pairing(support_blocks(xi, order), block, xi.blade)
+    raw, total, _ = weak_pairing(xi.blocks(order), block, xi.blade)
     return complex(0.5 * raw[0], -0.5 * raw[3]), 0.5 * float(total)
 
 

@@ -27,9 +27,8 @@ import numpy as np
 
 from .algebra import Multivector, geometric_product
 from .fields import NORM_CUTOFF, FieldError, StencilError, power_scale, richardson_step
-from .weakform import (SUPPORT_MARGIN, BumpTestFunction, SupportError, bump_family,
-                       fitted_node_count, mollifier, normalized_ratio, polar_blocks,
-                       random_unit_blade, support_families, weak_pairing)
+from .weakform import (SUPPORT_MARGIN, BumpTestFunction, SupportError, _pair, bump_family,
+                       mollifier, normalized_ratio, pair_each, polar_blocks, random_unit_blade)
 
 
 class SphereError(FieldError):
@@ -432,6 +431,7 @@ class CapBump(BumpTestFunction):
 
     dim: int = field(init=False)
     label: str = "cap-bump"
+    geodesic_radius = SphericalCap.geodesic_radius  # one chordal-to-geodesic conversion
 
     def __post_init__(self):
         # the cap's checks refuse a centre that cannot be normalized and a
@@ -459,12 +459,27 @@ class CapBump(BumpTestFunction):
     def as_field(self) -> SphericalField:
         return SphericalField(self.dim, self.__call__, (), name=self.label)
 
+    def blocks(self, order: int):
+        """The fitted rule of the given order over the support, as
+        `polar_blocks` in geodesic polar coordinates: x = cos(theta) c +
+        sin(theta) omega with omega a unit vector orthogonal to c, and
+        surface measure sin(theta)^(n-1) dtheta dS^(n-1)(omega)."""
+        n, c, theta_max = self.dim - 1, np.array(self.center), self.geodesic_radius
+
+        def geometry(r, wr, omega, wo):
+            theta = theta_max * r
+            cos, sin = np.cos(theta), np.sin(theta)
+            rw = theta_max * wr * sin ** (n - 1)
+            directions = omega @ _orthonormal_complement(c).T
+            return lambda i, j: (cos[i, None] * c + sin[i, None] * directions[j], rw[i] * wo[j])
+
+        return polar_blocks(n, order, geometry)
+
     def require_support_inside(self, cap: SphericalCap):
         offset = float(
             np.arccos(np.clip(np.dot(self.center, cap.center), -1.0, 1.0))
         )
-        own = 2.0 * np.arcsin(self.radius / 2.0)
-        if offset + own > cap.geodesic_radius * (1.0 - SUPPORT_MARGIN):
+        if offset + self.geodesic_radius > cap.geodesic_radius * (1.0 - SUPPORT_MARGIN):
             raise SupportError(f"{self.label}: support escapes the cap")
         return self
 
@@ -473,23 +488,6 @@ def _orthonormal_complement(c: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane orthogonal to c."""
     _, _, vt = np.linalg.svd(c[None, :])
     return vt[1:].T
-
-
-def cap_blocks(bump: CapBump, order: int):
-    """Geodesic-polar blocks of the fitted rule over the bump's support:
-    x = cos(theta) c + sin(theta) omega with omega a unit vector orthogonal
-    to c, and surface measure sin(theta)^(n-1) dtheta dS^(n-1)(omega)."""
-    n, c = bump.dim - 1, np.array(bump.center)
-    theta_max = 2.0 * np.arcsin(bump.radius / 2.0)
-
-    def geometry(r, wr, omega, wo):
-        theta = theta_max * r
-        cos, sin = np.cos(theta), np.sin(theta)
-        rw = theta_max * wr * sin ** (n - 1)
-        directions = omega @ _orthonormal_complement(c).T
-        return lambda i, j: (cos[i, None] * c + sin[i, None] * directions[j], rw[i] * wo[j])
-
-    return polar_blocks(n, order, geometry)
 
 
 def random_cap_bump(cap: SphericalCap, rng, label="cap-bump") -> CapBump:
@@ -516,23 +514,12 @@ def default_cap_bumps(cap: SphericalCap, seed: int = 42, random_count: int = 3):
     )
 
 
-def _cap_pairing(f: SphericalField, p: float, family, order: int,
-                 cap: SphericalCap):
-    """weak_pairing of the p-flux of f against D_S eta = v * blade for the
-    K bumps of a family sharing one support, in one pass over its nodes:
-    raw pairings (K, 2**ambient), normalizers (K,) and the node count."""
-    eta = family[0]
-    if cap is not None:
-        eta.require_support_inside(cap)
+def _flux_values(f: SphericalField, p: float):
+    """The node values `weakform._pair` reads for the p-flux |f|^(p-2) f,
+    formed before its norm as the sphere's residuals define it; paired at
+    p = 2, where the power scale is exactly 1.0, the flux weighs alone."""
     flux = p_spherical_flux(f, p)
-    blades = Multivector(f.ambient, [b.blade.coeffs for b in family])
-
-    def block(x, wx):
-        vals = flux(x)
-        return vals, vals.norm(), eta.dirac_vector(x), wx
-
-    return *weak_pairing(cap_blocks(eta, order), block, blades), \
-        fitted_node_count(eta.dim - 1, order)
+    return lambda x: (flux(x), None)
 
 
 def weak_spherical_residual(
@@ -540,7 +527,9 @@ def weak_spherical_residual(
 ) -> Multivector:
     """Quadrature of conj(|f|^(p-2) f) D_S eta over the bump's support,
     with the closed-form D_S eta."""
-    return Multivector(f.ambient, _cap_pairing(f, p, [eta], order, cap)[0][0])
+    if cap is not None:
+        eta.require_support_inside(cap)
+    return Multivector(f.ambient, _pair(_flux_values(f, p), f.name, 2.0, [eta], order)[0][0])
 
 
 def normalized_weak_spherical_residual(f: SphericalField, p: float, eta, order: int = 12):
@@ -550,14 +539,8 @@ def normalized_weak_spherical_residual(f: SphericalField, p: float, eta, order: 
     support."""
     if isinstance(eta, CapBump):
         return normalized_weak_spherical_residual(f, p, [eta], order)[0][0]
-    out = []
-    for family in support_families(eta):
-        raw, normalizer, count = _cap_pairing(f, p, family, order, None)
-        norms = Multivector(f.ambient, raw, copy=False).norm()
-        out.extend(
-            (normalized_ratio(r, nz), count) for r, nz in zip(norms, normalizer)
-        )
-    return out
+    return [(normalized_ratio(r, nz), count)
+            for _, r, nz, count in pair_each(_flux_values(f, p), f.name, 2.0, eta, order)]
 
 
 # -------------------------------------------------- stereographic bridge

@@ -16,9 +16,10 @@ the weak residual of the transformed field on the preimage domain, in
 both the plain-derivative and the twisted-derivative (frame-conjugated)
 forms.  Each node block of an experiment reads the map through one
 `mobius.MobiusPoint`, which gives the twist, the weight |c x + d|^s and
-the frame from one c x + d.  The box-tensor `QuadratureRule` remains as
-a cross-check; the residuals read only its domain and order, so its grid
-is built only when it is read.
+the frame from one c x + d.  Every bump owns its fitted rule
+(`blocks(order)`: a ball in R^n for a flat bump, the geodesic cap of a
+`sphere.CapBump`), so flat and cap bumps pair on one path, `_pair`.  The
+residuals take a `QuadratureRule` only for its domain and order.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
 flat residuals, the covariance experiments, the divergence oracle, the
@@ -37,23 +38,22 @@ bump's support, so bumps that share a centre and radius (the blade bumps
 of `default_test_functions`, or cap bumps on one cap) pair as one family
 (`support_families`): one pass over the nodes, then one product per blade
 of the stack.  The rule's nodes stream in blocks of a fixed size
-(`_BLOCK`, from `polar_blocks`), and fields, weights and l are evaluated
-one block at a time, so memory stays bounded at any quadrature order.  Its
-summation order is fixed: each blade of a block's weighted integrand is
-one row of a blade-major buffer, summed along the node axis with the
-running total as element 0 by np.add.accumulate, which is sequential (a
-plain sum along that axis would go pairwise), so the pairing is the
-node-order sum of the whole array, never a matrix product (whose BLAS
-blocking may vary); the normalizer adds its block sums in node order.
-Every reported number is therefore deterministic for a fixed seed and
-order, and reruns are byte-identical.
+(`_BLOCK`, from `polar_blocks`), which the pairing counts, and fields,
+weights and l are evaluated one block at a time, so memory stays bounded
+at any quadrature order.  Its summation order is fixed: each blade of a
+block's weighted integrand is one row of a blade-major buffer, summed
+along the node axis with the running total as element 0 by
+np.add.accumulate, which is sequential (a plain sum along that axis would
+go pairwise), so the pairing is the node-order sum of the whole array,
+never a matrix product (whose BLAS blocking may vary); the normalizer
+adds its block sums in node order.  Every reported number is therefore
+deterministic for a fixed seed and order, and reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -149,6 +149,18 @@ class BumpTestFunction:
         """Analytic D eta = dirac_vector * blade."""
         vec = Multivector.from_vector(self.dim, self.dirac_vector(pts))
         return geometric_product(vec, self.blade)
+
+    def blocks(self, order: int):
+        """The fitted rule of the given order over the support, as
+        `polar_blocks`: x = center + radius * r * omega."""
+        dim, c, radius = self.dim, np.array(self.center), self.radius
+
+        def geometry(r, wr, omega, wo):
+            rw = wr * r ** (dim - 1)
+            return lambda i, j: (c + radius * (r[i, None] * omega[j]),
+                                 radius**dim * (rw[i] * wo[j]))
+
+        return polar_blocks(dim, order, geometry)
 
     def require_support_inside(self, domain: Domain):
         c = np.array(self.center)
@@ -263,15 +275,9 @@ def _resolve_order(dim: int, order) -> int:
 
 @dataclass
 class QuadratureRule:
-    """Tensor Gauss-Legendre nodes over a cell split of the bounding box.
-
-    `inside` masks nodes to the domain; integrands supported inside the
-    domain (every bump is) see no masking error.  Weights are the positive
-    per-axis Gauss weight products scaled to the cells.  The weak residuals
-    read only `domain` and `order` and integrate on the bump-fitted rule,
-    so the tensor grid, kept as a cross-check of that rule, is built on the
-    first read of `nodes`, `weights` or `inside`.
-    """
+    """The domain a weak residual's bump must stay inside and the order of
+    its fitted rule.  `node_count` sizes a tensor Gauss-Legendre grid of
+    `cells_per_axis` cells per axis, which nothing builds."""
 
     domain: Domain
     order: int
@@ -289,35 +295,9 @@ class QuadratureRule:
             raise WeakFormError("quadrature cell count must be >= 1")
         return cls(domain, order, cells)
 
-    @cached_property
-    def _grid(self):
-        x, w = np.polynomial.legendre.leggauss(self.order)
-        lo, hi = self.domain.bounding_box()
-        axis_nodes, axis_weights = [], []
-        for i in range(self.domain.dim):
-            edges = np.linspace(lo[i], hi[i], self.cells_per_axis + 1)
-            mids = (edges[:-1] + edges[1:]) / 2.0
-            half = (edges[1:] - edges[:-1]) / 2.0
-            axis_nodes.append((mids[:, None] + half[:, None] * x[None, :]).ravel())
-            axis_weights.append((half[:, None] * w[None, :]).ravel())
-        grids = np.meshgrid(*axis_nodes, indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        weights = axis_weights[0]
-        for aw in axis_weights[1:]:
-            weights = np.multiply.outer(weights, aw)
-        return nodes, weights.ravel(), self.domain.contains(nodes)
-
-    nodes = property(lambda self: self._grid[0])
-    weights = property(lambda self: self._grid[1])
-    inside = property(lambda self: self._grid[2])
-
     @property
     def node_count(self) -> int:
         return (self.order * self.cells_per_axis) ** self.domain.dim
-
-    def integrate_scalar(self, values: np.ndarray) -> float:
-        """Masked integral of per-node scalar samples."""
-        return float(np.sum(self.weights * np.where(self.inside, values, 0.0)))
 
 
 # Bump-supported integrands defeat box-tensor quadrature: the profile is
@@ -397,20 +377,9 @@ def polar_blocks(dim: int, order: int, geometry):
         yield place(*np.divmod(np.arange(start, min(start + _BLOCK, len(r) * m)), m))
 
 
-def support_blocks(eta: BumpTestFunction, order: int):
-    """Fitted blocks over supp(eta): x = center + radius * r * omega."""
-    dim, c, radius = eta.dim, np.array(eta.center), eta.radius
-
-    def geometry(r, wr, omega, wo):
-        rw = wr * r ** (dim - 1)
-        return lambda i, j: (c + radius * (r[i, None] * omega[j]), radius**dim * (rw[i] * wo[j]))
-
-    return polar_blocks(dim, order, geometry)
-
-
 def support_quadrature(eta: BumpTestFunction, order: int):
-    """All nodes and weights of `support_blocks`, joined."""
-    nodes, weights = zip(*support_blocks(eta, order))
+    """All nodes and weights of `eta.blocks(order)`, joined."""
+    nodes, weights = zip(*eta.blocks(order))
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -423,6 +392,8 @@ def weak_pairing(blocks, block, right: Multivector):
 
         raw        = [sum over nodes of w conj(vals) * left] * right
         normalizer = sum over nodes of w |vals| |left| |right|
+
+    and the number of nodes summed.
 
     `blocks` yields the (x, wx) node blocks of a rule, and `block(x, wx)`
     gives (vals, norms, left, wx') on each: `vals` a batched (or constant)
@@ -447,6 +418,7 @@ def weak_pairing(blocks, block, right: Multivector):
     """
     dim = right.dim
     raw = buf = total = None
+    count = 0
     for x, w in blocks:
         vals, norms, left, wx = block(x, w)
         if buf is None:
@@ -455,11 +427,12 @@ def weak_pairing(blocks, block, right: Multivector):
             total = np.zeros(wx.shape[:-1])
         conj_vector_sums(left, vals.coeffs, wx, raw, buf)
         total += np.sum(wx * norms * np.sqrt(np.sum(left * left, axis=-1)), axis=-1)
+        count += len(w)
     stacked = right.coeffs.reshape(right.coeffs.shape[:-1] + (1,) * total.ndim + (-1,))
     raw = geometric_product(
         Multivector(dim, raw, copy=False), Multivector(dim, stacked, copy=False)
     ).coeffs
-    return raw, np.multiply.outer(right.norm(), total)
+    return raw, np.multiply.outer(right.norm(), total), count
 
 
 def normalized_ratio(residual_norm, normalizer) -> float:
@@ -475,13 +448,13 @@ def support_families(bumps) -> list:
     return [list(run) for _, run in groupby(bumps, key=lambda b: (b.center, b.radius))]
 
 
-def _pair(values, name: str, p: float, family, domain: Domain, order: int):
+def _pair(values, name: str, p: float, family, order: int):
     """Raw pairings (K, 2**n), normalizers (K,) and node count of conj(A
-    |v|^(p-2) v) * D eta for the K bumps of a family sharing one support,
-    in one pass over its fitted nodes of the given order; `values(x)`
-    gives (v, A) on a node block, A None when unweighted, and `name` names
-    v when |v| vanishes."""
-    eta = family[0].require_support_inside(domain)
+    |v|^(p-2) v) * D eta for the K bumps, flat or cap, of a family sharing
+    one support, in one pass over its fitted nodes of the given order;
+    `values(x)` gives (v, A) on a node block, A None when unweighted, and
+    `name` names v when |v| vanishes."""
+    eta = family[0]
 
     def block(x, wx):
         vals, weight = values(x)
@@ -492,8 +465,24 @@ def _pair(values, name: str, p: float, family, domain: Domain, order: int):
         return vals, norms, eta.dirac_vector(x), wx * scale
 
     blades = Multivector(eta.dim, [b.blade.coeffs for b in family])
-    return *weak_pairing(support_blocks(eta, order), block, blades), \
-        fitted_node_count(eta.dim, order)
+    return weak_pairing(eta.blocks(order), block, blades)
+
+
+def pair_each(values, name: str, p: float, bumps, order: int):
+    """`_pair` over each run of `support_families(bumps)`: per bump, in
+    order, (bump, |raw pairing|, normalizer, node count)."""
+    for family in support_families(bumps):
+        raw, normalizer, count = _pair(values, name, p, family, order)
+        norms = Multivector(family[0].dim, raw, copy=False).norm()
+        yield from ((b, float(r), float(nz), count) for b, r, nz in zip(family, norms, normalizer))
+
+
+def _pair_inside(values, name: str, p: float, eta: BumpTestFunction, rule: QuadratureRule):
+    """The raw pairing (a Multivector) and normalizer of one bump, whose
+    support must lie inside the rule's domain."""
+    raw, normalizer, _ = _pair(values, name, p, [eta.require_support_inside(rule.domain)],
+                               rule.order)
+    return Multivector(eta.dim, raw[0]), normalizer[0]
 
 
 def weak_p_dirac_residual(
@@ -501,17 +490,15 @@ def weak_p_dirac_residual(
     weight=None,
 ) -> Multivector:
     """Clifford-valued quadrature of conj(A |f|^(p-2) f) * D eta over U."""
-    raw = _pair(lambda x: (f(x), None if weight is None else weight(x)), f.name,
-                p, [eta], rule.domain, rule.order)[0]
-    return Multivector(eta.dim, raw[0])
+    return _pair_inside(lambda x: (f(x), None if weight is None else weight(x)), f.name,
+                        p, eta, rule)[0]
 
 
 def weak_p_harmonic_residual(
     h: AnalyticField, p: float, eta: BumpTestFunction, rule: QuadratureRule
 ) -> Multivector:
     """Quadrature of conj(|Dh|^(p-2) Dh) * D eta; needs analytic Dh."""
-    raw = _pair(lambda x: (h.dirac(x), None), h.name, p, [eta], rule.domain, rule.order)[0]
-    return Multivector(eta.dim, raw[0])
+    return _pair_inside(lambda x: (h.dirac(x), None), h.name, p, eta, rule)[0]
 
 
 def normalized_weak_residual(
@@ -521,21 +508,17 @@ def normalized_weak_residual(
     """|weak residual| / normalizer, the normalizer being the quadrature
     of |f|^(p-1) |D eta|; computed in one pass."""
     evaluate = f.dirac if of_derivative else f
-    raw, normalizer, _ = _pair(lambda x: (evaluate(x), None), f.name, p, [eta],
-                               rule.domain, rule.order)
-    return normalized_ratio(Multivector(eta.dim, raw[0]).norm(), normalizer[0])
+    raw, normalizer = _pair_inside(lambda x: (evaluate(x), None), f.name, p, eta, rule)
+    return normalized_ratio(raw.norm(), normalizer)
 
 
 def dirac_integral_check(eta: BumpTestFunction, rule: QuadratureRule) -> float:
     """|integral of D eta| / integral of |D eta| - the divergence-theorem
-    oracle; compact support makes the exact value 0 in every component."""
-    eta.require_support_inside(rule.domain)
+    oracle; compact support makes the exact value 0 in every component.
+    It pairs the constant 1 at p = 2, where every weight stays as it is."""
     one = Multivector.scalar(eta.dim, 1.0)
-    raw, total = weak_pairing(
-        support_blocks(eta, rule.order),
-        lambda x, wx: (one, one.norm(), eta.dirac_vector(x), wx), eta.blade,
-    )
-    return normalized_ratio(Multivector(eta.dim, raw).norm(), total)
+    raw, normalizer = _pair_inside(lambda x: (one, None), "1", 2.0, eta, rule)
+    return normalized_ratio(raw.norm(), normalizer)
 
 
 # ------------------------------------------------------- domain pullback
@@ -694,14 +677,9 @@ def dirac_covariance_experiment(
         at = MobiusPoint(m, x)
         return at.twist(f), at.scale**exponent
 
-    rows = []
     etas = default_test_functions(volume, seed=seed, random_count=random_bumps)
-    for family in support_families(etas):
-        raw, normalizer, count = _pair(values, f"twist[{f.name}]", p, family, volume, order)
-        rows.extend(
-            CovarianceRow(eta.label, exponent, float(r), float(nz), count)
-            for eta, r, nz in zip(family, Multivector(dim, raw, copy=False).norm(), normalizer)
-        )
+    rows = [CovarianceRow(eta.label, exponent, r, nz, count)
+            for eta, r, nz, count in pair_each(values, f"twist[{f.name}]", p, etas, order)]
     return CovarianceReport("dirac-pullback", dim, float(p), volume, rows, order)
 
 
@@ -765,10 +743,10 @@ def harmonic_covariance_experiment(
             return twisted, norms, slope.vector_part(), wx * scale**exps * power
 
         blades = Multivector(dim, [b.blade.coeffs for b in family])
-        raw, normalizer = weak_pairing(support_blocks(eta, order), block, blades)
+        raw, normalizer, count = weak_pairing(eta.blocks(order), block, blades)
         norms = Multivector(dim, raw, copy=False).norm()
         rows.extend(
-            CovarianceRow(bump.label, s, float(r), float(nz), fitted_node_count(dim, order))
+            CovarianceRow(bump.label, s, float(r), float(nz), count)
             for bump, by_s, nz_s in zip(family, norms, normalizer)
             for s, r, nz in zip(exponents, by_s, nz_s)
         )

@@ -240,8 +240,8 @@ def test_bumps_sharing_a_support_stream_once(monkeypatch, tmp_path):
             return build(eta, order)
         return rule
 
-    for module, name in ((weakform, "support_blocks"), (sphere, "cap_blocks")):
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for bump in (weakform.BumpTestFunction, sphere.CapBump):
+        monkeypatch.setattr(bump, "blocks", counted(bump.blocks))
     for args, passes in ((["covariance", "--theorem", "1"], 3),
                          (["covariance", "--theorem", "4"], 6),
                          (["sphere-check", "--n", "3"], 6)):
@@ -361,6 +361,17 @@ def test_twisted_scan_is_priced_by_its_own_cost(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
     assert "at 4x a flat pairing price at 4.9e+08" in err
+
+
+def test_spacing_whose_cell_volume_overflows_exits_two(capsys):
+    """h = 1e199 on a 10-cell box parses, but h^2 overflows a float, and
+    every energy term and the gradient tolerance carry h^n: the lattice
+    refuses it as a usage error, not with an OverflowError traceback."""
+    capsys.readouterr()
+    assert run_cli(["solve", "--region", "box:1e200,2e200", "--h", "1e199"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "h^2" in err, err
 
 
 def test_bad_choice_exits_two(capsys):

@@ -26,11 +26,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diraclab import cr2d, sphere
+from diraclab import cr2d, sphere, weakform
 from diraclab.cli import main
 from diraclab.fields import Domain, p_dirac_solution, p_harmonic_radial
 from diraclab.mobius import inversion
-from diraclab.weakform import dirac_covariance_experiment, harmonic_covariance_experiment
+from diraclab.weakform import (QuadratureRule, default_test_functions, dirac_covariance_experiment,
+                               dirac_integral_check, harmonic_covariance_experiment,
+                               normalized_weak_residual, weak_p_dirac_residual,
+                               weak_p_harmonic_residual)
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOOR = 1e-10
@@ -108,8 +111,8 @@ def _cap_pairings(ambient):
     pole = sphere.sphere_point([0.3, -0.5, 0.7, 0.4][:ambient])
     cap = sphere.SphericalCap(tuple(-pole), 1.0)
     f = sphere.spherical_kernel(pole, 2.5)
-    return [sphere._cap_pairing(f, 2.5, family, 8, None)[:2]
-            for family in sphere.support_families(sphere.default_cap_bumps(cap))]
+    return [weakform._pair(sphere._flux_values(f, 2.5), f.name, 2.0, family, 8)[:2]
+            for family in weakform.support_families(sphere.default_cap_bumps(cap))]
 
 
 def _covariance_rows(experiment, field):
@@ -117,6 +120,16 @@ def _covariance_rows(experiment, field):
                      order=6, random_bumps=2)
     return [(r.eta_label, r.exponent, r.residual_norm, r.normalizer, r.nodes)
             for r in rep.rows]
+
+
+BALL3 = Domain.ball([3.0, 0.0, 0.0], 1.0)
+
+
+def _flat_pairings(pairing):
+    """`pairing(eta, rule)` for each bump of `default_test_functions` on a
+    ball clear of the origin, on the fitted rule of order 6."""
+    rule = QuadratureRule.build(BALL3, order=6, cells=2)
+    return [pairing(eta, rule) for eta in default_test_functions(BALL3, random_count=2)]
 
 
 # sha256 of raw weak pairings and normalizers, recorded with one BLAS
@@ -142,6 +155,29 @@ PINNED_PAIRINGS = {
             cr2d.p_cr_solution(1.5), cr2d.polynomial_map([3.0, 0.0, 1.0], name="square-plus-3"),
             1.5, Domain.annulus([0.0, 0.0], 0.5, 1.5)),
         "3d4b81245a7419537ffb780302d5d73d9f5caadf580d8fd97931d99636e09b4d"),
+    "dirac-integral": (
+        lambda: [dirac_integral_check(eta, QuadratureRule.build(BALL3, order=6, cells=2))
+                 for eta in default_test_functions(BALL3)],
+        "8a183978d9da84f5aace3939cfba6205b13b58993162f7b714d76f32cb1f43cc"),
+    "weak-dirac": (
+        lambda: _flat_pairings(lambda eta, rule: weak_p_dirac_residual(
+            p_dirac_solution(3, 2.5), 2.5, eta, rule).coeffs),
+        "8f5b1bf84d058c06164a1a91c76090023b4d8a0238b01d5a6bae9da09f365263"),
+    "weak-dirac-weighted": (
+        lambda: _flat_pairings(lambda eta, rule: weak_p_dirac_residual(
+            p_dirac_solution(3, 2.5), 2.5, eta, rule,
+            weight=lambda x: np.sum(x * x, axis=-1) ** -0.25).coeffs),
+        "0aba1827f717447d73ec00f3e11974b013e819a1012c6f3baeae99014ca306ab"),
+    "weak-harmonic": (
+        lambda: _flat_pairings(lambda eta, rule: weak_p_harmonic_residual(
+            p_harmonic_radial(3, 2.5), 2.5, eta, rule).coeffs),
+        "f45f9558cf4775b58c359d84b67e33d4910af22e617124e1aa77b8a8eca9450a"),
+    "normalized-weak": (
+        lambda: _flat_pairings(lambda eta, rule: [
+            normalized_weak_residual(p_dirac_solution(3, 1.5), 1.5, eta, rule),
+            normalized_weak_residual(p_harmonic_radial(3, 2.5), 2.5, eta, rule,
+                                     of_derivative=True)]),
+        "3ced81542b9a119083eb1d6de8d2e27b6d9f0555229c42f11c01fff37a8cb634"),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab import sphere
+from diraclab import sphere, weakform
 from diraclab.algebra import Multivector, geometric_product
 from diraclab.fields import FieldError, StencilError, VanishingNormError
 from diraclab.sphere import (
@@ -13,7 +13,6 @@ from diraclab.sphere import (
     SphereError,
     SphericalCap,
     SphericalField,
-    cap_blocks,
     cayley_lift,
     cayley_ratio_constancy,
     conformal_scale,
@@ -359,13 +358,13 @@ def test_yamabe_is_linear():
 
 def test_cap_mass_matches_closed_form():
     bump3 = CapBump(NORTH3, 0.8, Multivector.scalar(3, 1.0))
-    nodes, w = joined(cap_blocks(bump3, 10))
+    nodes, w = joined(bump3.blocks(10))
     theta = 2.0 * np.arcsin(0.4)
     assert np.isclose(np.sum(w), 2.0 * np.pi * (1 - np.cos(theta)), rtol=1e-13)
     assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0, atol=1e-12)
 
     bump4 = CapBump((0.0, 0.0, 0.0, 1.0), 0.8, Multivector.scalar(4, 1.0))
-    _, w4 = joined(cap_blocks(bump4, 8))
+    _, w4 = joined(bump4.blocks(8))
     exact = 4.0 * np.pi * (theta / 2.0 - np.sin(2.0 * theta) / 4.0)
     assert np.isclose(np.sum(w4), exact, rtol=1e-13)
 
@@ -465,7 +464,7 @@ def test_weak_residual_of_constant_matches_direct_assembly():
     f = constant_spherical(3, c)
     bump = CapBump(NORTH3, 0.7, Multivector.blade(3, 0b001))
     res = weak_spherical_residual(f, 2.0, bump, order=8)
-    nodes, w = joined(cap_blocks(bump, 8))
+    nodes, w = joined(bump.blocks(8))
     conj = c.conjugation()
     deta = bump.dirac(nodes)
     direct = np.sum(
@@ -509,13 +508,13 @@ def test_cap_pairing_matches_per_node_reference(monkeypatch, ambient, order, cou
     pole = sphere_point(rng.normal(size=ambient))
     blade = Multivector(ambient, rng.normal(size=1 << ambient))
     bump = CapBump(tuple(-pole), 0.8, blade)
-    nodes, w = joined(cap_blocks(bump, order))
+    nodes, w = joined(bump.blocks(order))
     start = int(np.argmax(w > 0))
     assert len(w) >= start + count
     nodes, w = nodes[start:start + count], w[start:start + count]
-    monkeypatch.setattr(sphere, "cap_blocks", lambda eta, o: node_blocks(nodes, w))
+    monkeypatch.setattr(CapBump, "blocks", lambda eta, o: node_blocks(nodes, w))
     f = spherical_kernel(pole, 2.5)
-    (raw,), (nz,), _ = sphere._cap_pairing(f, 2.5, [bump], order, None)
+    (raw,), (nz,), _ = weakform._pair(sphere._flux_values(f, 2.5), f.name, 2.0, [bump], order)
     flux = p_spherical_flux(f, 2.5)(nodes)
     deta = _dense_cap_dirac(bump, nodes)
     ref = np.sum(w[:, None] * geometric_product(flux.conjugation(), deta).coeffs, axis=0)

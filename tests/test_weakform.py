@@ -49,19 +49,20 @@ from diraclab.weakform import (
     default_test_functions,
     dirac_covariance_experiment,
     dirac_integral_check,
+    fitted_node_count,
     harmonic_covariance_experiment,
     norm_frame_identity_check,
     normalized_weak_residual,
     pullback_domain,
     random_bump,
     sc_invariance_check,
-    support_blocks,
     support_families,
     support_quadrature,
     weak_p_dirac_residual,
     weak_p_harmonic_residual,
     weak_pairing,
 )
+from diraclab.sphere import CapBump
 from diraclab.weakform import _BLOCK as BLOCK
 from oracles import dict_geometric_product, dict_to_coeffs, joined, mv_to_dict, node_blocks
 
@@ -211,32 +212,6 @@ def test_support_families_group_runs_of_one_centre_and_radius():
 # --------------------------------------------------------------- quadrature
 
 
-def test_tensor_rule_is_exact_on_polynomials():
-    box = Domain.box([0.0, -1.0], [2.0, 1.0])
-    rule = QuadratureRule.build(box, order=4, cells=3)
-    # degree 2*4-1 = 7 per axis is integrated exactly
-    vals = rule.nodes[:, 0] ** 7 * rule.nodes[:, 1] ** 6
-    exact = (2.0**8 / 8.0) * (2.0 / 7.0)
-    assert rule.integrate_scalar(vals) == pytest.approx(exact, rel=1e-14)
-    assert np.all(rule.weights > 0)
-
-
-def test_tensor_rule_masks_nodes_to_the_domain():
-    rule = QuadratureRule.build(Domain.ball([0.0, 0.0], 1.0), order=10, cells=8)
-    assert not np.all(rule.inside)
-    vol = rule.integrate_scalar(np.ones(rule.node_count))
-    assert vol == pytest.approx(math.pi, rel=5e-3)  # mask is only first order
-
-
-def test_tensor_rule_builds_its_grid_on_first_read():
-    """The residuals read only domain and order: build makes no grid, and
-    node_count is the closed form (order * cells)**dim."""
-    rule = QuadratureRule.build(Domain.ball([3.0, 0.0, 0.0, 0.0], 1.0), order=12, cells=2)
-    assert rule.node_count == 24**4 and "_grid" not in vars(rule)
-    small = QuadratureRule.build(BALL3, order=3, cells=2)
-    assert len(small.nodes) == len(small.weights) == len(small.inside) == small.node_count
-
-
 def test_tensor_rule_parameter_validation():
     with pytest.raises(WeakFormError):
         QuadratureRule.build(Domain.box([0.0] * 5, [1.0] * 5))
@@ -244,6 +219,9 @@ def test_tensor_rule_parameter_validation():
         QuadratureRule.build(BALL3, order=0)
     with pytest.raises(WeakFormError):
         QuadratureRule.build(BALL3, cells=0)
+    # the closed form (order * cells)**dim, with no grid built
+    assert QuadratureRule.build(Domain.ball([3.0, 0.0, 0.0, 0.0], 1.0), order=12,
+                                cells=2).node_count == 24**4
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -287,6 +265,23 @@ def test_unit_sphere_rule_integrates_even_moments(dim, order):
             assert abs(got - exact) <= 1e-14 * exact, (m, k, got, exact)
 
 
+@pytest.mark.parametrize("order", [3, 6, 12])
+@pytest.mark.parametrize("bump, rule_dim", [
+    *((BumpTestFunction(dim, (0.0,) * dim, 0.5, Multivector.scalar(dim, 1.0)), dim)
+      for dim in (2, 3, 4)),
+    *((CapBump((0.0,) * (ambient - 1) + (1.0,), 0.8, Multivector.scalar(ambient, 1.0)),
+       ambient - 1) for ambient in (3, 4)),
+], ids=["flat-2", "flat-3", "flat-4", "cap-3", "cap-4"])
+def test_streamed_node_count_is_the_priced_count(bump, rule_dim, order):
+    """The pairing counts the nodes it sums, for flat bumps in R^n and cap
+    bumps on S^n alike, and the count is the closed form the CLI's budget
+    prices: `fitted_node_count` of the rule's dimension, n for a ball in
+    R^n and n for a cap of S^n in R^(n+1)."""
+    one = Multivector.scalar(bump.dim, 1.0)
+    count = weakform._pair(lambda x: (one, None), "1", 2.0, [bump], order)[2]
+    assert count == fitted_node_count(rule_dim, order)
+
+
 def test_dirac_integral_check_rejects_an_escaped_bump():
     rule = small_rule(BALL3)
     escaped = BumpTestFunction(3, (3.9, 0.0, 0.0), 0.5, Multivector.scalar(3, 1.0))
@@ -295,15 +290,11 @@ def test_dirac_integral_check_rejects_an_escaped_bump():
 
 
 def test_dirac_integral_oracle_fitted_vs_tensor(rng):
-    """The integral of D eta vanishes exactly; the fitted rule reaches
-    roundoff while the box-tensor rule floors at its flat-edge error."""
+    """The integral of D eta vanishes exactly, and the fitted rule reaches
+    roundoff.  (The box-tensor comparison went with the tensor grid.)"""
     rule = QuadratureRule.build(BALL3)
     eta = random_bump(BALL3, rng, label="off-center")
     assert dirac_integral_check(eta, rule) <= 1e-12
-    deta = eta.dirac(rule.nodes)
-    w = np.where(rule.inside, rule.weights, 0.0)
-    tensor = float(np.linalg.norm(w @ deta.coeffs) / np.sum(w * deta.norm()))
-    assert tensor <= 1e-3  # converges, but only at algebraic rate
 
 
 @settings(max_examples=15, deadline=None)
@@ -363,7 +354,7 @@ def test_p_harmonic_derivative_solves_the_weak_dirac_equation(rng):
         dh = h.dirac(x)
         return dh, dh.norm(), eta.dirac_vector(x), wx * dh.norm() ** (p - 2.0)
 
-    raw, norm = weak_pairing(support_blocks(eta, rule.order), block, eta.blade)
+    raw, norm, _ = weak_pairing(eta.blocks(rule.order), block, eta.blade)
     assert np.array_equal(res.coeffs, raw)
     assert float(res.norm()) / norm <= 1e-12
     assert normalized_weak_residual(h, p, eta, rule, of_derivative=True) <= 1e-12
@@ -403,7 +394,7 @@ def fitted_normalizer(f, p, eta, rule):
         vals = f(x)
         return vals, vals.norm(), eta.dirac_vector(x), wx * vals.norm() ** (p - 2.0)
 
-    return float(weak_pairing(support_blocks(eta, rule.order), block, eta.blade)[1])
+    return float(weak_pairing(eta.blocks(rule.order), block, eta.blade)[1])
 
 
 def test_unit_weight_changes_nothing(rng):
@@ -451,10 +442,10 @@ def test_weak_pairing_rows_match_single_calls(rng):
         vals = f(x)
         return vals, vals.norm(), eta.dirac_vector(x), wx
 
-    raw, normalizer = weak_pairing(node_blocks(nodes, scan), block, eta.blade)
+    raw, normalizer, _ = weak_pairing(node_blocks(nodes, scan), block, eta.blade)
     assert raw.shape == (3, 8) and normalizer.shape == (3,)
     for k in range(3):
-        raw_k, normalizer_k = weak_pairing(node_blocks(nodes, scan[k]), block, eta.blade)
+        raw_k, normalizer_k, _ = weak_pairing(node_blocks(nodes, scan[k]), block, eta.blade)
         assert np.array_equal(raw[k], raw_k)
         assert normalizer[k] == normalizer_k
 
@@ -476,11 +467,11 @@ def test_weak_pairing_blade_stack_matches_single_blades(dim, count):
     block = _node_block(vals, vec)
 
     for w in (rng.uniform(0.1, 1.0, count), rng.uniform(0.1, 1.0, (3, count))):
-        raw, normalizer = weak_pairing(node_blocks(idx, w), block, stack)
+        raw, normalizer, _ = weak_pairing(node_blocks(idx, w), block, stack)
         assert raw.shape == (3,) + w.shape[:-1] + (1 << dim,)
         assert normalizer.shape == (3,) + w.shape[:-1]
         for k, blade in enumerate(blades):
-            raw_k, normalizer_k = weak_pairing(node_blocks(idx, w), block, blade)
+            raw_k, normalizer_k, _ = weak_pairing(node_blocks(idx, w), block, blade)
             assert np.array_equal(raw[k], raw_k)
             assert np.array_equal(normalizer[k], normalizer_k)
 
@@ -518,7 +509,7 @@ def test_weak_pairing_matches_per_node_reference(dim, count):
     for vals in (batched, constant):
         ref = geometric_product(vals.conjugation(), deta).coeffs
         for w in (rng.uniform(0.1, 1.0, count), rng.uniform(0.1, 1.0, (3, count))):
-            raw, nz = weak_pairing(
+            raw, nz, _ = weak_pairing(
                 node_blocks(idx, w), _node_block(vals, vec), right)
             scale = np.sum(w * vals.norm() * deta.norm(), axis=-1)
             assert np.all(np.abs(raw - np.sum(w[..., None] * ref, axis=-2))
@@ -532,7 +523,7 @@ def test_weak_pairing_matches_per_node_reference(dim, count):
                               <= 1e-14 * scale[..., None])
     zero = Multivector.zero(dim, (count,))
     w = rng.uniform(0.1, 1.0, count)
-    raw, nz = weak_pairing(
+    raw, nz, _ = weak_pairing(
         node_blocks(idx, w), _node_block(zero, np.zeros((count, dim))), right)
     assert not np.any(raw) and nz == 0.0
 
@@ -557,8 +548,8 @@ def test_weak_pairing_sums_in_node_order(count):
     ):
         prod = geometric_product(Multivector.from_vector(dim, -left), vals).conjugation()
         for w in (rng.uniform(0.1, 1.0, count), rng.uniform(0.1, 1.0, (3, count))):
-            raw, _ = weak_pairing(node_blocks(np.arange(count), w),
-                                  _node_block(vals, left), Multivector.scalar(dim, 1.0))
+            raw, _, _ = weak_pairing(node_blocks(np.arange(count), w),
+                                     _node_block(vals, left), Multivector.scalar(dim, 1.0))
             acc = np.zeros(w.shape[:-1] + (1 << dim,))
             for k in range(count):
                 acc = acc + w[..., k, None] * prod.coeffs[k]
@@ -618,8 +609,8 @@ def test_conj_vector_sums_match_the_gather_bit_for_bit(dim, count):
             assert _same_bytes(got, np.add.accumulate(rows, axis=-2)[..., -1, :]), case
     vals, left, w = fields[0], lefts[0], weights[1]
     stack = Multivector(dim, rng.standard_normal((2, n)))
-    raw, _ = weak_pairing(node_blocks(np.arange(count), w),
-                          _node_block(Multivector(dim, vals), left), stack)
+    raw, _, _ = weak_pairing(node_blocks(np.arange(count), w),
+                             _node_block(Multivector(dim, vals), left), stack)
     prod = geometric_product(Multivector.from_vector(dim, -left),
                              Multivector(dim, vals)).conjugation().coeffs
     sums = np.add.accumulate(w[..., None] * prod, axis=-2)[..., -1, :]
@@ -822,8 +813,8 @@ def test_dirac_covariance_inverts_once_per_node_block(monkeypatch):
     inverse = mobius.lipschitz_element_inverse
     monkeypatch.setattr(mobius, "lipschitz_element_inverse",
                         lambda g: calls.append(1) or inverse(g))
-    build = weakform.support_blocks
-    monkeypatch.setattr(weakform, "support_blocks",
+    build = BumpTestFunction.blocks
+    monkeypatch.setattr(BumpTestFunction, "blocks",
                         lambda eta, order: (blocks.append(1) or b for b in build(eta, order)))
     pullback_domain(inversion(3), BALL3)
     pullback = len(calls)
@@ -908,12 +899,14 @@ def test_covariance_families_match_per_bump_pairings(monkeypatch, dim):
     h = p_harmonic_radial(dim, 2.5, center=[-5.0] + [0.0] * (dim - 1))
     labels = [e.label for e in default_test_functions(source, random_count=2)]
 
+    build = BumpTestFunction.blocks
+
     def short_rule(eta, order):
-        nodes, w = joined(support_blocks(eta, order))
+        nodes, w = joined(build(eta, order))
         keep = np.flatnonzero(w > 0)[:2000]
         return node_blocks(nodes[keep], w[keep])
 
-    monkeypatch.setattr(weakform, "support_blocks", short_rule)
+    monkeypatch.setattr(BumpTestFunction, "blocks", short_rule)
     for experiment, field in ((dirac_covariance_experiment, f),
                               (harmonic_covariance_experiment, h)):
         def rows():
