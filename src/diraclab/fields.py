@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Multivector, geometric_product, pin_action
-from .mobius import MobiusPoint, VahlenMatrix, map_points
+from .mobius import MobiusPoint, PoleError, VahlenMatrix, map_points, vahlen_inverse
 
 
 class FieldError(ValueError):
@@ -262,7 +262,6 @@ def compose_with_mobius(f: AnalyticField, m: VahlenMatrix) -> AnalyticField:
     """The pullback f(M(x)), with chain-rule gradient when f has one."""
     if f.dim != m.dim:
         raise FieldError("field and matrix dimensions disagree")
-    dim = f.dim
 
     def ev(pts):
         return f(map_points(m, pts))
@@ -275,9 +274,19 @@ def compose_with_mobius(f: AnalyticField, m: VahlenMatrix) -> AnalyticField:
             u = at.u  # the frame first: a mixed-parity g is refused before the image
             return [partial for _, partial in composed_partials(f.grad(at.image), u, at.scale)]
 
-    return AnalyticField(
-        dim, ev, gr, f.singular_points, name=f"{f.name}∘M"
-    )
+    return AnalyticField(f.dim, ev, gr, singular_preimages(f, m), name=f"{f.name}∘M")
+
+
+def singular_preimages(f: AnalyticField, m: VahlenMatrix) -> tuple:
+    """The singular points of f(M(x)): those of f pulled back through M,
+    less any that M sends to infinity."""
+    back, out = vahlen_inverse(m), []
+    for s in f.singular_points:
+        try:
+            out.append(tuple(map_points(back, np.asarray(s, dtype=float))))
+        except PoleError:
+            pass
+    return tuple(out)
 
 
 def composed_partials(target_partials, u: Multivector, scale):
@@ -303,7 +312,7 @@ def conformal_dirac_transform(f: AnalyticField, m: VahlenMatrix) -> AnalyticFiel
     def ev(pts):
         return MobiusPoint(m, pts).twist(f)
 
-    return AnalyticField(f.dim, ev, None, (), name=f"twist[{f.name}]")
+    return AnalyticField(f.dim, ev, None, singular_preimages(f, m), name=f"twist[{f.name}]")
 
 
 # ----------------------------------------------------------------- domains
@@ -421,14 +430,27 @@ def validate_clearance(domain: Domain, singular_points=(), mobius: VahlenMatrix 
 # ------------------------------------------------------ finite differences
 
 
-def richardson_step(central, h: float, extrapolate: bool = True):
-    """(4 D(h/2) - D(h)) / 3 for a central difference D(step), cancelling
-    its O(h^2) truncation term; D(h) itself when not extrapolating.  The
-    step must be positive: the singular-point guards assume it."""
+def richardson_step(central, h: float, name: str, points, singular_points,
+                    extrapolate: bool = True):
+    """The one guarded stencil: (4 D(h/2) - D(h)) / 3 for a central
+    difference D(step) at `points`, cancelling its O(h^2) truncation term;
+    D(h) itself when not extrapolating.
+
+    Before anything is evaluated it refuses a step that is not positive and
+    any point within 2h of a singular point of the field `name` (|z - s| for
+    complex planar points); a non-finite result raises StencilError.
+    """
     if not h > 0:
         raise FieldError(f"the finite-difference step must be positive, got {h}")
+    for s in map(np.asarray, singular_points):
+        gap = np.abs(points - s) if np.iscomplexobj(points) else np.linalg.norm(points - s, axis=-1)
+        if gap.size and float(np.min(gap)) <= 2.0 * h:
+            raise StencilError(f"stencil for {name!r} reaches the singular point {s.tolist()}")
     d = central(h)
-    return (4.0 * central(h / 2.0) - d) / 3.0 if extrapolate else d
+    result = (4.0 * central(h / 2.0) - d) / 3.0 if extrapolate else d
+    if not np.all(np.isfinite(result.coeffs if isinstance(result, Multivector) else result)):
+        raise StencilError(f"stencil for {name!r} touched a singular point (h={h:g})")
+    return result
 
 
 def _central_partial(f: AnalyticField, pts, j: int, hh: float) -> Multivector:
@@ -451,24 +473,14 @@ def dirac_fd(
         return dirac_sum((Multivector.basis_vector(f.dim, j + 1),
                           _central_partial(f, pts, j, hh)) for j in range(f.dim))
 
-    result = richardson_step(central, h, richardson)
-    if not np.all(np.isfinite(result.coeffs)):
-        raise StencilError(
-            f"stencil for {f.name!r} touched a singular point (h={h:g})"
-        )
-    return result
+    return richardson_step(central, h, f.name, pts, f.singular_points, richardson)
 
 
 def gradient_fd(f: AnalyticField, points, h: float = 1e-3):
     """Richardson-extrapolated central-difference partial derivatives of f."""
     pts = np.asarray(points, dtype=float)
-    out = []
-    for j in range(f.dim):
-        pj = richardson_step(lambda hh: _central_partial(f, pts, j, hh), h)
-        if not np.all(np.isfinite(pj.coeffs)):
-            raise StencilError(f"gradient stencil for {f.name!r} hit a singularity")
-        out.append(pj)
-    return out
+    return [richardson_step(lambda hh: _central_partial(f, pts, j, hh), h, f.name, pts,
+                            f.singular_points) for j in range(f.dim)]
 
 
 # --------------------------------------------------------------- residuals

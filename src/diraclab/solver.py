@@ -94,9 +94,11 @@ class LatticeDomain:
 
     def __post_init__(self):
         try:
-            self.h**self.dim  # the cell volume that weights every energy term
+            volume = self.h**self.dim  # the cell volume that weights every energy term
         except OverflowError:
             raise SolverError(f"the cell volume h^{self.dim} overflows at h = {self.h:g}") from None
+        if volume < np.finfo(float).tiny:
+            raise SolverError(f"the cell volume h^{self.dim} underflows at h = {self.h:g}")
         # A node is interior (an unknown) only if every energy cluster
         # containing it is complete: besides the 2n lattice neighbors this
         # needs the mixed diagonals x - h e_j + h e_k, which the one-sided

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Multivector, geometric_product
-from .fields import NORM_CUTOFF, FieldError, StencilError, power_scale, richardson_step
+from .fields import NORM_CUTOFF, FieldError, power_scale, richardson_step
 from .weakform import (SUPPORT_MARGIN, BumpTestFunction, SupportError, _pair, bump_family,
                        mollifier, normalized_ratio, pair_each, polar_blocks, random_unit_blade)
 
@@ -185,15 +185,6 @@ def _plane_rotate(pts, u, v, t):
     )
 
 
-def _check_rotation_clearance(f: SphericalField, pts: np.ndarray, theta: float):
-    for s in f.singular_points:
-        d = np.linalg.norm(pts - np.asarray(s), axis=-1)
-        if d.size and float(np.min(d)) <= 2.0 * theta:
-            raise StencilError(
-                f"rotation stencil for {f.name!r} reaches the singular point"
-            )
-
-
 def gamma_op(
     f: SphericalField,
     points,
@@ -217,7 +208,6 @@ def gamma_op(
             frame.T @ frame, np.eye(ambient), atol=1e-10
         ):
             raise SphereError("the rotation frame must be an orthogonal matrix")
-    _check_rotation_clearance(f, pts, theta)
 
     def angular(u, v, tt):
         plus = f.eval_fn(_renormalize(_plane_rotate(pts, u, v, tt)))
@@ -228,15 +218,14 @@ def gamma_op(
     for i in range(ambient):
         for j in range(i + 1, ambient):
             u, v = frame[:, i], frame[:, j]
-            d = richardson_step(lambda tt: angular(u, v, tt), theta)
+            d = richardson_step(lambda tt: angular(u, v, tt), theta, f.name, pts,
+                                f.singular_points)
             biv = geometric_product(
                 Multivector.from_vector(ambient, u),
                 Multivector.from_vector(ambient, v),
             )
             term = geometric_product(biv, d)
             out = term if out is None else out + term
-    if not np.all(np.isfinite(out.coeffs)):
-        raise StencilError(f"rotation stencil for {f.name!r} left the regular set")
     return out
 
 
@@ -255,22 +244,21 @@ def spherical_p_dirac_residual(
     return spherical_dirac(p_spherical_flux(f, p), points, theta=theta)
 
 
+def coupled_dirac(f: SphericalField, k: float, theta: float) -> SphericalField:
+    """The field (D_S + k x) f: the first-order operator with the
+    zero-order coupling k x, formed as D_S f + k (x f)."""
+
+    def ev(pts):
+        ds = spherical_dirac(f, pts, theta=theta)
+        return ds + k * geometric_product(Multivector.from_vector(f.ambient, pts), f.eval_fn(pts))
+
+    return SphericalField(f.ambient, ev, f.singular_points, name=f"(D_S{k:+g}x)[{f.name}]")
+
+
 def yamabe_op(f: SphericalField, points) -> Multivector:
     """The conformal Laplacian as the nested first-order product:
-    applies the first-order operator to (D_S f - x f)."""
-    ambient = f.ambient
-
-    def inner_ev(pts):
-        df = spherical_dirac(f, pts)
-        xf = geometric_product(
-            Multivector.from_vector(ambient, pts), f.eval_fn(pts)
-        )
-        return df - xf
-
-    inner = SphericalField(
-        ambient, inner_ev, f.singular_points, name=f"first-factor({f.name})"
-    )
-    return spherical_dirac(inner, points)
+    applies the first-order operator to (D_S - x) f."""
+    return spherical_dirac(coupled_dirac(f, -1.0, 1e-3), points)
 
 
 # ------------------------------------------------------- identity reports
@@ -308,11 +296,8 @@ def lr_identity_check(
     n = ambient - 1
     s = radial_distance_power(y, float(p - n))
     xs = np.asarray(x, dtype=float)[None, :]
-    ds = spherical_dirac(s, xs, theta=theta)
-    x_mv = Multivector.from_vector(ambient, xs)
-    coupling = (p / 2.0) * geometric_product(x_mv, s.eval_fn(xs))
-    left_plus = ds + coupling
-    left_minus = ds - coupling
+    left_plus = coupled_dirac(s, p / 2.0, theta).eval_fn(xs)
+    left_minus = coupled_dirac(s, -p / 2.0, theta).eval_fn(xs)
     rho = float(np.linalg.norm(x - y))
     right = Multivector.from_vector(
         ambient, ((p - n) / 2.0) * rho ** (p - n) * (x - y)[None, :]
@@ -357,33 +342,18 @@ def spherical_p_harmonic_check(
     """Evaluate D_S |(D_S +- (p/2) x) f|^(p-2) (D_S +- (p/2) x) f for the
     radial candidate f = |x - y|^((p-n)/(p-1)); reports, never asserts."""
     y = sphere_point(y)
-    ambient = len(y)
-    n = ambient - 1
+    n = len(y) - 1
     pts = _renormalize(np.asarray(points, dtype=float))
     if not p > 1:
         raise FieldError("the exponent p must exceed 1")
     f = radial_distance_power(y, (p - n) / (p - 1.0))
-
-    def inner_field(sign):
-        def ev(q):
-            ds = spherical_dirac(f, q, theta=theta)
-            coupling = (p / 2.0) * geometric_product(
-                Multivector.from_vector(ambient, q), f.eval_fn(q)
-            )
-            return ds + sign * coupling
-
-        return SphericalField(
-            ambient, ev, f.singular_points, name=f"inner({f.name},{sign:+g})"
-        )
-
+    fluxes = {key: p_spherical_flux(coupled_dirac(f, k, theta), p)
+              for k, key in ((p / 2.0, "residual"), (-p / 2.0, "residual_flipped"))}
     rows = []
     for x in np.atleast_2d(pts):
         row = {"point": tuple(x)}
-        for sign, key in ((+1.0, "residual"), ((-1.0), "residual_flipped")):
-            res = spherical_dirac(
-                p_spherical_flux(inner_field(sign), p), x[None, :], theta=theta
-            )
-            row[key] = float(res.norm()[0])
+        for key, flux in fluxes.items():
+            row[key] = float(spherical_dirac(flux, x[None, :], theta=theta).norm()[0])
         rows.append(row)
     notes = (
         "residual uses the zero-order coupling +(p/2) x as displayed",

@@ -68,6 +68,7 @@ from .fields import (
     dirac_field,
     dirac_sum,
     power_scale,
+    singular_preimages,
     validate_clearance,
 )
 from .mobius import MobiusPoint, VahlenMatrix, map_points, vahlen_inverse
@@ -642,9 +643,7 @@ class CovarianceReport:
 
 def _pullback_and_validate(f, m, source_domain):
     volume = pullback_domain(m, source_domain)
-    inv = vahlen_inverse(m)
-    preimages = [map_points(inv, np.asarray(s, dtype=float)) for s in f.singular_points]
-    validate_clearance(volume, singular_points=preimages, mobius=m)
+    validate_clearance(volume, singular_points=singular_preimages(f, m), mobius=m)
     return volume
 
 

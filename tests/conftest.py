@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,3 +29,15 @@ def random_vector(rng, dim, unit=False):
 
 def random_factor_list(rng, dim, count, unit=False):
     return VectorFactorList([random_vector(rng, dim, unit=unit) for _ in range(count)])
+
+
+def one_blas_thread(statement):
+    """The stdout of `python -c statement` in a child interpreter with one
+    BLAS thread, as every pinned digest was recorded: a dense product sums
+    in an order that follows the BLAS thread count."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+               **{name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS")})
+    return subprocess.run([sys.executable, "-c", statement], env=env, capture_output=True,
+                          text=True, check=True).stdout

@@ -374,6 +374,17 @@ def test_spacing_whose_cell_volume_overflows_exits_two(capsys):
     assert "Traceback" not in err and "h^2" in err, err
 
 
+def test_spacing_whose_cell_volume_underflows_exits_two(capsys):
+    """h = 1e-200 on a 10-cell box parses, but h^2 underflows to 0, so the
+    gradient tolerance 1e-8 h^2 could never be met: the lattice refuses it
+    as a usage error, not as a failed check."""
+    capsys.readouterr()
+    assert run_cli(["solve", "--region", "box:0,1e-199", "--h", "1e-200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "h^2 underflows" in err, err
+
+
 def test_bad_choice_exits_two(capsys):
     assert run_cli(["covariance", "--theorem", "7"]) == 2
     err = capsys.readouterr().err

@@ -91,6 +91,13 @@ def test_analytic_gradients_match_fd(rng):
 def test_stencil_error_at_singularity():
     with pytest.raises(StencilError):
         dirac_fd(cauchy_kernel(3), np.array([[5e-4, 0.0, 0.0]]), h=1e-3)
+    # 1e-4 from the pole the h = 1e-3 stencil straddles it and returns
+    # finite garbage (3.1e10 and 1.2e10); the 2h clearance refuses it
+    near = np.array([[1e-4, 0.0, 0.0]])
+    with pytest.raises(StencilError, match="reaches the singular point"):
+        p_dirac_residual(p_dirac_solution(3, 2), 2, near, h=1e-3)
+    with pytest.raises(StencilError, match="reaches the singular point"):
+        gradient_fd(p_dirac_solution(3, 2), near, h=1e-3)
 
 
 @pytest.mark.parametrize("h", [-1e-3, 0.0, float("nan")])
@@ -335,6 +342,20 @@ def test_compose_with_mobius_gradient(rng):
     numeric = gradient_fd(comp, pts, h=1e-4)
     for a, b in zip(analytic, numeric):
         assert float(np.max((a - b).norm())) <= 1e-8
+
+
+@pytest.mark.parametrize("pullback", [compose_with_mobius, conformal_dirac_transform])
+def test_pulled_back_fields_declare_pulled_back_singular_points(pullback):
+    """f(M(x)) and its twist are singular where M(x) is, so the stencil
+    guard refuses a point near the preimage and differences one near f's
+    own pole; a pole that M sends to infinity leaves none."""
+    f = pullback(cauchy_kernel(3), translation(3, [1.0, 0.0, 0.0]))
+    assert f.singular_points == ((-1.0, 0.0, 0.0),)
+    with pytest.raises(StencilError, match="reaches the singular point"):
+        dirac_fd(f, np.array([[-1.0 + 1e-4, 0.0, 0.0]]), h=1e-3)
+    # the translated kernel is monogenic at x = 1e-4 (its pole is at -1)
+    assert float(np.max(dirac_fd(f, np.array([[1e-4, 0.0, 0.0]]), h=1e-3).norm())) <= 1e-8
+    assert pullback(cauchy_kernel(3), inversion(3)).singular_points == ()
 
 
 def test_conformal_dirac_transform_translation_is_plain_shift(rng):

@@ -18,8 +18,6 @@ differ between machines:
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -28,12 +26,15 @@ import pytest
 
 from diraclab import cr2d, sphere, weakform
 from diraclab.cli import main
-from diraclab.fields import Domain, p_dirac_solution, p_harmonic_radial
+from diraclab.fields import (Domain, compose_with_mobius, gradient_fd, p_dirac_residual,
+                             p_dirac_solution, p_harmonic_radial, scalar_radial_power)
 from diraclab.mobius import inversion
 from diraclab.weakform import (QuadratureRule, default_test_functions, dirac_covariance_experiment,
                                dirac_integral_check, harmonic_covariance_experiment,
                                normalized_weak_residual, weak_p_dirac_residual,
                                weak_p_harmonic_residual)
+
+from conftest import one_blas_thread
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOOR = 1e-10
@@ -132,9 +133,10 @@ def _flat_pairings(pairing):
     return [pairing(eta, rule) for eta in default_test_functions(BALL3, random_count=2)]
 
 
-# sha256 of raw weak pairings and normalizers, recorded with one BLAS
-# thread.  The goldens forgive a relative RTOL, so only these tell a
-# bit-identical refactor of the pairing paths from a drift below it.
+# sha256 of raw weak pairings and normalizers and of strong finite-difference
+# derivatives, recorded with one BLAS thread.  The goldens forgive a
+# relative RTOL, so only these tell a bit-identical refactor of the pairing
+# and stencil paths from a drift below it.
 PINNED_PAIRINGS = {
     "cap-3": (
         lambda: _cap_pairings(3),
@@ -181,9 +183,95 @@ PINNED_PAIRINGS = {
 }
 
 
-def pairing_digest(case):
-    """sha256 of a case's pairings: the bytes of each array and the repr,
-    exact for floats, of everything else."""
+def _shell_points(dim):
+    """20 points at radii 1 to 3 around the origin, drawn as
+    `kernel-residual` draws them."""
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((20, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs * rng.uniform(1.0, 3.0, 20)[:, None]
+
+
+def _kernel_ladder(richardson):
+    """The `kernel-residual` ladder of strong p-Dirac residuals at n = 3,
+    p = 2.5 and n = 4, p = 1.5."""
+    return [p_dirac_residual(p_dirac_solution(n, p), p, _shell_points(n), h=h,
+                             richardson=richardson).coeffs
+            for n, p in ((3, 2.5), (4, 1.5)) for h in (4e-3, 2e-3, 1e-3)]
+
+
+def _ring_points():
+    """20 complex points at radii 0.5 to 2, drawn as `cr-check` draws them."""
+    rng = np.random.default_rng(0)
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 20)) * rng.uniform(0.5, 2.0, 20)
+
+
+def _sphere_points(ambient, count=20):
+    """The pole of `sphere-check` and points on the sphere clear of it."""
+    pole = sphere.sphere_point([0.3, -0.5, 0.7, 0.4][:ambient])
+    rng = np.random.default_rng(0)
+    return pole, sphere.random_sphere_points(rng, ambient, count, avoid=(pole,), clearance=0.3)
+
+
+def _spherical(operator, count=20):
+    """`operator(pole, points, ambient)` at ambient 3 and 4."""
+    return [operator(*_sphere_points(ambient, count), ambient) for ambient in (3, 4)]
+
+
+def _rotated_frame(ambient):
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((ambient, ambient)))
+    return q
+
+
+PINNED_DERIVATIVES = {
+    "kernel-ladder": (
+        lambda: _kernel_ladder(False),
+        "1d85879474b4450c31b05a4c96a1c96d3a450c8e9d2e00ff23192c2738fa005c"),
+    "kernel-ladder-richardson": (
+        lambda: _kernel_ladder(True),
+        "c96773c22443c1de1919753a4670d936091a85fde9ed534abb637002176423e5"),
+    "gradient-fd": (
+        lambda: [d.coeffs for f in (scalar_radial_power(3, -1.3), p_dirac_solution(3, 2.5),
+                                    compose_with_mobius(p_dirac_solution(3, 2.5), inversion(3)))
+                 for d in gradient_fd(f, _shell_points(3), h=1e-4)],
+        "671cb9b3b3091a679f613dc1e925135a0fca7fcef058d4c9a4e39851d3072cee"),
+    "cr-strong": (
+        lambda: [cr2d.p_cr_residual(cr2d.p_cr_solution(p), p, _ring_points())
+                 for p in (1.5, 2.0, 3.0)]
+        + [cr2d.dbar_fd(cr2d.p_cr_solution(1.5), _ring_points(), richardson=False)],
+        "712816d8083075d95d58f206f94d693cd6be656c5928058719eef73464053260"),
+    "dz-fd": (
+        lambda: [cr2d.dz_fd(g, _ring_points()) for g in (
+            cr2d.p_cr_solution(1.5), cr2d.polynomial_map([3.0, 0.0, 1.0]),
+            cr2d.wirtinger_polynomial({(2, 1): 1.0 + 0.5j, (1, 0): -2.0, (0, 2): 0.75j}))],
+        "b60d6fab596381b32f3c235fb5472913a8faacbfcd86ad460ea5b22802f2d8a5"),
+    "sphere-strong": (
+        lambda: _spherical(lambda pole, pts, ambient: [
+            sphere.spherical_p_dirac_residual(sphere.spherical_kernel(pole, p), p, pts).coeffs
+            for p in (2.0, 2.5, float(ambient - 1))]),
+        "94cc6e4b18af15e652fd8375c0789285da6bdac2d53c640b763d36d397139f96"),
+    "gamma-frame": (
+        lambda: _spherical(lambda pole, pts, ambient: sphere.gamma_op(
+            sphere.spherical_kernel(pole, 2.5), pts, frame=_rotated_frame(ambient)).coeffs),
+        "e30917f18e6b69f5729a01a5139fc19ab3631c8cdf06858ad75692b7df3231fc"),
+    "yamabe": (
+        lambda: _spherical(lambda pole, pts, ambient: sphere.yamabe_op(
+            sphere.radial_distance_power(pole, 0.5), pts).coeffs, count=5),
+        "22f14be90d86f392ad191a1599ae4316942d8593990878e149e4838da368075b"),
+    "lr-identity": (
+        lambda: _spherical(lambda pole, pts, ambient: [
+            sphere.lr_identity_check(x, pole, p) for x in pts[:3] for p in (2.0, 2.5)]),
+        "e3f81d32a6fde91d0ab874d31ab1bad0fbbb0f33e5dba072eeef886d519be935"),
+    "sphere-harmonic": (
+        lambda: _spherical(lambda pole, pts, ambient: [
+            sphere.spherical_p_harmonic_check(pole, p, pts).rows for p in (2.0, 2.5)], count=3),
+        "f42c7869718c8221da6586a7a9a419e2805a198ff82e9f9b0387a08bb4f08b0f"),
+}
+
+
+def pinned_digest(case):
+    """sha256 of a pinned case's values: the bytes of each array and the
+    repr, exact for floats, of everything else."""
     digest = hashlib.sha256()
 
     def feed(value):
@@ -195,21 +283,22 @@ def pairing_digest(case):
         else:
             digest.update(repr(value).encode())
 
-    feed(PINNED_PAIRINGS[case][0]())
+    feed({**PINNED_PAIRINGS, **PINNED_DERIVATIVES}[case][0]())
     return digest.hexdigest()
+
+
+def _child_digest(case):
+    return one_blas_thread(f"import test_golden; print(test_golden.pinned_digest({case!r}))").strip()
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_PAIRINGS))
 def test_pinned_pairing_digests(case):
-    # a child interpreter with one BLAS thread, as the digests were recorded
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
-               **{name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                         "MKL_NUM_THREADS")})
-    child = subprocess.run(
-        [sys.executable, "-c", f"import test_golden; print(test_golden.pairing_digest({case!r}))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert child.stdout.strip() == PINNED_PAIRINGS[case][1]
+    assert _child_digest(case) == PINNED_PAIRINGS[case][1]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DERIVATIVES))
+def test_pinned_derivative_digests(case):
+    assert _child_digest(case) == PINNED_DERIVATIVES[case][1]
 
 
 if __name__ == "__main__":

@@ -5,10 +5,6 @@ preconditioner against dense solves, Dirichlet solves against closed-form
 minimizers, and digests of two solves pinned bit for bit."""
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +28,7 @@ from diraclab import solver as solver_module
 from diraclab.multigrid import Buffers, laplacian, vcycle
 from diraclab.solver import _curvature, _dirac, _divergence, _hessian_product
 
+from conftest import one_blas_thread
 from oracles import (
     slice_dirac,
     slice_divergence,
@@ -743,17 +740,9 @@ def solve_digests(case):
 
 @pytest.mark.parametrize("case", sorted(PINNED_SOLVES))
 def test_pinned_solve_digests(case):
-    # the coarsest multigrid level's dense product sums in an order that
-    # follows the BLAS thread count, so the solve runs in a child
-    # interpreter with one BLAS thread, as the digests were recorded
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
-               **{name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                         "MKL_NUM_THREADS")})
-    child = subprocess.run(
-        [sys.executable, "-c", f"import test_solver; print(*test_solver.solve_digests({case!r}))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert child.stdout.split() == list(PINNED_SOLVES[case][3:])
+    # the coarsest multigrid level's dense product follows the BLAS thread count
+    out = one_blas_thread(f"import test_solver; print(*test_solver.solve_digests({case!r}))")
+    assert out.split() == list(PINNED_SOLVES[case][3:])
 
 
 def test_evaluation_counters_count_calls(monkeypatch):

@@ -832,6 +832,14 @@ def test_dirac_covariance_rejects_singularity_near_preimage():
         dirac_covariance_experiment(f, 2.5, inversion(3), BALL3, order=6)
 
 
+def test_dirac_covariance_admits_singular_point_sent_to_infinity():
+    # inversion sends the kernel's pole at the origin to infinity, so no
+    # preimage comes near the working volume and the clearance scan passes
+    rep = dirac_covariance_experiment(p_dirac_solution(3, 2.5), 2.5, inversion(3), BALL3,
+                                      order=6, random_bumps=1)
+    assert rep.max_normalized <= 1e-12
+
+
 def test_covariance_report_rows_and_determinism():
     f = p_dirac_solution(3, 3.0, center=[0.0, 0.5, 0.0])
     kw = dict(order=6, random_bumps=1)
