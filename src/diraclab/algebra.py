@@ -17,7 +17,7 @@ many points at once with the same code path.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -95,10 +95,12 @@ class Multivector:
     """Element of Cl(0, dim) with dense coefficients, optionally batched.
 
     coeffs has shape (..., 2**dim); the last axis runs over bitmask blade
-    indices.  Leading axes are broadcast batch axes.
+    indices.  Leading axes are broadcast batch axes.  `live`, the bool bytes
+    of the blades that can be nonzero, is set only by constructors that know
+    it, with coeffs made read-only; any other result has None (inf * 0 = NaN).
     """
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim", "coeffs", "live")
 
     # keep numpy from absorbing us in mixed expressions: ndarray * Multivector
     # must fall through to __rmul__
@@ -115,6 +117,12 @@ class Multivector:
             )
         self.dim = dim
         self.coeffs = c
+        self.live = None
+
+    def _carry(self, *blades) -> "Multivector":
+        self.coeffs.setflags(write=False)
+        self.live = bytes(k in blades for k in range(1 << self.dim))
+        return self
 
     # ---------------------------------------------------------------- ctors
 
@@ -127,7 +135,7 @@ class Multivector:
         value = np.asarray(value, dtype=float)
         c = np.zeros(value.shape + (1 << dim,))
         c[..., 0] = value
-        return cls(dim, c, copy=False)
+        return cls(dim, c, copy=False)._carry(0)
 
     @classmethod
     def basis_vector(cls, dim: int, j: int) -> "Multivector":
@@ -136,7 +144,7 @@ class Multivector:
             raise AlgebraError(f"basis index must be in [1, {dim}], got {j}")
         c = np.zeros(1 << dim)
         c[1 << (j - 1)] = 1.0
-        return cls(dim, c, copy=False)
+        return cls(dim, c, copy=False)._carry(1 << (j - 1))
 
     @classmethod
     def blade(cls, dim: int, mask: int) -> "Multivector":
@@ -144,7 +152,7 @@ class Multivector:
             raise AlgebraError(f"blade mask {mask} out of range for dim={dim}")
         c = np.zeros(1 << dim)
         c[mask] = 1.0
-        return cls(dim, c, copy=False)
+        return cls(dim, c, copy=False)._carry(mask)
 
     @classmethod
     def from_vector(cls, dim: int, components) -> "Multivector":
@@ -156,7 +164,7 @@ class Multivector:
             )
         c = np.zeros(v.shape[:-1] + (1 << dim,))
         c[..., [1 << j for j in range(dim)]] = v
-        return cls(dim, c, copy=False)
+        return cls(dim, c, copy=False)._carry(*(1 << j for j in range(dim)))
 
     # ------------------------------------------------------------ structure
 
@@ -241,7 +249,24 @@ class Multivector:
 
     def norm(self):
         """Euclidean norm of the coefficient vector (per batch element)."""
-        return np.sqrt(np.sum(self.coeffs**2, axis=-1))
+        c = self.coeffs
+        return np.sqrt(np.sum(c**2, axis=-1) if self.live is None else square_sum(c, self.live))
+
+
+def square_sum(a: np.ndarray, live=None) -> np.ndarray:
+    """np.sum(a * a, axis=-1) to the bit.  From 256 rows, up to 127 columns,
+    whole squared columns are added in numpy's order (a left fold below 8;
+    else every 8th into 8 lanes, a pairwise tree of them, then the rest),
+    skipping zero columns outside the mask `live`: no sum of squares is -0.0."""
+    n = a.shape[-1]
+    if n > 127 or a.size < 256 * n:
+        return np.sum(a * a, axis=-1)
+    cols = [a[..., k] ** 2 if live is None or live[k] else None for k in range(n)]
+    add = lambda x, y: y if x is None else x if y is None else x + y
+    tree = [reduce(add, cols[j:n - n % 8:8]) for j in range(8)] if n >= 8 else [None]
+    while len(tree) > 1:
+        tree = list(map(add, tree[::2], tree[1::2]))
+    return add(np.zeros(a.shape[:-1]), reduce(add, cols[n - n % 8:], tree[0]))
 
 
 @lru_cache(maxsize=None)
@@ -288,11 +313,11 @@ def _vector_columns(dim: int, live_b: bytes, live_l: bytes, every: bool):
                              for j in jl.tolist() if ib[table[1 << j, k]]) for k in cols)
 
 
-def conj_vector_sums(left: np.ndarray, vals: np.ndarray, wx: np.ndarray,
+def conj_vector_sums(left: np.ndarray, vals: Multivector, wx: np.ndarray,
                      sums: np.ndarray, buf: np.ndarray):
     """Add to sums[..., k], for each blade k, the node-order sum over one
     block of B nodes of wx * (conj(vals) l)[k], l the vector with (B, dim)
-    components `left`, vals (B, 2**dim) or constant, wx (..., B), and buf
+    components `left`, vals batched (B,) or constant, wx (..., B), and buf
     a (..., 2**dim, B + 1 or more) scratch block.  Blade k sums, from 0.0,
     the gather's terms (vals[k ^ e_j] S) (-l_j) of conj((-l) vals) over the
     live j of l in ascending order whose partner k ^ e_j is live in vals,
@@ -301,12 +326,14 @@ def conj_vector_sums(left: np.ndarray, vals: np.ndarray, wx: np.ndarray,
     np.add.accumulate sums the row in node order.  So sums match, bit for
     bit, `geometric_product`'s blades conjugated, weighted and added node
     after node (a folded sign flips only zeros, which a running total never
-    -0.0 absorbs).  An inf or NaN in l makes every blade of vals live, and
-    one in wx forms every blade, as inf * 0 is NaN."""
+    -0.0 absorbs).  vals' live blades are its carried ones, else a scan's: a
+    carried blade zero in every row adds zeros to sums that start at 0.0.
+    An inf or NaN in l makes every blade of vals live, and one in wx forms
+    every blade, as inf * 0 is NaN."""
     dim = left.shape[-1]
     comps = np.ascontiguousarray(left.T)
-    live_b = _live(vals) if np.isfinite(comps).all() else np.ones(1 << dim, dtype=bool)
-    cols, terms = _vector_columns(dim, live_b.tobytes(), comps.any(axis=1).tobytes(),
+    live_b = (vals.live or _live(vals.coeffs)) if np.isfinite(comps).all() else b"\x01" * (1 << dim)
+    cols, terms = _vector_columns(dim, live_b, comps.any(axis=1).tobytes(),
                                   not np.isfinite(wx).all())
     count, signed = len(left), (comps, -comps)
     acc, term = np.empty((2, count))
@@ -315,7 +342,7 @@ def conj_vector_sums(left: np.ndarray, vals: np.ndarray, wx: np.ndarray,
     for r, col_terms in enumerate(terms):
         acc.fill(0.0)
         for j, m, negate in col_terms:
-            acc += np.multiply(vals[..., m], signed[negate][j], out=term)
+            acc += np.multiply(vals.coeffs[..., m], signed[negate][j], out=term)
         np.multiply(wx, acc, out=part[..., r, 1:])
     np.add.accumulate(part, axis=-1, out=part)
     sums[..., cols] = part[..., count]
@@ -332,9 +359,9 @@ def _block_rows(c: np.ndarray, shape):
         return lambda rows: full[np.unravel_index(np.r_[rows], shape[:-1])]
 
 
-def _live(c: np.ndarray) -> np.ndarray:
-    """The blades nonzero somewhere in the batch of c (NaN counts)."""
-    return c.any(axis=tuple(range(c.ndim - 1)))
+def _live(c: np.ndarray) -> bytes:
+    """Bool bytes of the blades nonzero somewhere in the batch of c (NaN counts)."""
+    return c.any(axis=tuple(range(c.ndim - 1))).tobytes()
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -352,9 +379,9 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     a._check_same(b)
     shape = np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape)
     live_a = _live(a.coeffs)
-    live, cols, table, signs = _columns(a.dim, live_a.tobytes(), _live(b.coeffs).tobytes())
+    live, cols, table, signs = _columns(a.dim, live_a, _live(b.coeffs))
     if len(cols) < shape[-1] and not np.isfinite(a.coeffs).all():
-        live, cols, table, signs = _columns(a.dim, live_a.tobytes(), b"\x01" * shape[-1])
+        live, cols, table, signs = _columns(a.dim, live_a, b"\x01" * shape[-1])
     out = np.empty(shape[:-1] + (len(cols),))
     flat = out.reshape(math.prod(shape[:-1]), len(cols))
     rows_a, rows_b = _block_rows(a.coeffs, shape), _block_rows(b.coeffs, shape)

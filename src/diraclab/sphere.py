@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Multivector, geometric_product
+from .algebra import Multivector, geometric_product, square_sum
 from .fields import NORM_CUTOFF, FieldError, power_scale, richardson_step
 from .weakform import (SUPPORT_MARGIN, BumpTestFunction, SupportError, _pair, bump_family,
                        mollifier, normalized_ratio, pair_each, polar_blocks, random_unit_blade)
@@ -60,7 +60,7 @@ def random_sphere_points(rng, ambient: int, count: int, avoid=(), clearance=0.3)
 
 
 def _renormalize(pts: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(pts, axis=-1, keepdims=True)
+    norms = np.sqrt(square_sum(pts))[..., None]
     if np.any(norms < 1e-13):
         raise SphereError("a field point collapsed to the origin")
     return pts / norms
@@ -441,7 +441,8 @@ class CapBump(BumpTestFunction):
             cos, sin = np.cos(theta), np.sin(theta)
             rw = theta_max * wr * sin ** (n - 1)
             directions = omega @ _orthonormal_complement(c).T
-            return lambda i, j: (cos[i, None] * c + sin[i, None] * directions[j], rw[i] * wo[j])
+            return lambda i, j: (cos[i, None, None] * c + sin[i, None, None] * directions[j],
+                                 rw[i, None] * wo[j])
 
         return polar_blocks(n, order, geometry)
 

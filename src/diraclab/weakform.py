@@ -30,24 +30,18 @@ call it, and all take one path.  Every bump's derivative factors as D eta
 bump's `dirac_vector`: the profile gradient for a flat bump, the vector v
 of the spherical operator for a `sphere.CapBump`), so the pairing forms
 conj(f) l per node from the vector's components, multiplies the sum by B
-once, and gets the normalizer from |l B| = |l| |B|.  The per-node product
-forms, signs, weights and sums only the blades it can reach (7 of 16 for a
-vector field in dim 4), and each block's field norm is formed once, by the
-caller.  The sum before B depends only on the field, the weight and the
-bump's support, so bumps that share a centre and radius (the blade bumps
-of `default_test_functions`, or cap bumps on one cap) pair as one family
+once, and gets the normalizer from |l B| = |l| |B|.  The sum before B
+depends only on the field, the weight and the bump's support, so bumps
+that share a centre and radius (the blade bumps of
+`default_test_functions`, or cap bumps on one cap) pair as one family
 (`support_families`): one pass over the nodes, then one product per blade
 of the stack.  The rule's nodes stream in blocks of a fixed size
 (`_BLOCK`, from `polar_blocks`), which the pairing counts, and fields,
 weights and l are evaluated one block at a time, so memory stays bounded
-at any quadrature order.  Its summation order is fixed: each blade of a
-block's weighted integrand is one row of a blade-major buffer, summed
-along the node axis with the running total as element 0 by
-np.add.accumulate, which is sequential (a plain sum along that axis would
-go pairwise), so the pairing is the node-order sum of the whole array,
-never a matrix product (whose BLAS blocking may vary); the normalizer
-adds its block sums in node order.  Every reported number is therefore
-deterministic for a fixed seed and order, and reruns are byte-identical.
+at any quadrature order.  Its summation order is fixed (node order, by
+np.add.accumulate, never a matrix product whose BLAS blocking may vary),
+so every reported number is deterministic for a fixed seed and order, and
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -59,6 +53,7 @@ from itertools import groupby
 import numpy as np
 
 from .algebra import Multivector, blade_label, conj_vector_sums, geometric_product, pin_action
+from .algebra import square_sum
 from .fields import (
     AnalyticField,
     Domain,
@@ -127,7 +122,7 @@ class BumpTestFunction:
 
     def _sq(self, pts: np.ndarray) -> np.ndarray:
         d = np.asarray(pts, dtype=float) - np.array(self.center)
-        return np.sum(d * d, axis=-1) / self.radius**2
+        return square_sum(d) / self.radius**2
 
     def support_mask(self, pts) -> np.ndarray:
         return self._sq(pts) < 1.0
@@ -158,8 +153,8 @@ class BumpTestFunction:
 
         def geometry(r, wr, omega, wo):
             rw = wr * r ** (dim - 1)
-            return lambda i, j: (c + radius * (r[i, None] * omega[j]),
-                                 radius**dim * (rw[i] * wo[j]))
+            return lambda i, j: (c + radius * (r[i, None, None] * omega[j]),
+                                 radius**dim * (rw[i, None] * wo[j]))
 
         return polar_blocks(dim, order, geometry)
 
@@ -369,13 +364,18 @@ def polar_blocks(dim: int, order: int, geometry):
     """The fitted rule as a stream of (x, w) blocks of at most `_BLOCK`
     nodes, in node order: node k pairs radial node k // M on (0, 1) with
     node k % M of the M-node rule on S^(dim-1).  `geometry(r, wr, omega,
-    wo)` receives both factor rules and returns `place(i, j)`, the nodes and
-    weights of radial indices i paired with sphere indices j."""
+    wo)` receives both factor rules and returns `place(i, j)`, the (I, J, n)
+    nodes and (I, J) weights of radial slice i times sphere slice j; a block
+    joins the rest of its first row, whole rows and the start of its last."""
     r, wr = _radial_rule(_counts(order)[0])
     omega, wo = _unit_sphere_rule(dim, order)
     place, m = geometry(r, wr, omega, wo), len(wo)
     for start in range(0, len(r) * m, _BLOCK):
-        yield place(*np.divmod(np.arange(start, min(start + _BLOCK, len(r) * m)), m))
+        (i, j), (k, l) = divmod(start, m), divmod(min(start + _BLOCK, len(r) * m), m)
+        rects = ((i, i + 1, j, m if k > i else l), (i + 1, k, 0, m), (max(k, i + 1), k + 1, 0, l))
+        yield tuple(np.concatenate(vs) if len(vs) > 1 else vs[0] for vs in zip(*(
+            [v.reshape(-1, *v.shape[2:]) for v in place(slice(a, b), slice(c, d))]
+            for a, b, c, d in rects if b > a and d > c)))
 
 
 def support_quadrature(eta: BumpTestFunction, order: int):
@@ -409,13 +409,10 @@ def weak_pairing(blocks, block, right: Multivector):
     left is a vector.
 
     Each block of at most `_BLOCK` nodes goes to `conj_vector_sums`, which
-    forms conj(vals) * left from the vector's n components on the blades
-    it can reach (1 + n(n-1)/2 of 2**n for a vector field), weights it into
-    the rows of one blade-major buffer that the pass owns, and adds it to
-    the running total by a sequential node-order accumulate: the node-order
-    sum of the whole array, bit for bit.  The normalizer sums each block's
-    terms and adds the block sums in node order, so memory does not grow
-    with the node count.
+    forms conj(vals) * left on the blades it can reach (1 + n(n-1)/2 of
+    2**n for a vector field) and adds them, in one buffer that the pass
+    owns, to the running total in node order, bit for bit; the normalizer
+    adds block sums in node order, so memory does not grow with the nodes.
     """
     dim = right.dim
     raw = buf = total = None
@@ -426,8 +423,8 @@ def weak_pairing(blocks, block, right: Multivector):
             raw = np.zeros(wx.shape[:-1] + (1 << dim,))
             buf = np.empty(wx.shape[:-1] + (1 << dim, _BLOCK + 1))
             total = np.zeros(wx.shape[:-1])
-        conj_vector_sums(left, vals.coeffs, wx, raw, buf)
-        total += np.sum(wx * norms * np.sqrt(np.sum(left * left, axis=-1)), axis=-1)
+        conj_vector_sums(left, vals, wx, raw, buf)
+        total += np.sum(wx * norms * np.sqrt(square_sum(left)), axis=-1)
         count += len(w)
     stacked = right.coeffs.reshape(right.coeffs.shape[:-1] + (1,) * total.ndim + (-1,))
     raw = geometric_product(

@@ -14,12 +14,14 @@ from diraclab.algebra import (
     Multivector,
     SingularElementError,
     blade_grades,
+    conj_vector_sums,
     geometric_product,
     lipschitz_element_inverse,
     parity,
     pin_action,
     product_signs,
     reflect,
+    square_sum,
     vector_inverse,
 )
 
@@ -383,3 +385,132 @@ def test_repr_names_blades():
     assert repr(mv) == "Multivector(dim=3, 1 + 2.5*e13 + -1*e123)"
     assert repr(Multivector.zero(2)) == "Multivector(dim=2, 0)"
     assert repr(Multivector.zero(2, (4,))) == "Multivector(dim=2, batch=(4,))"
+
+
+# ---------------------------------------------- square sums and live blades
+
+# values that a reordered sum would show: signed zeros, subnormals, the
+# overflow edge, infinities and NaN
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308, np.inf, -np.inf,
+                     np.nan, 1.0, -1.0, 1e16, -1e16])
+
+
+def same_bytes(got, want):
+    """The same shape, NaN exactly where want is NaN, and the same bytes,
+    signbit included, everywhere else (a NaN's sign and payload follow
+    operand order, which IEEE 754 leaves open and numpy's own loops vary)."""
+    keep = ~np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), ~keep)
+            and np.array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64)))
+
+
+def _special_array(rng, shape, special):
+    """Normal values over 300 decades, whose squares stay finite and span
+    600, a share `special` of them replaced by SPECIALS."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+    pick = rng.random(shape) < special
+    a[pick] = rng.choice(SPECIALS, size=int(pick.sum()))
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 127), rows=st.sampled_from([(0,), (7,), (256,), (2, 150)]),
+       seed=st.integers(0, 2**32 - 1), special=st.sampled_from([0.0, 0.1, 0.5]),
+       dead=st.sampled_from([0.0, 0.3, 0.9]))
+def test_square_sum_is_np_sum_bit_for_bit(n, rows, seed, special, dead):
+    """square_sum equals np.sum(a * a, axis=-1) for 1..127 columns, with
+    and without a live mask whose dead columns hold +0.0 or -0.0, on NaN,
+    infinities, signed zeros, subnormals, squares that overflow or
+    underflow, and an empty batch; below 256 rows it is np.sum itself."""
+    rng = np.random.default_rng(seed)
+    a = _special_array(rng, rows + (n,), special)
+    live = rng.random(n) >= dead
+    a[..., ~live] = rng.choice([0.0, -0.0], size=(~live).sum())
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.sum(a * a, axis=-1)
+        for mask in (None, live, live.tobytes()):
+            assert same_bytes(square_sum(a, mask), want)
+
+
+@pytest.mark.parametrize("n", [128, 129, 136, 300])
+def test_square_sum_falls_back_to_np_sum_above_127_columns(rng, n):
+    a = _special_array(rng, (260, n), 0.05) if n == 300 else rng.standard_normal((300, n))
+    with np.errstate(over="ignore", under="ignore"):
+        assert same_bytes(square_sum(a), np.sum(a * a, axis=-1))
+
+
+def _carried(dim):
+    return [Multivector.scalar(dim, [1.5, -0.0]), Multivector.basis_vector(dim, dim),
+            Multivector.blade(dim, (1 << dim) - 1),
+            Multivector.from_vector(dim, np.ones((3, dim)))]
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_constructors_carry_exact_read_only_live_blades(dim):
+    """Each carrying constructor names every blade it may make nonzero, and
+    only those, and hands out read-only coefficients, so no in-place write
+    can leave its set stale; an in-place write on a copy keeps none."""
+    for mv in _carried(dim):
+        live = np.frombuffer(mv.live, dtype=bool)
+        assert len(live) == 1 << dim
+        assert np.array_equal(live, mv.coeffs.reshape(-1, 1 << dim).any(axis=0))
+        with pytest.raises(ValueError, match="read-only"):
+            mv.coeffs[..., 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            mv.coeffs += 1.0
+        copy = Multivector(dim, mv.coeffs)
+        copy.coeffs[..., 0] = 2.0
+        assert copy.live is None
+
+
+def test_derived_multivectors_carry_no_live_blades():
+    """Products, sums, differences, negation, scalar multiples, quotients,
+    involutions and grade projections start without a set: an inf times a
+    dead blade's 0.0 is NaN there."""
+    a, b = Multivector.from_vector(3, [[np.inf, 1.0, 0.0]]), Multivector.scalar(3, 2.0)
+    with np.errstate(invalid="ignore"):
+        derived = [a * b, b * a, a + b, a - b, -a, 2.0 * a, a * 2.0, a / 2.0, a.reversion(),
+                   a.conjugation(), a.grade_select(1), Multivector(3, a.coeffs, copy=False),
+                   Multivector.zero(3),
+                   vector_inverse(Multivector.from_vector(3, [1.0, 2.0, 3.0]))]
+        assert np.isnan((a * Multivector.blade(3, 0b110)).coeffs).any()
+    assert all(mv.live is None for mv in derived)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_from_vector_norm_is_the_dense_sum_bit_for_bit(rng, dim):
+    """norm() of a from_vector field sums its dim live columns by
+    square_sum and equals sqrt(np.sum(c**2, -1)), also where a carried
+    blade is zero (+0.0 or -0.0) in every row, and on NaN, infinities and
+    subnormals."""
+    comps = _special_array(rng, (300, dim), 0.3)
+    comps[:, dim // 2] = rng.choice([0.0, -0.0], size=300)
+    for c in (comps, comps[5], np.zeros(dim), np.full(dim, -0.0)):
+        mv = Multivector.from_vector(dim, c)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bytes(mv.norm(), np.sqrt(np.sum(mv.coeffs**2, axis=-1)))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_conj_vector_sums_read_the_carried_set_bit_for_bit(rng, dim):
+    """The kernel on a field that carries its live blades, one of them zero
+    in every row, gives the bytes of the same field scanned: a carried
+    dead blade adds only zeros.  An inf or NaN in l makes every blade live
+    on both paths."""
+    count, n = 300, 1 << dim
+    comps = rng.standard_normal((count, dim))
+    comps[:, -1] = -0.0
+    lefts = [rng.standard_normal((count, dim)) for _ in range(3)]
+    lefts[1][7, 0], lefts[2][9, dim - 1] = np.inf, np.nan
+    fields = [Multivector.from_vector(dim, comps), Multivector.scalar(dim, rng.random(count)),
+              Multivector.from_vector(dim, np.zeros(dim)), Multivector.blade(dim, n - 1)]
+    w = rng.uniform(0.1, 1.0, (2, count))
+    for field in fields:
+        scanned = Multivector(dim, field.coeffs)
+        assert field.live is not None and scanned.live is None
+        for left in lefts:
+            got, want = np.zeros((2, n)), np.zeros((2, n))
+            with np.errstate(invalid="ignore"):
+                for vals, sums in ((field, got), (scanned, want)):
+                    conj_vector_sums(left, vals, w, sums, np.empty((2, n, count + 1)))
+            assert same_bytes(got, want)

@@ -26,6 +26,7 @@ from diraclab.fields import (
     lemma1_check,
     linear_scalar_field,
     log_radial,
+    map_pole,
     nonlinear_power_field,
     p_dirac_residual,
     p_dirac_solution,
@@ -332,6 +333,31 @@ def test_dj1_constant_for_affine_maps(rng):
     pts = rng.normal(size=(4, 3))
     assert dj1_check(translation(3, [1.0, 0, 0]), pts) == 0.0
     assert dj1_check(dilation(3, 3.0), pts) == 0.0
+
+
+@pytest.mark.parametrize("check", [lambda m, x: dj1_check(m, x),
+                                   lambda m, x: lemma1_check(m, cauchy_kernel(3), x)],
+                         ids=["dj1", "lemma1"])
+def test_j1_checks_declare_the_map_pole(check):
+    """J1 = reversion(c x + d)/|c x + d|^n has a pole at -c^-1 d, so both
+    J1 stencils refuse a point 1e-4 from it (a stencil across the pole
+    returns 3.1e10) and difference one far from it."""
+    m = compose(inversion(3), translation(3, [1.0, 0.0, 0.0]))  # pole at -e1
+    assert map_pole(m) == ((-1.0, 0.0, 0.0),)
+    assert map_pole(translation(3, [1.0, 0.0, 0.0])) == ()
+    for mobius, pole in ((inversion(3), 0.0), (m, -1.0)):
+        with pytest.raises(StencilError, match="reaches the singular point"):
+            check(mobius, np.array([[pole + 1e-4, 0.0, 0.0]]))
+    assert check(inversion(3), np.array([[1.0, 0.0, 0.0]])) <= 1e-10
+
+
+def test_lemma1_declares_the_pulled_back_singular_points():
+    """psi(M(x)) is singular where M(x) is psi's pole: the Cauchy kernel
+    about 2 e1 under the inversion, at M^-1(2 e1) = e1/2."""
+    psi = cauchy_kernel(3, center=[2.0, 0.0, 0.0])
+    with pytest.raises(StencilError, match=r"reaches the singular point \[0.5"):
+        lemma1_check(inversion(3), psi, np.array([[0.5 + 1e-4, 0.0, 0.0]]))
+    assert lemma1_check(inversion(3), psi, np.array([[-0.5, 0.2, 0.1]])) <= 1e-6
 
 
 def test_compose_with_mobius_gradient(rng):

@@ -126,11 +126,21 @@ def _covariance_rows(experiment, field):
 BALL3 = Domain.ball([3.0, 0.0, 0.0], 1.0)
 
 
-def _flat_pairings(pairing):
+def _flat_pairings(pairing, dim=3):
     """`pairing(eta, rule)` for each bump of `default_test_functions` on a
-    ball clear of the origin, on the fitted rule of order 6."""
-    rule = QuadratureRule.build(BALL3, order=6, cells=2)
-    return [pairing(eta, rule) for eta in default_test_functions(BALL3, random_count=2)]
+    ball of radius 1 about 3 e_1, clear of the origin, on the fitted rule of
+    order 6."""
+    ball = Domain.ball([3.0] + [0.0] * (dim - 1), 1.0)
+    rule = QuadratureRule.build(ball, order=6, cells=2)
+    return [pairing(eta, rule) for eta in default_test_functions(ball, random_count=2)]
+
+
+def _weak_dirac(dim):
+    """The raw p-Dirac pairing at p = 2.5 and the normalized one at p = 1.5
+    of each bump of `_flat_pairings` in `dim` dimensions."""
+    return _flat_pairings(lambda eta, rule: [
+        weak_p_dirac_residual(p_dirac_solution(dim, 2.5), 2.5, eta, rule).coeffs,
+        normalized_weak_residual(p_dirac_solution(dim, 1.5), 1.5, eta, rule)], dim)
 
 
 # sha256 of raw weak pairings and normalizers and of strong finite-difference
@@ -174,6 +184,12 @@ PINNED_PAIRINGS = {
         lambda: _flat_pairings(lambda eta, rule: weak_p_harmonic_residual(
             p_harmonic_radial(3, 2.5), 2.5, eta, rule).coeffs),
         "f45f9558cf4775b58c359d84b67e33d4910af22e617124e1aa77b8a8eca9450a"),
+    "weak-dirac-d2": (
+        lambda: _weak_dirac(2),
+        "76c02547bb7103d1064606f04e13ce6892bd21ef106084040e1555a24d42d520"),
+    "weak-dirac-d4": (
+        lambda: _weak_dirac(4),
+        "d08333104f8578bb7e9893aeee422fa7ad8447ab316269ea7aaaaa2f0789c0ee"),
     "normalized-weak": (
         lambda: _flat_pairings(lambda eta, rule: [
             normalized_weak_residual(p_dirac_solution(3, 1.5), 1.5, eta, rule),

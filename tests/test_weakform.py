@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diraclab import mobius, weakform
+from diraclab import mobius, sphere, weakform
 from diraclab.algebra import Multivector, blade_grades, conj_vector_sums, geometric_product
 from diraclab.fields import (
     NORM_CUTOFF,
@@ -280,6 +280,42 @@ def test_streamed_node_count_is_the_priced_count(bump, rule_dim, order):
     one = Multivector.scalar(bump.dim, 1.0)
     count = weakform._pair(lambda x: (one, None), "1", 2.0, [bump], order)[2]
     assert count == fitted_node_count(rule_dim, order)
+
+
+def _index_placed(bump, order):
+    """The fitted rule's nodes and weights placed by index arithmetic and
+    gathers, node k at radial index k // M and sphere index k % M."""
+    cap = isinstance(bump, CapBump)
+    n = bump.dim - 1 if cap else bump.dim
+    r, wr = weakform._radial_rule(weakform._counts(order)[0])
+    omega, wo = weakform._unit_sphere_rule(n, order)
+    i, j = np.divmod(np.arange(len(r) * len(wo)), len(wo))
+    c = np.array(bump.center)
+    if not cap:
+        rw = wr * r ** (n - 1)
+        return c + bump.radius * (r[i, None] * omega[j]), bump.radius**n * (rw[i] * wo[j])
+    theta = bump.geodesic_radius * r
+    rw = bump.geodesic_radius * wr * np.sin(theta) ** (n - 1)
+    directions = omega @ sphere._orthonormal_complement(c).T
+    return np.cos(theta)[i, None] * c + np.sin(theta)[i, None] * directions[j], rw[i] * wo[j]
+
+
+@pytest.mark.parametrize("block", [7, 100, 1000, BLOCK])
+@pytest.mark.parametrize("bump", [
+    BumpTestFunction(2, (0.3, -0.2), 0.7, Multivector.scalar(2, 1.0)),
+    BumpTestFunction(3, (3.0, 0.1, -0.2), 0.9, Multivector.scalar(3, 1.0)),
+    CapBump((0.6, 0.0, 0.8), 0.5, Multivector.scalar(3, 1.0)),
+], ids=["flat-2", "flat-3", "cap-3"])
+def test_blocks_are_the_index_placed_rule_bit_for_bit(monkeypatch, bump, block):
+    """Blocks placed as rectangles of the radial x sphere grid (within one
+    radial row, across two, across many) hold, in node order, the bytes of
+    the same nodes and weights placed by index arithmetic, and every block
+    but the last holds `_BLOCK` nodes."""
+    monkeypatch.setattr(weakform, "_BLOCK", block)
+    blocks = list(bump.blocks(3))
+    assert all(len(w) == block for _, w in blocks[:-1]) and 0 < len(blocks[-1][1]) <= block
+    for got, want in zip(joined(blocks), _index_placed(bump, 3)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_dirac_integral_check_rejects_an_escaped_bump():
@@ -602,7 +638,8 @@ def test_conj_vector_sums_match_the_gather_bit_for_bit(dim, count):
                 w.shape[:-1] + (n,))
             got, buf = start.copy(), np.empty(w.shape[:-1] + (n, BLOCK + 1))
             for i, wi in node_blocks(np.arange(count), w):
-                conj_vector_sums(left[i], vals[i] if vals.ndim > 1 else vals, wi, got, buf)
+                block = Multivector(dim, vals[i] if vals.ndim > 1 else vals)
+                conj_vector_sums(left[i], block, wi, got, buf)
             prod = geometric_product(Multivector.from_vector(dim, -left),
                                      Multivector(dim, vals)).conjugation().coeffs
             rows = np.concatenate([start[..., None, :], w[..., None] * prod], axis=-2)
