@@ -121,7 +121,10 @@ class Multivector:
 
     def _carry(self, *blades) -> "Multivector":
         self.coeffs.setflags(write=False)
-        self.live = bytes(k in blades for k in range(1 << self.dim))
+        live = bytearray(1 << self.dim)
+        for k in blades:
+            live[k] = 1
+        self.live = bytes(live)
         return self
 
     # ---------------------------------------------------------------- ctors
@@ -249,17 +252,19 @@ class Multivector:
 
     def norm(self):
         """Euclidean norm of the coefficient vector (per batch element)."""
-        c = self.coeffs
-        return np.sqrt(np.sum(c**2, axis=-1) if self.live is None else square_sum(c, self.live))
+        return np.sqrt(square_sum(self.coeffs, self.live))
 
 
 def square_sum(a: np.ndarray, live=None) -> np.ndarray:
-    """np.sum(a * a, axis=-1) to the bit.  From 256 rows, up to 127 columns,
-    whole squared columns are added in numpy's order (a left fold below 8;
-    else every 8th into 8 lanes, a pairwise tree of them, then the rest),
-    skipping zero columns outside the mask `live`: no sum of squares is -0.0."""
+    """np.sum(a * a, axis=-1) to the bit.  On a C-ordered batch of 1024 rows
+    or more, up to 127 columns of which fewer than 8 are in the bool bytes
+    `live` (default all), whole squared columns are added in numpy's order
+    (a left fold below 8; else every 8th into 8 lanes, a pairwise tree of
+    them, then the rest), skipping zero columns outside `live`: no sum of
+    squares is -0.0.  Elsewhere per-row sums are faster, or numpy's order
+    differs (it folds the columns of an array not C-ordered)."""
     n = a.shape[-1]
-    if n > 127 or a.size < 256 * n:
+    if n > 127 or a.size < 1024 * n or (live or b"\1" * n).count(1) > 7 or not a.flags.c_contiguous:
         return np.sum(a * a, axis=-1)
     cols = [a[..., k] ** 2 if live is None or live[k] else None for k in range(n)]
     add = lambda x, y: y if x is None else x if y is None else x + y

@@ -520,7 +520,9 @@ def p_harmonic_residual(
 # --------------------------------------------------- transformation checks
 
 
-def lemma1_check(m: VahlenMatrix, psi: AnalyticField, points) -> float:
+def lemma1_check(
+    m: VahlenMatrix, psi: AnalyticField, points
+) -> float:
     """Discrepancy in the conformal differentiation identity.
 
     Both sides of

@@ -30,18 +30,24 @@ call it, and all take one path.  Every bump's derivative factors as D eta
 bump's `dirac_vector`: the profile gradient for a flat bump, the vector v
 of the spherical operator for a `sphere.CapBump`), so the pairing forms
 conj(f) l per node from the vector's components, multiplies the sum by B
-once, and gets the normalizer from |l B| = |l| |B|.  The sum before B
-depends only on the field, the weight and the bump's support, so bumps
-that share a centre and radius (the blade bumps of
-`default_test_functions`, or cap bumps on one cap) pair as one family
+once, and gets the normalizer from |l B| = |l| |B|.  The per-node product
+forms, signs, weights and sums only the blades it can reach (7 of 16 for a
+vector field in dim 4), and each block's field norm is formed once, by the
+caller.  The sum before B depends only on the field, the weight and the
+bump's support, so bumps that share a centre and radius (the blade bumps
+of `default_test_functions`, or cap bumps on one cap) pair as one family
 (`support_families`): one pass over the nodes, then one product per blade
 of the stack.  The rule's nodes stream in blocks of a fixed size
 (`_BLOCK`, from `polar_blocks`), which the pairing counts, and fields,
 weights and l are evaluated one block at a time, so memory stays bounded
-at any quadrature order.  Its summation order is fixed (node order, by
-np.add.accumulate, never a matrix product whose BLAS blocking may vary),
-so every reported number is deterministic for a fixed seed and order, and
-reruns are byte-identical.
+at any quadrature order.  Its summation order is fixed: each blade of a
+block's weighted integrand is one row of a blade-major buffer, summed
+along the node axis with the running total as element 0 by
+np.add.accumulate, which is sequential (a plain sum along that axis would
+go pairwise), so the pairing is the node-order sum of the whole array,
+never a matrix product (whose BLAS blocking may vary); the normalizer
+adds its block sums in node order.  Every reported number is therefore
+deterministic for a fixed seed and order, and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .algebra import Multivector, blade_label, conj_vector_sums, geometric_product, pin_action
-from .algebra import square_sum
+from .algebra import (Multivector, blade_label, conj_vector_sums, geometric_product, pin_action,
+                      square_sum)
 from .fields import (
     AnalyticField,
     Domain,
@@ -409,10 +415,13 @@ def weak_pairing(blocks, block, right: Multivector):
     left is a vector.
 
     Each block of at most `_BLOCK` nodes goes to `conj_vector_sums`, which
-    forms conj(vals) * left on the blades it can reach (1 + n(n-1)/2 of
-    2**n for a vector field) and adds them, in one buffer that the pass
-    owns, to the running total in node order, bit for bit; the normalizer
-    adds block sums in node order, so memory does not grow with the nodes.
+    forms conj(vals) * left from the vector's n components on the blades
+    it can reach (1 + n(n-1)/2 of 2**n for a vector field), weights it into
+    the rows of one blade-major buffer that the pass owns, and adds it to
+    the running total by a sequential node-order accumulate: the node-order
+    sum of the whole array, bit for bit.  The normalizer sums each block's
+    terms and adds the block sums in node order, so memory does not grow
+    with the node count.
     """
     dim = right.dim
     raw = buf = total = None

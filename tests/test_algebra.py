@@ -414,29 +414,27 @@ def _special_array(rng, shape, special):
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 127), rows=st.sampled_from([(0,), (7,), (256,), (2, 150)]),
+@given(n=st.sampled_from(list(range(1, 18)) + [31, 64, 100, 127, 128, 129, 136, 300]),
+       rows=st.sampled_from([(0,), (7,), (1024,), (2, 600)]), order=st.sampled_from("CF"),
        seed=st.integers(0, 2**32 - 1), special=st.sampled_from([0.0, 0.1, 0.5]),
-       dead=st.sampled_from([0.0, 0.3, 0.9]))
-def test_square_sum_is_np_sum_bit_for_bit(n, rows, seed, special, dead):
-    """square_sum equals np.sum(a * a, axis=-1) for 1..127 columns, with
-    and without a live mask whose dead columns hold +0.0 or -0.0, on NaN,
-    infinities, signed zeros, subnormals, squares that overflow or
-    underflow, and an empty batch; below 256 rows it is np.sum itself."""
+       live_count=st.sampled_from([None, 0, 1, 3, 7, 8, 12]))
+def test_square_sum_is_np_sum_bit_for_bit(n, rows, order, seed, special, live_count):
+    """square_sum equals np.sum(a * a, axis=-1), with and without a live
+    mask whose dead columns hold +0.0 or -0.0, on NaN, infinities, signed
+    zeros, subnormals, squares that overflow or underflow, and an empty
+    batch: by whole columns on C-ordered batches of 1024 rows or more with
+    up to 127 columns, fewer than 8 live, and by np.sum elsewhere (above
+    127 columns, fewer rows, more live columns or an F-ordered batch)."""
     rng = np.random.default_rng(seed)
-    a = _special_array(rng, rows + (n,), special)
-    live = rng.random(n) >= dead
+    a = np.asarray(_special_array(rng, rows + (n,), special), order=order)
+    live = np.ones(n, dtype=bool)
+    if live_count is not None:
+        live[rng.permutation(n)[live_count:]] = False
     a[..., ~live] = rng.choice([0.0, -0.0], size=(~live).sum())
     with np.errstate(over="ignore", under="ignore"):
         want = np.sum(a * a, axis=-1)
-        for mask in (None, live, live.tobytes()):
+        for mask in (None,) * (live_count is None) + (live.tobytes(),):
             assert same_bytes(square_sum(a, mask), want)
-
-
-@pytest.mark.parametrize("n", [128, 129, 136, 300])
-def test_square_sum_falls_back_to_np_sum_above_127_columns(rng, n):
-    a = _special_array(rng, (260, n), 0.05) if n == 300 else rng.standard_normal((300, n))
-    with np.errstate(over="ignore", under="ignore"):
-        assert same_bytes(square_sum(a), np.sum(a * a, axis=-1))
 
 
 def _carried(dim):
@@ -483,8 +481,8 @@ def test_from_vector_norm_is_the_dense_sum_bit_for_bit(rng, dim):
     square_sum and equals sqrt(np.sum(c**2, -1)), also where a carried
     blade is zero (+0.0 or -0.0) in every row, and on NaN, infinities and
     subnormals."""
-    comps = _special_array(rng, (300, dim), 0.3)
-    comps[:, dim // 2] = rng.choice([0.0, -0.0], size=300)
+    comps = _special_array(rng, (1100, dim), 0.3)
+    comps[:, dim // 2] = rng.choice([0.0, -0.0], size=1100)
     for c in (comps, comps[5], np.zeros(dim), np.full(dim, -0.0)):
         mv = Multivector.from_vector(dim, c)
         with np.errstate(invalid="ignore", over="ignore"):
