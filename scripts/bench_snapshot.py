@@ -19,6 +19,12 @@ per side, the tier-1 suite's passed and failed counts and wall time from
 one child `pytest` run after the benchmark runs.  numpy and the standard
 library only; a snapshot with a baseline at 5 runs took 7 minutes on a
 2-vCPU machine, plus one tier-1 run (about a minute) per side.
+
+Before the first run, each checkout's `src` and `diracbench` are compiled
+to bytecode, and the children run without PYTHONDONTWRITEBYTECODE, so
+both sides import from current caches: otherwise a fresh `git archive`
+baseline compiles every module on every import while a working tree loads
+its old `__pycache__`, and `setup_s` compares bytecode caches, not code.
 """
 
 import argparse
@@ -40,9 +46,15 @@ BLAS_THREADS = 1
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def child_env() -> dict:
+    """This environment with one BLAS thread and bytecode writes allowed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    return dict(env, **{v: str(BLAS_THREADS) for v in BLAS_VARS})
+
+
 def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """The JSON result line of one diracbench run in `checkout`."""
-    env = dict(os.environ, **{v: str(BLAS_THREADS) for v in BLAS_VARS})
+    env = child_env()
     cmd = [sys.executable, "diracbench/run.py", "--workload", workload, "--seed",
            str(seed), "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
@@ -54,7 +66,7 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 def tier1(checkout: Path) -> dict:
     """Passed and failed counts and wall time of one tier-1 run in `checkout`."""
-    env = dict(os.environ, **{v: str(BLAS_THREADS) for v in BLAS_VARS})
+    env = child_env()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     start = time.perf_counter()
@@ -120,6 +132,9 @@ def main(argv=None):
             ap.error(f"--baseline {args.baseline} holds no diracbench/run.py")
         sides["baseline"] = args.baseline.resolve()
 
+    for path in sides.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "diracbench"],
+                       cwd=path, env=child_env(), check=True)
     runs = {side: {} for side in sides}
     for w in SPEC["workloads"]:
         for i in range(args.runs):

@@ -516,11 +516,8 @@ def _make_bc(text, domain, p):
             raise UsageError(
                 "radial boundary data is singular at the origin; "
                 "choose a region that avoids it")
-        if p == float(n):
-            fn = lambda pts: np.log(np.linalg.norm(pts, axis=-1))
-        else:
-            expo = (p - n) / (p - 1.0)
-            fn = lambda pts: np.linalg.norm(pts, axis=-1) ** expo
+        radial = p_harmonic_radial(n, p)
+        fn = lambda pts: radial(pts).scalar_part()
         band = 0.05 if domain.region.startswith("annulus") else None
         return fn, fn, band, "radial"
     if text.startswith("file:"):

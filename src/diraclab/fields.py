@@ -17,7 +17,7 @@ convergence-order fits) to verify those identities numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def dirac_sum(pairs) -> Multivector:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyticField:
     """Clifford-valued field on R^dim with optional analytic derivatives.
 
@@ -247,16 +247,17 @@ def power_scale(norms: np.ndarray, p: float, name: str) -> np.ndarray:
 
 
 def nonlinear_power_field(f: AnalyticField, p: float) -> AnalyticField:
-    """The field |f|^{p-2} f, guarding the blow-up locus when p < 2."""
+    """The field |f|^{p-2} f, guarding the blow-up locus when p < 2: the one
+    p-flux of flat and spherical fields.  It keeps the class of f and reads
+    f.eval_fn on the points its own call has prepared (renormalized onto
+    the sphere, for a spherical field), so no point is prepared twice."""
 
     def ev(pts):
-        val = f(pts)
+        val = f.eval_fn(pts)
         with np.errstate(divide="ignore", invalid="ignore"):
             return val * power_scale(val.norm(), p, f.name)
 
-    return AnalyticField(
-        f.dim, ev, None, f.singular_points, name=f"|{f.name}|^{p - 2:g}*{f.name}"
-    )
+    return replace(f, eval_fn=ev, grad_fn=None, name=f"|{f.name}|^{p - 2:g}*{f.name}")
 
 
 def compose_with_mobius(f: AnalyticField, m: VahlenMatrix) -> AnalyticField:

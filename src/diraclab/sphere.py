@@ -6,9 +6,11 @@ Gamma = sum over pairs i < j of e_i e_j (x_i d/dx_j - x_j d/dx_i), realized
 by central differences along plane rotations (which never leave the
 sphere), and the first-order operator of interest is x (Gamma + n/2) -
 the conformal image of the flat Dirac operator under stereographic
-projection.  Every field evaluates through degree-0 homogeneous extension
-(inputs are renormalized to the sphere first), so rotational derivatives
-equal tangential derivatives and no charts are needed.
+projection.  A spherical field is the `fields.AnalyticField` of the
+ambient space read on renormalized points (degree-0 homogeneous
+extension), so rotational derivatives equal tangential derivatives and no
+charts are needed; `fields.nonlinear_power_field` forms its p-flux
+|f|^(p-2) f, as for a flat field.
 
 Two published claims do not survive evaluation under the calibrated
 conventions and are therefore reported, never asserted: the first-order
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Multivector, geometric_product, square_sum
-from .fields import NORM_CUTOFF, FieldError, power_scale, richardson_step
+from .fields import NORM_CUTOFF, AnalyticField, FieldError, nonlinear_power_field, richardson_step
 from .weakform import (SUPPORT_MARGIN, BumpTestFunction, SupportError, _pair, bump_family,
                        mollifier, normalized_ratio, pair_each, polar_blocks, random_unit_blade)
 
@@ -67,37 +69,17 @@ def _renormalize(pts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SphericalField:
-    """Clifford-valued field on S^n, evaluated by degree-0 extension.
-
-    eval_fn receives points already renormalized onto the sphere (shape
-    (..., ambient)) and returns a batched Multivector over Cl_ambient.
-    """
-
-    ambient: int
-    eval_fn: object
-    singular_points: tuple = ()
-    name: str = "spherical-field"
+class SphericalField(AnalyticField):
+    """Clifford-valued field on S^n, evaluated by degree-0 extension: the
+    analytic field of the ambient space R^(n+1), whose eval_fn receives
+    points already renormalized onto the sphere.  `dim` is the ambient
+    dimension n + 1."""
 
     def __call__(self, points) -> Multivector:
         pts = _renormalize(np.asarray(points, dtype=float))
-        if pts.shape[-1] != self.ambient:
-            raise SphereError(
-                f"points must have last axis {self.ambient}, got {pts.shape}"
-            )
+        if pts.shape[-1] != self.dim:
+            raise SphereError(f"points must have last axis {self.dim}, got {pts.shape}")
         return self.eval_fn(pts)
-
-    @property
-    def sphere_dim(self) -> int:
-        return self.ambient - 1
-
-
-def constant_spherical(ambient: int, value: Multivector) -> SphericalField:
-    def ev(pts):
-        shape = pts.shape[:-1] + (1 << ambient,)
-        return Multivector(ambient, np.broadcast_to(value.coeffs, shape).copy())
-
-    return SphericalField(ambient, ev, (), name="constant")
 
 
 def coordinate_field(ambient: int, k: int) -> SphericalField:
@@ -108,14 +90,7 @@ def coordinate_field(ambient: int, k: int) -> SphericalField:
     def ev(pts):
         return Multivector.scalar(ambient, pts[..., k - 1])
 
-    return SphericalField(ambient, ev, (), name=f"x_{k}")
-
-
-def identity_spherical(ambient: int) -> SphericalField:
-    def ev(pts):
-        return Multivector.from_vector(ambient, pts)
-
-    return SphericalField(ambient, ev, (), name="position")
+    return SphericalField(ambient, ev, name=f"x_{k}")
 
 
 def spherical_kernel(y, p: float) -> SphericalField:
@@ -138,9 +113,7 @@ def spherical_kernel(y, p: float) -> SphericalField:
             raise SphereError("kernel evaluated at its pole")
         return Multivector.from_vector(ambient, diff / dist[..., None] ** alpha)
 
-    return SphericalField(
-        ambient, ev, (tuple(y),), name=f"sphere-kernel-p{p:g}"
-    )
+    return SphericalField(ambient, ev, singular_points=(tuple(y),), name=f"sphere-kernel-p{p:g}")
 
 
 def radial_distance_power(y, exponent: float) -> SphericalField:
@@ -154,22 +127,7 @@ def radial_distance_power(y, exponent: float) -> SphericalField:
             raise SphereError("distance power evaluated at its pole")
         return Multivector.scalar(ambient, dist**exponent)
 
-    return SphericalField(
-        ambient, ev, (tuple(y),), name=f"|x-y|^{exponent:g}"
-    )
-
-
-def p_spherical_flux(f: SphericalField, p: float) -> SphericalField:
-    """|f|^(p-2) f with the small-p vanishing-norm guard."""
-
-    def ev(pts):
-        vals = f.eval_fn(pts)
-        scale = power_scale(vals.norm(), p, f.name)
-        return Multivector(f.ambient, scale[..., None] * vals.coeffs)
-
-    return SphericalField(
-        f.ambient, ev, f.singular_points, name=f"|{f.name}|^(p-2) flux"
-    )
+    return SphericalField(ambient, ev, singular_points=(tuple(y),), name=f"|x-y|^{exponent:g}")
 
 
 # --------------------------------------------------- rotational derivatives
@@ -199,7 +157,7 @@ def gamma_op(
     gives the same operator (basis independence of the bivector sum).
     """
     pts = _renormalize(np.asarray(points, dtype=float))
-    ambient = f.ambient
+    ambient = f.dim
     if frame is None:
         frame = np.eye(ambient)
     else:
@@ -232,16 +190,15 @@ def gamma_op(
 def spherical_dirac(f: SphericalField, points, theta: float = 1e-3) -> Multivector:
     """x (Gamma + n/2) f - the first-order conformal operator on S^n."""
     pts = _renormalize(np.asarray(points, dtype=float))
-    n = f.sphere_dim
-    inner = gamma_op(f, pts, theta=theta) + (n / 2.0) * f.eval_fn(pts)
-    return geometric_product(Multivector.from_vector(f.ambient, pts), inner)
+    inner = gamma_op(f, pts, theta=theta) + ((f.dim - 1) / 2.0) * f.eval_fn(pts)
+    return geometric_product(Multivector.from_vector(f.dim, pts), inner)
 
 
 def spherical_p_dirac_residual(
     f: SphericalField, p: float, points, theta: float = 1e-3
 ) -> Multivector:
     """x (Gamma + n/2) applied to |f|^(p-2) f - zero exactly on solutions."""
-    return spherical_dirac(p_spherical_flux(f, p), points, theta=theta)
+    return spherical_dirac(nonlinear_power_field(f, p), points, theta=theta)
 
 
 def coupled_dirac(f: SphericalField, k: float, theta: float) -> SphericalField:
@@ -250,9 +207,10 @@ def coupled_dirac(f: SphericalField, k: float, theta: float) -> SphericalField:
 
     def ev(pts):
         ds = spherical_dirac(f, pts, theta=theta)
-        return ds + k * geometric_product(Multivector.from_vector(f.ambient, pts), f.eval_fn(pts))
+        return ds + k * geometric_product(Multivector.from_vector(f.dim, pts), f.eval_fn(pts))
 
-    return SphericalField(f.ambient, ev, f.singular_points, name=f"(D_S{k:+g}x)[{f.name}]")
+    return SphericalField(f.dim, ev, singular_points=f.singular_points,
+                          name=f"(D_S{k:+g}x)[{f.name}]")
 
 
 def yamabe_op(f: SphericalField, points) -> Multivector:
@@ -347,7 +305,7 @@ def spherical_p_harmonic_check(
     if not p > 1:
         raise FieldError("the exponent p must exceed 1")
     f = radial_distance_power(y, (p - n) / (p - 1.0))
-    fluxes = {key: p_spherical_flux(coupled_dirac(f, k, theta), p)
+    fluxes = {key: nonlinear_power_field(coupled_dirac(f, k, theta), p)
               for k, key in ((p / 2.0, "residual"), (-p / 2.0, "residual_flipped"))}
     rows = []
     for x in np.atleast_2d(pts):
@@ -426,9 +384,6 @@ class CapBump(BumpTestFunction):
         radial = (pts @ c)[..., None] * pts - c
         return fac[..., None] * radial + ((n / 2.0) * phi)[..., None] * pts
 
-    def as_field(self) -> SphericalField:
-        return SphericalField(self.dim, self.__call__, (), name=self.label)
-
     def blocks(self, order: int):
         """The fitted rule of the given order over the support, as
         `polar_blocks` in geodesic polar coordinates: x = cos(theta) c +
@@ -489,7 +444,7 @@ def _flux_values(f: SphericalField, p: float):
     """The node values `weakform._pair` reads for the p-flux |f|^(p-2) f,
     formed before its norm as the sphere's residuals define it; paired at
     p = 2, where the power scale is exactly 1.0, the flux weighs alone."""
-    flux = p_spherical_flux(f, p)
+    flux = nonlinear_power_field(f, p)
     return lambda x: (flux(x), None)
 
 
@@ -500,7 +455,7 @@ def weak_spherical_residual(
     with the closed-form D_S eta."""
     if cap is not None:
         eta.require_support_inside(cap)
-    return Multivector(f.ambient, _pair(_flux_values(f, p), f.name, 2.0, [eta], order)[0][0])
+    return Multivector(f.dim, _pair(_flux_values(f, p), f.name, 2.0, [eta], order)[0][0])
 
 
 def normalized_weak_spherical_residual(f: SphericalField, p: float, eta, order: int = 12):

@@ -1,6 +1,7 @@
 """Command-line runner tests: artifact formats, determinism, the
 flag/config-file precedence, and exit statuses."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diraclab.cli import main, read_config_file, render_csv
+from diraclab.cli import _make_bc, _parse_region, main, read_config_file, render_csv
 
 
 def run_cli(args):
@@ -101,6 +102,23 @@ def test_solve_file_boundary_data(tmp_path):
         got[(x1, x2)] = v
     assert got[(0.5, 0.5)] == pytest.approx(
         0.25 * 4 - 0.125 * 4, abs=1e-8)
+
+
+def test_radial_boundary_data_is_pinned():
+    """sha256 of the radial boundary data on the boundary nodes and of its
+    exact values on every node, for the h = 1/32 annulus and two boxes clear
+    of the origin, at p = 1.5, 2, 2.5 and n; recorded before the radial data
+    became `fields.p_harmonic_radial`."""
+    digest = hashlib.sha256()
+    for region, n, h in (("annulus:1,2", 2, 1 / 32), ("box:0.5,1.5", 2, 1 / 16),
+                         ("box:0.5,1.5", 3, 1 / 8)):
+        domain, _ = _parse_region(region, n, h)
+        coords = domain.coordinates()
+        for p in sorted({1.5, 2.0, 2.5, float(n)}):
+            bc, exact, _, _ = _make_bc("radial", domain, p)
+            digest.update(bc(coords[domain.boundary_mask]).tobytes())
+            digest.update(exact(coords[domain.node_mask]).tobytes())
+    assert digest.hexdigest() == "35e62ed8457d9d05c91081fdfec8213cc4ecbebecaf197af22d765209edba0b2"
 
 
 def test_sphere_check_reports(tmp_path):

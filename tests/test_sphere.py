@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from diraclab import sphere, weakform
 from diraclab.algebra import Multivector, geometric_product
-from diraclab.fields import FieldError, StencilError, VanishingNormError
+from diraclab.fields import (AnalyticField, FieldError, StencilError, VanishingNormError,
+                             constant_field, identity_field, nonlinear_power_field,
+                             p_dirac_solution, power_scale)
 from diraclab.sphere import (
     CapBump,
     SphereError,
@@ -16,14 +18,11 @@ from diraclab.sphere import (
     cayley_lift,
     cayley_ratio_constancy,
     conformal_scale,
-    constant_spherical,
     coordinate_field,
     default_cap_bumps,
     gamma_op,
-    identity_spherical,
     lr_identity_check,
     normalized_weak_spherical_residual,
-    p_spherical_flux,
     radial_distance_power,
     random_cap_bump,
     random_sphere_points,
@@ -102,14 +101,14 @@ def test_gamma_of_first_coordinate_matches_closed_form():
 def test_gamma_of_position_field_is_minus_n_x():
     for ambient in (3, 4):
         pts = away_from(np.zeros(ambient), 5, clearance=0.0)
-        g = gamma_op(identity_spherical(ambient), pts)
+        g = gamma_op(identity_field(ambient), pts)
         expected = float(1 - ambient) * Multivector.from_vector(ambient, pts)
         assert float(np.max((g - expected).norm())) <= 1e-10
 
 
 def test_dirac_of_position_field_is_half_n_scalar():
     pts = away_from(np.zeros(3), 5, clearance=0.0)
-    out = spherical_dirac(identity_spherical(3), pts)
+    out = spherical_dirac(identity_field(3), pts)
     expected = Multivector.scalar(3, np.full(len(pts), 1.0))
     assert float(np.max((out - expected).norm())) <= 1e-10
 
@@ -118,7 +117,7 @@ def test_dirac_of_constant_field():
     rng = np.random.default_rng(4)
     c = Multivector(3, rng.normal(size=8))
     pts = away_from(np.zeros(3), 5, clearance=0.0)
-    out = spherical_dirac(constant_spherical(3, c), pts)
+    out = spherical_dirac(constant_field(3, c), pts)
     x_mv = Multivector.from_vector(3, pts)
     c_b = Multivector(3, np.broadcast_to(c.coeffs, (len(pts), 8)).copy())
     assert float(np.max((out - geometric_product(x_mv, c_b)).norm())) <= 1e-14
@@ -202,7 +201,7 @@ def test_companion_field_is_annihilated_too():
     def ev(q):
         return geometric_product(Multivector.from_vector(4, q), base.eval_fn(q))
 
-    companion = SphericalField(4, ev, base.singular_points, name="x-kernel")
+    companion = SphericalField(4, ev, singular_points=base.singular_points, name="x-kernel")
     res = spherical_dirac(companion, away_from(pole, 10))
     assert float(np.max(res.norm())) <= 1e-6
 
@@ -211,7 +210,7 @@ def test_flux_of_kernel_family_collapses_to_p2_member():
     cauchy = spherical_kernel(POLE3, 2.0)
     pts = away_from(POLE3, 8)
     for p in (1.5, 2.5, 4.0):
-        flux = p_spherical_flux(spherical_kernel(POLE3, p), p)
+        flux = nonlinear_power_field(spherical_kernel(POLE3, p), p)
         assert float(np.max((flux(pts) - cauchy(pts)).norm())) <= 1e-12
 
 
@@ -220,7 +219,7 @@ def test_flux_of_kernel_family_collapses_to_p2_member():
 def test_flux_collapse_property(p):
     cauchy = spherical_kernel(POLE3, 2.0)
     pts = away_from(POLE3, 4)
-    flux = p_spherical_flux(spherical_kernel(POLE3, p), p)
+    flux = nonlinear_power_field(spherical_kernel(POLE3, p), p)
     assert float(np.max((flux(pts) - cauchy(pts)).norm())) <= 1e-11
 
 
@@ -240,9 +239,31 @@ def test_nonlinear_residual_at_antipode():
     assert float(res.norm()[0]) <= 1e-6
 
 
+def test_one_field_type_and_one_flux_builder():
+    # the one p-flux builder keeps the class of its field and drops any gradient
+    assert type(nonlinear_power_field(spherical_kernel(POLE3, 2.5), 2.5)) is SphericalField
+    flat = nonlinear_power_field(p_dirac_solution(3, 2.5), 2.5)
+    assert type(flat) is AnalyticField and flat.grad_fn is None
+    # on cap nodes, unit only to rounding, the spherical flux renormalizes once
+    # and equals the former spherical formula bit for bit
+    nodes, _ = joined(CapBump(tuple(-POLE3), 0.9, Multivector.scalar(3, 1.0)).blocks(8))
+    assert np.any(np.sqrt(np.sum(nodes * nodes, axis=-1)) != 1.0)
+    for p in (1.5, 2.0, 2.5, 4.0):
+        f = spherical_kernel(POLE3, p)
+        v = f.eval_fn(sphere._renormalize(nodes))
+        want = Multivector(3, power_scale(v.norm(), p, f.name)[..., None] * v.coeffs)
+        assert nonlinear_power_field(f, p)(nodes).coeffs.tobytes() == want.coeffs.tobytes()
+    # the call still renormalizes, and still refuses a wrong last axis
+    f = spherical_kernel(POLE3, 2.5)
+    far = 3.0 * nodes
+    assert f(far).coeffs.tobytes() == f.eval_fn(sphere._renormalize(far)).coeffs.tobytes()
+    with pytest.raises(SphereError, match="last axis 3"):
+        f(np.ones((2, 4)))
+
+
 def test_flux_guard_for_vanishing_norm():
     with pytest.raises(VanishingNormError):
-        p_spherical_flux(coordinate_field(3, 1), 1.5)(np.array([[0.0, 1.0, 0.0]]))
+        nonlinear_power_field(coordinate_field(3, 1), 1.5)(np.array([[0.0, 1.0, 0.0]]))
 
 
 # --------------------------------------------------------- identity reports
@@ -316,7 +337,7 @@ def test_yamabe_on_constants_composes_the_two_factors():
     rng = np.random.default_rng(6)
     c = Multivector(3, rng.normal(size=8))
     pts = away_from(np.zeros(3), 4, clearance=0.0)
-    out = yamabe_op(constant_spherical(3, c), pts)
+    out = yamabe_op(constant_field(3, c), pts)
     expected = Multivector(3, 0.0 * np.broadcast_to(c.coeffs, (len(pts), 8)).copy())
     # n = 2: (n/2 - 1) = 0, so constants are annihilated outright
     assert float(np.max((out - expected).norm())) <= 1e-9
@@ -326,7 +347,7 @@ def test_yamabe_on_constants_ambient_four():
     rng = np.random.default_rng(7)
     c = Multivector(4, rng.normal(size=16))
     pts = away_from(np.zeros(4), 3, clearance=0.0)
-    out = yamabe_op(constant_spherical(4, c), pts)
+    out = yamabe_op(constant_field(4, c), pts)
     factor = (3 / 2 - 1) * (3 / 2)
     expected = Multivector(4, factor * np.broadcast_to(c.coeffs, (len(pts), 16)).copy())
     assert float(np.max((out - expected).norm())) <= 1e-9
@@ -347,7 +368,7 @@ def test_yamabe_is_linear():
     def combo(q):
         return 2.0 * f.eval_fn(q) + (-0.5) * g.eval_fn(q)
 
-    combined = SphericalField(3, combo, f.singular_points, name="combo")
+    combined = SphericalField(3, combo, singular_points=f.singular_points, name="combo")
     lhs = yamabe_op(combined, pts)
     rhs = 2.0 * yamabe_op(f, pts) + (-0.5) * yamabe_op(g, pts)
     assert float(np.max((lhs - rhs).norm())) <= 1e-8
@@ -378,7 +399,8 @@ def test_cap_bump_closed_form_derivatives_match_stencils():
         if bump.profile(q[None, :])[0] > 1e-3:
             pts.append(q)
     pts = np.array(pts)
-    assert float(np.max((bump.dirac(pts) - spherical_dirac(bump.as_field(), pts)).norm())) <= 1e-9
+    field = SphericalField(3, bump, name=bump.label)
+    assert float(np.max((bump.dirac(pts) - spherical_dirac(field, pts)).norm())) <= 1e-9
 
 
 def test_cap_bump_vanishes_outside_support():
@@ -451,7 +473,7 @@ def test_cap_families_match_single_bumps():
 
 
 def test_weak_residual_of_zero_field_is_zero():
-    zero = constant_spherical(3, Multivector.scalar(3, 0.0))
+    zero = constant_field(3, Multivector.scalar(3, 0.0))
     bump = CapBump(NORTH3, 0.7, Multivector.scalar(3, 1.0))
     for p in (2.0, 3.0):
         res = weak_spherical_residual(zero, p, bump, order=6)
@@ -461,7 +483,7 @@ def test_weak_residual_of_zero_field_is_zero():
 def test_weak_residual_of_constant_matches_direct_assembly():
     rng = np.random.default_rng(8)
     c = Multivector(3, rng.normal(size=8))
-    f = constant_spherical(3, c)
+    f = constant_field(3, c)
     bump = CapBump(NORTH3, 0.7, Multivector.blade(3, 0b001))
     res = weak_spherical_residual(f, 2.0, bump, order=8)
     nodes, w = joined(bump.blocks(8))
@@ -515,7 +537,7 @@ def test_cap_pairing_matches_per_node_reference(monkeypatch, ambient, order, cou
     monkeypatch.setattr(CapBump, "blocks", lambda eta, o: node_blocks(nodes, w))
     f = spherical_kernel(pole, 2.5)
     (raw,), (nz,), _ = weakform._pair(sphere._flux_values(f, 2.5), f.name, 2.0, [bump], order)
-    flux = p_spherical_flux(f, 2.5)(nodes)
+    flux = nonlinear_power_field(f, 2.5)(nodes)
     deta = _dense_cap_dirac(bump, nodes)
     ref = np.sum(w[:, None] * geometric_product(flux.conjugation(), deta).coeffs, axis=0)
     scale = np.sum(w * flux.norm() * deta.norm())
