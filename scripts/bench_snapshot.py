@@ -2,7 +2,7 @@
 """Snapshot of the benchmark: end-to-end medians, per-layer metrics and
 the machine, written to one JSON file.
 
-    python scripts/bench_snapshot.py BENCH_<n>.json [--baseline CHECKOUT] [--runs 5]
+    python scripts/bench_snapshot.py BENCH_<n>.json [--baseline CHECKOUT] [--runs 10]
 
 Runs `diracbench/run.py` as child processes, each a fresh interpreter
 with one BLAS thread: `--runs` untraced runs of every workload in
@@ -17,8 +17,9 @@ this checkout won.  It also records nproc, the Python and numpy versions,
 the BLAS library and thread count, `wc -l` of `src/diraclab/*.py` and,
 per side, the tier-1 suite's passed and failed counts and wall time from
 one child `pytest` run after the benchmark runs.  numpy and the standard
-library only; a snapshot with a baseline at 5 runs took 7 minutes on a
-2-vCPU machine, plus one tier-1 run (about a minute) per side.
+library only; a snapshot with a baseline at the default 10 runs took 13
+minutes on a 2-vCPU machine, one tier-1 run (about a minute) per side
+included.
 
 Before the first run, each checkout's `src` and `diracbench` are compiled
 to bytecode, and the children run without PYTHONDONTWRITEBYTECODE, so
@@ -122,7 +123,7 @@ def main(argv=None):
     ap.add_argument("out", type=Path, help="the JSON file to write")
     ap.add_argument("--baseline", type=Path, default=None,
                     help="a second source checkout to run alternately with this one")
-    ap.add_argument("--runs", type=int, default=5, help="untraced runs per workload and side")
+    ap.add_argument("--runs", type=int, default=10, help="untraced runs per workload and side")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")

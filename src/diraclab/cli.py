@@ -469,6 +469,7 @@ def run_covariance(params):
 
 
 _LINEAR_SLOPE = (0.8, -0.45, 0.3, 0.15, -0.2, 0.1)
+_BC_BLOCK = 1 << 13  # nodes per evaluation of the radial field, whose values are (N, 2**n)
 
 
 # most nodes a solve lattice may hold; --n 5 at h = 1/16 holds 17**5 = 1,419,857
@@ -517,7 +518,13 @@ def _make_bc(text, domain, p):
                 "radial boundary data is singular at the origin; "
                 "choose a region that avoids it")
         radial = p_harmonic_radial(n, p)
-        fn = lambda pts: radial(pts).scalar_part()
+
+        def fn(pts):
+            out = np.empty(len(pts))
+            for k in range(0, len(pts), _BC_BLOCK):
+                out[k : k + _BC_BLOCK] = radial(pts[k : k + _BC_BLOCK]).scalar_part()
+            return out
+
         band = 0.05 if domain.region.startswith("annulus") else None
         return fn, fn, band, "radial"
     if text.startswith("file:"):

@@ -136,30 +136,40 @@ def linear_scalar_field(dim: int, a) -> AnalyticField:
     return AnalyticField(dim, ev, gr, (), name="linear-scalar")
 
 
-def radial_vector_power(dim: int, alpha: float, center=None, name=None) -> AnalyticField:
-    """(x - c) / |x - c|^alpha with its analytic gradient."""
+def radial_field(cls, dim: int, center, name: str, value, partials):
+    """The radial field of class cls about the centre c (the origin when
+    None), its one singular point.  At points x it forms y = x - c and
+    r = |y| once and returns value(y, r), and its analytic partials
+    partials(y, r) unless partials is None; at the centre the formulas may
+    give inf or nan unwarned.  Every closed-form radial field, flat and
+    spherical, is built here."""
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
 
-    def ev(pts):
-        y = pts - c
-        r = np.sqrt(square_sum(y))[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return Multivector.from_vector(dim, y * r**-alpha)
+    def at(formula):
+        def fn(pts):
+            y = pts - c
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return formula(y, np.sqrt(square_sum(y)))
 
-    def gr(pts):
-        y = pts - c
-        r = np.sqrt(square_sum(y))[..., None]
+        return fn
+
+    return cls(dim, at(value), None if partials is None else at(partials), (tuple(c),), name=name)
+
+
+def radial_vector_power(dim: int, alpha: float, center=None, name=None) -> AnalyticField:
+    """(x - c) / |x - c|^alpha with its analytic gradient."""
+
+    def partials(y, r):
         out = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j in range(dim):
-                comps = -alpha * y[..., j : j + 1] * y * r ** (-alpha - 2)
-                comps[..., j] += np.squeeze(r**-alpha, axis=-1)
-                out.append(Multivector.from_vector(dim, comps))
+        for j in range(dim):
+            comps = -alpha * y[..., j : j + 1] * y * r[..., None] ** (-alpha - 2)
+            comps[..., j] += r**-alpha
+            out.append(Multivector.from_vector(dim, comps))
         return out
 
-    return AnalyticField(
-        dim, ev, gr, (tuple(c),), name=name or f"radial-vector[{alpha:g}]"
-    )
+    return radial_field(AnalyticField, dim, center, name or f"radial-vector[{alpha:g}]",
+                        lambda y, r: Multivector.from_vector(dim, y * r[..., None] ** -alpha),
+                        partials)
 
 
 def cauchy_kernel(dim: int, center=None) -> AnalyticField:
@@ -179,46 +189,20 @@ def p_dirac_solution(dim: int, p: float, center=None) -> AnalyticField:
 
 def scalar_radial_power(dim: int, beta: float, center=None, name=None) -> AnalyticField:
     """|x - c|^beta as a scalar field with analytic gradient."""
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-
-    def ev(pts):
-        y = pts - c
-        r = np.sqrt(square_sum(y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return Multivector.scalar(dim, r**beta)
-
-    def gr(pts):
-        y = pts - c
-        r = np.sqrt(square_sum(y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return [
-                Multivector.scalar(dim, beta * r ** (beta - 2.0) * y[..., j])
-                for j in range(dim)
-            ]
-
-    return AnalyticField(
-        dim, ev, gr, (tuple(c),), name=name or f"scalar-radial[{beta:g}]"
-    )
+    return radial_field(
+        AnalyticField, dim, center, name or f"scalar-radial[{beta:g}]",
+        lambda y, r: Multivector.scalar(dim, r**beta),
+        lambda y, r: [Multivector.scalar(dim, beta * r ** (beta - 2.0) * y[..., j])
+                      for j in range(dim)])
 
 
 def log_radial(dim: int, center=None) -> AnalyticField:
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    def partials(y, r):
+        r2 = square_sum(y)  # not r**2, which rounds differently
+        return [Multivector.scalar(dim, y[..., j] / r2) for j in range(dim)]
 
-    def ev(pts):
-        y = pts - c
-        r = np.sqrt(square_sum(y))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return Multivector.scalar(dim, np.log(r))
-
-    def gr(pts):
-        y = pts - c
-        r2 = square_sum(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return [
-                Multivector.scalar(dim, y[..., j] / r2) for j in range(dim)
-            ]
-
-    return AnalyticField(dim, ev, gr, (tuple(c),), name="log-radial")
+    return radial_field(AnalyticField, dim, center, "log-radial",
+                        lambda y, r: Multivector.scalar(dim, np.log(r)), partials)
 
 
 def p_harmonic_radial(dim: int, p: float, center=None) -> AnalyticField:
@@ -393,10 +377,10 @@ class Domain:
             inside &= r >= self.inner
         return inside
 
-    def grid_scan(self, per_axis: int = 9):
-        """Point grid over the closure, for clearance validation."""
+    def grid_scan(self):
+        """Point grid over the closure, 9 points per axis, for clearance validation."""
         lo, hi = self.bounding_box()
-        axes = [np.linspace(lo[j], hi[j], per_axis) for j in range(self.dim)]
+        axes = [np.linspace(lo[j], hi[j], 9) for j in range(self.dim)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         return mesh[self.contains(mesh)]
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Multivector, geometric_product, square_sum
-from .fields import NORM_CUTOFF, AnalyticField, FieldError, nonlinear_power_field, richardson_step
+from .fields import (NORM_CUTOFF, AnalyticField, FieldError, nonlinear_power_field, radial_field,
+                     richardson_step)
 from .weakform import (SUPPORT_MARGIN, BumpTestFunction, SupportError, _pair, bump_family,
                        mollifier, normalized_ratio, pair_each, polar_blocks, random_unit_blade)
 
@@ -106,28 +107,24 @@ def spherical_kernel(y, p: float) -> SphericalField:
     n = ambient - 1
     alpha = (n + p - 2.0) / (p - 1.0)
 
-    def ev(pts):
-        diff = pts - y
-        dist = np.linalg.norm(diff, axis=-1)
+    def value(diff, dist):
         if dist.size and float(np.min(dist)) < NORM_CUTOFF:
             raise SphereError("kernel evaluated at its pole")
         return Multivector.from_vector(ambient, diff / dist[..., None] ** alpha)
 
-    return SphericalField(ambient, ev, singular_points=(tuple(y),), name=f"sphere-kernel-p{p:g}")
+    return radial_field(SphericalField, ambient, y, f"sphere-kernel-p{p:g}", value, None)
 
 
 def radial_distance_power(y, exponent: float) -> SphericalField:
     """The scalar field |x - y|^exponent on the sphere."""
     y = sphere_point(y)
-    ambient = len(y)
 
-    def ev(pts):
-        dist = np.linalg.norm(pts - y, axis=-1)
+    def value(diff, dist):
         if exponent < 0 and dist.size and float(np.min(dist)) < NORM_CUTOFF:
             raise SphereError("distance power evaluated at its pole")
-        return Multivector.scalar(ambient, dist**exponent)
+        return Multivector.scalar(len(y), dist**exponent)
 
-    return SphericalField(ambient, ev, singular_points=(tuple(y),), name=f"|x-y|^{exponent:g}")
+    return radial_field(SphericalField, len(y), y, f"|x-y|^{exponent:g}", value, None)
 
 
 # --------------------------------------------------- rotational derivatives

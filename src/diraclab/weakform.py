@@ -694,7 +694,6 @@ def harmonic_covariance_experiment(
     m: VahlenMatrix,
     source_domain: Domain,
     *,
-    exponents=None,
     seed: int = 42,
     order: int = None,
     random_bumps: int = 5,
@@ -710,8 +709,9 @@ def harmonic_covariance_experiment(
 
     over the preimage domain.  A change of variables makes the exponent
     s = 2(p - n) exact (at p = n: s = 0, the unweighted twisted form); the
-    scan reports every requested exponent and never asserts one.  The order
-    is that of the bump-fitted rule, as in `dirac_covariance_experiment`.
+    scan s = 2(p + 2 - n), 2(p - n), p - n, 0 reports each exponent and
+    never asserts one.  The order is that of the bump-fitted rule, as in
+    `dirac_covariance_experiment`.
     """
     dim = source_domain.dim
     order = _resolve_order(dim, order)
@@ -720,9 +720,8 @@ def harmonic_covariance_experiment(
     if not p > 1:
         raise FieldError("the exponent p must exceed 1")
     volume = _pullback_and_validate(h, m, source_domain)
-    if exponents is None:
-        exponents = [2.0 * (p + 2.0 - dim), 2.0 * (p - dim), float(p - dim), 0.0]
-    exponents = tuple(dict.fromkeys(round(float(s), 12) for s in exponents))
+    scan = (2.0 * (p + 2.0 - dim), 2.0 * (p - dim), float(p - dim), 0.0)
+    exponents = tuple(dict.fromkeys(round(s, 12) for s in scan))
     notes = ()
     if p == dim:
         notes = (

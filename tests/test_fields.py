@@ -420,7 +420,7 @@ def test_domain_membership_and_sampling(rng):
     assert np.all((r >= 1.0) & (r <= 2.0))
     ball = Domain.ball([3, 0, 0], 1.0)
     assert ball.kind == "ball"
-    assert ball.grid_scan(per_axis=5).shape[1] == 3
+    assert ball.grid_scan().shape[1] == 3
     with pytest.raises(DomainError):
         Domain.annulus([0, 0], 2.0, 1.0)
     with pytest.raises(DomainError):

@@ -26,8 +26,9 @@ import pytest
 
 from diraclab import cr2d, sphere, weakform
 from diraclab.cli import main
-from diraclab.fields import (Domain, compose_with_mobius, gradient_fd, p_dirac_residual,
-                             p_dirac_solution, p_harmonic_radial, scalar_radial_power)
+from diraclab.fields import (Domain, cauchy_kernel, compose_with_mobius, gradient_fd, log_radial,
+                             p_dirac_residual, p_dirac_solution, p_harmonic_radial,
+                             scalar_radial_power)
 from diraclab.mobius import inversion
 from diraclab.weakform import (QuadratureRule, default_test_functions, dirac_covariance_experiment,
                                dirac_integral_check, harmonic_covariance_experiment,
@@ -143,10 +144,11 @@ def _weak_dirac(dim):
         normalized_weak_residual(p_dirac_solution(dim, 1.5), 1.5, eta, rule)], dim)
 
 
-# sha256 of raw weak pairings and normalizers and of strong finite-difference
-# derivatives, recorded with one BLAS thread.  The goldens forgive a
-# relative RTOL, so only these tell a bit-identical refactor of the pairing
-# and stencil paths from a drift below it.
+# sha256 of raw weak pairings and normalizers, of strong finite-difference
+# derivatives and of the closed-form radial fields, recorded with one BLAS
+# thread.  The goldens forgive a relative RTOL, so only these tell a
+# bit-identical refactor of the pairing, stencil and field paths from a
+# drift below it.
 PINNED_PAIRINGS = {
     "cap-3": (
         lambda: _cap_pairings(3),
@@ -285,6 +287,70 @@ PINNED_DERIVATIVES = {
 }
 
 
+def _radial_points(dim, center):
+    """The origin as +0 and -0, the centre (the origin when None), rows with
+    signed-zero coordinates (which meet the centre's zero coordinates) and
+    rows clear of it."""
+    c = [0.0] * dim if center is None else center
+    signed = [[0.0, -0.0, 1.5, -0.0], [-0.0, 0.7, -0.0, 0.0], [0.5, -0.0, -1.25, -0.0]]
+    clear = np.random.default_rng(2).uniform(-2.0, 2.0, (8, dim))
+    return np.vstack([[0.0] * dim, [-0.0] * dim, c] + [row[:dim] for row in signed] + [clear])
+
+
+def _flat_radial(build):
+    """The name, singular points, values and every analytic partial of
+    `build(dim, center)` at dims 2-4, about the origin and about a centre
+    with zero coordinates, on `_radial_points`."""
+    out = []
+    for dim in (2, 3, 4):
+        for center in (None, [0.5, 0.0, -1.25, 0.0][:dim]):
+            pts = _radial_points(dim, center)
+            for f in build(dim, center):
+                out += [f.name, f.singular_points, f(pts).coeffs]
+                out += [d.coeffs for d in f.grad(pts)]
+    return out
+
+
+def _spherical_radial(build):
+    """The name, singular points and values of `build(pole)` at ambient 3
+    and 4, on `sphere-check`'s points and rows with signed-zero coordinates."""
+    out = []
+    for ambient in (3, 4):
+        pole, pts = _sphere_points(ambient)
+        signed = np.array([[1.0, 0.0, -0.0, 0.0], [-0.0, 0.6, -0.8, -0.0]])[:, :ambient]
+        for f in build(pole):
+            out += [f.name, f.singular_points, f(np.vstack([pts, signed])).coeffs]
+    return out
+
+
+PINNED_FIELDS = {
+    "radial-vector": (
+        lambda: _flat_radial(lambda dim, c: [
+            cauchy_kernel(dim, center=c), p_dirac_solution(dim, 2.5, center=c),
+            p_dirac_solution(dim, 1.5, center=c)]),
+        "a6ea9a268a66d1d5e829cd235ed2599f1ac8d20dcb1f4d36c2c7edb11d262f3c"),
+    "scalar-radial": (
+        lambda: _flat_radial(lambda dim, c: [
+            scalar_radial_power(dim, beta, center=c) for beta in (-1.3, 0.5, 2.0)]),
+        "c635f16082e2fd56a9ece7b5dc23d772b2439852669ae8b43c134c845196c79a"),
+    "log-radial": (
+        lambda: _flat_radial(lambda dim, c: [log_radial(dim, center=c)]),
+        "047c40c2904823e2e1c4c2f38f996d12ca823c1ff02dd3ac0287f2d7f1b0cdf4"),
+    "p-harmonic": (
+        lambda: _flat_radial(lambda dim, c: [
+            p_harmonic_radial(dim, p, center=c) for p in (1.5, float(dim), dim + 0.5)]),
+        "3888c0d1fe95fcf57f5d55ea1453400141f58046004eac0074ffe53aca975e01"),
+    "sphere-kernel": (
+        lambda: _spherical_radial(lambda pole: [
+            sphere.spherical_kernel(pole, p) for p in (1.5, 2.0, 2.5)]),
+        "12e712a071aa6aec349aa61ebd7f7c2e57057f996138d4f102d6c09987ccbc9b"),
+    "sphere-distance": (
+        lambda: _spherical_radial(lambda pole: [
+            sphere.radial_distance_power(pole, e) for e in (-1.5, 0.5)]),
+        "8a34ba05d2f2f95f5830e0bf42173cfa51747b8b99457f6af92f4abb31edf60d"),
+}
+
+
 def pinned_digest(case):
     """sha256 of a pinned case's values: the bytes of each array and the
     repr, exact for floats, of everything else."""
@@ -299,7 +365,7 @@ def pinned_digest(case):
         else:
             digest.update(repr(value).encode())
 
-    feed({**PINNED_PAIRINGS, **PINNED_DERIVATIVES}[case][0]())
+    feed({**PINNED_PAIRINGS, **PINNED_DERIVATIVES, **PINNED_FIELDS}[case][0]())
     return digest.hexdigest()
 
 
@@ -315,6 +381,11 @@ def test_pinned_pairing_digests(case):
 @pytest.mark.parametrize("case", sorted(PINNED_DERIVATIVES))
 def test_pinned_derivative_digests(case):
     assert _child_digest(case) == PINNED_DERIVATIVES[case][1]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FIELDS))
+def test_pinned_field_digests(case):
+    assert _child_digest(case) == PINNED_FIELDS[case][1]
 
 
 if __name__ == "__main__":

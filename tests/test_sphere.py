@@ -596,3 +596,12 @@ def test_cayley_ratio_constancy_ties_both_kernels():
         assert report["max_deviation"] <= 1e-12
         again = cayley_ratio_constancy(n, seed=42)
         assert np.array_equal(report["ratios"], again["ratios"])
+
+
+def test_spherical_radial_fields_refuse_their_pole():
+    pole = sphere_point([0.3, -0.5, 0.7])
+    for f in (spherical_kernel(pole, 2.5), spherical_kernel(pole, 1.5),
+              radial_distance_power(pole, -1.5)):
+        with pytest.raises(SphereError, match="at its pole"):
+            f(np.vstack([[1.0, 0.0, 0.0], pole]))
+    assert radial_distance_power(pole, 0.5)(pole).coeffs[0] == 0.0
