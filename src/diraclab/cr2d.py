@@ -38,6 +38,7 @@ from .fields import (
     FieldError,
     power_scale,
     richardson_step,
+    validate_clearance,
 )
 from .weakform import BumpTestFunction, normalized_ratio, random_bump, weak_pairing
 
@@ -82,7 +83,18 @@ class ComplexField:
         return self.dzbar_fn is not None
 
 
-def polynomial_map(coeffs, name: str = "polynomial") -> ComplexField:
+@dataclass(frozen=True, kw_only=True)
+class PolynomialMap(ComplexField):
+    """A holomorphic polynomial map with its coefficients, low to high."""
+
+    coeffs: tuple
+
+    def preimages(self, s) -> tuple:
+        """The points the map sends to s: the roots of f - s."""
+        return tuple(np.roots(np.polysub(self.coeffs[::-1], [s])))
+
+
+def polynomial_map(coeffs, name: str = "polynomial") -> PolynomialMap:
     """The holomorphic polynomial sum c_k z^k (coeffs low to high)."""
     coeffs = [complex(c) for c in coeffs]
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
@@ -95,7 +107,7 @@ def polynomial_map(coeffs, name: str = "polynomial") -> ComplexField:
             return np.zeros_like(z)
         return np.polyval(list(reversed(deriv)), z)
 
-    return ComplexField(ev, dz, lambda z: np.zeros_like(z), (), name=name)
+    return PolynomialMap(ev, dz, lambda z: np.zeros_like(z), (), name=name, coeffs=tuple(coeffs))
 
 
 def wirtinger_polynomial(terms: dict, name: str = "zzbar-polynomial") -> ComplexField:
@@ -232,6 +244,13 @@ def p_cr_residual(g: ComplexField, p: float, z, h: float = 1e-3) -> np.ndarray:
     return dbar_fd(_flux(g, p), z, h=h)
 
 
+def _composed_poles(g: ComplexField, f: ComplexField) -> tuple:
+    """The singular points of g after f: the points f sends to those of g."""
+    if g.singular_points and not isinstance(f, PolynomialMap):
+        raise CRError(f"cannot locate where {f.name!r} meets the poles of {g.name!r}")
+    return tuple(z for s in g.singular_points for z in f.preimages(s))
+
+
 def transfer_identity_check(
     f: ComplexField, eta: ComplexField, zeta
 ) -> float:
@@ -246,7 +265,8 @@ def transfer_identity_check(
     if zeta.size and float(np.min(np.abs(fp))) < NORM_CUTOFF:
         raise CRError("the reparametrization has a critical point at zeta")
     lhs = dbar_fd(eta, f(zeta))
-    composed = ComplexField(lambda q: eta(f(q)), name=f"{eta.name} after {f.name}")
+    composed = ComplexField(lambda q: eta(f(q)), singular_points=_composed_poles(eta, f),
+                            name=f"{eta.name} after {f.name}")
     rhs = dbar_fd(composed, zeta) / np.conj(fp)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
@@ -316,13 +336,14 @@ def composed_flux(g: ComplexField, f: ComplexField, p: float) -> ComplexField:
             raise CRError(f"{f.name!r} has a critical point on the domain")
         return fp * flux(f(zeta))
 
-    return ComplexField(ev, None, None, (), name=f"{g.name} through {f.name}")
+    return ComplexField(ev, None, None, _composed_poles(g, f), name=f"{g.name} through {f.name}")
 
 
 def theorem5_experiment(g: ComplexField, f: ComplexField, p: float, domain: Domain,
                         seed: int = 42, order: int = 12, count: int = 5) -> list:
-    """Residual table of the composition covariance over a bump family."""
+    """Residual table of the composition covariance over a bump family, on a pole-free domain."""
     W, rows = composed_flux(g, f, p), []
+    validate_clearance(domain, [(float(s.real), float(s.imag)) for s in W.singular_points])
     for xi in default_complex_bumps(domain, seed=seed, count=count):
         raw, normalizer = _cr_pairing(W, xi.require_support_inside(domain), order)
         rows.append({"eta": xi.label, "p": float(p), "map": f.name, "residual": abs(raw),

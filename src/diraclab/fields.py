@@ -400,17 +400,15 @@ class Domain:
 def validate_clearance(domain: Domain, singular_points=(), mobius: VahlenMatrix = None):
     """Grid-scan the domain closure for singularities and map poles.
 
-    Raises DomainError if any point of the closure's 9-per-axis scan comes
-    within 1e-3 of a declared singular point, or if |c x + d| falls below
-    1e-3 there (the transformation-hypothesis check).
+    Raises DomainError if a declared singular point lies in the closure or
+    any point of the closure's 9-per-axis scan comes within 1e-3 of one, or
+    if |c x + d| falls below 1e-3 there (the transformation-hypothesis check).
     """
     pts = domain.grid_scan()
     for s in singular_points:
-        dist = np.linalg.norm(pts - np.asarray(s, dtype=float), axis=-1)
-        if np.min(dist) < _CLEARANCE:
-            raise DomainError(
-                f"domain comes within {np.min(dist):.2e} of singular point {s}"
-            )
+        gap = 0.0 if domain.contains(s) else np.min(np.linalg.norm(pts - np.asarray(s), axis=-1))
+        if gap < _CLEARANCE:
+            raise DomainError(f"domain comes within {gap:.2e} of singular point {s}")
     if mobius is not None:
         nn = (mobius.c * Multivector.from_vector(domain.dim, pts) + mobius.d).norm()
         if np.min(nn) < _CLEARANCE:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Multivector, geometric_product, square_sum
-from .fields import (NORM_CUTOFF, AnalyticField, FieldError, nonlinear_power_field, radial_field,
-                     richardson_step)
+from .fields import (NORM_CUTOFF, AnalyticField, FieldError, dirac_sum, nonlinear_power_field,
+                     radial_field, richardson_step)
 from .weakform import (SUPPORT_MARGIN, BumpTestFunction, SupportError, _pair, bump_family,
                        mollifier, normalized_ratio, pair_each, polar_blocks, random_unit_blade)
 
@@ -152,6 +152,7 @@ def gamma_op(
     where R_ij rotates the plane spanned by frame columns u_i, u_j.  The
     default frame is the ambient coordinate basis; any orthogonal frame
     gives the same operator (basis independence of the bivector sum).
+    Each Richardson step evaluates f once, on every plane's rotations.
     """
     pts = _renormalize(np.asarray(points, dtype=float))
     ambient = f.dim
@@ -164,24 +165,18 @@ def gamma_op(
         ):
             raise SphereError("the rotation frame must be an orthogonal matrix")
 
-    def angular(u, v, tt):
-        plus = f.eval_fn(_renormalize(_plane_rotate(pts, u, v, tt)))
-        minus = f.eval_fn(_renormalize(_plane_rotate(pts, u, v, -tt)))
-        return (plus - minus) / (2.0 * tt)
+    planes = [(frame[:, i], frame[:, j]) for i in range(ambient) for j in range(i + 1, ambient)]
 
-    out = None
-    for i in range(ambient):
-        for j in range(i + 1, ambient):
-            u, v = frame[:, i], frame[:, j]
-            d = richardson_step(lambda tt: angular(u, v, tt), theta, f.name, pts,
-                                f.singular_points)
-            biv = geometric_product(
-                Multivector.from_vector(ambient, u),
-                Multivector.from_vector(ambient, v),
-            )
-            term = geometric_product(biv, d)
-            out = term if out is None else out + term
-    return out
+    def central(tt):
+        # every plane's +tt rotations, then every plane's -tt ones: one evaluation
+        rotated = np.stack([_plane_rotate(pts, u, v, s) for s in (tt, -tt) for u, v in planes])
+        plus, minus = np.split(f.eval_fn(_renormalize(rotated)).coeffs, 2)
+        return Multivector(ambient, (plus - minus) / (2.0 * tt), copy=False)
+
+    d = richardson_step(central, theta, f.name, pts, f.singular_points)
+    return dirac_sum((geometric_product(Multivector.from_vector(ambient, u),
+                                        Multivector.from_vector(ambient, v)),
+                      Multivector(ambient, dk, copy=False)) for (u, v), dk in zip(planes, d.coeffs))
 
 
 def spherical_dirac(f: SphericalField, points, theta: float = 1e-3) -> Multivector:
@@ -298,18 +293,16 @@ def spherical_p_harmonic_check(
     radial candidate f = |x - y|^((p-n)/(p-1)); reports, never asserts."""
     y = sphere_point(y)
     n = len(y) - 1
-    pts = _renormalize(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(_renormalize(np.asarray(points, dtype=float)))
     if not p > 1:
         raise FieldError("the exponent p must exceed 1")
     f = radial_distance_power(y, (p - n) / (p - 1.0))
-    fluxes = {key: nonlinear_power_field(coupled_dirac(f, k, theta), p)
-              for k, key in ((p / 2.0, "residual"), (-p / 2.0, "residual_flipped"))}
-    rows = []
-    for x in np.atleast_2d(pts):
-        row = {"point": tuple(x)}
-        for key, flux in fluxes.items():
-            row[key] = float(spherical_dirac(flux, x[None, :], theta=theta).norm()[0])
-        rows.append(row)
+    # every point in one batch per flux
+    norms = {key: spherical_dirac(nonlinear_power_field(coupled_dirac(f, k, theta), p), pts,
+                                  theta=theta).norm()
+             for k, key in ((p / 2.0, "residual"), (-p / 2.0, "residual_flipped"))}
+    rows = [{"point": tuple(x), **{key: float(v[i]) for key, v in norms.items()}}
+            for i, x in enumerate(pts)]
     notes = (
         "residual uses the zero-order coupling +(p/2) x as displayed",
         "residual_flipped uses -(p/2) x, the conformal-Laplacian factor sign",

@@ -31,6 +31,7 @@ from diraclab.cr2d import (
 )
 from diraclab.fields import (
     Domain,
+    DomainError,
     FieldError,
     StencilError,
     VanishingNormError,
@@ -177,6 +178,13 @@ def test_transfer_identity_rejects_critical_points():
         transfer_identity_check(polynomial_map([0, 0, 1]), eta, 0j)
 
 
+def test_transfer_identity_refuses_a_stencil_over_a_pulled_back_pole():
+    # 100 z sends 0 to the pole of 1/(2w); the stencil at 8e-4 straddles it
+    with pytest.raises(StencilError, match="reaches the singular point"):
+        transfer_identity_check(polynomial_map([0, 100]), p_cr_solution(2), 0.0008)
+    assert transfer_identity_check(polynomial_map([0, 100]), p_cr_solution(2), 0.5) <= 1e-12
+
+
 # -------------------------------------------------------------- weak form
 
 
@@ -291,6 +299,20 @@ def test_theorem5_rejects_critical_points_on_the_support():
     z = nodes[:, 0] + 1j * nodes[:, 1]
     with pytest.raises(CRError):
         composed_flux(g, f, 2.0)(z)
+
+
+def test_theorem5_refuses_a_domain_holding_a_pulled_back_pole():
+    f = polynomial_map([3.0, 0.0, 1.0], name="z^2+3")
+    g = p_cr_solution(1.5)
+    poles = composed_flux(g, f, 1.5).singular_points
+    assert np.allclose(sorted(poles, key=np.imag), [-1j * np.sqrt(3.0), 1j * np.sqrt(3.0)])
+    with pytest.raises(DomainError, match="singular point"):
+        theorem5_experiment(g, f, 1.5, Domain.annulus([0.0, 0.0], 1.2, 2.2))
+    # a map whose preimages are unknown cannot certify a field with poles
+    opaque = ComplexField(f.eval_fn, f.dz_fn, f.dzbar_fn, name="opaque")
+    with pytest.raises(CRError, match="poles"):
+        composed_flux(g, opaque, 1.5)
+    assert composed_flux(ComplexField(lambda q: q, name="plain"), opaque, 2.0).singular_points == ()
 
 
 def test_theorem5_determinism():

@@ -1,5 +1,7 @@
 """Sphere operators: rotational stencils, kernel identities, cap weak forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from diraclab import sphere, weakform
 from diraclab.algebra import Multivector, geometric_product
 from diraclab.fields import (AnalyticField, FieldError, StencilError, VanishingNormError,
                              constant_field, identity_field, nonlinear_power_field,
-                             p_dirac_solution, power_scale)
+                             p_dirac_solution, power_scale, richardson_step)
 from diraclab.sphere import (
     CapBump,
     SphereError,
@@ -154,6 +156,73 @@ def test_gamma_stencil_clearance_near_pole():
             gamma_op(g, near, theta=theta)
         with pytest.raises(FieldError, match="step must be positive"):
             spherical_dirac(g, near, theta=theta)
+
+
+def counting(f):
+    """f with an eval_fn that counts its calls in `calls`."""
+    calls = []
+
+    def ev(pts):
+        calls.append(pts.shape)
+        return f.eval_fn(pts)
+
+    return replace(f, eval_fn=ev), calls
+
+
+def gamma_per_plane(f, pts, theta, frame):
+    """Gamma f as a sum over planes, each plane's stencil evaluated alone."""
+    pts, out = sphere._renormalize(pts), None
+    for i in range(f.dim):
+        for j in range(i + 1, f.dim):
+            u, v = frame[:, i], frame[:, j]
+
+            def central(tt):
+                plus = f.eval_fn(sphere._renormalize(sphere._plane_rotate(pts, u, v, tt)))
+                minus = f.eval_fn(sphere._renormalize(sphere._plane_rotate(pts, u, v, -tt)))
+                return (plus - minus) / (2.0 * tt)
+
+            d = richardson_step(central, theta, f.name, pts, f.singular_points)
+            biv = geometric_product(Multivector.from_vector(f.dim, u),
+                                    Multivector.from_vector(f.dim, v))
+            term = geometric_product(biv, d)
+            out = term if out is None else out + term
+    return out
+
+
+@pytest.mark.parametrize("ambient", [3, 4, 5])
+def test_gamma_evaluates_once_per_richardson_step(ambient):
+    rng = np.random.default_rng(ambient)
+    frame, _ = np.linalg.qr(rng.normal(size=(ambient, ambient)))
+    pole = sphere_point(rng.normal(size=ambient))
+    f, calls = counting(spherical_kernel(pole, 2.5))
+    pts = away_from(pole, 4, seed=ambient)
+    planes = ambient * (ambient - 1) // 2
+    for x in (pts[0], pts):
+        for fr in (None, frame):
+            calls.clear()
+            got = gamma_op(f, x, theta=1e-3, frame=fr)
+            assert calls == [(2 * planes,) + x.shape] * 2
+            want = gamma_per_plane(f, x, 1e-3, np.eye(ambient) if fr is None else fr)
+            assert got.coeffs.shape == want.coeffs.shape
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_gamma_guard_runs_before_any_evaluation():
+    f, calls = counting(spherical_kernel(POLE3, 2.0))
+    theta = 1e-3
+    near = sphere_point(np.array(POLE3) + 1.5 * theta * sphere_point([1.0, 1.0, 0.0]))
+    assert np.linalg.norm(near - POLE3) <= 2.0 * theta
+    with pytest.raises(StencilError, match="reaches the singular point"):
+        gamma_op(f, near[None, :], theta=theta)
+    assert calls == []
+    # at e_2 only the rotation in the (e_2, e_3) plane, the last, moves x_3
+    # off zero, so a field that is NaN there is NaN in that plane alone
+    nan_off_plane = SphericalField(3, lambda pts: Multivector.scalar(
+        3, np.where(pts[..., 2] != 0.0, np.nan, pts[..., 0])), name="nan-where-x3")
+    g, calls = counting(nan_off_plane)
+    with pytest.raises(StencilError, match="touched a singular point"):
+        gamma_op(g, np.array([[0.0, 1.0, 0.0]]), theta=theta)
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------ kernel family
@@ -322,6 +391,13 @@ def test_spherical_p_harmonic_report_structure_off_p2():
         assert np.isfinite(row["residual"]) and np.isfinite(row["residual_flipped"])
     again = spherical_p_harmonic_check(POLE4, 2.5, pts)
     assert report == again
+
+
+def test_spherical_p_harmonic_batch_matches_single_points():
+    pts = away_from(POLE3, 3)
+    for p in (1.5, 2.5):
+        batch = spherical_p_harmonic_check(POLE3, p, pts).rows
+        assert batch == tuple(spherical_p_harmonic_check(POLE3, p, x).rows[0] for x in pts)
 
 
 def test_p_harmonic_check_rejects_bad_exponent():
