@@ -12,8 +12,12 @@ BLAS thread; a fourth (h = 1/128) adds about 2.3 s.
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+# run from a source checkout: its src holds the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from diraclab.solver import LatticeDomain, SolverConfig, solve_dirichlet
 

@@ -20,8 +20,12 @@ import argparse
 import hashlib
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+# run from a source checkout: its src holds the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from diraclab.algebra import Multivector
 from diraclab.solver import LatticeDomain, SolverConfig, solve_dirichlet

@@ -11,6 +11,10 @@ alongside with its own weight built in.
 
 import argparse
 import sys
+from pathlib import Path
+
+# run from a source checkout: its src holds the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from diraclab.fields import Domain, p_dirac_solution, p_harmonic_radial
 from diraclab.mobius import parse_mobius_expr

@@ -14,8 +14,12 @@ stays O(1) elsewhere.
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
+
+# run from a source checkout: its src holds the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from diraclab.sphere import (
     lr_identity_check,

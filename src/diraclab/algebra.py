@@ -502,6 +502,44 @@ def pin_action(a, x: Multivector) -> Multivector:
     return geometric_product(geometric_product(a, x), a.reversion())
 
 
+@lru_cache(maxsize=256)
+def _sandwich_terms(dim: int, live_u: bytes, live_w: bytes):
+    """The gather terms of the vector part of (u w) reversion(u), w a vector:
+    per blade l of u w, (k, l ^ e_k, negate) over the live components k of w
+    whose partner l ^ e_k is live in u, by ascending partner; per output
+    component i, (l ^ e_i, l, negate) over those blades l, ascending."""
+    (_, signs), rev = _gather_table(dim), _reversion_signs(dim)
+    first = {l: t for l in range(1 << dim) if (t := tuple(
+        (k, l ^ 1 << k, bool(signs[l ^ 1 << k, l] < 0)) for k in sorted(
+            range(dim), key=lambda k: l ^ 1 << k) if live_w[k] and live_u[l ^ 1 << k]))}
+    return first, tuple(tuple((l ^ 1 << i, l, bool(rev[l ^ 1 << i] * signs[l, 1 << i] < 0))
+                              for l in first) for i in range(dim))
+
+
+def vector_sandwich(u: Multivector, *vectors) -> np.ndarray:
+    """(len(vectors), n) + batch: the vector part of u w reversion(u) for a
+    finite u and each vector w, given by its n components broadcast to u's
+    batch, with the bits of `pin_action(u, w).vector_part()` but on grade-1
+    columns only.  Each blade l of u w, then each e_i, sums its gather terms
+    from 0.0 by ascending blade, less the zero terms a total from 0.0 never feels."""
+    c = np.ascontiguousarray(np.moveaxis(u.coeffs, -1, 0))
+    if not np.isfinite(c).all():
+        raise AlgebraError("vector_sandwich needs a finite u")
+    live = c.reshape(len(c), -1).any(axis=1).tobytes()
+    out = np.zeros((len(vectors), u.dim) + c.shape[1:])
+    for w, rows in zip(vectors, out):
+        first, second = _sandwich_terms(u.dim, live, bytes(bool(np.any(k)) for k in w))
+        uw = {l: np.zeros(c.shape[1:]) for l in first}
+        for l, terms in first.items():
+            for k, m, negate in terms:
+                (np.subtract if negate else np.add)(uw[l], w[k] * c[m], out=uw[l])
+        for i, terms in enumerate(second):
+            row = rows[i, ...]  # a view even when the batch is empty
+            for m, l, negate in terms:
+                (np.subtract if negate else np.add)(row, c[m] * uw[l], out=row)
+    return out
+
+
 def parity(g: Multivector) -> int:
     """+1 for an even-graded element, -1 for odd, 0 for mixed/zero.
 

@@ -346,12 +346,12 @@ def run_algebra_selftest(params):
 # costliest default run, sphere-check --n 4, prices at 1.0e8
 _QUADRATURE_BUDGET = 1 << 27
 # the twisted-harmonic scan's cost per node-blade: at n = 4, order 8 (3
-# passes each, 2 runs) covariance --theorem 3 took 14.6-15.0 s, --theorem 1
-# 4.2-4.9 s and sphere-check --n 4 (1.0e8) 7.9-8.9 s: 3.3 flat and 7.0 cap
-# pairings.  One Moebius evaluation per node block sped it 1.27x and theorem 1
-# 1.40x: against a cap pairing it fell from 8.8 (the weight would scale to
-# 3.2), against a flat one it rose from 3.0, so it stays 4.  Cap and disc
-# pairings keep 1: cr-check --order 186 (1.3e8) took 11.2 s, 1.2x a cap's.
+# passes each, one BLAS thread, 2 runs inside main) covariance --theorem 3
+# took 4.62 s, --theorem 1 3.90-4.41 s and sphere-check --n 4 (1.0e8)
+# 3.33-3.46 s: 1.05-1.18 flat and 5.3-5.5 cap pairings (14.07-14.29 s, 3.3
+# flat and 18 cap pairings, before its frame was kept to grade-1 columns).  It
+# stays 4, between the two.  Cap and disc pairings keep 1: cr-check --order
+# 186 (1.3e8) took 6.3-7.4 s, 1.4-1.9x a cap's (sphere-check 2.9-3.4 s).
 _TWISTED_WEIGHT = 4
 
 

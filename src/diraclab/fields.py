@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import (Multivector, geometric_product, lipschitz_element_inverse, pin_action,
-                      square_sum)
+from .algebra import Multivector, geometric_product, lipschitz_element_inverse, square_sum
 from .mobius import MobiusPoint, PoleError, VahlenMatrix, map_points, vahlen_inverse
 
 
@@ -55,9 +54,9 @@ _CLEARANCE = 1e-3  # the least distance validate_clearance accepts
 
 def dirac_sum(pairs) -> Multivector:
     """sum_j v_j * d_j over (v_j, d_j) pairs, added in pair order: D f for
-    v_j = e_j and d_j = df/dx_j, or the twisted form with v_j = u e_j rev(u).
-    Each term is added before the next pair is drawn and is not kept, so a
-    stream of pairs is summed one pair at a time."""
+    v_j = e_j and d_j = df/dx_j.  Each term is added before the next pair
+    is drawn and is not kept, so a stream of pairs is summed one pair at a
+    time."""
     out = None
     for v, d in pairs:
         out = geometric_product(v, d) if out is None else out + geometric_product(v, d)
@@ -257,8 +256,8 @@ def compose_with_mobius(f: AnalyticField, m: VahlenMatrix) -> AnalyticField:
 
         def gr(pts):
             at = MobiusPoint(m, pts)
-            u = at.u  # the frame first: a mixed-parity g is refused before the image
-            return [partial for _, partial in composed_partials(f.grad(at.image), u, at.scale)]
+            frame = at.frame  # first: a mixed-parity g is refused before the image
+            return composed_partials(f.grad(at.image), frame, at.scale)
 
     return AnalyticField(f.dim, ev, gr, singular_preimages(f, m), name=f"{f.name}∘M")
 
@@ -281,19 +280,13 @@ def map_pole(m: VahlenMatrix) -> tuple:
         tuple((0.0 - (lipschitz_element_inverse(m.c) * m.d).vector_part()).tolist()),)
 
 
-def composed_partials(target_partials, u: Multivector, scale):
-    """The pairs (u e_j reversion(u), d/dx_j f(M(x))) for j = 1..n, one j
-    at a time, from the partials of f at M(x) and the frame u and scale
-    |c x + d| of a `MobiusPoint`, by the chain rule through column j of
-    dM_x, u e_j reversion(u) / |c x + d|^2."""
-    scale2 = scale**2
-    for j in range(1, u.dim + 1):
-        vec = pin_action(u, Multivector.basis_vector(u.dim, j))
-        col = vec.vector_part() / scale2[..., None]
-        acc = target_partials[0] * col[..., 0]
-        for k in range(1, u.dim):
-            acc = acc + target_partials[k] * col[..., k]
-        yield vec, acc
+def composed_partials(target_partials, frame, scale) -> list:
+    """d/dx_j f(M(x)) for j = 1..n from the partials of f at M(x) and the
+    frame and scale |c x + d| of a `MobiusPoint`, by the chain rule through
+    column j of dM_x, frame[j - 1] / |c x + d|^2, summed in k order;
+    plain (scalar) partials give plain arrays."""
+    return [sum((d * c for d, c in zip(target_partials[1:], col[1:])), target_partials[0] * col[0])
+            for col in frame / scale**2]
 
 
 def conformal_dirac_transform(f: AnalyticField, m: VahlenMatrix) -> AnalyticField:

@@ -37,6 +37,7 @@ from .algebra import (
     VectorFactorList,
     lipschitz_element_inverse,
     parity,
+    vector_sandwich,
 )
 
 
@@ -207,8 +208,9 @@ class MobiusPoint:
     image M(x), the twist g^-1 f(M(x)), the scale factors J1 and Jm1, the
     parity sigma and the unit frame u, whose sandwich u A reversion(u)
     (`algebra.pin_action`) is an isometry of the coefficient norm that
-    sends vectors to vectors.  The image and the twist invert g each time
-    they are read and keep nothing; sigma and u are kept once formed.
+    sends vectors to vectors; `frame` forms it on e_1..e_n, on grade-1
+    columns only.  The image and the twist invert g each time they are read
+    and keep nothing; sigma, u and the frame are kept once formed.
     """
 
     def __init__(self, m: VahlenMatrix, points):
@@ -264,6 +266,12 @@ class MobiusPoint:
         """The unit frame g/|g|, formed after the parity check."""
         self.sigma  # refuses a mixed-parity g before any frame is read
         return self.g / self.scale
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """(n, n) + batch: frame[j - 1] is u e_j reversion(u), |g|^2 times
+        column j of dM_x, formed after the parity check."""
+        return vector_sandwich(self.u, *np.eye(self.m.dim))
 
 
 def map_points(m: VahlenMatrix, points: np.ndarray):

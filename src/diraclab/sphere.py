@@ -193,13 +193,19 @@ def spherical_p_dirac_residual(
     return spherical_dirac(nonlinear_power_field(f, p), points, theta=theta)
 
 
+def _coupled_terms(f: SphericalField, pts, theta: float):
+    """D_S f and x f at the points: (D_S + k x) f is D_S f + k (x f)."""
+    return (spherical_dirac(f, pts, theta=theta),
+            geometric_product(Multivector.from_vector(f.dim, pts), f.eval_fn(pts)))
+
+
 def coupled_dirac(f: SphericalField, k: float, theta: float) -> SphericalField:
     """The field (D_S + k x) f: the first-order operator with the
     zero-order coupling k x, formed as D_S f + k (x f)."""
 
     def ev(pts):
-        ds = spherical_dirac(f, pts, theta=theta)
-        return ds + k * geometric_product(Multivector.from_vector(f.dim, pts), f.eval_fn(pts))
+        ds, xf = _coupled_terms(f, pts, theta)
+        return ds + k * xf
 
     return SphericalField(f.dim, ev, singular_points=f.singular_points,
                           name=f"(D_S{k:+g}x)[{f.name}]")
@@ -246,8 +252,8 @@ def lr_identity_check(
     n = ambient - 1
     s = radial_distance_power(y, float(p - n))
     xs = np.asarray(x, dtype=float)[None, :]
-    left_plus = coupled_dirac(s, p / 2.0, theta).eval_fn(xs)
-    left_minus = coupled_dirac(s, -p / 2.0, theta).eval_fn(xs)
+    ds, xv = _coupled_terms(s, xs, theta)  # once for both couplings
+    left_plus, left_minus = (ds + k * xv for k in (p / 2.0, -p / 2.0))
     rho = float(np.linalg.norm(x - y))
     right = Multivector.from_vector(
         ambient, ((p - n) / 2.0) * rho ** (p - n) * (x - y)[None, :]

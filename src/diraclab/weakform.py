@@ -59,7 +59,7 @@ from itertools import groupby
 import numpy as np
 
 from .algebra import (Multivector, blade_label, conj_vector_sums, geometric_product, pin_action,
-                      square_sum)
+                      square_sum, vector_sandwich)
 from .fields import (
     AnalyticField,
     Domain,
@@ -67,7 +67,6 @@ from .fields import (
     FieldError,
     composed_partials,
     dirac_field,
-    dirac_sum,
     power_scale,
     singular_preimages,
     validate_clearance,
@@ -711,7 +710,8 @@ def harmonic_covariance_experiment(
     s = 2(p - n) exact (at p = n: s = 0, the unweighted twisted form); the
     scan s = 2(p + 2 - n), 2(p - n), p - n, 0 reports each exponent and
     never asserts one.  The order is that of the bump-fitted rule, as in
-    `dirac_covariance_experiment`.
+    `dirac_covariance_experiment`.  h is scalar, as a p-harmonic function
+    is: a field with a partial off the scalar blade is refused.
     """
     dim = source_domain.dim
     order = _resolve_order(dim, order)
@@ -735,16 +735,21 @@ def harmonic_covariance_experiment(
 
         def block(x, wx, eta=eta):
             at = MobiusPoint(m, x)
-            u, scale = at.u, at.scale  # the frame first: mixed parity is refused there
+            frame, scale = at.frame, at.scale  # first: mixed parity is refused there
             partials = h.grad(at.image)
-            del at  # nothing reads c x + d further: free it before the frame loop
-            twisted = dirac_sum(composed_partials(partials, u, scale))
+            if not all(d.live and not any(d.live[1:]) or d.is_grade(0) for d in partials):
+                raise FieldError(f"the twisted gradient needs a scalar field, not {h.name!r}")
+            # G = D_M [h o M] on its n components, summed from 0.0 in j order
+            # as the products sum_j (u e_j rev(u)) d_j [h o M] summed it
+            twisted = sum((col * acc for col, acc in zip(frame, composed_partials(
+                [d.scalar_part() for d in partials], frame, scale))), np.zeros(x.shape[::-1]))
+            twisted = Multivector.from_vector(dim, twisted.T)
             norms = twisted.norm()
             power = power_scale(norms, p, f"{h.name}∘M")
             # D_M eta = u (grad phi) rev(u) * blade: the rotated gradient is
             # a vector, so it pairs as one
-            slope = pin_action(u, Multivector.from_vector(dim, eta.dirac_vector(x)))
-            return twisted, norms, slope.vector_part(), wx * scale**exps * power
+            slope = vector_sandwich(at.u, eta.dirac_vector(x).T)[0]
+            return twisted, norms, np.ascontiguousarray(slope.T), wx * scale**exps * power
 
         blades = Multivector(dim, [b.blade.coeffs for b in family])
         raw, normalizer, count = weak_pairing(eta.blocks(order), block, blades)

@@ -441,3 +441,17 @@ def test_csv_rendering_is_lossless():
     x = 0.1 + 0.2  # not representable as a short decimal
     text = render_csv([{"v": x}])
     assert float(text.splitlines()[1]) == x
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
+def test_every_script_runs_from_a_source_checkout(tmp_path, script):
+    """Each script finds the package in the checkout's src, with no
+    PYTHONPATH and from another directory: `--help` exits 0."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")

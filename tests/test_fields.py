@@ -4,7 +4,10 @@ and classical div/curl cross-checks for the scalar reduction."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diraclab import cr2d, sphere
 from diraclab.algebra import Multivector
 from diraclab.fields import (
     AnalyticField,
@@ -20,6 +23,7 @@ from diraclab.fields import (
     constant_field,
     convergence_order,
     dirac_fd,
+    dirac_field,
     dj1_check,
     gradient_fd,
     identity_field,
@@ -382,6 +386,73 @@ def test_pulled_back_fields_declare_pulled_back_singular_points(pullback):
     # the translated kernel is monogenic at x = 1e-4 (its pole is at -1)
     assert float(np.max(dirac_fd(f, np.array([[1e-4, 0.0, 0.0]]), h=1e-3).norm())) <= 1e-8
     assert pullback(cauchy_kernel(3), inversion(3)).singular_points == ()
+
+
+def _poled_fields():
+    """Every kind of field in src/ that declares poles, each read by a
+    stencil with step h: name -> (kind, its declared singular points,
+    stencil(points, h), whether the stencil's step is fixed at 1e-3)."""
+    shifted = compose(inversion(3), translation(3, [1.0, 0.5, 0.0]))
+    kernel = cauchy_kernel(3, center=[0.5, -0.25, 1.0])
+    flux = nonlinear_power_field(dirac_field(p_harmonic_radial(3, 2.5)), 2.5)
+    flat = [kernel, p_dirac_solution(2, 1.5), scalar_radial_power(4, -1.3, [1.0, 0.0, -2.0, 0.5]),
+            log_radial(2, [1.0, -1.0]), flux, compose_with_mobius(kernel, shifted),
+            conformal_dirac_transform(kernel, shifted),
+            cr2d.even_encoding(cr2d.p_cr_solution(1.5, 0.5 + 0.5j))]
+    cases = {f.name: ("flat", f.singular_points, lambda x, h, f=f: dirac_fd(f, x, h), False)
+             for f in flat}
+    cases["gradient-fd"] = ("flat", flat[2].singular_points,
+                            lambda x, h: gradient_fd(flat[2], x, h), False)
+    cases["J1"] = ("flat", map_pole(shifted), lambda x, h: dj1_check(shifted, x), True)
+    cases["lemma1"] = ("flat", map_pole(shifted) + flat[5].singular_points,
+                       lambda x, h: lemma1_check(shifted, kernel, x), True)
+    g, square = cr2d.p_cr_solution(1.5, 0.3 - 0.2j), cr2d.polynomial_map([3.0, 0.0, 1.0])
+    composed = cr2d.composed_flux(cr2d.p_cr_solution(1.5), square, 1.5)
+    cases["cr-solution"] = ("planar", g.singular_points, lambda z, h: cr2d.dbar_fd(g, z, h), False)
+    cases["cr-flux"] = ("planar", g.singular_points,
+                        lambda z, h: cr2d.p_cr_residual(g, 2.5, z, h), False)
+    cases["composed-flux"] = ("planar", composed.singular_points,
+                              lambda z, h: cr2d.dbar_fd(composed, z, h), False)
+    cases["transfer"] = ("planar", square.preimages(0.0), lambda z, h: cr2d.transfer_identity_check(
+        square, cr2d.p_cr_solution(2.0), z), True)
+    pole = sphere.sphere_point([0.3, -0.5, 0.7, 0.4])
+    for f in (sphere.spherical_kernel(pole, 2.5), sphere.radial_distance_power(pole, -1.5),
+              sphere.coupled_dirac(sphere.spherical_kernel(pole, 2.0), 1.0, 1e-3)):
+        cases[f.name] = ("sphere", f.singular_points,
+                         lambda x, h, f=f: sphere.spherical_dirac(f, x, theta=h), False)
+    return cases
+
+
+POLED = _poled_fields()
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(POLED)), h=st.sampled_from([1e-3, 2.5e-4]),
+       fraction=st.floats(1e-3, 0.99), direction=st.lists(st.floats(-1.0, 1.0), min_size=4,
+                                                          max_size=4))
+def test_a_stencil_within_2h_of_a_declared_pole_raises(name, h, fraction, direction):
+    """Drawn within 2h of any declared pole, a point makes the stencil that
+    reads the field raise StencilError: it never returns a number."""
+    kind, poles, stencil, fixed = POLED[name]
+    h = 1e-3 if fixed else h
+    assert poles, name
+    for pole in poles:
+        if kind == "planar":
+            angle = np.arctan2(direction[1], direction[0])
+            x = np.array([complex(pole) + fraction * 2.0 * h * np.exp(1j * angle)])
+        else:
+            pole = np.asarray(pole, dtype=float)
+            d = np.array(direction[:len(pole)])
+            if kind == "sphere":
+                d = d - (d @ pole) * pole  # tangent at the pole
+            if np.linalg.norm(d) < 1e-3:
+                d = np.eye(len(pole))[int(np.argmin(np.abs(pole)))]
+                d = d - (d @ pole) * pole if kind == "sphere" else d
+            x = (pole + fraction * 2.0 * h * d / np.linalg.norm(d))[None, :]
+            if kind == "sphere":
+                x = sphere.sphere_point(x[0])[None, :]
+        with pytest.raises(StencilError):
+            stencil(x, h)
 
 
 def test_conformal_dirac_transform_translation_is_plain_shift(rng):

@@ -29,7 +29,7 @@ from diraclab.cli import main
 from diraclab.fields import (Domain, cauchy_kernel, compose_with_mobius, gradient_fd, log_radial,
                              p_dirac_residual, p_dirac_solution, p_harmonic_radial,
                              scalar_radial_power)
-from diraclab.mobius import inversion
+from diraclab.mobius import inversion, parse_mobius_expr
 from diraclab.weakform import (QuadratureRule, default_test_functions, dirac_covariance_experiment,
                                dirac_integral_check, harmonic_covariance_experiment,
                                normalized_weak_residual, weak_p_dirac_residual,
@@ -117,9 +117,9 @@ def _cap_pairings(ambient):
             for family in weakform.support_families(sphere.default_cap_bumps(cap))]
 
 
-def _covariance_rows(experiment, field):
-    rep = experiment(field, 2.5, inversion(3), Domain.ball([3.0, 0.0, 0.0], 1.0),
-                     order=6, random_bumps=2)
+def _covariance_rows(experiment, field, dim=3, order=6, random_bumps=2):
+    rep = experiment(field, 2.5, inversion(dim), Domain.ball([3.0] + [0.0] * (dim - 1), 1.0),
+                     order=order, random_bumps=random_bumps)
     return [(r.eta_label, r.exponent, r.residual_norm, r.normalizer, r.nodes)
             for r in rep.rows]
 
@@ -145,7 +145,8 @@ def _weak_dirac(dim):
 
 
 # sha256 of raw weak pairings and normalizers, of strong finite-difference
-# derivatives and of the closed-form radial fields, recorded with one BLAS
+# derivatives, of the closed-form radial fields and of their Moebius
+# pullbacks, recorded with one BLAS
 # thread.  The goldens forgive a relative RTOL, so only these tell a
 # bit-identical refactor of the pairing, stencil and field paths from a
 # drift below it.
@@ -164,6 +165,15 @@ PINNED_PAIRINGS = {
         lambda: _covariance_rows(harmonic_covariance_experiment,
                                  p_harmonic_radial(3, 2.5, center=[-5.0, 0.0, 0.0])),
         "90cbe9a306c96a6ee382b7d194b3f8f7073a46ad37da113b50eaa5cbdd3f4538"),
+    "harmonic-covariance-d2": (
+        lambda: _covariance_rows(harmonic_covariance_experiment,
+                                 p_harmonic_radial(2, 2.5, center=[-5.0, 0.0]), dim=2),
+        "88a16aa95d86713855210bb41c93e358ffc9786be214f6a612f7c5fcbd6cb7fc"),
+    "harmonic-covariance-d4": (
+        lambda: _covariance_rows(harmonic_covariance_experiment,
+                                 p_harmonic_radial(4, 2.5, center=[-5.0, 0.0, 0.0, 0.0]),
+                                 dim=4, order=3, random_bumps=0),
+        "2add127488d27381e4bfe23285e1d920f4fe644633eaaea40bdab61d7c645f72"),
     "theorem5": (
         lambda: cr2d.theorem5_experiment(
             cr2d.p_cr_solution(1.5), cr2d.polynomial_map([3.0, 0.0, 1.0], name="square-plus-3"),
@@ -323,7 +333,30 @@ def _spherical_radial(build):
     return out
 
 
+def _composed_partials():
+    """The name, analytic D and chain-rule partials of p-harmonic and
+    p-Dirac fields pulled back through the inversion and through a word with
+    a rotation, at dims 2-4, on `_shell_points` and rows with signed-zero
+    coordinates."""
+    out = []
+    for dim in (2, 3, 4):
+        far = [-5.0] + [0.0] * (dim - 1)
+        shift = ",".join(["1", "0.5"] + ["0"] * (dim - 2))
+        signed = np.array([[1.5, -0.0, 0.0, -0.0], [-0.0, 0.7, -0.0, 0.0]])[:, :dim]
+        pts = np.vstack([_shell_points(dim), signed])
+        for m in (inversion(dim), parse_mobius_expr(f"rotate:1,2,0.3*inversion*translate:{shift}",
+                                                    dim)):
+            for f in (p_harmonic_radial(dim, 2.5, center=far), p_dirac_solution(dim, 2.5)):
+                g = compose_with_mobius(f, m)
+                out += [g.name, g.dirac(pts).coeffs]
+                out += [d.coeffs for d in g.grad(pts)]
+    return out
+
+
 PINNED_FIELDS = {
+    "composed-partials": (
+        _composed_partials,
+        "eb594d27af0ce7f3ac41df6530b63452ca56761e61f1f9280da6cc34273ca41d"),
     "radial-vector": (
         lambda: _flat_radial(lambda dim, c: [
             cauchy_kernel(dim, center=c), p_dirac_solution(dim, 2.5, center=c),

@@ -5,7 +5,8 @@ all read through the one per-point record `MobiusPoint`."""
 import numpy as np
 import pytest
 
-from diraclab.algebra import Multivector, geometric_product, pin_action
+from diraclab.algebra import (AlgebraError, Multivector, geometric_product, pin_action,
+                              vector_sandwich)
 from diraclab.fields import (
     StencilError,
     compose_with_mobius,
@@ -305,6 +306,51 @@ def test_frame_map_scalar_invariance(rng):
         rhs = float(geometric_product(A.conjugation(), B).scalar_part())
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         assert abs(float(uA.norm()) - float(A.norm())) <= 1e-12 * float(A.norm())
+
+
+def _frame_words(dim):
+    """Words whose frame u is odd (a vector, or a vector and a trivector
+    once a rotation acts) or even (a rotor, constant or varying with x)."""
+    shift = ",".join(["1", "0.5"] + ["0"] * (dim - 2))
+    return {"odd": ["inversion", f"inversion*translate:{shift}",
+                    f"rotate:1,2,0.3*inversion*translate:{shift}"],
+            "even": [f"rotate:1,2,0.3*translate:{shift}", f"inversion*translate:{shift}*inversion",
+                     f"rotate:2,1,1.1*inversion*translate:{shift}*inversion"]}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_frame_kernel_matches_pin_action_bytes(rng, dim):
+    """`MobiusPoint.frame` and `rotate` give the bytes of the vector part of
+    pin_action(u, e_j) and pin_action(u, w), for even and odd frames, on
+    rows with signed-zero coordinates and on a single point."""
+    pts = rng.uniform(-3.0, 3.0, (40, dim))
+    pts[:4, 0], pts[4:8, -1], pts[8, :] = -0.0, 0.0, [-0.0, 2.0] + [0.0] * (dim - 2)
+    w = rng.normal(size=(40, dim))
+    w[:6, 1], w[6] = -0.0, 0.0
+    for parity, words in _frame_words(dim).items():
+        for word in words:
+            m = parse_mobius_expr(word, dim)
+            for x, v in ((pts, w), (pts[9], w[9])):
+                at = MobiusPoint(m, x)
+                assert at.sigma == (1 if parity == "even" else -1), word
+                for j in range(dim):
+                    want = pin_action(at.u, Multivector.basis_vector(dim, j + 1)).vector_part()
+                    assert np.moveaxis(want, -1, 0).tobytes() == at.frame[j].tobytes(), (word, j)
+                want = pin_action(at.u, Multivector.from_vector(dim, v)).vector_part()
+                got = vector_sandwich(at.u, np.moveaxis(v, -1, 0))[0]
+                assert np.moveaxis(want, -1, 0).tobytes() == got.tobytes(), word
+
+
+def test_frame_refuses_a_non_finite_unit_frame():
+    """A point at infinity passes the pole and parity checks with a NaN u:
+    the frame kernel, whose skipped zero terms assume a finite u, refuses it."""
+    for word in ("inversion", "rotate:1,2,0.3*inversion*translate:1,0.5,0"):
+        pts = np.array([[np.inf, 1.0, 0.0], [3.0, 0.0, 1.0]])
+        at = MobiusPoint(parse_mobius_expr(word, 3), pts)
+        with np.errstate(invalid="ignore"), pytest.raises(AlgebraError, match="finite u"):
+            at.frame
+        with pytest.raises(AlgebraError, match="finite u"):
+            vector_sandwich(at.u, np.ones((3, 2)))
 
 
 def test_sigma_parity(rng):

@@ -371,6 +371,33 @@ def test_radial_identity_report_is_deterministic():
     assert lr_identity_check(x, POLE3, 2.5) == lr_identity_check(x, POLE3, 2.5)
 
 
+@pytest.mark.parametrize("ambient", [3, 4, 5])
+def test_lr_identity_forms_each_operator_once(monkeypatch, ambient):
+    """D_S s and x s are formed once for both couplings: four evaluations
+    of s (one stencil evaluation per Richardson step and one at the
+    renormalized point for D_S s, one at the point for x s), not eight, and
+    the report has the bits of (D_S + k x) s read from `coupled_dirac` once
+    per sign k = +-p/2."""
+    rng = np.random.default_rng(ambient)
+    pole = sphere_point(rng.normal(size=ambient))
+    x, p, n = away_from(pole, 1, seed=ambient)[0], 2.5, ambient - 1
+    built = radial_distance_power
+    seen = []
+    monkeypatch.setattr(sphere, "radial_distance_power",
+                        lambda y, e: seen.append(counting(built(y, e))) or seen[-1][0])
+    rep = lr_identity_check(x, pole, p)
+    ((_, calls),) = seen
+    planes = ambient * (ambient - 1) // 2
+    assert calls == [(2 * planes, 1, ambient)] * 2 + [(1, ambient)] * 2
+    x, y = sphere_point(x), sphere_point(pole)  # as the check normalizes them
+    s, rho = built(y, p - n), float(np.linalg.norm(x - y))
+    right = Multivector.from_vector(ambient, ((p - n) / 2.0) * rho ** (p - n) * (x - y)[None, :])
+    left = [sphere.coupled_dirac(s, k, 1e-3).eval_fn(x[None, :]) for k in (p / 2.0, -p / 2.0)]
+    assert rep.discrepancy == float((left[0] - right).norm()[0])
+    assert rep.discrepancy_flipped == float((left[1] - right).norm()[0])
+    assert rep.left_norm == float(left[0].norm()[0])
+
+
 def test_spherical_p_harmonic_claim_holds_under_flipped_sign_at_p2():
     pts = away_from(POLE4, 4)
     report = spherical_p_harmonic_check(POLE4, 2.0, pts)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from diraclab.fields import (
     DomainError,
     FieldError,
     VanishingNormError,
+    cauchy_kernel,
     constant_field,
     identity_field,
     log_radial,
@@ -931,6 +933,19 @@ def test_harmonic_covariance_validates_input():
     h = log_radial(3, center=[-5.0, 0.0, 0.0])
     with pytest.raises(FieldError):
         harmonic_covariance_experiment(h, 1.0, inversion(3), BALL3)
+
+
+def test_twisted_gradient_needs_a_scalar_field():
+    """The twisted gradient pairs each partial as a plain array, so a field
+    whose partials leave the scalar blade is refused; a scalar field that
+    carries no blade record passes the coefficient scan."""
+    kernel = cauchy_kernel(3, center=[-5.0, 0.0, 0.0])
+    with pytest.raises(FieldError, match="needs a scalar field"):
+        harmonic_covariance_experiment(kernel, 3.0, inversion(3), BALL3, order=2, random_bumps=0)
+    h = log_radial(3, center=[-5.0, 0.0, 0.0])
+    bare = replace(h, grad_fn=lambda x: [Multivector(3, d.coeffs) for d in h.grad(x)])
+    assert (harmonic_covariance_experiment(bare, 3.0, inversion(3), BALL3, order=2).rows
+            == harmonic_covariance_experiment(h, 3.0, inversion(3), BALL3, order=2).rows)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
