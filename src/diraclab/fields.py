@@ -259,12 +259,14 @@ def compose_with_mobius(f: AnalyticField, m: VahlenMatrix) -> AnalyticField:
             frame = at.frame  # first: a mixed-parity g is refused before the image
             return composed_partials(f.grad(at.image), frame, at.scale)
 
-    return AnalyticField(f.dim, ev, gr, singular_preimages(f, m), name=f"{f.name}∘M")
+    return AnalyticField(f.dim, ev, gr, map_pole(m) + singular_preimages(f, m),
+                         name=f"{f.name}∘M")
 
 
 def singular_preimages(f: AnalyticField, m: VahlenMatrix) -> tuple:
-    """The singular points of f(M(x)): those of f pulled back through M,
-    less any that M sends to infinity."""
+    """The singular points of f pulled back through M, less any that M
+    sends to infinity; f(M(x)) is also singular at M's own pole (`map_pole`)
+    unless f vanishes at infinity."""
     back, out = vahlen_inverse(m), []
     for s in f.singular_points:
         try:
@@ -297,7 +299,8 @@ def conformal_dirac_transform(f: AnalyticField, m: VahlenMatrix) -> AnalyticFiel
     def ev(pts):
         return MobiusPoint(m, pts).twist(f)
 
-    return AnalyticField(f.dim, ev, None, singular_preimages(f, m), name=f"twist[{f.name}]")
+    return AnalyticField(f.dim, ev, None, map_pole(m) + singular_preimages(f, m),
+                         name=f"twist[{f.name}]")
 
 
 # ----------------------------------------------------------------- domains

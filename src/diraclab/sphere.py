@@ -367,14 +367,15 @@ class CapBump(BumpTestFunction):
         object.__setattr__(self, "dim", len(cap.center))
         super().__post_init__()
 
-    def _sq(self, pts) -> np.ndarray:
-        return super()._sq(_renormalize(np.asarray(pts, dtype=float)))
+    def _offset(self, pts):
+        return super()._offset(_renormalize(np.asarray(pts, dtype=float)))
 
     def dirac_vector(self, points) -> np.ndarray:
-        """(..., ambient) components of v, with D_S eta = v * blade."""
-        pts = _renormalize(np.asarray(points, dtype=float))
+        """(..., ambient) components of v, with D_S eta = v * blade.  The
+        points are read row-major, as `pts @ c` rounds by its operand's layout."""
+        pts = _renormalize(np.ascontiguousarray(points, dtype=float))
         c = np.array(self.center)
-        phi, dphi = mollifier(super()._sq(pts))  # pts are unit already: no second renormalization
+        phi, dphi = mollifier(super()._offset(pts)[1])  # unit already: no second renormalization
         fac = (-2.0 / self.radius**2) * dphi
         n = self.dim - 1
         radial = (pts @ c)[..., None] * pts - c
@@ -391,8 +392,8 @@ class CapBump(BumpTestFunction):
             theta = theta_max * r
             cos, sin = np.cos(theta), np.sin(theta)
             rw = theta_max * wr * sin ** (n - 1)
-            directions = omega @ _orthonormal_complement(c).T
-            return lambda i, j: (cos[i, None, None] * c + sin[i, None, None] * directions[j],
+            dirs = (_orthonormal_complement(c) @ omega)[:, None]
+            return lambda i, j: (cos[i, None] * c[:, None, None] + sin[i, None] * dirs[..., j],
                                  rw[i, None] * wo[j])
 
         return polar_blocks(n, order, geometry)

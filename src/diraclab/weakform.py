@@ -125,23 +125,23 @@ class BumpTestFunction:
             raise WeakFormError("blade dimension does not match the bump")
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
 
-    def _sq(self, pts: np.ndarray) -> np.ndarray:
+    def _offset(self, pts):
+        """d = x - center, in the layout of x, and t = |d|^2 / radius^2."""
         d = np.asarray(pts, dtype=float) - np.array(self.center)
-        return square_sum(d) / self.radius**2
+        return d, square_sum(d) / self.radius**2
 
     def support_mask(self, pts) -> np.ndarray:
-        return self._sq(pts) < 1.0
+        return self._offset(pts)[1] < 1.0
 
     def profile(self, pts) -> np.ndarray:
-        return mollifier(self._sq(pts))[0]
+        return mollifier(self._offset(pts)[1])[0]
 
     def dirac_vector(self, pts) -> np.ndarray:
         """(..., dim) components of the vector v with D eta = v * blade:
         the profile gradient rho(x) (x - center), of which every partial
-        of eta is a component times the blade."""
-        pts = np.asarray(pts, dtype=float)
-        fac = 2.0 * mollifier(self._sq(pts))[1] / self.radius**2
-        return fac[..., None] * (pts - np.array(self.center))
+        of eta is a component times the blade, in the layout of pts."""
+        d, t = self._offset(pts)
+        return (2.0 * mollifier(t)[1] / self.radius**2)[..., None] * d
 
     def __call__(self, pts) -> Multivector:
         return Multivector(self.dim, self.profile(pts)[..., None] * self.blade.coeffs)
@@ -154,11 +154,11 @@ class BumpTestFunction:
     def blocks(self, order: int):
         """The fitted rule of the given order over the support, as
         `polar_blocks`: x = center + radius * r * omega."""
-        dim, c, radius = self.dim, np.array(self.center), self.radius
+        dim, c, radius = self.dim, np.array(self.center)[:, None, None], self.radius
 
         def geometry(r, wr, omega, wo):
             rw = wr * r ** (dim - 1)
-            return lambda i, j: (c + radius * (r[i, None, None] * omega[j]),
+            return lambda i, j: (c + radius * (r[i, None] * omega[:, None, j]),
                                  radius**dim * (rw[i, None] * wo[j]))
 
         return polar_blocks(dim, order, geometry)
@@ -352,16 +352,17 @@ def _unit_sphere_rule(dim: int, order: int, nested: bool = False):
     """Product rule on the unit sphere S^(dim-1), spectral for smooth data
     (Stroud 1971): the last coordinate u on the Gauss rule for the weight
     (1 - u^2)^((dim-3)/2), times the rule on S^(dim-2) scaled by
-    sqrt(1 - u^2), down to a uniform circle."""
+    sqrt(1 - u^2), down to a uniform circle.  The nodes are (dim, M)
+    rows, one per coordinate."""
     _, gauss, inner, outer = _counts(order)
     if dim == 2:
         count = inner if nested else outer
         phi = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(count, 2.0 * np.pi / count)
+        return np.stack([np.cos(phi), np.sin(phi)]), np.full(count, 2.0 * np.pi / count)
     u, wu = _gauss_rule(gauss, (dim - 3) / 2.0)
     omega, wo = _unit_sphere_rule(dim - 1, order, nested=True)
-    ring = (np.sqrt(1.0 - u**2)[:, None, None] * omega[None, :, :]).reshape(-1, dim - 1)
-    nodes = np.concatenate([ring, np.repeat(u, len(wo))[:, None]], axis=-1)
+    ring = (np.sqrt(1.0 - u**2)[:, None] * omega[:, None, :]).reshape(dim - 1, -1)
+    nodes = np.concatenate([ring, np.repeat(u, len(wo))[None]])
     return nodes, np.multiply.outer(wu, wo).ravel()
 
 
@@ -369,18 +370,22 @@ def polar_blocks(dim: int, order: int, geometry):
     """The fitted rule as a stream of (x, w) blocks of at most `_BLOCK`
     nodes, in node order: node k pairs radial node k // M on (0, 1) with
     node k % M of the M-node rule on S^(dim-1).  `geometry(r, wr, omega,
-    wo)` receives both factor rules and returns `place(i, j)`, the (I, J, n)
-    nodes and (I, J) weights of radial slice i times sphere slice j; a block
-    joins the rest of its first row, whole rows and the start of its last."""
+    wo)` receives both factor rules, omega as (dim, M) rows, and returns
+    `place(i, j)`, the (n, I, J) nodes and (I, J) weights of radial slice i
+    times sphere slice j; a block joins the rest of its first row, whole
+    rows and the start of its last.  Its x is the (B, n) view of n
+    contiguous rows of B coordinates, so that every per-node expression
+    broadcasts along the nodes, not along the n components."""
     r, wr = _radial_rule(_counts(order)[0])
     omega, wo = _unit_sphere_rule(dim, order)
     place, m = geometry(r, wr, omega, wo), len(wo)
     for start in range(0, len(r) * m, _BLOCK):
         (i, j), (k, l) = divmod(start, m), divmod(min(start + _BLOCK, len(r) * m), m)
         rects = ((i, i + 1, j, m if k > i else l), (i + 1, k, 0, m), (max(k, i + 1), k + 1, 0, l))
-        yield tuple(np.concatenate(vs) if len(vs) > 1 else vs[0] for vs in zip(*(
-            [v.reshape(-1, *v.shape[2:]) for v in place(slice(a, b), slice(c, d))]
+        x, w = (np.concatenate(vs, axis=-1) if len(vs) > 1 else vs[0] for vs in zip(*(
+            [v.reshape(*v.shape[:-2], -1) for v in place(slice(a, b), slice(c, d))]
             for a, b, c, d in rects if b > a and d > c)))
+        yield x.T, w
 
 
 def support_quadrature(eta: BumpTestFunction, order: int):
@@ -749,7 +754,7 @@ def harmonic_covariance_experiment(
             # D_M eta = u (grad phi) rev(u) * blade: the rotated gradient is
             # a vector, so it pairs as one
             slope = vector_sandwich(at.u, eta.dirac_vector(x).T)[0]
-            return twisted, norms, np.ascontiguousarray(slope.T), wx * scale**exps * power
+            return twisted, norms, slope.T, wx * scale**exps * power
 
         blades = Multivector(dim, [b.blade.coeffs for b in family])
         raw, normalizer, count = weak_pairing(eta.blocks(order), block, blades)

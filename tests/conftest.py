@@ -31,13 +31,14 @@ def random_factor_list(rng, dim, count, unit=False):
     return VectorFactorList([random_vector(rng, dim, unit=unit) for _ in range(count)])
 
 
-def one_blas_thread(statement):
-    """The stdout of `python -c statement` in a child interpreter with one
-    BLAS thread, as every pinned digest was recorded: a dense product sums
-    in an order that follows the BLAS thread count."""
+def blas_child(statement, threads=1):
+    """The stdout of `python -c statement` in a child interpreter with
+    `threads` BLAS threads, one by default, as every pinned digest was
+    recorded: a dense product sums in an order that follows the BLAS thread
+    count."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
-               **{name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                         "MKL_NUM_THREADS")})
+               **{name: str(threads) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                  "MKL_NUM_THREADS")})
     return subprocess.run([sys.executable, "-c", statement], env=env, capture_output=True,
                           text=True, check=True).stdout

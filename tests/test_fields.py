@@ -378,14 +378,26 @@ def test_compose_with_mobius_gradient(rng):
 def test_pulled_back_fields_declare_pulled_back_singular_points(pullback):
     """f(M(x)) and its twist are singular where M(x) is, so the stencil
     guard refuses a point near the preimage and differences one near f's
-    own pole; a pole that M sends to infinity leaves none."""
+    own pole; a pole that M sends to infinity leaves none of its own, but
+    the map's pole -c^-1 d is declared in its place."""
     f = pullback(cauchy_kernel(3), translation(3, [1.0, 0.0, 0.0]))
     assert f.singular_points == ((-1.0, 0.0, 0.0),)
     with pytest.raises(StencilError, match="reaches the singular point"):
         dirac_fd(f, np.array([[-1.0 + 1e-4, 0.0, 0.0]]), h=1e-3)
     # the translated kernel is monogenic at x = 1e-4 (its pole is at -1)
     assert float(np.max(dirac_fd(f, np.array([[1e-4, 0.0, 0.0]]), h=1e-3).norm())) <= 1e-8
-    assert pullback(cauchy_kernel(3), inversion(3)).singular_points == ()
+    assert pullback(cauchy_kernel(3), inversion(3)).singular_points == ((0.0, 0.0, 0.0),)
+
+
+@pytest.mark.parametrize("pullback", [compose_with_mobius, conformal_dirac_transform])
+@pytest.mark.parametrize("field", [identity_field(3), log_radial(3, center=[-5.0, 0.0, 0.0])],
+                         ids=["identity", "log-radial"])
+def test_pullbacks_refuse_a_stencil_over_the_map_pole(pullback, field):
+    """A field that does not vanish at infinity pulls back to one singular at
+    the map's pole -c^-1 d (the origin for the inversion): a stencil beside
+    it is refused, where it once returned 1.5e7 and 502."""
+    with pytest.raises(StencilError, match="reaches the singular point"):
+        dirac_fd(pullback(field, inversion(3)), np.array([[1e-4, 0.0, 0.0]]))
 
 
 def _poled_fields():

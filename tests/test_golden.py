@@ -19,23 +19,25 @@ differ between machines:
 import hashlib
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diraclab import cr2d, sphere, weakform
+from diraclab.algebra import Multivector
 from diraclab.cli import main
 from diraclab.fields import (Domain, cauchy_kernel, compose_with_mobius, gradient_fd, log_radial,
                              p_dirac_residual, p_dirac_solution, p_harmonic_radial,
                              scalar_radial_power)
 from diraclab.mobius import inversion, parse_mobius_expr
-from diraclab.weakform import (QuadratureRule, default_test_functions, dirac_covariance_experiment,
-                               dirac_integral_check, harmonic_covariance_experiment,
-                               normalized_weak_residual, weak_p_dirac_residual,
-                               weak_p_harmonic_residual)
+from diraclab.weakform import (BumpTestFunction, QuadratureRule, default_test_functions,
+                               dirac_covariance_experiment, dirac_integral_check,
+                               harmonic_covariance_experiment, normalized_weak_residual,
+                               weak_p_dirac_residual, weak_p_harmonic_residual)
 
-from conftest import one_blas_thread
+from conftest import blas_child
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOOR = 1e-10
@@ -144,10 +146,21 @@ def _weak_dirac(dim):
         normalized_weak_residual(p_dirac_solution(dim, 1.5), 1.5, eta, rule)], dim)
 
 
+def _family_d3o12():
+    """The `weak-residual` workload's order-12 family at seed 1: the raw
+    p-Dirac pairing and the normalized residual of each bump of
+    `default_test_functions` on `BALL3`."""
+    rule = QuadratureRule.build(BALL3, order=12, cells=2)
+    f = p_dirac_solution(3, 2.5)
+    return [[weak_p_dirac_residual(f, 2.5, eta, rule).coeffs,
+             normalized_weak_residual(f, 2.5, eta, rule)]
+            for eta in default_test_functions(BALL3, seed=1, random_count=5)]
+
+
 # sha256 of raw weak pairings and normalizers, of strong finite-difference
 # derivatives, of the closed-form radial fields and of their Moebius
-# pullbacks, recorded with one BLAS
-# thread.  The goldens forgive a relative RTOL, so only these tell a
+# pullbacks, and of the fitted rules' node, weight and slope streams,
+# recorded with one BLAS thread.  The goldens forgive a relative RTOL, so only these tell a
 # bit-identical refactor of the pairing, stencil and field paths from a
 # drift below it.
 PINNED_PAIRINGS = {
@@ -179,6 +192,9 @@ PINNED_PAIRINGS = {
             cr2d.p_cr_solution(1.5), cr2d.polynomial_map([3.0, 0.0, 1.0], name="square-plus-3"),
             1.5, Domain.annulus([0.0, 0.0], 0.5, 1.5)),
         "3d4b81245a7419537ffb780302d5d73d9f5caadf580d8fd97931d99636e09b4d"),
+    "family-d3o12": (
+        _family_d3o12,
+        "1e4361cd2a088f7bf0bb4556ce6f9069652270dcb5096088fa22cf91c3e704f0"),
     "dirac-integral": (
         lambda: [dirac_integral_check(eta, QuadratureRule.build(BALL3, order=6, cells=2))
                  for eta in default_test_functions(BALL3)],
@@ -353,7 +369,24 @@ def _composed_partials():
     return out
 
 
+def _streams(bumps):
+    """Block by block, the nodes, weights and `dirac_vector` of each bump's
+    fitted rule of orders 3 and 8."""
+    for eta in bumps:
+        for order in (3, 8):
+            for x, w in eta.blocks(order):
+                yield x, w, eta.dirac_vector(x)
+
+
 PINNED_FIELDS = {
+    "flat-streams": (
+        lambda: _streams(BumpTestFunction(dim, (0.3, 0.0, -0.2, 0.5, -0.4)[:dim], 0.7,
+                                          Multivector.scalar(dim, 1.0)) for dim in (2, 3, 4, 5)),
+        "cfa8920e1b01e924a9db8147d633c5bcb73d5dd02dd3569fa852d83a1cbf4ee4"),
+    "cap-streams": (
+        lambda: _streams(sphere.CapBump(tuple(sphere.sphere_point([0.3, -0.5, 0.7, 0.4][:n])),
+                                        0.6, Multivector.scalar(n, 1.0)) for n in (3, 4)),
+        "669318e4afdd1fe7fa56887f3efa2fb4924fbca488490bba16a20716f1555c0d"),
     "composed-partials": (
         _composed_partials,
         "eb594d27af0ce7f3ac41df6530b63452ca56761e61f1f9280da6cc34273ca41d"),
@@ -392,7 +425,7 @@ def pinned_digest(case):
     def feed(value):
         if isinstance(value, np.ndarray):
             digest.update(value.tobytes())
-        elif isinstance(value, (list, tuple)):
+        elif isinstance(value, (list, tuple, Iterator)):
             for item in value:
                 feed(item)
         else:
@@ -402,13 +435,22 @@ def pinned_digest(case):
     return digest.hexdigest()
 
 
-def _child_digest(case):
-    return one_blas_thread(f"import test_golden; print(test_golden.pinned_digest({case!r}))").strip()
+def _child_digest(case, threads=1):
+    return blas_child(f"import test_golden; print(test_golden.pinned_digest({case!r}))",
+                      threads).strip()
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_PAIRINGS))
 def test_pinned_pairing_digests(case):
     assert _child_digest(case) == PINNED_PAIRINGS[case][1]
+
+
+@pytest.mark.parametrize("case", ["family-d3o12", "normalized-weak", "weak-dirac",
+                                  "weak-dirac-d4"])
+def test_pinned_pairing_digests_at_two_blas_threads(case):
+    """The flat pairing sums in node order, never through BLAS, so these
+    digests do not follow the thread count."""
+    assert _child_digest(case, threads=2) == PINNED_PAIRINGS[case][1]
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_DERIVATIVES))

@@ -28,7 +28,7 @@ from diraclab import solver as solver_module
 from diraclab.multigrid import Buffers, laplacian, vcycle
 from diraclab.solver import _curvature, _dirac, _divergence, _hessian_product
 
-from conftest import one_blas_thread
+from conftest import blas_child
 from oracles import (
     slice_dirac,
     slice_divergence,
@@ -741,7 +741,7 @@ def solve_digests(case):
 @pytest.mark.parametrize("case", sorted(PINNED_SOLVES))
 def test_pinned_solve_digests(case):
     # the coarsest multigrid level's dense product follows the BLAS thread count
-    out = one_blas_thread(f"import test_solver; print(*test_solver.solve_digests({case!r}))")
+    out = blas_child(f"import test_solver; print(*test_solver.solve_digests({case!r}))")
     assert out.split() == list(PINNED_SOLVES[case][3:])
 
 

@@ -258,12 +258,12 @@ def test_unit_sphere_rule_integrates_even_moments(dim, order):
     x_k^6 on S^(dim-1) to 1e-14, and holds as many nodes, times the radial
     rule, as the closed form the CLI budget prices."""
     omega, w = weakform._unit_sphere_rule(dim, order)
-    assert omega.shape == (len(w), dim)
+    assert omega.shape == (dim, len(w)) and omega.flags.c_contiguous
     assert len(w) * weakform._counts(order)[0] == weakform.fitted_node_count(dim, order)
     for m in (0, 2, 3):
         exact = _sphere_moment(dim, m)
         for k in range(dim):
-            got = math.fsum(w * omega[:, k] ** (2 * m))
+            got = math.fsum(w * omega[k] ** (2 * m))
             assert abs(got - exact) <= 1e-14 * exact, (m, k, got, exact)
 
 
@@ -286,11 +286,13 @@ def test_streamed_node_count_is_the_priced_count(bump, rule_dim, order):
 
 def _index_placed(bump, order):
     """The fitted rule's nodes and weights placed by index arithmetic and
-    gathers, node k at radial index k // M and sphere index k % M."""
+    gathers, node k at radial index k // M and sphere index k % M, on the
+    row-major (M, n) sphere nodes."""
     cap = isinstance(bump, CapBump)
     n = bump.dim - 1 if cap else bump.dim
     r, wr = weakform._radial_rule(weakform._counts(order)[0])
     omega, wo = weakform._unit_sphere_rule(n, order)
+    omega = np.ascontiguousarray(omega.T)
     i, j = np.divmod(np.arange(len(r) * len(wo)), len(wo))
     c = np.array(bump.center)
     if not cap:
@@ -312,10 +314,15 @@ def test_blocks_are_the_index_placed_rule_bit_for_bit(monkeypatch, bump, block):
     """Blocks placed as rectangles of the radial x sphere grid (within one
     radial row, across two, across many) hold, in node order, the bytes of
     the same nodes and weights placed by index arithmetic, and every block
-    but the last holds `_BLOCK` nodes."""
+    but the last holds `_BLOCK` nodes.  Each block's points are the (B, n)
+    view of n contiguous rows, and a flat bump's slope keeps that layout,
+    so the pairing reads its components without a copy."""
     monkeypatch.setattr(weakform, "_BLOCK", block)
     blocks = list(bump.blocks(3))
     assert all(len(w) == block for _, w in blocks[:-1]) and 0 < len(blocks[-1][1]) <= block
+    assert all(x.T.flags.c_contiguous and w.flags.c_contiguous for x, w in blocks)
+    if not isinstance(bump, CapBump):
+        assert all(bump.dirac_vector(x).T.flags.c_contiguous for x, _ in blocks)
     for got, want in zip(joined(blocks), _index_placed(bump, 3)):
         assert got.tobytes() == want.tobytes()
 
@@ -655,6 +662,36 @@ def test_conj_vector_sums_match_the_gather_bit_for_bit(dim, count):
     sums = np.add.accumulate(w[..., None] * prod, axis=-2)[..., -1, :]
     want = geometric_product(Multivector(dim, sums), Multivector(dim, stack.coeffs[:, None]))
     assert _same_bytes(raw, want.coeffs)
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_conj_vector_sums_read_either_layout_of_l(dim):
+    """A row-major l and a component-major one (the (B, n) view of n
+    contiguous rows, as a flat block streams its slopes) give the kernel's
+    sums and the pairing's normalizer the same bytes, for an l with signed
+    zeros, with an inf and with a NaN."""
+    rng = np.random.default_rng(dim)
+    count, n = 1500, 1 << dim
+    vals = Multivector(dim, rng.standard_normal((count, n)))
+    w = rng.uniform(0.1, 1.0, (2, count))
+    signed = rng.standard_normal((count, dim))
+    signed[:, 0], signed[::2, -1] = -0.0, 0.0
+    lefts = [signed]
+    for bad in (np.inf, np.nan):
+        lefts.append(rng.standard_normal((count, dim)))
+        lefts[-1][count // 2, dim // 2] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        for left in lefts:
+            rows = np.ascontiguousarray(left.T).T
+            assert rows.T.flags.c_contiguous and np.array_equal(rows, left, equal_nan=True)
+            sums = []
+            for l in (left, rows):
+                sums.append(np.zeros((2, n)))
+                conj_vector_sums(l, vals, w, sums[-1], np.empty((2, n, count + 1)))
+                sums += weak_pairing(node_blocks(np.arange(count), w), _node_block(vals, l),
+                                     Multivector.scalar(dim, 1.0))[:2]
+            for got, want in zip(sums[3:], sums[:3]):
+                assert _same_bytes(got, want)
 
 
 def test_pairing_streams_fields_in_fixed_blocks(rng):
