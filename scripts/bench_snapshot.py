@@ -16,10 +16,13 @@ ratio of the medians, the baseline's quartiles and the number of pairs
 this checkout won.  It also records nproc, the Python and numpy versions,
 the BLAS library and thread count, `wc -l` of `src/diraclab/*.py` and,
 per side, the tier-1 suite's passed and failed counts and wall time from
-one child `pytest` run after the benchmark runs.  numpy and the standard
-library only; a snapshot with a baseline at the default 10 runs took 13
-minutes on a 2-vCPU machine, one tier-1 run (about a minute) per side
-included.
+one child `pytest` run after the benchmark runs, and a `geometric_product`
+timing grid from one child interpreter: the median milliseconds per call
+at dims 3-6, batches of 1, 64, 1,000 and 8,192 rows, for a dense times a
+dense batch, a vector times a dense batch and one row times a dense
+batch.  numpy and the standard library only; a snapshot with a baseline
+at the default 10 runs took 13 minutes on a 2-vCPU machine, one tier-1
+run (about a minute) per side included.
 
 Before the first run, each checkout's `src` and `diracbench` are compiled
 to bytecode, and the children run without PYTHONDONTWRITEBYTECODE, so
@@ -78,6 +81,37 @@ def tier1(checkout: Path) -> dict:
     return {"passed": sum(int(k) for k, word in counts if word == "passed"),
             "failed": sum(int(k) for k, word in counts if word != "passed"),
             "wall_s": wall, "summary": tail}
+
+
+GRID = """
+import json, statistics, time
+import numpy as np
+from diraclab.algebra import Multivector, geometric_product
+rng, out = np.random.default_rng(0), {}
+for dim in (3, 4, 5, 6):
+    for rows in (1, 64, 1000, 8192):
+        dense = lambda: Multivector(dim, rng.standard_normal((rows, 1 << dim)))
+        kinds = {"dense.dense": (dense(), dense()), "row.batch": (dense().coeffs[0], dense()),
+                 "vector.dense": (Multivector.from_vector(dim, rng.standard_normal((rows, dim))),
+                                  dense())}
+        for kind, (a, b) in kinds.items():
+            a, times = a if isinstance(a, Multivector) else Multivector(dim, a), []
+            for _ in range(5 if rows << dim > 1 << 16 else 25):
+                start = time.perf_counter()
+                geometric_product(a, b)
+                times.append(time.perf_counter() - start)
+            out[f"d{dim}.r{rows}.{kind}"] = statistics.median(times) * 1e3
+print(json.dumps(out))
+"""
+
+
+def product_grid(checkout: Path) -> dict:
+    """The median milliseconds of one `geometric_product` call in `checkout`
+    per dim, batch size and operand kind (`GRID`), in a child interpreter."""
+    env = dict(child_env(), PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-c", GRID], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def line_counts(checkout: Path) -> dict:
@@ -165,6 +199,7 @@ def main(argv=None):
             "src_lines": line_counts(path),
             "end_to_end": {w: summary(r) for w, r in runs[side].items()},
             "per_layer": run_bench(path, first, 1, 1)["metrics"],
+            "product_grid_ms": product_grid(path),
             "tier1": tier1(path),
         }
     if "baseline" in sides:

@@ -36,6 +36,19 @@ def _popcount(a):
     return np.bitwise_count(np.asarray(a, dtype=np.uint32)).astype(np.int64)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only, as every cached table is shared by its callers."""
+    a.setflags(write=False)
+    return a
+
+
+def _blades(dim: int, blades) -> bytes:
+    """The bool bytes, one per blade of Cl(0, dim), that name `blades`."""
+    live = np.zeros(1 << dim, dtype=bool)
+    live[blades] = True
+    return live.tobytes()
+
+
 @lru_cache(maxsize=None)
 def product_signs(dim: int) -> np.ndarray:
     """(2**dim, 2**dim) table of blade-product signs.
@@ -55,16 +68,12 @@ def product_signs(dim: int) -> np.ndarray:
         swaps += _popcount(shifted & b)
         shifted = shifted >> 1
     total = swaps + _popcount(a & b)
-    sign = np.where(total & 1, -1.0, 1.0)
-    sign.setflags(write=False)
-    return sign
+    return _frozen(np.where(total & 1, -1.0, 1.0))
 
 
 @lru_cache(maxsize=None)
 def blade_grades(dim: int) -> np.ndarray:
-    g = _popcount(np.arange(1 << dim, dtype=np.uint32))
-    g.setflags(write=False)
-    return g
+    return _frozen(_popcount(np.arange(1 << dim, dtype=np.uint32)))
 
 
 def blade_label(mask: int) -> str:
@@ -76,19 +85,11 @@ def blade_label(mask: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _reversion_signs(dim: int) -> np.ndarray:
+def _involution_signs(dim: int, shift: int) -> np.ndarray:
+    """Per blade of grade r, the sign (-1)^(r (r + shift) / 2) of reversion
+    (shift -1) or of Clifford conjugation (shift +1)."""
     r = blade_grades(dim)
-    s = np.where((r * (r - 1) // 2) % 2, -1.0, 1.0)
-    s.setflags(write=False)
-    return s
-
-
-@lru_cache(maxsize=None)
-def _conjugation_signs(dim: int) -> np.ndarray:
-    r = blade_grades(dim)
-    s = np.where((r * (r + 1) // 2) % 2, -1.0, 1.0)
-    s.setflags(write=False)
-    return s
+    return _frozen(np.where((r * (r + shift) // 2) % 2, -1.0, 1.0))
 
 
 class Multivector:
@@ -96,8 +97,8 @@ class Multivector:
 
     coeffs has shape (..., 2**dim); the last axis runs over bitmask blade
     indices.  Leading axes are broadcast batch axes.  `live`, the bool bytes
-    of the blades that can be nonzero, is set only by constructors that know
-    it, with coeffs made read-only; any other result has None (inf * 0 = NaN).
+    of the blades that can be nonzero, is set by constructors and finite
+    products, with coeffs made read-only; else None (inf * 0 = NaN).
     """
 
     __slots__ = ("dim", "coeffs", "live")
@@ -119,12 +120,9 @@ class Multivector:
         self.coeffs = c
         self.live = None
 
-    def _carry(self, *blades) -> "Multivector":
+    def _carry(self, live: bytes) -> "Multivector":
         self.coeffs.setflags(write=False)
-        live = bytearray(1 << self.dim)
-        for k in blades:
-            live[k] = 1
-        self.live = bytes(live)
+        self.live = live
         return self
 
     # ---------------------------------------------------------------- ctors
@@ -138,7 +136,7 @@ class Multivector:
         value = np.asarray(value, dtype=float)
         c = np.zeros(value.shape + (1 << dim,))
         c[..., 0] = value
-        return cls(dim, c, copy=False)._carry(0)
+        return cls(dim, c, copy=False)._carry(_blades(dim, 0))
 
     @classmethod
     def basis_vector(cls, dim: int, j: int) -> "Multivector":
@@ -147,7 +145,7 @@ class Multivector:
             raise AlgebraError(f"basis index must be in [1, {dim}], got {j}")
         c = np.zeros(1 << dim)
         c[1 << (j - 1)] = 1.0
-        return cls(dim, c, copy=False)._carry(1 << (j - 1))
+        return cls(dim, c, copy=False)._carry(_blades(dim, 1 << (j - 1)))
 
     @classmethod
     def blade(cls, dim: int, mask: int) -> "Multivector":
@@ -155,7 +153,7 @@ class Multivector:
             raise AlgebraError(f"blade mask {mask} out of range for dim={dim}")
         c = np.zeros(1 << dim)
         c[mask] = 1.0
-        return cls(dim, c, copy=False)._carry(mask)
+        return cls(dim, c, copy=False)._carry(_blades(dim, mask))
 
     @classmethod
     def from_vector(cls, dim: int, components) -> "Multivector":
@@ -165,9 +163,9 @@ class Multivector:
             raise AlgebraError(
                 f"vector components must have last axis {dim}, got {v.shape}"
             )
-        c = np.zeros(v.shape[:-1] + (1 << dim,))
-        c[..., [1 << j for j in range(dim)]] = v
-        return cls(dim, c, copy=False)._carry(*(1 << j for j in range(dim)))
+        c, vector = np.zeros(v.shape[:-1] + (1 << dim,)), [1 << j for j in range(dim)]
+        c[..., vector] = v
+        return cls(dim, c, copy=False)._carry(_blades(dim, vector))
 
     # ------------------------------------------------------------ structure
 
@@ -239,12 +237,12 @@ class Multivector:
 
     def reversion(self) -> "Multivector":
         return Multivector(
-            self.dim, self.coeffs * _reversion_signs(self.dim), copy=False
+            self.dim, self.coeffs * _involution_signs(self.dim, -1), copy=False
         )
 
     def conjugation(self) -> "Multivector":
         return Multivector(
-            self.dim, self.coeffs * _conjugation_signs(self.dim), copy=False
+            self.dim, self.coeffs * _involution_signs(self.dim, 1), copy=False
         )
 
     def scalar_part(self):
@@ -276,46 +274,35 @@ def square_sum(a: np.ndarray, live=None) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _gather_table(dim: int):
-    """I[i, k] = i ^ k and S[i, k] = product_signs(dim)[i, i ^ k], so that
-    coefficient k of e_i * B is S[i, k] * B[I[i, k]]."""
+    """I = i ^ k and S = product_signs(dim)[i, i ^ k], so that (e_i B)[k] = S[i, k] B[I[i, k]]."""
     idx = np.arange(1 << dim)
     table = idx[:, None] ^ idx
-    signs = np.take_along_axis(product_signs(dim), table, axis=1)
-    for t in (table, signs):
-        t.setflags(write=False)
-    return table, signs
+    return _frozen(table), _frozen(np.take_along_axis(product_signs(dim), table, axis=1))
 
 
-_BLOCK = 1 << 16  # elements of the (rows, live blades, columns) terms per block
+_BLOCK = 1 << 14  # elements of the (output blades, terms, rows) block that one pass sums
 
 
-@lru_cache(maxsize=256)  # a dim-6 entry holds at most 64 KB
-def _columns(dim: int, live_a: bytes, live_b: bytes):
-    """For the live-blade masks of a and b (bool bytes): the live blades i
-    of a, the output blades k = i ^ j reachable from a live blade j of b,
-    and the gather table and signs restricted to those rows and columns."""
+@lru_cache(maxsize=256)  # a dense dim-6 entry holds about 0.35 MB
+def _terms(dim: int, live_a: bytes, live_b: bytes, want: bytes = None):
+    """The one term table of a b in Cl(0, dim), for the live blades of a
+    and b (bool bytes): (ia, ib, cols, live, signed, terms).  ia, ib: the
+    live blades; cols: the output blades k that a blade of ia reaches from
+    one of ib, or those `want` names; live: cols' bytes.  Per k and per i in
+    ia, ascending, j = i ^ k and S the sign of e_i e_j: signed is the row of
+    S b_j in [b; -b; 0] (ib's rows, their negatives and a zero row for a
+    dead j), and terms holds the (i, j, S < 0) of the live j."""
     ia, ib = (np.flatnonzero(np.frombuffer(m, dtype=bool)) for m in (live_a, live_b))
-    cols = np.unique(np.bitwise_xor.outer(ia, ib))
-    table, signs = (t[np.ix_(ia, cols)] for t in _gather_table(dim))
-    for t in (ia, cols, table, signs):
-        t.setflags(write=False)
-    return ia, cols, table, signs
-
-
-@lru_cache(maxsize=256)
-def _vector_columns(dim: int, live_b: bytes, live_l: bytes, every: bool):
-    """The blades k of conj(b) l, l a vector, that a live component j of l
-    reaches from a live blade of b (every blade when `every`), and per k
-    its terms (j, k ^ e_j, negate) for those j in ascending order."""
-    jl = np.flatnonzero(np.frombuffer(live_l, dtype=bool))
-    ib = np.frombuffer(live_b, dtype=bool)
-    (table, signs), conj = _gather_table(dim), _conjugation_signs(dim)
-    cols = np.arange(1 << dim) if every else np.unique(
-        np.bitwise_xor.outer(1 << jl, np.flatnonzero(ib)))
-    cols.setflags(write=False)
-    # the gather's term (b[k ^ e_j] S[e_j, k]) (-l_j), times k's conjugation sign
-    return cols, tuple(tuple((j, int(table[1 << j, k]), int(conj[k] * signs[1 << j, k] > 0))
-                             for j in jl.tolist() if ib[table[1 << j, k]]) for k in cols)
+    cols = (np.unique(np.bitwise_xor.outer(ia, ib)) if want is None
+            else np.flatnonzero(np.frombuffer(want, dtype=bool)))
+    place = np.full(1 << dim, len(ib))
+    place[ib] = np.arange(len(ib))
+    j = cols[:, None] ^ ia
+    pos, negative = place[j], product_signs(dim)[ia, j] < 0
+    signed = np.where(pos < len(ib), pos + len(ib) * negative, 2 * len(ib))
+    terms = tuple(tuple((i, jk, s) for i, jk, p, s in zip(ia.tolist(), *rows) if p < len(ib))
+                  for rows in zip(j.tolist(), pos.tolist(), negative.tolist()))
+    return (*map(_frozen, (ia, ib, cols)), _blades(dim, cols), _frozen(signed), terms)
 
 
 def conj_vector_sums(left: np.ndarray, vals: Multivector, wx: np.ndarray,
@@ -324,84 +311,95 @@ def conj_vector_sums(left: np.ndarray, vals: Multivector, wx: np.ndarray,
     block of B nodes of wx * (conj(vals) l)[k], l the vector with (B, dim)
     components `left`, vals batched (B,) or constant, wx (..., B), and buf
     a (..., 2**dim, B + 1 or more) scratch block.  Blade k sums, from 0.0,
-    the gather's terms (vals[k ^ e_j] S) (-l_j) of conj((-l) vals) over the
-    live j of l in ascending order whose partner k ^ e_j is live in vals,
-    k's conjugation sign folded into l_j; it is weighted into one row of
-    buf per leading row of wx, after the running total as element 0, and
-    np.add.accumulate sums the row in node order.  So sums match, bit for
-    bit, `geometric_product`'s blades conjugated, weighted and added node
+    the `_terms` (vals[k ^ e_j] S) (-l_j) of conj((-l) vals) with l_j and
+    vals[k ^ e_j] live, k's conjugation sign folded into l_j; it is weighted
+    into one row of buf per leading row of wx, after the running total as
+    element 0, and np.add.accumulate sums the row in node order: the bits
+    of `geometric_product`'s blades conjugated, weighted and added node
     after node (a folded sign flips only zeros, which a running total never
-    -0.0 absorbs).  vals' live blades are its carried ones, else a scan's: a
-    carried blade zero in every row adds zeros to sums that start at 0.0.
-    An inf or NaN in l makes every blade of vals live, and one in wx forms
+    -0.0 absorbs).  vals' live blades are its carried ones, else a scan's;
+    an inf or NaN in l makes every blade of vals live, and one in wx forms
     every blade, as inf * 0 is NaN."""
-    dim = left.shape[-1]
-    comps = np.ascontiguousarray(left.T)
+    dim, comps = left.shape[-1], np.ascontiguousarray(left.T)
     live_b = (vals.live or _live(vals.coeffs)) if np.isfinite(comps).all() else b"\x01" * (1 << dim)
-    cols, terms = _vector_columns(dim, live_b, comps.any(axis=1).tobytes(),
-                                  not np.isfinite(wx).all())
-    count, signed = len(left), (comps, -comps)
+    live_l = _blades(dim, (1 << np.arange(dim))[comps.any(axis=1)])
+    _, _, cols, _, _, terms = _terms(dim, live_l, live_b,
+                                     None if np.isfinite(wx).all() else b"\x01" * (1 << dim))
+    count, signed, conj = len(left), (comps, -comps), _involution_signs(dim, 1).tolist()
     acc, term = np.empty((2, count))
     part = buf[..., :len(cols), :count + 1]
     part[..., 0] = sums[..., cols]
-    for r, col_terms in enumerate(terms):
+    for r, (k, col_terms) in enumerate(zip(cols.tolist(), terms)):
         acc.fill(0.0)
-        for j, m, negate in col_terms:
-            acc += np.multiply(vals.coeffs[..., m], signed[negate][j], out=term)
+        for i, m, negative in col_terms:
+            l_j = signed[(conj[k] < 0) == negative][i.bit_length() - 1]
+            acc += np.multiply(vals.coeffs[..., m], l_j, out=term)
         np.multiply(wx, acc, out=part[..., r, 1:])
     np.add.accumulate(part, axis=-1, out=part)
     sums[..., cols] = part[..., count]
 
 
-def _block_rows(c: np.ndarray, shape):
-    """A function of a row slice that returns those rows of c broadcast to
-    shape, batch flattened, never copying c at the full batch size."""
-    full = c if c.shape == shape else np.broadcast_to(c, shape)
-    try:
-        flat = np.reshape(full, (-1, shape[-1]), copy=False)
-        return lambda rows: flat[rows]
-    except ValueError:  # batch axes that do not merge into one
-        return lambda rows: full[np.unravel_index(np.r_[rows], shape[:-1])]
-
-
 def _live(c: np.ndarray) -> bytes:
-    """Bool bytes of the blades nonzero somewhere in the batch of c (NaN counts)."""
-    return c.any(axis=tuple(range(c.ndim - 1))).tobytes()
+    """Bool bytes of the blades nonzero somewhere in c's batch (NaN counts); a long
+    batch is scanned 64 rows to a line, as numpy reduces narrow columns slowly."""
+    if c.size < 256 * c.shape[-1]:
+        return c.any(axis=tuple(range(c.ndim - 1))).tobytes()
+    rows, head = c.reshape(-1, c.shape[-1]), c.size // (64 * c.shape[-1]) * 64
+    wide = (rows[:head] != 0).reshape(-1, 64 * c.shape[-1]).any(axis=0).reshape(64, -1)
+    return (wide.any(axis=0) | rows[head:].any(axis=0)).tobytes()
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Geometric product in Cl(0, dim), broadcasting over batch axes.
 
-    Gather form: (a b)[k] = sum_i a[i] * S[i, k] * b[I[i, k]] (`_gather_table`)
-    over the live blades i, where a is nonzero somewhere in its batch.  Only
-    the coefficients k = i ^ j that a live blade i reaches from a live blade
-    j of b are computed, by a table cached per (dim, live(a), live(b))
-    (`_columns`); the rest are +0.0, as their sums of zeros are.  An inf or
-    NaN in a reaches every blade, since inf * 0 from a dead blade of b is
-    NaN.  Each block of rows sums in blade order from 0.0, the order of a
-    blade-by-blade accumulation, so the result is the same to the bit.
+    (a b)[k] sums (b[i ^ k] S) a[i], S the sign of e_i e_(i^k), from 0.0
+    over the live blades i of a, ascending: the bits of a blade-by-blade
+    accumulation (`tests/oracles.scatter_geometric_product`).  A blade is
+    live where it is nonzero somewhere in the batch (NaN counts) or in a
+    factor's carried set; a's set is read only where b is finite, and an
+    inf or NaN in a makes every blade of b live, as 0 * inf = NaN.  Only
+    the blades a live i reaches from a live j are formed (`_terms`); the
+    rest are +0.0, and a finite product carries the formed ones.
+
+    Blade-major: per block of rows, each factor's live columns become rows,
+    b's beside their negatives and a zero row; per group of output blades,
+    b's signed terms are gathered as (blades, terms, rows) and one einsum
+    multiplies them by a's rows and sums the terms in order, along the rows.
+    A factor of one row is one column that broadcasts over the block, never
+    copied out to the batch; two single rows are summed as two, as numpy
+    sums one row's terms pairwise.
     """
     a._check_same(b)
+    n = 1 << a.dim
     shape = np.broadcast_shapes(a.coeffs.shape, b.coeffs.shape)
-    live_a = _live(a.coeffs)
-    live, cols, table, signs = _columns(a.dim, live_a, _live(b.coeffs))
-    if len(cols) < shape[-1] and not np.isfinite(a.coeffs).all():
-        live, cols, table, signs = _columns(a.dim, live_a, b"\x01" * shape[-1])
-    out = np.empty(shape[:-1] + (len(cols),))
-    flat = out.reshape(math.prod(shape[:-1]), len(cols))
-    rows_a, rows_b = _block_rows(a.coeffs, shape), _block_rows(b.coeffs, shape)
-    step = max(1, _BLOCK // max(len(cols) * len(live), 1))
-    for start in range(0, len(flat), step):
-        rows = slice(start, min(start + step, len(flat)))
-        terms = rows_b(rows)[:, table]
-        terms *= signs
-        terms *= rows_a(rows)[:, live, None]
-        terms.sum(axis=1, out=flat[rows], initial=0.0)
-    if len(cols) == shape[-1]:
-        return Multivector(a.dim, out, copy=False)
-    full = np.zeros(shape)
-    full[..., cols] = out
-    return Multivector(a.dim, full, copy=False)
+    live_a = a.live if a.live is not None and np.isfinite(b.coeffs).all() else _live(a.coeffs)
+    ia, ib, cols, live, signed, _ = _terms(a.dim, live_a, b.live or _live(b.coeffs))
+    if len(cols) < n and not np.isfinite(a.coeffs).all():
+        ia, ib, cols, live, signed, _ = _terms(a.dim, live_a, b"\x01" * n)
+    ca, cb = (c.reshape(n) if c.size == n else (c if c.shape == shape else np.broadcast_to(
+        c, shape)).reshape(-1, n) for c in (a.coeffs, b.coeffs))
+    cb = np.stack((cb, cb)) if ca.ndim == cb.ndim == 1 else cb
+    count = len(cb if ca.ndim == 1 else ca)
+    out = (np.empty if len(cols) == n else np.zeros)((count, n))
+    blocks = -(-count // (_BLOCK // max(len(ia), len(ib), len(cols), 1))) if len(cols) else 0
+    bounds = [count * k // max(blocks, 1) for k in range(blocks + 1)]
+    dest, finite = slice(None) if len(cols) == n else cols, True
+    for start, stop in zip(bounds, bounds[1:]):
+        rows_a = ca[ia, None] if ca.ndim == 1 else np.ascontiguousarray(ca[start:stop, ia].T)
+        rows_b = np.empty((2 * len(ib) + 1, stop - start))
+        rows_b[:len(ib)] = cb[ib, None] if cb.ndim == 1 else cb[start:stop, ib].T
+        np.multiply(rows_b[:len(ib)], -1.0, out=rows_b[len(ib):-1])
+        rows_b[-1] = 0.0
+        group = max(_BLOCK // (len(ia) * (stop - start)), 1)
+        terms, sums = np.empty((group, len(ia), stop - start)), np.empty((len(cols), stop - start))
+        for k in range(0, len(cols), group):
+            part = terms[:len(cols) - k]
+            rows_b.take(signed[k:k + group], axis=0, out=part, mode="clip")
+            np.einsum("gtr,tr->gr", part, rows_a, out=sums[k:k + group])
+        finite = finite and np.isfinite(sums).all()
+        out[start:stop, dest] = sums.T
+    product = Multivector(a.dim, out[:math.prod(shape[:-1])].reshape(shape), copy=False)
+    return product._carry(live) if finite else product
 
 
 def vector_inverse(x: Multivector) -> Multivector:
@@ -467,10 +465,7 @@ class VectorFactorList:
         return len(self.factors)
 
     def product(self) -> Multivector:
-        out = self.factors[0]
-        for f in self.factors[1:]:
-            out = geometric_product(out, f)
-        return out
+        return reduce(geometric_product, self.factors)
 
     def norm(self) -> float:
         return float(np.prod([float(f.norm()) for f in self.factors]))
@@ -480,10 +475,7 @@ class VectorFactorList:
 
     def inverse(self) -> Multivector:
         """Product of the factor inverses in reverse order."""
-        out = vector_inverse(self.factors[-1])
-        for f in reversed(self.factors[:-1]):
-            out = geometric_product(out, vector_inverse(f))
-        return out
+        return reduce(geometric_product, map(vector_inverse, reversed(self.factors)))
 
 
 def reflect(y: Multivector, x: Multivector) -> Multivector:
@@ -502,41 +494,29 @@ def pin_action(a, x: Multivector) -> Multivector:
     return geometric_product(geometric_product(a, x), a.reversion())
 
 
-@lru_cache(maxsize=256)
-def _sandwich_terms(dim: int, live_u: bytes, live_w: bytes):
-    """The gather terms of the vector part of (u w) reversion(u), w a vector:
-    per blade l of u w, (k, l ^ e_k, negate) over the live components k of w
-    whose partner l ^ e_k is live in u, by ascending partner; per output
-    component i, (l ^ e_i, l, negate) over those blades l, ascending."""
-    (_, signs), rev = _gather_table(dim), _reversion_signs(dim)
-    first = {l: t for l in range(1 << dim) if (t := tuple(
-        (k, l ^ 1 << k, bool(signs[l ^ 1 << k, l] < 0)) for k in sorted(
-            range(dim), key=lambda k: l ^ 1 << k) if live_w[k] and live_u[l ^ 1 << k]))}
-    return first, tuple(tuple((l ^ 1 << i, l, bool(rev[l ^ 1 << i] * signs[l, 1 << i] < 0))
-                              for l in first) for i in range(dim))
-
-
 def vector_sandwich(u: Multivector, *vectors) -> np.ndarray:
     """(len(vectors), n) + batch: the vector part of u w reversion(u) for a
-    finite u and each vector w, given by its n components broadcast to u's
-    batch, with the bits of `pin_action(u, w).vector_part()` but on grade-1
-    columns only.  Each blade l of u w, then each e_i, sums its gather terms
-    from 0.0 by ascending blade, less the zero terms a total from 0.0 never feels."""
+    finite u and each vector w (n components broadcast to u's batch), with
+    the bits of `pin_action(u, w).vector_part()` on grade-1 columns only:
+    each blade of u w, then each e_i, sums its live `_terms` from 0.0."""
     c = np.ascontiguousarray(np.moveaxis(u.coeffs, -1, 0))
     if not np.isfinite(c).all():
         raise AlgebraError("vector_sandwich needs a finite u")
-    live = c.reshape(len(c), -1).any(axis=1).tobytes()
+    live, rev = c.reshape(len(c), -1).any(axis=1).tobytes(), _involution_signs(u.dim, -1)
     out = np.zeros((len(vectors), u.dim) + c.shape[1:])
     for w, rows in zip(vectors, out):
-        first, second = _sandwich_terms(u.dim, live, bytes(bool(np.any(k)) for k in w))
-        uw = {l: np.zeros(c.shape[1:]) for l in first}
-        for l, terms in first.items():
-            for k, m, negate in terms:
-                (np.subtract if negate else np.add)(uw[l], w[k] * c[m], out=uw[l])
+        _, _, cols, reach, _, first = _terms(
+            u.dim, live, _blades(u.dim, [1 << k for k in range(u.dim) if np.any(w[k])]))
+        uw = {}
+        for l, terms in zip(cols.tolist(), first):
+            uw[l] = acc = np.zeros(c.shape[1:])
+            for m, e_k, negative in terms:
+                (np.subtract if negative else np.add)(acc, w[e_k.bit_length() - 1] * c[m], out=acc)
+        second = _terms(u.dim, reach, live, (blade_grades(u.dim) == 1).tobytes())[-1]
         for i, terms in enumerate(second):
             row = rows[i, ...]  # a view even when the batch is empty
-            for m, l, negate in terms:
-                (np.subtract if negate else np.add)(row, c[m] * uw[l], out=row)
+            for l, m, negative in terms:
+                (np.subtract if negative != (rev[m] < 0) else np.add)(row, c[m] * uw[l], out=row)
     return out
 
 
@@ -547,8 +527,7 @@ def parity(g: Multivector) -> int:
     reads the factor-count parity off the coefficients.
     """
     grades = blade_grades(g.dim)
-    even = np.linalg.norm(np.where(grades % 2 == 0, g.coeffs, 0.0))
-    odd = np.linalg.norm(np.where(grades % 2 == 1, g.coeffs, 0.0))
+    even, odd = (np.linalg.norm(np.where(grades % 2 == r, g.coeffs, 0.0)) for r in (0, 1))
     scale = max(even, odd)
     if scale == 0.0:
         return 0

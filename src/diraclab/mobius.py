@@ -203,19 +203,19 @@ _POLE_TOL = 1e-12  # a MobiusPoint refuses points with |c x + d| at or below it
 class MobiusPoint:
     """The map of `m` at an (..., n) array of points x, read from one g.
 
-    g = c x + d and its norm |g| (`scale`) are formed once, and the pole
-    check runs there.  The rest is derived from g when it is read: the
-    image M(x), the twist g^-1 f(M(x)), the scale factors J1 and Jm1, the
-    parity sigma and the unit frame u, whose sandwich u A reversion(u)
-    (`algebra.pin_action`) is an isometry of the coefficient norm that
-    sends vectors to vectors; `frame` forms it on e_1..e_n, on grade-1
-    columns only.  The image and the twist invert g each time they are read
-    and keep nothing; sigma, u and the frame are kept once formed.
+    x (the points as a multivector), g = c x + d and |g| (`scale`) are
+    formed once, with the pole check.  The rest is derived from g when it
+    is read: the image M(x), the twist g^-1 f(M(x)), the scale factors J1
+    and Jm1, the parity sigma and the unit frame u, whose sandwich u A
+    reversion(u) (`algebra.pin_action`) is an isometry of the coefficient
+    norm that sends vectors to vectors; `frame` forms it on e_1..e_n, on
+    grade-1 columns only.  The image and the twist invert g each time they
+    are read and keep nothing; sigma, u and the frame are kept once formed.
     """
 
     def __init__(self, m: VahlenMatrix, points):
-        self.m, self.points = m, points
-        self.g = m.c * Multivector.from_vector(m.dim, points) + m.d
+        self.m, self.points, self.x = m, points, Multivector.from_vector(m.dim, points)
+        self.g = m.c * self.x + m.d
         self.scale = self.g.norm()
         if np.any(self.scale <= _POLE_TOL):
             raise PoleError(
@@ -224,8 +224,7 @@ class MobiusPoint:
             )
 
     def _image(self, inverse: Multivector) -> np.ndarray:
-        x = Multivector.from_vector(self.m.dim, self.points)
-        out = (self.m.a * x + self.m.b) * inverse
+        out = (self.m.a * self.x + self.m.b) * inverse
         vec = out.grade_select(1)
         off = float(np.max((out - vec).norm(), initial=0.0))
         if off > 1e-10 * max(1.0, float(np.max(out.norm(), initial=0.0))):

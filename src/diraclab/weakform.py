@@ -54,12 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
-from .algebra import (Multivector, blade_label, conj_vector_sums, geometric_product, pin_action,
-                      square_sum, vector_sandwich)
+from .algebra import (Multivector, _frozen, blade_label, conj_vector_sums, geometric_product,
+                      pin_action, square_sum, vector_sandwich)
 from .fields import (
     AnalyticField,
     Domain,
@@ -315,14 +316,15 @@ class QuadratureRule:
 _BLOCK = 1 << 13
 
 
+@lru_cache(maxsize=None)
 def _radial_rule(count: int):
-    """Double-exponential nodes/weights for integral over r in (0, 1)."""
+    """Double-exponential nodes/weights for integral over r in (0, 1), read-only."""
     t = np.linspace(-3.2, 3.2, count)
     step = t[1] - t[0]
     s = (np.pi / 2.0) * np.sinh(t)
     r = 0.5 * (1.0 + np.tanh(s))
     dr = (np.pi / 4.0) * np.cosh(t) / np.cosh(s) ** 2
-    return r, step * dr
+    return _frozen(r), _frozen(step * dr)
 
 
 def _counts(order: int):
@@ -348,22 +350,23 @@ def _gauss_rule(count: int, alpha: float):
     return u, mass * vecs[0] ** 2
 
 
+@lru_cache(maxsize=None)
 def _unit_sphere_rule(dim: int, order: int, nested: bool = False):
     """Product rule on the unit sphere S^(dim-1), spectral for smooth data
     (Stroud 1971): the last coordinate u on the Gauss rule for the weight
     (1 - u^2)^((dim-3)/2), times the rule on S^(dim-2) scaled by
     sqrt(1 - u^2), down to a uniform circle.  The nodes are (dim, M)
-    rows, one per coordinate."""
+    rows, one per coordinate; both arrays are cached read-only."""
     _, gauss, inner, outer = _counts(order)
     if dim == 2:
         count = inner if nested else outer
         phi = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(phi), np.sin(phi)]), np.full(count, 2.0 * np.pi / count)
+        return _frozen(np.stack([np.cos(phi), np.sin(phi)])), _frozen(np.full(count, 2 * np.pi / count))
     u, wu = _gauss_rule(gauss, (dim - 3) / 2.0)
     omega, wo = _unit_sphere_rule(dim - 1, order, nested=True)
     ring = (np.sqrt(1.0 - u**2)[:, None] * omega[:, None, :]).reshape(dim - 1, -1)
     nodes = np.concatenate([ring, np.repeat(u, len(wo))[None]])
-    return nodes, np.multiply.outer(wu, wo).ravel()
+    return _frozen(nodes), _frozen(np.multiply.outer(wu, wo).ravel())
 
 
 def polar_blocks(dim: int, order: int, geometry):

@@ -417,6 +417,49 @@ PINNED_FIELDS = {
 }
 
 
+def _products():
+    """`geometric_product` bytes at dims 1-6: dense x dense, vector x dense
+    and dense x vector at 1, 7, 64, 1,000 and 8,192 rows, one row times a
+    batch and a batch times one row, (B, 1, ...) broadcasts, and operands
+    with signed zeros (a whole column of -0.0 too) and with inf and NaN in
+    either operand, dense or vector."""
+    rng = np.random.default_rng(33)
+    for dim in range(1, 7):
+        n, vector = 1 << dim, np.isin(np.arange(1 << dim), [1 << j for j in range(dim)])
+
+        def draw(*batch, grade1=False):
+            c = rng.standard_normal(batch + (n,))
+            c[rng.random(c.shape) < 0.1] = 0.0
+            c[rng.random(c.shape) < 0.1] = -0.0
+            if grade1:
+                c[..., ~vector] = 0.0
+            return Multivector(dim, c, copy=False)
+
+        for rows in (1, 7, 64, 1000, 8192):
+            for left, right in ((False, False), (True, False), (False, True)):
+                yield (draw(rows, grade1=left) * draw(rows, grade1=right)).coeffs
+            yield (draw() * draw(rows)).coeffs
+            yield (draw(rows) * draw(grade1=True)).coeffs
+        yield (draw(3, 1) * draw(5)).coeffs
+        yield (draw(5, grade1=True) * draw(4, 1)).coeffs
+        yield (draw(2, 1, 3) * draw(1, 4, 1)).coeffs
+        for special in range(4):
+            a, b = draw(64), draw(64, grade1=special % 2 == 1)
+            c = (a if special < 2 else b).coeffs
+            c[:, n - 1] = -0.0
+            c[3, 0], c[5, n // 2], c[7, -1], c[9, 1 % n] = np.inf, np.nan, -np.inf, np.nan
+            with np.errstate(invalid="ignore"):
+                yield (a * b).coeffs
+                yield (b * a).coeffs
+                yield (Multivector(dim, a.coeffs[3]) * b).coeffs
+                yield (a * Multivector(dim, b.coeffs[9])).coeffs
+
+
+PINNED_PRODUCTS = {
+    "products": (_products, "b0dff9e9bc112ff3a69fc82cccb9dd775ac1869e9afea2e6e05268ee078efcb4"),
+}
+
+
 def pinned_digest(case):
     """sha256 of a pinned case's values: the bytes of each array and the
     repr, exact for floats, of everything else."""
@@ -431,7 +474,7 @@ def pinned_digest(case):
         else:
             digest.update(repr(value).encode())
 
-    feed({**PINNED_PAIRINGS, **PINNED_DERIVATIVES, **PINNED_FIELDS}[case][0]())
+    feed({**PINNED_PAIRINGS, **PINNED_DERIVATIVES, **PINNED_FIELDS, **PINNED_PRODUCTS}[case][0]())
     return digest.hexdigest()
 
 
@@ -461,6 +504,11 @@ def test_pinned_derivative_digests(case):
 @pytest.mark.parametrize("case", sorted(PINNED_FIELDS))
 def test_pinned_field_digests(case):
     assert _child_digest(case) == PINNED_FIELDS[case][1]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PRODUCTS))
+def test_pinned_product_digests(case):
+    assert _child_digest(case) == PINNED_PRODUCTS[case][1]
 
 
 if __name__ == "__main__":
