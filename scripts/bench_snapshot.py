@@ -16,13 +16,16 @@ ratio of the medians, the baseline's quartiles and the number of pairs
 this checkout won.  It also records nproc, the Python and numpy versions,
 the BLAS library and thread count, `wc -l` of `src/diraclab/*.py` and,
 per side, the tier-1 suite's passed and failed counts and wall time from
-one child `pytest` run after the benchmark runs, and a `geometric_product`
-timing grid from one child interpreter: the median milliseconds per call
-at dims 3-6, batches of 1, 64, 1,000 and 8,192 rows, for a dense times a
-dense batch, a vector times a dense batch and one row times a dense
-batch.  numpy and the standard library only; a snapshot with a baseline
-at the default 10 runs took 13 minutes on a 2-vCPU machine, one tier-1
-run (about a minute) per side included.
+one child `pytest` run after the benchmark runs, and two timing grids,
+each from one child interpreter: for `geometric_product` the median
+milliseconds per call at dims 3-6, batches of 1, 64, 1,000 and 8,192
+rows, for a dense times a dense batch, a vector times a dense batch and
+one row times a dense batch; for the weak pairing the median milliseconds
+of `normalized_weak_residual` of `p_dirac_solution` against the first
+default bump on the workload's ball, at dims 2-4 and orders 6 and 12, its
+rule built before the clock starts.  numpy and the standard library only;
+a snapshot with a baseline at the default 10 runs took 13 minutes on a
+2-vCPU machine, one tier-1 run (about a minute) per side included.
 
 Before the first run, each checkout's `src` and `diracbench` are compiled
 to bytecode, and the children run without PYTHONDONTWRITEBYTECODE, so
@@ -105,11 +108,30 @@ print(json.dumps(out))
 """
 
 
-def product_grid(checkout: Path) -> dict:
-    """The median milliseconds of one `geometric_product` call in `checkout`
-    per dim, batch size and operand kind (`GRID`), in a child interpreter."""
+PAIRING = """
+import json, statistics, time
+from diraclab.fields import Domain, p_dirac_solution
+from diraclab.weakform import QuadratureRule, default_test_functions, normalized_weak_residual
+out = {}
+for dim, p in ((2, 1.5), (3, 2.5), (4, 3.0)):
+    ball = Domain.ball([3.0] + [0.0] * (dim - 1), 1.0)
+    f, eta = p_dirac_solution(dim, p), default_test_functions(ball, seed=1, random_count=1)[0]
+    for order in (6, 12):
+        rule, times = QuadratureRule.build(ball, order=order, cells=2), []
+        for _ in range(3 if (dim, order) == (4, 12) else 9):
+            start = time.perf_counter()
+            normalized_weak_residual(f, p, eta, rule)
+            times.append(time.perf_counter() - start)
+        out[f"d{dim}.o{order}"] = statistics.median(times) * 1e3
+print(json.dumps(out))
+"""
+
+
+def timing_grid(checkout: Path, script: str) -> dict:
+    """The JSON that `script` (`GRID` or `PAIRING`) prints when run in a
+    child interpreter on `checkout`'s source."""
     env = dict(child_env(), PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", GRID], cwd=checkout, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=checkout, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -199,7 +221,8 @@ def main(argv=None):
             "src_lines": line_counts(path),
             "end_to_end": {w: summary(r) for w, r in runs[side].items()},
             "per_layer": run_bench(path, first, 1, 1)["metrics"],
-            "product_grid_ms": product_grid(path),
+            "product_grid_ms": timing_grid(path, GRID),
+            "pairing_grid_ms": timing_grid(path, PAIRING),
             "tier1": tier1(path),
         }
     if "baseline" in sides:

@@ -134,9 +134,9 @@ class Multivector:
     @classmethod
     def scalar(cls, dim: int, value) -> "Multivector":
         value = np.asarray(value, dtype=float)
-        c = np.zeros(value.shape + (1 << dim,))
-        c[..., 0] = value
-        return cls(dim, c, copy=False)._carry(_blades(dim, 0))
+        c = np.zeros((1 << dim,) + value.shape)
+        c[0] = value
+        return cls(dim, c.transpose(*range(1, c.ndim), 0), copy=False)._carry(_blades(dim, 0))
 
     @classmethod
     def basis_vector(cls, dim: int, j: int) -> "Multivector":
@@ -163,9 +163,9 @@ class Multivector:
             raise AlgebraError(
                 f"vector components must have last axis {dim}, got {v.shape}"
             )
-        c, vector = np.zeros(v.shape[:-1] + (1 << dim,)), [1 << j for j in range(dim)]
-        c[..., vector] = v
-        return cls(dim, c, copy=False)._carry(_blades(dim, vector))
+        c, vector = np.zeros((1 << dim,) + v.shape[:-1]), [1 << j for j in range(dim)]
+        c[vector] = v.transpose(-1, *range(v.ndim - 1))
+        return cls(dim, c.transpose(*range(1, c.ndim), 0), copy=False)._carry(_blades(dim, vector))
 
     # ------------------------------------------------------------ structure
 
@@ -254,22 +254,25 @@ class Multivector:
 
 
 def square_sum(a: np.ndarray, live=None) -> np.ndarray:
-    """np.sum(a * a, axis=-1) to the bit.  On a C-ordered batch of 1024 rows
-    or more, up to 127 columns of which fewer than 8 are in the bool bytes
-    `live` (default all), whole squared columns are added in numpy's order
-    (a left fold below 8; else every 8th into 8 lanes, a pairwise tree of
-    them, then the rest), skipping zero columns outside `live`: no sum of
-    squares is -0.0.  Elsewhere per-row sums are faster, or numpy's order
-    differs (it folds the columns of an array not C-ordered)."""
+    """np.sum(a * a, axis=-1) of the C-ordered a to the bit, in any layout.
+    On a batch of 1024 rows or more with up to 127 columns, 1 to 7 of them
+    in the bool bytes `live` (default all; any number if a is not C-ordered),
+    squared columns are added in place in numpy's order (a left fold below
+    8; else every 8th into 8 lanes, a pairwise tree of them, then the rest),
+    skipping zero columns outside `live` (no sum of squares is -0.0, so
+    numpy's first 0.0 adds nothing).  Elsewhere per-row sums are faster, of
+    a C-ordered copy from 8 columns up (numpy folds other layouts by column)."""
     n = a.shape[-1]
-    if n > 127 or a.size < 1024 * n or (live or b"\1" * n).count(1) > 7 or not a.flags.c_contiguous:
+    most = 7 if a.flags.c_contiguous else n
+    if n > 127 or a.size < 1024 * n or not 0 < (live or b"\1" * n).count(1) <= most:
+        a = a if n < 8 else np.ascontiguousarray(a)
         return np.sum(a * a, axis=-1)
     cols = [a[..., k] ** 2 if live is None or live[k] else None for k in range(n)]
-    add = lambda x, y: y if x is None else x if y is None else x + y
+    add = lambda x, y: y if x is None else x if y is None else np.add(x, y, out=x)
     tree = [reduce(add, cols[j:n - n % 8:8]) for j in range(8)] if n >= 8 else [None]
     while len(tree) > 1:
         tree = list(map(add, tree[::2], tree[1::2]))
-    return add(np.zeros(a.shape[:-1]), reduce(add, cols[n - n % 8:], tree[0]))
+    return reduce(add, cols[n - n % 8:], tree[0])
 
 
 @lru_cache(maxsize=None)
@@ -385,9 +388,9 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     bounds = [count * k // max(blocks, 1) for k in range(blocks + 1)]
     dest, finite = slice(None) if len(cols) == n else cols, True
     for start, stop in zip(bounds, bounds[1:]):
-        rows_a = ca[ia, None] if ca.ndim == 1 else np.ascontiguousarray(ca[start:stop, ia].T)
+        rows_a = ca[ia, None] if ca.ndim == 1 else ca.T[ia, start:stop]
         rows_b = np.empty((2 * len(ib) + 1, stop - start))
-        rows_b[:len(ib)] = cb[ib, None] if cb.ndim == 1 else cb[start:stop, ib].T
+        rows_b[:len(ib)] = cb[ib, None] if cb.ndim == 1 else cb.T[ib, start:stop]
         np.multiply(rows_b[:len(ib)], -1.0, out=rows_b[len(ib):-1])
         rows_b[-1] = 0.0
         group = max(_BLOCK // (len(ia) * (stop - start)), 1)
@@ -405,7 +408,7 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 def vector_inverse(x: Multivector) -> Multivector:
     """Inverse of a nonzero grade-1 element: x**-1 = -x / |x|^2."""
     with np.errstate(over="ignore"):
-        n2 = np.sum(x.vector_part() ** 2, axis=-1)
+        n2 = square_sum(x.vector_part())
     if not (np.all(np.isfinite(x.coeffs)) and np.all(np.isfinite(n2))):
         raise AlgebraError("vector_inverse requires finite coefficients and squared length")
     if not x.is_grade(1):
@@ -422,7 +425,11 @@ def lipschitz_element_inverse(g: Multivector) -> Multivector:
     vectors), where conjugation(g) * g collapses to the scalar |g|^2.  The
     scalar collapse is checked on the residual g * g**-1 - 1, to 1e-9.
     """
-    n2 = np.sum(g.coeffs**2, axis=-1)
+    return _lipschitz_inverse(g, square_sum(g.coeffs, g.live))
+
+
+def _lipschitz_inverse(g: Multivector, n2: np.ndarray) -> Multivector:
+    """`lipschitz_element_inverse` of g, given n2 = square_sum of g's coefficients."""
     if np.any(n2 <= 0.0):
         raise SingularElementError("inverse of zero element")
     inv = Multivector(g.dim, g.conjugation().coeffs / n2[..., None], copy=False)

@@ -35,8 +35,9 @@ from .algebra import (
     AlgebraError,
     Multivector,
     VectorFactorList,
-    lipschitz_element_inverse,
+    _lipschitz_inverse,
     parity,
+    square_sum,
     vector_sandwich,
 )
 
@@ -203,20 +204,22 @@ _POLE_TOL = 1e-12  # a MobiusPoint refuses points with |c x + d| at or below it
 class MobiusPoint:
     """The map of `m` at an (..., n) array of points x, read from one g.
 
-    x (the points as a multivector), g = c x + d and |g| (`scale`) are
-    formed once, with the pole check.  The rest is derived from g when it
-    is read: the image M(x), the twist g^-1 f(M(x)), the scale factors J1
-    and Jm1, the parity sigma and the unit frame u, whose sandwich u A
-    reversion(u) (`algebra.pin_action`) is an isometry of the coefficient
-    norm that sends vectors to vectors; `frame` forms it on e_1..e_n, on
-    grade-1 columns only.  The image and the twist invert g each time they
-    are read and keep nothing; sigma, u and the frame are kept once formed.
+    x (the points as a multivector), g = c x + d and its sum of squares,
+    whose root is |g| (`scale`), are formed once, with the pole check.  The
+    rest is derived from g when it is read: the image M(x), the twist
+    g^-1 f(M(x)), the scale factors J1 and Jm1, the parity sigma and the
+    unit frame u, whose sandwich u A reversion(u) (`algebra.pin_action`) is
+    an isometry of the coefficient norm that sends vectors to vectors;
+    `frame` forms it on e_1..e_n, on grade-1 columns only.  The image and
+    the twist invert g, from the kept sum of squares, each time they are
+    read and keep nothing; sigma, u and the frame are kept once formed.
     """
 
     def __init__(self, m: VahlenMatrix, points):
         self.m, self.points, self.x = m, points, Multivector.from_vector(m.dim, points)
         self.g = m.c * self.x + m.d
-        self.scale = self.g.norm()
+        self._n2 = square_sum(self.g.coeffs)
+        self.scale = np.sqrt(self._n2)
         if np.any(self.scale <= _POLE_TOL):
             raise PoleError(
                 f"denominator norm fell to {float(np.min(self.scale)):.3e} "
@@ -235,11 +238,11 @@ class MobiusPoint:
     def image(self) -> np.ndarray:
         """The (..., n) coordinates of M(x) = (a x + b) g^-1, refused when
         (a x + b) g^-1 is off grade 1 by over 1e-10."""
-        return self._image(lipschitz_element_inverse(self.g))
+        return self._image(_lipschitz_inverse(self.g, self._n2))
 
     def twist(self, f) -> Multivector:
         """g^-1 f(M(x)) for f taking coordinates, g inverted once for both."""
-        inverse = lipschitz_element_inverse(self.g)
+        inverse = _lipschitz_inverse(self.g, self._n2)
         return inverse * f(self._image(inverse))
 
     @property

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from diraclab.algebra import (
     _BLOCK,
+    _live,
     AlgebraError,
     Multivector,
     SingularElementError,
@@ -23,6 +24,7 @@ from diraclab.algebra import (
     reflect,
     square_sum,
     vector_inverse,
+    vector_sandwich,
 )
 
 from conftest import random_factor_list, random_multivector, random_vector
@@ -496,24 +498,30 @@ def _special_array(rng, shape, special):
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.sampled_from(list(range(1, 18)) + [31, 64, 100, 127, 128, 129, 136, 300]),
-       rows=st.sampled_from([(0,), (7,), (1024,), (2, 600)]), order=st.sampled_from("CF"),
-       seed=st.integers(0, 2**32 - 1), special=st.sampled_from([0.0, 0.1, 0.5]),
+       rows=st.sampled_from([(0,), (7,), (1024,), (2, 600), (3, 5)]),
+       order=st.sampled_from("CFB"), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([0.0, 0.1, 0.5]),
        live_count=st.sampled_from([None, 0, 1, 3, 7, 8, 12]))
 def test_square_sum_is_np_sum_bit_for_bit(n, rows, order, seed, special, live_count):
-    """square_sum equals np.sum(a * a, axis=-1), with and without a live
-    mask whose dead columns hold +0.0 or -0.0, on NaN, infinities, signed
-    zeros, subnormals, squares that overflow or underflow, and an empty
-    batch: by whole columns on C-ordered batches of 1024 rows or more with
-    up to 127 columns, fewer than 8 live, and by np.sum elsewhere (above
-    127 columns, fewer rows, more live columns or an F-ordered batch)."""
+    """square_sum equals np.sum(a * a, axis=-1) of the C-ordered a, with and
+    without a live mask whose dead columns hold +0.0 or -0.0, on NaN,
+    infinities, signed zeros, subnormals, squares that overflow or
+    underflow, and an empty batch, for a C-ordered, an F-ordered and a
+    blade-major (B: the columns contiguous rows) a, batched (B, n) or
+    (E, B, n): by whole columns on batches of 1024 rows or more with up to
+    127 columns, fewer than 8 live, and by np.sum elsewhere (above 127
+    columns, fewer rows or more live columns), of a C-ordered copy from 8
+    columns up."""
     rng = np.random.default_rng(seed)
-    a = np.asarray(_special_array(rng, rows + (n,), special), order=order)
+    c = _special_array(rng, rows + (n,), special)
     live = np.ones(n, dtype=bool)
     if live_count is not None:
         live[rng.permutation(n)[live_count:]] = False
-    a[..., ~live] = rng.choice([0.0, -0.0], size=(~live).sum())
+    c[..., ~live] = rng.choice([0.0, -0.0], size=(~live).sum())
+    a = (np.moveaxis(np.ascontiguousarray(np.moveaxis(c, -1, 0)), 0, -1) if order == "B"
+         else np.asarray(c, order=order))
     with np.errstate(over="ignore", under="ignore"):
-        want = np.sum(a * a, axis=-1)
+        want = np.sum(c * c, axis=-1)
         for mask in (None,) * (live_count is None) + (live.tobytes(),):
             assert same_bytes(square_sum(a, mask), want)
 
@@ -559,15 +567,76 @@ def test_derived_multivectors_carry_no_live_blades():
 @pytest.mark.parametrize("dim", range(1, 8))
 def test_from_vector_norm_is_the_dense_sum_bit_for_bit(rng, dim):
     """norm() of a from_vector field sums its dim live columns by
-    square_sum and equals sqrt(np.sum(c**2, -1)), also where a carried
-    blade is zero (+0.0 or -0.0) in every row, and on NaN, infinities and
-    subnormals."""
+    square_sum and equals sqrt(np.sum(c**2, -1)) of its C-ordered dense
+    coefficients c, also where a carried blade is zero (+0.0 or -0.0) in
+    every row, and on NaN, infinities and subnormals."""
     comps = _special_array(rng, (1100, dim), 0.3)
     comps[:, dim // 2] = rng.choice([0.0, -0.0], size=1100)
     for c in (comps, comps[5], np.zeros(dim), np.full(dim, -0.0)):
         mv = Multivector.from_vector(dim, c)
+        dense = np.ascontiguousarray(mv.coeffs)
         with np.errstate(invalid="ignore", over="ignore"):
-            assert same_bytes(mv.norm(), np.sqrt(np.sum(mv.coeffs**2, axis=-1)))
+            assert same_bytes(mv.norm(), np.sqrt(np.sum(dense**2, axis=-1)))
+
+
+def _blade_major(c):
+    """c's values with the blade axis outermost in memory, as the batched
+    constructors lay them out: each blade one contiguous row."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(c, -1, 0)), 0, -1)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_blade_major_and_c_ordered_coefficients_give_the_same_bytes(rng, dim):
+    """Every operation reads a value's blade-major coefficients to the same
+    bytes, carried sets included, as a C-ordered copy of them: norm, the
+    product with the value on either side, conj_vector_sums,
+    vector_sandwich and pin_action, vector_part, grade_select and is_grade,
+    the involutions, +, -, scalar * and /, and the live-blade scan.  Values
+    are dense, grade-1 and scalar, from raw coefficients and from the
+    constructors, at 7 and 1,100 rows and 2 x 600, with signed zeros,
+    subnormals, inf and NaN (finite where vector_sandwich needs it)."""
+    n = 1 << dim
+    for batch in ((7,), (1100,), (2, 600)):
+        comps = _special_array(rng, batch + (dim,), 0.2)
+        comps[..., dim // 2] = -0.0
+        finite = rng.standard_normal(batch + (n,))
+        finite[rng.random(finite.shape) < 0.2] = -0.0
+        values = [Multivector(dim, _blade_major(_special_array(rng, batch + (n,), 0.2))),
+                  Multivector(dim, _blade_major(finite)), Multivector.from_vector(dim, comps),
+                  Multivector.scalar(dim, comps[..., 0])]
+        other = Multivector(dim, _special_array(rng, batch + (n,), 0.1))
+        vectors = (rng.standard_normal(dim), rng.standard_normal((dim,) + batch))
+        left, wx = _special_array(rng, (batch[-1], dim), 0.1), rng.uniform(0.1, 1.0, (2, batch[-1]))
+        for value in values:
+            assert not value.coeffs.flags.c_contiguous
+            copy = Multivector(dim, np.ascontiguousarray(value.coeffs))
+            if value.live is not None:
+                copy = copy._carry(value.live)
+
+            def results(v):
+                out = [v.norm(), v * other, other * v, v * v, pin_action(v, other),
+                       pin_action(other, v), v.vector_part(), v.reversion(), v.conjugation(),
+                       v + other, other - v, -v, 2.5 * v, v * -0.5, v / 3.0,
+                       _live(v.coeffs), *(v.is_grade(r) for r in range(dim + 1)),
+                       *(v.grade_select(r) for r in range(dim + 1))]
+                if len(batch) == 1:
+                    sums = np.zeros((2, n))
+                    conj_vector_sums(left, v, wx, sums, np.empty((2, n, batch[0] + 1)))
+                    out.append(sums)
+                if np.isfinite(v.coeffs).all():
+                    out.append(vector_sandwich(v, *vectors))
+                return out
+
+            with np.errstate(all="ignore"):
+                got, want = results(value), results(copy)
+            for g, w in zip(got, want):
+                if isinstance(w, Multivector):
+                    assert g.live == w.live
+                    g, w = g.coeffs, w.coeffs
+                if isinstance(w, np.ndarray):
+                    assert same_bytes(g, w)
+                else:
+                    assert g == w
 
 
 @pytest.mark.parametrize("dim", range(1, 7))

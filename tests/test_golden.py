@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from diraclab import cr2d, sphere, weakform
-from diraclab.algebra import Multivector
+from diraclab.algebra import Multivector, conj_vector_sums
 from diraclab.cli import main
 from diraclab.fields import (Domain, cauchy_kernel, compose_with_mobius, gradient_fd, log_radial,
                              p_dirac_residual, p_dirac_solution, p_harmonic_radial,
@@ -455,8 +455,45 @@ def _products():
                 yield (a * Multivector(dim, b.coeffs[9])).coeffs
 
 
+def _norms():
+    """`norm()` and `conj_vector_sums` bytes of `from_vector` and `scalar`
+    values at dims 1-7: unbatched and over 0, 1, 7, 1,024 and 2 x 600
+    rows, from row-major and component-major components, with signed zeros
+    (a whole -0.0 component too), subnormals, inf and NaN among the values
+    and, in one of two vector fields l, among its components."""
+    rng = np.random.default_rng(35)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan])
+
+    def draw(*shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+        pick = rng.random(shape) < 0.2
+        a[pick] = rng.choice(specials, size=int(pick.sum()))
+        return a
+
+    for dim in range(1, 8):
+        n = 1 << dim
+        for batch in ((), (0,), (1,), (7,), (1024,), (2, 600)):
+            comps = draw(*batch, dim)
+            comps[..., dim // 2] = -0.0
+            component_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(comps, -1, 0)), 0, -1)
+            count = batch[0] if len(batch) == 1 else 5
+            lefts = (rng.standard_normal((count, dim)), draw(count, dim))
+            for c in (comps, component_major):
+                for mv in (Multivector.from_vector(dim, c), Multivector.scalar(dim, c[..., 0])):
+                    with np.errstate(all="ignore"):
+                        yield mv.norm()
+                        if len(batch) > 1:
+                            continue
+                        for left in lefts:
+                            sums = np.zeros((2, n))
+                            conj_vector_sums(left, mv, rng.uniform(0.1, 1.0, (2, count)), sums,
+                                             np.empty((2, n, count + 1)))
+                            yield sums
+
+
 PINNED_PRODUCTS = {
     "products": (_products, "b0dff9e9bc112ff3a69fc82cccb9dd775ac1869e9afea2e6e05268ee078efcb4"),
+    "norms": (_norms, "4c9c14e3fa3e926e94cd692ce532ec90ce2a4287c5f5bfe4daebda88ca7dd433"),
 }
 
 
