@@ -23,9 +23,13 @@ rows, for a dense times a dense batch, a vector times a dense batch and
 one row times a dense batch; for the weak pairing the median milliseconds
 of `normalized_weak_residual` of `p_dirac_solution` against the first
 default bump on the workload's ball, at dims 2-4 and orders 6 and 12, its
-rule built before the clock starts.  numpy and the standard library only;
-a snapshot with a baseline at the default 10 runs took 13 minutes on a
-2-vCPU machine, one tier-1 run (about a minute) per side included.
+rule built before the clock starts.  A third child per side gives
+`cli_runs_ms`: the median of 3 timings of `main` inside that interpreter
+for each of `covariance --theorem 1 --n 4 --order 8` and `sphere-check
+--n 4`, the heavy Moebius and sphere runs outside the benchmark.  numpy
+and the standard library only; a snapshot with a baseline at the default
+10 runs took 16 minutes on a 2-vCPU machine, one tier-1 run (about a
+minute) per side included.
 
 Before the first run, each checkout's `src` and `diracbench` are compiled
 to bytecode, and the children run without PYTHONDONTWRITEBYTECODE, so
@@ -127,9 +131,25 @@ print(json.dumps(out))
 """
 
 
+CLI_RUNS = """
+import contextlib, io, json, statistics, time
+from diraclab.cli import main
+out = {}
+for args in ("covariance --theorem 1 --n 4 --order 8", "sphere-check --n 4"):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(args.split())
+        times.append(time.perf_counter() - start)
+    out[args] = statistics.median(times) * 1e3
+print(json.dumps(out))
+"""
+
+
 def timing_grid(checkout: Path, script: str) -> dict:
-    """The JSON that `script` (`GRID` or `PAIRING`) prints when run in a
-    child interpreter on `checkout`'s source."""
+    """The JSON that `script` (`GRID`, `PAIRING` or `CLI_RUNS`) prints when
+    run in a child interpreter on `checkout`'s source."""
     env = dict(child_env(), PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-c", script], cwd=checkout, env=env,
                           capture_output=True, text=True, check=True)
@@ -223,6 +243,7 @@ def main(argv=None):
             "per_layer": run_bench(path, first, 1, 1)["metrics"],
             "product_grid_ms": timing_grid(path, GRID),
             "pairing_grid_ms": timing_grid(path, PAIRING),
+            "cli_runs_ms": timing_grid(path, CLI_RUNS),
             "tier1": tier1(path),
         }
     if "baseline" in sides:

@@ -7,7 +7,8 @@ The algebra Cl(0, n) is generated by orthonormal vectors e_1 .. e_n with
 so every vector squares to minus its squared length.  Basis blades are
 indexed by bitmasks: bit (j-1) of the index is set exactly when e_j is a
 factor of the blade, and index 0 is the scalar unit.  A multivector is a
-dense coefficient vector of length 2**n over that basis.
+dense coefficient vector of length 2**n over that basis, stored
+blade-major: each blade's coefficients over a batch are one contiguous row.
 
 All operations broadcast over leading axes of the coefficient array, so a
 "batched" Multivector with coeffs of shape (..., 2**n) evaluates fields on
@@ -40,6 +41,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """a made read-only, as every cached table is shared by its callers."""
     a.setflags(write=False)
     return a
+
+
+def _rows(c: np.ndarray) -> np.ndarray:
+    """The (2**n, ...) view, a row per blade, of (..., 2**n) coefficients."""
+    return c.T if c.ndim < 3 else c.transpose(-1, *range(c.ndim - 1))
+
+
+def _coeffs(rows: np.ndarray) -> np.ndarray:
+    """The (..., 2**n) coefficient view of (2**n, ...) blade rows."""
+    return rows.T if rows.ndim < 3 else rows.transpose(*range(1, rows.ndim), 0)
 
 
 def _blades(dim: int, blades) -> bytes:
@@ -95,10 +106,11 @@ def _involution_signs(dim: int, shift: int) -> np.ndarray:
 class Multivector:
     """Element of Cl(0, dim) with dense coefficients, optionally batched.
 
-    coeffs has shape (..., 2**dim); the last axis runs over bitmask blade
-    indices.  Leading axes are broadcast batch axes.  `live`, the bool bytes
-    of the blades that can be nonzero, is set by constructors and finite
-    products, with coeffs made read-only; else None (inf * 0 = NaN).
+    coeffs has shape (..., 2**dim), broadcast batch axes first and blades
+    last, and views a C-ordered (2**dim, ...) array, into which a caller's
+    array is copied unless so laid out already and copy is False.  `live`,
+    the bool bytes of the blades that can be nonzero, is set by constructors
+    and finite products, with coeffs made read-only; else None (inf * 0 = NaN).
     """
 
     __slots__ = ("dim", "coeffs", "live")
@@ -110,15 +122,15 @@ class Multivector:
     def __init__(self, dim: int, coeffs, copy: bool = True):
         if not 1 <= dim <= MAX_DIM:
             raise AlgebraError(f"dim must be in [1, {MAX_DIM}], got {dim}")
-        c = np.array(coeffs, dtype=float, copy=copy)
+        c = np.asarray(coeffs, dtype=float)
         if c.ndim == 0 or c.shape[-1] != (1 << dim):
             raise AlgebraError(
                 f"coefficient axis must have length {1 << dim} for dim={dim}, "
                 f"got shape {c.shape}"
             )
-        self.dim = dim
-        self.coeffs = c
-        self.live = None
+        rows = _rows(c)
+        self.dim, self.live = dim, None
+        self.coeffs = _coeffs(rows.copy()) if copy or not rows.flags.c_contiguous else c
 
     def _carry(self, live: bytes) -> "Multivector":
         self.coeffs.setflags(write=False)
@@ -129,23 +141,21 @@ class Multivector:
 
     @classmethod
     def zero(cls, dim: int, batch_shape=()) -> "Multivector":
-        return cls(dim, np.zeros(tuple(batch_shape) + (1 << dim,)), copy=False)
+        return cls(dim, _coeffs(np.zeros((1 << dim,) + tuple(batch_shape))), copy=False)
 
     @classmethod
     def scalar(cls, dim: int, value) -> "Multivector":
         value = np.asarray(value, dtype=float)
         c = np.zeros((1 << dim,) + value.shape)
         c[0] = value
-        return cls(dim, c.transpose(*range(1, c.ndim), 0), copy=False)._carry(_blades(dim, 0))
+        return cls(dim, _coeffs(c), copy=False)._carry(_blades(dim, 0))
 
     @classmethod
     def basis_vector(cls, dim: int, j: int) -> "Multivector":
         """e_j with 1-based index j."""
         if not 1 <= j <= dim:
             raise AlgebraError(f"basis index must be in [1, {dim}], got {j}")
-        c = np.zeros(1 << dim)
-        c[1 << (j - 1)] = 1.0
-        return cls(dim, c, copy=False)._carry(_blades(dim, 1 << (j - 1)))
+        return cls.blade(dim, 1 << (j - 1))
 
     @classmethod
     def blade(cls, dim: int, mask: int) -> "Multivector":
@@ -164,8 +174,8 @@ class Multivector:
                 f"vector components must have last axis {dim}, got {v.shape}"
             )
         c, vector = np.zeros((1 << dim,) + v.shape[:-1]), [1 << j for j in range(dim)]
-        c[vector] = v.transpose(-1, *range(v.ndim - 1))
-        return cls(dim, c.transpose(*range(1, c.ndim), 0), copy=False)._carry(_blades(dim, vector))
+        c[vector] = _rows(v)
+        return cls(dim, _coeffs(c), copy=False)._carry(_blades(dim, vector))
 
     # ------------------------------------------------------------ structure
 
@@ -254,25 +264,32 @@ class Multivector:
 
 
 def square_sum(a: np.ndarray, live=None) -> np.ndarray:
-    """np.sum(a * a, axis=-1) of the C-ordered a to the bit, in any layout.
-    On a batch of 1024 rows or more with up to 127 columns, 1 to 7 of them
-    in the bool bytes `live` (default all; any number if a is not C-ordered),
-    squared columns are added in place in numpy's order (a left fold below
-    8; else every 8th into 8 lanes, a pairwise tree of them, then the rest),
-    skipping zero columns outside `live` (no sum of squares is -0.0, so
-    numpy's first 0.0 adds nothing).  Elsewhere per-row sums are faster, of
-    a C-ordered copy from 8 columns up (numpy folds other layouts by column)."""
-    n = a.shape[-1]
-    most = 7 if a.flags.c_contiguous else n
-    if n > 127 or a.size < 1024 * n or not 0 < (live or b"\1" * n).count(1) <= most:
-        a = a if n < 8 else np.ascontiguousarray(a)
-        return np.sum(a * a, axis=-1)
-    cols = [a[..., k] ** 2 if live is None or live[k] else None for k in range(n)]
-    add = lambda x, y: y if x is None else x if y is None else np.add(x, y, out=x)
-    tree = [reduce(add, cols[j:n - n % 8:8]) for j in range(8)] if n >= 8 else [None]
+    """np.sum(a * a, axis=-1) of the C-ordered a to the bit, in any layout,
+    over the columns that the bool bytes `live` name (default all; a column
+    left out, if zero, would add only +0.0), folded column by column in
+    numpy's pairwise order: a left fold below 8 columns; up to 128, 8 lanes
+    of every 8th column, a tree of them, then the rest; above, the sum of
+    the halves split at n // 2 less n // 2 % 8.  A lane starts as its first
+    square; every other square is formed in one scratch column and added."""
+    n, cols, scratch = a.shape[-1], _rows(a), np.empty(a.shape[:-1])
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = square_sum(a[..., :half], live and live[:half])
+        return np.add(total, square_sum(a[..., half:], live and live[half:]), out=total)
+
+    def add(acc, k):
+        if live is not None and not live[k]:
+            return acc
+        if acc is None:
+            return np.square(cols[k], out=np.empty_like(scratch))
+        return np.add(acc, np.square(cols[k], out=scratch), out=acc)
+
+    join = lambda x, y: y if x is None else x if y is None else np.add(x, y, out=x)
+    tree = [reduce(add, range(j, n - n % 8, 8), None) for j in range(8)] if n >= 8 else [None]
     while len(tree) > 1:
-        tree = list(map(add, tree[::2], tree[1::2]))
-    return reduce(add, cols[n - n % 8:], tree[0])
+        tree = list(map(join, tree[::2], tree[1::2]))
+    total = reduce(add, range(n - n % 8, n), tree[0])
+    return np.zeros(a.shape[:-1]) if total is None else total
 
 
 @lru_cache(maxsize=None)
@@ -343,13 +360,8 @@ def conj_vector_sums(left: np.ndarray, vals: Multivector, wx: np.ndarray,
 
 
 def _live(c: np.ndarray) -> bytes:
-    """Bool bytes of the blades nonzero somewhere in c's batch (NaN counts); a long
-    batch is scanned 64 rows to a line, as numpy reduces narrow columns slowly."""
-    if c.size < 256 * c.shape[-1]:
-        return c.any(axis=tuple(range(c.ndim - 1))).tobytes()
-    rows, head = c.reshape(-1, c.shape[-1]), c.size // (64 * c.shape[-1]) * 64
-    wide = (rows[:head] != 0).reshape(-1, 64 * c.shape[-1]).any(axis=0).reshape(64, -1)
-    return (wide.any(axis=0) | rows[head:].any(axis=0)).tobytes()
+    """Bool bytes of the blades nonzero somewhere in c's batch (NaN counts), row by row."""
+    return _rows(c).reshape(c.shape[-1], -1).any(axis=1).tobytes()
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -364,13 +376,13 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     the blades a live i reaches from a live j are formed (`_terms`); the
     rest are +0.0, and a finite product carries the formed ones.
 
-    Blade-major: per block of rows, each factor's live columns become rows,
+    Blade-major: per block of rows, each factor's live blade rows are read,
     b's beside their negatives and a zero row; per group of output blades,
     b's signed terms are gathered as (blades, terms, rows) and one einsum
-    multiplies them by a's rows and sums the terms in order, along the rows.
-    A factor of one row is one column that broadcasts over the block, never
-    copied out to the batch; two single rows are summed as two, as numpy
-    sums one row's terms pairwise.
+    multiplies them by a's rows and sums the terms in order, into whole
+    output rows.  A factor of one row is one value per blade, broadcast
+    over the block; two single rows are summed as two, as numpy sums one
+    row's terms pairwise.
     """
     a._check_same(b)
     n = 1 << a.dim
@@ -379,18 +391,18 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     ia, ib, cols, live, signed, _ = _terms(a.dim, live_a, b.live or _live(b.coeffs))
     if len(cols) < n and not np.isfinite(a.coeffs).all():
         ia, ib, cols, live, signed, _ = _terms(a.dim, live_a, b"\x01" * n)
-    ca, cb = (c.reshape(n) if c.size == n else (c if c.shape == shape else np.broadcast_to(
-        c, shape)).reshape(-1, n) for c in (a.coeffs, b.coeffs))
-    cb = np.stack((cb, cb)) if ca.ndim == cb.ndim == 1 else cb
-    count = len(cb if ca.ndim == 1 else ca)
-    out = (np.empty if len(cols) == n else np.zeros)((count, n))
+    ca, cb = (c.reshape(n) if c.size == n else _rows(c if c.shape == shape else np.broadcast_to(
+        c, shape)).reshape(n, -1) for c in (a.coeffs, b.coeffs))
+    cb = np.stack((cb, cb), axis=1) if ca.ndim == cb.ndim == 1 else cb
+    count = (cb if ca.ndim == 1 else ca).shape[1]
+    out = (np.empty if len(cols) == n else np.zeros)((n, count))
     blocks = -(-count // (_BLOCK // max(len(ia), len(ib), len(cols), 1))) if len(cols) else 0
     bounds = [count * k // max(blocks, 1) for k in range(blocks + 1)]
     dest, finite = slice(None) if len(cols) == n else cols, True
     for start, stop in zip(bounds, bounds[1:]):
-        rows_a = ca[ia, None] if ca.ndim == 1 else ca.T[ia, start:stop]
+        rows_a = ca[ia, None] if ca.ndim == 1 else ca[ia, start:stop]
         rows_b = np.empty((2 * len(ib) + 1, stop - start))
-        rows_b[:len(ib)] = cb[ib, None] if cb.ndim == 1 else cb.T[ib, start:stop]
+        rows_b[:len(ib)] = cb[ib, None] if cb.ndim == 1 else cb[ib, start:stop]
         np.multiply(rows_b[:len(ib)], -1.0, out=rows_b[len(ib):-1])
         rows_b[-1] = 0.0
         group = max(_BLOCK // (len(ia) * (stop - start)), 1)
@@ -400,8 +412,8 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
             rows_b.take(signed[k:k + group], axis=0, out=part, mode="clip")
             np.einsum("gtr,tr->gr", part, rows_a, out=sums[k:k + group])
         finite = finite and np.isfinite(sums).all()
-        out[start:stop, dest] = sums.T
-    product = Multivector(a.dim, out[:math.prod(shape[:-1])].reshape(shape), copy=False)
+        out[dest, start:stop] = sums
+    product = Multivector(a.dim, _coeffs(out[:, :math.prod(shape[:-1])]).reshape(shape), copy=False)
     return product._carry(live) if finite else product
 
 
@@ -433,8 +445,7 @@ def _lipschitz_inverse(g: Multivector, n2: np.ndarray) -> Multivector:
     if np.any(n2 <= 0.0):
         raise SingularElementError("inverse of zero element")
     inv = Multivector(g.dim, g.conjugation().coeffs / n2[..., None], copy=False)
-    resid = geometric_product(g, inv)
-    resid = resid - Multivector.scalar(g.dim, np.ones(resid.batch_shape))
+    resid = geometric_product(g, inv) - Multivector.scalar(g.dim, np.ones(inv.batch_shape))
     if np.any(resid.norm() > 1e-9):
         raise AlgebraError(
             "element is not invertible by conjugation (not a vector product); "
@@ -506,10 +517,10 @@ def vector_sandwich(u: Multivector, *vectors) -> np.ndarray:
     finite u and each vector w (n components broadcast to u's batch), with
     the bits of `pin_action(u, w).vector_part()` on grade-1 columns only:
     each blade of u w, then each e_i, sums its live `_terms` from 0.0."""
-    c = np.ascontiguousarray(np.moveaxis(u.coeffs, -1, 0))
+    c = _rows(u.coeffs)
     if not np.isfinite(c).all():
         raise AlgebraError("vector_sandwich needs a finite u")
-    live, rev = c.reshape(len(c), -1).any(axis=1).tobytes(), _involution_signs(u.dim, -1)
+    live, rev = _live(u.coeffs), _involution_signs(u.dim, -1)
     out = np.zeros((len(vectors), u.dim) + c.shape[1:])
     for w, rows in zip(vectors, out):
         _, _, cols, reach, _, first = _terms(
@@ -533,8 +544,8 @@ def parity(g: Multivector) -> int:
     Lipschitz group elements are always homogeneous in parity, so this
     reads the factor-count parity off the coefficients.
     """
-    grades = blade_grades(g.dim)
-    even, odd = (np.linalg.norm(np.where(grades % 2 == r, g.coeffs, 0.0)) for r in (0, 1))
+    even, odd = (np.sqrt(np.sum(square_sum(g.coeffs, (blade_grades(g.dim) % 2 == r).tobytes())))
+                 for r in (0, 1))
     scale = max(even, odd)
     if scale == 0.0:
         return 0

@@ -174,10 +174,10 @@ def _encode(vals, batch=()) -> Multivector:
     """u + iv as the Cl_2 even element u - v e_12 (e_2 e_1 = -e_12 <-> i),
     broadcast over batch."""
     vals = np.asarray(vals)
-    coeffs = np.zeros(np.broadcast_shapes(vals.shape, batch) + (4,))
-    coeffs[..., 0] = vals.real
-    coeffs[..., 3] = -vals.imag
-    return Multivector(2, coeffs, copy=False)
+    rows = np.zeros((4,) + np.broadcast_shapes(vals.shape, batch))
+    rows[0] = vals.real
+    rows[3] = -vals.imag
+    return Multivector(2, np.moveaxis(rows, 0, -1), copy=False)
 
 
 def even_encoding(g: ComplexField) -> AnalyticField:

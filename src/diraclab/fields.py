@@ -99,7 +99,7 @@ class AnalyticField:
 def constant_field(dim: int, value: Multivector) -> AnalyticField:
     def ev(pts):
         shape = pts.shape[:-1] + (1 << dim,)
-        return Multivector(dim, np.broadcast_to(value.coeffs, shape).copy())
+        return Multivector(dim, np.broadcast_to(value.coeffs, shape))
 
     def gr(pts):
         return [Multivector.zero(dim, pts.shape[:-1]) for _ in range(dim)]
@@ -116,7 +116,7 @@ def identity_field(dim: int) -> AnalyticField:
         out = []
         for j in range(1, dim + 1):
             ej = Multivector.basis_vector(dim, j)
-            out.append(Multivector(dim, np.broadcast_to(ej.coeffs, batch + (1 << dim,)).copy()))
+            out.append(Multivector(dim, np.broadcast_to(ej.coeffs, batch + (1 << dim,))))
         return out
 
     return AnalyticField(dim, ev, gr, (), name="identity")

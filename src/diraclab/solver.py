@@ -667,7 +667,8 @@ def solve_dirichlet(domain: LatticeDomain, boundary, config: SolverConfig,
     bpts = domain.coordinates()[domain.boundary_mask]
     bvals = boundary(bpts)
     clifford = isinstance(bvals, Multivector)
-    bvals = bvals.coeffs if clifford else np.asarray(bvals, dtype=float)
+    # row-major, as np.mean below folds in memory order and Multivectors are blade-major
+    bvals = np.ascontiguousarray(bvals.coeffs) if clifford else np.asarray(bvals, dtype=float)
     blades = (1 << domain.dim,) if clifford else ()
     if bvals.shape != (len(bpts),) + blades:
         raise SolverError("boundary data does not cover the boundary nodes")

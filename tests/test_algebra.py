@@ -497,8 +497,8 @@ def _special_array(rng, shape, special):
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.sampled_from(list(range(1, 18)) + [31, 64, 100, 127, 128, 129, 136, 300]),
-       rows=st.sampled_from([(0,), (7,), (1024,), (2, 600), (3, 5)]),
+@given(n=st.sampled_from(list(range(1, 18)) + [31, 64, 100, 127, 128, 129, 136, 256, 300, 1024]),
+       rows=st.sampled_from([(), (0,), (1,), (7,), (1024,), (2, 600), (3, 5)]),
        order=st.sampled_from("CFB"), seed=st.integers(0, 2**32 - 1),
        special=st.sampled_from([0.0, 0.1, 0.5]),
        live_count=st.sampled_from([None, 0, 1, 3, 7, 8, 12]))
@@ -507,11 +507,11 @@ def test_square_sum_is_np_sum_bit_for_bit(n, rows, order, seed, special, live_co
     without a live mask whose dead columns hold +0.0 or -0.0, on NaN,
     infinities, signed zeros, subnormals, squares that overflow or
     underflow, and an empty batch, for a C-ordered, an F-ordered and a
-    blade-major (B: the columns contiguous rows) a, batched (B, n) or
-    (E, B, n): by whole columns on batches of 1024 rows or more with up to
-    127 columns, fewer than 8 live, and by np.sum elsewhere (above 127
-    columns, fewer rows or more live columns), of a C-ordered copy from 8
-    columns up."""
+    blade-major (B: the columns contiguous rows) a, unbatched, batched
+    (B, n) or (E, B, n), one row among them: its one column fold follows
+    numpy's pairwise order through the left fold below 8 columns, the 8
+    lanes up to 128 and one (256, 300) and two (1024) levels of halving
+    above."""
     rng = np.random.default_rng(seed)
     c = _special_array(rng, rows + (n,), special)
     live = np.ones(n, dtype=bool)
@@ -637,6 +637,35 @@ def test_blade_major_and_c_ordered_coefficients_give_the_same_bytes(rng, dim):
                     assert same_bytes(g, w)
                 else:
                     assert g == w
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_every_multivector_is_blade_major(rng, dim):
+    """Every constructor, arithmetic operation, involution, grade projection,
+    product and inverse stores its coefficients blade-major: the (2**dim,
+    ...) array behind coeffs is C-ordered.  That holds for a caller's
+    C-ordered or F-ordered array, passed with copy=False too, and for
+    products with a one-row, an unbatched or a broadcast factor."""
+    n = 1 << dim
+    a = Multivector(dim, rng.standard_normal((5, n)), copy=False)
+    vec = Multivector.from_vector(dim, rng.standard_normal((5, dim)))
+    one, row = Multivector(dim, rng.standard_normal(n)), random_multivector(rng, dim, (1,))
+    stack = Multivector(dim, np.asfortranarray(rng.standard_normal((3, 1, n))), copy=False)
+    unit, factors = random_vector(rng, dim, unit=True), random_factor_list(rng, dim, 3)
+    values = [
+        a, vec, one, row, stack, Multivector.zero(dim), Multivector.zero(dim, (2, 3)),
+        Multivector.scalar(dim, 1.5), Multivector.scalar(dim, rng.random((2, 3))),
+        Multivector.basis_vector(dim, 1), Multivector.blade(dim, n - 1),
+        Multivector.from_vector(dim, rng.standard_normal(dim)),
+        a + vec, a - vec, -a, 2.0 * a, a * -0.5, rng.random(5) * a, a / 3.0, a / rng.random(5),
+        a.reversion(), a.conjugation(), *(a.grade_select(r) for r in range(dim + 1)),
+        a * vec, vec * a, a * one, one * a, a * row, row * a, stack * a, a * stack, one * one,
+        row * row, stack * Multivector(dim, rng.standard_normal((1, 4, n))), a * a * a,
+        vector_inverse(vec), lipschitz_element_inverse(factors.product()), factors.product(),
+        factors.inverse(), pin_action(factors, vec), reflect(unit, vec),
+    ]
+    for mv in values:
+        assert np.moveaxis(mv.coeffs, -1, 0).flags.c_contiguous, mv
 
 
 @pytest.mark.parametrize("dim", range(1, 7))

@@ -26,7 +26,8 @@ import numpy as np
 import pytest
 
 from diraclab import cr2d, sphere, weakform
-from diraclab.algebra import Multivector, conj_vector_sums
+from diraclab.algebra import (Multivector, VectorFactorList, _live, conj_vector_sums, pin_action,
+                              vector_sandwich)
 from diraclab.cli import main
 from diraclab.fields import (Domain, cauchy_kernel, compose_with_mobius, gradient_fd, log_radial,
                              p_dirac_residual, p_dirac_solution, p_harmonic_radial,
@@ -491,9 +492,64 @@ def _norms():
                             yield sums
 
 
+def _layouts():
+    """Bytes of +, -, negation, scalar * and / (by a number and by a row
+    of numbers), both involutions, grade_select at every grade,
+    vector_part, _live, pin_action of the value by a two-vector versor and
+    of a unit vector by the value, vector_sandwich and conj_vector_sums on
+    caller arrays laid out C-ordered, F-ordered and
+    blade-major (each blade one contiguous row) at dims 1-7, over 1, 7,
+    1,100 and 2 x 600 rows: dense and grade-1 values with signed zeros (a
+    whole -0.0 column too), subnormals, inf and NaN, and a finite dense
+    value, which alone goes through vector_sandwich."""
+    rng = np.random.default_rng(36)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan])
+
+    def draw(*shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100, shape)
+        pick = rng.random(shape) < 0.2
+        a[pick] = rng.choice(specials, size=int(pick.sum()))
+        return a
+
+    layouts = (np.ascontiguousarray, np.asfortranarray,
+               lambda c: np.moveaxis(np.ascontiguousarray(np.moveaxis(c, -1, 0)), 0, -1))
+    for dim in range(1, 8):
+        n, vector = 1 << dim, np.isin(np.arange(1 << dim), [1 << j for j in range(dim)])
+        for batch in ((1,), (7,), (1100,), (2, 600)):
+            dense, grade1 = draw(*batch, n), draw(*batch, n)
+            finite = rng.standard_normal(batch + (n,))
+            dense[..., n // 2] = -0.0
+            grade1[..., ~vector] = 0.0
+            finite[rng.random(finite.shape) < 0.2] = -0.0
+            other, row = Multivector(dim, draw(*batch, n)), draw(*batch)
+            unit = Multivector.from_vector(dim, rng.standard_normal(dim))
+            unit, versor = unit / unit.norm(), VectorFactorList(
+                [Multivector.from_vector(dim, u / np.linalg.norm(u))
+                 for u in rng.standard_normal((2, dim))])
+            vectors = (rng.standard_normal(dim), rng.standard_normal((dim,) + batch))
+            left, wx = draw(batch[-1], dim), rng.uniform(0.1, 1.0, (2, batch[-1]))
+            for c in (dense, grade1, finite):
+                for layout in layouts:
+                    v = Multivector(dim, layout(c))
+                    with np.errstate(all="ignore"):
+                        for mv in (v + other, other - v, -v, 2.5 * v, v * -0.5, row * v, v / 3.0,
+                                   v / row, v.reversion(), v.conjugation(),
+                                   *(v.grade_select(r) for r in range(dim + 1)),
+                                   pin_action(v, unit), pin_action(versor, v)):
+                            yield mv.coeffs, mv.live
+                        yield v.vector_part(), _live(v.coeffs)
+                        if c is finite:
+                            yield vector_sandwich(v, *vectors)
+                        if len(batch) == 1:
+                            sums = np.zeros((2, n))
+                            conj_vector_sums(left, v, wx, sums, np.empty((2, n, batch[0] + 1)))
+                            yield sums
+
+
 PINNED_PRODUCTS = {
     "products": (_products, "b0dff9e9bc112ff3a69fc82cccb9dd775ac1869e9afea2e6e05268ee078efcb4"),
     "norms": (_norms, "4c9c14e3fa3e926e94cd692ce532ec90ce2a4287c5f5bfe4daebda88ca7dd433"),
+    "layouts": (_layouts, "bd31ba231ee18dcd6abd38a650b169898a6c806e545289df75f4459af1636667"),
 }
 
 
