@@ -26,8 +26,12 @@ default bump on the workload's ball, at dims 2-4 and orders 6 and 12, its
 rule built before the clock starts.  A third child per side gives
 `cli_runs_ms`: the median of 3 timings of `main` inside that interpreter
 for each of `covariance --theorem 1 --n 4 --order 8` and `sphere-check
---n 4`, the heavy Moebius and sphere runs outside the benchmark.  numpy
-and the standard library only; a snapshot with a baseline at the default
+--n 4`, the heavy Moebius and sphere runs outside the benchmark, and a
+fourth gives `sphere_ops_ms`: the median milliseconds of 25 calls each of
+`spherical_p_harmonic_check` (p = 2.5, five points), `lr_identity_check`
+(p = 2.5, one point) and `yamabe_op` (of |x - y|^0.5, five points) at
+ambient 3 and 4, the nested spherical operators.  numpy and the standard
+library only; a snapshot with a baseline at the default
 10 runs took 16 minutes on a 2-vCPU machine, one tier-1 run (about a
 minute) per side included.
 
@@ -147,8 +151,31 @@ print(json.dumps(out))
 """
 
 
+SPHERE_OPS = """
+import json, statistics, time
+import numpy as np
+from diraclab import sphere
+out = {}
+for ambient in (3, 4):
+    pole = sphere.sphere_point([0.3, -0.5, 0.7, 0.4][:ambient])
+    pts = sphere.random_sphere_points(np.random.default_rng(0), ambient, 5, avoid=(pole,))
+    f = sphere.radial_distance_power(pole, 0.5)
+    ops = {"spherical_p_harmonic_check": lambda: sphere.spherical_p_harmonic_check(pole, 2.5, pts),
+           "lr_identity_check": lambda: sphere.lr_identity_check(pts[0], pole, 2.5),
+           "yamabe_op": lambda: sphere.yamabe_op(f, pts)}
+    for name, op in ops.items():
+        times = []
+        for _ in range(25):
+            start = time.perf_counter()
+            op()
+            times.append(time.perf_counter() - start)
+        out[f"a{ambient}.{name}"] = statistics.median(times) * 1e3
+print(json.dumps(out))
+"""
+
+
 def timing_grid(checkout: Path, script: str) -> dict:
-    """The JSON that `script` (`GRID`, `PAIRING` or `CLI_RUNS`) prints when
+    """The JSON that `script` (`GRID`, `PAIRING`, `CLI_RUNS` or `SPHERE_OPS`) prints when
     run in a child interpreter on `checkout`'s source."""
     env = dict(child_env(), PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-c", script], cwd=checkout, env=env,
@@ -244,6 +271,7 @@ def main(argv=None):
             "product_grid_ms": timing_grid(path, GRID),
             "pairing_grid_ms": timing_grid(path, PAIRING),
             "cli_runs_ms": timing_grid(path, CLI_RUNS),
+            "sphere_ops_ms": timing_grid(path, SPHERE_OPS),
             "tier1": tier1(path),
         }
     if "baseline" in sides:

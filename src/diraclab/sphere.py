@@ -7,10 +7,12 @@ by central differences along plane rotations (which never leave the
 sphere), and the first-order operator of interest is x (Gamma + n/2) -
 the conformal image of the flat Dirac operator under stereographic
 projection.  A spherical field is the `fields.AnalyticField` of the
-ambient space read on renormalized points (degree-0 homogeneous
-extension), so rotational derivatives equal tangential derivatives and no
-charts are needed; `fields.nonlinear_power_field` forms its p-flux
-|f|^(p-2) f, as for a flat field.
+ambient space read on points projected onto the sphere (degree-0
+homogeneous extension), so rotational derivatives equal tangential
+derivatives and no charts are needed; `fields.nonlinear_power_field` forms
+its p-flux |f|^(p-2) f, as for a flat field.  A point is projected once,
+where it enters the layer: a caller's points, a rotated stencil's points
+or a cap bump's nodes; the nested operators read unit points as given.
 
 Two published claims do not survive evaluation under the calibrated
 conventions and are therefore reported, never asserted: the first-order
@@ -62,7 +64,11 @@ def random_sphere_points(rng, ambient: int, count: int, avoid=(), clearance=0.3)
     return np.array(out)
 
 
-def _renormalize(pts: np.ndarray) -> np.ndarray:
+def _renormalize(points, dim: int) -> np.ndarray:
+    """The one projection onto S^n, made where a point enters the layer."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1:] != (dim,):
+        raise SphereError(f"points must have last axis {dim}, got {pts.shape}")
     norms = np.sqrt(square_sum(pts))[..., None]
     if np.any(norms < 1e-13):
         raise SphereError("a field point collapsed to the origin")
@@ -77,10 +83,7 @@ class SphericalField(AnalyticField):
     dimension n + 1."""
 
     def __call__(self, points) -> Multivector:
-        pts = _renormalize(np.asarray(points, dtype=float))
-        if pts.shape[-1] != self.dim:
-            raise SphereError(f"points must have last axis {self.dim}, got {pts.shape}")
-        return self.eval_fn(pts)
+        return self.eval_fn(_renormalize(points, self.dim))
 
 
 def coordinate_field(ambient: int, k: int) -> SphericalField:
@@ -154,23 +157,21 @@ def gamma_op(
     gives the same operator (basis independence of the bivector sum).
     Each Richardson step evaluates f once, on every plane's rotations.
     """
-    pts = _renormalize(np.asarray(points, dtype=float))
-    ambient = f.dim
-    if frame is None:
-        frame = np.eye(ambient)
-    else:
-        frame = np.asarray(frame, dtype=float)
-        if frame.shape != (ambient, ambient) or not np.allclose(
-            frame.T @ frame, np.eye(ambient), atol=1e-10
-        ):
-            raise SphereError("the rotation frame must be an orthogonal matrix")
+    frame = np.eye(f.dim) if frame is None else np.asarray(frame, dtype=float)
+    if frame.shape != (f.dim, f.dim) or not np.allclose(frame.T @ frame, np.eye(f.dim), atol=1e-10):
+        raise SphereError("the rotation frame must be an orthogonal matrix")
+    return _gamma(f, _renormalize(points, f.dim), theta, frame)
 
+
+def _gamma(f: SphericalField, pts, theta: float, frame) -> Multivector:
+    """Gamma f at unit points, read as given, along an orthogonal frame's planes."""
+    ambient = f.dim
     planes = [(frame[:, i], frame[:, j]) for i in range(ambient) for j in range(i + 1, ambient)]
 
     def central(tt):
         # every plane's +tt rotations, then every plane's -tt ones: one evaluation
         rotated = np.stack([_plane_rotate(pts, u, v, s) for s in (tt, -tt) for u, v in planes])
-        plus, minus = np.split(f.eval_fn(_renormalize(rotated)).coeffs, 2)
+        plus, minus = np.split(f.eval_fn(_renormalize(rotated, ambient)).coeffs, 2)
         return Multivector(ambient, (plus - minus) / (2.0 * tt), copy=False)
 
     d = richardson_step(central, theta, f.name, pts, f.singular_points)
@@ -181,9 +182,7 @@ def gamma_op(
 
 def spherical_dirac(f: SphericalField, points, theta: float = 1e-3) -> Multivector:
     """x (Gamma + n/2) f - the first-order conformal operator on S^n."""
-    pts = _renormalize(np.asarray(points, dtype=float))
-    inner = gamma_op(f, pts, theta=theta) + ((f.dim - 1) / 2.0) * f.eval_fn(pts)
-    return geometric_product(Multivector.from_vector(f.dim, pts), inner)
+    return _coupled_terms(f, _renormalize(points, f.dim), theta)[0]
 
 
 def spherical_p_dirac_residual(
@@ -194,9 +193,11 @@ def spherical_p_dirac_residual(
 
 
 def _coupled_terms(f: SphericalField, pts, theta: float):
-    """D_S f and x f at the points: (D_S + k x) f is D_S f + k (x f)."""
-    return (spherical_dirac(f, pts, theta=theta),
-            geometric_product(Multivector.from_vector(f.dim, pts), f.eval_fn(pts)))
+    """D_S f and x f at unit points, read as given, f evaluated at them once
+    (after the stencil's guard): (D_S + k x) f is D_S f + k (x f)."""
+    gamma, fx = _gamma(f, pts, theta, np.eye(f.dim)), f.eval_fn(pts)
+    x = Multivector.from_vector(f.dim, pts)
+    return geometric_product(x, gamma + ((f.dim - 1) / 2.0) * fx), geometric_product(x, fx)
 
 
 def coupled_dirac(f: SphericalField, k: float, theta: float) -> SphericalField:
@@ -246,18 +247,13 @@ def lr_identity_check(
     x, y, p: float, theta: float = 1e-3
 ) -> RadialIdentityReport:
     """Evaluate both sides of the radial identity at one point; report only."""
-    x = sphere_point(x)
-    y = sphere_point(y)
-    ambient = len(x)
-    n = ambient - 1
+    x, y = sphere_point(x), sphere_point(y)
+    n = len(x) - 1
     s = radial_distance_power(y, float(p - n))
-    xs = np.asarray(x, dtype=float)[None, :]
-    ds, xv = _coupled_terms(s, xs, theta)  # once for both couplings
+    ds, xv = _coupled_terms(s, x[None, :], theta)  # once for both couplings
     left_plus, left_minus = (ds + k * xv for k in (p / 2.0, -p / 2.0))
     rho = float(np.linalg.norm(x - y))
-    right = Multivector.from_vector(
-        ambient, ((p - n) / 2.0) * rho ** (p - n) * (x - y)[None, :]
-    )
+    right = Multivector.from_vector(n + 1, ((p - n) / 2.0) * rho ** (p - n) * (x - y)[None, :])
 
     def vector_ratios(left):
         lv = left.vector_part()[0]
@@ -299,13 +295,13 @@ def spherical_p_harmonic_check(
     radial candidate f = |x - y|^((p-n)/(p-1)); reports, never asserts."""
     y = sphere_point(y)
     n = len(y) - 1
-    pts = np.atleast_2d(_renormalize(np.asarray(points, dtype=float)))
+    pts = np.atleast_2d(_renormalize(points, n + 1))
     if not p > 1:
         raise FieldError("the exponent p must exceed 1")
     f = radial_distance_power(y, (p - n) / (p - 1.0))
     # every point in one batch per flux
-    norms = {key: spherical_dirac(nonlinear_power_field(coupled_dirac(f, k, theta), p), pts,
-                                  theta=theta).norm()
+    norms = {key: _coupled_terms(nonlinear_power_field(coupled_dirac(f, k, theta), p), pts,
+                                 theta)[0].norm()
              for k, key in ((p / 2.0, "residual"), (-p / 2.0, "residual_flipped"))}
     rows = [{"point": tuple(x), **{key: float(v[i]) for key, v in norms.items()}}
             for i, x in enumerate(pts)]
@@ -368,12 +364,12 @@ class CapBump(BumpTestFunction):
         super().__post_init__()
 
     def _offset(self, pts):
-        return super()._offset(_renormalize(np.asarray(pts, dtype=float)))
+        return super()._offset(_renormalize(pts, self.dim))
 
     def dirac_vector(self, points) -> np.ndarray:
         """(..., ambient) components of v, with D_S eta = v * blade.  The
         points are read row-major, as `pts @ c` rounds by its operand's layout."""
-        pts = _renormalize(np.ascontiguousarray(points, dtype=float))
+        pts = _renormalize(np.ascontiguousarray(points, dtype=float), self.dim)
         c = np.array(self.center)
         phi, dphi = mollifier(super()._offset(pts)[1])  # unit already: no second renormalization
         fac = (-2.0 / self.radius**2) * dphi

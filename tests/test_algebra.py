@@ -587,14 +587,17 @@ def _blade_major(c):
 
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_blade_major_and_c_ordered_coefficients_give_the_same_bytes(rng, dim):
-    """Every operation reads a value's blade-major coefficients to the same
-    bytes, carried sets included, as a C-ordered copy of them: norm, the
-    product with the value on either side, conj_vector_sums,
-    vector_sandwich and pin_action, vector_part, grade_select and is_grade,
-    the involutions, +, -, scalar * and /, and the live-blade scan.  Values
-    are dense, grade-1 and scalar, from raw coefficients and from the
-    constructors, at 7 and 1,100 rows and 2 x 600, with signed zeros,
-    subnormals, inf and NaN (finite where vector_sandwich needs it)."""
+    """Every operation gives the same bytes, carried sets included, whatever
+    layout a caller hands the coefficients in: a value built on blade-major
+    rows passed with copy=False, which it keeps as given, against values
+    built from a C-ordered (node-major) and an F-ordered array of the same
+    coefficients, which it copies.  The operations are norm, the product
+    with the value on either side, conj_vector_sums, vector_sandwich and
+    pin_action, vector_part, grade_select and is_grade, the involutions,
+    +, -, scalar * and /, and the live-blade scan.  Values are dense,
+    grade-1 and scalar, from raw coefficients and from the constructors, at
+    7 and 1,100 rows and 2 x 600, with signed zeros, subnormals, inf and NaN
+    (finite where vector_sandwich needs it)."""
     n = 1 << dim
     for batch in ((7,), (1100,), (2, 600)):
         comps = _special_array(rng, batch + (dim,), 0.2)
@@ -609,9 +612,15 @@ def test_blade_major_and_c_ordered_coefficients_give_the_same_bytes(rng, dim):
         left, wx = _special_array(rng, (batch[-1], dim), 0.1), rng.uniform(0.1, 1.0, (2, batch[-1]))
         for value in values:
             assert not value.coeffs.flags.c_contiguous
-            copy = Multivector(dim, np.ascontiguousarray(value.coeffs))
+            kept = Multivector(dim, value.coeffs, copy=False)
+            assert kept.coeffs is value.coeffs
+            copies = []
+            for order in "CF":
+                given = np.array(value.coeffs, order=order)
+                copies.append(Multivector(dim, given))
+                assert not np.shares_memory(copies[-1].coeffs, given)
             if value.live is not None:
-                copy = copy._carry(value.live)
+                kept, copies = kept._carry(value.live), [c._carry(value.live) for c in copies]
 
             def results(v):
                 out = [v.norm(), v * other, other * v, v * v, pin_action(v, other),
@@ -628,15 +637,16 @@ def test_blade_major_and_c_ordered_coefficients_give_the_same_bytes(rng, dim):
                 return out
 
             with np.errstate(all="ignore"):
-                got, want = results(value), results(copy)
-            for g, w in zip(got, want):
-                if isinstance(w, Multivector):
-                    assert g.live == w.live
-                    g, w = g.coeffs, w.coeffs
-                if isinstance(w, np.ndarray):
-                    assert same_bytes(g, w)
-                else:
-                    assert g == w
+                got = results(kept)
+                for copy in copies:
+                    for g, w in zip(got, results(copy)):
+                        if isinstance(w, Multivector):
+                            assert g.live == w.live
+                            g, w = g.coeffs, w.coeffs
+                        if isinstance(w, np.ndarray):
+                            assert same_bytes(g, w)
+                        else:
+                            assert g == w
 
 
 @pytest.mark.parametrize("dim", range(1, 7))

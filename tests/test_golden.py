@@ -302,7 +302,7 @@ PINNED_DERIVATIVES = {
     "yamabe": (
         lambda: _spherical(lambda pole, pts, ambient: sphere.yamabe_op(
             sphere.radial_distance_power(pole, 0.5), pts).coeffs, count=5),
-        "22f14be90d86f392ad191a1599ae4316942d8593990878e149e4838da368075b"),
+        "5444a1e945e817dcfe535e1c10ff701a51a4dfe6f30ea6d5ddc6fcefa225da81"),
     "lr-identity": (
         lambda: _spherical(lambda pole, pts, ambient: [
             sphere.lr_identity_check(x, pole, p) for x in pts[:3] for p in (2.0, 2.5)]),
@@ -310,7 +310,7 @@ PINNED_DERIVATIVES = {
     "sphere-harmonic": (
         lambda: _spherical(lambda pole, pts, ambient: [
             sphere.spherical_p_harmonic_check(pole, p, pts).rows for p in (2.0, 2.5)], count=3),
-        "f42c7869718c8221da6586a7a9a419e2805a198ff82e9f9b0387a08bb4f08b0f"),
+        "9e3700a0c9f5084ead410fdb210f7abdaf4c69b0231bf9153d1dbef28b89b8ff"),
 }
 
 

@@ -1,5 +1,6 @@
 """Sphere operators: rotational stencils, kernel identities, cap weak forms."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -171,14 +172,14 @@ def counting(f):
 
 def gamma_per_plane(f, pts, theta, frame):
     """Gamma f as a sum over planes, each plane's stencil evaluated alone."""
-    pts, out = sphere._renormalize(pts), None
+    pts, out = sphere._renormalize(pts, f.dim), None
     for i in range(f.dim):
         for j in range(i + 1, f.dim):
             u, v = frame[:, i], frame[:, j]
 
             def central(tt):
-                plus = f.eval_fn(sphere._renormalize(sphere._plane_rotate(pts, u, v, tt)))
-                minus = f.eval_fn(sphere._renormalize(sphere._plane_rotate(pts, u, v, -tt)))
+                plus = f.eval_fn(sphere._renormalize(sphere._plane_rotate(pts, u, v, tt), f.dim))
+                minus = f.eval_fn(sphere._renormalize(sphere._plane_rotate(pts, u, v, -tt), f.dim))
                 return (plus - minus) / (2.0 * tt)
 
             d = richardson_step(central, theta, f.name, pts, f.singular_points)
@@ -319,13 +320,13 @@ def test_one_field_type_and_one_flux_builder():
     assert np.any(np.sqrt(np.sum(nodes * nodes, axis=-1)) != 1.0)
     for p in (1.5, 2.0, 2.5, 4.0):
         f = spherical_kernel(POLE3, p)
-        v = f.eval_fn(sphere._renormalize(nodes))
+        v = f.eval_fn(sphere._renormalize(nodes, 3))
         want = Multivector(3, power_scale(v.norm(), p, f.name)[..., None] * v.coeffs)
         assert nonlinear_power_field(f, p)(nodes).coeffs.tobytes() == want.coeffs.tobytes()
     # the call still renormalizes, and still refuses a wrong last axis
     f = spherical_kernel(POLE3, 2.5)
     far = 3.0 * nodes
-    assert f(far).coeffs.tobytes() == f.eval_fn(sphere._renormalize(far)).coeffs.tobytes()
+    assert f(far).coeffs.tobytes() == f.eval_fn(sphere._renormalize(far, 3)).coeffs.tobytes()
     with pytest.raises(SphereError, match="last axis 3"):
         f(np.ones((2, 4)))
 
@@ -373,11 +374,11 @@ def test_radial_identity_report_is_deterministic():
 
 @pytest.mark.parametrize("ambient", [3, 4, 5])
 def test_lr_identity_forms_each_operator_once(monkeypatch, ambient):
-    """D_S s and x s are formed once for both couplings: four evaluations
-    of s (one stencil evaluation per Richardson step and one at the
-    renormalized point for D_S s, one at the point for x s), not eight, and
-    the report has the bits of (D_S + k x) s read from `coupled_dirac` once
-    per sign k = +-p/2."""
+    """D_S s and x s are formed once for both couplings: three evaluations
+    of s (one stencil evaluation per Richardson step, then one at the point,
+    shared by the (n/2) s term of D_S s and by x s), not eight, and the
+    report has the bits of (D_S + k x) s read from `coupled_dirac` once per
+    sign k = +-p/2."""
     rng = np.random.default_rng(ambient)
     pole = sphere_point(rng.normal(size=ambient))
     x, p, n = away_from(pole, 1, seed=ambient)[0], 2.5, ambient - 1
@@ -388,7 +389,7 @@ def test_lr_identity_forms_each_operator_once(monkeypatch, ambient):
     rep = lr_identity_check(x, pole, p)
     ((_, calls),) = seen
     planes = ambient * (ambient - 1) // 2
-    assert calls == [(2 * planes, 1, ambient)] * 2 + [(1, ambient)] * 2
+    assert calls == [(2 * planes, 1, ambient)] * 2 + [(1, ambient)]
     x, y = sphere_point(x), sphere_point(pole)  # as the check normalizes them
     s, rho = built(y, p - n), float(np.linalg.norm(x - y))
     right = Multivector.from_vector(ambient, ((p - n) / 2.0) * rho ** (p - n) * (x - y)[None, :])
@@ -396,6 +397,68 @@ def test_lr_identity_forms_each_operator_once(monkeypatch, ambient):
     assert rep.discrepancy == float((left[0] - right).norm()[0])
     assert rep.discrepancy_flipped == float((left[1] - right).norm()[0])
     assert rep.left_norm == float(left[0].norm()[0])
+
+
+@pytest.mark.parametrize("ambient", [3, 4])
+def test_flipped_reports_are_exactly_zero_at_p_equal_n(ambient):
+    """At p = n the radial field is 1, so (D_S - (p/2) x) 1 is (n/2) x 1 -
+    (n/2) x 1: exactly 0.0 when both terms read the one point, in the
+    first-order report and, through the flux of 0, in the second-order one."""
+    rng = np.random.default_rng(ambient)
+    pole = sphere_point(rng.normal(size=ambient))
+    pts, p = away_from(pole, 20, seed=ambient), float(ambient - 1)
+    assert [lr_identity_check(x, pole, p).discrepancy_flipped for x in pts] == [0.0] * 20
+    rows = spherical_p_harmonic_check(pole, p, pts).rows
+    assert [row["residual_flipped"] for row in rows] == [0.0] * 20
+
+
+def test_no_point_is_projected_twice(monkeypatch):
+    """A point is projected onto the sphere only where it enters the layer:
+    in each operator call, no input of `_renormalize` has the bytes of one
+    of its earlier outputs, through the nested operators and a cap family's
+    weak residual alike."""
+    project, made, again = sphere._renormalize, set(), []
+
+    def watched(points, dim):
+        pts = np.asarray(points, dtype=float)
+        again.append((pts.shape, pts.tobytes()) in made)
+        out = project(pts, dim)
+        made.add((out.shape, out.tobytes()))
+        return out
+
+    monkeypatch.setattr(sphere, "_renormalize", watched)
+    f, pts = radial_distance_power(POLE3, 0.5), away_from(POLE3, 5)
+    cap = SphericalCap(tuple(-POLE3), 1.0)
+    for run in (lambda: spherical_dirac(f, pts), lambda: yamabe_op(f, pts),
+                lambda: sphere.coupled_dirac(f, 1.5, 1e-3)(pts),
+                lambda: [lr_identity_check(x, POLE3, 2.5) for x in pts],
+                lambda: spherical_p_harmonic_check(POLE3, 2.5, pts),
+                lambda: normalized_weak_spherical_residual(
+                    spherical_kernel(POLE3, 2.5), 2.5, default_cap_bumps(cap), order=8)):
+        made.clear()
+        again.clear()
+        run()
+        assert again and not any(again)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda f, pts: f(pts),
+    lambda f, pts: gamma_op(f, pts),
+    lambda f, pts: spherical_dirac(f, pts),
+    lambda f, pts: spherical_p_dirac_residual(f, 2.5, pts),
+    lambda f, pts: yamabe_op(f, pts),
+    lambda f, pts: spherical_p_harmonic_check(POLE3, 2.5, pts),
+], ids=["call", "gamma_op", "spherical_dirac", "spherical_p_dirac_residual", "yamabe_op",
+        "spherical_p_harmonic_check"])
+def test_points_of_the_wrong_width_are_refused(entry):
+    """Each public entry checks the last axis of its points before it
+    projects them or evaluates anything; zero rows of the wrong width are
+    refused for their width, not as a point at the origin."""
+    f, calls = counting(spherical_kernel(POLE3, 2.5))
+    for pts in (np.ones((2, 4)), np.zeros((1, 4)), np.ones((3, 2)), np.ones(4)):
+        with pytest.raises(SphereError, match=re.escape(f"last axis 3, got {pts.shape}")):
+            entry(f, pts)
+    assert calls == []
 
 
 def test_spherical_p_harmonic_claim_holds_under_flipped_sign_at_p2():
