@@ -355,34 +355,25 @@ class Domain:
             outer=float(outer),
         )
 
-    def bounding_box(self):
+    def distance(self, points):
+        """The euclidean distance from each of the (..., n) points to the
+        closed domain: 0 inside, |s - c| - r outside a ball, the gap to the
+        nearer sphere of an annulus, the length of the clamped excess for a
+        box."""
+        s = np.asarray(points, dtype=float)
         if self.kind == "box":
-            return np.array(self.lo), np.array(self.hi)
-        c = np.array(self.center)
-        return c - self.outer, c + self.outer
+            return np.linalg.norm(s - np.clip(s, self.lo, self.hi), axis=-1)
+        r = np.linalg.norm(s - np.array(self.center), axis=-1)
+        return np.maximum(np.maximum(r - self.outer, self.inner - r), 0.0)
 
     def contains(self, pts):
         """Boolean mask of the points in the closed domain."""
-        pts = np.asarray(pts, dtype=float)
-        if self.kind == "box":
-            lo, hi = np.array(self.lo), np.array(self.hi)
-            return np.all((pts >= lo) & (pts <= hi), axis=-1)
-        r = np.linalg.norm(pts - np.array(self.center), axis=-1)
-        inside = r <= self.outer
-        if self.kind == "annulus":
-            inside &= r >= self.inner
-        return inside
-
-    def grid_scan(self):
-        """Point grid over the closure, 9 points per axis, for clearance validation."""
-        lo, hi = self.bounding_box()
-        axes = [np.linspace(lo[j], hi[j], 9) for j in range(self.dim)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        return mesh[self.contains(mesh)]
+        return self.distance(pts) == 0.0
 
     def sample_interior(self, rng, count: int):
-        """Rejection-sample `count` interior points."""
-        lo, hi = self.bounding_box()
+        """Rejection-sample `count` interior points from the bounding box."""
+        c = np.array(self.center)
+        lo, hi = (self.lo, self.hi) if self.kind == "box" else (c - self.outer, c + self.outer)
         out = []
         for _ in range(10000):
             pts = rng.uniform(lo, hi, size=(4 * count, self.dim))
@@ -394,23 +385,21 @@ class Domain:
 
 
 def validate_clearance(domain: Domain, singular_points=(), mobius: VahlenMatrix = None):
-    """Grid-scan the domain closure for singularities and map poles.
-
-    Raises DomainError if a declared singular point lies in the closure or
-    any point of the closure's 9-per-axis scan comes within 1e-3 of one, or
-    if |c x + d| falls below 1e-3 there (the transformation-hypothesis check).
+    """Refuse a domain whose closure comes within 1e-3 of a singular point
+    or on which |c x + d| falls below 1e-3 (the transformation-hypothesis
+    check), by exact distances: `Domain.distance` of each singular point,
+    and |c| times the distance of the map's pole p = -c^-1 d, since
+    |c x + d| = |c| |x - p| when c is a product of vectors (|d| when c = 0).
     """
-    pts = domain.grid_scan()
     for s in singular_points:
-        gap = 0.0 if domain.contains(s) else np.min(np.linalg.norm(pts - np.asarray(s), axis=-1))
+        gap = domain.distance(s)
         if gap < _CLEARANCE:
             raise DomainError(f"domain comes within {gap:.2e} of singular point {s}")
     if mobius is not None:
-        nn = (mobius.c * Multivector.from_vector(domain.dim, pts) + mobius.d).norm()
-        if np.min(nn) < _CLEARANCE:
-            raise DomainError(
-                f"|c x + d| falls to {float(np.min(nn)):.2e} on the domain closure"
-            )
+        pole = map_pole(mobius)
+        nn = float(mobius.c.norm()) * domain.distance(pole[0]) if pole else float(mobius.d.norm())
+        if nn < _CLEARANCE:
+            raise DomainError(f"|c x + d| falls to {nn:.2e} on the domain closure")
 
 
 # ------------------------------------------------------ finite differences

@@ -69,6 +69,8 @@ def _renormalize(points, dim: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1:] != (dim,):
         raise SphereError(f"points must have last axis {dim}, got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise SphereError("cannot normalize a non-finite vector onto the sphere")
     norms = np.sqrt(square_sum(pts))[..., None]
     if np.any(norms < 1e-13):
         raise SphereError("a field point collapsed to the origin")
@@ -248,6 +250,8 @@ def lr_identity_check(
 ) -> RadialIdentityReport:
     """Evaluate both sides of the radial identity at one point; report only."""
     x, y = sphere_point(x), sphere_point(y)
+    if x.shape != y.shape:
+        raise SphereError(f"points must have last axis {len(y)}, got {x.shape}")
     n = len(x) - 1
     s = radial_distance_power(y, float(p - n))
     ds, xv = _coupled_terms(s, x[None, :], theta)  # once for both couplings

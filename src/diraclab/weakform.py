@@ -68,6 +68,7 @@ from .fields import (
     FieldError,
     composed_partials,
     dirac_field,
+    map_pole,
     power_scale,
     singular_preimages,
     validate_clearance,
@@ -539,59 +540,39 @@ def dirac_integral_check(eta: BumpTestFunction, rule: QuadratureRule) -> float:
 
 
 def pullback_domain(m: VahlenMatrix, dom: Domain) -> Domain:
-    """The preimage of `dom` under the Moebius map of `m`.
+    """The preimage of `dom` under the Moebius map of `m`, in closed form.
 
-    Affine conformal maps (c = 0) pull balls and annuli back exactly by
-    mapping the center and scaling radii; boxes survive only scalar a, d
-    (no rotation).  Maps with poles are handled for balls by mapping a
-    boundary sample through the inverse and fitting the image sphere,
-    which is exact for Moebius maps up to roundoff - the fit residual and
-    an interior-orientation probe are both validated.
+    M^-1 sends each bounding sphere |y - c| = r to a sphere and keeps right
+    angles.  The line through c and M(inf), the pole of M^-1 (any line
+    through c when the map is affine), crosses the sphere at right angles
+    and goes to a line, which therefore crosses the image sphere at right
+    angles: the images of the two crossings c +- r u are the ends of a
+    diameter.  A ball whose closure holds M(inf) would turn inside out and
+    is refused, and so is an annulus or a box under a map with a pole; a
+    box survives only scalar a, d (no rotation).
     """
-    dim = dom.dim
     inv = vahlen_inverse(m)
-    if float(m.c.norm()) < 1e-13:
-        # |det dM^-1| = |g|^(-2n) at the origin, and its n-th root the scale
-        rho = float(MobiusPoint(inv, np.zeros(dim)).scale ** (-2 * dim)) ** (1.0 / dim)
-        if dom.kind == "ball":
-            return Domain.ball(map_points(inv, np.array(dom.center)), dom.outer * rho)
-        if dom.kind == "annulus":
-            return Domain.annulus(
-                map_points(inv, np.array(dom.center)),
-                dom.inner * rho,
-                dom.outer * rho,
-            )
-        if dom.kind == "box" and m.a.is_grade(0) and m.d.is_grade(0):
-            lo2 = map_points(inv, np.array(dom.lo))
-            hi2 = map_points(inv, np.array(dom.hi))
-            return Domain.box(np.minimum(lo2, hi2), np.maximum(lo2, hi2))
-        raise DomainError(
-            "pullback of a box under a rotating map is not a box; use a ball"
-        )
-    if dom.kind != "ball":
-        raise DomainError(
-            "pullback under a map with a pole is implemented for balls only"
-        )
-    rng = np.random.default_rng(7)
-    dirs = rng.normal(size=(max(80, 24 * dim), dim))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    boundary = np.array(dom.center) + dom.outer * dirs
-    img = map_points(inv, boundary)
-    design = np.hstack([2.0 * img, -np.ones((len(img), 1))])
-    rhs = np.sum(img * img, axis=-1)
-    sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    center2, shift = sol[:dim], sol[dim]
-    r2 = float(center2 @ center2 - shift)
-    fit_err = float(np.max(np.abs(design @ sol - rhs)))
-    if r2 <= 0 or fit_err > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
-        raise DomainError("image of the ball boundary does not fit a sphere")
-    radius = float(np.sqrt(r2))
-    probes = np.vstack(
-        [np.array(dom.center)[None, :], np.array(dom.center) + 0.5 * dom.outer * dirs[:8]]
-    )
-    if float(np.max(np.linalg.norm(map_points(inv, probes) - center2, axis=-1))) >= radius:
+    pole = map_pole(inv)
+    if pole and dom.kind != "ball":
+        raise DomainError("pullback under a map with a pole is implemented for balls only")
+    if dom.kind == "box":
+        if not (m.a.is_grade(0) and m.d.is_grade(0)):
+            raise DomainError("pullback of a box under a rotating map is not a box; use a ball")
+        lo2, hi2 = map_points(inv, np.array([dom.lo, dom.hi]))
+        return Domain.box(np.minimum(lo2, hi2), np.maximum(lo2, hi2))
+    c = np.array(dom.center)
+    u = np.array(pole[0]) - c if pole else np.eye(dom.dim)[0]
+    gap = float(np.linalg.norm(u))
+    if pole and gap <= dom.outer:
         raise DomainError("the map turns the ball inside out (pole inside the region)")
-    return Domain.ball(center2, radius)
+    u = u / gap
+    radii = [dom.inner, dom.outer] if dom.kind == "annulus" else [dom.outer]
+    ends = map_points(inv, c + np.multiply.outer(radii, [u, -u]))
+    centers = (ends[:, 0] + ends[:, 1]) / 2.0
+    spans = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=-1) / 2.0
+    if dom.kind == "annulus":
+        return Domain.annulus(centers[1], *spans)
+    return Domain.ball(centers[0], spans[0])
 
 
 # ------------------------------------------------------------ experiments

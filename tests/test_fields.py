@@ -503,7 +503,11 @@ def test_domain_membership_and_sampling(rng):
     assert np.all((r >= 1.0) & (r <= 2.0))
     ball = Domain.ball([3, 0, 0], 1.0)
     assert ball.kind == "ball"
-    assert ball.grid_scan().shape[1] == 3
+    assert ball.distance([3.5, 0.0, 0.0]) == 0.0 and ball.distance([3.0, 0.0, 4.0]) == 3.0
+    assert ann.distance([1.5, 0.0, 0.0]) == 0.0 and ann.distance([0.0, 3.0, 0.0]) == 1.0
+    assert ann.distance([0.0, 0.0, 0.0]) == 1.0 and ann.distance([0.25, 0.0, 0.0]) == 0.75
+    assert box.distance([1.0, 2.0]) == 0.0 and box.distance([4.0, 6.0]) == 5.0
+    assert box.distance([0.5, -1.5]) == 1.5
     with pytest.raises(DomainError):
         Domain.annulus([0, 0], 2.0, 1.0)
     with pytest.raises(DomainError):
@@ -519,3 +523,35 @@ def test_validate_clearance():
     through_pole = Domain.box([-1, -1, -1], [1, 1, 1])
     with pytest.raises(DomainError):
         validate_clearance(through_pole, mobius=inversion(3))
+
+
+def test_validate_clearance_measures_exact_distances():
+    """A singular point or a map pole 5e-4 outside the closure is refused,
+    though no node of a coarse grid over the domain comes near it; |c x + d|
+    is |c| times the distance of the pole, and an annulus measures from the
+    nearer of its spheres."""
+    toward = np.ones(3) / np.sqrt(3.0)
+    ball = Domain.ball([3.0, 0.0, 0.0], 1.0)
+    for gap in (5e-4, 2e-3):
+        s = tuple(np.array(ball.center) + (1.0 + gap) * toward)
+        near = Domain.ball((1.0 + gap) * toward, 1.0)
+        if gap < 1e-3:
+            with pytest.raises(DomainError, match="within 5.00e-04"):
+                validate_clearance(ball, singular_points=[s])
+            with pytest.raises(DomainError, match=r"falls to 5.00e-04"):
+                validate_clearance(near, mobius=inversion(3))
+        else:
+            validate_clearance(ball, singular_points=[s])
+            validate_clearance(near, mobius=inversion(3))
+    # the map 4 x / |x|^2 has c = 1/2: a pole 1.5e-3 away gives |c x + d| = 7.5e-4
+    with pytest.raises(DomainError, match=r"falls to 7.50e-04"):
+        validate_clearance(Domain.ball([1.0015, 0.0, 0.0], 1.0),
+                           mobius=compose(dilation(3, 4.0), inversion(3)))
+    ring = Domain.annulus([0.0, 0.0, 0.0], 1.0, 2.0)
+    validate_clearance(ring, singular_points=[(0.0, 0.0, 0.0)], mobius=translation(3, [1, 0, 0]))
+    with pytest.raises(DomainError, match="within 5.00e-04"):
+        validate_clearance(ring, singular_points=[(0.0, 0.9995, 0.0)])
+    box = Domain.box([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
+    validate_clearance(box, singular_points=[(2.5, 1.5, 1.5)], mobius=inversion(3))
+    with pytest.raises(DomainError, match="within 5.00e-04"):
+        validate_clearance(box, singular_points=[(1.5, 2.0005, 1.5)])

@@ -17,6 +17,7 @@ differ between machines:
 """
 
 import hashlib
+import importlib.util
 import json
 import sys
 from collections.abc import Iterator
@@ -109,6 +110,28 @@ def test_mismatch_rules():
     assert _mismatches(None, 1.0)
 
 
+def test_artifact_digests_reports_moves_in_the_goldens_terms():
+    """`scripts/artifact_digests.py` reads CASES and FLOOR from this file and
+    measures two artifacts of one case against the baseline's numbers: the
+    largest relative change above FLOOR, the largest absolute change at or
+    below it, and whether check statuses and metadata match."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", Path(__file__).parent.parent / "scripts" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.golden_literal("CASES") == CASES and tool.golden_literal("FLOOR") == FLOOR
+    there = {"metadata": {"order": 6}, "rows": [{"residual": 4e-11, "normalized": 2.0}],
+             "checks": [{"value": 1e-17, "status": "pass"}], "passed": True}
+    here = {"metadata": {"order": 6}, "rows": [{"residual": 5e-11, "normalized": 2.5}],
+            "checks": [{"value": 3e-17, "status": "pass"}], "passed": True}
+    line = tool.moves(json.dumps(here).encode(), json.dumps(there).encode(), FLOOR)
+    assert "2.5e-01 relative above 1e-10, 1.0e-11 absolute at or below" in line
+    assert line.endswith("check statuses same, metadata same")
+    here["checks"][0]["status"], here["metadata"]["order"] = "fail", 8
+    assert tool.moves(json.dumps(here).encode(), json.dumps(there).encode(), FLOOR).endswith(
+        "check statuses DIFFER, metadata DIFFER")
+
+
 def _cap_pairings(ambient):
     """Per support family of `default_cap_bumps` on the cap opposite a
     kernel pole, the raw pairings and normalizers that
@@ -174,20 +197,20 @@ PINNED_PAIRINGS = {
     "dirac-covariance": (
         lambda: _covariance_rows(dirac_covariance_experiment,
                                  p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0])),
-        "4a35f52ff4581defad3cf13f88c947c35208ce385d265dbc5bd00ac8b9af8f16"),
+        "5cc038e91af917608eda397bb697c9086bb364ad56cc8ad4b425b21fa4825fe2"),
     "harmonic-covariance": (
         lambda: _covariance_rows(harmonic_covariance_experiment,
                                  p_harmonic_radial(3, 2.5, center=[-5.0, 0.0, 0.0])),
-        "90cbe9a306c96a6ee382b7d194b3f8f7073a46ad37da113b50eaa5cbdd3f4538"),
+        "383c451125e0fba0edc507b17e17bb1fb36aa86f883f3f94e08d44c8247ac33f"),
     "harmonic-covariance-d2": (
         lambda: _covariance_rows(harmonic_covariance_experiment,
                                  p_harmonic_radial(2, 2.5, center=[-5.0, 0.0]), dim=2),
-        "88a16aa95d86713855210bb41c93e358ffc9786be214f6a612f7c5fcbd6cb7fc"),
+        "2a98b92cef660f0ae096fdc5f234fe46eb56498637903d5810a04c28f74385e0"),
     "harmonic-covariance-d4": (
         lambda: _covariance_rows(harmonic_covariance_experiment,
                                  p_harmonic_radial(4, 2.5, center=[-5.0, 0.0, 0.0, 0.0]),
                                  dim=4, order=3, random_bumps=0),
-        "2add127488d27381e4bfe23285e1d920f4fe644633eaaea40bdab61d7c645f72"),
+        "7c8d83cb6f41027a055eea191828f976e7d30cce160d88c88397f3ae430da602"),
     "theorem5": (
         lambda: cr2d.theorem5_experiment(
             cr2d.p_cr_solution(1.5), cr2d.polynomial_map([3.0, 0.0, 1.0], name="square-plus-3"),

@@ -441,7 +441,7 @@ def test_no_point_is_projected_twice(monkeypatch):
         assert again and not any(again)
 
 
-@pytest.mark.parametrize("entry", [
+PUBLIC_ENTRIES = pytest.mark.parametrize("entry", [
     lambda f, pts: f(pts),
     lambda f, pts: gamma_op(f, pts),
     lambda f, pts: spherical_dirac(f, pts),
@@ -450,6 +450,9 @@ def test_no_point_is_projected_twice(monkeypatch):
     lambda f, pts: spherical_p_harmonic_check(POLE3, 2.5, pts),
 ], ids=["call", "gamma_op", "spherical_dirac", "spherical_p_dirac_residual", "yamabe_op",
         "spherical_p_harmonic_check"])
+
+
+@PUBLIC_ENTRIES
 def test_points_of_the_wrong_width_are_refused(entry):
     """Each public entry checks the last axis of its points before it
     projects them or evaluates anything; zero rows of the wrong width are
@@ -459,6 +462,25 @@ def test_points_of_the_wrong_width_are_refused(entry):
         with pytest.raises(SphereError, match=re.escape(f"last axis 3, got {pts.shape}")):
             entry(f, pts)
     assert calls == []
+
+
+@PUBLIC_ENTRIES
+def test_non_finite_points_are_refused(entry):
+    """Each public entry refuses a nan or inf point as non-finite before it
+    evaluates anything, not as a stencil that touched a singular point and
+    not as a nan value."""
+    f, calls = counting(spherical_kernel(POLE3, 2.5))
+    for pts in ([[np.nan, 0.0, 0.0]], [[np.inf, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, -np.inf, 1.0]]):
+        with pytest.raises(SphereError, match="cannot normalize a non-finite vector"):
+            entry(f, np.array(pts))
+    assert calls == []
+
+
+def test_lr_identity_check_refuses_points_of_different_widths():
+    with pytest.raises(SphereError, match=re.escape("last axis 3, got (4,)")):
+        lr_identity_check([1.0, 0.0, 0.0, 0.0], POLE3, 2.5)
+    with pytest.raises(SphereError, match=re.escape("last axis 4, got (3,)")):
+        lr_identity_check(POLE3, [1.0, 0.0, 0.0, 0.0], 2.5)
 
 
 def test_spherical_p_harmonic_claim_holds_under_flipped_sign_at_p2():

@@ -30,6 +30,7 @@ from diraclab.fields import (
     constant_field,
     identity_field,
     log_radial,
+    map_pole,
     p_dirac_solution,
     p_harmonic_radial,
 )
@@ -849,6 +850,73 @@ def test_pullback_through_inversion_matches_the_closed_form():
     assert np.all(BALL3.contains(map_points(inversion(3), pts)))
 
 
+def test_pullback_through_inversion_is_exact():
+    """The crossings 2 e_1 and 4 e_1 of the line through the centre and the
+    pole invert to 0.5 e_1 and 0.25 e_1 without rounding, so the diameter
+    construction gives the preimage's centre and radius exactly."""
+    back = pullback_domain(inversion(3), BALL3)
+    assert back.center == (0.375, 0.0, 0.0) and back.outer == 0.125
+
+
+def _random_word(rng, n):
+    """The inversion composed, in a random order, with up to two random
+    translations, dilations or rotations."""
+    gens = [inversion(n)]
+    for _ in range(rng.integers(0, 3)):
+        kind = rng.integers(3)
+        if kind == 0:
+            gens.append(translation(n, rng.uniform(-2.0, 2.0, n)))
+        elif kind == 1:
+            gens.append(dilation(n, rng.uniform(0.3, 3.0)))
+        else:
+            i, j = rng.choice(np.arange(1, n + 1), 2, replace=False)
+            gens.append(rotation(n, int(i), int(j), rng.uniform(-np.pi, np.pi)))
+    rng.shuffle(gens)
+    out = gens[0]
+    for gen in gens[1:]:
+        out = compose(out, gen)
+    return out
+
+
+def test_pullback_boundaries_map_onto_the_source_sphere():
+    """On 60 random words at n = 2..4 and random balls, boundary points of
+    each preimage map onto the source sphere within 1e-13 relative; a word
+    is refused exactly when the ball's closure holds M(inf)."""
+    rng = np.random.default_rng(0)
+    accepted = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        m = _random_word(rng, n)
+        ball = Domain.ball(rng.uniform(-3.0, 3.0, n), rng.uniform(0.2, 1.5))
+        dirs = rng.normal(size=(16, n))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        if ball.distance(map_pole(mobius.vahlen_inverse(m))[0]) == 0.0:
+            with pytest.raises(DomainError, match="inside out"):
+                pullback_domain(m, ball)
+            continue
+        back = pullback_domain(m, ball)
+        y = map_points(m, np.array(back.center) + back.outer * dirs)
+        r = np.linalg.norm(y - np.array(ball.center), axis=-1)
+        assert np.max(np.abs(r - ball.outer)) <= 1e-13 * ball.outer
+        accepted += 1
+    assert accepted == 59
+
+
+def test_pullback_refusals_name_their_cause():
+    """A ball whose closure (boundary included) holds M(inf) turns inside
+    out; an annulus or a box under a map with a pole, and a box under a
+    rotation, have no preimage of their kind."""
+    box = Domain.box([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
+    for m, dom, cause in [
+        (inversion(3), Domain.ball([1.0, 0.0, 0.0], 1.0), "turns the ball inside out"),
+        (inversion(3), Domain.annulus([3.0, 0.0, 0.0], 0.5, 1.0), "balls only"),
+        (inversion(3), box, "balls only"),
+        (rotation(3, 1, 2, 0.3), box, "rotating map"),
+    ]:
+        with pytest.raises(DomainError, match=cause):
+            pullback_domain(m, dom)
+
+
 def test_pullback_rejects_pole_inside_and_non_ball():
     with pytest.raises(DomainError):
         pullback_domain(inversion(3), Domain.ball([0.2, 0.0, 0.0], 1.0))
@@ -910,7 +978,7 @@ def test_dirac_covariance_rejects_singularity_near_preimage():
 
 def test_dirac_covariance_admits_singular_point_sent_to_infinity():
     # inversion sends the kernel's pole at the origin to infinity, so no
-    # preimage comes near the working volume and the clearance scan passes
+    # preimage comes near the working volume and the clearance check passes
     rep = dirac_covariance_experiment(p_dirac_solution(3, 2.5), 2.5, inversion(3), BALL3,
                                       order=6, random_bumps=1)
     assert rep.max_normalized <= 1e-12
