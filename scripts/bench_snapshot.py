@@ -22,8 +22,10 @@ milliseconds per call at dims 3-6, batches of 1, 64, 1,000 and 8,192
 rows, for a dense times a dense batch, a vector times a dense batch and
 one row times a dense batch; for the weak pairing the median milliseconds
 of `normalized_weak_residual` of `p_dirac_solution` against the first
-default bump on the workload's ball, at dims 2-4 and orders 6 and 12, its
-rule built before the clock starts.  A third child per side gives
+default bump on the workload's ball, at dims 2-4 and orders 6 and 12, and
+of one pass over the workload's 13-bump dim-3 order-12 family, each rule
+built before the clock starts, with the nodes each case streamed (counted
+at `weakform.weak_pairing`) in `pairing_grid_nodes`.  A third child per side gives
 `cli_runs_ms`: the median of 3 timings of `main` inside that interpreter
 for each of `covariance --theorem 1 --n 4 --order 8` and `sphere-check
 --n 4`, the heavy Moebius and sphere runs outside the benchmark, and a
@@ -118,20 +120,40 @@ print(json.dumps(out))
 
 PAIRING = """
 import json, statistics, time
+from diraclab import weakform
 from diraclab.fields import Domain, p_dirac_solution
 from diraclab.weakform import QuadratureRule, default_test_functions, normalized_weak_residual
-out = {}
+streamed, pairing = [], weakform.weak_pairing
+
+def counted(*args):
+    out = pairing(*args)
+    streamed.append(out[2])
+    return out
+
+weakform.weak_pairing = counted
+ms, nodes = {}, {}
+
+def clock(key, call, repeats):
+    times = []
+    for _ in range(repeats):
+        streamed.clear()
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    ms[key], nodes[key] = statistics.median(times) * 1e3, sum(streamed)
+
 for dim, p in ((2, 1.5), (3, 2.5), (4, 3.0)):
     ball = Domain.ball([3.0] + [0.0] * (dim - 1), 1.0)
     f, eta = p_dirac_solution(dim, p), default_test_functions(ball, seed=1, random_count=1)[0]
     for order in (6, 12):
-        rule, times = QuadratureRule.build(ball, order=order, cells=2), []
-        for _ in range(3 if (dim, order) == (4, 12) else 9):
-            start = time.perf_counter()
-            normalized_weak_residual(f, p, eta, rule)
-            times.append(time.perf_counter() - start)
-        out[f"d{dim}.o{order}"] = statistics.median(times) * 1e3
-print(json.dumps(out))
+        rule = QuadratureRule.build(ball, order=order, cells=2)
+        clock(f"d{dim}.o{order}", lambda: normalized_weak_residual(f, p, eta, rule),
+              3 if (dim, order) == (4, 12) else 9)
+ball = Domain.ball([3.0, 0.0, 0.0], 1.0)
+f, rule = p_dirac_solution(3, 2.5), QuadratureRule.build(ball, order=12, cells=2)
+family = default_test_functions(ball, seed=1, random_count=5)
+clock("family.d3o12", lambda: [normalized_weak_residual(f, 2.5, eta, rule) for eta in family], 5)
+print(json.dumps({"ms": ms, "nodes": nodes}))
 """
 
 
@@ -269,7 +291,8 @@ def main(argv=None):
             "end_to_end": {w: summary(r) for w, r in runs[side].items()},
             "per_layer": run_bench(path, first, 1, 1)["metrics"],
             "product_grid_ms": timing_grid(path, GRID),
-            "pairing_grid_ms": timing_grid(path, PAIRING),
+            **dict(zip(("pairing_grid_ms", "pairing_grid_nodes"),
+                       timing_grid(path, PAIRING).values())),
             "cli_runs_ms": timing_grid(path, CLI_RUNS),
             "sphere_ops_ms": timing_grid(path, SPHERE_OPS),
             "tier1": tier1(path),

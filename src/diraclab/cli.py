@@ -340,9 +340,9 @@ def run_algebra_selftest(params):
     return rows, {}, checks
 
 
-# the weak-form budget, priced before any work as passes over the fitted
-# rule x its nodes x 2**ambient blades x the pairing's weight; the
-# costliest default run, sphere-check --n 4, prices at 1.0e8
+# the weak-form budget, priced before any work as passes over the fitted rule
+# x its nodes at the full Gauss level (an upper bound) x 2**ambient blades x
+# the pairing's weight; the costliest default run, sphere-check --n 4, 1.0e8
 _QUADRATURE_BUDGET = 1 << 27
 # the twisted-harmonic scan's cost per node-blade: at n = 4, order 8 (3
 # passes each, one BLAS thread, 2 runs inside main) covariance --theorem 3

@@ -381,7 +381,7 @@ class CapBump(BumpTestFunction):
         radial = (pts @ c)[..., None] * pts - c
         return fac[..., None] * radial + ((n / 2.0) * phi)[..., None] * pts
 
-    def blocks(self, order: int):
+    def blocks(self, order: int, singular=()):
         """The fitted rule of the given order over the support, as
         `polar_blocks` in geodesic polar coordinates: x = cos(theta) c +
         sin(theta) omega with omega a unit vector orthogonal to c, and
@@ -396,7 +396,7 @@ class CapBump(BumpTestFunction):
             return lambda i, j: (cos[i, None] * c[:, None, None] + sin[i, None] * dirs[..., j],
                                  rw[i, None] * wo[j])
 
-        return polar_blocks(n, order, geometry)
+        return polar_blocks(n, order, geometry, self.clearance(singular))
 
     def require_support_inside(self, cap: SphericalCap):
         offset = float(
@@ -452,7 +452,8 @@ def weak_spherical_residual(
     with the closed-form D_S eta."""
     if cap is not None:
         eta.require_support_inside(cap)
-    return Multivector(f.dim, _pair(_flux_values(f, p), f.name, 2.0, [eta], order)[0][0])
+    return Multivector(f.dim, _pair(_flux_values(f, p), f.name, 2.0, [eta], order,
+                                    f.singular_points)[0][0])
 
 
 def normalized_weak_spherical_residual(f: SphericalField, p: float, eta, order: int = 12):
@@ -462,8 +463,8 @@ def normalized_weak_spherical_residual(f: SphericalField, p: float, eta, order: 
     support."""
     if isinstance(eta, CapBump):
         return normalized_weak_spherical_residual(f, p, [eta], order)[0][0]
-    return [(normalized_ratio(r, nz), count)
-            for _, r, nz, count in pair_each(_flux_values(f, p), f.name, 2.0, eta, order)]
+    pairs = pair_each(_flux_values(f, p), f.name, 2.0, eta, order, f.singular_points)
+    return [(normalized_ratio(r, nz), count) for _, r, nz, count in pairs]
 
 
 # -------------------------------------------------- stereographic bridge

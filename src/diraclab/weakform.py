@@ -17,9 +17,10 @@ both the plain-derivative and the twisted-derivative (frame-conjugated)
 forms.  Each node block of an experiment reads the map through one
 `mobius.MobiusPoint`, which gives the twist, the weight |c x + d|^s and
 the frame from one c x + d.  Every bump owns its fitted rule
-(`blocks(order)`: a ball in R^n for a flat bump, the geodesic cap of a
-`sphere.CapBump`), so flat and cap bumps pair on one path, `_pair`.  The
-residuals take a `QuadratureRule` only for its domain and order.
+(`blocks(order, singular)`: a ball in R^n for a flat bump, the geodesic cap
+of a `sphere.CapBump`, at a Gauss level set by the field's singular points),
+so flat and cap bumps pair on one path, `_pair`.  The residuals take a
+`QuadratureRule` only for its domain and order.
 
 `weak_pairing` is the one place a Clifford-valued pairing is summed: the
 flat residuals, the covariance experiments, the divergence oracle, the
@@ -153,9 +154,14 @@ class BumpTestFunction:
         vec = Multivector.from_vector(self.dim, self.dirac_vector(pts))
         return geometric_product(vec, self.blade)
 
-    def blocks(self, order: int):
+    def clearance(self, singular) -> float:
+        """min |s - center| / radius over the points s, 0 for none; chordal for a cap."""
+        return min((math.dist(s, self.center) for s in singular), default=0.0) / self.radius
+
+    def blocks(self, order: int, singular=()):
         """The fitted rule of the given order over the support, as
-        `polar_blocks`: x = center + radius * r * omega."""
+        `polar_blocks`: x = center + radius * r * omega, at the Gauss level
+        the `clearance` of data singular only at `singular` needs."""
         dim, c, radius = self.dim, np.array(self.center)[:, None, None], self.radius
 
         def geometry(r, wr, omega, wo):
@@ -163,7 +169,7 @@ class BumpTestFunction:
             return lambda i, j: (c + radius * (r[i, None] * omega[:, None, j]),
                                  radius**dim * (rw[i, None] * wo[j]))
 
-        return polar_blocks(dim, order, geometry)
+        return polar_blocks(dim, order, geometry, self.clearance(singular))
 
     def require_support_inside(self, domain: Domain):
         c = np.array(self.center)
@@ -328,9 +334,13 @@ def _radial_rule(count: int):
     return _frozen(r), _frozen(step * dr)
 
 
-def _counts(order: int):
-    """Node counts of the radial rule, a Gauss level, a nested and a top circle."""
-    return max(48, 8 * order), max(12, 2 * order), max(24, 4 * order), max(32, 8 * order)
+def _counts(order: int, rho: float = 0.0):
+    """Node counts of the radial rule, a Gauss level G, a nested circle of 2G and a
+    top circle.  G is max(12, 2 order) or, if less, the least G >= 12 with rho^(-2G)
+    <= 2^-52, Gauss's rate on data analytic in a ball rho > 1 support radii wide."""
+    level = max(12, 2 * order)
+    level = min(level, max(12, math.ceil(26 / math.log2(rho)))) if rho > 1 else level
+    return max(48, 8 * order), level, 2 * level, max(32, 8 * order)
 
 
 def fitted_node_count(dim: int, order: int) -> int:
@@ -352,36 +362,35 @@ def _gauss_rule(count: int, alpha: float):
 
 
 @lru_cache(maxsize=None)
-def _unit_sphere_rule(dim: int, order: int, nested: bool = False):
+def _unit_sphere_rule(dim: int, level: int, circle: int):
     """Product rule on the unit sphere S^(dim-1), spectral for smooth data
-    (Stroud 1971): the last coordinate u on the Gauss rule for the weight
-    (1 - u^2)^((dim-3)/2), times the rule on S^(dim-2) scaled by
-    sqrt(1 - u^2), down to a uniform circle.  The nodes are (dim, M)
-    rows, one per coordinate; both arrays are cached read-only."""
-    _, gauss, inner, outer = _counts(order)
+    (Stroud 1971): the last coordinate u on the `level`-node Gauss rule for
+    the weight (1 - u^2)^((dim-3)/2), times the rule on S^(dim-2) scaled by
+    sqrt(1 - u^2), down to a uniform circle of `circle` nodes.  The nodes are
+    (dim, M) rows, one per coordinate; both arrays are cached read-only."""
     if dim == 2:
-        count = inner if nested else outer
-        phi = 2.0 * np.pi * np.arange(count) / count
-        return _frozen(np.stack([np.cos(phi), np.sin(phi)])), _frozen(np.full(count, 2 * np.pi / count))
-    u, wu = _gauss_rule(gauss, (dim - 3) / 2.0)
-    omega, wo = _unit_sphere_rule(dim - 1, order, nested=True)
+        phi = 2.0 * np.pi * np.arange(circle) / circle
+        return _frozen(np.stack([np.cos(phi), np.sin(phi)])), _frozen(np.full(circle, 2 * np.pi / circle))
+    u, wu = _gauss_rule(level, (dim - 3) / 2.0)
+    omega, wo = _unit_sphere_rule(dim - 1, level, circle)
     ring = (np.sqrt(1.0 - u**2)[:, None] * omega[:, None, :]).reshape(dim - 1, -1)
     nodes = np.concatenate([ring, np.repeat(u, len(wo))[None]])
     return _frozen(nodes), _frozen(np.multiply.outer(wu, wo).ravel())
 
 
-def polar_blocks(dim: int, order: int, geometry):
-    """The fitted rule as a stream of (x, w) blocks of at most `_BLOCK`
-    nodes, in node order: node k pairs radial node k // M on (0, 1) with
-    node k % M of the M-node rule on S^(dim-1).  `geometry(r, wr, omega,
-    wo)` receives both factor rules, omega as (dim, M) rows, and returns
-    `place(i, j)`, the (n, I, J) nodes and (I, J) weights of radial slice i
-    times sphere slice j; a block joins the rest of its first row, whole
-    rows and the start of its last.  Its x is the (B, n) view of n
+def polar_blocks(dim: int, order: int, geometry, rho: float = 0.0):
+    """The fitted rule, at the `_counts` of order and rho, as a stream of (x, w)
+    blocks of at most `_BLOCK` nodes, in node order: node k pairs radial node
+    k // M on (0, 1) with node k % M of the M-node rule on S^(dim-1).
+    `geometry(r, wr, omega, wo)` receives both factor rules, omega as (dim, M)
+    rows, and returns `place(i, j)`, the (n, I, J) nodes and (I, J) weights of
+    radial slice i times sphere slice j; a block joins the rest of its first
+    row, whole rows and the start of its last.  Its x is the (B, n) view of n
     contiguous rows of B coordinates, so that every per-node expression
     broadcasts along the nodes, not along the n components."""
-    r, wr = _radial_rule(_counts(order)[0])
-    omega, wo = _unit_sphere_rule(dim, order)
+    radial, level, inner, outer = _counts(order, rho)
+    r, wr = _radial_rule(radial)
+    omega, wo = _unit_sphere_rule(dim, level, outer if dim == 2 else inner)
     place, m = geometry(r, wr, omega, wo), len(wo)
     for start in range(0, len(r) * m, _BLOCK):
         (i, j), (k, l) = divmod(start, m), divmod(min(start + _BLOCK, len(r) * m), m)
@@ -463,12 +472,13 @@ def support_families(bumps) -> list:
     return [list(run) for _, run in groupby(bumps, key=lambda b: (b.center, b.radius))]
 
 
-def _pair(values, name: str, p: float, family, order: int):
+def _pair(values, name: str, p: float, family, order: int, singular=()):
     """Raw pairings (K, 2**n), normalizers (K,) and node count of conj(A
     |v|^(p-2) v) * D eta for the K bumps, flat or cap, of a family sharing
     one support, in one pass over its fitted nodes of the given order;
     `values(x)` gives (v, A) on a node block, A None when unweighted, and
-    `name` names v when |v| vanishes."""
+    `name` names v when |v| vanishes.  v and A are analytic off the points
+    `singular`; with none declared the rule keeps the order's full level."""
     eta = family[0]
 
     def block(x, wx):
@@ -480,23 +490,24 @@ def _pair(values, name: str, p: float, family, order: int):
         return vals, norms, eta.dirac_vector(x), wx * scale
 
     blades = Multivector(eta.dim, [b.blade.coeffs for b in family])
-    return weak_pairing(eta.blocks(order), block, blades)
+    return weak_pairing(eta.blocks(order, singular), block, blades)
 
 
-def pair_each(values, name: str, p: float, bumps, order: int):
+def pair_each(values, name: str, p: float, bumps, order: int, singular=()):
     """`_pair` over each run of `support_families(bumps)`: per bump, in
     order, (bump, |raw pairing|, normalizer, node count)."""
     for family in support_families(bumps):
-        raw, normalizer, count = _pair(values, name, p, family, order)
+        raw, normalizer, count = _pair(values, name, p, family, order, singular)
         norms = Multivector(family[0].dim, raw, copy=False).norm()
         yield from ((b, float(r), float(nz), count) for b, r, nz in zip(family, norms, normalizer))
 
 
-def _pair_inside(values, name: str, p: float, eta: BumpTestFunction, rule: QuadratureRule):
+def _pair_inside(values, name: str, p: float, eta: BumpTestFunction, rule: QuadratureRule,
+                 singular=()):
     """The raw pairing (a Multivector) and normalizer of one bump, whose
     support must lie inside the rule's domain."""
     raw, normalizer, _ = _pair(values, name, p, [eta.require_support_inside(rule.domain)],
-                               rule.order)
+                               rule.order, singular)
     return Multivector(eta.dim, raw[0]), normalizer[0]
 
 
@@ -506,14 +517,14 @@ def weak_p_dirac_residual(
 ) -> Multivector:
     """Clifford-valued quadrature of conj(A |f|^(p-2) f) * D eta over U."""
     return _pair_inside(lambda x: (f(x), None if weight is None else weight(x)), f.name,
-                        p, eta, rule)[0]
+                        p, eta, rule, f.singular_points if weight is None else ())[0]
 
 
 def weak_p_harmonic_residual(
     h: AnalyticField, p: float, eta: BumpTestFunction, rule: QuadratureRule
 ) -> Multivector:
     """Quadrature of conj(|Dh|^(p-2) Dh) * D eta; needs analytic Dh."""
-    return _pair_inside(lambda x: (h.dirac(x), None), h.name, p, eta, rule)[0]
+    return _pair_inside(lambda x: (h.dirac(x), None), h.name, p, eta, rule, h.singular_points)[0]
 
 
 def normalized_weak_residual(
@@ -523,7 +534,8 @@ def normalized_weak_residual(
     """|weak residual| / normalizer, the normalizer being the quadrature
     of |f|^(p-1) |D eta|; computed in one pass."""
     evaluate = f.dirac if of_derivative else f
-    raw, normalizer = _pair_inside(lambda x: (evaluate(x), None), f.name, p, eta, rule)
+    raw, normalizer = _pair_inside(lambda x: (evaluate(x), None), f.name, p, eta, rule,
+                                   f.singular_points)
     return normalized_ratio(raw.norm(), normalizer)
 
 
@@ -636,9 +648,10 @@ class CovarianceReport:
 
 
 def _pullback_and_validate(f, m, source_domain):
-    volume = pullback_domain(m, source_domain)
-    validate_clearance(volume, singular_points=singular_preimages(f, m), mobius=m)
-    return volume
+    """The checked preimage domain and the singular points of f(M(x)), the map's pole first."""
+    volume, preimages = pullback_domain(m, source_domain), singular_preimages(f, m)
+    validate_clearance(volume, singular_points=preimages, mobius=m)
+    return volume, map_pole(m) + preimages
 
 
 def dirac_covariance_experiment(
@@ -662,7 +675,7 @@ def dirac_covariance_experiment(
     """
     dim = source_domain.dim
     order = _resolve_order(dim, order)
-    volume = _pullback_and_validate(f, m, source_domain)
+    volume, singular = _pullback_and_validate(f, m, source_domain)
     exponent = float(p - dim)
 
     def values(x):
@@ -671,8 +684,8 @@ def dirac_covariance_experiment(
         return at.twist(f), at.scale**exponent
 
     etas = default_test_functions(volume, seed=seed, random_count=random_bumps)
-    rows = [CovarianceRow(eta.label, exponent, r, nz, count)
-            for eta, r, nz, count in pair_each(values, f"twist[{f.name}]", p, etas, order)]
+    pairs = pair_each(values, f"twist[{f.name}]", p, etas, order, singular)
+    rows = [CovarianceRow(eta.label, exponent, r, nz, count) for eta, r, nz, count in pairs]
     return CovarianceReport("dirac-pullback", dim, float(p), volume, rows, order)
 
 
@@ -708,7 +721,7 @@ def harmonic_covariance_experiment(
         raise FieldError(f"experiment needs the analytic derivative of {h.name!r}")
     if not p > 1:
         raise FieldError("the exponent p must exceed 1")
-    volume = _pullback_and_validate(h, m, source_domain)
+    volume, singular = _pullback_and_validate(h, m, source_domain)
     scan = (2.0 * (p + 2.0 - dim), 2.0 * (p - dim), float(p - dim), 0.0)
     exponents = tuple(dict.fromkeys(round(s, 12) for s in scan))
     notes = ()
@@ -741,7 +754,7 @@ def harmonic_covariance_experiment(
             return twisted, norms, slope.T, wx * scale**exps * power
 
         blades = Multivector(dim, [b.blade.coeffs for b in family])
-        raw, normalizer, count = weak_pairing(eta.blocks(order), block, blades)
+        raw, normalizer, count = weak_pairing(eta.blocks(order, singular), block, blades)
         norms = Multivector(dim, raw, copy=False).norm()
         rows.extend(
             CovarianceRow(bump.label, s, float(r), float(nz), count)

@@ -270,9 +270,9 @@ def test_bumps_sharing_a_support_stream_once(monkeypatch, tmp_path):
     calls = []
 
     def counted(build):
-        def rule(eta, order):
+        def rule(eta, order, singular=()):
             calls.append(eta.label)
-            return build(eta, order)
+            return build(eta, order, singular)
         return rule
 
     for bump in (weakform.BumpTestFunction, sphere.CapBump):

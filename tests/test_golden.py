@@ -218,7 +218,7 @@ PINNED_PAIRINGS = {
         "3d4b81245a7419537ffb780302d5d73d9f5caadf580d8fd97931d99636e09b4d"),
     "family-d3o12": (
         _family_d3o12,
-        "1e4361cd2a088f7bf0bb4556ce6f9069652270dcb5096088fa22cf91c3e704f0"),
+        "0beb2c51de309cce0718b7abf18b0174623f1d274e0b67bcce8ed3a27d43ed2c"),
     "dirac-integral": (
         lambda: [dirac_integral_check(eta, QuadratureRule.build(BALL3, order=6, cells=2))
                  for eta in default_test_functions(BALL3)],

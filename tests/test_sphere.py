@@ -722,7 +722,7 @@ def test_cap_pairing_matches_per_node_reference(monkeypatch, ambient, order, cou
     start = int(np.argmax(w > 0))
     assert len(w) >= start + count
     nodes, w = nodes[start:start + count], w[start:start + count]
-    monkeypatch.setattr(CapBump, "blocks", lambda eta, o: node_blocks(nodes, w))
+    monkeypatch.setattr(CapBump, "blocks", lambda eta, o, singular=(): node_blocks(nodes, w))
     f = spherical_kernel(pole, 2.5)
     (raw,), (nz,), _ = weakform._pair(sphere._flux_values(f, 2.5), f.name, 2.0, [bump], order)
     flux = nonlinear_power_field(f, 2.5)(nodes)

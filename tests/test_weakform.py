@@ -250,6 +250,12 @@ def _sphere_moment(dim, m):
     return area * math.prod((2 * i + 1) / (dim + 2 * i) for i in range(m))
 
 
+def _sphere_rule(dim, order, rho=0.0):
+    """The sphere factor of the fitted rule of `order` in `dim` dimensions."""
+    _, level, inner, outer = weakform._counts(order, rho)
+    return weakform._unit_sphere_rule(dim, level, outer if dim == 2 else inner)
+
+
 # dim 6 at order 12 is left out: its rule holds 15.9 M nodes (0.8 GB)
 @pytest.mark.parametrize("dim, order", [
     (dim, order) for dim in range(2, 7) for order in (3, 6, 12) if (dim, order) != (6, 12)
@@ -258,7 +264,7 @@ def test_unit_sphere_rule_integrates_even_moments(dim, order):
     """The recursive sphere rule integrates the area and every x_k^4 and
     x_k^6 on S^(dim-1) to 1e-14, and holds as many nodes, times the radial
     rule, as the closed form the CLI budget prices."""
-    omega, w = weakform._unit_sphere_rule(dim, order)
+    omega, w = _sphere_rule(dim, order)
     assert omega.shape == (dim, len(w)) and omega.flags.c_contiguous
     assert len(w) * weakform._counts(order)[0] == weakform.fitted_node_count(dim, order)
     for m in (0, 2, 3):
@@ -285,6 +291,82 @@ def test_streamed_node_count_is_the_priced_count(bump, rule_dim, order):
     assert count == fitted_node_count(rule_dim, order)
 
 
+@pytest.mark.parametrize("bump, rule_dim", [
+    *((BumpTestFunction(dim, (0.0,) * dim, 0.5, Multivector.scalar(dim, 1.0)), dim)
+      for dim in (3, 4)),
+    (CapBump((0.0, 0.0, 0.0, 1.0), 0.8, Multivector.scalar(4, 1.0)), 3),
+], ids=["flat-3", "flat-4", "cap-4"])
+def test_streamed_count_is_at_most_the_priced_count(bump, rule_dim):
+    """`fitted_node_count` prices the rule before any field is known, so it
+    bounds the count: no singular point, one at the centre and one a radius
+    away (rho <= 1) stream exactly the price at order 8, and one ten radii
+    away streams the Gauss level 12 that rho = 10 needs, not the order's 16."""
+    one, order = Multivector.scalar(bump.dim, 1.0), 8
+    c, step = np.array(bump.center), bump.radius * np.eye(bump.dim)[0]
+    price = fitted_node_count(rule_dim, order)
+    far = price * 12**(rule_dim - 1) // 16**(rule_dim - 1)  # level 12 and circle 24, not 16 and 32
+    for singular, count in (((), price), ((tuple(c),), price), ((tuple(c + step),), price),
+                            ((tuple(c + 10 * step),), far)):
+        assert weakform._pair(lambda x: (one, None), "1", 2.0, [bump], order, singular)[2] == count
+
+
+def test_artifact_rows_stream_at_most_the_priced_count():
+    """Every family's row of a covariance experiment and of a spherical
+    residual at order 8 streams at most the price, and the families clear of
+    the singular points stream fewer nodes."""
+    rep = dirac_covariance_experiment(p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0]), 2.5,
+                                      inversion(3), BALL3, order=8, random_bumps=2)
+    pole = sphere.sphere_point([0.3, -0.5, 0.7, 0.4])
+    caps = sphere.default_cap_bumps(sphere.SphericalCap(tuple(-pole), 1.0))
+    spherical = sphere.normalized_weak_spherical_residual(sphere.spherical_kernel(pole, 2.5), 2.5,
+                                                          caps, 8)
+    counts = [r.nodes for r in rep.rows] + [count for _, count in spherical]
+    assert max(counts) <= fitted_node_count(3, 8) and min(counts) < fitted_node_count(3, 8)
+
+
+def _rho_case(kind, rho):
+    """A bump (a dense blade over the profile) and a field singular only at
+    one point rho radii from its centre: a flat bump of radius 0.9 at the
+    origin and `p_dirac_solution` about that point, or a cap of chordal
+    radius 0.5 about e_4 on S^3 and the spherical kernel of a pole rho radii
+    away chordally; with the values, exponent and name `_pair` reads."""
+    if kind == "cap-4":
+        c, theta = np.eye(4)[3], 2.0 * math.asin(rho * 0.5 / 2.0)
+        f = sphere.spherical_kernel(math.cos(theta) * c + math.sin(theta) * np.eye(4)[0], 2.5)
+        bump = CapBump(tuple(c), 0.5, Multivector(4, np.linspace(0.3, 1.0, 16)))
+        return bump, f, sphere._flux_values(f, 2.5), 2.0
+    dim = int(kind[-1])
+    f = p_dirac_solution(dim, 2.5, center=[0.9 * rho] + [0.0] * (dim - 1))
+    bump = BumpTestFunction(dim, (0.0,) * dim, 0.9,
+                            Multivector(dim, np.linspace(0.3, 1.0, 1 << dim)))
+    return bump, f, lambda x: (f(x), None), 2.5
+
+
+@pytest.mark.parametrize("order", [6, 8, 12])
+@pytest.mark.parametrize("rho", [1.17, 1.44, 2.2])
+@pytest.mark.parametrize("kind", ["flat-3", "flat-4", "cap-4"])
+def test_gauss_level_follows_the_nearest_singular_point(monkeypatch, kind, rho, order):
+    """Where the level that rho needs reaches the order's clamp max(12,
+    2 order), the pairing is the full rule's bit for bit.  Where it is lower
+    (rho = 2.2 at order 12: level 23, not 24), the raw pairing's error against
+    a level-32 rule of the same radial count, which leaves only the angular
+    error, is the full rule's to within 2 eps of the normalizer: the level
+    is chosen to reach rho^(-2G) <= 2^-52."""
+    bump, f, values, p = _rho_case(kind, rho)
+    assert bump.clearance(f.singular_points) == pytest.approx(rho, rel=1e-12)
+    chosen, full = (weakform._pair(values, f.name, p, [bump], order, singular)
+                    for singular in (f.singular_points, ()))
+    if chosen[2] == full[2]:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(chosen[:2], full[:2]))
+        return
+    assert (rho, order) == (2.2, 12) and chosen[2] < full[2]
+    radial, _, _, top = weakform._counts(order)
+    monkeypatch.setattr(weakform, "_counts", lambda order, rho=0.0: (radial, 32, 64, top))
+    (ref,), (scale,), _ = weakform._pair(values, f.name, p, [bump], order)
+    chosen_error, full_error = (np.max(np.abs(raw[0] - ref)) for raw, _, _ in (chosen, full))
+    assert chosen_error <= full_error + 2 * np.finfo(float).eps * scale
+
+
 def _index_placed(bump, order):
     """The fitted rule's nodes and weights placed by index arithmetic and
     gathers, node k at radial index k // M and sphere index k % M, on the
@@ -292,7 +374,7 @@ def _index_placed(bump, order):
     cap = isinstance(bump, CapBump)
     n = bump.dim - 1 if cap else bump.dim
     r, wr = weakform._radial_rule(weakform._counts(order)[0])
-    omega, wo = weakform._unit_sphere_rule(n, order)
+    omega, wo = _sphere_rule(n, order)
     omega = np.ascontiguousarray(omega.T)
     i, j = np.divmod(np.arange(len(r) * len(wo)), len(wo))
     c = np.array(bump.center)
@@ -959,7 +1041,8 @@ def test_dirac_covariance_inverts_once_per_node_block(monkeypatch):
                         lambda g, n2: calls.append(1) or inverse(g, n2))
     build = BumpTestFunction.blocks
     monkeypatch.setattr(BumpTestFunction, "blocks",
-                        lambda eta, order: (blocks.append(1) or b for b in build(eta, order)))
+                        lambda eta, order, singular=(): (blocks.append(1) or b
+                                                         for b in build(eta, order, singular)))
     pullback_domain(inversion(3), BALL3)
     pullback = len(calls)
     f = p_dirac_solution(3, 2.5, center=[0.0, 0.5, 0.0])
@@ -1066,8 +1149,8 @@ def test_covariance_families_match_per_bump_pairings(monkeypatch, dim):
 
     build = BumpTestFunction.blocks
 
-    def short_rule(eta, order):
-        nodes, w = joined(build(eta, order))
+    def short_rule(eta, order, singular=()):
+        nodes, w = joined(build(eta, order, singular))
         keep = np.flatnonzero(w > 0)[:2000]
         return node_blocks(nodes[keep], w[keep])
 
