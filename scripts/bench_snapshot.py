@@ -32,7 +32,12 @@ for each of `covariance --theorem 1 --n 4 --order 8` and `sphere-check
 fourth gives `sphere_ops_ms`: the median milliseconds of 25 calls each of
 `spherical_p_harmonic_check` (p = 2.5, five points), `lr_identity_check`
 (p = 2.5, one point) and `yamabe_op` (of |x - y|^0.5, five points) at
-ambient 3 and 4, the nested spherical operators.  numpy and the standard
+ambient 3 and 4, the nested spherical operators, and a fifth gives
+`mobius_ms`: at n = 3 and 4, the median milliseconds of 25 calls each of
+`parse_mobius_expr` of `inversion` and of a 5-generator word, and of
+`pullback_domain` and `validate_clearance` of the inversion on the CLI's
+source ball about 3e_1, each handed a matrix built before the clock
+starts, so that it reads nothing another call formed.  numpy and the standard
 library only; a snapshot with a baseline at the default
 10 runs took 16 minutes on a 2-vCPU machine, one tier-1 run (about a
 minute) per side included.
@@ -196,8 +201,38 @@ print(json.dumps(out))
 """
 
 
+MOBIUS = """
+import json, statistics, time
+from diraclab.fields import Domain, validate_clearance
+from diraclab.mobius import VahlenMatrix, parse_mobius_expr
+from diraclab.weakform import pullback_domain
+out = {}
+
+def clock(key, call, fresh=lambda: None):
+    times = []
+    for _ in range(25):
+        arg = fresh()
+        start = time.perf_counter()
+        call(arg)
+        times.append(time.perf_counter() - start)
+    out[key] = statistics.median(times) * 1e3
+
+for dim in (3, 4):
+    shift = ",".join(["1", "0.5"] + ["0"] * (dim - 2))
+    word = f"rotate:1,2,0.3*inversion*translate:{shift}*dilate:1.7*inversion"
+    for name, expr in (("inversion", "inversion"), ("word5", word)):
+        clock(f"d{dim}.parse.{name}", lambda _: parse_mobius_expr(expr, dim))
+    m, ball = parse_mobius_expr("inversion", dim), Domain.ball([3.0] + [0.0] * (dim - 1), 1.0)
+    volume = pullback_domain(m, ball)
+    fresh = lambda: VahlenMatrix(dim, m.a, m.b, m.c, m.d)
+    clock(f"d{dim}.pullback_domain", lambda mm: pullback_domain(mm, ball), fresh)
+    clock(f"d{dim}.validate_clearance", lambda mm: validate_clearance(volume, (), mm), fresh)
+print(json.dumps(out))
+"""
+
+
 def timing_grid(checkout: Path, script: str) -> dict:
-    """The JSON that `script` (`GRID`, `PAIRING`, `CLI_RUNS` or `SPHERE_OPS`) prints when
+    """The JSON that `script` (`GRID`, `PAIRING`, `CLI_RUNS`, `SPHERE_OPS` or `MOBIUS`) prints when
     run in a child interpreter on `checkout`'s source."""
     env = dict(child_env(), PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-c", script], cwd=checkout, env=env,
@@ -295,6 +330,7 @@ def main(argv=None):
                        timing_grid(path, PAIRING).values())),
             "cli_runs_ms": timing_grid(path, CLI_RUNS),
             "sphere_ops_ms": timing_grid(path, SPHERE_OPS),
+            "mobius_ms": timing_grid(path, MOBIUS),
             "tier1": tier1(path),
         }
     if "baseline" in sides:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import Multivector, geometric_product, lipschitz_element_inverse, square_sum
-from .mobius import MobiusPoint, PoleError, VahlenMatrix, map_points, vahlen_inverse
+from .algebra import Multivector, geometric_product, square_sum
+from .mobius import MobiusPoint, PoleError, VahlenMatrix, map_points
 
 
 class FieldError(ValueError):
@@ -259,27 +259,20 @@ def compose_with_mobius(f: AnalyticField, m: VahlenMatrix) -> AnalyticField:
             frame = at.frame  # first: a mixed-parity g is refused before the image
             return composed_partials(f.grad(at.image), frame, at.scale)
 
-    return AnalyticField(f.dim, ev, gr, map_pole(m) + singular_preimages(f, m),
-                         name=f"{f.name}∘M")
+    return AnalyticField(f.dim, ev, gr, singular_preimages(f, m), name=f"{f.name}∘M")
 
 
 def singular_preimages(f: AnalyticField, m: VahlenMatrix) -> tuple:
-    """The singular points of f pulled back through M, less any that M
-    sends to infinity; f(M(x)) is also singular at M's own pole (`map_pole`)
-    unless f vanishes at infinity."""
-    back, out = vahlen_inverse(m), []
+    """The singular points of f(M(x)): M's pole (`VahlenMatrix.pole`),
+    singular unless f vanishes at infinity, then f's singular points pulled
+    back through M, less any that M sends to infinity."""
+    out = []
     for s in f.singular_points:
         try:
-            out.append(tuple(map_points(back, np.asarray(s, dtype=float))))
+            out.append(tuple(map_points(m.inverse, np.asarray(s, dtype=float))))
         except PoleError:
             pass
-    return tuple(out)
-
-
-def map_pole(m: VahlenMatrix) -> tuple:
-    """The pole -c^-1 d of the map, where c x + d = 0, as singular points: none when c = 0."""
-    return () if float(m.c.norm()) < 1e-13 else (
-        tuple((0.0 - (lipschitz_element_inverse(m.c) * m.d).vector_part()).tolist()),)
+    return m.pole + tuple(out)
 
 
 def composed_partials(target_partials, frame, scale) -> list:
@@ -299,8 +292,7 @@ def conformal_dirac_transform(f: AnalyticField, m: VahlenMatrix) -> AnalyticFiel
     def ev(pts):
         return MobiusPoint(m, pts).twist(f)
 
-    return AnalyticField(f.dim, ev, None, map_pole(m) + singular_preimages(f, m),
-                         name=f"twist[{f.name}]")
+    return AnalyticField(f.dim, ev, None, singular_preimages(f, m), name=f"twist[{f.name}]")
 
 
 # ----------------------------------------------------------------- domains
@@ -396,7 +388,7 @@ def validate_clearance(domain: Domain, singular_points=(), mobius: VahlenMatrix 
         if gap < _CLEARANCE:
             raise DomainError(f"domain comes within {gap:.2e} of singular point {s}")
     if mobius is not None:
-        pole = map_pole(mobius)
+        pole = mobius.pole
         nn = float(mobius.c.norm()) * domain.distance(pole[0]) if pole else float(mobius.d.norm())
         if nn < _CLEARANCE:
             raise DomainError(f"|c x + d| falls to {nn:.2e} on the domain closure")
@@ -509,8 +501,7 @@ def lemma1_check(
         return at.j1 * psi(at.image)
 
     at = MobiusPoint(m, pts)  # the stencil skips the points: refuse a pole there
-    lhs_field = AnalyticField(dim, lhs_eval, None, map_pole(m) + singular_preimages(psi, m),
-                              name="J1*psi∘M")
+    lhs_field = AnalyticField(dim, lhs_eval, None, singular_preimages(psi, m), name="J1*psi∘M")
     lhs = dirac_fd(lhs_field, pts)
     rhs = float(at.sigma) * (at.jm1 * dirac_fd(psi, at.image))
     return float(np.max((lhs - rhs).norm(), initial=0.0))
@@ -523,7 +514,7 @@ def dj1_check(m: VahlenMatrix, points) -> float:
     def ev(q):
         return MobiusPoint(m, q).j1
 
-    fld = AnalyticField(m.dim, ev, None, map_pole(m), name="J1")
+    fld = AnalyticField(m.dim, ev, None, m.pole, name="J1")
     return float(np.max(dirac_fd(fld, points).norm(), initial=0.0))
 
 

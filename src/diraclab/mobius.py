@@ -6,9 +6,9 @@ A 2x2 matrix (a, b, c, d) with Clifford entries acts on vectors by
 
 covering translations, dilations, rotations/reflections and the sphere
 inversion x -> x/|x|^2.  Matrices are built from those four generators and
-composed by matrix multiplication; entries of generator matrices are
-products of vectors (or zero) by construction, and the numerical
-conditions on the entry products are re-checked by `validate_vahlen`.
+composed by matrix multiplication.  Every `VahlenMatrix` is checked where it
+is built against Ahlfors' conditions on its entries, and carries its inverse
+and its pole -c^-1 d, each formed once when first read.
 
 Every quantity of the map at a point comes from the one denominator
 g = c x + d, and `MobiusPoint(m, points)` forms it once per batch of points,
@@ -36,6 +36,9 @@ from .algebra import (
     Multivector,
     VectorFactorList,
     _lipschitz_inverse,
+    blade_grades,
+    geometric_product,
+    lipschitz_element_inverse,
     parity,
     square_sum,
     vector_sandwich,
@@ -60,7 +63,8 @@ def _as_vector(dim: int, t) -> Multivector:
 
 @dataclass(frozen=True, eq=False)
 class VahlenMatrix:
-    """Conformal transformation as a 2x2 Clifford matrix."""
+    """Conformal transformation as a 2x2 Clifford matrix, refused with
+    `MobiusError` where it is built unless Ahlfors' conditions hold (`_residuals`)."""
 
     dim: int
     a: Multivector
@@ -73,6 +77,43 @@ class VahlenMatrix:
             entry = getattr(self, name)
             if entry.dim != self.dim or entry.batch_shape:
                 raise MobiusError(f"entry {name} must be a single Cl(0,{self.dim}) value")
+        for condition, residual, scale in self._residuals():
+            if not residual <= 1e-10 * scale:  # a NaN residual is refused too
+                raise MobiusError(f"not a Vahlen matrix: condition {condition} has residual "
+                                  f"{residual:.3e} at scale {scale:.3e} (tolerance 1e-10 relative)")
+
+    def _residuals(self) -> list:
+        """(condition, residual, scale) for each of Ahlfors' conditions, from one
+        batch of six products: (ii) rev(a)c, rev(c)d, rev(d)b and rev(b)a are
+        vectors, off grade 1 by at most 1e-10 max(1, |product|); (iii) the
+        pseudo-determinant a rev(d) - b rev(c), on which `inverse` rests, is
+        1 within 1e-10 max(1, |a rev(d)|, |b rev(c)|)."""
+        a, b, c, d = rows = np.stack([e.coeffs for e in (self.a, self.b, self.c, self.d)])
+        ra, rb, rc, rd = Multivector(self.dim, rows).reversion().coeffs
+        left, right = (Multivector(self.dim, np.stack(rows))
+                       for rows in ((ra, rc, rd, rb, a, b), (c, d, b, a, rd, rc)))
+        prods = geometric_product(left, right).coeffs
+        norms = np.linalg.norm(prods, axis=-1)
+        off = np.linalg.norm(np.where(blade_grades(self.dim) == 1, 0.0, prods[:4]), axis=-1)
+        det = prods[4] - prods[5]
+        det[0] -= 1.0
+        out = [(f"(ii) {name} is a vector", float(r), max(1.0, float(s)))
+               for name, r, s in zip(("rev(a)c", "rev(c)d", "rev(d)b", "rev(b)a"), off, norms)]
+        out.append(("(iii) a rev(d) - b rev(c) = 1", float(np.linalg.norm(det)),
+                    max(1.0, float(norms[4]), float(norms[5]))))
+        return out
+
+    @cached_property
+    def inverse(self) -> "VahlenMatrix":
+        """The inverse matrix (rev(d), -rev(b), -rev(c), rev(a))."""
+        return VahlenMatrix(self.dim, self.d.reversion(), -self.b.reversion(),
+                            -self.c.reversion(), self.a.reversion())
+
+    @cached_property
+    def pole(self) -> tuple:
+        """The pole -c^-1 d, where c x + d = 0, as singular points: none when c = 0."""
+        return () if float(self.c.norm()) < 1e-13 else (
+            tuple((0.0 - (lipschitz_element_inverse(self.c) * self.d).vector_part()).tolist()),)
 
 
 # ------------------------------------------------------------- generators
@@ -139,7 +180,7 @@ def rotation_from_factors(dim: int, factors: VectorFactorList) -> VahlenMatrix:
     return VahlenMatrix(dim, a, zero, zero, sign * a)
 
 
-# ------------------------------------------------- composition and inverse
+# ------------------------------------------------------------ composition
 
 
 def compose(m1: VahlenMatrix, m2: VahlenMatrix) -> VahlenMatrix:
@@ -151,48 +192,6 @@ def compose(m1: VahlenMatrix, m2: VahlenMatrix) -> VahlenMatrix:
     c = m1.c * m2.a + m1.d * m2.c
     d = m1.c * m2.b + m1.d * m2.d
     return VahlenMatrix(m1.dim, a, b, c, d)
-
-
-def vahlen_inverse(m: VahlenMatrix) -> VahlenMatrix:
-    """Inverse matrix (reversion(d), -reversion(b), -reversion(c), reversion(a))."""
-    return VahlenMatrix(
-        m.dim, m.d.reversion(), -m.b.reversion(), -m.c.reversion(), m.a.reversion()
-    )
-
-
-# ------------------------------------------------------------- validation
-
-
-@dataclass(frozen=True)
-class VahlenValidation:
-    condition_ii: dict
-    condition_iii: float
-    passes: bool
-
-
-def validate_vahlen(m: VahlenMatrix) -> VahlenValidation:
-    """Numerical residuals for the entry-product conditions.
-
-    condition (ii): reversion(a)c, reversion(c)d, reversion(d)b and
-    reversion(b)a must be grade-1 or zero -- reported as the off-grade-1
-    coefficient mass relative to max(1, product norm).  condition (iii):
-    the pseudo-determinant reversion(a)d - reversion(b)c must equal 1 --
-    reported as the absolute coefficient distance.  Both pass at 1e-10.
-    """
-    pairs = {
-        "rev(a)c": m.a.reversion() * m.c,
-        "rev(c)d": m.c.reversion() * m.d,
-        "rev(d)b": m.d.reversion() * m.b,
-        "rev(b)a": m.b.reversion() * m.a,
-    }
-    residuals_ii = {}
-    for name, prod in pairs.items():
-        off = prod - prod.grade_select(1)
-        residuals_ii[name] = float(off.norm()) / max(1.0, float(prod.norm()))
-    det = m.a.reversion() * m.d - m.b.reversion() * m.c
-    residual_iii = float((det - Multivector.scalar(m.dim, 1.0)).norm())
-    passes = residual_iii <= 1e-10 and all(v <= 1e-10 for v in residuals_ii.values())
-    return VahlenValidation(residuals_ii, residual_iii, passes)
 
 
 # ------------------------------------------------------------- evaluation

@@ -69,12 +69,11 @@ from .fields import (
     FieldError,
     composed_partials,
     dirac_field,
-    map_pole,
     power_scale,
     singular_preimages,
     validate_clearance,
 )
-from .mobius import MobiusPoint, VahlenMatrix, map_points, vahlen_inverse
+from .mobius import MobiusPoint, PoleError, VahlenMatrix, map_points
 
 
 class WeakFormError(ValueError):
@@ -560,11 +559,13 @@ def pullback_domain(m: VahlenMatrix, dom: Domain) -> Domain:
     and goes to a line, which therefore crosses the image sphere at right
     angles: the images of the two crossings c +- r u are the ends of a
     diameter.  A ball whose closure holds M(inf) would turn inside out and
-    is refused, and so is an annulus or a box under a map with a pole; a
-    box survives only scalar a, d (no rotation).
+    is refused, and so is one whose nearer crossing lies within the pole
+    tolerance of M(inf), where M^-1 refuses it; an annulus or a box under a
+    map with a pole is refused too, and a box survives only scalar a, d (no
+    rotation).
     """
-    inv = vahlen_inverse(m)
-    pole = map_pole(inv)
+    inv = m.inverse
+    pole = inv.pole
     if pole and dom.kind != "ball":
         raise DomainError("pullback under a map with a pole is implemented for balls only")
     if dom.kind == "box":
@@ -579,7 +580,10 @@ def pullback_domain(m: VahlenMatrix, dom: Domain) -> Domain:
         raise DomainError("the map turns the ball inside out (pole inside the region)")
     u = u / gap
     radii = [dom.inner, dom.outer] if dom.kind == "annulus" else [dom.outer]
-    ends = map_points(inv, c + np.multiply.outer(radii, [u, -u]))
+    try:
+        ends = map_points(inv, c + np.multiply.outer(radii, [u, -u]))
+    except PoleError as exc:
+        raise DomainError(f"the ball's boundary reaches M(inf): {exc}") from exc
     centers = (ends[:, 0] + ends[:, 1]) / 2.0
     spans = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=-1) / 2.0
     if dom.kind == "annulus":
@@ -648,10 +652,11 @@ class CovarianceReport:
 
 
 def _pullback_and_validate(f, m, source_domain):
-    """The checked preimage domain and the singular points of f(M(x)), the map's pole first."""
-    volume, preimages = pullback_domain(m, source_domain), singular_preimages(f, m)
-    validate_clearance(volume, singular_points=preimages, mobius=m)
-    return volume, map_pole(m) + preimages
+    """The checked preimage domain and the singular points of f(M(x)), the map's pole first;
+    the clearance check measures the pole by |c| times its distance."""
+    volume, singular = pullback_domain(m, source_domain), singular_preimages(f, m)
+    validate_clearance(volume, singular_points=singular[len(m.pole):], mobius=m)
+    return volume, singular
 
 
 def dirac_covariance_experiment(

@@ -29,8 +29,6 @@ from diraclab.mobius import (
     rotation,
     rotation_from_factors,
     translation,
-    vahlen_inverse,
-    validate_vahlen,
 )
 from diraclab.weakform import BumpTestFunction, norm_frame_identity_check, sc_invariance_check
 
@@ -65,25 +63,103 @@ def probe_points(rng, dim, count=6):
 # -------------------------------------------------------------- validation
 
 
+def _passes(m):
+    """Every Ahlfors condition of m within 1e-10 relative, as the entry check reads them."""
+    return all(residual <= 1e-10 * scale for _, residual, scale in m._residuals())
+
+
+def _unchecked(dim, a, b, c, d):
+    """A VahlenMatrix built past the entry check, to reach the readers."""
+    m = object.__new__(VahlenMatrix)
+    for name, value in zip(("dim", "a", "b", "c", "d"), (dim, a, b, c, d)):
+        object.__setattr__(m, name, value)
+    return m
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_generators_and_words_validate(dim):
     for name, m in sample_matrices(dim).items():
-        report = validate_vahlen(m)
-        assert report.passes, (name, report)
+        assert _passes(m), (name, m._residuals())
+        assert _passes(m.inverse), name
 
 
 def test_identity_matrix_residuals_are_exactly_zero():
-    report = validate_vahlen(identity_matrix(3))
-    assert report.condition_iii == 0.0
-    assert all(v == 0.0 for v in report.condition_ii.values())
+    residuals = identity_matrix(3)._residuals()
+    assert len(residuals) == 5
+    assert all(residual == 0.0 for _, residual, _ in residuals)
 
 
 def test_scaled_identity_fails_condition_iii():
     m = identity_matrix(3)
-    bad = type(m)(3, m.a, m.b, m.c, Multivector.scalar(3, 2.0))
-    report = validate_vahlen(bad)
-    assert report.condition_iii == pytest.approx(1.0)
-    assert not report.passes
+    with pytest.raises(MobiusError, match=r"condition \(iii\).* residual 1\.000e\+00"):
+        VahlenMatrix(3, m.a, m.b, m.c, Multivector.scalar(3, 2.0))
+    assert not _passes(_unchecked(3, m.a, m.b, m.c, Multivector.scalar(3, 2.0)))
+
+
+def _random_word(rng, dim):
+    """A generator word of 1-6 generators: inversions, translations with
+    N(0, 3^2) components, dilations in [0.2, 5] and rotations by angles in
+    [-3, 3] in a random coordinate plane."""
+    tokens = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            tokens.append("inversion")
+        elif kind == 1:
+            tokens.append("translate:" + ",".join(repr(float(v)) for v in rng.normal(0.0, 3.0, dim)))
+        elif kind == 2:
+            tokens.append(f"dilate:{float(rng.uniform(0.2, 5.0))!r}")
+        else:
+            i, j = rng.choice(np.arange(1, dim + 1), 2, replace=False)
+            tokens.append(f"rotate:{i},{j},{float(rng.uniform(-3.0, 3.0))!r}")
+    return "*".join(tokens)
+
+
+def test_valid_words_are_accepted():
+    """Every Moebius map is accepted at its entry check, with its inverse:
+    600 seeded random words at n = 2..4 (a pseudo-determinant read as
+    rev(a)d - rev(b)c refused 33 of them, with residuals up to 946), the
+    word t*inversion*s whose rev(a)d - rev(b)c is 1 + 2 t^s, and every
+    generator word (the sample matrices are read in
+    `test_generators_and_words_validate`)."""
+    rng = np.random.default_rng(0)
+    words = [(_random_word(rng, dim), dim) for dim in rng.integers(2, 5, 600)]
+    words.append(("translate:1,0,0*inversion*translate:0,1,0", 3))
+    words += [(word, 3) for word, _ in _GENERATOR_WORDS]
+    for word, dim in words:
+        m = parse_mobius_expr(word, dim)
+        assert _passes(m) and _passes(m.inverse), word
+
+
+def _non_vahlen_entries(rng, dim):
+    """Four entries, each zero, a scalar, a vector or a dense multivector."""
+    kinds = (lambda: Multivector.zero(dim), lambda: Multivector.scalar(dim, rng.normal()),
+             lambda: Multivector.from_vector(dim, rng.normal(size=dim)),
+             lambda: Multivector(dim, rng.normal(size=1 << dim)))
+    return [kinds[int(rng.integers(4))]() for _ in range(4)]
+
+
+def test_non_vahlen_matrices_are_refused_at_construction():
+    """300 seeded matrices with zero, scalar, vector or dense entries are
+    each refused where they are built, naming the condition they fail
+    (built past the check, 20 of them got a preimage ball from
+    `pullback_domain`, and the rest failed later with four error types)."""
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        dim = int(rng.integers(2, 5))
+        entries = _non_vahlen_entries(rng, dim)
+        with pytest.raises(MobiusError, match=r"not a Vahlen matrix: condition \((ii|iii)\)"):
+            VahlenMatrix(dim, *entries)
+
+
+def test_non_finite_entries_are_refused_at_construction():
+    """A NaN residual fails its condition, as a residual above tolerance does."""
+    one, zero = Multivector.scalar(3, 1.0), Multivector.zero(3)
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(MobiusError, match="not a Vahlen matrix"):
+            VahlenMatrix(3, one, Multivector.from_vector(3, [bad, 0.0, 0.0]), zero, one)
+        with np.errstate(invalid="ignore"), pytest.raises(MobiusError, match="not a Vahlen matrix"):
+            translation(3, [bad, 0.0, 0.0])
 
 
 _GENERATOR_WORDS = [
@@ -103,7 +179,7 @@ def test_parse_accepts_every_generator_word(rng, word, built):
     m = parse_mobius_expr(word, 3)
     pts = probe_points(rng, 3)
     assert np.array_equal(map_points(m, pts), map_points(built, pts))
-    assert validate_vahlen(m).passes
+    assert _passes(m)
 
 
 # -------------------------------------------------------------- point maps
@@ -143,7 +219,7 @@ def test_rotation_turns_the_plane_and_fixes_the_complement():
 def test_rotation_from_factors_matches_pin_action(rng):
     factors = random_factor_list(rng, 3, 3, unit=True)
     m = rotation_from_factors(3, factors)
-    assert validate_vahlen(m).passes
+    assert _passes(m)
     x = rng.normal(size=3)
     want = factors.product()
     assert np.allclose(
@@ -168,7 +244,7 @@ def test_composition_consistency(rng):
 def test_vahlen_inverse_roundtrip(rng):
     for name, m in sample_matrices(3).items():
         pts = Multivector.from_vector(3, probe_points(rng, 3))
-        back = image(vahlen_inverse(m), image(m, pts))
+        back = image(m.inverse, image(m, pts))
         assert np.max(np.abs(back.vector_part() - pts.vector_part())) <= 1e-9, name
 
 
@@ -215,8 +291,11 @@ def test_non_vahlen_matrix_is_refused_by_every_reader():
     """a = d = 1, b = 0, c = 1 + e1: g = c x + d has mixed parity and an
     image off grade 1, and each reader refuses it with a MobiusError."""
     one = Multivector.scalar(3, 1.0)
-    m = VahlenMatrix(3, one, Multivector.zero(3), one + Multivector.basis_vector(3, 1), one)
-    assert not validate_vahlen(m).passes
+    entries = (one, Multivector.zero(3), one + Multivector.basis_vector(3, 1), one)
+    with pytest.raises(MobiusError, match=r"condition \(ii\) rev\(a\)c is a vector"):
+        VahlenMatrix(3, *entries)
+    m = _unchecked(3, *entries)
+    assert not _passes(m)
     pts = np.array([[0.3, 0.2, 0.1], [1.0, -0.5, 0.7]])
     f = identity_field(3)
     far = BumpTestFunction(3, (5.0, 0.0, 0.0), 0.5, Multivector.scalar(3, 1.0))
@@ -377,7 +456,7 @@ def test_parse_mobius_expr(rng):
         image(want, pts).vector_part(),
         atol=1e-13,
     )
-    assert validate_vahlen(m).passes
+    assert _passes(m)
 
 
 @pytest.mark.parametrize(

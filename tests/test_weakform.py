@@ -30,7 +30,6 @@ from diraclab.fields import (
     constant_field,
     identity_field,
     log_radial,
-    map_pole,
     p_dirac_solution,
     p_harmonic_radial,
 )
@@ -972,7 +971,7 @@ def test_pullback_boundaries_map_onto_the_source_sphere():
         ball = Domain.ball(rng.uniform(-3.0, 3.0, n), rng.uniform(0.2, 1.5))
         dirs = rng.normal(size=(16, n))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        if ball.distance(map_pole(mobius.vahlen_inverse(m))[0]) == 0.0:
+        if ball.distance(m.inverse.pole[0]) == 0.0:
             with pytest.raises(DomainError, match="inside out"):
                 pullback_domain(m, ball)
             continue
@@ -1004,6 +1003,22 @@ def test_pullback_rejects_pole_inside_and_non_ball():
         pullback_domain(inversion(3), Domain.ball([0.2, 0.0, 0.0], 1.0))
     with pytest.raises(DomainError):
         pullback_domain(inversion(3), Domain.annulus([0.0, 0.0, 0.0], 1.0, 2.0))
+
+
+def test_near_tangent_pullback_is_refused_within_the_pole_tolerance_and_runs_beyond():
+    """A ball whose boundary passes 1e-13 outside M(inf) = 0 is refused as a
+    DomainError, where its crossing lands within the pole tolerance of M^-1
+    (it raised PoleError).  At 1e-9 outside, its preimage is the true ball
+    of radius about 5e8, and a covariance experiment on it runs and holds."""
+    with pytest.raises(DomainError, match=r"boundary reaches M\(inf\)"):
+        pullback_domain(inversion(3), Domain.ball([1.0 + 1e-13, 0.0, 0.0], 1.0))
+    source = Domain.ball([1.0 + 1e-9, 0.0, 0.0], 1.0)
+    eps = source.center[0] - 1.0  # the gap as stored, exact by Sterbenz
+    back = pullback_domain(inversion(3), source)
+    assert back.outer == pytest.approx((1.0 / eps - 1.0 / (2.0 + eps)) / 2.0, rel=1e-12)
+    assert back.center[0] == pytest.approx((1.0 / eps + 1.0 / (2.0 + eps)) / 2.0, rel=1e-12)
+    rep = dirac_covariance_experiment(p_dirac_solution(3, 2.5), 2.5, inversion(3), source, order=4)
+    assert rep.max_normalized <= 1e-12
 
 
 # ------------------------------------------------------ covariance reports
