@@ -34,10 +34,12 @@ fourth gives `sphere_ops_ms`: the median milliseconds of 25 calls each of
 (p = 2.5, one point) and `yamabe_op` (of |x - y|^0.5, five points) at
 ambient 3 and 4, the nested spherical operators, and a fifth gives
 `mobius_ms`: at n = 3 and 4, the median milliseconds of 25 calls each of
-`parse_mobius_expr` of `inversion` and of a 5-generator word, and of
-`pullback_domain` and `validate_clearance` of the inversion on the CLI's
-source ball about 3e_1, each handed a matrix built before the clock
-starts, so that it reads nothing another call formed.  numpy and the standard
+`parse_mobius_expr` of `inversion` and of a 5-generator word, of
+`compose(inversion, translation)`, of `map_points` of the inversion on one
+8,192-node block of points in the CLI's source ball about 3e_1, and of
+`pullback_domain` and `validate_clearance` of the inversion on that ball,
+each of the last two handed a matrix built before the clock starts, so
+that it reads nothing another call formed.  numpy and the standard
 library only; a snapshot with a baseline at the default
 10 runs took 16 minutes on a 2-vCPU machine, one tier-1 run (about a
 minute) per side included.
@@ -203,8 +205,9 @@ print(json.dumps(out))
 
 MOBIUS = """
 import json, statistics, time
+import numpy as np
 from diraclab.fields import Domain, validate_clearance
-from diraclab.mobius import VahlenMatrix, parse_mobius_expr
+from diraclab.mobius import VahlenMatrix, compose, inversion, map_points, parse_mobius_expr, translation
 from diraclab.weakform import pullback_domain
 out = {}
 
@@ -223,6 +226,10 @@ for dim in (3, 4):
     for name, expr in (("inversion", "inversion"), ("word5", word)):
         clock(f"d{dim}.parse.{name}", lambda _: parse_mobius_expr(expr, dim))
     m, ball = parse_mobius_expr("inversion", dim), Domain.ball([3.0] + [0.0] * (dim - 1), 1.0)
+    t = translation(dim, [1.0, 0.5] + [0.0] * (dim - 2))
+    clock(f"d{dim}.compose", lambda _: compose(m, t))
+    block = np.asarray(ball.center) + np.random.default_rng(0).uniform(-0.5, 0.5, (8192, dim))
+    clock(f"d{dim}.map_points", lambda _: map_points(m, block))
     volume = pullback_domain(m, ball)
     fresh = lambda: VahlenMatrix(dim, m.a, m.b, m.c, m.d)
     clock(f"d{dim}.pullback_domain", lambda mm: pullback_domain(mm, ball), fresh)

@@ -446,7 +446,7 @@ def _lipschitz_inverse(g: Multivector, n2: np.ndarray) -> Multivector:
         raise SingularElementError("inverse of zero element")
     inv = Multivector(g.dim, g.conjugation().coeffs / n2[..., None], copy=False)
     resid = geometric_product(g, inv) - Multivector.scalar(g.dim, np.ones(inv.batch_shape))
-    if np.any(resid.norm() > 1e-9):
+    if not np.all(resid.norm() <= 1e-9):  # a NaN residual is refused too
         raise AlgebraError(
             "element is not invertible by conjugation (not a vector product); "
             f"max residual {np.max(resid.norm()):.3e}"

@@ -5,15 +5,18 @@ A 2x2 matrix (a, b, c, d) with Clifford entries acts on vectors by
     M(x) = (a x + b) (c x + d)^{-1},
 
 covering translations, dilations, rotations/reflections and the sphere
-inversion x -> x/|x|^2.  Matrices are built from those four generators and
-composed by matrix multiplication.  Every `VahlenMatrix` is checked where it
-is built against Ahlfors' conditions on its entries, and carries its inverse
-and its pole -c^-1 d, each formed once when first read.
+inversion x -> x/|x|^2.  Every map is a word in those four generators, and
+its matrix is their product: `parse_mobius_expr` composes the generators
+left to right from the first, with no identity seed, and `compose` forms
+the eight entry products of a matrix product as one batched product.  Every
+`VahlenMatrix` is checked where it is built against Ahlfors' conditions on
+its entries, and carries its inverse and its pole -c^-1 d, each formed once
+when first read.
 
 Every quantity of the map at a point comes from the one denominator
 g = c x + d, and `MobiusPoint(m, points)` forms it once per batch of points,
-with the one pole check.  From g it derives, when they are read, the image
-M(x), the twist g^-1 f(M(x)), the two scale factors
+refusing a non-finite |g|^2 and a pole.  From g it derives, when they are
+read, the image M(x), the twist g^-1 f(M(x)), the two scale factors
 
     J1  = reversion(g) / |g|^n
     Jm1 = reversion(g) / |g|^(n+2),
@@ -27,7 +30,7 @@ d/dx_j of the covariance experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -51,14 +54,6 @@ class MobiusError(ValueError):
 
 class PoleError(MobiusError):
     """The denominator c x + d is numerically zero at a requested point."""
-
-
-def _as_vector(dim: int, t) -> Multivector:
-    if isinstance(t, Multivector):
-        if not t.is_grade(1, tol=1e-14 * float(np.max(t.norm(), initial=0.0))):
-            raise MobiusError("translation parameter must be grade-1")
-        return t
-    return Multivector.from_vector(dim, np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +121,8 @@ def identity_matrix(dim: int) -> VahlenMatrix:
 
 
 def translation(dim: int, t) -> VahlenMatrix:
-    t = _as_vector(dim, t)
     one = Multivector.scalar(dim, 1.0)
-    zero = Multivector.zero(dim)
-    return VahlenMatrix(dim, one, t, zero, one)
+    return VahlenMatrix(dim, one, Multivector.from_vector(dim, t), Multivector.zero(dim), one)
 
 
 def dilation(dim: int, lam: float) -> VahlenMatrix:
@@ -150,24 +143,15 @@ def inversion(dim: int) -> VahlenMatrix:
 
 
 def rotation(dim: int, i: int, j: int, theta: float) -> VahlenMatrix:
-    """Rotation by theta in the oriented (e_i, e_j) plane.
-
-    Built as a product of two unit-vector reflections, so the `a` entry is
-    a certified Pin element; the matrix is (a, 0, 0, a) since the factor
-    count is even.
-    """
+    """Rotation by theta in the oriented (e_i, e_j) plane: `rotation_from_factors`
+    of two unit vectors, so the `a` entry is a certified Pin element and the
+    matrix is (a, 0, 0, a), as the factor count is even."""
     if i == j or not (1 <= i <= dim and 1 <= j <= dim):
         raise MobiusError(f"rotation plane indices must be distinct in [1,{dim}]")
-    half = 0.5 * theta
     w = np.zeros(dim)
-    w[i - 1] = np.cos(half)
-    w[j - 1] = np.sin(half)
-    factors = VectorFactorList(
-        [Multivector.from_vector(dim, w), Multivector.basis_vector(dim, i)]
-    )
-    a = factors.product()
-    zero = Multivector.zero(dim)
-    return VahlenMatrix(dim, a, zero, zero, a)
+    w[i - 1], w[j - 1] = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    return rotation_from_factors(dim, VectorFactorList(
+        [Multivector.from_vector(dim, w), Multivector.basis_vector(dim, i)]))
 
 
 def rotation_from_factors(dim: int, factors: VectorFactorList) -> VahlenMatrix:
@@ -175,23 +159,24 @@ def rotation_from_factors(dim: int, factors: VectorFactorList) -> VahlenMatrix:
     if not factors.is_unit():
         raise MobiusError("rotation factors must be unit vectors")
     a = factors.product()
-    sign = -1.0 if len(factors) % 2 else 1.0
     zero = Multivector.zero(dim)
-    return VahlenMatrix(dim, a, zero, zero, sign * a)
+    return VahlenMatrix(dim, a, zero, zero, -a if len(factors) % 2 else a)
 
 
 # ------------------------------------------------------------ composition
 
 
 def compose(m1: VahlenMatrix, m2: VahlenMatrix) -> VahlenMatrix:
-    """Matrix product m1 m2, representing the map m1 after m2."""
+    """Matrix product m1 m2, representing the map m1 after m2: its eight
+    entry products are one 8-row `geometric_product`, added in pairs
+    (a1 a2 + b1 c2, a1 b2 + b1 d2, c1 a2 + d1 c2, c1 b2 + d1 d2)."""
     if m1.dim != m2.dim:
         raise MobiusError("cannot compose matrices of different dimensions")
-    a = m1.a * m2.a + m1.b * m2.c
-    b = m1.a * m2.b + m1.b * m2.d
-    c = m1.c * m2.a + m1.d * m2.c
-    d = m1.c * m2.b + m1.d * m2.d
-    return VahlenMatrix(m1.dim, a, b, c, d)
+    stack = lambda *entries: Multivector(m1.dim, np.stack([e.coeffs for e in entries]), copy=False)
+    p = geometric_product(stack(m1.a, m1.b, m1.a, m1.b, m1.c, m1.d, m1.c, m1.d),
+                          stack(m2.a, m2.c, m2.b, m2.d, m2.a, m2.c, m2.b, m2.d)).coeffs
+    return VahlenMatrix(m1.dim, *(Multivector(m1.dim, p[k] + p[k + 1], copy=False)
+                                  for k in range(0, 8, 2)))
 
 
 # ------------------------------------------------------------- evaluation
@@ -204,7 +189,9 @@ class MobiusPoint:
     """The map of `m` at an (..., n) array of points x, read from one g.
 
     x (the points as a multivector), g = c x + d and its sum of squares,
-    whose root is |g| (`scale`), are formed once, with the pole check.  The
+    whose root is |g| (`scale`), are formed once, with two checks: a
+    non-finite sum of squares (a point at infinity or NaN, or an overflow)
+    is refused with `MobiusError`, and a pole with `PoleError`.  The
     rest is derived from g when it is read: the image M(x), the twist
     g^-1 f(M(x)), the scale factors J1 and Jm1, the parity sigma and the
     unit frame u, whose sandwich u A reversion(u) (`algebra.pin_action`) is
@@ -216,8 +203,13 @@ class MobiusPoint:
 
     def __init__(self, m: VahlenMatrix, points):
         self.m, self.points, self.x = m, points, Multivector.from_vector(m.dim, points)
-        self.g = m.c * self.x + m.d
-        self._n2 = square_sum(self.g.coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.g = m.c * self.x + m.d
+            self._n2 = square_sum(self.g.coeffs)
+        finite = np.isfinite(self._n2)
+        if not finite.all():  # not a PoleError, which `fields.singular_preimages` skips
+            raise MobiusError(f"|c x + d|^2 is not finite at {finite.size - np.count_nonzero(finite)} "
+                              "point(s): a non-finite point, or a denominator that overflows")
         self.scale = np.sqrt(self._n2)
         if np.any(self.scale <= _POLE_TOL):
             raise PoleError(
@@ -227,11 +219,11 @@ class MobiusPoint:
 
     def _image(self, inverse: Multivector) -> np.ndarray:
         out = (self.m.a * self.x + self.m.b) * inverse
-        vec = out.grade_select(1)
-        off = float(np.max((out - vec).norm(), initial=0.0))
+        off_grade_1 = (blade_grades(self.m.dim) != 1).tobytes()
+        off = float(np.max(np.sqrt(square_sum(out.coeffs, off_grade_1)), initial=0.0))
         if off > 1e-10 * max(1.0, float(np.max(out.norm(), initial=0.0))):
             raise MobiusError(f"image has off-grade-1 mass {off:.3e}")
-        return vec.vector_part()
+        return out.vector_part()
 
     @property
     def image(self) -> np.ndarray:
@@ -295,41 +287,39 @@ def _parameters(text: str) -> list:
     return vals
 
 
+def _generator(token: str, dim: int) -> VahlenMatrix:
+    """The matrix of one generator token of `_GRAMMAR`."""
+    head, _, args = token.partition(":")
+    try:
+        if head == "identity":
+            return identity_matrix(dim)
+        if head == "inversion":
+            return inversion(dim)
+        if head in ("translate", "translation"):
+            vec = _parameters(args)
+            if len(vec) != dim:
+                raise MobiusError(f"translate needs {dim} components, got {len(vec)}")
+            return translation(dim, vec)
+        if head in ("dilate", "dilation"):
+            (lam,) = _parameters(args)
+            return dilation(dim, lam)
+        if head in ("rotate", "rotation"):
+            i_s, j_s, theta_s = args.split(",")
+            return rotation(dim, int(i_s), int(j_s), *_parameters(theta_s))
+    except (ValueError, AlgebraError) as exc:
+        if isinstance(exc, MobiusError):
+            raise
+        raise MobiusError(f"bad generator token {token!r}: {exc}") from exc
+    raise MobiusError(f"unknown generator {head!r}; grammar: {_GRAMMAR}")
+
+
 def parse_mobius_expr(expr: str, dim: int) -> VahlenMatrix:
     """Parse a generator word like 'inversion*translate:1,0,0'.
 
     The leftmost generator is applied last, matching function composition
-    and matrix-product order.
+    and matrix-product order: the word is its generators composed left to
+    right, from the first, so a word of k generators builds 2k - 1 matrices.
     """
-    out = identity_matrix(dim)
     if not expr.strip():
         raise MobiusError("empty generator expression")
-    for token in expr.split("*"):
-        token = token.strip()
-        head, _, args = token.partition(":")
-        try:
-            if head == "identity":
-                gen = identity_matrix(dim)
-            elif head == "inversion":
-                gen = inversion(dim)
-            elif head in ("translate", "translation"):
-                vec = _parameters(args)
-                if len(vec) != dim:
-                    raise MobiusError(
-                        f"translate needs {dim} components, got {len(vec)}"
-                    )
-                gen = translation(dim, vec)
-            elif head in ("dilate", "dilation"):
-                (lam,) = _parameters(args)
-                gen = dilation(dim, lam)
-            elif head in ("rotate", "rotation"):
-                i_s, j_s, theta_s = args.split(",")
-                gen = rotation(dim, int(i_s), int(j_s), *_parameters(theta_s))
-            else:
-                raise MobiusError(f"unknown generator {head!r}; grammar: {_GRAMMAR}")
-        except (ValueError, AlgebraError) as exc:
-            if isinstance(exc, MobiusError):
-                raise
-            raise MobiusError(f"bad generator token {token!r}: {exc}") from exc
-        out = compose(out, gen)
-    return out
+    return reduce(compose, (_generator(token.strip(), dim) for token in expr.split("*")))

@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from diraclab.mobius import VahlenMatrix, identity_matrix, parse_mobius_expr
+
 
 def mask_to_indices(mask: int) -> tuple:
     """Bitmask blade -> ascending tuple of 1-based generator indices."""
@@ -105,6 +107,23 @@ def fd_jacobian(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         e[j] = h
         cols.append((np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * h))
     return np.stack(cols, axis=-1)
+
+
+def compose_reference(m1, m2):
+    """The Vahlen matrix product m1 m2 from eight single-row products,
+    added in pairs: the bits that the batched `mobius.compose` keeps."""
+    return VahlenMatrix(m1.dim, m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
+                        m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
+
+
+def parse_reference(expr: str, dim: int):
+    """A generator word as the identity matrix with each generator
+    composed onto it by `compose_reference`, left to right: the bits that
+    `mobius.parse_mobius_expr`, seeded by the first generator, keeps."""
+    out = identity_matrix(dim)
+    for token in expr.split("*"):
+        out = compose_reference(out, parse_mobius_expr(token, dim))
+    return out
 
 
 @lru_cache(maxsize=None)

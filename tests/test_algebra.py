@@ -404,6 +404,14 @@ def test_conjugation_inverse_rejects_non_group_element():
         lipschitz_element_inverse(bad)
 
 
+def test_conjugation_inverse_refuses_a_nan_residual():
+    """A NaN or inf coefficient makes the residual g g^-1 - 1 NaN, which
+    the check refuses as it refuses one above 1e-9."""
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(AlgebraError, match="max residual nan"):
+            lipschitz_element_inverse(Multivector.from_vector(3, [bad, 1.0, 0.0]))
+
+
 # ------------------------------------------------------------ group actions
 
 

@@ -2,11 +2,13 @@
 differential against a finite-difference Jacobian, frames and scale factors,
 all read through the one per-point record `MobiusPoint`."""
 
+import re
+
 import numpy as np
 import pytest
 
-from diraclab.algebra import (AlgebraError, Multivector, geometric_product, pin_action,
-                              vector_sandwich)
+from diraclab.algebra import (AlgebraError, Multivector, geometric_product,
+                              lipschitz_element_inverse, pin_action, vector_sandwich)
 from diraclab.fields import (
     StencilError,
     compose_with_mobius,
@@ -33,7 +35,7 @@ from diraclab.mobius import (
 from diraclab.weakform import BumpTestFunction, norm_frame_identity_check, sc_invariance_check
 
 from conftest import random_factor_list
-from oracles import fd_jacobian
+from oracles import compose_reference, fd_jacobian, parse_reference
 
 
 def sample_matrices(dim):
@@ -115,6 +117,10 @@ def _random_word(rng, dim):
     return "*".join(tokens)
 
 
+def _entry_bytes(m):
+    return [e.coeffs.tobytes() for e in (m.a, m.b, m.c, m.d)]
+
+
 def test_valid_words_are_accepted():
     """Every Moebius map is accepted at its entry check, with its inverse:
     600 seeded random words at n = 2..4 (a pseudo-determinant read as
@@ -129,6 +135,25 @@ def test_valid_words_are_accepted():
     for word, dim in words:
         m = parse_mobius_expr(word, dim)
         assert _passes(m) and _passes(m.inverse), word
+        assert _entry_bytes(m) == _entry_bytes(parse_reference(word, dim)), word
+    for (w1, d1), (w2, d2) in zip(words, words[1:]):
+        if d1 == d2:
+            m1, m2 = parse_mobius_expr(w1, d1), parse_mobius_expr(w2, d2)
+            assert _entry_bytes(compose(m1, m2)) == _entry_bytes(compose_reference(m1, m2)), (w1, w2)
+
+
+def test_a_word_of_k_generators_checks_2k_minus_1_matrices(monkeypatch):
+    """Each generator and each composition is checked once, and nothing
+    else: no identity seed (with one, a word of k generators checked 2k + 1)."""
+    checked = []
+    residuals = VahlenMatrix._residuals
+    monkeypatch.setattr(VahlenMatrix, "_residuals", lambda m: checked.append(m) or residuals(m))
+    for word, k in (("inversion", 1), ("identity", 1), ("rotate:1,2,0.3", 1),
+                    ("inversion*translate:1,0.5,0", 2),
+                    ("rotate:1,2,0.3*inversion*translate:1,0.5,0*dilate:1.7*inversion", 5)):
+        checked.clear()
+        parse_mobius_expr(word, 3)
+        assert len(checked) == 2 * k - 1, word
 
 
 def _non_vahlen_entries(rng, dim):
@@ -246,6 +271,37 @@ def test_vahlen_inverse_roundtrip(rng):
         pts = Multivector.from_vector(3, probe_points(rng, 3))
         back = image(m.inverse, image(m, pts))
         assert np.max(np.abs(back.vector_part() - pts.vector_part())) <= 1e-9, name
+
+
+def test_image_check_matches_the_difference_array(rng):
+    """The image is the grade-1 part of out = (a x + b) g^-1, to the bit, and
+    the refusal reports the off-grade mass |out - grade_1(out)|, though no
+    difference array is formed: the image on the sample maps, the mass on
+    matrices with dense a and b, a vector c and d = 1 (past the entry check)."""
+    for dim in (2, 3, 4):
+        pts = probe_points(rng, dim)
+        for name, m in sample_matrices(dim).items():
+            at = MobiusPoint(m, pts)
+            out = (m.a * at.x + m.b) * lipschitz_element_inverse(at.g)
+            assert at.image.tobytes() == out.grade_select(1).vector_part().tobytes(), (dim, name)
+        m = _unchecked(dim, Multivector(dim, rng.normal(size=1 << dim)),
+                       Multivector(dim, rng.normal(size=1 << dim)),
+                       Multivector.from_vector(dim, rng.normal(size=dim)), Multivector.scalar(dim, 1.0))
+        at = MobiusPoint(m, pts)
+        out = (m.a * at.x + m.b) * lipschitz_element_inverse(at.g)
+        off = float(np.max((out - out.grade_select(1)).norm()))
+        with pytest.raises(MobiusError, match=re.escape(f"off-grade-1 mass {off:.3e}") + "$"):
+            at.image
+
+
+def test_non_finite_and_overflowing_points_are_refused():
+    """A point at infinity or NaN, and one whose |c x + d|^2 overflows, are
+    refused with a MobiusError that is not a PoleError, so no pole skip
+    (`singular_preimages`) passes them over."""
+    for point in ([np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [1e200, 0.0, 0.0]):
+        with pytest.raises(MobiusError, match="not finite at 1 point") as caught:
+            map_points(inversion(3), np.array([point, [1.0, 2.0, 3.0]]))
+        assert not isinstance(caught.value, PoleError)
 
 
 def test_pole_error():
@@ -421,15 +477,20 @@ def test_frame_kernel_matches_pin_action_bytes(rng, dim):
 
 
 def test_frame_refuses_a_non_finite_unit_frame():
-    """A point at infinity passes the pole and parity checks with a NaN u:
-    the frame kernel, whose skipped zero terms assume a finite u, refuses it."""
+    """A point at infinity has a NaN unit frame g/|g|: `MobiusPoint` refuses
+    the point, and the frame kernel, whose skipped zero terms assume a
+    finite u, refuses that u when handed it."""
     for word in ("inversion", "rotate:1,2,0.3*inversion*translate:1,0.5,0"):
-        pts = np.array([[np.inf, 1.0, 0.0], [3.0, 0.0, 1.0]])
-        at = MobiusPoint(parse_mobius_expr(word, 3), pts)
-        with np.errstate(invalid="ignore"), pytest.raises(AlgebraError, match="finite u"):
-            at.frame
+        m, pts = parse_mobius_expr(word, 3), np.array([[np.inf, 1.0, 0.0], [3.0, 0.0, 1.0]])
+        with pytest.raises(MobiusError, match="not finite at 1 point"):
+            MobiusPoint(m, pts)
+        with np.errstate(invalid="ignore"):
+            g = m.c * Multivector.from_vector(3, pts) + m.d
+            u = g / g.norm()
         with pytest.raises(AlgebraError, match="finite u"):
-            vector_sandwich(at.u, np.ones((3, 2)))
+            vector_sandwich(u, *np.eye(3))
+        with pytest.raises(AlgebraError, match="finite u"):
+            vector_sandwich(u, np.ones((3, 2)))
 
 
 def test_sigma_parity(rng):
