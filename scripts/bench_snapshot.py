@@ -28,7 +28,8 @@ built before the clock starts, with the nodes each case streamed (counted
 at `weakform.weak_pairing`) in `pairing_grid_nodes`.  A third child per side gives
 `cli_runs_ms`: the median of 3 timings of `main` inside that interpreter
 for each of `covariance --theorem 1 --n 4 --order 8` and `sphere-check
---n 4`, the heavy Moebius and sphere runs outside the benchmark, and a
+--n 4`, the heavy Moebius and sphere runs outside the benchmark, and of
+`algebra-selftest --n 3 --checks 100000`, a large sampled self-test, and a
 fourth gives `sphere_ops_ms`: the median milliseconds of 25 calls each of
 `spherical_p_harmonic_check` (p = 2.5, five points), `lr_identity_check`
 (p = 2.5, one point) and `yamabe_op` (of |x - y|^0.5, five points) at
@@ -168,7 +169,8 @@ CLI_RUNS = """
 import contextlib, io, json, statistics, time
 from diraclab.cli import main
 out = {}
-for args in ("covariance --theorem 1 --n 4 --order 8", "sphere-check --n 4"):
+for args in ("covariance --theorem 1 --n 4 --order 8", "sphere-check --n 4",
+             "algebra-selftest --n 3 --checks 100000"):
     times = []
     for _ in range(3):
         start = time.perf_counter()

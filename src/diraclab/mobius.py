@@ -15,8 +15,8 @@ when first read.
 
 Every quantity of the map at a point comes from the one denominator
 g = c x + d, and `MobiusPoint(m, points)` forms it once per batch of points,
-refusing a non-finite |g|^2 and a pole.  From g it derives, when they are
-read, the image M(x), the twist g^-1 f(M(x)), the two scale factors
+refusing a non-finite point or |g|^2 and a pole.  From g it derives, when
+they are read, the image M(x), the twist g^-1 f(M(x)), the two scale factors
 
     J1  = reversion(g) / |g|^n
     Jm1 = reversion(g) / |g|^(n+2),
@@ -190,9 +190,9 @@ class MobiusPoint:
 
     x (the points as a multivector), g = c x + d and its sum of squares,
     whose root is |g| (`scale`), are formed once, with two checks: a
-    non-finite sum of squares (a point at infinity or NaN, or an overflow)
-    is refused with `MobiusError`, and a pole with `PoleError`.  The
-    rest is derived from g when it is read: the image M(x), the twist
+    non-finite point or sum of squares (a point at infinity or NaN, or an
+    overflow) is refused with `MobiusError`, and a pole with `PoleError`.
+    The rest is derived from g when it is read: the image M(x), the twist
     g^-1 f(M(x)), the scale factors J1 and Jm1, the parity sigma and the
     unit frame u, whose sandwich u A reversion(u) (`algebra.pin_action`) is
     an isometry of the coefficient norm that sends vectors to vectors;
@@ -210,6 +210,9 @@ class MobiusPoint:
         if not finite.all():  # not a PoleError, which `fields.singular_preimages` skips
             raise MobiusError(f"|c x + d|^2 is not finite at {finite.size - np.count_nonzero(finite)} "
                               "point(s): a non-finite point, or a denominator that overflows")
+        finite = np.isfinite(self.x.coeffs).all(axis=-1)  # c = 0 never reads x
+        if not finite.all():
+            raise MobiusError(f"x is not finite at {finite.size - np.count_nonzero(finite)} point(s)")
         self.scale = np.sqrt(self._n2)
         if np.any(self.scale <= _POLE_TOL):
             raise PoleError(
@@ -219,6 +222,9 @@ class MobiusPoint:
 
     def _image(self, inverse: Multivector) -> np.ndarray:
         out = (self.m.a * self.x + self.m.b) * inverse
+        finite = np.isfinite(out.coeffs).all(axis=-1)
+        if not finite.all():
+            raise MobiusError(f"image is not finite at {finite.size - np.count_nonzero(finite)} point(s)")
         off_grade_1 = (blade_grades(self.m.dim) != 1).tobytes()
         off = float(np.max(np.sqrt(square_sum(out.coeffs, off_grade_1)), initial=0.0))
         if off > 1e-10 * max(1.0, float(np.max(out.norm(), initial=0.0))):
@@ -228,7 +234,7 @@ class MobiusPoint:
     @property
     def image(self) -> np.ndarray:
         """The (..., n) coordinates of M(x) = (a x + b) g^-1, refused when
-        (a x + b) g^-1 is off grade 1 by over 1e-10."""
+        (a x + b) g^-1 is not finite or off grade 1 by over 1e-10."""
         return self._image(_lipschitz_inverse(self.g, self._n2))
 
     def twist(self, f) -> Multivector:

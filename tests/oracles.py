@@ -61,6 +61,24 @@ def blade_product_oracle(a_indices, b_indices):
     return sign, tuple(out)
 
 
+def inversion_count_oracle(a_indices, b_indices):
+    """(sign, sorted index tuple) for a blade product in Cl(0, n), one pair
+    at a time: the parity of the inversions of the concatenated index list,
+    then a -1 for each cancelled pair of equal sorted neighbours (e_j^2 = -1).
+    The reference for the self-test's exhaustive table, which counts the
+    same inversions for all 4**n pairs at once."""
+    seq = list(a_indices) + list(b_indices)
+    swaps = sum(x > y for k, x in enumerate(seq) for y in seq[k + 1:])
+    sign, out = -1 if swaps % 2 else 1, []
+    for idx in sorted(seq):
+        if out and out[-1] == idx:
+            out.pop()
+            sign = -sign
+        else:
+            out.append(idx)
+    return sign, tuple(out)
+
+
 def reversion_sign_oracle(indices) -> int:
     """Sign acquired by writing a blade's factors in reverse order."""
     seq = list(reversed(indices))

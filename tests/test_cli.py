@@ -13,7 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diraclab.cli import _make_bc, _parse_region, main, read_config_file, render_csv
+from diraclab import cli
+from diraclab.cli import (_blade_product_table, _make_bc, _parse_region, main,
+                          read_config_file, render_csv)
+
+from oracles import blade_product_oracle, indices_to_mask, inversion_count_oracle, mask_to_indices
 
 
 def run_cli(args):
@@ -37,6 +41,53 @@ def test_algebra_selftest_json_artifact(tmp_path):
     assert "blade-product-oracle" in props
     assert all(r["status"] == "pass" for r in doc["rows"])
     assert "version" in doc and "timestamp" not in json.dumps(doc)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_blade_product_table_equals_the_pairwise_oracles(n):
+    """The self-test's table against the one-pair inversion count and the
+    bubble-sort oracle, on all 4**n blade pairs."""
+    sign, mask = _blade_product_table(n)
+    for oracle in (inversion_count_oracle, blade_product_oracle):
+        want = [[oracle(mask_to_indices(a), mask_to_indices(b)) for b in range(1 << n)]
+                for a in range(1 << n)]
+        assert sign.tolist() == [[s for s, _ in row] for row in want]
+        assert mask.tolist() == [[indices_to_mask(idx) for _, idx in row] for row in want]
+
+
+def test_a_flipped_product_sign_fails_the_blade_product_oracle(monkeypatch, tmp_path):
+    """One wrong entry of the n = 2 sign table: with 16 pairs and 1,000
+    sampled checks the pair is drawn, the row fails and the run exits 1."""
+    signs = cli.product_signs
+
+    def flipped(n):
+        table = signs(n).copy()
+        if n == 2:
+            table[1, 2] *= -1
+        return table
+
+    monkeypatch.setattr(cli, "product_signs", flipped)
+    out = tmp_path / "alg.json"
+    assert run_cli(["algebra-selftest", "--n", "2", "--checks", "1000", "--out", str(out)]) == 1
+    rows = {r["property"]: r for r in json.loads(out.read_text())["rows"]}
+    assert rows["blade-product-oracle"]["worst"] > 0
+    assert rows["blade-product-oracle"]["status"] == "fail"
+    assert all(r["status"] == "pass" for p, r in rows.items() if p != "blade-product-oracle")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_batched_pair_draw_is_the_stream_of_scalar_draws(n):
+    """The self-test's artifacts rest on this numpy behaviour: one
+    integers(2**n, size=(count, 2)) gives the pairs of 2 * count scalar
+    draws and leaves the bit generator in the same state, for odd and even
+    counts."""
+    for seed in (0, 1, 42):
+        for count in (1, 2, 3, 7, 1000):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            pairs = batched.integers(1 << n, size=(count, 2))
+            assert pairs.tolist() == [[int(scalar.integers(1 << n)), int(scalar.integers(1 << n))]
+                                      for _ in range(count)]
+            assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 def test_kernel_residual_csv_columns(tmp_path):

@@ -304,6 +304,27 @@ def test_non_finite_and_overflowing_points_are_refused():
         assert not isinstance(caught.value, PoleError)
 
 
+def test_non_finite_points_are_refused_by_maps_that_do_not_read_them():
+    """With c = 0, |c x + d|^2 = |d|^2 never reads x: a NaN or infinite
+    point through a translation, dilation or rotation is refused on its own
+    (the translation gave [[nan, nan, nan], [inf, nan, nan]])."""
+    points = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    for m in (translation(3, [1, 0, 0]), dilation(3, 2.0), rotation(3, 1, 2, 0.3)):
+        with pytest.raises(MobiusError, match="x is not finite at 2 point") as caught:
+            map_points(m, points)
+        assert not isinstance(caught.value, PoleError)
+
+
+def test_an_image_that_overflows_is_refused():
+    """A finite point whose image overflows (the dilation by 2 of 1e308 e_1
+    gave [inf, 0, 0]) is refused with a MobiusError; 1e307 e_1 maps."""
+    with pytest.raises(MobiusError, match="image is not finite at 1 point"):
+        map_points(dilation(3, 2.0), [[1e308, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    with np.errstate(over="ignore"):  # the image's norm squares 2e307
+        np.testing.assert_allclose(map_points(dilation(3, 2.0), [1e307, 0.0, 0.0]),
+                                   [2e307, 0.0, 0.0], rtol=1e-15)
+
+
 def test_pole_error():
     with pytest.raises(PoleError):
         image(inversion(3), Multivector.from_vector(3, [0.0, 0.0, 0.0]))
